@@ -23,12 +23,12 @@
 //	    runs the whole loop in one process — serve over loopback HTTP,
 //	    seal mid-workload, audit concurrently — and exits by verdict;
 //
-//	karousos-auditd chaos -app motd -seed 11
-//	    runs the fault-injection acceptance scenario (collector crash,
-//	    transient EIO on auditor reads, one-epoch advice outage) and
-//	    exits 0 only if every robustness invariant held; -shards N runs
-//	    the sharded acceptance scenario instead (one shard killed and
-//	    restarted mid-workload behind a gateway).
+//	karousos-auditd chaos -scenario partition -seed 11
+//	    replays a chaos scenario — a built-in (acceptance, shard-kill,
+//	    partition, flap, gateway-restart, overload-burst,
+//	    overload-slow-fsync, overload-slow-client) or a JSON script
+//	    (-scenario-file) — against an in-process gateway + shards + live
+//	    auditor, and exits 0 only if every robustness invariant held.
 //
 // Exit codes are scriptable like karousos-audit's: 0 every audited epoch
 // accepted (chaos: every invariant held), 2 an epoch rejected or an
@@ -97,8 +97,8 @@ func usage(w io.Writer) {
             (-shards N audits a sharded topology root shard-parallel)
   status    print the epoch log's manifests and the audit cursor
   pipeline  serve + seal + audit in one process (exit code is the verdict)
-  chaos     run the fault-injection acceptance scenario; exits 0 if every
-            robustness invariant held`)
+  chaos     replay a chaos scenario (-scenario name or -scenario-file);
+            exits 0 if every robustness invariant held`)
 }
 
 func fail(stderr io.Writer, err error) int {
@@ -430,22 +430,19 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 func chaosCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "motd", "application: motd, stacks, wiki, feeds")
+	name := fs.String("scenario", "acceptance", "built-in scenario: "+strings.Join(chaos.BuiltinNames(), ", "))
+	file := fs.String("scenario-file", "", "JSON chaos.Scenario file (replaces -scenario, -app and -seed wholesale)")
+	app := fs.String("app", "", "run the built-in scenario against this application instead of its own")
 	seed := fs.Int64("seed", 11, "fault-schedule and workload seed")
 	dir := fs.String("dir", "", "scenario scratch directory (default: a fresh temp dir)")
-	file := fs.String("scenario", "", "JSON scenario file (default: the built-in acceptance scenario)")
-	shards := fs.Int("shards", 0, "run the sharded acceptance scenario over this many shards (0 = classic single-log scenario)")
 	verbose := fs.Bool("v", false, "print the full result as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *shards > 0 {
-		return shardChaosCmd(*shards, *seed, *dir, *verbose, stdout, stderr)
-	}
 	var sc chaos.Scenario
+	label := *name
 	if *file != "" {
-		// A scripted scenario replaces the built-in one wholesale — its
-		// absent fields mean "none", not "inherit the acceptance faults".
+		label = *file
 		blob, err := os.ReadFile(*file)
 		if err != nil {
 			return fail(stderr, err)
@@ -454,7 +451,10 @@ func chaosCmd(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, fmt.Errorf("scenario %s: %w", *file, err))
 		}
 	} else {
-		sc = chaos.AcceptanceScenario(*app, *seed)
+		var err error
+		if sc, err = chaos.Builtin(*name, *app, *seed); err != nil {
+			return fail(stderr, err)
+		}
 	}
 	if *dir == "" {
 		tmp, err := os.MkdirTemp("", "karousos-chaos-")
@@ -475,58 +475,19 @@ func chaosCmd(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 	}
-	fmt.Fprintf(stdout, "CHAOS %s seed=%d: served=%d refused=%d sealed=%d accepted=%d unauditable=%d rejected=%d auditor-restarts=%d collector-crashes=%d\n",
-		sc.App, sc.Seed, res.Served, res.Refused, res.Sealed, res.Accepted, res.Unauditable, res.Rejected, res.AuditorRestarts, res.CollectorCrashes)
+	merge := "accepted"
+	if m := res.Audit.Merge; m.Code != "" {
+		merge = fmt.Sprintf("[%s] %s", m.Code, m.Reason)
+	}
+	fmt.Fprintf(stdout, "CHAOS %s app=%s shards=%d seed=%d: served=%d shed=%d degraded=%d sealed=%d accepted=%d unauditable=%d rejected=%d auditor-restarts=%d merge=%s\n",
+		label, sc.Topology.App, sc.Topology.Shards, sc.Load.Seed, res.Served, res.Shed+res.ShedLocal, res.Degraded,
+		res.Sealed, res.Accepted, res.Unauditable, res.Rejected, res.AuditorRestarts, merge)
 	if len(res.Violations) > 0 {
 		for _, v := range res.Violations {
 			fmt.Fprintln(stderr, "CHAOS INVARIANT VIOLATED:", v)
 		}
 		return 2
 	}
-	if res.Rejected > 0 {
-		fmt.Fprintln(stderr, "CHAOS FALSE REJECT: an infrastructure-faulted honest run was rejected")
-		return 2
-	}
 	fmt.Fprintln(stdout, "CHAOS OK: all invariants held")
-	return 0
-}
-
-// shardChaosCmd runs the sharded acceptance scenario: a gateway-fronted
-// wiki topology with one shard killed and restarted mid-workload, then
-// the lane-count differential audit.
-func shardChaosCmd(shards int, seed int64, dir string, verbose bool, stdout, stderr io.Writer) int {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "karousos-shard-chaos-")
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	sc := chaos.ShardAcceptanceScenario(shards, seed)
-	res, err := chaos.RunShardChaos(dir, sc)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if verbose {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res); err != nil {
-			return fail(stderr, err)
-		}
-	}
-	merge := "accepted"
-	if res.Merge.Code != "" {
-		merge = fmt.Sprintf("[%s] %s", res.Merge.Code, res.Merge.Reason)
-	}
-	fmt.Fprintf(stdout, "SHARD CHAOS %s shards=%d seed=%d: served=%d refused=%d accepted=%d unauditable=%d rejected=%d merge=%s\n",
-		sc.App, sc.Shards, sc.Seed, res.Served, res.Refused, res.Accepted, res.Unauditable, res.Rejected, merge)
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintln(stderr, "SHARD CHAOS INVARIANT VIOLATED:", v)
-		}
-		return 2
-	}
-	fmt.Fprintln(stdout, "SHARD CHAOS OK: all invariants held")
 	return 0
 }

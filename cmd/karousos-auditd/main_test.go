@@ -102,32 +102,52 @@ func TestAuditRejectsCorruptEpoch(t *testing.T) {
 	}
 }
 
-// TestChaosCmd: the built-in acceptance scenario passes (exit 0) and its
-// verdict summary is printed; a scripted scenario file is accepted too.
+// TestChaosCmd: the one chaos subcommand runs built-ins by name — the
+// single-collector acceptance scenario and a sharded partition alike — and
+// scripted scenario files; unknown names and malformed scripts are
+// infrastructure errors, not verdicts.
 func TestChaosCmd(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"chaos", "-app", "motd", "-seed", "11", "-dir", filepath.Join(t.TempDir(), "chaos")}, &out, &errb)
+	code := run([]string{"chaos", "-app", "stacks", "-seed", "11", "-dir", filepath.Join(t.TempDir(), "chaos")}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("chaos exit %d: %s / %s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "CHAOS OK") || !strings.Contains(out.String(), "unauditable=1") {
+	if !strings.Contains(out.String(), "CHAOS OK") || !strings.Contains(out.String(), "app=stacks") || !strings.Contains(out.String(), "unauditable=1") {
 		t.Fatalf("chaos output: %s", out.String())
+	}
+
+	out.Reset()
+	errb.Reset()
+	code = run([]string{"chaos", "-scenario", "partition", "-seed", "23"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("partition chaos exit %d: %s / %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "CHAOS OK") || !strings.Contains(out.String(), "shards=4") ||
+		!strings.Contains(out.String(), "rejected=0") || !strings.Contains(out.String(), "merge=[Unauditable]") {
+		t.Fatalf("partition chaos output: %s", out.String())
 	}
 
 	// A scripted scenario from a JSON file: honest run, no faults.
 	sc := filepath.Join(t.TempDir(), "sc.json")
-	blob := `{"app":"motd","seed":3,"requests":20,"epochRequests":10}`
+	blob := `{"topology":{"app":"motd","shards":1,"epochRequests":10},"load":{"seed":3,"requests":20}}`
 	if err := os.WriteFile(sc, []byte(blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"chaos", "-scenario", sc, "-v"}, &out, &errb)
+	code = run([]string{"chaos", "-scenario-file", sc, "-v"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("scripted chaos exit %d: %s / %s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(out.String(), `"rejected": 0`) || !strings.Contains(out.String(), "unauditable=0") {
 		t.Fatalf("scripted chaos output: %s", out.String())
+	}
+
+	if code := run([]string{"chaos", "-scenario", "nope"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown scenario exit %d", code)
+	}
+	if code := run([]string{"chaos", "-scenario", "shard-kill", "-app", "motd"}, &out, &errb); code != 1 {
+		t.Fatalf("unshardable app on a sharded scenario exit %d", code)
 	}
 }
 
@@ -188,19 +208,6 @@ func TestShardedAuditCmd(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"audit", "-shards", "3", "-dir", root}, &out, &errb); code != 1 {
 		t.Fatalf("wrong -shards pin exit %d: %s", code, errb.String())
-	}
-}
-
-// TestShardChaosCmd: the sharded acceptance scenario passes end to end
-// through the CLI.
-func TestShardChaosCmd(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"chaos", "-shards", "2", "-seed", "17", "-dir", filepath.Join(t.TempDir(), "sc")}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("shard chaos exit %d: %s / %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "SHARD CHAOS OK") || !strings.Contains(out.String(), "rejected=0") {
-		t.Fatalf("shard chaos output: %s", out.String())
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
-	"karousos.dev/karousos/internal/chaos"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
@@ -66,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return serveCmd(args[1:], stdout, stderr)
 	case "pipeline":
 		return pipelineCmd(args[1:], stdout, stderr)
-	case "chaos":
-		return chaosCmd(args[1:], stdout, stderr)
 	default:
 		usage(stderr)
 		return 1
@@ -75,15 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: karousos-gateway serve|pipeline|chaos [flags]
+	fmt.Fprintln(w, `usage: karousos-gateway serve|pipeline [flags]
 
   serve     front a shard topology: -local boots collectors in-process,
             -backends fronts external ones (map read from -root)
   pipeline  gateway + shards + shard-parallel audit in one process; the
-            exit code is the combined verdict
-  chaos     run a partition scenario (blackhole + kill, flapping link, or
-            gateway restart) against a local topology; exits 0 if every
-            partition-tolerance invariant held`)
+            exit code is the combined verdict`)
 }
 
 func fail(stderr io.Writer, err error) int {
@@ -335,76 +329,6 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "PIPELINE ACCEPTED: served %d requests (%d refused) across %d of %d shards, %d handlers re-run\n",
 		served, refused, busy, *shards, res.Stats.HandlersRerun)
-	return 0
-}
-
-// chaosCmd runs one of the built-in partition scenarios (or a JSON
-// scripted one) and exits by its invariants: 0 held, 2 violated, 1
-// runner breakage.
-func chaosCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	name := fs.String("scenario", "partition", "built-in scenario: partition (blackhole + kill-while-dark), flap, gateway-restart")
-	file := fs.String("scenario-file", "", "JSON PartitionScenario file (overrides -scenario)")
-	shards := fs.Int("shards", 4, "topology width")
-	seed := fs.Int64("seed", 11, "fault-schedule and workload seed")
-	dir := fs.String("dir", "", "scenario scratch directory (default: a fresh temp dir)")
-	verbose := fs.Bool("v", false, "print the full result as JSON")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	var sc chaos.PartitionScenario
-	switch {
-	case *file != "":
-		blob, err := os.ReadFile(*file)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := json.Unmarshal(blob, &sc); err != nil {
-			return fail(stderr, fmt.Errorf("scenario %s: %w", *file, err))
-		}
-	case *name == "partition":
-		sc = chaos.PartitionAcceptanceScenario(*shards, *seed)
-	case *name == "flap":
-		sc = chaos.FlappingScenario(*shards, *seed)
-	case *name == "gateway-restart":
-		sc = chaos.GatewayRestartScenario(*shards, *seed)
-	default:
-		return fail(stderr, fmt.Errorf("unknown scenario %q (have partition, flap, gateway-restart)", *name))
-	}
-	if *dir == "" {
-		tmp, err := os.MkdirTemp("", "karousos-partition-")
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer os.RemoveAll(tmp)
-		*dir = tmp
-	}
-	res, err := chaos.RunPartition(*dir, sc)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *verbose {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res); err != nil {
-			return fail(stderr, err)
-		}
-	}
-	merge := "accepted"
-	if res.Merge.Code != "" {
-		merge = fmt.Sprintf("[%s] %s", res.Merge.Code, res.Merge.Reason)
-	}
-	fmt.Fprintf(stdout, "PARTITION CHAOS %s shards=%d seed=%d fault=%q: served=%d degraded=%d shed=%d retries=%d fastFails=%d accepted=%d unauditable=%d rejected=%d merge=%s\n",
-		sc.App, sc.Shards, sc.Seed, sc.Fault, res.Served, res.Degraded, res.Shed,
-		res.Victim.Retries, res.Victim.FastFails, res.Accepted, res.Unauditable, res.Rejected, merge)
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintln(stderr, "PARTITION CHAOS INVARIANT VIOLATED:", v)
-		}
-		return 2
-	}
-	fmt.Fprintln(stdout, "PARTITION CHAOS OK: all invariants held")
 	return 0
 }
 

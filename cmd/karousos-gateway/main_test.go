@@ -53,24 +53,6 @@ func TestPipelineSingleShard(t *testing.T) {
 	}
 }
 
-// TestChaosPartitionCLI: the built-in partition scenario exits 0 with the
-// invariants-held banner; an unknown scenario name is an infrastructure
-// error.
-func TestChaosPartitionCLI(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"chaos", "-scenario", "partition", "-shards", "2", "-seed", "11",
-		"-dir", t.TempDir()}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("chaos exit %d: %s / %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "PARTITION CHAOS OK") {
-		t.Fatalf("chaos output: %s", out.String())
-	}
-	if code := run([]string{"chaos", "-scenario", "nope"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown scenario exit %d", code)
-	}
-}
-
 // TestBadArgs: unknown subcommands, apps, and serve without a mode are
 // infrastructure errors.
 func TestBadArgs(t *testing.T) {

@@ -15,8 +15,8 @@
 //
 //	karousos-loadgen -n 2000 -audit
 //	    after the run, re-audits every sealed epoch at verifier
-//	    parallelism 1 and 4 and requires both passes to accept with
-//	    identical work counters;
+//	    parallelism 1 and 4 (chaos.Reaudit) and requires both passes to
+//	    accept with identical work counters;
 //
 //	karousos-loadgen -n 2000 -repeat-mix 0.8
 //	    rewrites 80% of arrivals to the app's fixed recurring read-only
@@ -40,10 +40,12 @@ import (
 	"os/signal"
 	"time"
 
+	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/chaos"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/loadgen"
+	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -191,27 +193,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := col.Close(); err != nil {
 			return fail(stderr, err)
 		}
-		v1, s1, err := chaos.AuditSealedAt(ctx, logDir, 1)
+		out, diff, err := chaos.Reaudit(ctx, auditd.ShardedConfig{Map: &shard.Map{Shards: 1}, Dirs: []string{logDir}})
 		if err != nil {
 			return fail(stderr, err)
 		}
-		_, s4, err := chaos.AuditSealedAt(ctx, logDir, 4)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		for _, v := range v1 {
+		verdicts := out.Shards[0].Verdicts
+		for _, v := range verdicts {
 			if !v.Accepted() {
 				fmt.Fprintf(stderr, "AUDIT REJECTED epoch %d [%s]: %s\n", v.Epoch, v.Code, v.Reason)
 				code = 2
 			}
 		}
-		if s1 != s4 {
-			fmt.Fprintf(stderr, "AUDIT DIVERGED across worker counts: workers=1 %+v, workers=4 %+v\n", s1, s4)
+		if diff != "" {
+			fmt.Fprintln(stderr, "AUDIT DIVERGED:", diff)
 			code = 2
 		}
 		if code == 0 {
 			fmt.Fprintf(stdout, "AUDIT ACCEPTED: %d epochs, %d requests re-executed, identical at workers 1 and 4\n",
-				len(v1), s1.Requests)
+				len(verdicts), out.Stats.Requests)
 		}
 	}
 	if code == 0 {

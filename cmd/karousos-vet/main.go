@@ -1,8 +1,8 @@
 // Command karousos-vet is the multichecker for the repo's invariant
-// analyzers (internal/analysis/all): detlint, errladder, rejectcode,
-// advicesize, plus the interprocedural passes advicetaint, retrysound, and
-// conclint (leaklint + locklint), plus validation of every //karousos:
-// suppression directive.
+// analyzers (internal/analysis/all): detlint, errladder, rejectcode, plus
+// the interprocedural passes advicetaint, retrysound, and conclint
+// (leaklint + locklint), plus validation of every //karousos: suppression
+// directive.
 //
 // Usage:
 //

@@ -28,8 +28,8 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 			lines = append(lines, l)
 		}
 	}
-	if len(lines) != 7 {
-		t.Fatalf("got %d analyzers listed, want 7:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("got %d analyzers listed, want 6:\n%s", len(lines), out)
 	}
 	if !strings.Contains(out, "conclint (leaklint, locklint)") {
 		t.Errorf("-list should spell out conclint's check names:\n%s", out)

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	"karousos.dev/karousos"
 )
@@ -28,6 +29,10 @@ const (
 // in one handler and commits in a continuation, so transactions genuinely
 // span handlers.
 func newInventory() (*karousos.App, *karousos.Store) {
+	// open hands each list transaction from the scan handler to its commit
+	// continuation. Handlers of different requests run concurrently (the
+	// audit's group fan-out), so the map is guarded.
+	var openMu sync.Mutex
 	open := map[karousos.RID]*karousos.Tx{}
 	app := &karousos.App{Name: "inventory", RequestEvent: "request"}
 	app.Init = func(ctx *karousos.Context) {
@@ -60,12 +65,16 @@ func newInventory() (*karousos.App, *karousos.Store) {
 				ctx.Respond(ctx.Scalar(karousos.Map("status", "retry")))
 				return
 			}
+			openMu.Lock()
 			open[ctx.RIDs()[0]] = tx
+			openMu.Unlock()
 			ctx.Emit(evCommit, rows)
 		},
 		fnCommit: func(ctx *karousos.Context, rows *karousos.MV) {
+			openMu.Lock()
 			tx := open[ctx.RIDs()[0]]
 			delete(open, ctx.RIDs()[0])
+			openMu.Unlock()
 			if !ctx.BranchBool("list-commit-ok", ctx.Commit(tx)) {
 				ctx.Respond(ctx.Scalar(karousos.Map("status", "retry")))
 				return

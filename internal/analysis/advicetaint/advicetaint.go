@@ -1,16 +1,20 @@
-// Package advicetaint is the interprocedural generalization of advicesize:
-// the same advice-decode sources and clamp sanitizers (the policy tables
-// are imported from advicesize, which stays on as the fast local pre-pass),
-// chased across function boundaries over the program call graph, and
-// checked against a wider sink set.
+// Package advicetaint is the static twin of the codec's hostile-length
+// clamps (verifier.Limits, decoder.lengthElems): a taint pass from
+// advice-decode primitives to the places an attacker-chosen number must
+// never arrive unclamped, chased across function boundaries over the
+// program call graph.
 //
-// A value minted by a raw wire read (advicesize.IsSourceCall) must pass a
-// clamp (advicesize.IsSanitizerName, or a relational comparison against an
-// acceptable bound) before it reaches:
+// A value minted by a raw wire read (IsSourceCall: binary.Uvarint /
+// ReadUvarint / ByteOrder.UintNN and the decoder helpers named
+// uvarint/intv) must pass a clamp — IsSanitizerName (lengthElems, length,
+// CheckAdviceBytes, clamp*), or a relational comparison against a
+// non-constant bound or a constant no larger than MaxConstBound — before it
+// reaches any sink. A magnitude check against math.MaxInt32 (decoder.intv)
+// deliberately does NOT clear taint: 2^31 elements is still an allocation
+// bomb. The sinks:
 //
-//   - an allocation size: make, io.ReadFull / ReadAtLeast / CopyN — the
-//     advicesize sinks, now caught even when the decode and the make live
-//     in different functions;
+//   - an allocation size: make, io.ReadFull / ReadAtLeast / CopyN, caught
+//     even when the decode and the make live in different functions;
 //   - a loop bound: a for-loop condition compared against an unclamped
 //     advice-derived count spins the auditor on attacker-chosen work;
 //   - a file path: os.Open / OpenFile / Create / ReadFile / WriteFile /
@@ -31,9 +35,9 @@
 //
 // Flows into a callee whose parameter reaches one of these sinks unclamped
 // (dataflow.Summary.ParamToSink) are reported at the call site. The
-// analysis shares advicesize's approximations — source-order replay, calls
-// the graph cannot resolve launder — documented in DESIGN.md §17. The
-// escape hatch is //karousos:advicetaint-ok <reason>.
+// analysis is flow-approximate — source-order replay, calls the graph
+// cannot resolve launder — as documented in DESIGN.md §17. The escape hatch
+// is //karousos:advicetaint-ok <reason>.
 package advicetaint
 
 import (
@@ -42,14 +46,63 @@ import (
 	"strings"
 
 	"karousos.dev/karousos/internal/analysis"
-	"karousos.dev/karousos/internal/analysis/advicesize"
 	"karousos.dev/karousos/internal/analysis/dataflow"
 )
 
-// Packages are the packages whose functions are checked (findings are only
-// reported here; taint summaries cover the whole program, so a flow that
-// crosses into these packages from outside is still seen).
-var Packages = append([]string{"internal/auditd"}, advicesize.Packages...)
+// Packages are the wire-decode packages whose functions are checked
+// (findings are only reported here; taint summaries cover the whole
+// program, so a flow that crosses into these packages from outside is
+// still seen).
+var Packages = []string{
+	"internal/auditd",
+	"internal/advice",
+	"internal/value",
+	"internal/trace",
+	"internal/epochlog",
+	"internal/collectorhttp",
+	"internal/verifier",
+}
+
+// MaxConstBound is the largest constant a comparison may clamp to and
+// still count as a sanitizer.
+const MaxConstBound = 1 << 20
+
+// IsSanitizerName reports whether a called function's bare name counts as
+// a clamp: its call clamps a length argument, or its result is already
+// clamped.
+func IsSanitizerName(name string) bool {
+	switch name {
+	case "length", "lengthElems", "CheckAdviceBytes":
+		return true
+	}
+	return strings.HasPrefix(name, "clamp")
+}
+
+// IsSourceCall reports whether call produces an attacker-chosen number: a
+// raw wire read (binary.Uvarint / ReadUvarint / ByteOrder UintNN) or a
+// decoder helper named uvarint/intv.
+func IsSourceCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	name := sel.Sel.Name
+	// Package-level binary.Uvarint / binary.ReadUvarint / binary.Varint...
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pn, ok := info.Uses[id].(*types.PkgName); ok {
+			return pn.Imported().Path() == "encoding/binary" &&
+				(name == "Uvarint" || name == "Varint" || name == "ReadUvarint" || name == "ReadVarint")
+		}
+	}
+	// ByteOrder reads: binary.LittleEndian.Uint32(...), order.Uint64(...).
+	if name == "Uint16" || name == "Uint32" || name == "Uint64" {
+		if t := info.TypeOf(sel.X); t != nil && strings.Contains(t.String(), "encoding/binary.") {
+			return true
+		}
+	}
+	// Decoder helpers: d.uvarint(), d.intv().
+	return name == "uvarint" || name == "intv"
+}
 
 // Analyzer is the advicetaint pass.
 var Analyzer = &analysis.Analyzer{
@@ -98,24 +151,24 @@ func run(pass *analysis.Pass) error {
 func engineOf(prog *analysis.Program) *dataflow.Engine {
 	return prog.Fact("advicetaint.engine", func() any {
 		return dataflow.New(prog, dataflow.Policy{
-			IsSource:        advicesize.IsSourceCall,
+			IsSource:        IsSourceCall,
 			IsSanitizer:     isSanitizerCall,
 			CallSinks:       callSinks,
 			SanitizeCompare: true,
-			MaxConstBound:   advicesize.MaxConstBound,
+			MaxConstBound:   MaxConstBound,
 			LoopBound:       "loop bound",
 			Branch:          verdictBranch,
 		})
 	}).(*dataflow.Engine)
 }
 
-// isSanitizerCall applies advicesize's clamp-name policy to a call, plus
+// isSanitizerCall applies the clamp-name policy to a call, plus
 // the digest convention for memo-key material: a value that has passed
 // through sha256.Sum256 (or a digest*-named helper) is a content address,
 // not an attacker-steerable index.
 func isSanitizerCall(info *types.Info, call *ast.CallExpr) bool {
 	name := bareName(call)
-	return advicesize.IsSanitizerName(name) || name == "Sum256" || strings.HasPrefix(name, "digest")
+	return IsSanitizerName(name) || name == "Sum256" || strings.HasPrefix(name, "digest")
 }
 
 // bareName is the called function's unqualified name ("" when the callee
@@ -138,7 +191,7 @@ var pathSinkFuncs = map[string]bool{
 }
 
 // callSinks returns the sensitive argument positions of call: allocation
-// sizes (advicesize's sink set) and file paths.
+// sizes, memo-cache keys, and file paths.
 func callSinks(info *types.Info, call *ast.CallExpr) []dataflow.Sink {
 	// make(T, n[, c]): every size argument.
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" {

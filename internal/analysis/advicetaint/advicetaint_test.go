@@ -8,5 +8,5 @@ import (
 )
 
 func TestAdvicetaint(t *testing.T) {
-	analysistest.Run(t, "testdata", advicetaint.Analyzer, "advicetaintfix", "advicetaintok")
+	analysistest.Run(t, "testdata", advicetaint.Analyzer, "advicetaintfix", "advicetaintok", "advicesizefix", "advicesizeok")
 }

@@ -1,5 +1,6 @@
-// Fixture for advicesize: wire-decoded lengths reaching allocation sinks
-// with and without clamps.
+// Single-function fixture for advicetaint (inherited from the retired
+// intra-procedural advicesize pass): wire-decoded lengths reaching
+// allocation sinks with and without clamps.
 package advicesizefix
 
 import (
@@ -10,7 +11,7 @@ import (
 
 func decodeUnclamped(buf []byte) []byte {
 	n, _ := binary.Uvarint(buf)
-	out := make([]byte, n) // want `make sized by an unclamped advice-derived length`
+	out := make([]byte, n) // want `make size driven by an unclamped advice-derived value`
 	return out
 }
 
@@ -30,28 +31,28 @@ func magnitudeOnly(buf []byte) []byte {
 	if n > math.MaxInt32 {
 		return nil
 	}
-	return make([]byte, n) // want `make sized by an unclamped advice-derived length`
+	return make([]byte, n) // want `make size driven by an unclamped advice-derived value`
 }
 
 // signCheckOnly proves n > 0 does not count as a clamp either.
 func signCheckOnly(buf []byte) []byte {
 	n, _ := binary.Uvarint(buf)
 	if n > 0 {
-		return make([]byte, n) // want `make sized by an unclamped advice-derived length`
+		return make([]byte, n) // want `make size driven by an unclamped advice-derived value`
 	}
 	return nil
 }
 
 func readBody(r io.Reader, hdr []byte) ([]byte, error) {
 	n := binary.LittleEndian.Uint32(hdr)
-	buf := make([]byte, int(n)) // want `make sized by an unclamped advice-derived length`
+	buf := make([]byte, int(n)) // want `make size driven by an unclamped advice-derived value`
 	_, err := io.ReadFull(r, buf)
 	return buf, err
 }
 
 func copyBody(dst io.Writer, src io.Reader, hdr []byte) error {
 	n := binary.LittleEndian.Uint64(hdr)
-	_, err := io.CopyN(dst, src, int64(n)) // want `io.CopyN sized by an unclamped advice-derived length`
+	_, err := io.CopyN(dst, src, int64(n)) // want `io.CopyN size driven by an unclamped advice-derived value`
 	return err
 }
 

@@ -6,7 +6,6 @@ package all
 
 import (
 	"karousos.dev/karousos/internal/analysis"
-	"karousos.dev/karousos/internal/analysis/advicesize"
 	"karousos.dev/karousos/internal/analysis/advicetaint"
 	"karousos.dev/karousos/internal/analysis/conclint"
 	"karousos.dev/karousos/internal/analysis/detlint"
@@ -20,7 +19,6 @@ var Analyzers = []*analysis.Analyzer{
 	detlint.Analyzer,
 	errladder.Analyzer,
 	rejectcode.Analyzer,
-	advicesize.Analyzer,
 	advicetaint.Analyzer,
 	retrysound.Analyzer,
 	conclint.Analyzer,

@@ -42,14 +42,14 @@ func TestRegistryMatchesAnalyzers(t *testing.T) {
 	}
 }
 
-// TestSevenAnalyzers pins the analyzer census: four original passes plus
-// advicetaint, retrysound, and conclint.
-func TestSevenAnalyzers(t *testing.T) {
-	if len(Analyzers) != 7 {
-		t.Fatalf("got %d analyzers, want 7", len(Analyzers))
+// TestSixAnalyzers pins the analyzer census: three intraprocedural passes
+// plus advicetaint, retrysound, and conclint.
+func TestSixAnalyzers(t *testing.T) {
+	if len(Analyzers) != 6 {
+		t.Fatalf("got %d analyzers, want 6", len(Analyzers))
 	}
 	want := map[string]bool{
-		"detlint": true, "errladder": true, "rejectcode": true, "advicesize": true,
+		"detlint": true, "errladder": true, "rejectcode": true,
 		"advicetaint": true, "retrysound": true, "conclint": true,
 	}
 	for _, a := range Analyzers {

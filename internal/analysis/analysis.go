@@ -15,8 +15,8 @@
 //   - detlint:    the verdict is a deterministic function of (trace, advice) —
 //     no unsorted map iteration, wall-clock reads, math/rand, or
 //     multi-case selects on verdict paths.
-//   - advicesize: every advice-derived length is clamped before it reaches an
-//     allocation.
+//   - advicetaint: every advice-derived length is clamped before it reaches
+//     an allocation, loop bound, path, verdict branch, or cache key.
 //   - errladder:  I/O errors in the pipeline flow through the iofault
 //     classification ladder, never raw == comparisons or silent drops.
 //   - rejectcode: errors crossing the Audit boundary carry a core.RejectCode

@@ -7,8 +7,8 @@
 // concrete receivers. Calls through function values, interface methods,
 // and reflection are not resolved; each node counts them (Dynamic), and
 // every client must treat an unresolved call as "anything may happen" in
-// whichever direction keeps its own check sound (taint: result is clean —
-// matching advicesize's laundering rule; reachability: target unseen).
+// whichever direction keeps its own check sound (taint: result is clean;
+// reachability: target unseen).
 // These caveats are documented per analyzer in DESIGN.md §17.
 //
 // Nodes are keyed by types.Func.FullName() (e.g.

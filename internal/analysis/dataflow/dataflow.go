@@ -23,12 +23,11 @@
 //
 // # Approximations (see DESIGN.md §17)
 //
-// Flow is replayed in source order with no branch joins, exactly like
-// advicesize's local pass: a clamp anywhere before the sink in source
-// order clears the taint. Calls the graph cannot resolve (function values,
-// interface methods) launder their arguments and return clean values —
-// advicesize's rule, kept so both passes agree on what a clamp is. The
-// escape hatch for the residue is a reviewed //karousos: directive.
+// Flow is replayed in source order with no branch joins: a clamp anywhere
+// before the sink in source order clears the taint. Calls the graph cannot
+// resolve (function values, interface methods) launder their arguments and
+// return clean values. The escape hatch for the residue is a reviewed
+// //karousos: directive.
 package dataflow
 
 import (
@@ -241,7 +240,7 @@ func (w *walker) walk(body *ast.BlockStmt) {
 }
 
 // assign taints LHS objects with their RHS masks (multi-value RHS spreads
-// the single mask, as in advicesize).
+// the single mask).
 func (w *walker) assign(a *ast.AssignStmt) {
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
 		m := w.mask(a.Rhs[0])
@@ -429,7 +428,7 @@ func (w *walker) loopBoundSink(f *ast.ForStmt) {
 }
 
 // sanitizeCond clears taint for expressions relationally compared against
-// an acceptable bound, walking through && and || — advicesize's clamp
+// an acceptable bound, walking through && and || — the codec's clamp
 // idiom, applied to whole masks.
 func (w *walker) sanitizeCond(cond ast.Expr) {
 	switch c := cond.(type) {

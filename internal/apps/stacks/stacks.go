@@ -19,6 +19,8 @@
 package stacks
 
 import (
+	"sync"
+
 	"karousos.dev/karousos/internal/apps/appkit"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/mv"
@@ -62,6 +64,9 @@ type app struct {
 	// handlers of the same request, as §4.4 permits). This is runtime
 	// plumbing, not program state: the transaction's identity is
 	// reconstructed during replay from its (hid, opnum) of tx_start.
+	// Handlers of different requests run concurrently (server.runParallel,
+	// the verifier's group fan-out), so the map is guarded by txMu.
+	txMu    sync.Mutex
 	openTxs map[core.RID]*core.Tx
 }
 
@@ -177,7 +182,9 @@ func (a *app) handleReport(ctx *core.Context, p *mv.MV) {
 		ctx.Respond(ctx.Scalar(retryResp))
 		return
 	}
+	a.txMu.Lock()
 	a.openTxs[ctx.RIDs()[0]] = tx
+	a.txMu.Unlock()
 	ctx.Emit(evReportPut, ctx.Apply(func(args []value.V) value.V {
 		row, pp := args[0], args[1]
 		m := value.Clone(pp).(map[string]value.V)
@@ -189,8 +196,10 @@ func (a *app) handleReport(ctx *core.Context, p *mv.MV) {
 // handleReportPut performs the PUT and commit for a report, updates the
 // shared digest list for new dumps, and responds.
 func (a *app) handleReportPut(ctx *core.Context, p *mv.MV) {
+	a.txMu.Lock()
 	tx := a.openTxs[ctx.RIDs()[0]]
 	delete(a.openTxs, ctx.RIDs()[0])
+	a.txMu.Unlock()
 	key := ctx.Apply(func(args []value.V) value.V {
 		return rowKey(appkit.Str(appkit.Field(args[0], "digest")))
 	}, p)

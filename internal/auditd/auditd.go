@@ -30,6 +30,7 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
@@ -78,8 +79,8 @@ type Config struct {
 	// through. nil means the real OS.
 	FS iofault.FS
 	// Backoff bounds the retry loops around epoch reads and checkpoint
-	// writes. Zero-valued fields take iofault's defaults.
-	Backoff iofault.Backoff
+	// writes. Zero-valued fields take fault.Backoff's defaults.
+	Backoff fault.Backoff
 	// OnVerdict, when set, is called with every verdict as it is reached —
 	// accepted, rejected, or unauditable. Called without the auditor's lock.
 	OnVerdict func(Verdict)

@@ -14,6 +14,7 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
@@ -440,7 +441,7 @@ func TestProbeCheckpointProgress(t *testing.T) {
 	// An unreadable-but-present checkpoint (read fault injected via
 	// iofault) is corrupt, not missing: the auditor cannot resume from it.
 	inj := iofault.NewInjector(iofault.OS)
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.ArmConfig{Times: -1, PathContains: "checkpoint.json"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: "checkpoint.json"}); err != nil {
 		t.Fatal(err)
 	}
 	if last, probe := ProbeCheckpointProgress(inj, cpPath); probe != CheckpointCorrupt || last != 0 {

@@ -11,11 +11,12 @@ import (
 
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 )
 
-var quietBackoff = iofault.Backoff{Sleep: func(time.Duration) {}}
+var quietBackoff = fault.Backoff{Sleep: func(time.Duration) {}}
 
 // sealEpochs drives n requests through a collector on cfs, sealing every
 // epochRequests, and closes it cleanly.
@@ -54,7 +55,7 @@ func TestCheckpointDirFsyncFailureSurfaces(t *testing.T) {
 	}
 
 	// File fsync passes (After:1), the directory fsync fires the fault.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, After: 1}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 1}); err != nil {
 		t.Fatal(err)
 	}
 	err := writeCheckpoint(inj, path, checkpoint{LastAccepted: 4, LastProcessed: 4})
@@ -162,7 +163,7 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 	ts := newLoopback(t, col)
 	reqs := requestsFor(harness.MOTDApp(), 30, 7)
 	driveHTTP(t, ts, reqs[:10])
-	if err := cinj.Arm(iofault.OpENOSPC, iofault.ArmConfig{Times: -1, PathContains: ".advice"}); err != nil {
+	if err := cinj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	driveHTTP(t, ts, reqs[10:20])
@@ -223,7 +224,7 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 	driveHTTP(t, ts, reqs[:10])
 	// Epoch 2 degrades, then the collector crashes with epoch 2 sealed and
 	// nothing stranded.
-	if err := cinj.Arm(iofault.OpENOSPC, iofault.ArmConfig{Times: -1, PathContains: ".advice"}); err != nil {
+	if err := cinj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	driveHTTP(t, ts, reqs[10:20])
@@ -268,7 +269,7 @@ func TestSupervisorRestartsOnInfraError(t *testing.T) {
 	inj := iofault.NewInjector(nil)
 	// The second checkpoint write's file fsync fails, killing the first
 	// incarnation after epoch 2 was audited but before it was recorded.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, After: 2, PathContains: ".ckpt"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2, Target: ".ckpt"}); err != nil {
 		t.Fatal(err)
 	}
 	sup := NewSupervisor(Config{
@@ -277,7 +278,7 @@ func TestSupervisorRestartsOnInfraError(t *testing.T) {
 		FS:         inj,
 		Backoff:    quietBackoff,
 		Poll:       5 * time.Millisecond,
-	}, SupervisorOptions{MaxRestarts: 3, Backoff: iofault.Backoff{Base: time.Millisecond}})
+	}, SupervisorOptions{MaxRestarts: 3, Backoff: fault.Backoff{Base: time.Millisecond}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

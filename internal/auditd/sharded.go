@@ -10,6 +10,7 @@ import (
 
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/trace"
@@ -65,7 +66,7 @@ type ShardedConfig struct {
 	Poll time.Duration
 	// FS and Backoff are as in Config.
 	FS      iofault.FS
-	Backoff iofault.Backoff
+	Backoff fault.Backoff
 	// OnVerdict, when set, is called with every per-epoch verdict as a
 	// lane reaches it, tagged with the lane's shard index.
 	OnVerdict func(shardIndex int, v Verdict)

@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/iofault"
+	"karousos.dev/karousos/internal/fault"
 )
 
 // SupervisorOptions bounds the restart policy.
@@ -18,7 +17,7 @@ type SupervisorOptions struct {
 	MaxRestarts int
 	// Backoff paces the restarts (and is inherited by each incarnation's
 	// retry loops when the Config leaves its own Backoff zero).
-	Backoff iofault.Backoff
+	Backoff fault.Backoff
 }
 
 // Supervisor runs the audit loop and restarts it when it dies for a reason
@@ -99,7 +98,6 @@ func restartable(err error) bool {
 // any in-memory state poisoned by the failure is discarded; the durable
 // checkpoint carries the resume point.
 func (s *Supervisor) Run(ctx context.Context) error {
-	b := s.opts.Backoff.WithDefaults()
 	for attempt := 0; ; attempt++ {
 		a, err := New(s.cfg)
 		if err != nil {
@@ -130,15 +128,9 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		s.restarts++
 		s.mu.Unlock()
 
-		delay := b.Base << attempt
-		if delay > b.Max {
-			delay = b.Max
-		}
 		//karousos:nondeterminism-ok restart backoff sleep; supervision timing is not part of any verdict
-		select {
-		case <-ctx.Done():
+		if s.opts.Backoff.Wait(ctx, attempt) != nil {
 			return nil
-		case <-time.After(delay):
 		}
 	}
 }

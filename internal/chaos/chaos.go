@@ -1,245 +1,452 @@
-// Package chaos is a deterministic fault-scenario runner for the
-// continuous-audit pipeline. A Scenario scripts a workload interleaved
-// with infrastructure misfortune — injected I/O faults armed and healed at
-// chosen points, collector crashes, auditor kills — and Run replays it
-// single-threaded so the same seed always produces the same sequence of
-// faults, seals, and verdicts.
+// Package chaos is the deterministic scenario engine for the serving and
+// audit planes. A Scenario is data: a topology (N≥1 shard collectors behind
+// one gateway, followed live by a shard-parallel auditor), a load, a script
+// of steps that arm and heal faults and crash and restart components, and
+// what the script is expected to cost. Run replays it and checks the one
+// invariant set every robustness claim in this module reduces to:
 //
-// The runner exists to check the robustness invariants the rest of this
-// module promises (DESIGN.md §11):
-//
-//   - infrastructure faults never manufacture accusations: an honest
-//     server under chaos is graded Accepted or Unauditable, never rejected;
-//   - verdicts are deterministic: an epoch graded more than once (auditor
-//     restarts, lost checkpoints) always re-grades to the same code;
+//   - the gateway answers every arrival with 200, 429 or 503 — each 429 and
+//     503 hinted with Retry-After — and a 503 only for a shard the script
+//     faulted;
+//   - admission peaks never exceed their ceilings: overload is shed, never
+//     queued without bound;
+//   - every 200-acked request is a REQ in a sealed, balanced epoch of the
+//     shard that served it;
 //   - evidence is never destroyed: every trace/advice/manifest file that
-//     ever existed still exists afterwards, possibly quarantined, never
-//     deleted;
-//   - the sealed prefix only grows.
+//     ever existed still exists afterwards, possibly quarantined;
+//   - infrastructure faults never manufacture accusations: an honest server
+//     under chaos is graded Accepted or Unauditable, never rejected, and
+//     Unauditable only where the scenario says its faults strand evidence;
+//   - verdicts are deterministic: an epoch graded more than once (auditor
+//     rebuilds, lost checkpoints, the post-run re-audits) never flips, and
+//     the verdicts, merge and Stats are identical at every lane and
+//     audit-worker count.
 //
 // Violations are collected in Result.Violations rather than returned as
 // errors, so a scenario can observe several at once.
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
+	"karousos.dev/karousos/internal/fault"
+	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
+	"karousos.dev/karousos/internal/loadgen"
+	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/server"
+	"karousos.dev/karousos/internal/shard"
+	"karousos.dev/karousos/internal/value"
+	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
 
-// Fault arms one iofault operator on one component.
-type Fault struct {
-	// Component is "collector" or "auditd".
-	Component string `json:"component"`
-	// Spec is an iofault "op[:seed[:times]]" spec.
-	Spec string `json:"spec"`
-	// PathContains restricts the operator to matching paths ("" = all).
-	PathContains string `json:"pathContains,omitempty"`
+// Topology is the system under test: Shards collectors of App behind one
+// gateway.
+type Topology struct {
+	// App names the application (harness.SpecByName). Only wiki's store
+	// keys are page-local, so only wiki runs at Shards > 1.
+	App    string `json:"app"`
+	Shards int    `json:"shards"`
+	// EpochRequests is each shard's seal threshold.
+	EpochRequests int `json:"epochRequests"`
+	// MaxInflight is each shard's admission window; 0 keeps the collector's
+	// default.
+	MaxInflight int `json:"maxInflight,omitempty"`
 }
 
-// Event is one scripted step, applied before driving request AtRequest
-// (0-based). Multiple events may share an index; they apply in order.
-type Event struct {
-	AtRequest int     `json:"atRequest"`
-	Arm       []Fault `json:"arm,omitempty"`
-	// HealCollector / HealAuditor disarm every operator on that component.
-	HealCollector bool `json:"healCollector,omitempty"`
-	HealAuditor   bool `json:"healAuditor,omitempty"`
-	// CrashCollector kills the collector without sealing and restarts it,
-	// exactly as a process kill + supervisor restart would.
-	CrashCollector bool `json:"crashCollector,omitempty"`
-	// CrashAuditor discards the auditor instance (its in-memory carry dies
-	// with it) and rebuilds from the durable checkpoint.
-	CrashAuditor bool `json:"crashAuditor,omitempty"`
+// Load is the offered traffic.
+type Load struct {
+	// Seed seeds the workload generator and the collectors' schedulers.
+	Seed     int64 `json:"seed"`
+	Requests int   `json:"requests"`
+	// Outstanding selects the loop. At most 1 is a closed loop: one request
+	// at a time, the auditor following after each — fully deterministic.
+	// More is an open-loop burst: every arrival is due at once, this many
+	// may be outstanding, and an arrival past the bound is shed at the
+	// source; the auditor drains afterwards.
+	Outstanding int `json:"outstanding,omitempty"`
+	// SlowEvery trickles every Nth request body a few bytes at a time — the
+	// slowloris shape. 0 never.
+	SlowEvery int `json:"slowEvery,omitempty"`
+}
+
+// Step kinds.
+const (
+	DoArm            = "arm"
+	DoHeal           = "heal"
+	DoCrash          = "crash"
+	DoRestart        = "restart"
+	DoRestartGateway = "restart-gateway"
+	DoKillAuditor    = "kill-auditor"
+)
+
+// Components an arm or heal step addresses.
+const (
+	// OnCollector is the filesystem under every shard's collector
+	// (iofault); Target filters by path, e.g. ".advice" or "shard-01/".
+	OnCollector = "collector"
+	// OnAuditd is the filesystem under the live auditor (iofault).
+	OnAuditd = "auditd"
+	// OnLink is the network between the gateway and shard Shard (netfault).
+	OnLink = "link"
+)
+
+// Step is one scripted action, applied before request At (0-based). Steps
+// apply strictly in order: a step waits for its index and, with MidEpoch,
+// for its condition, and later steps wait behind it.
+type Step struct {
+	At int    `json:"at"`
+	Do string `json:"do"`
+	// On is the component an arm or heal addresses.
+	On string `json:"on,omitempty"`
+	// Shard is the shard a crash, restart, or link arm/heal addresses.
+	Shard int `json:"shard,omitempty"`
+	// Spec is an arm step's "op[:seed[:times]]" — iofault's catalogue on
+	// collector and auditd, netfault's on link.
+	Spec string `json:"spec,omitempty"`
+	// Target narrows a collector or auditd arm to matching paths.
+	Target string `json:"target,omitempty"`
+	// MidEpoch defers the step until shard Shard's open epoch holds at
+	// least one request, so a later crash provably strands evidence.
+	MidEpoch bool `json:"midEpoch,omitempty"`
+}
+
+// Expect is what the script is expected to cost.
+type Expect struct {
+	// Unauditable lists the shards that must end with at least one epoch
+	// graded Unauditable; every other shard must have none.
+	Unauditable []int `json:"unauditable,omitempty"`
 }
 
 // Scenario is a deterministic chaos script.
 type Scenario struct {
-	// App names the application (harness.SpecByName).
-	App string `json:"app"`
-	// Seed seeds the workload generator and the collector's scheduler.
-	Seed int64 `json:"seed"`
-	// Requests is the total workload length.
-	Requests int `json:"requests"`
-	// EpochRequests is the collector's seal threshold.
-	EpochRequests int     `json:"epochRequests"`
-	Events        []Event `json:"events,omitempty"`
+	Topology Topology `json:"topology"`
+	Load     Load     `json:"load"`
+	Steps    []Step   `json:"steps,omitempty"`
+	Expect   Expect   `json:"expect"`
 }
 
 // Result is what a scenario run observed.
 type Result struct {
-	Served  int `json:"served"`
-	Refused int `json:"refused"`
-	Sealed  int `json:"sealed"`
-	// Verdicts is the final verdict per epoch, ordered by epoch.
-	Verdicts []auditd.Verdict `json:"verdicts"`
-	// Grades counts final verdicts by code ("" = accepted).
-	Accepted    int `json:"accepted"`
-	Rejected    int `json:"rejected"`
-	Unauditable int `json:"unauditable"`
-	// AuditorRestarts counts infra-fault rebuilds plus scripted kills.
-	AuditorRestarts  int `json:"auditorRestarts"`
-	CollectorCrashes int `json:"collectorCrashes"`
-	// Violations are robustness-invariant breaches; empty on a sound run.
+	// The arrival ledger: every offered request is in exactly one bucket.
+	Served    int `json:"served"`    // 200
+	Shed      int `json:"shed"`      // 429, passed through from a shard
+	Degraded  int `json:"degraded"`  // 503 from the gateway, hinted
+	ShedLocal int `json:"shedLocal"` // open loop only: shed at the source
+	// Sealed counts sealed epochs across all shards.
+	Sealed int `json:"sealed"`
+	// Gateway and Admission are the per-shard front-door counters and
+	// admission gauges at shutdown.
+	Gateway   []gateway.ShardCounters        `json:"gateway"`
+	Admission []collectorhttp.AdmissionState `json:"admission"`
+	// Audit is the post-run re-audit at one lane per shard; the tallies
+	// count its per-epoch verdicts across the topology.
+	Audit       auditd.ShardedResult `json:"audit"`
+	Accepted    int                  `json:"accepted"`
+	Rejected    int                  `json:"rejected"`
+	Unauditable int                  `json:"unauditable"`
+	// AuditorRestarts counts the live auditor's lane rebuilds plus scripted
+	// kills.
+	AuditorRestarts int `json:"auditorRestarts"`
+	// Violations are invariant breaches; empty on a sound run.
 	Violations []string `json:"violations,omitempty"`
 }
 
-// VerdictKey renders the verdict sequence as a comparable string — epoch
-// and code only, since reasons embed scratch-directory paths.
-func (r *Result) VerdictKey() string {
+// VerdictKey renders a sharded audit's verdict-affecting content as one
+// comparable string — codes only, since reasons embed scratch paths.
+func VerdictKey(res auditd.ShardedResult) string {
 	var b strings.Builder
-	for _, v := range r.Verdicts {
-		fmt.Fprintf(&b, "%d=%s;", v.Epoch, v.Code)
+	for _, rep := range res.Shards {
+		fmt.Fprintf(&b, "shard%d[%s]:", rep.Shard, rep.Code)
+		for _, v := range rep.Verdicts {
+			fmt.Fprintf(&b, "%d=%s;", v.Epoch, v.Code)
+		}
+		b.WriteString(" ")
 	}
+	fmt.Fprintf(&b, "merge=%s", res.Merge.Code)
 	return b.String()
 }
 
-// maxAuditorRebuilds bounds mini-supervision so a scenario whose faults
-// never heal terminates instead of spinning.
-const maxAuditorRebuilds = 16
+// Reaudit audits sealed logs from scratch — no checkpoint, the real
+// filesystem — twice: one lane per shard with sequential epoch audits, then
+// a single lane with four audit workers. It returns the first pass and a
+// description of how the second differed (verdicts, merge, or Stats); ""
+// is the determinism invariant holding. cfg names the topology (Root, or
+// Map and Dirs) and may set Limits and OnVerdict.
+func Reaudit(ctx context.Context, cfg auditd.ShardedConfig) (auditd.ShardedResult, string, error) {
+	var out [2]auditd.ShardedResult
+	for i, p := range [2]struct{ lanes, workers int }{{0, 1}, {1, 4}} {
+		cfg.Lanes, cfg.AuditWorkers = p.lanes, p.workers
+		sh, err := auditd.NewSharded(cfg)
+		if err != nil {
+			return out[0], "", err
+		}
+		if out[i], err = sh.Audit(ctx); err != nil {
+			return out[0], "", err
+		}
+	}
+	var diff string
+	if a, b := VerdictKey(out[0]), VerdictKey(out[1]); a != b || out[0].Stats != out[1].Stats {
+		diff = fmt.Sprintf("audit diverged across lane and worker counts:\n  lane per shard, 1 worker: %s %+v\n  1 lane, 4 workers:        %s %+v",
+			a, out[0].Stats, b, out[1].Stats)
+	}
+	return out[0], diff, nil
+}
 
 type runner struct {
-	sc     Scenario
-	spec   harness.AppSpec
-	logDir string
-	ckpt   string
+	sc      Scenario
+	root    string
+	ckptDir string
 
 	cInj *iofault.Injector
 	aInj *iofault.Injector
-	back iofault.Backoff
+	nInj *netfault.Injector
 
-	col *collectorhttp.Collector
+	top *gateway.Local
 	ts  *httptest.Server
-	aud *auditd.Auditor
+	aud *auditd.Sharded
 
+	next    int          // first step not yet applied
+	faulted map[int]bool // shards the script crashes or partitions
+
+	mu  sync.Mutex // guards everything below; requests and lanes run concurrently
 	res *Result
-	// graded remembers each epoch's first verdict code to check that
-	// re-grades never flip, and last holds the most recent verdict.
-	graded map[uint64]core.RejectCode
-	last   map[uint64]auditd.Verdict
-	// evidence is every evidence filename ever observed in logDir.
-	evidence   map[string]bool
-	prevSealed int
-	// halted is set when an honest rejection stopped the audit.
-	halted *auditd.Reject
+	// acked is every 200's RID by serving shard; graded each (shard, epoch)'s
+	// first verdict; evidence every evidence file ever seen.
+	acked    []map[string]bool
+	graded   map[[2]uint64]core.RejectCode
+	evidence map[string]bool
 }
 
+// quiet keeps retry loops from sleeping on the scenario's clock.
+var quiet = fault.Backoff{Sleep: func(time.Duration) {}}
+
 // Run replays the scenario in dir (a scratch directory the caller owns)
-// and reports what happened. The error return is for runner breakage —
-// invariant violations land in Result.Violations instead.
+// and reports what happened. The error return is for a malformed scenario
+// or runner breakage — invariant violations land in Result.Violations.
 func Run(dir string, sc Scenario) (*Result, error) {
-	spec, err := harness.SpecByName(sc.App)
+	spec, err := sc.validate()
 	if err != nil {
 		return nil, err
 	}
-	if sc.Requests <= 0 || sc.EpochRequests <= 0 {
-		return nil, fmt.Errorf("chaos: scenario needs positive Requests and EpochRequests")
-	}
 	r := &runner{
 		sc:       sc,
-		spec:     spec,
-		logDir:   filepath.Join(dir, "log"),
-		ckpt:     filepath.Join(dir, "auditd.ckpt"),
+		root:     filepath.Join(dir, "shards"),
+		ckptDir:  filepath.Join(dir, "auditd.ckpt"),
 		cInj:     iofault.NewInjector(nil),
 		aInj:     iofault.NewInjector(nil),
-		back:     iofault.Backoff{Sleep: func(time.Duration) {}},
+		nInj:     netfault.NewInjector(),
+		faulted:  map[int]bool{},
 		res:      &Result{},
-		graded:   map[uint64]core.RejectCode{},
-		last:     map[uint64]auditd.Verdict{},
+		acked:    make([]map[string]bool, sc.Topology.Shards),
+		graded:   map[[2]uint64]core.RejectCode{},
 		evidence: map[string]bool{},
 	}
-	if err := r.openCollector(); err != nil {
+	for _, st := range sc.Steps {
+		if st.Do == DoCrash || (st.Do == DoArm && st.On == OnLink) {
+			r.faulted[st.Shard] = true
+		}
+	}
+	// Keep a dark shard's discovery latency test-sized: a blackholed try
+	// stalls at most MaxBlock, and retries back off for milliseconds. The
+	// breaker's open window outlasts any run, so once a shard's circuit
+	// opens it stays open to the end and the ledger does not depend on how
+	// much wall-clock the run took (half-open recovery is the gateway's own
+	// tests' business).
+	r.nInj.MaxBlock = 50 * time.Millisecond
+	r.top, err = gateway.NewLocal(gateway.LocalConfig{
+		Spec:          spec,
+		Root:          r.root,
+		Map:           shard.Map{Shards: sc.Topology.Shards, KeyFields: []string{"id", "page"}},
+		EpochRequests: sc.Topology.EpochRequests,
+		Seed:          sc.Load.Seed,
+		Limits:        verifier.DefaultLimits(),
+		FS:            r.cInj,
+		Backoff:       quiet,
+		MaxInflight:   sc.Topology.MaxInflight,
+		Transport:     r.nInj.Transport(nil),
+		Tuning: gateway.Tuning{
+			PerTryTimeout:   time.Second,
+			MaxRetries:      2,
+			BreakerFailures: 3,
+			BreakerOpenFor:  time.Minute,
+			Backoff:         fault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if r.ts != nil {
-			r.ts.Close()
-		}
-		if r.col != nil {
-			r.col.Close()
-		}
-	}()
+	defer r.top.Close()
+	// The server wraps Local.Handler, not a gateway instance, so a gateway
+	// restart is seamless — a load balancer repointing at the replacement.
+	r.ts = httptest.NewServer(r.top.Handler())
+	defer r.ts.Close()
 	if err := r.newAuditor(); err != nil {
 		return nil, err
 	}
 
-	events := map[int][]Event{}
-	for _, ev := range sc.Events {
-		events[ev.AtRequest] = append(events[ev.AtRequest], ev)
-	}
-	reqs := requestsFor(spec, sc.Requests, sc.Seed)
 	ctx := context.Background()
-
-	for i, req := range reqs {
-		for _, ev := range events[i] {
-			if err := r.apply(ev); err != nil {
-				return r.res, err
-			}
-		}
-		r.invoke(req)
-		if err := r.auditStep(ctx); err != nil {
+	sem := make(chan struct{}, sc.Load.Outstanding)
+	var wg sync.WaitGroup
+	for i, req := range requestsFor(spec, sc.Load.Requests, sc.Load.Seed) {
+		if err := r.applyDue(i); err != nil {
 			return r.res, err
 		}
-		r.checkInvariants()
+		if sc.Load.Outstanding <= 1 {
+			r.send(i, req)
+			// A pass that fails here failed on a fault still armed; the lane
+			// rebuilds itself on the next one, and the final drain below
+			// must succeed.
+			_, _ = r.aud.RunOnce(ctx)
+			r.scanEvidence()
+			continue
+		}
+		select {
+		case sem <- struct{}{}:
+			wg.Add(1)
+			go func(i int, req server.Request) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				r.send(i, req)
+			}(i, req)
+		default:
+			r.res.ShedLocal++
+		}
+	}
+	wg.Wait()
+	if r.next < len(sc.Steps) {
+		return r.res, fmt.Errorf("chaos: step %d (%s at %d) never became due; the run proves nothing about it", r.next, sc.Steps[r.next].Do, sc.Steps[r.next].At)
+	}
+	if got := r.res.Served + r.res.Shed + r.res.Degraded + r.res.ShedLocal; got != sc.Load.Requests {
+		r.violate("arrival ledger does not balance: %d outcomes booked for %d requests", got, sc.Load.Requests)
 	}
 
-	// Shutdown: the collector seals its final partial epoch, then the
-	// auditor drains everything sealed.
-	r.ts.Close()
-	r.ts = nil
-	if err := r.col.Close(); err != nil && r.res != nil {
-		r.res.Violations = append(r.res.Violations, "final seal failed: "+err.Error())
+	// Recovery: every fault condition ends and every dead shard rejoins, so
+	// the final seal covers the whole topology — the recovered incarnation
+	// is what seals a crashed shard's stranded tail.
+	r.cInj.Heal()
+	r.aInj.Heal()
+	r.nInj.Heal()
+	r.res.Gateway = r.top.Gateway.Counters()
+	for s := 0; s < sc.Topology.Shards; s++ {
+		if r.top.Collector(s) == nil {
+			if err := r.top.Restart(s); err != nil {
+				return r.res, fmt.Errorf("chaos: restarting shard %d: %w", s, err)
+			}
+		}
+		adm := r.top.Collector(s).HealthSnapshot().Admission
+		r.res.Admission = append(r.res.Admission, adm)
+		if adm.PeakInflight > adm.MaxInflight || adm.PeakQueuedBytes > adm.MaxQueuedBytes {
+			r.violate("shard %d admission peaked past its ceilings: %+v", s, adm)
+		}
 	}
-	r.col = nil
-	sealed, err := epochlog.ListSealed(r.logDir)
+	r.ts.Close()
+	if err := r.top.Close(); err != nil {
+		return r.res, fmt.Errorf("chaos: sealing topology: %w", err)
+	}
+	if _, err := r.aud.RunOnce(ctx); err != nil {
+		return r.res, fmt.Errorf("chaos: audit drain with every fault healed: %w", err)
+	}
+	live := r.aud.Result()
+	r.scanEvidence()
+	if err := r.checkAckedSealed(); err != nil {
+		return r.res, err
+	}
+
+	var diff string
+	r.res.Audit, diff, err = Reaudit(ctx, auditd.ShardedConfig{
+		Root: r.root, Limits: verifier.DefaultLimits(), OnVerdict: r.onVerdict,
+	})
 	if err != nil {
 		return r.res, err
 	}
-	r.res.Sealed = len(sealed)
-	var lastSeq uint64
-	if len(sealed) > 0 {
-		lastSeq = sealed[len(sealed)-1].Seq
+	if diff != "" {
+		r.violate("%s", diff)
 	}
-	// A rebuilt auditor resumes from the checkpoint, which may sit behind
-	// the epoch whose grade died with the incarnation — so a step without
-	// forward progress is normal right after a rebuild. Only a long run of
-	// them means the drain is actually wedged.
-	stuck := 0
-	for r.halted == nil {
-		before := r.aud.Status().LastProcessed
-		if before >= lastSeq {
-			break
-		}
-		if err := r.auditStep(ctx); err != nil {
-			return r.res, err
-		}
-		if r.aud.Status().LastProcessed <= before {
-			if stuck++; stuck > 2*maxAuditorRebuilds {
-				return r.res, fmt.Errorf("chaos: audit drain stuck at epoch %d of %d", before, lastSeq)
-			}
-		} else {
-			stuck = 0
-		}
+	if live.Merge.Code != r.res.Audit.Merge.Code {
+		r.violate("live auditor merged [%s], re-audit merged [%s]", live.Merge.Code, r.res.Audit.Merge.Code)
 	}
-	r.checkInvariants()
-	r.finish()
+	r.bookLaneRestarts(live)
+	r.grade()
+	r.scanEvidence()
 	return r.res, nil
+}
+
+// validate rejects malformed scenarios before anything boots.
+func (sc Scenario) validate() (harness.AppSpec, error) {
+	spec, err := harness.SpecByName(sc.Topology.App)
+	if err != nil {
+		return spec, err
+	}
+	t := sc.Topology
+	if t.Shards < 1 || t.EpochRequests <= 0 || sc.Load.Requests <= 0 {
+		return spec, fmt.Errorf("chaos: scenario needs positive Shards, EpochRequests and Requests")
+	}
+	if t.MaxInflight < 0 || sc.Load.Outstanding < 0 || sc.Load.SlowEvery < 0 {
+		return spec, fmt.Errorf("chaos: MaxInflight, Outstanding and SlowEvery must not be negative")
+	}
+	if t.Shards > 1 && t.App != "wiki" {
+		return spec, fmt.Errorf("chaos: %d shards need a shardable app; %q's store keys cross shards", t.Shards, t.App)
+	}
+	inRange := func(s int) bool { return s >= 0 && s < t.Shards }
+	at := 0
+	for i, st := range sc.Steps {
+		if st.At < at || st.At >= sc.Load.Requests {
+			return spec, fmt.Errorf("chaos: step %d: at %d out of order or past the last request", i, st.At)
+		}
+		at = st.At
+		if !inRange(st.Shard) {
+			return spec, fmt.Errorf("chaos: step %d: shard %d out of range", i, st.Shard)
+		}
+		switch st.Do {
+		case DoArm:
+			// Arming a scratch injector checks the spec against the right
+			// catalogue without touching the run's schedules.
+			var err error
+			switch st.On {
+			case OnCollector, OnAuditd:
+				err = iofault.NewInjector(nil).ArmSpec(st.Spec, st.Target)
+			case OnLink:
+				err = netfault.NewInjector().ArmSpec(st.Spec, "")
+			default:
+				err = fmt.Errorf("unknown component %q", st.On)
+			}
+			if err != nil {
+				return spec, fmt.Errorf("chaos: step %d: %w", i, err)
+			}
+		case DoHeal:
+			if st.On != OnCollector && st.On != OnAuditd && st.On != OnLink {
+				return spec, fmt.Errorf("chaos: step %d: unknown component %q", i, st.On)
+			}
+		case DoCrash, DoRestart, DoRestartGateway, DoKillAuditor:
+		default:
+			return spec, fmt.Errorf("chaos: step %d: unknown step kind %q", i, st.Do)
+		}
+	}
+	for _, s := range sc.Expect.Unauditable {
+		if !inRange(s) {
+			return spec, fmt.Errorf("chaos: expectation names shard %d, out of range", s)
+		}
+	}
+	return spec, nil
 }
 
 func requestsFor(spec harness.AppSpec, n int, seed int64) []server.Request {
@@ -248,222 +455,276 @@ func requestsFor(spec harness.AppSpec, n int, seed int64) []server.Request {
 		return workload.MOTD(n, workload.Mixed, seed)
 	case "stacks":
 		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
+	case "feeds":
+		return workload.Feeds(n, workload.Mixed, seed)
 	default:
 		return workload.Wiki(n, seed)
 	}
 }
 
-func (r *runner) openCollector() error {
-	col, err := collectorhttp.New(collectorhttp.Config{
-		Spec:          r.spec,
-		Dir:           r.logDir,
-		EpochRequests: r.sc.EpochRequests,
-		Seed:          r.sc.Seed,
-		FS:            r.cInj,
-		Backoff:       r.back,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos: collector: %w", err)
-	}
-	r.col = col
-	r.ts = httptest.NewServer(col.Handler())
-	return nil
-}
-
+// newAuditor builds the live auditor from the durable checkpoints. Replacing
+// the previous one is an auditor kill: its in-memory carry dies with it.
 func (r *runner) newAuditor() error {
-	a, err := auditd.New(auditd.Config{
-		Dir:        r.logDir,
-		Spec:       r.spec,
-		Checkpoint: r.ckpt,
-		Workers:    1, // keep the injector's fault schedule single-threaded
-		FS:         r.aInj,
-		Backoff:    r.back,
-		OnVerdict:  r.onVerdict,
+	if r.aud != nil {
+		r.bookLaneRestarts(r.aud.Result())
+	}
+	aud, err := auditd.NewSharded(auditd.ShardedConfig{
+		Root:          r.root,
+		CheckpointDir: r.ckptDir,
+		Limits:        verifier.DefaultLimits(),
+		AuditWorkers:  1,
+		FS:            r.aInj,
+		Backoff:       quiet,
+		OnVerdict:     r.onVerdict,
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: auditor: %w", err)
 	}
-	r.aud = a
+	r.aud = aud
 	return nil
 }
 
-func (r *runner) apply(ev Event) error {
-	for _, f := range ev.Arm {
-		inj := r.cInj
-		if f.Component == "auditd" {
-			inj = r.aInj
-		} else if f.Component != "collector" {
-			return fmt.Errorf("chaos: unknown component %q", f.Component)
-		}
-		if err := inj.ArmSpec(f.Spec, f.PathContains); err != nil {
-			return fmt.Errorf("chaos: arming %q on %s: %w", f.Spec, f.Component, err)
-		}
+// bookLaneRestarts adds an outgoing auditor's lane rebuilds to the tally.
+func (r *runner) bookLaneRestarts(res auditd.ShardedResult) {
+	for _, rep := range res.Shards {
+		r.res.AuditorRestarts += rep.Restarts
 	}
-	if ev.HealCollector {
-		r.cInj.Heal()
-	}
-	if ev.HealAuditor {
-		r.aInj.Heal()
-	}
-	if ev.CrashCollector {
-		r.ts.Close()
-		if err := r.col.Crash(); err != nil {
-			return fmt.Errorf("chaos: crashing collector: %w", err)
+}
+
+// applyDue applies, in order, every step that is due before request i.
+func (r *runner) applyDue(i int) error {
+	for ; r.next < len(r.sc.Steps); r.next++ {
+		st := r.sc.Steps[r.next]
+		if st.At > i {
+			return nil
 		}
-		r.res.CollectorCrashes++
-		if err := r.openCollector(); err != nil {
-			return err
+		if st.MidEpoch {
+			col := r.top.Collector(st.Shard)
+			if col == nil || col.HealthSnapshot().ActiveRequests == 0 {
+				return nil
+			}
+		}
+		if err := r.apply(st); err != nil {
+			return fmt.Errorf("chaos: step %d (%s): %w", r.next, st.Do, err)
 		}
 	}
-	if ev.CrashAuditor {
+	return nil
+}
+
+func (r *runner) apply(st Step) error {
+	// A link fault is pinned to its shard by the backend's host:port, which
+	// is only known once the shard has booted.
+	host := strings.TrimPrefix(r.top.BackendURL(st.Shard), "http://")
+	disk := r.cInj
+	if st.On == OnAuditd {
+		disk = r.aInj
+	}
+	switch st.Do {
+	case DoArm:
+		if st.On == OnLink {
+			return r.nInj.ArmSpec(st.Spec, host)
+		}
+		return disk.ArmSpec(st.Spec, st.Target)
+	case DoHeal:
+		if st.On == OnLink {
+			r.nInj.HealTarget(host)
+		} else {
+			disk.Heal()
+		}
+	case DoCrash:
+		return r.top.Crash(st.Shard)
+	case DoRestart:
+		return r.top.Restart(st.Shard)
+	case DoRestartGateway:
+		return r.top.RestartGateway()
+	case DoKillAuditor:
 		r.res.AuditorRestarts++
-		if err := r.newAuditor(); err != nil {
-			return err
-		}
+		return r.newAuditor()
 	}
 	return nil
 }
 
-func (r *runner) invoke(req server.Request) {
+func (r *runner) violate(format string, args ...any) {
+	r.mu.Lock()
+	r.res.Violations = append(r.res.Violations, fmt.Sprintf(format, args...))
+	r.mu.Unlock()
+}
+
+// count books one arrival into a ledger bucket.
+func (r *runner) count(bucket *int) {
+	r.mu.Lock()
+	*bucket++
+	r.mu.Unlock()
+}
+
+// send drives one request through the gateway and books its outcome.
+func (r *runner) send(i int, req server.Request) {
 	body, err := json.Marshal(map[string]any{"input": req.Input})
 	if err != nil {
-		r.res.Violations = append(r.res.Violations, "request marshal: "+err.Error())
+		r.violate("request %d: marshal: %v", i, err)
 		return
 	}
-	resp, err := r.ts.Client().Post(r.ts.URL+"/invoke", "application/json", strings.NewReader(string(body)))
+	var rd io.Reader = bytes.NewReader(body)
+	if n := r.sc.Load.SlowEvery; n > 0 && i%n == n-1 {
+		rd = &loadgen.SlowBody{Data: body, Delay: 2 * time.Millisecond}
+	}
+	resp, err := r.ts.Client().Post(r.ts.URL+"/invoke", "application/json", rd)
 	if err != nil {
-		r.res.Refused++
+		// The gateway itself must always answer; only the shards may be dark.
+		r.violate("request %d: gateway unreachable: %v", i, err)
 		return
 	}
+	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) //karousos:errladder-ok scenario-side read; the status carries the outcome
 	resp.Body.Close()
-	if resp.StatusCode == 200 {
-		r.res.Served++
-	} else {
-		r.res.Refused++
-	}
-}
 
-// auditStep runs one RunOnce under mini-supervision: honest rejections
-// halt the audit (recorded, not an error); anything else — infrastructure
-// errors, InternalFault — rebuilds the auditor from its checkpoint.
-func (r *runner) auditStep(ctx context.Context) error {
-	if r.halted != nil {
-		return nil
+	want := r.top.Map.ShardOf(value.Normalize(req.Input))
+	if got := resp.Header.Get(gateway.ShardHeader); got != strconv.Itoa(want) {
+		r.violate("request %d: shard header %q, map says %d", i, got, want)
 	}
-	_, err := r.aud.RunOnce(ctx)
-	if err == nil {
-		return nil
-	}
-	var rej *auditd.Reject
-	if errors.As(err, &rej) && rej.Code != core.RejectInternalFault {
-		r.halted = rej
-		return nil
-	}
-	r.res.AuditorRestarts++
-	if r.res.AuditorRestarts > maxAuditorRebuilds {
-		return fmt.Errorf("chaos: auditor exceeded %d rebuilds; last error: %w", maxAuditorRebuilds, err)
-	}
-	return r.newAuditor()
-}
-
-func (r *runner) onVerdict(v auditd.Verdict) {
-	if first, ok := r.graded[v.Epoch]; ok {
-		if first != v.Code {
-			r.res.Violations = append(r.res.Violations, fmt.Sprintf(
-				"verdict flip: epoch %d graded %q then %q", v.Epoch, first, v.Code))
+	hinted := resp.Header.Get("Retry-After") != ""
+	switch resp.StatusCode {
+	case http.StatusOK:
+		var out struct {
+			RID string `json:"rid"`
 		}
-	} else {
-		r.graded[v.Epoch] = v.Code
+		if err := json.Unmarshal(blob, &out); err != nil || out.RID == "" {
+			r.violate("request %d: 200 with no rid: %v", i, err)
+			return
+		}
+		r.mu.Lock()
+		r.res.Served++
+		if r.acked[want] == nil {
+			r.acked[want] = map[string]bool{}
+		}
+		r.acked[want][out.RID] = true
+		r.mu.Unlock()
+	case http.StatusTooManyRequests:
+		r.count(&r.res.Shed)
+		if !hinted {
+			r.violate("request %d: 429 without Retry-After", i)
+		}
+	case http.StatusServiceUnavailable:
+		r.count(&r.res.Degraded)
+		if !hinted {
+			r.violate("request %d: 503 without Retry-After", i)
+		}
+		if !r.faulted[want] {
+			r.violate("request %d: shard %d degraded, but the script never faulted it", i, want)
+		}
+	default:
+		r.violate("request %d: status %d — faults and overload must surface as 200/429/503, nothing else", i, resp.StatusCode)
 	}
-	r.last[v.Epoch] = v
 }
 
-// checkInvariants scans the log directory with the real OS filesystem (so
-// the probes never consume injected fault schedules).
-func (r *runner) checkInvariants() {
-	entries, err := os.ReadDir(r.logDir)
-	if err != nil {
-		r.res.Violations = append(r.res.Violations, "evidence scan: "+err.Error())
-		return
+// onVerdict sees every verdict any auditor reaches — live, rebuilt, or
+// re-auditing — and holds each (shard, epoch) to its first grade.
+func (r *runner) onVerdict(s int, v auditd.Verdict) {
+	k := [2]uint64{uint64(s), v.Epoch}
+	r.mu.Lock()
+	first, seen := r.graded[k]
+	if !seen {
+		r.graded[k] = v.Code
 	}
+	r.mu.Unlock()
+	if seen && first != v.Code {
+		r.violate("verdict flip: shard %d epoch %d graded [%s] then [%s]", s, v.Epoch, first, v.Code)
+	}
+}
+
+// scanEvidence lists every shard directory with the real filesystem (so the
+// probe never consumes an injected schedule) and checks that no evidence
+// file seen before has disappeared.
+func (r *runner) scanEvidence() {
 	present := map[string]bool{}
-	for _, ent := range entries {
-		name := ent.Name()
-		present[name] = true
-		if isEvidence(name) {
-			r.evidence[strings.TrimSuffix(name, ".quarantined")] = true
+	for s := 0; s < r.sc.Topology.Shards; s++ {
+		entries, err := os.ReadDir(shard.Dir(r.root, s))
+		if err != nil {
+			r.violate("evidence scan of shard %d: %v", s, err)
+			return
+		}
+		for _, ent := range entries {
+			base := strings.TrimSuffix(ent.Name(), ".quarantined")
+			if strings.HasPrefix(base, "ep") && (strings.HasSuffix(base, ".trace") ||
+				strings.HasSuffix(base, ".advice") || strings.HasSuffix(base, ".manifest")) {
+				present[fmt.Sprintf("shard-%02d/%s", s, base)] = true
+			}
 		}
 	}
 	for name := range r.evidence {
-		if !present[name] && !present[name+".quarantined"] {
-			r.res.Violations = append(r.res.Violations, "evidence deleted: "+name)
+		if !present[name] {
+			r.violate("evidence deleted: %s", name)
 		}
 	}
-	sealed, err := epochlog.ListSealed(r.logDir)
-	if err != nil {
-		// Transient listing trouble is the auditor's problem, not an
-		// invariant breach; the next probe re-checks.
-		return
+	for name := range present {
+		r.evidence[name] = true
 	}
-	if len(sealed) < r.prevSealed {
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf(
-			"sealed prefix shrank: %d -> %d", r.prevSealed, len(sealed)))
-	}
-	r.prevSealed = len(sealed)
 }
 
-func isEvidence(name string) bool {
-	base := strings.TrimSuffix(name, ".quarantined")
-	return strings.HasPrefix(base, "ep") &&
-		(strings.HasSuffix(base, ".trace") || strings.HasSuffix(base, ".advice") || strings.HasSuffix(base, ".manifest"))
-}
-
-// finish turns the per-epoch verdict map into the ordered final tally and
-// applies the honest-run grading invariant: this runner only scripts
-// infrastructure faults, so a Rejected verdict is always a violation.
-func (r *runner) finish() {
-	epochs := make([]uint64, 0, len(r.last))
-	for seq := range r.last {
-		epochs = append(epochs, seq)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, seq := range epochs {
-		v := r.last[seq]
-		r.res.Verdicts = append(r.res.Verdicts, v)
-		switch v.Code {
-		case "":
-			r.res.Accepted++
-		case core.RejectUnauditable:
-			r.res.Unauditable++
-		default:
-			r.res.Rejected++
-			r.res.Violations = append(r.res.Violations, fmt.Sprintf(
-				"false reject: epoch %d [%s] %s", v.Epoch, v.Code, v.Reason))
+// checkAckedSealed is the zero-evidence-loss invariant: every RID a client
+// saw 200 for is a REQ in a sealed, balanced epoch of the shard that
+// served it.
+func (r *runner) checkAckedSealed() error {
+	for s, acked := range r.acked {
+		dir := shard.Dir(r.root, s)
+		manifests, err := epochlog.ListSealed(dir)
+		if err != nil {
+			return err
+		}
+		r.res.Sealed += len(manifests)
+		sealed := map[string]bool{}
+		for _, man := range manifests {
+			tr, _, _, err := epochlog.ReadSealed(dir, man.Seq, epochlog.Options{})
+			if err != nil {
+				return err
+			}
+			if err := tr.CheckBalanced(); err != nil {
+				r.violate("shard %d epoch %d sealed unbalanced: %v", s, man.Seq, err)
+			}
+			for _, rid := range tr.RIDs() {
+				sealed[rid] = true
+			}
+		}
+		for rid := range acked {
+			if !sealed[rid] {
+				r.violate("shard %d: acked rid %s missing from the sealed log", s, rid)
+			}
 		}
 	}
+	return nil
 }
 
-// AcceptanceScenario is the ISSUE's fixed-seed criterion: a collector
-// crash, transient EIO on the auditor's reads, and an advice outage for
-// one epoch. Expected outcome: zero rejects, exactly one Unauditable epoch
-// (the outage epoch), every other epoch accepted, and identical verdicts
-// on every run with the same seed.
-func AcceptanceScenario(app string, seed int64) Scenario {
-	return Scenario{
-		App:           app,
-		Seed:          seed,
-		Requests:      40,
-		EpochRequests: 10,
-		Events: []Event{
-			// Transient read trouble for the auditor from the start.
-			{AtRequest: 0, Arm: []Fault{{Component: "auditd", Spec: fmt.Sprintf("transient-eio:%d:3", seed)}}},
-			// Epoch 2 (requests 10-19) loses its advice channel to a full
-			// disk; the trusted trace keeps flowing. Seed 0 keeps the
-			// operator gapless — a disk stays full, it does not flicker.
-			{AtRequest: 10, Arm: []Fault{{Component: "collector", Spec: "enospc:0:-1", PathContains: ".advice"}}},
-			// Disk recovers; the collector process dies and restarts with
-			// epoch 2 sealed, so epoch 3 begins at a Fresh boundary.
-			{AtRequest: 20, HealCollector: true, CrashCollector: true},
-		},
+// grade tallies the re-audit's verdicts and applies the honest-run
+// invariant: the engine only scripts infrastructure faults, so a rejection
+// is always false, and Unauditable is owed only where the scenario says so.
+func (r *runner) grade() {
+	owed := map[int]bool{}
+	for _, s := range r.sc.Expect.Unauditable {
+		owed[s] = true
+	}
+	for _, rep := range r.res.Audit.Shards {
+		unauditable := 0
+		for _, v := range rep.Verdicts {
+			switch v.Code {
+			case "":
+				r.res.Accepted++
+			case core.RejectUnauditable:
+				unauditable++
+			default:
+				r.res.Rejected++
+				r.violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
+			}
+		}
+		r.res.Unauditable += unauditable
+		if owed[rep.Shard] && unauditable == 0 {
+			r.violate("shard %d has no unauditable epoch: the script stranded no evidence there", rep.Shard)
+		}
+		if !owed[rep.Shard] && unauditable > 0 {
+			r.violate("shard %d graded %d epochs unauditable; the scenario expects none there", rep.Shard, unauditable)
+		}
+	}
+	switch m := r.res.Audit.Merge; {
+	case m.Code == "", m.Code == core.RejectUnauditable && len(owed) > 0:
+	default:
+		r.violate("combined verdict [%s] after infrastructure faults only: %s", m.Code, m.Reason)
 	}
 }

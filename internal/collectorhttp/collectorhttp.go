@@ -45,6 +45,7 @@ import (
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/server"
@@ -94,8 +95,8 @@ type Config struct {
 	// iofault.Injector.
 	FS iofault.FS
 	// Backoff bounds the retry loops around trusted-channel appends.
-	// Zero-valued fields take iofault's defaults.
-	Backoff iofault.Backoff
+	// Zero-valued fields take fault.Backoff's defaults.
+	Backoff fault.Backoff
 
 	// Commit selects the trusted channel's durability discipline; ""
 	// means CommitGroup.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 )
@@ -20,7 +21,7 @@ func newFaulted(t *testing.T, inj *iofault.Injector, epochRequests int) (*Collec
 		Dir:           t.TempDir(),
 		EpochRequests: epochRequests,
 		FS:            inj,
-		Backoff:       iofault.Backoff{Sleep: func(time.Duration) {}},
+		Backoff:       fault.Backoff{Sleep: func(time.Duration) {}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func TestInvokeRetriesTransientAppend(t *testing.T) {
 	c, ts := newFaulted(t, inj, 0)
 	defer c.Close()
 
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.ArmConfig{Times: 2, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 2, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
@@ -60,7 +61,7 @@ func TestInvokeRefusedWhenRequestAppendFails(t *testing.T) {
 	c, ts := newFaulted(t, inj, 0)
 	defer c.Close()
 
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.ArmConfig{Times: -1, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "get", "day": "mon"}})
@@ -85,7 +86,7 @@ func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	defer c.Close()
 
 	// Skip the REQ append; fail every later trace append in this epoch.
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.ArmConfig{Times: -1, After: 1, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, After: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
@@ -110,7 +111,7 @@ func TestAdviceENOSPCDegradesNotFails(t *testing.T) {
 	defer c.Close()
 
 	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
-	if err := inj.Arm(iofault.OpENOSPC, iofault.ArmConfig{Times: -1, PathContains: ".advice"}); err != nil {
+	if err := inj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := post(t, ts.URL+"/advice", []byte("uploaded-advice"))
@@ -133,7 +134,7 @@ func TestSealAdviceLossDegradesButSeals(t *testing.T) {
 	defer c.Close()
 
 	invoke(t, ts.URL, map[string]any{"op": "set", "scope": "always", "msg": "x"})
-	if err := inj.Arm(iofault.OpENOSPC, iofault.ArmConfig{Times: -1, PathContains: ".advice"}); err != nil {
+	if err := inj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.Seal()
@@ -171,7 +172,7 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	// and readiness flips. The fault targets only the manifest fsync — the
 	// trace's group-commit fsync must keep working or the second invoke
 	// would (correctly) be refused before it ever reached the seal.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: -1, PathContains: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"sync"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 )
@@ -121,7 +122,7 @@ type Options struct {
 	// queueing unboundedly.
 	CommitQueue int
 	// Backoff bounds the committer's retries of transient write faults.
-	Backoff iofault.Backoff
+	Backoff fault.Backoff
 }
 
 // fs resolves the configured I/O layer.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 )
@@ -44,7 +45,7 @@ func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 
 	// First Sync in Seal is the trace file: the trusted channel's fsync
 	// fails, so the epoch must not appear sealed.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil {
@@ -91,7 +92,7 @@ func TestSealManifestFsyncFailureRemovesManifest(t *testing.T) {
 
 	// Seal fsyncs trace, advice, then the manifest: skip the two data
 	// syncs so the fault lands exactly on the manifest's.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, After: 2}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil || !strings.Contains(err.Error(), "manifest fsync") {
@@ -127,7 +128,7 @@ func TestSealDirFsyncFailureAbortsSeal(t *testing.T) {
 	fillOpen(t, l, 1)
 
 	// Syncs in Seal: trace, advice, manifest file, then the directory.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, After: 3}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil || !strings.Contains(err.Error(), "directory fsync") {
@@ -152,7 +153,7 @@ func TestReopenAfterFailedSealRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillOpen(t, l, 3)
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, After: 2}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil {
@@ -200,7 +201,7 @@ func TestOpenRenameFailureFailsLoudlyAndPreservesStrays(t *testing.T) {
 	}
 
 	inj := iofault.NewInjector(nil)
-	if err := inj.Arm(iofault.OpRenameFail, iofault.ArmConfig{Times: 1}); err != nil {
+	if err := inj.Arm(iofault.OpRenameFail, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{FS: inj}); err == nil {
@@ -260,7 +261,7 @@ func TestShortWriteOnAppendIsRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillOpen(t, l, 2)
-	if err := inj.Arm(iofault.OpShortWrite, iofault.ArmConfig{Times: 1, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpShortWrite, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	err = l.AppendEvent(ev(trace.Req, "rt", 9))

@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 )
 
 // noSleep keeps injected-fault retries instant in tests.
-var noSleep = iofault.Backoff{Sleep: func(time.Duration) {}}
+var noSleep = fault.Backoff{Sleep: func(time.Duration) {}}
 
 func openGroup(t *testing.T, dir string, opt Options) *Log {
 	t.Helper()
@@ -105,14 +106,14 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	l := openGroup(t, dir, Options{FS: inj, CommitQueue: 2, Backoff: iofault.Backoff{
+	l := openGroup(t, dir, Options{FS: inj, CommitQueue: 2, Backoff: fault.Backoff{
 		Attempts: 100,
 		Sleep: func(time.Duration) {
 			once.Do(func() { close(blocked) })
 			<-release
 		},
 	}})
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.ArmConfig{Times: 99, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 99, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
@@ -173,7 +174,7 @@ func TestGroupCommitBatchFsyncFailureAcksNobody(t *testing.T) {
 	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "good", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	err := l.AppendEventDurable(context.Background(), ev(trace.Req, "doomed", 1))
@@ -202,7 +203,7 @@ func TestGroupCommitShortWriteRetriesWithoutTearing(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := inj.Arm(iofault.OpShortWrite, iofault.ArmConfig{Times: 1, PathContains: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpShortWrite, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	// The first batch write tears mid-frame; the committer truncates the
@@ -335,7 +336,7 @@ func TestFinishSealsFailureKeepsPendingAndRetries(t *testing.T) {
 	if rotated, err := l.Rotate(); err != nil || !rotated {
 		t.Fatalf("rotate: %v", err)
 	}
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: -1, PathContains: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.FinishSeals(); err == nil {

@@ -28,11 +28,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/fault"
 )
 
 // Kind says what representation an operator corrupts.
@@ -95,21 +95,22 @@ func (op Op) Apply(seed int64, wire []byte) ([]byte, error) {
 	return a.MarshalBinary(), nil
 }
 
-// ParseSpec parses an "op" or "op:seed" spec (seed defaults to 0).
+// ParseSpec resolves an "op" or "op:seed" spec (seed defaults to 0) against
+// the catalogue. The grammar is the fault kernel's; an advice mutation is a
+// single edit with no fire schedule, so a times field is refused.
 func ParseSpec(spec string) (Op, int64, error) {
-	name, seedStr, hasSeed := strings.Cut(spec, ":")
+	name, arm, err := fault.ParseSpec(spec)
+	if err != nil {
+		return Op{}, 0, err
+	}
 	op, ok := Lookup(name)
 	if !ok {
 		return Op{}, 0, fmt.Errorf("faultinject: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	if !hasSeed {
-		return op, 0, nil
+	if arm.Times != 0 {
+		return Op{}, 0, fmt.Errorf("faultinject: bad spec %q: want op[:seed]", spec)
 	}
-	seed, err := strconv.ParseInt(seedStr, 10, 64)
-	if err != nil {
-		return Op{}, 0, fmt.Errorf("faultinject: bad seed in spec %q: %v", spec, err)
-	}
-	return op, seed, nil
+	return op, arm.Seed, nil
 }
 
 // Lookup finds an operator by name.

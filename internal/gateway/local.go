@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/collectorhttp"
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/shard"
@@ -33,7 +34,7 @@ type LocalConfig struct {
 	Commit        collectorhttp.CommitMode
 	Limits        verifier.Limits
 	FS            iofault.FS
-	Backoff       iofault.Backoff
+	Backoff       fault.Backoff
 	// MaxInflight and MaxAuditLag pass through to each shard's admission
 	// control; AuditProgress, when set, is called with the shard index.
 	MaxInflight   int

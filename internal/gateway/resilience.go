@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/netfault"
 )
 
@@ -40,7 +41,7 @@ type Tuning struct {
 	// RetryAfter is the hint stamped on gateway-degraded 503s (default 1s).
 	RetryAfter time.Duration
 	// Backoff shapes the retry delays (zero = 10ms base, 250ms max).
-	Backoff netfault.Backoff
+	Backoff fault.Backoff
 }
 
 func (t Tuning) withDefaults() Tuning {
@@ -102,7 +103,7 @@ func (g *Gateway) forward(ctx context.Context, s int, raw []byte) (*proxied, err
 			return nil, err
 		}
 		g.count(s, func(c *ShardCounters) { c.Retries++ })
-		if err := sleepCtx(ctx, g.tuning.Backoff.Delay(attempt)); err != nil {
+		if err := g.tuning.Backoff.Wait(ctx, attempt); err != nil {
 			return nil, lastErr
 		}
 	}
@@ -132,17 +133,6 @@ func (g *Gateway) tryOnce(ctx context.Context, s int, raw []byte) (*proxied, err
 		}
 	}
 	return &proxied{status: resp.StatusCode, header: resp.Header, body: body}, nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // degrade answers a client whose shard cannot be reached: 503 with a

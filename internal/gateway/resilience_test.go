@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/value"
@@ -23,7 +24,7 @@ func fastTuning() Tuning {
 		BreakerFailures: 3,
 		BreakerOpenFor:  80 * time.Millisecond,
 		RetryAfter:      time.Second,
-		Backoff:         netfault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+		Backoff:         fault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
 	}
 }
 
@@ -38,7 +39,7 @@ func TestRetryTransparent(t *testing.T) {
 	defer top.Close()
 
 	in := netfault.NewInjector()
-	if err := in.Arm(netfault.OpConnRefused, netfault.ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(netfault.OpConnRefused, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	gw, err := New(Config{
@@ -76,7 +77,7 @@ func TestNoRetryAfterForward(t *testing.T) {
 	defer top.Close()
 
 	in := netfault.NewInjector()
-	if err := in.Arm(netfault.OpConnReset, netfault.ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(netfault.OpConnReset, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	gw, err := New(Config{

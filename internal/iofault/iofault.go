@@ -4,32 +4,28 @@
 // remove, mkdir, directory fsync — with an OS backend and an Injector that
 // wraps any backend with deterministic, seedable fault operators.
 //
-// The operator catalogue mirrors internal/faultinject's "op:seed" spec
-// style, but where faultinject corrupts the *untrusted advice*, iofault
+// Where internal/faultinject corrupts the *untrusted advice*, iofault
 // breaks the *infrastructure underneath the trusted trace*: transient EIO,
 // short writes, fsync failures, rename failures, ENOSPC, latency. The
 // invariant the chaos harness uses this package to enforce is the dual of
 // faultinject's: an infrastructure fault must never surface as a false
 // reject or a dead pipeline — it is retried (transient), degraded around
-// (disk full, advice outage), or halts loudly (permanent) per the ladder in
-// DESIGN.md §11.
+// (disk full, advice outage), or halts loudly (permanent) per the Classify
+// ladder.
 //
-// Every armed operator fires on a deterministic schedule derived from its
-// seed and the sequence of matching calls, so a chaos scenario replayed
-// with the same seed injects byte-identical fault histories.
+// Arming, healing, and the seeded fire schedule live in internal/fault;
+// this package owns the operator catalogue, what a fired operator does to
+// the call, and the ladder that reads the resulting error back.
 package iofault
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
 // FS is the filesystem surface the pipeline writes evidence through.
@@ -82,29 +78,26 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// Call names one VFS entry point; operators declare which calls they
-// intercept, and the Injector counts every call by this name.
-type Call string
-
+// The VFS entry points operators intercept and the Injector counts.
 const (
-	CallOpen     Call = "open"
-	CallRead     Call = "read"
-	CallWrite    Call = "write"
-	CallSync     Call = "sync"
-	CallSyncDir  Call = "syncdir"
-	CallRename   Call = "rename"
-	CallReadDir  Call = "readdir"
-	CallRemove   Call = "remove"
-	CallTruncate Call = "truncate"
-	CallStat     Call = "stat"
-	CallMkdir    Call = "mkdir"
+	CallOpen     fault.Call = "open"
+	CallRead     fault.Call = "read"
+	CallWrite    fault.Call = "write"
+	CallSync     fault.Call = "sync"
+	CallSyncDir  fault.Call = "syncdir"
+	CallRename   fault.Call = "rename"
+	CallReadDir  fault.Call = "readdir"
+	CallRemove   fault.Call = "remove"
+	CallTruncate fault.Call = "truncate"
+	CallStat     fault.Call = "stat"
+	CallMkdir    fault.Call = "mkdir"
 )
 
 // FaultError is an injected failure. Transient tells the Classify/Retry
 // layer whether re-issuing the operation may succeed.
 type FaultError struct {
-	Op        string // operator name
-	Call      Call   // intercepted VFS call
+	Op        string     // operator name
+	Call      fault.Call // intercepted VFS call
 	Path      string
 	Transient bool
 	Err       error // underlying errno (syscall.EIO, syscall.ENOSPC, ...)
@@ -136,117 +129,24 @@ const (
 	OpLatency = "latency"
 )
 
-// operatorCalls maps each operator to the calls it intercepts.
-var operatorCalls = map[string][]Call{
-	OpTransientEIO: {CallOpen, CallRead, CallReadDir, CallStat, CallWrite},
-	OpShortWrite:   {CallWrite},
-	OpFsyncFail:    {CallSync, CallSyncDir},
-	OpRenameFail:   {CallRename},
-	OpENOSPC:       {CallWrite, CallMkdir},
-	OpLatency: {CallOpen, CallRead, CallWrite, CallSync, CallSyncDir, CallRename,
-		CallReadDir, CallRemove, CallTruncate, CallStat, CallMkdir},
+// operators is the catalogue: each operator and the calls it intercepts.
+// Latency is a condition, not an event — a single 1–4ms sleep is not a
+// scenario — so it is sustained.
+var operators = []fault.Operator{
+	{Name: OpTransientEIO, Calls: []fault.Call{CallOpen, CallRead, CallReadDir, CallStat, CallWrite}},
+	{Name: OpShortWrite, Calls: []fault.Call{CallWrite}},
+	{Name: OpFsyncFail, Calls: []fault.Call{CallSync, CallSyncDir}},
+	{Name: OpRenameFail, Calls: []fault.Call{CallRename}},
+	{Name: OpENOSPC, Calls: []fault.Call{CallWrite, CallMkdir}},
+	{Name: OpLatency, Sustained: true},
 }
 
-// Names lists the operator catalogue, sorted.
-func Names() []string {
-	names := make([]string, 0, len(operatorCalls))
-	for name := range operatorCalls {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ArmConfig schedules one armed operator.
-type ArmConfig struct {
-	// Seed derives the gaps between fires; 0 fires on consecutive matching
-	// calls.
-	Seed int64
-	// Times bounds total fires: 0 means 1, negative means until Heal.
-	Times int
-	// After lets this many matching calls through before the schedule
-	// starts (deterministic offset for precision tests).
-	After int
-	// PathContains restricts matching to paths containing the substring
-	// ("" matches everything).
-	PathContains string
-}
-
-// ParseSpec parses an "op", "op:seed", or "op:seed:times" spec.
-func ParseSpec(spec string) (string, ArmConfig, error) {
-	parts := strings.Split(spec, ":")
-	name := parts[0]
-	if _, ok := operatorCalls[name]; !ok {
-		return "", ArmConfig{}, fmt.Errorf("iofault: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	var cfg ArmConfig
-	if len(parts) > 3 {
-		return "", ArmConfig{}, fmt.Errorf("iofault: bad spec %q: want op[:seed[:times]]", spec)
-	}
-	if len(parts) >= 2 {
-		seed, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return "", ArmConfig{}, fmt.Errorf("iofault: bad seed in spec %q: %v", spec, err)
-		}
-		cfg.Seed = seed
-	}
-	if len(parts) == 3 {
-		times, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return "", ArmConfig{}, fmt.Errorf("iofault: bad times in spec %q: %v", spec, err)
-		}
-		cfg.Times = times
-	}
-	return name, cfg, nil
-}
-
-// armed is one scheduled operator instance.
-type armed struct {
-	name      string
-	cfg       ArmConfig
-	r         *rand.Rand
-	calls     map[Call]bool
-	remaining int // fires left; -1 = unbounded
-	skip      int // matching calls to let through before the next fire
-	fired     int
-}
-
-func (a *armed) matches(call Call, path string) bool {
-	if !a.calls[call] {
-		return false
-	}
-	return a.cfg.PathContains == "" || strings.Contains(path, a.cfg.PathContains)
-}
-
-// next consumes one matching call and reports whether the operator fires.
-func (a *armed) next() bool {
-	if a.remaining == 0 {
-		return false
-	}
-	if a.skip > 0 {
-		a.skip--
-		return false
-	}
-	if a.remaining > 0 {
-		a.remaining--
-	}
-	a.fired++
-	if a.r != nil {
-		a.skip = a.r.Intn(3)
-	}
-	return true
-}
-
-// Injector wraps a backend FS with armed fault operators. It is safe for
-// concurrent use; the fault schedule is serialized under one mutex, so a
-// single-threaded caller sees a fully deterministic fault history.
+// Injector wraps a backend FS with armed fault operators; the embedded
+// schedule supplies Arm, ArmSpec, Heal, Counts, and Fired. The Arm target
+// filter matches against the call's path.
 type Injector struct {
+	*fault.Schedule
 	base FS
-
-	mu      sync.Mutex
-	armedO  []*armed
-	counts  map[Call]int
-	retired map[string]int // fire counts of healed operators
 }
 
 // NewInjector wraps base (OS when nil) with an empty fault plan.
@@ -254,122 +154,28 @@ func NewInjector(base FS) *Injector {
 	if base == nil {
 		base = OS
 	}
-	return &Injector{base: base, counts: make(map[Call]int)}
-}
-
-// Arm schedules one operator. Unknown names error; arming is additive.
-func (in *Injector) Arm(name string, cfg ArmConfig) error {
-	calls, ok := operatorCalls[name]
-	if !ok {
-		return fmt.Errorf("iofault: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	a := &armed{name: name, cfg: cfg, calls: make(map[Call]bool, len(calls))}
-	for _, c := range calls {
-		a.calls[c] = true
-	}
-	a.remaining = cfg.Times
-	if cfg.Times == 0 {
-		a.remaining = 1
-	}
-	a.skip = cfg.After
-	if cfg.Seed != 0 {
-		a.r = rand.New(rand.NewSource(cfg.Seed))
-		a.skip += a.r.Intn(3)
-	}
-	in.mu.Lock()
-	in.armedO = append(in.armedO, a)
-	in.mu.Unlock()
-	return nil
-}
-
-// ArmSpec arms from an "op[:seed[:times]]" spec with an optional path
-// filter.
-func (in *Injector) ArmSpec(spec, pathContains string) error {
-	name, cfg, err := ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	cfg.PathContains = pathContains
-	if name == OpLatency && cfg.Times == 0 {
-		cfg.Times = -1 // a single 1–4ms sleep is not a scenario
-	}
-	return in.Arm(name, cfg)
-}
-
-// Heal disarms every operator: the fault condition is over. Counters
-// survive.
-func (in *Injector) Heal() {
-	in.mu.Lock()
-	for _, a := range in.armedO {
-		if in.retired == nil {
-			in.retired = make(map[string]int)
-		}
-		in.retired[a.name] += a.fired
-	}
-	in.armedO = nil
-	in.mu.Unlock()
-}
-
-// Counts returns how many calls of each kind the injector has seen
-// (faulted or not), for assertions like "the checkpoint writer fsyncs its
-// directory".
-func (in *Injector) Counts() map[Call]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Call]int, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Fired returns fire counts by operator name, armed and healed alike.
-func (in *Injector) Fired() map[string]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int)
-	for _, a := range in.armedO {
-		out[a.name] += a.fired
-	}
-	for name, n := range in.retired {
-		out[name] += n
-	}
-	return out
+	return &Injector{Schedule: fault.NewSchedule("iofault", operators), base: base}
 }
 
 // fault consults the schedule for one call and returns the injected error
 // (nil to proceed). Latency sleeps here; short writes are handled by the
 // caller via the returned *FaultError with Op == OpShortWrite.
-func (in *Injector) fault(call Call, path string) *FaultError {
-	in.mu.Lock()
-	in.counts[call]++
-	var hit *armed
-	for _, a := range in.armedO {
-		if a.matches(call, path) && a.next() {
-			hit = a
-			break
-		}
-	}
-	in.mu.Unlock()
+func (in *Injector) fault(call fault.Call, path string) *FaultError {
+	hit := in.Next(call, path)
 	if hit == nil {
 		return nil
 	}
-	switch hit.name {
+	switch hit.Op {
 	case OpLatency:
-		d := time.Millisecond
-		if hit.r != nil {
-			d = time.Duration(1+hit.r.Intn(4)) * time.Millisecond
-		}
-		time.Sleep(d)
-		return nil
+		time.Sleep(time.Duration(hit.Scale(1)) * time.Millisecond)
 	case OpTransientEIO, OpRenameFail:
-		return &FaultError{Op: hit.name, Call: call, Path: path, Transient: true, Err: syscall.EIO}
+		return &FaultError{Op: hit.Op, Call: call, Path: path, Transient: true, Err: syscall.EIO}
 	case OpShortWrite:
-		return &FaultError{Op: hit.name, Call: call, Path: path, Transient: true, Err: io.ErrShortWrite}
+		return &FaultError{Op: hit.Op, Call: call, Path: path, Transient: true, Err: io.ErrShortWrite}
 	case OpFsyncFail:
-		return &FaultError{Op: hit.name, Call: call, Path: path, Err: syscall.EIO}
+		return &FaultError{Op: hit.Op, Call: call, Path: path, Err: syscall.EIO}
 	case OpENOSPC:
-		return &FaultError{Op: hit.name, Call: call, Path: path, Err: syscall.ENOSPC}
+		return &FaultError{Op: hit.Op, Call: call, Path: path, Err: syscall.ENOSPC}
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
 // TestPassthroughAndCounts: an injector with no armed operators behaves
@@ -30,7 +32,7 @@ func TestPassthroughAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := in.Counts()
-	for _, call := range []Call{CallWrite, CallRead, CallRename, CallSyncDir} {
+	for _, call := range []fault.Call{CallWrite, CallRead, CallRename, CallSyncDir} {
 		if c[call] != 1 {
 			t.Errorf("count[%s] = %d, want 1", call, c[call])
 		}
@@ -46,7 +48,7 @@ func TestTransientEIOFiresThenHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, ArmConfig{Times: 2}); err != nil {
+	if err := in.Arm(OpTransientEIO, fault.Arm{Times: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -98,7 +100,7 @@ func TestShortWriteLandsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a")
 	in := NewInjector(nil)
-	if err := in.Arm(OpShortWrite, ArmConfig{Times: 1, After: 1}); err != nil {
+	if err := in.Arm(OpShortWrite, fault.Arm{Times: 1, After: 1}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := in.OpenFile(p, os.O_CREATE|os.O_WRONLY, 0o644)
@@ -124,7 +126,7 @@ func TestShortWriteLandsPrefix(t *testing.T) {
 func TestENOSPCClassifiesDegraded(t *testing.T) {
 	dir := t.TempDir()
 	in := NewInjector(nil)
-	if err := in.Arm(OpENOSPC, ArmConfig{Times: -1, PathContains: ".advice"}); err != nil {
+	if err := in.Arm(OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	err := in.WriteFile(filepath.Join(dir, "ep1.advice"), []byte("x"), 0o644)
@@ -151,11 +153,11 @@ func TestRetryAbsorbsTransients(t *testing.T) {
 	p := filepath.Join(dir, "a")
 	os.WriteFile(p, []byte("x"), 0o644)
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, ArmConfig{Times: 3}); err != nil {
+	if err := in.Arm(OpTransientEIO, fault.Arm{Times: 3}); err != nil {
 		t.Fatal(err)
 	}
 	var slept []time.Duration
-	b := Backoff{Base: time.Millisecond, Attempts: 5, Sleep: func(d time.Duration) { slept = append(slept, d) }}
+	b := fault.Backoff{Base: time.Millisecond, Attempts: 5, Sleep: func(d time.Duration) { slept = append(slept, d) }}
 	err := Retry(context.Background(), b, func() error {
 		_, err := in.ReadFile(p)
 		return err
@@ -171,7 +173,7 @@ func TestRetryAbsorbsTransients(t *testing.T) {
 // TestRetryStopsOnPermanent: non-transient errors return immediately.
 func TestRetryStopsOnPermanent(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), Backoff{Sleep: func(time.Duration) {}}, func() error {
+	err := Retry(context.Background(), fault.Backoff{Sleep: func(time.Duration) {}}, func() error {
 		calls++
 		return os.ErrPermission
 	})
@@ -184,10 +186,10 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 // last transient error.
 func TestRetryExhaustsAttempts(t *testing.T) {
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, ArmConfig{Times: -1}); err != nil {
+	if err := in.Arm(OpTransientEIO, fault.Arm{Times: -1}); err != nil {
 		t.Fatal(err)
 	}
-	err := Retry(context.Background(), Backoff{Attempts: 3, Sleep: func(time.Duration) {}}, func() error {
+	err := Retry(context.Background(), fault.Backoff{Attempts: 3, Sleep: func(time.Duration) {}}, func() error {
 		_, err := in.ReadFile("nowhere")
 		return err
 	})
@@ -199,20 +201,66 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 }
 
-// TestParseSpec covers the accepted spec grammar and its failure modes.
-func TestParseSpec(t *testing.T) {
-	name, cfg, err := ParseSpec("enospc:9:-1")
-	if err != nil || name != OpENOSPC || cfg.Seed != 9 || cfg.Times != -1 {
-		t.Fatalf("ParseSpec(enospc:9:-1) = %s %+v %v", name, cfg, err)
+// TestRetryReturnsOnCancel: a cancelled context ends the backoff sleep at
+// once instead of blocking up to Max per attempt, and the context's error
+// arrives joined with the last I/O error.
+func TestRetryReturnsOnCancel(t *testing.T) {
+	in := NewInjector(nil)
+	if err := in.Arm(OpTransientEIO, fault.Arm{Times: -1}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ParseSpec("no-such-op:1"); err == nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	attempted := make(chan struct{}, 8)
+	done := make(chan error, 1)
+	go func() {
+		done <- Retry(ctx, fault.Backoff{Base: time.Hour, Max: time.Hour}, func() error {
+			attempted <- struct{}{}
+			_, err := in.ReadFile("nowhere")
+			return err
+		})
+	}()
+	<-attempted // the first attempt has failed; Retry is in (or entering) its sleep
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Retry = %v, want context.Canceled joined with the EIO", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Retry slept through a cancelled context")
+	}
+}
+
+// TestRetrySuccessDoesNotAllocate: the first-attempt-succeeds path runs
+// once per durable append, so it must stay allocation-free.
+func TestRetrySuccessDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	op := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() { _ = Retry(ctx, fault.Backoff{}, op) }); n != 0 {
+		t.Fatalf("Retry's success path allocates %v times per call", n)
+	}
+}
+
+// TestArmSpecChecksTheCatalogue: the grammar is the kernel's; which
+// operators exist is this package's.
+func TestArmSpecChecksTheCatalogue(t *testing.T) {
+	in := NewInjector(nil)
+	if err := in.ArmSpec("no-such-op:1", ""); err == nil {
 		t.Fatal("unknown operator accepted")
 	}
-	if _, _, err := ParseSpec("enospc:x"); err == nil {
-		t.Fatal("bad seed accepted")
+	if err := in.ArmSpec("enospc:9:-1", ".advice"); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ParseSpec("enospc:1:2:3"); err == nil {
-		t.Fatal("over-long spec accepted")
+	if err := in.ArmSpec("latency", ""); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := in.Stat("nowhere"); err != nil && Classify(err) != ClassPermanent {
+			t.Fatalf("latency must not inject errors: %v", err)
+		}
+	}
+	if in.Fired()[OpLatency] != 3 {
+		t.Fatalf("fired = %v: latency armed from a bare spec should fire until healed", in.Fired())
 	}
 }
 
@@ -221,7 +269,7 @@ func TestParseSpec(t *testing.T) {
 func TestFsyncFailNotTransient(t *testing.T) {
 	dir := t.TempDir()
 	in := NewInjector(nil)
-	if err := in.Arm(OpFsyncFail, ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(OpFsyncFail, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := in.OpenFile(filepath.Join(dir, "a"), os.O_CREATE|os.O_WRONLY, 0o644)

@@ -3,14 +3,16 @@ package iofault
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"os"
 	"syscall"
-	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
-// Class sorts an I/O error into the degradation ladder's rungs (DESIGN.md
-// §11): retry it, degrade around it, or halt on it.
+// Class sorts an I/O error into the degradation ladder's rungs: retry it,
+// degrade around it, or halt on it. The question this ladder answers is
+// "will re-issuing the same operation help?" — netfault.Classify answers a
+// different one, which is why the two stay apart.
 type Class int
 
 const (
@@ -68,44 +70,13 @@ func Classify(err error) Class {
 	return ClassPermanent
 }
 
-// Backoff bounds a retry loop: exponential delay from Base doubling up to
-// Max, at most Attempts tries, with jitter in [delay/2, delay] so retriers
-// that share a fault do not stampede in phase. Sleeping never affects
-// verdicts, so the jitter needs no seed.
-type Backoff struct {
-	// Base is the first delay (default 2ms).
-	Base time.Duration
-	// Max caps the delay (default 100ms).
-	Max time.Duration
-	// Attempts is the total number of tries including the first (default 6).
-	Attempts int
-	// Sleep replaces time.Sleep in tests; nil uses the real clock.
-	Sleep func(time.Duration)
-}
-
-// WithDefaults returns the backoff with zero-valued fields filled in.
-func (b Backoff) WithDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 2 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 100 * time.Millisecond
-	}
-	if b.Attempts <= 0 {
-		b.Attempts = 6
-	}
-	if b.Sleep == nil {
-		b.Sleep = time.Sleep
-	}
-	return b
-}
-
 // Retry runs op, re-issuing it with backoff while the error classifies
 // transient. It returns nil on success, the first non-transient error
 // immediately, or the last transient error once attempts are exhausted.
-// The context is only polled between attempts; a cancelled context returns
-// the context's error wrapped around the last I/O error.
-func Retry(ctx context.Context, b Backoff, op func() error) error {
+// The backoff sleep is interruptible: a context cancelled before or during
+// it returns the context's error joined with the last I/O error. A nil ctx
+// never cancels.
+func Retry(ctx context.Context, b fault.Backoff, op func() error) error {
 	b = b.WithDefaults()
 	var err error
 	for attempt := 0; attempt < b.Attempts; attempt++ {
@@ -115,17 +86,9 @@ func Retry(ctx context.Context, b Backoff, op func() error) error {
 		if attempt == b.Attempts-1 {
 			break
 		}
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return errors.Join(cerr, err)
-			}
+		if cerr := b.Wait(ctx, attempt); cerr != nil {
+			return errors.Join(cerr, err)
 		}
-		delay := b.Base << attempt
-		if delay > b.Max {
-			delay = b.Max
-		}
-		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		b.Sleep(delay)
 	}
 	return err
 }

@@ -135,28 +135,28 @@ func requests(cfg Config) ([]server.Request, error) {
 	return workload.WithRepeats(reqs, app, cfg.RepeatMix, cfg.Seed)
 }
 
-// slowBody trickles a payload out in small delayed chunks — a client on a
+// SlowBody trickles a payload out in small delayed chunks — a client on a
 // bad link, or a deliberate slowloris. Sent without a content length so
 // the server cannot size-check its way out of reading slowly.
-type slowBody struct {
-	data  []byte
-	delay time.Duration
+type SlowBody struct {
+	Data  []byte
+	Delay time.Duration
 }
 
-func (s *slowBody) Read(p []byte) (int, error) {
-	if len(s.data) == 0 {
+func (s *SlowBody) Read(p []byte) (int, error) {
+	if len(s.Data) == 0 {
 		return 0, io.EOF
 	}
-	time.Sleep(s.delay)
+	time.Sleep(s.Delay)
 	n := 16
-	if n > len(s.data) {
-		n = len(s.data)
+	if n > len(s.Data) {
+		n = len(s.Data)
 	}
 	if n > len(p) {
 		n = len(p)
 	}
-	copy(p, s.data[:n])
-	s.data = s.data[n:]
+	copy(p, s.Data[:n])
+	s.Data = s.Data[n:]
 	return n, nil
 }
 
@@ -226,7 +226,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			defer cancel()
 			var rd io.Reader = bytes.NewReader(body)
 			if slow {
-				rd = &slowBody{data: body, delay: chunkDelay}
+				rd = &SlowBody{Data: body, Delay: chunkDelay}
 			}
 			req, err := http.NewRequestWithContext(rctx, http.MethodPost, cfg.BaseURL+"/invoke", rd)
 			if err != nil {

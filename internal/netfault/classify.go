@@ -1,21 +1,17 @@
 package netfault
 
 import (
-	"context"
 	"errors"
-	"io"
-	"math/rand"
 	"net"
 	"net/url"
 	"syscall"
-	"time"
 )
 
-// Class buckets a network error by what the caller may soundly do next —
-// the wire analogue of iofault.Classify. The question the ladder answers
-// is not "will a retry work?" but "could the peer have executed the
-// request?": a non-idempotent request may only be re-issued when the
-// answer is provably no.
+// Class buckets a network error by what the caller may soundly do next.
+// The question this ladder answers is not iofault.Classify's "will a retry
+// work?" but "could the peer have executed the request?": a non-idempotent
+// request may only be re-issued when the answer is provably no. That is why
+// the two ladders stay apart.
 type Class int
 
 const (
@@ -71,63 +67,8 @@ func Classify(err error) Class {
 		// unreachable, or timed out before connect — is always safe.
 		return ClassRetryable
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-		return ClassAmbiguous
-	}
+	// Everything else — a deadline, a reset after send, a truncated or
+	// empty response, an error we have never seen — may have reached the
+	// peer.
 	return ClassAmbiguous
-}
-
-// Backoff is a bounded exponential backoff with full jitter, mirroring
-// iofault.Backoff for the wire: Base doubles per attempt up to Max, and
-// each delay is drawn uniformly from [delay/2, delay] so synchronized
-// retries de-correlate.
-type Backoff struct {
-	Base     time.Duration
-	Max      time.Duration
-	Attempts int
-	// Sleep stubs time.Sleep in tests; nil means real sleep.
-	Sleep func(time.Duration)
-	// Rand supplies jitter; nil means a shared unseeded source. Scenarios
-	// inject a seeded source for reproducible schedules.
-	Rand *rand.Rand
-}
-
-// Delay returns the jittered delay for attempt i (0-based).
-func (b Backoff) Delay(i int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = time.Second
-	}
-	delay := base << uint(i)
-	if delay > max || delay <= 0 {
-		delay = max
-	}
-	half := int64(delay / 2)
-	var j int64
-	if b.Rand != nil {
-		j = b.Rand.Int63n(half + 1)
-	} else {
-		j = rand.Int63n(half + 1)
-	}
-	return time.Duration(half + j)
-}
-
-func (b Backoff) sleep(ctx context.Context, d time.Duration) error {
-	if b.Sleep != nil {
-		b.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -28,11 +28,11 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := l.in.fault(CallAccept, conn.RemoteAddr().String())
+	a := l.in.Next(CallAccept, conn.RemoteAddr().String())
 	if a == nil {
 		return conn, nil
 	}
-	switch a.name {
+	switch a.Op {
 	case OpConnRefused, OpFlap:
 		// Close before reading a byte: the client sees a reset/EOF on a
 		// connection the handler never observed.

@@ -6,10 +6,9 @@
 // packets until a deadline fires, slow and truncated responses, and
 // flapping links that alternate between refusing and passing.
 //
-// The operator catalogue mirrors iofault's "op:seed[:times]" spec grammar,
-// and every armed operator fires on a deterministic schedule derived from
-// its seed and the sequence of matching calls, so a partition scenario
-// replayed with the same seed injects byte-identical fault histories.
+// Arming, healing, and the seeded fire schedule live in internal/fault;
+// this package owns the operator catalogue, what a fired operator does to
+// a round trip or a connection, and the ladder that reads the error back.
 //
 // Two plug points cover both ends of an HTTP hop:
 //
@@ -29,24 +28,18 @@ package netfault
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
-// Call names one interception point; operators declare which calls they
-// intercept, and the Injector counts every call by this name.
-type Call string
-
+// The two interception points; every operator applies to both.
 const (
 	// CallRequest is one whole client-side HTTP round trip (Transport).
-	CallRequest Call = "request"
+	CallRequest fault.Call = "request"
 	// CallAccept is one accepted server-side connection (Listener).
-	CallAccept Call = "accept"
+	CallAccept fault.Call = "accept"
 )
 
 // Operator names. Each models one network failure class.
@@ -77,35 +70,26 @@ const (
 	OpFlap = "flap"
 )
 
-// operatorCalls maps each operator to the calls it intercepts.
-var operatorCalls = map[string][]Call{
-	OpConnRefused:  {CallRequest, CallAccept},
-	OpConnReset:    {CallRequest, CallAccept},
-	OpBlackhole:    {CallRequest, CallAccept},
-	OpSlowResponse: {CallRequest, CallAccept},
-	OpPartialBody:  {CallRequest, CallAccept},
-	OpFlap:         {CallRequest, CallAccept},
-}
-
-// Names lists the operator catalogue, sorted.
-func Names() []string {
-	names := make([]string, 0, len(operatorCalls))
-	for name := range operatorCalls {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+// operators is the catalogue. The sustained ones (a dark, slow, or flapping
+// link) fire until healed by default; flap fires in bursts.
+var operators = []fault.Operator{
+	{Name: OpConnRefused},
+	{Name: OpConnReset},
+	{Name: OpBlackhole, Sustained: true},
+	{Name: OpSlowResponse, Sustained: true},
+	{Name: OpPartialBody},
+	{Name: OpFlap, Sustained: true, Burst: true},
 }
 
 // FaultError is an injected network failure. Forwarded tells the retry
 // ladder whether request bytes may have reached the peer — the property
 // that decides whether re-issuing a non-idempotent request is sound.
 type FaultError struct {
-	Op        string // operator name
-	Call      Call   // interception point
-	Target    string // host (Transport) or remote address (Listener)
-	Forwarded bool   // request bytes may have reached the peer
-	Err       error  // underlying errno / sentinel
+	Op        string     // operator name
+	Call      fault.Call // interception point
+	Target    string     // host (Transport) or remote address (Listener)
+	Forwarded bool       // request bytes may have reached the peer
+	Err       error      // underlying errno / sentinel
 }
 
 func (e *FaultError) Error() string {
@@ -120,108 +104,12 @@ func (e *FaultError) Timeout() bool { return e.Op == OpBlackhole }
 // Temporary is retained for net.Error compatibility.
 func (e *FaultError) Temporary() bool { return !e.Forwarded }
 
-// ArmConfig schedules one armed operator.
-type ArmConfig struct {
-	// Seed derives the gaps between fires; 0 fires on consecutive matching
-	// calls.
-	Seed int64
-	// Times bounds total fires: 0 means 1, negative means until Heal.
-	Times int
-	// After lets this many matching calls through before the schedule
-	// starts (deterministic offset for precision tests).
-	After int
-	// TargetContains restricts matching to targets containing the
-	// substring ("" matches everything). The Transport matches against
-	// "host/path"; the Listener against the remote address.
-	TargetContains string
-}
-
-// ParseSpec parses an "op", "op:seed", or "op:seed:times" spec.
-func ParseSpec(spec string) (string, ArmConfig, error) {
-	parts := strings.Split(spec, ":")
-	name := parts[0]
-	if _, ok := operatorCalls[name]; !ok {
-		return "", ArmConfig{}, fmt.Errorf("netfault: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	var cfg ArmConfig
-	if len(parts) > 3 {
-		return "", ArmConfig{}, fmt.Errorf("netfault: bad spec %q: want op[:seed[:times]]", spec)
-	}
-	if len(parts) >= 2 {
-		seed, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return "", ArmConfig{}, fmt.Errorf("netfault: bad seed in spec %q: %v", spec, err)
-		}
-		cfg.Seed = seed
-	}
-	if len(parts) == 3 {
-		times, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return "", ArmConfig{}, fmt.Errorf("netfault: bad times in spec %q: %v", spec, err)
-		}
-		cfg.Times = times
-	}
-	return name, cfg, nil
-}
-
-// armed is one scheduled operator instance.
-type armed struct {
-	name      string
-	cfg       ArmConfig
-	r         *rand.Rand
-	calls     map[Call]bool
-	remaining int // fires left; -1 = unbounded
-	skip      int // matching calls to let through before the next fire
-	fired     int
-	// burst is the flap operator's remaining consecutive fires; when it
-	// runs out a fresh gap and burst are drawn from the seed.
-	burst int
-}
-
-func (a *armed) matches(call Call, target string) bool {
-	if !a.calls[call] {
-		return false
-	}
-	return a.cfg.TargetContains == "" || strings.Contains(target, a.cfg.TargetContains)
-}
-
-// next consumes one matching call and reports whether the operator fires.
-func (a *armed) next() bool {
-	if a.remaining == 0 {
-		return false
-	}
-	if a.skip > 0 {
-		a.skip--
-		return false
-	}
-	if a.remaining > 0 {
-		a.remaining--
-	}
-	a.fired++
-	switch {
-	case a.name == OpFlap:
-		// Flap fires in bursts: consume the burst, then draw the next
-		// clean gap and burst length from the seed.
-		if a.burst > 0 {
-			a.burst--
-		} else if a.r != nil {
-			a.burst = a.r.Intn(3)
-			a.skip = 1 + a.r.Intn(4)
-		} else {
-			a.burst = 1
-			a.skip = 2
-		}
-	case a.r != nil:
-		a.skip = a.r.Intn(3)
-	}
-	return true
-}
-
-// Injector wraps transports and listeners with armed fault operators. It
-// is safe for concurrent use; the fault schedule is serialized under one
-// mutex, so a single-threaded caller sees a fully deterministic fault
-// history.
+// Injector wraps transports and listeners with armed fault operators; the
+// embedded schedule supplies Arm, ArmSpec, Heal, HealTarget, Counts, and
+// Fired. The Arm target filter matches "host/path" on the Transport and
+// the remote address on the Listener.
 type Injector struct {
+	*fault.Schedule
 	// MaxBlock caps how long a blackhole stalls when the caller's context
 	// has no sooner deadline. <=0 means 1s. Chaos scenarios shrink it so a
 	// partitioned run finishes in test time.
@@ -229,118 +117,11 @@ type Injector struct {
 	// SlowFor is the slow-response operator's unit delay; the injected
 	// latency is 1–4× this. <=0 means 5ms.
 	SlowFor time.Duration
-
-	mu      sync.Mutex
-	armedO  []*armed
-	counts  map[Call]int
-	retired map[string]int // fire counts of healed operators
 }
 
 // NewInjector returns an empty fault plan.
 func NewInjector() *Injector {
-	return &Injector{counts: make(map[Call]int)}
-}
-
-// Arm schedules one operator. Unknown names error; arming is additive.
-func (in *Injector) Arm(name string, cfg ArmConfig) error {
-	calls, ok := operatorCalls[name]
-	if !ok {
-		return fmt.Errorf("netfault: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	a := &armed{name: name, cfg: cfg, calls: make(map[Call]bool, len(calls))}
-	for _, c := range calls {
-		a.calls[c] = true
-	}
-	a.remaining = cfg.Times
-	if cfg.Times == 0 {
-		a.remaining = 1
-	}
-	a.skip = cfg.After
-	if cfg.Seed != 0 {
-		a.r = rand.New(rand.NewSource(cfg.Seed))
-		a.skip += a.r.Intn(3)
-	}
-	in.mu.Lock()
-	in.armedO = append(in.armedO, a)
-	in.mu.Unlock()
-	return nil
-}
-
-// ArmSpec arms from an "op[:seed[:times]]" spec with an optional target
-// filter. The sustained operators (flap, slow-response, blackhole) default
-// to firing until healed — one fire is not a weather pattern.
-func (in *Injector) ArmSpec(spec, targetContains string) error {
-	name, cfg, err := ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	cfg.TargetContains = targetContains
-	if cfg.Times == 0 {
-		switch name {
-		case OpFlap, OpSlowResponse, OpBlackhole:
-			cfg.Times = -1
-		}
-	}
-	return in.Arm(name, cfg)
-}
-
-// Heal disarms every operator: the network condition is over. Counters
-// survive.
-func (in *Injector) Heal() {
-	in.mu.Lock()
-	for _, a := range in.armedO {
-		if in.retired == nil {
-			in.retired = make(map[string]int)
-		}
-		in.retired[a.name] += a.fired
-	}
-	in.armedO = nil
-	in.mu.Unlock()
-}
-
-// HealTarget disarms only the operators whose filter names the target — how
-// a scenario heals one shard's partition while another stays dark.
-func (in *Injector) HealTarget(targetContains string) {
-	in.mu.Lock()
-	kept := in.armedO[:0]
-	for _, a := range in.armedO {
-		if a.cfg.TargetContains == targetContains {
-			if in.retired == nil {
-				in.retired = make(map[string]int)
-			}
-			in.retired[a.name] += a.fired
-			continue
-		}
-		kept = append(kept, a)
-	}
-	in.armedO = kept
-	in.mu.Unlock()
-}
-
-// Counts returns how many calls of each kind the injector has seen
-// (faulted or not).
-func (in *Injector) Counts() map[Call]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Call]int, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Fired returns fire counts by operator name, armed and healed alike.
-func (in *Injector) Fired() map[string]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int)
-	for _, a := range in.armedO {
-		out[a.name] += a.fired
-	}
-	for name, n := range in.retired {
-		out[name] += n
-	}
-	return out
+	return &Injector{Schedule: fault.NewSchedule("netfault", operators)}
 }
 
 // maxBlock returns the blackhole stall cap.
@@ -352,46 +133,26 @@ func (in *Injector) maxBlock() time.Duration {
 }
 
 // slowFor returns one slow-response delay drawn from the operator's seed.
-func (in *Injector) slowFor(a *armed) time.Duration {
+func (in *Injector) slowFor(a *fault.Armed) time.Duration {
 	unit := in.SlowFor
 	if unit <= 0 {
 		unit = 5 * time.Millisecond
 	}
-	n := 2
-	if a.r != nil {
-		in.mu.Lock()
-		n = 1 + a.r.Intn(4)
-		in.mu.Unlock()
-	}
-	return time.Duration(n) * unit
-}
-
-// fault consults the schedule for one call and returns the operator that
-// fires (nil to proceed).
-func (in *Injector) fault(call Call, target string) *armed {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.counts[call]++
-	for _, a := range in.armedO {
-		if a.matches(call, target) && a.next() {
-			return a
-		}
-	}
-	return nil
+	return time.Duration(a.Scale(2)) * unit
 }
 
 // errFor builds the FaultError for a fired operator; nil means the
 // operator injects behavior (latency) rather than an error.
-func errFor(a *armed, call Call, target string) *FaultError {
-	switch a.name {
+func errFor(a *fault.Armed, call fault.Call, target string) *FaultError {
+	switch a.Op {
 	case OpConnRefused, OpFlap:
-		return &FaultError{Op: a.name, Call: call, Target: target, Err: syscall.ECONNREFUSED}
+		return &FaultError{Op: a.Op, Call: call, Target: target, Err: syscall.ECONNREFUSED}
 	case OpConnReset:
-		return &FaultError{Op: a.name, Call: call, Target: target, Forwarded: true, Err: syscall.ECONNRESET}
+		return &FaultError{Op: a.Op, Call: call, Target: target, Forwarded: true, Err: syscall.ECONNRESET}
 	case OpBlackhole:
-		return &FaultError{Op: a.name, Call: call, Target: target, Forwarded: true, Err: syscall.ETIMEDOUT}
+		return &FaultError{Op: a.Op, Call: call, Target: target, Forwarded: true, Err: syscall.ETIMEDOUT}
 	case OpPartialBody:
-		return &FaultError{Op: a.name, Call: call, Target: target, Forwarded: true, Err: syscall.ECONNRESET}
+		return &FaultError{Op: a.Op, Call: call, Target: target, Forwarded: true, Err: syscall.ECONNRESET}
 	}
 	return nil
 }

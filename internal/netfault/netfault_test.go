@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
 func newBackend(t *testing.T, hits *atomic.Int64) *httptest.Server {
@@ -33,19 +34,13 @@ func clientVia(in *Injector, timeout time.Duration) *http.Client {
 	return &http.Client{Transport: in.Transport(nil), Timeout: timeout}
 }
 
-func TestParseSpec(t *testing.T) {
-	name, cfg, err := ParseSpec("conn-refused:7:3")
-	if err != nil || name != OpConnRefused || cfg.Seed != 7 || cfg.Times != 3 {
-		t.Fatalf("ParseSpec: name=%q cfg=%+v err=%v", name, cfg, err)
-	}
-	if _, _, err := ParseSpec("no-such-op"); err == nil {
+func TestArmSpecChecksTheCatalogue(t *testing.T) {
+	in := NewInjector()
+	if err := in.ArmSpec("no-such-op", ""); err == nil {
 		t.Fatal("unknown operator accepted")
 	}
-	if _, _, err := ParseSpec("blackhole:x"); err == nil {
-		t.Fatal("bad seed accepted")
-	}
-	if _, _, err := ParseSpec("flap:1:2:3"); err == nil {
-		t.Fatal("overlong spec accepted")
+	if err := in.ArmSpec("conn-refused:7:3", ""); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -53,7 +48,7 @@ func TestConnRefusedNeverForwards(t *testing.T) {
 	var hits atomic.Int64
 	backend := newBackend(t, &hits)
 	in := NewInjector()
-	if err := in.Arm(OpConnRefused, ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(OpConnRefused, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c := clientVia(in, time.Second)
@@ -131,7 +126,7 @@ func TestBlackholeRespectsDeadlineAndCap(t *testing.T) {
 	// A sooner context deadline wins over MaxBlock.
 	in2 := NewInjector()
 	in2.MaxBlock = 5 * time.Second
-	if err := in2.Arm(OpBlackhole, ArmConfig{Times: 1}); err != nil {
+	if err := in2.Arm(OpBlackhole, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -150,7 +145,7 @@ func TestBlackholeRespectsDeadlineAndCap(t *testing.T) {
 func TestPartialBodyTruncates(t *testing.T) {
 	backend := newBackend(t, nil)
 	in := NewInjector()
-	if err := in.Arm(OpPartialBody, ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(OpPartialBody, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := clientVia(in, time.Second).Get(backend.URL)
@@ -251,7 +246,7 @@ func TestListenerFaults(t *testing.T) {
 
 	// conn-reset through the listener: the handler runs, the client loses
 	// the response.
-	if err := in.Arm(OpConnReset, ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(OpConnReset, fault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh client per probe: a pooled conn would dodge the next Accept.
@@ -298,17 +293,6 @@ func TestClassifyLadder(t *testing.T) {
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {
 			t.Errorf("Classify(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-}
-
-func TestBackoffBounds(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Attempts: 6,
-		Rand: rand.New(rand.NewSource(1))}
-	for i := 0; i < 8; i++ {
-		d := b.Delay(i)
-		if d < 5*time.Millisecond || d > 80*time.Millisecond {
-			t.Fatalf("Delay(%d) = %v out of [base/2, max]", i, d)
 		}
 	}
 }

@@ -26,11 +26,11 @@ type faultTransport struct {
 
 func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	target := req.URL.Host + req.URL.Path
-	a := t.in.fault(CallRequest, target)
+	a := t.in.Next(CallRequest, target)
 	if a == nil {
 		return t.base.RoundTrip(req)
 	}
-	switch a.name {
+	switch a.Op {
 	case OpConnRefused, OpFlap:
 		// Refused at dial: the request body was never read, no byte
 		// reached the peer. Close the body ourselves per the
