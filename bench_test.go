@@ -17,26 +17,14 @@ import (
 	"testing"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/experiments"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/workload"
 )
 
 // benchRequests keeps go-bench iterations affordable while preserving the
 // figures' shapes; cmd/karousos-bench defaults to the paper's 600.
 const benchRequests = 300
-
-func workloadFor(app string, mix workload.Mix, n int, seed int64) (harness.AppSpec, []server.Request) {
-	switch app {
-	case "motd":
-		return harness.MOTDApp(), workload.MOTD(n, mix, seed)
-	case "stacks":
-		return harness.StacksApp(), workload.Stacks(n, mix, seed, workload.DefaultStacksOptions())
-	case "wiki":
-		return harness.WikiApp(), workload.Wiki(n, seed)
-	}
-	panic("unknown app")
-}
 
 // benchServe measures the serving path (Figure 6 and the (a) panels of
 // Figures 9–12): processing time of the measured requests at the given
@@ -46,7 +34,7 @@ func benchServe(b *testing.B, app string, mix workload.Mix, conc int, mode harne
 	warmup := benchRequests / 5
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spec, reqs := workloadFor(app, mix, benchRequests, 1)
+		spec, reqs := experiments.AppWorkload(app, mix, benchRequests, 1)
 		if _, err := harness.ServeWarm(spec, reqs, warmup, conc, int64(i), mode); err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +45,7 @@ func benchServe(b *testing.B, app string, mix workload.Mix, conc int, mode harne
 // panels): the serve happens outside the timed region.
 func benchVerify(b *testing.B, app string, mix workload.Mix, conc int, verifier string) {
 	b.Helper()
-	spec, reqs := workloadFor(app, mix, benchRequests, 1)
+	spec, reqs := experiments.AppWorkload(app, mix, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, conc, 42, harness.CollectBoth)
 	if err != nil {
 		b.Fatal(err)
@@ -87,7 +75,7 @@ func benchVerify(b *testing.B, app string, mix workload.Mix, conc int, verifier 
 // the unit of shipping cost.
 func benchAdviceSize(b *testing.B, app string, mix workload.Mix, conc int) {
 	b.Helper()
-	spec, reqs := workloadFor(app, mix, benchRequests, 1)
+	spec, reqs := experiments.AppWorkload(app, mix, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, conc, 42, harness.CollectBoth)
 	if err != nil {
 		b.Fatal(err)
@@ -286,7 +274,7 @@ func BenchmarkConcurrencySweep(b *testing.B) {
 
 func BenchmarkAblationWikiVerifyBatched(b *testing.B) {
 	spec := harness.WikiApp()
-	_, reqs := workloadFor("wiki", workload.Mixed, benchRequests, 1)
+	_, reqs := experiments.AppWorkload("wiki", workload.Mixed, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 	if err != nil {
 		b.Fatal(err)
@@ -301,7 +289,7 @@ func BenchmarkAblationWikiVerifyBatched(b *testing.B) {
 
 func BenchmarkAblationWikiVerifyUnbatched(b *testing.B) {
 	spec := harness.WikiApp()
-	_, reqs := workloadFor("wiki", workload.Mixed, benchRequests, 1)
+	_, reqs := experiments.AppWorkload("wiki", workload.Mixed, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 	if err != nil {
 		b.Fatal(err)
@@ -320,7 +308,7 @@ func BenchmarkParallelServerWiki(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spec, reqs := workloadFor("wiki", workload.Mixed, benchRequests, 1)
+				spec, reqs := experiments.AppWorkload("wiki", workload.Mixed, benchRequests, 1)
 				app, store := spec.New()
 				srv := karousos.NewServer(karousos.ServerConfig{
 					App: app, Store: store, Seed: int64(i), Workers: workers, CollectKarousos: true,

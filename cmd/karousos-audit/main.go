@@ -35,6 +35,8 @@ import (
 	"time"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/workload"
 )
 
 func main() {
@@ -73,7 +75,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: karousos-audit serve|verify|tamper|faultinject [flags]
 
   serve       run a workload, write trace.json + advice.bin to -out
-  verify      audit a run directory — or, with -epochs, a karousos-auditd
+  verify      audit a run directory — or, with -epochs, a "karousos serve"
               epoch log — exits 0 on ACCEPT, 2 on REJECT (with a reason
               code), 1 on internal error
   tamper      flip one response in the stored trace
@@ -84,33 +86,10 @@ reason codes:
   OutputMismatch ResourceLimit InternalFault`)
 }
 
-func appSpec(name string) (karousos.AppSpec, error) {
-	switch name {
-	case "motd":
-		return karousos.MOTDApp(), nil
-	case "stacks":
-		return karousos.StacksApp(), nil
-	case "wiki":
-		return karousos.WikiApp(), nil
-	}
-	return karousos.AppSpec{}, fmt.Errorf("unknown app %q (motd, stacks, wiki)", name)
-}
-
-func workloadFor(name string, n int, seed int64) []karousos.Request {
-	switch name {
-	case "motd":
-		return karousos.MOTDWorkload(n, karousos.Mixed, seed)
-	case "stacks":
-		return karousos.StacksWorkload(n, karousos.Mixed, seed)
-	default:
-		return karousos.WikiWorkload(n, seed)
-	}
-}
-
 func serveCmd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "wiki", "application: motd, stacks, wiki")
+	app := fs.String("app", "wiki", "application: motd, stacks, wiki, feeds")
 	n := fs.Int("n", 600, "number of requests")
 	conc := fs.Int("conc", 30, "concurrent requests")
 	seed := fs.Int64("seed", 42, "workload and scheduler seed")
@@ -119,11 +98,15 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	spec, err := appSpec(*app)
+	spec, err := harness.SpecByName(*app)
 	if err != nil {
 		return err
 	}
-	run, err := karousos.Serve(spec, workloadFor(*app, *n, *seed), *conc, *seed, karousos.CollectKarousos)
+	reqs, err := workload.For(*app, workload.Mixed, *n, *seed)
+	if err != nil {
+		return err
+	}
+	run, err := karousos.Serve(spec, reqs, *conc, *seed, karousos.CollectKarousos)
 	if err != nil {
 		return err
 	}
@@ -165,7 +148,7 @@ func loadRun(dir string) (karousos.AppSpec, *karousos.Trace, []byte, error) {
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return karousos.AppSpec{}, nil, nil, err
 	}
-	spec, err := appSpec(meta.App)
+	spec, err := harness.SpecByName(meta.App)
 	if err != nil {
 		return karousos.AppSpec{}, nil, nil, err
 	}
@@ -220,7 +203,7 @@ func verifyCmd(args []string, stdout, stderr io.Writer) int {
 	reasonCode := fs.Bool("reason-code", false, "on rejection, print only the bare reason code on stdout")
 	deadline := fs.Duration("deadline", karousos.DefaultLimits().Deadline, "wall-clock budget for the audit (0 = unbounded)")
 	faultSpec := fs.String("faultinject", "", "corrupt the advice with a catalogue operator (\"op\" or \"op:seed\") before auditing")
-	epochs := fs.String("epochs", "", "audit a karousos-auditd epoch log directory instead of a run directory")
+	epochs := fs.String("epochs", "", "audit a `karousos serve` epoch log directory instead of a run directory")
 	workers := fs.Int("workers", 0, "audit parallelism: 0 = GOMAXPROCS, 1 = sequential (verdict identical at every setting)")
 	memoOn := fs.Bool("memo", false, "memoize re-execution across epochs (content-addressed tag-group cache; verdict identical on or off)")
 	memoMax := fs.Int("memo-max-bytes", 256<<20, "memo cache byte budget when -memo is set (0 = unbounded)")
@@ -302,7 +285,7 @@ func verifyCmd(args []string, stdout, stderr io.Writer) int {
 
 // verifyEpochs audits every sealed epoch of an epoch log directory in
 // order, carrying the verifier's dictionary state across epochs — the
-// offline equivalent of karousos-auditd audit.
+// offline, unsupervised equivalent of `karousos audit`.
 func verifyEpochs(dir string, deadline time.Duration, workers, memoMaxBytes int, reasonCode bool, stdout, stderr io.Writer) int {
 	lim := karousos.DefaultLimits()
 	lim.Deadline = deadline

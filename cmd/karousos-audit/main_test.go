@@ -6,13 +6,16 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/collectorhttp"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -117,16 +120,33 @@ func TestFaultinjectList(t *testing.T) {
 	}
 }
 
-// TestVerifyEpochDir: verify -epochs audits a karousos-auditd epoch log
+// TestVerifyEpochDir: verify -epochs audits a collector's epoch log
 // offline, accepting an honest log and rejecting one whose sealed advice
 // was corrupted on disk.
 func TestVerifyEpochDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "epochs")
-	spec := karousos.StacksApp()
-	if _, err := karousos.RunPipeline(context.Background(), spec,
-		karousos.StacksWorkload(30, karousos.Mixed, 5),
-		karousos.PipelineOptions{Dir: dir, EpochRequests: 10}); err != nil {
-		t.Fatalf("pipeline: %v", err)
+	col, err := collectorhttp.New(collectorhttp.Config{Spec: karousos.StacksApp(), Dir: dir, EpochRequests: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(col.Handler())
+	for _, r := range karousos.StacksWorkload(30, karousos.Mixed, 5) {
+		body, err := json.Marshal(map[string]any{"input": r.Input})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke: status %d", resp.StatusCode)
+		}
+	}
+	ts.Close()
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	code, stdout, stderr := runCLI(t, "verify", "-epochs", dir)

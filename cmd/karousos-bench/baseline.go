@@ -23,7 +23,6 @@ import (
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/experiments"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -51,18 +50,6 @@ type baselineBench struct {
 	fn   func(b *testing.B)
 }
 
-func baselineWorkload(app string, mix workload.Mix) (harness.AppSpec, []server.Request) {
-	switch app {
-	case "motd":
-		return harness.MOTDApp(), workload.MOTD(baselineRequests, mix, 1)
-	case "stacks":
-		return harness.StacksApp(), workload.Stacks(baselineRequests, mix, 1, workload.DefaultStacksOptions())
-	case "wiki":
-		return harness.WikiApp(), workload.Wiki(baselineRequests, 1)
-	}
-	panic("unknown app " + app)
-}
-
 // baselineServe mirrors the Figure-6 panels: serving cost with Karousos
 // advice collection on.
 func baselineServe(app string, mix workload.Mix) func(*testing.B) {
@@ -70,7 +57,7 @@ func baselineServe(app string, mix workload.Mix) func(*testing.B) {
 		warmup := baselineRequests / 5
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spec, reqs := baselineWorkload(app, mix)
+			spec, reqs := experiments.AppWorkload(app, mix, baselineRequests, 1)
 			if _, err := harness.ServeWarm(spec, reqs, warmup, 30, int64(i), harness.CollectKarousos); err != nil {
 				b.Fatal(err)
 			}
@@ -83,7 +70,7 @@ func baselineServe(app string, mix workload.Mix) func(*testing.B) {
 // reference the parallel engine must not regress).
 func baselineVerify(app string, mix workload.Mix, auditWorkers int) func(*testing.B) {
 	return func(b *testing.B) {
-		spec, reqs := baselineWorkload(app, mix)
+		spec, reqs := experiments.AppWorkload(app, mix, baselineRequests, 1)
 		run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 		if err != nil {
 			b.Fatal(err)
@@ -109,7 +96,7 @@ func baselineBenches() []baselineBench {
 		{"fig7c-wiki-verify-karousos", baselineVerify("wiki", workload.Mixed, 0)},
 		{"fig7c-wiki-verify-karousos-workers-1", baselineVerify("wiki", workload.Mixed, 1)},
 		{"audit-components/advice-decode", func(b *testing.B) {
-			spec, reqs := baselineWorkload("wiki", workload.Mixed)
+			spec, reqs := experiments.AppWorkload("wiki", workload.Mixed, baselineRequests, 1)
 			run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 			if err != nil {
 				b.Fatal(err)
@@ -124,7 +111,7 @@ func baselineBenches() []baselineBench {
 			}
 		}},
 		{"audit-components/advice-encode", func(b *testing.B) {
-			spec, reqs := baselineWorkload("wiki", workload.Mixed)
+			spec, reqs := experiments.AppWorkload("wiki", workload.Mixed, baselineRequests, 1)
 			run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 			if err != nil {
 				b.Fatal(err)

@@ -1,25 +1,3 @@
-// karousos-fleet runs the sharded audit plane as a supervised fleet of
-// real OS processes:
-//
-//	karousos-fleet serve -app wiki -shards 4 -root shards -addr :8081
-//	    writes the shard map, spawns one collector process per shard plus
-//	    the gateway (all re-execs of this binary), health-checks every
-//	    member over /readyz, restarts crashed members from their durable
-//	    epoch logs within a restart budget, and on SIGTERM stops the
-//	    gateway first and then lets every collector drain and seal;
-//
-//	karousos-fleet accept -shards 3 -n 60
-//	    is the supervision acceptance scenario: spawn the fleet, drive a
-//	    burst through the gateway, SIGKILL one collector mid-epoch, prove
-//	    the supervisor repairs it and the gateway's /readyz recovers, then
-//	    drain, seal, and audit the topology — exiting 0 only if every
-//	    robustness invariant held (no lost acks, no false accusation,
-//	    lane-count-invariant verdicts).
-//
-// The supervisor adds no trust: a member that dies is restarted on the
-// same epoch-log directory and its own crash recovery seals whatever the
-// death stranded as Degraded, which the audit grades Unauditable — the
-// fleet buys liveness, never a cover story.
 package main
 
 import (
@@ -27,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -40,48 +17,31 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
-	"karousos.dev/karousos/internal/collectorhttp"
+	"karousos.dev/karousos/internal/chaos"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fleet"
-	"karousos.dev/karousos/internal/gateway"
-	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is main with its environment explicit so tests drive the CLI
-// in-process and assert on exit codes. The "__collector" and "__gateway"
-// verbs are the fleet's internal member roles — the supervisor re-execs
-// this same binary with them, so a fleet needs exactly one executable.
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) < 1 {
-		usage(stderr)
-		return 1
+// fleetCmd runs the topology as a supervised fleet of real OS processes.
+// The supervisor adds no trust: a member that dies is restarted on the same
+// epoch-log directory and its own crash recovery seals whatever the death
+// stranded as Degraded, which the audit grades Unauditable — the fleet buys
+// liveness, never a cover story.
+func fleetCmd(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "serve":
+			return fleetServeCmd(args[1:], stdout, stderr)
+		case "accept":
+			return fleetAcceptCmd(args[1:], stdout, stderr)
+		}
 	}
-	switch args[0] {
-	case "serve":
-		return serveCmd(args[1:], stdout, stderr)
-	case "accept":
-		return acceptCmd(args[1:], stdout, stderr)
-	case "__collector":
-		return collectorRole(args[1:], stdout, stderr)
-	case "__gateway":
-		return gatewayRole(args[1:], stdout, stderr)
-	default:
-		usage(stderr)
-		return 1
-	}
-}
-
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: karousos-fleet serve|accept [flags]
+	fmt.Fprintln(stderr, `usage: karousos fleet serve|accept [flags]
 
   serve   supervise a live fleet: one collector process per shard plus the
           gateway; SIGTERM stops the gateway first, then drains and seals
@@ -89,128 +49,7 @@ func usage(w io.Writer) {
   accept  spawn a fleet, kill one collector mid-burst, verify supervised
           recovery and a clean post-drain audit; exits 0 if every
           invariant held, 2 on a violation, 1 on runner breakage`)
-}
-
-func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "karousos-fleet:", err)
 	return 1
-}
-
-// collectorRole is one shard's collector process: a collectorhttp server
-// whose SIGTERM handler drains in-flight requests and seals the open
-// epoch, so a supervised stop strands nothing.
-func collectorRole(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("__collector", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	app := fs.String("app", "wiki", "application")
-	dir := fs.String("dir", "", "epoch log directory")
-	addr := fs.String("addr", "127.0.0.1:0", "listen address")
-	epochReqs := fs.Int("epoch-requests", 50, "seal threshold")
-	seed := fs.Int64("seed", 42, "scheduler seed")
-	drain := fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight requests")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	spec, err := harness.SpecByName(*app)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *dir == "" {
-		return fail(stderr, errors.New("__collector needs -dir"))
-	}
-	col, err := collectorhttp.New(collectorhttp.Config{
-		Spec:          spec,
-		Dir:           *dir,
-		EpochRequests: *epochReqs,
-		Seed:          *seed,
-		Limits:        verifier.DefaultLimits(),
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           col.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(shCtx); err != nil {
-			hs.Close()
-		}
-	}()
-	fmt.Fprintf(stdout, "collector: %s on %s, log %s\n", *app, *addr, *dir)
-	err = hs.ListenAndServe()
-	// Close seals the open epoch — the supervised drain must not leave
-	// recorded requests unsealed (unauditable-by-absence).
-	if closeErr := col.Close(); closeErr != nil {
-		return fail(stderr, closeErr)
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fail(stderr, err)
-	}
-	fmt.Fprintf(stdout, "collector: sealed %d epochs, served %d requests\n",
-		col.Status().SealedEpochs, col.Status().Served)
-	return 0
-}
-
-// gatewayRole is the fleet's front-door process: the resilient gateway
-// over the fixed backend list the supervisor handed it.
-func gatewayRole(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("__gateway", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	root := fs.String("root", "", "topology root holding shardmap.json")
-	backends := fs.String("backends", "", "comma-separated shard backend URLs")
-	addr := fs.String("addr", "127.0.0.1:0", "listen address")
-	perTry := fs.Duration("per-try-timeout", 0, "per-attempt proxy budget (0 = default)")
-	breakerOpenFor := fs.Duration("breaker-open-for", 0, "open-circuit window (0 = default)")
-	drain := fs.Duration("drain", 10*time.Second, "shutdown grace")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if *root == "" || *backends == "" {
-		return fail(stderr, errors.New("__gateway needs -root and -backends"))
-	}
-	m, err := shard.ReadMap(*root)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	gw, err := gateway.New(gateway.Config{
-		Map:      m,
-		Backends: strings.Split(*backends, ","),
-		Tuning:   gateway.Tuning{PerTryTimeout: *perTry, BreakerOpenFor: *breakerOpenFor},
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(shCtx); err != nil {
-			hs.Close()
-		}
-	}()
-	fmt.Fprintf(stdout, "gateway: fronting %d shards on %s\n", m.Shards, *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fail(stderr, err)
-	}
-	return 0
 }
 
 // freePorts reserves n distinct loopback ports by binding :0 and closing.
@@ -219,18 +58,12 @@ func gatewayRole(args []string, stdout, stderr io.Writer) int {
 // readiness wait reports it.
 func freePorts(n int) ([]int, error) {
 	ports := make([]int, 0, n)
-	listeners := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	}()
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		listeners = append(listeners, ln)
+		defer ln.Close()
 		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
 	}
 	return ports, nil
@@ -250,7 +83,9 @@ type fleetSpec struct {
 
 // buildMembers writes the shard map and lays out the member list:
 // collectors first, gateway last — Stop walks the list in reverse, so the
-// front door dies before the shards it routes into.
+// front door dies before the shards it routes into. Every member is this
+// binary running a public subcommand: what the supervisor runs is exactly
+// what an operator would.
 func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -260,15 +95,11 @@ func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 	if err := shard.WriteMap(nil, spec.root, m); err != nil {
 		return nil, "", err
 	}
-	need := spec.shards
-	gwAddr := spec.gatewayAddr
-	if gwAddr == "" {
-		need++
-	}
-	ports, err := freePorts(need)
+	ports, err := freePorts(spec.shards + 1)
 	if err != nil {
 		return nil, "", err
 	}
+	gwAddr := spec.gatewayAddr
 	if gwAddr == "" {
 		gwAddr = fmt.Sprintf("127.0.0.1:%d", ports[spec.shards])
 	}
@@ -279,7 +110,7 @@ func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 		backends = append(backends, "http://"+addr)
 		members = append(members, fleet.MemberSpec{
 			Name: fmt.Sprintf("shard-%02d", s),
-			Argv: []string{exe, "__collector",
+			Argv: []string{exe, "serve",
 				"-app", spec.app,
 				"-dir", shard.Dir(spec.root, s),
 				"-addr", addr,
@@ -293,7 +124,7 @@ func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 	}
 	members = append(members, fleet.MemberSpec{
 		Name: "gateway",
-		Argv: []string{exe, "__gateway",
+		Argv: []string{exe, "gateway",
 			"-root", spec.root,
 			"-backends", strings.Join(backends, ","),
 			"-addr", gwAddr,
@@ -306,9 +137,8 @@ func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 	return members, "http://" + gwAddr, nil
 }
 
-func serveCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func fleetServeCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("fleet serve", stderr)
 	app := fs.String("app", "wiki", "application served by every shard")
 	shards := fs.Int("shards", 4, "shard count")
 	root := fs.String("root", "karousos-fleet", "topology root (shardmap.json + shard-NN logs)")
@@ -338,10 +168,9 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		sup.Stop(*drain) //karousos:errladder-ok the start failure is the error that surfaces
 		return fail(stderr, err)
 	}
-	fmt.Fprintf(stdout, "fleet up: %d collectors + gateway at %s (SIGTERM to drain and seal)\n",
-		*shards, gwURL)
+	fmt.Fprintf(stdout, "fleet up: %d collectors + gateway at %s (SIGTERM to drain and seal)\n", *shards, gwURL)
 	<-ctx.Done()
-	stop()
+	stop() // a second signal during the drain kills the supervisor outright
 	if err := sup.Stop(*drain); err != nil {
 		return fail(stderr, err)
 	}
@@ -349,9 +178,8 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func acceptCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("accept", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func fleetAcceptCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("fleet accept", stderr)
 	shards := fs.Int("shards", 3, "shard count")
 	n := fs.Int("n", 60, "requests to drive through the gateway")
 	epochReqs := fs.Int("epoch-requests", 5, "per-shard seal threshold")
@@ -364,26 +192,24 @@ func acceptCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *shards <= 0 || *n <= 0 || *epochReqs <= 0 {
-		return fail(stderr, errors.New("accept needs positive -shards, -n and -epoch-requests"))
+		return fail(stderr, errors.New("fleet accept needs positive -shards, -n and -epoch-requests"))
 	}
-	if *root == "" {
-		tmp, err := os.MkdirTemp("", "karousos-fleet-")
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer os.RemoveAll(tmp)
-		*root = tmp
+	topRoot, cleanup, err := scratchDir(*root, "karousos-fleet-")
+	if err != nil {
+		return fail(stderr, err)
 	}
+	defer cleanup()
 	if *killAt < 0 {
 		*killAt = *n / 3
 	}
-	res, err := runAccept(*root, *shards, *n, *epochReqs, *seed, *killAt, *drain, stdout)
+	res, err := runAccept(topRoot, *shards, *n, *epochReqs, *seed, *killAt, *drain, stdout)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	if *verbose {
-		blob, _ := json.MarshalIndent(res, "", "  ") //karousos:errladder-ok display of a struct we just built
-		fmt.Fprintln(stdout, string(blob))
+		if err := printJSON(stdout, res); err != nil {
+			return fail(stderr, err)
+		}
 	}
 	if len(res.Violations) > 0 {
 		fmt.Fprintf(stdout, "FLEET ACCEPT: INVARIANT VIOLATED (%d):\n", len(res.Violations))
@@ -435,12 +261,8 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		sup.Stop(drain) //karousos:errladder-ok the start failure is the error that surfaces
 		return nil, err
 	}
-	stopped := false
-	defer func() {
-		if !stopped {
-			sup.Stop(drain) //karousos:errladder-ok cleanup on the error path; the first error surfaces
-		}
-	}()
+	// Stop is idempotent: the deferred one only acts on an early return.
+	defer sup.Stop(drain) //karousos:errladder-ok cleanup on the error path; the first error surfaces
 
 	res := &acceptResult{}
 	violate := func(format string, a ...any) {
@@ -454,7 +276,7 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
-	ackedByShard := make(map[int]map[string]bool)
+	ackedByShard := make([]map[string]bool, shards)
 	victimServed, killed := 0, false
 	for i, req := range workload.Wiki(n, seed) {
 		// The kill waits for "mid-epoch": the victim must hold a nonempty
@@ -514,7 +336,7 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 	// budget and the gateway's AND-/readyz must flip back to 200.
 	recoverDeadline := time.Now().Add(30 * time.Second)
 	for killed {
-		st := memberStatus(sup, victimName)
+		st := sup.Status()[victim] // members are in shard order, gateway last
 		if st.Running && st.Ready {
 			res.VictimRestarts = st.Restarts
 			if st.Restarts == 0 {
@@ -528,23 +350,24 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if readyCode := getStatus(client, gwURL+"/readyz"); readyCode != http.StatusOK {
-		violate("gateway /readyz = %d after recovery, want 200", readyCode)
+	if resp, err := client.Get(gwURL + "/readyz"); err != nil {
+		violate("gateway /readyz after recovery: %v", err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			violate("gateway /readyz = %d after recovery, want 200", resp.StatusCode)
+		}
 	}
 
 	// Drain and seal: gateway first, then every collector's SIGTERM path
 	// seals its open epoch.
-	stopped = true
 	if err := sup.Stop(drain); err != nil {
 		violate("graceful stop escalated: %v", err)
 	}
 
 	// Invariant: acked⊆sealed per shard — SIGKILL included, every RID a
 	// client saw 200 for is in a sealed epoch of the shard that served it.
-	for s := 0; s < shards; s++ {
-		if len(ackedByShard[s]) == 0 {
-			continue
-		}
+	for s, acked := range ackedByShard {
 		sealed := map[string]bool{}
 		dirS := shard.Dir(root, s)
 		manifests, err := epochlog.ListSealed(dirS)
@@ -560,99 +383,50 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 				sealed[rid] = true
 			}
 		}
-		for rid := range ackedByShard[s] {
+		for rid := range acked {
 			if !sealed[rid] {
 				violate("shard %d: acked rid %s missing from the sealed log", s, rid)
 			}
 		}
 	}
 
-	// The post-mortem audit: verdicts must be lane-count-invariant, the
-	// victim's SIGKILL grades Unauditable at worst, and nothing is accused.
-	var keys []string
-	for _, lanes := range []int{shards, 1} {
-		sh, err := auditd.NewSharded(auditd.ShardedConfig{
-			Root: root, Lanes: lanes, Limits: verifier.DefaultLimits(),
-		})
-		if err != nil {
-			return res, err
-		}
-		out, err := sh.Audit(context.Background())
-		if err != nil {
-			return res, err
-		}
-		keys = append(keys, verdictKey(out))
-		if lanes != shards {
-			continue
-		}
-		res.Merge = string(out.Merge.Code)
-		victimUnauditable := false
-		for _, rep := range out.Shards {
-			for _, v := range rep.Verdicts {
-				switch v.Code {
-				case "":
-					res.Accepted++
-				case core.RejectUnauditable:
-					res.Unauditable++
-					if rep.Shard == victim {
-						victimUnauditable = true
-					} else {
-						violate("surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason)
-					}
-				default:
-					res.Rejected++
-					violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
+	// The post-mortem audit: verdicts must be identical across lane and
+	// worker counts, the victim's SIGKILL grades Unauditable at worst, and
+	// nothing is accused.
+	out, diff, err := chaos.Reaudit(context.Background(), auditd.ShardedConfig{Root: root, Limits: verifier.DefaultLimits()})
+	if err != nil {
+		return res, err
+	}
+	if diff != "" {
+		violate("%s", diff)
+	}
+	res.Merge = string(out.Merge.Code)
+	victimUnauditable := false
+	for _, rep := range out.Shards {
+		for _, v := range rep.Verdicts {
+			switch v.Code {
+			case "":
+				res.Accepted++
+			case core.RejectUnauditable:
+				res.Unauditable++
+				if rep.Shard == victim {
+					victimUnauditable = true
+				} else {
+					violate("surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason)
 				}
+			default:
+				res.Rejected++
+				violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
 			}
 		}
-		if killed && !victimUnauditable {
-			violate("victim shard %d has no unauditable epoch: the SIGKILL left no stranded evidence to grade", victim)
-		}
-		switch out.Merge.Code {
-		case "", core.RejectUnauditable:
-		default:
-			violate("combined verdict accuses after a process death: [%s] %s", out.Merge.Code, out.Merge.Reason)
-		}
 	}
-	if keys[0] != keys[1] {
-		violate("lane-count divergence:\n%d lanes: %s\n1 lane:  %s", shards, keys[0], keys[1])
+	if killed && !victimUnauditable {
+		violate("victim shard %d has no unauditable epoch: the SIGKILL left no stranded evidence to grade", victim)
+	}
+	switch out.Merge.Code {
+	case "", core.RejectUnauditable:
+	default:
+		violate("combined verdict accuses after a process death: [%s] %s", out.Merge.Code, out.Merge.Reason)
 	}
 	return res, nil
-}
-
-// memberStatus finds one member's status by name.
-func memberStatus(sup *fleet.Supervisor, name string) fleet.MemberStatus {
-	for _, st := range sup.Status() {
-		if st.Name == name {
-			return st
-		}
-	}
-	return fleet.MemberStatus{Name: name}
-}
-
-// getStatus GETs a URL and returns the status code (0 on transport error).
-func getStatus(client *http.Client, url string) int {
-	resp, err := client.Get(url)
-	if err != nil {
-		return 0
-	}
-	io.Copy(io.Discard, resp.Body) //karousos:errladder-ok health probe; the status code is the answer
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// verdictKey reduces a sharded audit to a comparable string: per-shard
-// lane codes, every per-epoch verdict, the merge and the work stats —
-// exactly what must be bit-identical across lane counts.
-func verdictKey(res auditd.ShardedResult) string {
-	var b strings.Builder
-	for _, rep := range res.Shards {
-		fmt.Fprintf(&b, "shard%d[%s]:", rep.Shard, rep.Code)
-		for _, v := range rep.Verdicts {
-			fmt.Fprintf(&b, "%d=%s;", v.Epoch, v.Code)
-		}
-		b.WriteString(" ")
-	}
-	fmt.Fprintf(&b, "merge=%s conflicts=%d stats=%+v", res.Merge.Code, len(res.Merge.Conflicts), res.Stats)
-	return b.String()
 }

@@ -1,0 +1,341 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"karousos.dev/karousos/internal/gateway"
+	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/loadgen"
+	"karousos.dev/karousos/internal/shard"
+	"karousos.dev/karousos/internal/verifier"
+	"karousos.dev/karousos/internal/workload"
+)
+
+// TestMain doubles as the fleet's member executable: the accept scenario
+// spawns os.Executable() — this very test binary — as `karousos serve` and
+// `karousos gateway`, which are dispatched here before the test framework
+// ever parses flags.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && (os.Args[1] == "serve" || os.Args[1] == "gateway") {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
+// cli runs the command in-process.
+func cli(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// has reports whether s contains every one of subs.
+func has(s string, subs ...string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
+	}
+	return true
+}
+
+// drive posts each wiki request through url, requiring 200.
+func drive(t *testing.T, url string, n int, seed int64) {
+	t.Helper()
+	for _, r := range workload.Wiki(n, seed) {
+		body, err := json.Marshal(map[string]any{"input": r.Input})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/invoke", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke: status %d", resp.StatusCode)
+		}
+	}
+}
+
+// statusReport is the status subcommand's JSON.
+type statusReport struct {
+	SealedEpochs int  `json:"sealedEpochs"`
+	Pending      *int `json:"pending"`
+	Shards       []struct {
+		App           string `json:"app"`
+		SealedEpochs  int    `json:"sealedEpochs"`
+		LastProcessed uint64 `json:"lastProcessed"`
+		Pending       int    `json:"pending"`
+	} `json:"shards"`
+}
+
+// TestPipelineAuditStatusWorkflow exercises the scriptable surface on a
+// bare log: the one-shard pipeline scenario exits 0 and leaves its log
+// behind, the log then audits clean as a one-shard topology (the checkpoint
+// advancing), a re-audit finds nothing pending, and status reports
+// progress — correctly even when the auditor is behind.
+func TestPipelineAuditStatusWorkflow(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errs := cli("chaos", "-scenario", "pipeline", "-app", "motd", "-seed", "7", "-dir", dir)
+	if code != 0 || !has(out, "CHAOS OK", "served=200", "sealed=4", "accepted=4", "rejected=0") {
+		t.Fatalf("pipeline exit %d: %s / %s", code, out, errs)
+	}
+	log := filepath.Join(dir, "shards", "shard-00")
+
+	cp := filepath.Join(t.TempDir(), "cp")
+	code, out, errs = cli("audit", "-dir", log, "-checkpoint", cp)
+	if code != 0 || !has(out, "through epoch 4, accepted", "AUDIT ACCEPTED: 1 shards, 4 epochs this run") {
+		t.Fatalf("audit exit %d: %s / %s", code, out, errs)
+	}
+	if code, out, _ = cli("audit", "-dir", log, "-checkpoint", cp, "-memo"); code != 0 || !has(out, "0 epochs this run", "memo:") {
+		t.Fatalf("re-audit exit %d: %s", code, out)
+	}
+
+	status := func(cp string) statusReport {
+		t.Helper()
+		code, out, errs := cli("status", "-dir", log, "-checkpoint", cp)
+		var st statusReport
+		if code != 0 || json.Unmarshal([]byte(out), &st) != nil || len(st.Shards) != 1 || st.Pending == nil {
+			t.Fatalf("status exit %d: %s / %s", code, out, errs)
+		}
+		return st
+	}
+	if st := status(cp); st.Shards[0].App != "motd" || st.SealedEpochs != 4 || st.Shards[0].LastProcessed != 4 || *st.Pending != 0 {
+		t.Fatalf("status = %+v", st)
+	}
+	// An auditor two epochs behind has two pending, and one that never ran
+	// has all four — whatever the first sealed seq is.
+	behind := t.TempDir()
+	if err := os.WriteFile(filepath.Join(behind, "checkpoint-shard-00.json"), []byte(`{"lastAccepted":1,"lastProcessed":2,"unauditable":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := status(behind); st.Shards[0].LastProcessed != 2 || *st.Pending != 2 {
+		t.Fatalf("status behind = %+v", st)
+	}
+	if st := status(t.TempDir()); *st.Pending != 4 {
+		t.Fatalf("status with no checkpoint = %+v", st)
+	}
+}
+
+// TestAuditRejectsCorruptEpoch: corrupting a sealed advice file makes the
+// audit of a bare log exit 2 with the bare reason code on stdout — one-shot
+// and, at the first rejection, under -follow too.
+func TestAuditRejectsCorruptEpoch(t *testing.T) {
+	dir := t.TempDir()
+	if code, out, errs := cli("chaos", "-scenario", "pipeline", "-app", "motd", "-dir", dir); code != 0 {
+		t.Fatalf("pipeline exit %d: %s / %s", code, out, errs)
+	}
+	log := filepath.Join(dir, "shards", "shard-00")
+	path := filepath.Join(log, "ep000002.advice")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] ^= 0x5a
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-follow"}} {
+		code, out, errs := cli(append([]string{"audit", "-dir", log, "-reason-code"}, extra...)...)
+		if code != 2 {
+			t.Fatalf("audit %v of corrupt epoch exit %d: %s / %s", extra, code, out, errs)
+		}
+		if strings.TrimSpace(out) != "MalformedAdvice" {
+			t.Fatalf("audit %v reason code output %q, want MalformedAdvice", extra, out)
+		}
+		if !has(errs, "AUDIT REJECTED [MalformedAdvice]", "epoch 2 rejected") {
+			t.Fatalf("audit %v rejection did not name the epoch: %s", extra, errs)
+		}
+	}
+}
+
+// TestChaosCmd: the one chaos subcommand runs built-ins by name — the
+// single-collector acceptance scenario, a sharded partition and the
+// fault-free sharded pipeline alike — and scripted scenario files; unknown
+// names and malformed scripts are infrastructure errors, not verdicts.
+func TestChaosCmd(t *testing.T) {
+	code, out, errs := cli("chaos", "-app", "stacks", "-seed", "11", "-dir", filepath.Join(t.TempDir(), "chaos"))
+	if code != 0 || !has(out, "CHAOS OK", "app=stacks", "unauditable=1") {
+		t.Fatalf("chaos exit %d: %s / %s", code, out, errs)
+	}
+	code, out, errs = cli("chaos", "-scenario", "partition", "-seed", "23")
+	if code != 0 || !has(out, "CHAOS OK", "shards=4", "rejected=0", "merge=[Unauditable]") {
+		t.Fatalf("partition chaos exit %d: %s / %s", code, out, errs)
+	}
+	// The sharded pipeline leaves a readable topology behind, which then
+	// audits clean again from its root.
+	dir := t.TempDir()
+	code, out, errs = cli("chaos", "-scenario", "pipeline-sharded", "-seed", "7", "-dir", dir)
+	if code != 0 || !has(out, "CHAOS OK", "shards=4", "served=120", "rejected=0", "merge=accepted") {
+		t.Fatalf("sharded pipeline exit %d: %s / %s", code, out, errs)
+	}
+	if m, err := shard.ReadMap(filepath.Join(dir, "shards")); err != nil || m.Shards != 4 {
+		t.Fatalf("pipeline left no readable 4-shard map: %+v, %v", m, err)
+	}
+	if code, out, errs = cli("audit", "-dir", filepath.Join(dir, "shards"), "-lanes", "2"); code != 0 || !has(out, "AUDIT ACCEPTED: 4 shards") {
+		t.Fatalf("audit of the pipeline's topology exit %d: %s / %s", code, out, errs)
+	}
+
+	// A scripted scenario from a JSON file: honest run, no faults.
+	sc := filepath.Join(t.TempDir(), "sc.json")
+	blob := `{"topology":{"app":"motd","shards":1,"epochRequests":10},"load":{"seed":3,"requests":20}}`
+	if err := os.WriteFile(sc, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errs = cli("chaos", "-scenario-file", sc, "-v")
+	if code != 0 || !has(out, `"rejected": 0`, "unauditable=0") {
+		t.Fatalf("scripted chaos exit %d: %s / %s", code, out, errs)
+	}
+}
+
+// TestShardedAuditCmd: a topology driven through the gateway audits clean
+// from its root, the checkpoint directory makes a re-audit a no-op that
+// still accepts, and a wrong -shards pin is an error.
+func TestShardedAuditCmd(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "shards")
+	top, err := gateway.NewLocal(gateway.LocalConfig{
+		Spec: harness.WikiApp(), Root: root,
+		Map:           shard.Map{Shards: 2, KeyFields: []string{"id", "page"}},
+		EpochRequests: 5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(top.Gateway.Handler())
+	defer ts.Close()
+	drive(t, ts.URL, 30, 9)
+	if err := top.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cpDir := t.TempDir()
+	code, out, errs := cli("audit", "-shards", "2", "-dir", root, "-checkpoint", cpDir)
+	if code != 0 || !has(out, "AUDIT ACCEPTED: 2 shards") {
+		t.Fatalf("sharded audit exit %d: %s / %s", code, out, errs)
+	}
+	// Per-shard checkpoints advanced: the re-audit grades nothing new but
+	// still accepts the topology.
+	code, out, errs = cli("audit", "-dir", root, "-checkpoint", cpDir, "-lanes", "1")
+	if code != 0 || !has(out, "AUDIT ACCEPTED: 2 shards, 0 epochs this run") {
+		t.Fatalf("sharded re-audit exit %d: %s / %s", code, out, errs)
+	}
+	code, out, _ = cli("status", "-dir", root, "-checkpoint", cpDir)
+	var st statusReport
+	if code != 0 || json.Unmarshal([]byte(out), &st) != nil || len(st.Shards) != 2 || st.Pending == nil || *st.Pending != 0 || st.SealedEpochs == 0 {
+		t.Fatalf("topology status exit %d: %s", code, out)
+	}
+	if code, _, errs := cli("audit", "-shards", "3", "-dir", root); code != 1 {
+		t.Fatalf("wrong -shards pin exit %d: %s", code, errs)
+	}
+}
+
+// TestLoadCmd covers the load generator's surface: a burst past a tight
+// admission window then a re-audit at both worker counts, the recurring
+// steady-state mix, the JSON ledger, and gateway-target mode with the
+// ledger split per shard.
+func TestLoadCmd(t *testing.T) {
+	code, out, errs := cli("load", "-app", "motd", "-n", "64", "-seed", "9",
+		"-epoch-requests", "16", "-max-inflight", "4", "-outstanding", "16", "-dir", t.TempDir(), "-audit")
+	if code != 0 || !has(out, "offered 64", "AUDIT ACCEPTED", "LOAD OK") {
+		t.Fatalf("burst exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+	}
+	code, out, errs = cli("load", "-app", "motd", "-n", "32", "-seed", "3", "-repeat-mix", "0.8",
+		"-epoch-requests", "8", "-dir", t.TempDir(), "-audit")
+	if code != 0 || !has(out, "AUDIT ACCEPTED") {
+		t.Fatalf("repeat-mix exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+	}
+	code, out, errs = cli("load", "-app", "feeds", "-n", "8", "-dir", t.TempDir(), "-json")
+	if code != 0 || !has(out, `"offered": 8`, `"ok": 8`) {
+		t.Fatalf("json exit %d: %s / %s", code, out, errs)
+	}
+
+	top, err := gateway.NewLocal(gateway.LocalConfig{
+		Spec:          harness.WikiApp(),
+		Root:          t.TempDir(),
+		Map:           shard.Map{Shards: 2, KeyFields: []string{"id", "page"}},
+		EpochRequests: 10,
+		Seed:          7,
+		Limits:        verifier.DefaultLimits(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer top.Close()
+	ts := httptest.NewServer(top.Handler())
+	defer ts.Close()
+	code, out, errs = cli("load", "-target", ts.URL, "-app", "wiki", "-n", "30", "-seed", "7", "-json")
+	if code != 0 {
+		t.Fatalf("target exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+	}
+	var res loadgen.Result
+	// The ledger JSON is followed by the OK banner; decode the first value.
+	if err := json.NewDecoder(strings.NewReader(out)).Decode(&res); err != nil {
+		t.Fatalf("bad json: %v\n%s", err, out)
+	}
+	if res.OK != 30 || len(res.Shards) != 2 || res.Shards["0"] == nil || res.Shards["1"] == nil ||
+		res.Shards["0"].OK+res.Shards["1"].OK != 30 {
+		t.Fatalf("per-shard ledger: %+v / %+v", res, res.Shards)
+	}
+}
+
+// TestFleetAccept: the full supervised-fleet acceptance scenario — spawn
+// collectors + gateway as real processes (re-execs of the public serve and
+// gateway subcommands), SIGKILL one collector mid-epoch, verify the
+// supervisor repairs it, drain, and audit — exits 0 with the OK banner.
+func TestFleetAccept(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process fleet")
+	}
+	code, out, errs := cli("fleet", "accept", "-shards", "2", "-n", "40", "-epoch-requests", "5",
+		"-seed", "11", "-root", t.TempDir())
+	if code != 0 || !has(out, "FLEET ACCEPT OK", "restart 1/") {
+		t.Fatalf("accept exit %d:\n%s\n%s", code, out, errs)
+	}
+}
+
+// TestBadArgs: unknown subcommands, apps, scenarios and flag combinations
+// are infrastructure errors (exit 1), never verdicts and never panics.
+func TestBadArgs(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"frobnicate"},
+		{"pipeline"}, // folded into chaos -scenario pipeline
+		{"fleet"},
+		{"fleet", "frobnicate"},
+		{"fleet", "accept", "-shards", "0"},
+		{"serve", "-app", "nope", "-dir", t.TempDir()},
+		{"gateway"}, // neither -local nor -backends
+		{"gateway", "-local", "-app", "nope", "-root", t.TempDir()},
+		{"gateway", "-backends", "http://x", "-root", t.TempDir()}, // no shard map
+		{"gateway", "-local", "-netfault", "emp", "-root", t.TempDir()},
+		{"audit", "-dir", t.TempDir()}, // neither a log nor a topology root
+		{"status", "-dir", t.TempDir()},
+		{"chaos", "-scenario", "nope"},
+		{"chaos", "-scenario", "pipeline", "-app", "nope"},
+		{"chaos", "-scenario", "shard-kill", "-app", "motd"}, // unshardable app
+		{"chaos", "-scenario-file", filepath.Join(t.TempDir(), "missing.json")},
+		{"load", "-mix", "nope"},
+		{"load", "-app", "nope", "-n", "1", "-dir", t.TempDir()},
+		{"load", "-url", "http://127.0.0.1:1", "-audit"},
+		{"load", "-target", "http://127.0.0.1:1", "-url", "http://127.0.0.1:2"},
+		{"load", "-target", "http://127.0.0.1:1", "-audit"},
+		{"load", "-repeat-mix", "1.5", "-n", "4", "-dir", t.TempDir()},
+	} {
+		if code, _, errs := cli(args...); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (%s)", args, code, errs)
+		}
+	}
+	if _, _, errs := cli("load", "-url", "http://127.0.0.1:1", "-audit"); !has(errs, "-audit") {
+		t.Errorf("stderr should explain the -audit restriction: %s", errs)
+	}
+}

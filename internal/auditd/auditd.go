@@ -73,8 +73,6 @@ type Config struct {
 	// lever: verdicts, reject codes, and non-memo Stats are identical with
 	// it on or off.
 	MemoMaxBytes int
-	// Poll is the follow-mode polling interval. Defaults to 200ms.
-	Poll time.Duration
 	// FS is the filesystem the auditor reads epochs and writes checkpoints
 	// through. nil means the real OS.
 	FS iofault.FS
@@ -84,6 +82,9 @@ type Config struct {
 	// OnVerdict, when set, is called with every verdict as it is reached —
 	// accepted, rejected, or unauditable. Called without the auditor's lock.
 	OnVerdict func(Verdict)
+	// routing, set by a Sharded lane, checks that an epoch's trace holds
+	// only requests the shard map routes to this lane's shard.
+	routing func(*trace.Trace) error
 }
 
 func (cfg Config) fs() iofault.FS {
@@ -209,9 +210,6 @@ func New(cfg Config) (*Auditor, error) {
 	}
 	if cfg.MaxPrefetchBytes <= 0 {
 		cfg.MaxPrefetchBytes = 256 << 20
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
 	}
 	a := &Auditor{cfg: cfg}
 	if cfg.MemoMaxBytes > 0 {
@@ -419,6 +417,20 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched) error {
 	start := time.Now() //karousos:nondeterminism-ok audit-latency metric for Status; never part of the verdict
 
+	if a.cfg.routing != nil {
+		// Routing of epoch k, then audit of epoch k: a trace carrying a
+		// request the map routes elsewhere poisons the shard's evidence
+		// stream from here on — its carry may embed another shard's state —
+		// so it is checked before this epoch can shape a verdict, and after
+		// every earlier epoch already has. The order is per epoch, so the
+		// outcome does not depend on how sealing interleaved with audit
+		// passes. The trace is trusted: a violation is evidence, never a
+		// grading gap, whatever the manifest says about the advice.
+		if err := a.cfg.routing(f.tr); err != nil {
+			return a.reject(m.Seq, core.RejectShardConflict, err.Error())
+		}
+	}
+
 	if m.Fresh {
 		// Trusted restart boundary, recorded by the collector itself: the
 		// serving runtime began this epoch with fresh application state, so
@@ -455,14 +467,10 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 			// proves nothing — complete evidence might have passed — so the
 			// epoch is unauditable, not a server accusation. InternalFault
 			// is exempt: that is the auditor's own failure and must reach
-			// the supervisor as an error.
+			// the lane's restart loop as an error.
 			return a.gradeUnauditable(m, fmt.Sprintf("degraded (%s); audit failed [%s]: %s", m.Degraded, code, reason))
 		}
-		a.mu.Lock()
-		a.status.Rejected++
-		a.mu.Unlock()
-		a.recordVerdict(Verdict{Epoch: m.Seq, Code: code, Reason: reason})
-		return &Reject{Epoch: m.Seq, Code: code, Reason: reason}
+		return a.reject(m.Seq, code, reason)
 	}
 
 	if err := a.cfg.Limits.CheckAdviceBytes(len(f.blob)); err != nil {
@@ -511,6 +519,16 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 	a.recordVerdict(Verdict{Epoch: m.Seq})
 
 	return a.persistCheckpoint(cp)
+}
+
+// reject records the epoch's rejection verdict and returns it as the error
+// that halts the run.
+func (a *Auditor) reject(seq uint64, code core.RejectCode, reason string) error {
+	a.mu.Lock()
+	a.status.Rejected++
+	a.mu.Unlock()
+	a.recordVerdict(Verdict{Epoch: seq, Code: code, Reason: reason})
+	return &Reject{Epoch: seq, Code: code, Reason: reason}
 }
 
 // gradeUnauditable records an Unauditable verdict for the epoch and puts
@@ -663,26 +681,4 @@ func ReadCheckpointMemo(fsys iofault.FS, path string) (MemoCounters, bool) {
 func ReadCheckpointProgress(fsys iofault.FS, path string) (lastProcessed uint64, ok bool) {
 	last, probe := ProbeCheckpointProgress(fsys, path)
 	return last, probe != CheckpointMissing
-}
-
-// Run follows the log: it audits sealed epochs as they appear until the
-// context is cancelled (returning nil) or an audit rejects or fails
-// (returning that error).
-func (a *Auditor) Run(ctx context.Context) error {
-	ticker := time.NewTicker(a.cfg.Poll)
-	defer ticker.Stop()
-	for {
-		if _, err := a.RunOnce(ctx); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		//karousos:nondeterminism-ok poll-loop plumbing; epochs are audited strictly in sequence regardless of which wakeup fires
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
@@ -23,39 +24,82 @@ import (
 	"karousos.dev/karousos/internal/workload"
 )
 
-func requestsFor(spec harness.AppSpec, n int, seed int64) []server.Request {
-	switch spec.Name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	default:
-		return workload.Wiki(n, seed)
+// requestsFor is app's mixed workload; an unknown app fails the test.
+func requestsFor(t testing.TB, spec harness.AppSpec, n int, seed int64) []server.Request {
+	t.Helper()
+	reqs, err := workload.For(spec.Name, workload.Mixed, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// sealLog serves reqs through a fresh collector on dir, sealing every
+// epochRequests, and closes it cleanly (sealing the tail).
+func sealLog(t *testing.T, spec harness.AppSpec, dir string, reqs []server.Request, epochRequests int) {
+	t.Helper()
+	col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: dir, EpochRequests: epochRequests, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newLoopback(t, col)
+	driveHTTP(t, ts, reqs)
+	ts.Close()
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestPipelineAllAppsAccept is the tentpole E2E: every application served
-// through the HTTP collector with epochs sealing mid-workload, the follower
-// auditing while serving continues, and every epoch accepting.
+// through the HTTP collector with epochs sealing mid-workload, a one-shard
+// Sharded following the bare log while serving continues, and every epoch
+// accepting.
 func TestPipelineAllAppsAccept(t *testing.T) {
-	for _, spec := range []harness.AppSpec{harness.MOTDApp(), harness.StacksApp(), harness.WikiApp()} {
+	for _, spec := range []harness.AppSpec{harness.MOTDApp(), harness.StacksApp(), harness.WikiApp(), harness.FeedsApp()} {
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunPipeline(context.Background(), spec, requestsFor(spec, 60, 9), PipelineOptions{
-				Dir:           t.TempDir(),
-				EpochRequests: 20,
-				Seed:          42,
-			})
+			dir := t.TempDir()
+			col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: dir, EpochRequests: 20, Seed: 42})
 			if err != nil {
-				t.Fatalf("pipeline: %v", err)
+				t.Fatal(err)
 			}
-			if res.Served != 60 {
-				t.Errorf("served %d, want 60", res.Served)
+			ts := newLoopback(t, col)
+			sh, err := NewSharded(ShardedConfig{Root: dir, Poll: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.Sealed != 3 {
-				t.Errorf("sealed %d epochs, want 3", res.Sealed)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- sh.Run(ctx) }()
+
+			driveHTTP(t, ts, requestsFor(t, spec, 60, 9))
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if res.Accepted != res.Sealed || res.Status.Rejected != 0 {
-				t.Errorf("accepted %d of %d (rejected %d)", res.Accepted, res.Sealed, res.Status.Rejected)
+			sealed, err := epochlog.ListSealed(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sealed) != 3 {
+				t.Fatalf("sealed %d epochs, want 3", len(sealed))
+			}
+			deadline := time.After(10 * time.Second)
+			for sh.Result().Shards[0].Status.LastProcessed < sealed[2].Seq {
+				select {
+				case err := <-done:
+					t.Fatalf("follower exited early: %v", err)
+				case <-deadline:
+					t.Fatal("follower never drained the log")
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("follow: %v", err)
+			}
+			res := sh.Result()
+			if st := res.Shards[0].Status; !res.Accepted() || st.Accepted != 3 || st.Rejected != 0 || res.Stats.Requests != 60 {
+				t.Errorf("accepted %d of 3 (rejected %d), %d requests re-executed, merge %+v", st.Accepted, st.Rejected, res.Stats.Requests, res.Merge)
 			}
 		})
 	}
@@ -97,12 +141,7 @@ func driveHTTP(t *testing.T, ts *httptest.Server, reqs []server.Request) {
 func TestCorruptedAdviceRejectsWithCode(t *testing.T) {
 	ref := t.TempDir()
 	spec := harness.WikiApp()
-	res, err := RunPipeline(context.Background(), spec, requestsFor(spec, 40, 9), PipelineOptions{
-		Dir: ref, EpochRequests: 20, Seed: 42,
-	})
-	if err != nil || res.Sealed < 2 {
-		t.Fatalf("pipeline: sealed %d, err %v", res.Sealed, err)
-	}
+	sealLog(t, spec, ref, requestsFor(t, spec, 40, 9), 20)
 
 	for _, op := range faultinject.Catalogue() {
 		if op.Kind != faultinject.KindBytes {
@@ -235,7 +274,7 @@ func TestManyEpochsSmallWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newLoopback(t, col)
-	driveHTTP(t, ts, requestsFor(harness.MOTDApp(), 9, 3))
+	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 9, 3))
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +302,7 @@ func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cpPath := filepath.Join(t.TempDir(), "checkpoint.json")
 	spec := harness.WikiApp()
-	reqs := requestsFor(spec, 60, 9)
+	reqs := requestsFor(t, spec, 60, 9)
 
 	col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: dir, EpochRequests: 15, Seed: 42})
 	if err != nil {
@@ -331,7 +370,7 @@ func TestPrefetchByteBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newLoopback(t, col)
-	driveHTTP(t, ts, requestsFor(harness.MOTDApp(), 6, 5))
+	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 6, 5))
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +418,7 @@ func TestReadCheckpointProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newLoopback(t, col)
-	driveHTTP(t, ts, requestsFor(harness.MOTDApp(), 3, 7))
+	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 3, 7))
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}

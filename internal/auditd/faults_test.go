@@ -2,7 +2,6 @@ package auditd
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +32,7 @@ func sealEpochs(t *testing.T, dir string, cfs iofault.FS, n, epochRequests int) 
 	}
 	ts := newLoopback(t, col)
 	defer ts.Close()
-	driveHTTP(t, ts, requestsFor(harness.MOTDApp(), n, 7))
+	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), n, 7))
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newLoopback(t, col)
-	reqs := requestsFor(harness.MOTDApp(), 30, 7)
+	reqs := requestsFor(t, harness.MOTDApp(), 30, 7)
 	driveHTTP(t, ts, reqs[:10])
 	if err := cinj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
@@ -220,7 +219,7 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newLoopback(t, col)
-	reqs := requestsFor(harness.MOTDApp(), 20, 7)
+	reqs := requestsFor(t, harness.MOTDApp(), 20, 7)
 	driveHTTP(t, ts, reqs[:10])
 	// Epoch 2 degrades, then the collector crashes with epoch 2 sealed and
 	// nothing stranded.
@@ -239,7 +238,7 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := newLoopback(t, col2)
-	driveHTTP(t, ts2, requestsFor(harness.MOTDApp(), 10, 8))
+	driveHTTP(t, ts2, requestsFor(t, harness.MOTDApp(), 10, 8))
 	ts2.Close()
 	if err := col2.Close(); err != nil {
 		t.Fatal(err)
@@ -258,72 +257,56 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 	}
 }
 
-// TestSupervisorRestartsOnInfraError: an incarnation dying on an
-// infrastructure failure (checkpoint fsync) is restarted from the durable
-// checkpoint and finishes the backlog with no verdict lost or repeated.
+// TestSupervisorRestartsOnInfraError: a lane incarnation dying on an
+// infrastructure failure (checkpoint fsync) is rebuilt from the durable
+// checkpoint and finishes the backlog with no verdict lost or flipped.
 func TestSupervisorRestartsOnInfraError(t *testing.T) {
 	dir := t.TempDir()
 	sealEpochs(t, dir, nil, 30, 10)
-	ckpt := filepath.Join(t.TempDir(), "auditd.ckpt")
 
 	inj := iofault.NewInjector(nil)
-	// The second checkpoint write's file fsync fails, killing the first
-	// incarnation after epoch 2 was audited but before it was recorded.
+	// Each checkpoint write fsyncs the file and then its directory, both
+	// under auditd.ckpt: the second write's file fsync fails, killing the
+	// first incarnation after epoch 2 was audited but before it was recorded.
 	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2, Target: ".ckpt"}); err != nil {
 		t.Fatal(err)
 	}
-	sup := NewSupervisor(Config{
-		Dir:        dir,
-		Checkpoint: ckpt,
-		FS:         inj,
-		Backoff:    quietBackoff,
-		Poll:       5 * time.Millisecond,
-	}, SupervisorOptions{MaxRestarts: 3, Backoff: fault.Backoff{Base: time.Millisecond}})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-	deadline := time.After(10 * time.Second)
-	for {
-		st, _ := sup.Status()
-		if st.LastProcessed >= 3 {
-			break
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("supervisor exited early: %v", err)
-		case <-deadline:
-			t.Fatal("supervisor never drained the log")
-		case <-time.After(time.Millisecond):
-		}
+	sh, err := NewSharded(ShardedConfig{
+		Root:          dir,
+		CheckpointDir: filepath.Join(t.TempDir(), "auditd.ckpt"),
+		FS:            inj,
+		Backoff:       quietBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("supervised run: %v", err)
+	res, err := sh.Audit(context.Background())
+	if err != nil {
+		t.Fatalf("supervised audit: %v", err)
 	}
-	_, restarts := sup.Status()
-	if restarts != 1 {
-		t.Fatalf("restarts = %d, want exactly 1", restarts)
+	rep := res.Shards[0]
+	if rep.Restarts != 1 || rep.Status.LastProcessed != 3 || !res.Accepted() {
+		t.Fatalf("restarts = %d, last processed %d, merge %+v; want exactly 1 rebuild draining the log", rep.Restarts, rep.Status.LastProcessed, res.Merge)
 	}
-	// Epoch 2's checkpoint died after its audit: the restarted incarnation
+	// Epoch 2's checkpoint died after its audit: the rebuilt incarnation
 	// re-grades epoch 2, so it appears twice with the same verdict — the
 	// determinism invariant — and the accepted set is 1,2,3.
 	accepted := map[uint64]int{}
-	for _, v := range sup.Verdicts() {
+	for _, v := range rep.Verdicts {
 		if !v.Accepted() {
 			t.Fatalf("infra fault produced non-accept verdict: %+v", v)
 		}
 		accepted[v.Epoch]++
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if accepted[seq] == 0 {
-			t.Fatalf("epoch %d never graded: %v", seq, accepted)
-		}
+	if accepted[1] != 1 || accepted[2] != 2 || accepted[3] != 1 {
+		t.Fatalf("grades per epoch = %v, want 1:1 2:2 3:1", accepted)
 	}
 }
 
-// TestSupervisorStopsOnHonestReject: a real rejection must pass through the
-// supervisor untouched — restarting cannot and must not change a verdict.
+// TestSupervisorStopsOnHonestReject: a real rejection halts the lane
+// untouched — rebuilding cannot and must not change a verdict — and ends
+// the follow loop, so `audit -follow` on a single log exits at the first
+// rejection.
 func TestSupervisorStopsOnHonestReject(t *testing.T) {
 	dir := t.TempDir()
 	sealEpochs(t, dir, nil, 10, 10)
@@ -337,15 +320,25 @@ func TestSupervisorStopsOnHonestReject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sup := NewSupervisor(Config{Dir: dir, Poll: 5 * time.Millisecond}, SupervisorOptions{})
+	sh, err := NewSharded(ShardedConfig{Root: dir, Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err = sup.Run(ctx)
-	var rej *Reject
-	if !errors.As(err, &rej) {
-		t.Fatalf("supervisor returned %v, want the rejection", err)
+	if err := sh.Run(ctx); err != nil || ctx.Err() != nil {
+		t.Fatalf("follow = %v (ctx %v), want a prompt nil once the only lane halted", err, ctx.Err())
 	}
-	if _, restarts := sup.Status(); restarts != 0 {
-		t.Fatalf("supervisor restarted %d times on an honest reject", restarts)
+	// The verdict is sticky: another pass grades nothing and changes nothing.
+	if n, err := sh.RunOnce(ctx); n != 0 || err != nil {
+		t.Fatalf("pass over a halted lane = %d, %v", n, err)
+	}
+	res := sh.Result()
+	rep := res.Shards[0]
+	if rep.Code != core.RejectMalformedAdvice || res.Merge.Code != core.RejectMalformedAdvice || rep.Status.Rejected != 1 {
+		t.Fatalf("lane %+v, merge %+v; want the MalformedAdvice rejection", rep, res.Merge)
+	}
+	if rep.Restarts != 0 {
+		t.Fatalf("lane rebuilt %d times on an honest reject", rep.Restarts)
 	}
 }

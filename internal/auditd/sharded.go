@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/shard"
@@ -17,30 +18,38 @@ import (
 	"karousos.dev/karousos/internal/verifier"
 )
 
-// Shard-parallel audit mode. A sharded deployment produces one epoch log
-// per shard; the cross-epoch carry chains *within* a shard but never
-// across shards, so the per-shard audits are independent up to the final
-// merge check. Sharded exploits that: one audit lane per shard-log
-// directory, each a self-supervised Auditor with its own checkpoint and
-// carry, run concurrently up to the lane budget, then joined by the
-// cross-shard checks (routing and partition, internal/shard) into one
-// combined verdict. Lanes fail independently — a restartable fault
-// rebuilds only that lane from its own checkpoint — and lane scheduling
-// never reaches the verdict: each lane's outcome is a deterministic
-// function of its shard's evidence, and the merge is a deterministic
-// function of the outcomes.
+// The supervised auditor. A deployment is a topology of N≥1 shards, one
+// epoch log per shard (a bare collector log is the one-shard topology);
+// the cross-epoch carry chains *within* a shard but never across shards,
+// so the per-shard audits are independent up to the final merge check.
+// Sharded exploits that: one audit lane per shard-log directory, each a
+// self-supervised Auditor with its own checkpoint and carry, run
+// concurrently up to the lane budget, then joined by the cross-shard
+// checks (routing and partition, internal/shard) into one combined
+// verdict. Lanes fail independently — a restartable fault rebuilds only
+// that lane from its own checkpoint — and lane scheduling never reaches
+// the verdict: each lane's outcome is a deterministic function of its
+// shard's evidence, and the merge is a deterministic function of the
+// outcomes.
+//
+// The restart decision is the trust boundary in miniature. A coded
+// rejection other than InternalFault is the audit's verdict on the server:
+// restarting cannot change it and must not, so the lane halts and reports
+// it. An InternalFault (the verifier crashed on some input) or a plain
+// infrastructure error (epoch unreadable past the retry budget) says
+// nothing about the server; the lane rebuilds its auditor from the durable
+// checkpoint and tries again. Crash consistency makes the rebuild sound:
+// the checkpoint is written atomically after each graded epoch, so an
+// incarnation that died mid-epoch re-grades exactly that epoch, and the
+// determinism invariant (same evidence, same verdict) makes the re-grade
+// converge.
 
 // ShardedConfig describes a shard-parallel auditor.
 type ShardedConfig struct {
 	// Root is the topology root holding shardmap.json and the shard-NN
-	// epoch-log directories. It may be left empty when Map and Dirs are
-	// both set explicitly.
+	// epoch-log directories — or a bare epoch log, which is audited as the
+	// one-shard topology (see Topology).
 	Root string
-	// Map is the shard topology; nil loads it from Root's shardmap.json.
-	Map *shard.Map
-	// Dirs lists the per-shard epoch-log directories, indexed by shard.
-	// Empty derives them from Root and the map.
-	Dirs []string
 	// Lanes bounds how many shard audits run concurrently. <=0 means one
 	// lane per shard. The combined verdict is identical at every setting —
 	// the sharded differential tests pin this.
@@ -60,11 +69,11 @@ type ShardedConfig struct {
 	// correctness.
 	MemoMaxBytes int
 	// MaxRestarts bounds per-lane incarnation rebuilds after restartable
-	// failures, as in SupervisorOptions. Defaults to 3.
+	// failures within one pass. Defaults to 3.
 	MaxRestarts int
 	// Poll is the follow-mode polling interval. Defaults to 200ms.
 	Poll time.Duration
-	// FS and Backoff are as in Config.
+	// FS and Backoff are as in Config; Backoff also paces lane rebuilds.
 	FS      iofault.FS
 	Backoff fault.Backoff
 	// OnVerdict, when set, is called with every per-epoch verdict as a
@@ -120,9 +129,6 @@ type lane struct {
 	// incarnation's are added on snapshot.
 	stats verifier.Stats
 	last  Status // last retired incarnation's counters
-	// routedThrough is the newest epoch whose trace passed the routing
-	// check.
-	routedThrough uint64
 	// halted is the lane's sticky verdict: a rejection (the lane stops
 	// grading — re-running cannot change a verdict about the server).
 	halted   *Reject
@@ -136,35 +142,37 @@ type Sharded struct {
 	lanes []*lane
 }
 
+// Topology applies the one deployment rule: a root holding shardmap.json is
+// an N-shard topology with its logs under shard-NN; a root that is itself a
+// collector's epoch log (it has the meta.json sidecar) is the one-shard
+// topology whose only log is the root.
+func Topology(root string) (shard.Map, []string, error) {
+	m, err := shard.ReadMap(root)
+	if err == nil {
+		return m, m.Dirs(root), nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return shard.Map{}, nil, err
+	}
+	if _, merr := collectorhttp.ReadMeta(root); merr != nil {
+		return shard.Map{}, nil, fmt.Errorf("%s is neither a topology root (%v) nor an epoch log (%v)", root, err, merr)
+	}
+	return shard.Map{Shards: 1}, []string{root}, nil
+}
+
+// CheckpointPath names lane s's resume file inside a checkpoint directory.
+func CheckpointPath(dir string, s int) string {
+	return filepath.Join(dir, fmt.Sprintf("checkpoint-shard-%02d.json", s))
+}
+
 // NewSharded resolves the topology and builds one lane per shard. Lane
 // auditors are built lazily (per incarnation), resolving each shard's app
 // and mode from that directory's sidecar exactly as a single-directory
 // auditor would.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
-	var m shard.Map
-	switch {
-	case cfg.Map != nil:
-		m = *cfg.Map
-	case cfg.Root != "":
-		var err error
-		if m, err = shard.ReadMap(cfg.Root); err != nil {
-			return nil, fmt.Errorf("auditd: sharded: %w", err)
-		}
-	default:
-		return nil, errors.New("auditd: sharded: need a Root or an explicit Map")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	dirs := cfg.Dirs
-	if len(dirs) == 0 {
-		if cfg.Root == "" {
-			return nil, errors.New("auditd: sharded: need a Root or explicit Dirs")
-		}
-		dirs = m.Dirs(cfg.Root)
-	}
-	if len(dirs) != m.Shards {
-		return nil, fmt.Errorf("auditd: sharded: %d shard dirs for a %d-shard map", len(dirs), m.Shards)
+	m, dirs, err := Topology(cfg.Root)
+	if err != nil {
+		return nil, fmt.Errorf("auditd: sharded: %w", err)
 	}
 	if cfg.Lanes <= 0 || cfg.Lanes > m.Shards {
 		cfg.Lanes = m.Shards
@@ -195,7 +203,11 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			Backoff:      cfg.Backoff,
 		}
 		if cfg.CheckpointDir != "" {
-			l.cfg.Checkpoint = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("checkpoint-shard-%02d.json", i))
+			l.cfg.Checkpoint = CheckpointPath(cfg.CheckpointDir, i)
+		}
+		if m.Shards > 1 {
+			// Everything routes to the only shard of a one-shard map.
+			l.cfg.routing = func(tr *trace.Trace) error { return m.CheckRouting(l.shard, tr) }
 		}
 		l.cfg.OnVerdict = func(v Verdict) {
 			l.mu.Lock()
@@ -210,10 +222,10 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	return s, nil
 }
 
-// RunOnce drains every lane once: each lane routing-checks and audits all
-// currently sealed epochs past its cursor, restarting itself (up to
-// MaxRestarts) on restartable failures. Lanes run concurrently up to the
-// lane budget; the pass returns how many epochs were graded across all
+// RunOnce drains every lane once: each lane routing-checks and audits, epoch
+// by epoch, all currently sealed epochs past its cursor, restarting itself
+// (up to MaxRestarts) on restartable failures. Lanes run concurrently up to
+// the lane budget; the pass returns how many epochs were graded across all
 // lanes and the first infrastructure error by shard order. Lane verdicts
 // — including rejections — are not errors here; they surface through
 // Result.
@@ -231,7 +243,7 @@ func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			n, err := s.lanes[i].step(ctx, s.m, s.cfg.MaxRestarts)
+			n, err := s.lanes[i].step(ctx, s.cfg.MaxRestarts)
 			results[i] = stepResult{n: n, err: err}
 		}(i)
 	}
@@ -248,10 +260,11 @@ func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 	return processed, nil
 }
 
-// Run follows all shard logs until the context is cancelled, polling like
-// the single-directory follower. Halted lanes stop grading but the rest
-// keep following — one misbehaving shard must not blind the audit of the
-// others; the combined verdict carries the rejection either way.
+// Run follows all shard logs until the context is cancelled or every lane
+// has halted on a rejection (both nil: the verdict is in Result), or a lane
+// fails past its restart budget (that error). Halted lanes stop grading but
+// the rest keep following — one misbehaving shard must not blind the audit
+// of the others; the combined verdict carries the rejection either way.
 func (s *Sharded) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.cfg.Poll)
 	defer ticker.Stop()
@@ -261,6 +274,13 @@ func (s *Sharded) Run(ctx context.Context) error {
 				return nil
 			}
 			return err
+		}
+		following := false
+		for _, l := range s.lanes {
+			following = following || l.haltedNow() == nil
+		}
+		if !following {
+			return nil
 		}
 		//karousos:nondeterminism-ok poll-loop plumbing; each lane grades its epochs strictly in sequence regardless of which wakeup fires
 		select {
@@ -298,26 +318,13 @@ func (s *Sharded) Result() ShardedResult {
 	return res
 }
 
-// step is one lane pass: routing-check newly sealed epochs, then audit
-// them, rebuilding the lane's auditor from its checkpoint after
+// step is one lane pass: grade newly sealed epochs — routing, then audit,
+// epoch by epoch — rebuilding the lane's auditor from its checkpoint after
 // restartable failures. The caller owns the lane for the duration.
-func (l *lane) step(ctx context.Context, m shard.Map, maxRestarts int) (int, error) {
+func (l *lane) step(ctx context.Context, maxRestarts int) (int, error) {
 	if l.haltedNow() != nil {
 		return 0, nil
 	}
-	// Routing first, in epoch order: a trace carrying a request the map
-	// routes elsewhere poisons the shard's whole evidence stream — its
-	// carry may embed state that belongs to another shard — so it is
-	// checked before that evidence can shape a verdict. The check order is
-	// fixed (routing, then audit, per pass) so the lane's outcome does not
-	// depend on how sealing interleaved with audit passes.
-	if err := l.checkRouting(ctx, m); err != nil {
-		return 0, err
-	}
-	if l.haltedNow() != nil {
-		return 0, nil
-	}
-
 	processed := 0
 	for attempt := 0; ; attempt++ {
 		aud := l.current()
@@ -346,53 +353,16 @@ func (l *lane) step(ctx context.Context, m shard.Map, maxRestarts int) (int, err
 		}
 		// InternalFault or infrastructure: discard the incarnation (its
 		// in-memory state may be poisoned) and rebuild from the durable
-		// checkpoint, like the single-lane supervisor.
+		// checkpoint.
 		l.retire(aud)
 		if attempt >= maxRestarts {
 			return processed, fmt.Errorf("lane restart budget (%d) exhausted: %w", maxRestarts, err)
 		}
+		//karousos:nondeterminism-ok restart backoff sleep; supervision timing is not part of any verdict
+		if l.cfg.Backoff.Wait(ctx, attempt) != nil {
+			return processed, err
+		}
 	}
-}
-
-// checkRouting re-derives shard assignment for every request in newly
-// sealed epochs' traces. A violation halts the lane with ShardConflict —
-// the trace is trusted, so a misrouted request is evidence, not a grading
-// gap.
-func (l *lane) checkRouting(ctx context.Context, m shard.Map) error {
-	fsys := l.cfg.fs()
-	var sealed []epochlog.Manifest
-	err := iofault.Retry(ctx, l.cfg.Backoff, func() error {
-		var lerr error
-		sealed, lerr = epochlog.ListSealedFS(fsys, l.dir)
-		return lerr
-	})
-	if err != nil {
-		return err
-	}
-	opt := epochlog.Options{MaxAdviceBytes: l.cfg.Limits.MaxAdviceBytes, FS: l.cfg.FS}
-	for _, man := range sealed {
-		if man.Seq <= l.routedThroughNow() {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var tr *trace.Trace
-		err := iofault.Retry(ctx, l.cfg.Backoff, func() error {
-			var rerr error
-			tr, _, _, rerr = epochlog.ReadSealed(l.dir, man.Seq, opt)
-			return rerr
-		})
-		if err != nil {
-			return fmt.Errorf("routing check, epoch %d: %w", man.Seq, err)
-		}
-		if rerr := m.CheckRouting(l.shard, tr); rerr != nil {
-			l.halt(&Reject{Epoch: man.Seq, Code: core.RejectShardConflict, Reason: rerr.Error()})
-			return nil
-		}
-		l.advanceRouted(man.Seq)
-	}
-	return nil
 }
 
 func (l *lane) haltedNow() *Reject {
@@ -401,11 +371,12 @@ func (l *lane) haltedNow() *Reject {
 	return l.halted
 }
 
+// halt makes rej the lane's sticky outcome. The verdict itself already
+// reached the lane through the auditor's OnVerdict.
 func (l *lane) halt(rej *Reject) {
 	l.mu.Lock()
 	if l.halted == nil {
 		l.halted = rej
-		l.verdicts = append(l.verdicts, Verdict{Epoch: rej.Epoch, Code: rej.Code, Reason: rej.Reason})
 	}
 	l.mu.Unlock()
 }
@@ -429,20 +400,6 @@ func (l *lane) retire(a *Auditor) {
 	l.last = st
 	l.restarts++
 	l.aud = nil
-	l.mu.Unlock()
-}
-
-func (l *lane) routedThroughNow() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.routedThrough
-}
-
-func (l *lane) advanceRouted(seq uint64) {
-	l.mu.Lock()
-	if seq > l.routedThrough {
-		l.routedThrough = seq
-	}
 	l.mu.Unlock()
 }
 

@@ -18,6 +18,7 @@ import (
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
+	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -186,19 +187,7 @@ func TestShardedEmptyShards(t *testing.T) {
 func TestShardedRoutingViolation(t *testing.T) {
 	root := t.TempDir()
 	m := wikiMap(2)
-	// Find page ids on each side of the partition.
-	var p0, p1 string
-	for i := 0; i < 64 && (p0 == "" || p1 == ""); i++ {
-		id := fmt.Sprintf("page-%02d", i)
-		if s := m.ShardOf(value.Normalize(value.Map("op", "render", "reqid", "r", "id", id))); s == 0 && p0 == "" {
-			p0 = id
-		} else if s == 1 && p1 == "" {
-			p1 = id
-		}
-	}
-	if p0 == "" || p1 == "" {
-		t.Fatal("could not find pages on both shards")
-	}
+	p0, p1 := pagesOnBothShards(t, m)
 
 	top, err := gateway.NewLocal(gateway.LocalConfig{
 		Spec: harness.WikiApp(), Root: root, Map: m, EpochRequests: 4, Seed: 5,
@@ -218,7 +207,10 @@ func TestShardedRoutingViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, err := NewSharded(ShardedConfig{Root: root})
+	var seen []string
+	sh, err := NewSharded(ShardedConfig{Root: root, Lanes: 1, OnVerdict: func(s int, v Verdict) {
+		seen = append(seen, fmt.Sprintf("shard%d:%d=%s", s, v.Epoch, v.Code))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +223,125 @@ func TestShardedRoutingViolation(t *testing.T) {
 	}
 	if res.Shards[0].Code != core.RejectShardConflict {
 		t.Fatalf("shard 0 code = %s, want ShardConflict", res.Shards[0].Code)
+	}
+	// A routing halt is a verdict like any other: the callback sees it, once.
+	if got := fmt.Sprint(seen); got != "[shard0:1=ShardConflict]" {
+		t.Fatalf("OnVerdict saw %s, want the one routing verdict", got)
+	}
+}
+
+// pagesOnBothShards finds one wiki page id homed on each shard of a
+// two-shard map.
+func pagesOnBothShards(t *testing.T, m shard.Map) (p0, p1 string) {
+	t.Helper()
+	for i := 0; i < 64 && (p0 == "" || p1 == ""); i++ {
+		id := fmt.Sprintf("page-%02d", i)
+		if s := m.ShardOf(value.Normalize(value.Map("op", "render", "reqid", "r", "id", id))); s == 0 && p0 == "" {
+			p0 = id
+		} else if s == 1 && p1 == "" {
+			p1 = id
+		}
+	}
+	if p0 == "" || p1 == "" {
+		t.Fatal("could not find pages on both shards")
+	}
+	return p0, p1
+}
+
+// TestShardedSameEvidenceSameVerdict: a shard whose epoch 1 carries
+// undecodable advice and whose epoch 2 holds a misrouted request reaches
+// the same verdict however sealing interleaved with audit passes — routing
+// and audit are checked per epoch, in epoch order, so epoch 1's
+// MalformedAdvice halts the lane whether or not epoch 2 was already sealed.
+// (Routing-checking every sealed epoch before auditing any graded the
+// one-shot audit ShardConflict and the live one MalformedAdvice.)
+func TestShardedSameEvidenceSameVerdict(t *testing.T) {
+	root := t.TempDir()
+	m := wikiMap(2)
+	p0, p1 := pagesOnBothShards(t, m)
+	top, err := gateway.NewLocal(gateway.LocalConfig{
+		Spec: harness.WikiApp(), Root: root, Map: m, EpochRequests: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts0 := newLoopback(t, top.Collector(0))
+	render := func(rid, page string) server.Request {
+		return server.Request{Input: value.Normalize(value.Map("op", "render", "reqid", rid, "id", page))}
+	}
+
+	stepwise, err := NewSharded(ShardedConfig{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveURL(t, ts0.URL, []server.Request{render("a1", p0), render("a2", p0)}) // epoch 1 seals
+	if err := os.WriteFile(filepath.Join(shard.Dir(root, 0), "ep000001.advice"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stepwise.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	driveURL(t, ts0.URL, []server.Request{render("b1", p1), render("b2", p0)}) // epoch 2 seals, misrouted
+	if err := top.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stepwise.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	want := "shard0[MalformedAdvice]:1=MalformedAdvice; shard1[<uncoded>]: merge=MalformedAdvice conflicts=0 stats=" + fmt.Sprintf("%+v", verifier.Stats{})
+	if got := shardedKey(t, stepwise.Result()); got != want {
+		t.Errorf("stepwise:\n%s\nwant:\n%s", got, want)
+	}
+	for _, lanes := range []int{1, 2} {
+		sh, err := NewSharded(ShardedConfig{Root: root, Lanes: lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sh.Audit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shardedKey(t, res); got != want {
+			t.Errorf("one-shot, lanes=%d:\n%s\nwant:\n%s", lanes, got, want)
+		}
+	}
+}
+
+// TestRejectionIsOneVerdict: a rejected epoch is listed once in the lane's
+// report and reaches OnVerdict once — the halt only makes it sticky.
+func TestRejectionIsOneVerdict(t *testing.T) {
+	dir := t.TempDir()
+	sealLog(t, harness.MOTDApp(), dir, requestsFor(t, harness.MOTDApp(), 30, 7), 10)
+	path := filepath.Join(dir, "ep000002.advice")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] ^= 0x5a
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var seen []string
+	sh, err := NewSharded(ShardedConfig{Root: dir, OnVerdict: func(s int, v Verdict) {
+		seen = append(seen, fmt.Sprintf("%d=%s;", v.Epoch, v.Code))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sh.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "shard0[MalformedAdvice]:1=<uncoded>;2=MalformedAdvice; merge=MalformedAdvice"
+	if got := shardedKey(t, res); !strings.HasPrefix(got, want) {
+		t.Errorf("verdict key %s, want prefix %s", got, want)
+	}
+	if got := strings.Join(seen, ""); got != "1=<uncoded>;2=MalformedAdvice;" {
+		t.Errorf("OnVerdict saw %s, want each epoch once", got)
 	}
 }
 

@@ -189,8 +189,8 @@ func VerdictKey(res auditd.ShardedResult) string {
 // filesystem — twice: one lane per shard with sequential epoch audits, then
 // a single lane with four audit workers. It returns the first pass and a
 // description of how the second differed (verdicts, merge, or Stats); ""
-// is the determinism invariant holding. cfg names the topology (Root, or
-// Map and Dirs) and may set Limits and OnVerdict.
+// is the determinism invariant holding. cfg names the topology (Root) and
+// may set Limits and OnVerdict.
 func Reaudit(ctx context.Context, cfg auditd.ShardedConfig) (auditd.ShardedResult, string, error) {
 	var out [2]auditd.ShardedResult
 	for i, p := range [2]struct{ lanes, workers int }{{0, 1}, {1, 4}} {
@@ -244,6 +244,10 @@ var quiet = fault.Backoff{Sleep: func(time.Duration) {}}
 // or runner breakage — invariant violations land in Result.Violations.
 func Run(dir string, sc Scenario) (*Result, error) {
 	spec, err := sc.validate()
+	if err != nil {
+		return nil, err
+	}
+	reqs, err := workload.For(sc.Topology.App, workload.Mixed, sc.Load.Requests, sc.Load.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +310,7 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	ctx := context.Background()
 	sem := make(chan struct{}, sc.Load.Outstanding)
 	var wg sync.WaitGroup
-	for i, req := range requestsFor(spec, sc.Load.Requests, sc.Load.Seed) {
+	for i, req := range reqs {
 		if err := r.applyDue(i); err != nil {
 			return r.res, err
 		}
@@ -447,19 +451,6 @@ func (sc Scenario) validate() (harness.AppSpec, error) {
 		}
 	}
 	return spec, nil
-}
-
-func requestsFor(spec harness.AppSpec, n int, seed int64) []server.Request {
-	switch spec.Name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	case "feeds":
-		return workload.Feeds(n, workload.Mixed, seed)
-	default:
-		return workload.Wiki(n, seed)
-	}
 }
 
 // newAuditor builds the live auditor from the durable checkpoints. Replacing

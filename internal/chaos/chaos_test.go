@@ -14,7 +14,7 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/shard"
+	"karousos.dev/karousos/internal/workload"
 )
 
 // golden is what a scenario must reproduce. Every value in the built-in
@@ -60,6 +60,13 @@ func builtin(name, app string) func(int64) Scenario {
 		}
 		return sc
 	}
+}
+
+// pipelineGolden is what `karousos-auditd pipeline -app <a> -n 200
+// -epoch-requests 50` (seed 42) printed for every app at the commit before
+// it was deleted: exit 0, served 200, sealed 4, accepted 4.
+func pipelineGolden() golden {
+	return golden{epochs: []string{ok4}, merge: "<uncoded>", served: 200, accepted: 4}
 }
 
 var rows = []row{
@@ -177,6 +184,18 @@ var rows = []row{
 				t.Errorf("the checkpoint faults forced no lane rebuild; the scenario exercised nothing")
 			}
 		}},
+
+	// The deleted pipeline subcommands, as zero-step scenarios.
+	{name: "pipeline/wiki", sc: builtin("pipeline", "wiki"), want: map[int64]golden{42: pipelineGolden()}},
+	{name: "pipeline/motd", sc: builtin("pipeline", "motd"), want: map[int64]golden{42: pipelineGolden()}},
+	{name: "pipeline/stacks", sc: builtin("pipeline", "stacks"), want: map[int64]golden{42: pipelineGolden()}},
+	{name: "pipeline/feeds", sc: builtin("pipeline", "feeds"), want: map[int64]golden{42: pipelineGolden()}},
+	// `karousos-gateway pipeline -app wiki -shards 4 -n 120 -epoch-requests
+	// 10` (seed 42): exit 0, served 120, shards audited 4/3/3/4 epochs.
+	{name: "pipeline-sharded", sc: builtin("pipeline-sharded", ""), want: map[int64]golden{42: {
+		epochs: []string{ok4, "1=<uncoded>;2=<uncoded>;3=<uncoded>;", "1=<uncoded>;2=<uncoded>;3=<uncoded>;", ok4},
+		merge:  "<uncoded>", served: 120, accepted: 14,
+	}}},
 }
 
 // check holds one run to its golden.
@@ -327,7 +346,7 @@ func TestCommitModeDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := requestsFor(spec, 24, 11)
+	reqs := workload.MOTD(24, workload.Mixed, 11)
 
 	runMode := func(mode collectorhttp.CommitMode) (digests []string, out auditd.ShardedResult) {
 		t.Helper()
@@ -368,7 +387,7 @@ func TestCommitModeDifferential(t *testing.T) {
 		for _, m := range sealed {
 			digests = append(digests, fmt.Sprintf("%d:%s", m.Seq, m.TraceDigest))
 		}
-		out, diff, err := Reaudit(context.Background(), auditd.ShardedConfig{Map: &shard.Map{Shards: 1}, Dirs: []string{dir}})
+		out, diff, err := Reaudit(context.Background(), auditd.ShardedConfig{Root: dir})
 		if err != nil || diff != "" || !out.Accepted() {
 			t.Fatalf("mode %q: re-audit err %v, diff %q, verdicts %s", mode, err, diff, VerdictKey(out))
 		}

@@ -8,6 +8,22 @@ import (
 // builtins are the named scenarios, each a Scenario value with the seed
 // written into the places the script uses it.
 var builtins = map[string]func(seed int64) Scenario{
+	// pipeline: no fault at all — the end-to-end loop itself. One collector
+	// behind the gateway serves a workload with epochs sealing mid-run
+	// while the live auditor follows; every epoch must accept.
+	"pipeline": func(seed int64) Scenario {
+		return Scenario{
+			Topology: Topology{App: "wiki", Shards: 1, EpochRequests: 50},
+			Load:     Load{Seed: seed, Requests: 200},
+		}
+	},
+	// pipeline-sharded: the same loop fanned over four shards.
+	"pipeline-sharded": func(seed int64) Scenario {
+		return Scenario{
+			Topology: Topology{App: "wiki", Shards: 4, EpochRequests: 10},
+			Load:     Load{Seed: seed, Requests: 120},
+		}
+	},
 	// acceptance: transient EIO under the auditor from the start, an advice
 	// outage for epoch 2 (a full disk — seed 0 keeps it gapless, a disk
 	// stays full, it does not flicker — while the trusted trace keeps

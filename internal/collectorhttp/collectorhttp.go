@@ -156,7 +156,7 @@ func (cfg Config) commitMode() CommitMode {
 }
 
 // Meta is the sidecar record written next to the epoch log so offline tools
-// (karousos-audit, karousos-auditd) know how to re-execute the epochs.
+// (karousos-audit, karousos audit) know how to re-execute the epochs.
 type Meta struct {
 	App  string      `json:"app"`
 	Mode advice.Mode `json:"mode"`

@@ -59,19 +59,13 @@ type Panel struct {
 	Rows   [][]string
 }
 
-// workloadFor builds the named application's paper workload.
-func workloadFor(app string, mix workload.Mix, n int, seed int64) (harness.AppSpec, []server.Request) {
-	switch app {
-	case "motd":
-		return harness.MOTDApp(), workload.MOTD(n, mix, seed)
-	case "stacks":
-		return harness.StacksApp(), workload.Stacks(n, mix, seed, workload.DefaultStacksOptions())
-	case "wiki":
-		return harness.WikiApp(), workload.Wiki(n, seed)
-	case "feeds":
-		return harness.FeedsApp(), workload.Feeds(n, mix, seed)
-	}
-	panic("experiments: unknown app " + app)
+// AppWorkload resolves the named application and its paper workload.
+func AppWorkload(app string, mix workload.Mix, n int, seed int64) (harness.AppSpec, []server.Request) {
+	spec, err := harness.SpecByName(app)
+	must(err)
+	reqs, err := workload.For(app, mix, n, seed)
+	must(err)
+	return spec, reqs
 }
 
 func median(ds []time.Duration) time.Duration {
@@ -93,10 +87,10 @@ func ServerOverheadPanel(app string, mix workload.Mix, cfg Config) Panel {
 		var unmod, kar []time.Duration
 		for tr := 0; tr < cfg.Trials; tr++ {
 			seed := cfg.Seed + int64(tr)
-			spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
+			spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 			du, err := harness.ServeWarm(spec, reqs, cfg.Warmup, conc, seed, harness.CollectNone)
 			must(err)
-			spec, reqs = workloadFor(app, mix, cfg.Requests, cfg.Seed)
+			spec, reqs = AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 			dk, err := harness.ServeWarm(spec, reqs, cfg.Warmup, conc, seed, harness.CollectKarousos)
 			must(err)
 			unmod = append(unmod, du)
@@ -123,7 +117,7 @@ func VerificationPanel(app string, mix workload.Mix, cfg Config) Panel {
 		var kg, og int
 		for tr := 0; tr < cfg.Trials; tr++ {
 			seed := cfg.Seed + int64(tr)
-			spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
+			spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 			run, err := harness.Serve(spec, reqs, conc, seed, harness.CollectBoth)
 			must(err)
 			vk := harness.VerifyKarousos(spec, run.Trace, run.Karousos)
@@ -158,7 +152,7 @@ func WorkerSweepPanel(app string, mix workload.Mix, cfg Config) Panel {
 		Title:  fmt.Sprintf("karousos audit worker sweep — %s (%s), %d requests, conc %d", app, mix, cfg.Requests, conc),
 		Header: []string{"workers", "karousos", "speedup", "groups"},
 	}
-	spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
+	spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 	run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectKarousos)
 	must(err)
 	var base time.Duration
@@ -194,7 +188,7 @@ func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 		Header: []string{"conc", "karousos", "orochi-js", "ratio"},
 	}
 	for _, conc := range cfg.Conc {
-		spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
+		spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 		run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectBoth)
 		must(err)
 		k, o := run.Karousos.Size(), run.Orochi.Size()

@@ -34,7 +34,7 @@ const memoEpochs = 16
 // per batch: each epoch is the same base stream rewritten by
 // workload.WithRepeats at the given fraction, with the recurring
 // sub-stream bit-identical across epochs and the remainder re-seeded per
-// epoch — exactly the log karousos-auditd -memo is built for.
+// epoch — exactly the log `karousos audit -memo` is built for.
 func BuildMemoLog(dir string, epochs, perEpoch int, repeat float64, seed int64) error {
 	col, err := collectorhttp.New(collectorhttp.Config{
 		Spec:          harness.FeedsApp(),

@@ -35,7 +35,7 @@ func shardEpochRequests(requests, shards int) int {
 // BuildShardTopology serves the wiki workload through a local gateway
 // over the given shard count and leaves the sealed topology under root:
 // shardmap.json plus one epoch log per shard, exactly what
-// karousos-auditd audit -shards consumes.
+// `karousos audit` consumes.
 func BuildShardTopology(root string, shards, requests int, seed int64) error {
 	top, err := gateway.NewLocal(gateway.LocalConfig{
 		Spec:          harness.WikiApp(),

@@ -15,6 +15,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -23,6 +24,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"karousos.dev/karousos/internal/fault"
 )
 
 // MemberSpec describes one supervised process.
@@ -71,7 +74,7 @@ type Config struct {
 	// ReadyTimeout bounds one member's readiness wait (default 15s).
 	ReadyTimeout time.Duration
 	// RestartBackoff is the delay before the first restart, doubling per
-	// consecutive restart (default 100ms).
+	// consecutive restart up to a minute (default 100ms).
 	RestartBackoff time.Duration
 	// Logf receives supervisor events (spawn, crash, restart, stop). nil
 	// writes "[fleet] " lines to Output when that is set, else discards.
@@ -103,6 +106,10 @@ type Supervisor struct {
 	members []*member
 	byName  map[string]*member
 	wg      sync.WaitGroup
+	// ctx is cancelled by Stop, so a member mid-back-off is abandoned at
+	// once instead of after its whole delay.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu      sync.Mutex
 	started bool
@@ -121,6 +128,7 @@ func New(cfg Config) (*Supervisor, error) {
 		cfg.RestartBackoff = 100 * time.Millisecond
 	}
 	s := &Supervisor{cfg: cfg, byName: make(map[string]*member, len(cfg.Members))}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if cfg.Output != nil {
 		// One lock serializes every writer into Output: member stdout/stderr
 		// copiers and the supervisor's own log lines all interleave here.
@@ -231,9 +239,12 @@ func (s *Supervisor) monitor(m *member, cmd *exec.Cmd) {
 	}
 	// Crash: pay one restart, with a doubling backoff so a hot-crashing
 	// member cannot spin the supervisor.
-	delay := s.cfg.RestartBackoff << uint(restarts)
-	s.logf("fleet: %s died (%s); restart %d/%d in %v", m.spec.Name, exit, restarts+1, m.budget, delay)
-	time.Sleep(delay)
+	s.logf("fleet: %s died (%s); restart %d/%d", m.spec.Name, exit, restarts+1, m.budget)
+	backoff := fault.Backoff{Base: s.cfg.RestartBackoff, Max: time.Minute}
+	if backoff.Wait(s.ctx, restarts) != nil {
+		close(m.dead)
+		return
+	}
 	m.mu.Lock()
 	if m.stopping {
 		m.mu.Unlock()
@@ -367,6 +378,7 @@ func (s *Supervisor) Stop(grace time.Duration) error {
 	}
 	s.stopped = true
 	s.mu.Unlock()
+	s.cancel()
 	for i := len(s.members) - 1; i >= 0; i-- {
 		m := s.members[i]
 		m.mu.Lock()
@@ -436,7 +448,7 @@ func (p *prefixWriter) Write(b []byte) (int, error) {
 	data := append(p.tail, b...)
 	p.tail = nil
 	for {
-		i := indexByte(data, '\n')
+		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
 			p.tail = append(p.tail, data...)
 			break
@@ -451,13 +463,4 @@ func (p *prefixWriter) Write(b []byte) (int, error) {
 		}
 	}
 	return len(b), nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
 }

@@ -55,6 +55,32 @@ func TestRestartBudgetExhausts(t *testing.T) {
 	}
 }
 
+// TestStopInterruptsRestartBackoff: Stop during a member's restart back-off
+// returns at once — it does not sit out the delay.
+func TestStopInterruptsRestartBackoff(t *testing.T) {
+	sup, err := New(Config{
+		Members:        []MemberSpec{shMember("crasher", "exit 7", 2)},
+		RestartBackoff: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the crash", func() bool { return !sup.Status()[0].Running })
+	start := time.Now()
+	if err := sup.Stop(time.Second); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("Stop took %v: it waited out the restart back-off", took)
+	}
+	if st := sup.Status()[0]; st.Running || st.Restarts != 0 {
+		t.Fatalf("after stop: %+v", st)
+	}
+}
+
 // TestKillTriggersRestart: SIGKILL-ing a healthy member is repaired by
 // the supervisor within the budget.
 func TestKillTriggersRestart(t *testing.T) {

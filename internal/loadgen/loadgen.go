@@ -114,25 +114,11 @@ type Result struct {
 
 // requests builds the deterministic request stream for cfg.
 func requests(cfg Config) ([]server.Request, error) {
-	mix := cfg.Mix
-	if mix == "" {
-		mix = workload.Mixed
+	reqs, err := workload.For(cfg.App, cfg.Mix, cfg.Requests, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	app := strings.ToLower(cfg.App)
-	var reqs []server.Request
-	switch app {
-	case "", "motd":
-		reqs = workload.MOTD(cfg.Requests, mix, cfg.Seed)
-	case "stacks":
-		reqs = workload.Stacks(cfg.Requests, mix, cfg.Seed, workload.DefaultStacksOptions())
-	case "wiki":
-		reqs = workload.Wiki(cfg.Requests, cfg.Seed)
-	case "feeds":
-		reqs = workload.Feeds(cfg.Requests, mix, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("loadgen: unknown app %q", cfg.App)
-	}
-	return workload.WithRepeats(reqs, app, cfg.RepeatMix, cfg.Seed)
+	return workload.WithRepeats(reqs, cfg.App, cfg.RepeatMix, cfg.Seed)
 }
 
 // SlowBody trickles a payload out in small delayed chunks — a client on a

@@ -133,6 +133,7 @@ func TestOpenLoopShedsLocally(t *testing.T) {
 
 	res, err := Run(context.Background(), Config{
 		BaseURL:        ts.URL,
+		App:            "motd",
 		Requests:       64,
 		MaxOutstanding: 1,
 		Client:         ts.Client(),

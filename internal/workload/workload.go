@@ -41,6 +41,27 @@ func (m Mix) writeFraction() float64 {
 	panic(fmt.Sprintf("workload: unknown mix %q", m))
 }
 
+// For builds app's request stream: the one table from application name
+// (the names harness.SpecByName resolves) to workload generator. mix shapes
+// motd, stacks and feeds (empty means Mixed); wiki has the paper's fixed
+// 25/15/60 mix. An unknown app is an error, never a silent default.
+func For(app string, mix Mix, n int, seed int64) ([]server.Request, error) {
+	if mix == "" {
+		mix = Mixed
+	}
+	switch app {
+	case "motd":
+		return MOTD(n, mix, seed), nil
+	case "stacks":
+		return Stacks(n, mix, seed, DefaultStacksOptions()), nil
+	case "wiki":
+		return Wiki(n, seed), nil
+	case "feeds":
+		return Feeds(n, mix, seed), nil
+	}
+	return nil, fmt.Errorf("workload: unknown app %q (motd, stacks, wiki, feeds)", app)
+}
+
 var days = []string{"mon", "tue", "wed", "thu", "fri", "sat", "sun"}
 
 var messages = []string{

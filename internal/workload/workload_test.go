@@ -4,7 +4,24 @@ import (
 	"testing"
 
 	"karousos.dev/karousos/internal/apps/appkit"
+	"karousos.dev/karousos/internal/harness"
 )
+
+// TestForMatchesSpecByName: the app→workload table and the app→spec table
+// accept exactly the same names — a served app always has a workload, and
+// an unknown name fails loudly in both instead of defaulting to wiki.
+func TestForMatchesSpecByName(t *testing.T) {
+	for _, name := range []string{"motd", "stacks", "wiki", "feeds", "", "nope", "Wiki", "helpdesk"} {
+		_, specErr := harness.SpecByName(name)
+		reqs, err := For(name, "", 5, 1)
+		if (specErr == nil) != (err == nil) {
+			t.Errorf("%q: SpecByName err %v, For err %v", name, specErr, err)
+		}
+		if err == nil && len(reqs) != 5 {
+			t.Errorf("%q: %d requests, want 5", name, len(reqs))
+		}
+	}
+}
 
 func TestMOTDMixRatios(t *testing.T) {
 	for _, tc := range []struct {

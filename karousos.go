@@ -349,8 +349,8 @@ func ApplyFault(spec string, wire []byte) ([]byte, error) {
 // Continuous auditing (the epoch pipeline): a collector serves an
 // application over HTTP, recording the trusted trace into a durable epoch
 // log; an incremental auditor tails the log and audits each sealed epoch
-// with the dictionary state carried from the previous one. See
-// cmd/karousos-auditd and DESIGN.md §10.
+// with the dictionary state carried from the previous one. See cmd/karousos
+// and DESIGN.md §10.
 type (
 	// CarryState is the trusted cross-epoch dictionary state an accepting
 	// audit produces for the next epoch's audit.
@@ -359,10 +359,6 @@ type (
 	AuditorStatus = auditd.Status
 	// EpochReject is the machine-readable per-epoch rejection.
 	EpochReject = auditd.Reject
-	// PipelineOptions configures RunPipeline.
-	PipelineOptions = auditd.PipelineOptions
-	// PipelineResult summarizes a pipeline run.
-	PipelineResult = auditd.PipelineResult
 	// EpochManifest describes one sealed epoch on disk.
 	EpochManifest = epochlog.Manifest
 )
@@ -401,13 +397,6 @@ type MemoCache = memo.Cache
 // NewMemoCache returns a memo cache with the given byte budget
 // (maxBytes <= 0 means unbounded).
 func NewMemoCache(maxBytes int) *MemoCache { return memo.NewCache(maxBytes) }
-
-// RunPipeline serves the workload through the HTTP collector on a loopback
-// listener while the incremental auditor follows the epoch log, and returns
-// once every sealed epoch is audited (or the first epoch rejects).
-func RunPipeline(ctx context.Context, spec AppSpec, reqs []Request, opts PipelineOptions) (*PipelineResult, error) {
-	return auditd.RunPipeline(ctx, spec, reqs, opts)
-}
 
 // ListSealedEpochs lists an epoch log directory's sealed manifests.
 func ListSealedEpochs(dir string) ([]EpochManifest, error) { return epochlog.ListSealed(dir) }
