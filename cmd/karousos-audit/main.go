@@ -24,9 +24,7 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,9 +73,9 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: karousos-audit serve|verify|tamper|faultinject [flags]
 
   serve       run a workload, write trace.json + advice.bin to -out
-  verify      audit a run directory — or, with -epochs, a "karousos serve"
-              epoch log — exits 0 on ACCEPT, 2 on REJECT (with a reason
-              code), 1 on internal error
+  verify      audit a run directory — exits 0 on ACCEPT, 2 on REJECT (with
+              a reason code), 1 on internal error ("karousos audit -dir"
+              audits a "karousos serve" epoch log)
   tamper      flip one response in the stored trace
   faultinject corrupt the stored advice with a catalogue operator (-op)
 
@@ -203,27 +201,12 @@ func verifyCmd(args []string, stdout, stderr io.Writer) int {
 	reasonCode := fs.Bool("reason-code", false, "on rejection, print only the bare reason code on stdout")
 	deadline := fs.Duration("deadline", karousos.DefaultLimits().Deadline, "wall-clock budget for the audit (0 = unbounded)")
 	faultSpec := fs.String("faultinject", "", "corrupt the advice with a catalogue operator (\"op\" or \"op:seed\") before auditing")
-	epochs := fs.String("epochs", "", "audit a `karousos serve` epoch log directory instead of a run directory")
 	workers := fs.Int("workers", 0, "audit parallelism: 0 = GOMAXPROCS, 1 = sequential (verdict identical at every setting)")
 	memoOn := fs.Bool("memo", false, "memoize re-execution across epochs (content-addressed tag-group cache; verdict identical on or off)")
 	memoMax := fs.Int("memo-max-bytes", 256<<20, "memo cache byte budget when -memo is set (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	memoBytes := 0
-	if *memoOn {
-		memoBytes = *memoMax
-		if memoBytes <= 0 {
-			// auditd treats 0 as "disabled"; an explicit -memo with no budget
-			// means unbounded, which the cache spells as a negative budget
-			// being impossible — use a budget far beyond any epoch log.
-			memoBytes = 1 << 40
-		}
-	}
-	if *epochs != "" {
-		return verifyEpochs(*epochs, *deadline, *workers, memoBytes, *reasonCode, stdout, stderr)
-	}
-
 	spec, tr, advBytes, err := loadRun(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, "karousos-audit:", err)
@@ -238,11 +221,10 @@ func verifyCmd(args []string, stdout, stderr io.Writer) int {
 	lim := karousos.DefaultLimits()
 	lim.Deadline = *deadline
 	var cache *karousos.MemoCache
-	if memoBytes > 0 {
-		// A single run directory is one epoch, so the cache cannot hit — but
-		// it exercises the publish path and keeps the flag uniform with
-		// -epochs mode.
-		cache = karousos.NewMemoCache(memoBytes)
+	if *memoOn {
+		// A run directory is one epoch, so the cache cannot hit — but the
+		// flag exercises keying and the publish path.
+		cache = karousos.NewMemoCache(*memoMax)
 	}
 
 	start := time.Now()
@@ -280,36 +262,6 @@ func verifyCmd(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "AUDIT ACCEPTED in %v: %d requests, %d groups, %d handlers re-run, graph %d nodes / %d edges\n",
 		verdict.Elapsed, verdict.Stats.Requests, verdict.Stats.Groups,
 		verdict.Stats.HandlersRerun, verdict.Stats.GraphNodes, verdict.Stats.GraphEdges)
-	return 0
-}
-
-// verifyEpochs audits every sealed epoch of an epoch log directory in
-// order, carrying the verifier's dictionary state across epochs — the
-// offline, unsupervised equivalent of `karousos audit`.
-func verifyEpochs(dir string, deadline time.Duration, workers, memoMaxBytes int, reasonCode bool, stdout, stderr io.Writer) int {
-	lim := karousos.DefaultLimits()
-	lim.Deadline = deadline
-	start := time.Now()
-	st, err := karousos.AuditEpochDir(context.Background(), dir, lim, workers, memoMaxBytes)
-	if err != nil {
-		var rej *karousos.EpochReject
-		if errors.As(err, &rej) {
-			if reasonCode {
-				fmt.Fprintln(stdout, rej.Code)
-			}
-			fmt.Fprintf(stderr, "AUDIT REJECTED epoch %d [%s] after %v: %s\n",
-				rej.Epoch, rej.Code, time.Since(start), rej.Reason)
-			return 2
-		}
-		fmt.Fprintln(stderr, "karousos-audit:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "AUDIT ACCEPTED in %v: %d epochs through epoch %d", time.Since(start), st.Accepted, st.LastAccepted)
-	if memoMaxBytes > 0 {
-		fmt.Fprintf(stdout, " (memo: %d hits, %d misses, %d evictions)",
-			st.Stats.MemoHits, st.Stats.MemoMisses, st.Stats.MemoEvictions)
-	}
-	fmt.Fprintln(stdout)
 	return 0
 }
 

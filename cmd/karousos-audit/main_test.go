@@ -6,16 +6,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"karousos.dev/karousos"
-	"karousos.dev/karousos/internal/collectorhttp"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -117,61 +110,5 @@ func TestFaultinjectList(t *testing.T) {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("catalogue listing missing %s", name)
 		}
-	}
-}
-
-// TestVerifyEpochDir: verify -epochs audits a collector's epoch log
-// offline, accepting an honest log and rejecting one whose sealed advice
-// was corrupted on disk.
-func TestVerifyEpochDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "epochs")
-	col, err := collectorhttp.New(collectorhttp.Config{Spec: karousos.StacksApp(), Dir: dir, EpochRequests: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(col.Handler())
-	for _, r := range karousos.StacksWorkload(30, karousos.Mixed, 5) {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke: status %d", resp.StatusCode)
-		}
-	}
-	ts.Close()
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	code, stdout, stderr := runCLI(t, "verify", "-epochs", dir)
-	if code != 0 {
-		t.Fatalf("verify -epochs exited %d: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "3 epochs through epoch 3") {
-		t.Fatalf("verify output: %s", stdout)
-	}
-
-	blob, err := os.ReadFile(filepath.Join(dir, "ep000001.advice"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blob {
-		blob[i] ^= 0xff
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ep000001.advice"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr = runCLI(t, "verify", "-epochs", dir, "-reason-code")
-	if code != 2 {
-		t.Fatalf("verify of corrupted epoch exited %d: %s", code, stderr)
-	}
-	if strings.TrimSpace(stdout) != "MalformedAdvice" {
-		t.Fatalf("reason code %q, want MalformedAdvice", stdout)
 	}
 }

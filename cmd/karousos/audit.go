@@ -153,7 +153,7 @@ func statusCmd(args []string, stdout, stderr io.Writer) int {
 		if *cp != "" {
 			// A missing or corrupt checkpoint reads as progress zero: the
 			// auditor (re)starts from the beginning, so everything is pending.
-			last, _ := auditd.ProbeCheckpointProgress(nil, auditd.CheckpointPath(*cp, s))
+			last, _, _ := auditd.ProbeCheckpoint(nil, auditd.CheckpointPath(*cp, s))
 			pending := 0
 			for _, m := range sealed {
 				if m.Seq > last {

@@ -178,7 +178,7 @@ func registerCollectorFlags(fs *flag.FlagSet) collectorFlags {
 		epochReqs:   fs.Int("epoch-requests", 50, "seal a collector's epoch after this many requests (0 = /seal endpoint only)"),
 		maxAge:      fs.Duration("epoch-max-age", 0, "seal non-empty epochs older than this (0 = disabled)"),
 		seed:        fs.Int64("seed", 42, "workload and scheduler seed; shard s serves with seed+s"),
-		commit:      fs.String("commit", "group", "trace commit mode: group (one fsync per batch), per-request, async"),
+		commit:      fs.String("commit", "group", "trace commit mode: group (one fsync per batch) or per-request"),
 		maxInflight: fs.Int("max-inflight", 0, "admission window per collector: max requests between admit and durable commit (0 = default 256)"),
 	}
 }

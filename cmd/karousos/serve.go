@@ -45,10 +45,18 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		// The auditor is a separate process; its durable checkpoint is the
 		// one signal both sides already agree on, so lag-based backpressure
 		// and memo telemetry read it instead of inventing an RPC.
-		cfg.AuditProgress = func() (uint64, bool) { return auditd.ReadCheckpointProgress(nil, *auditCkpt) }
+		// Only a missing checkpoint is "no lag signal"; a corrupt one is
+		// known progress zero (see auditd.CheckpointProbe).
+		cfg.AuditProgress = func() (uint64, bool) {
+			last, _, probe := auditd.ProbeCheckpoint(nil, *auditCkpt)
+			return last, probe != auditd.CheckpointMissing
+		}
 		cfg.AuditMemo = func() (collectorhttp.AuditMemoState, bool) {
-			mc, ok := auditd.ReadCheckpointMemo(nil, *auditCkpt)
-			return collectorhttp.AuditMemoState{Hits: mc.Hits, Misses: mc.Misses, Evictions: mc.Evictions}, ok
+			_, mc, _ := auditd.ProbeCheckpoint(nil, *auditCkpt)
+			if mc == nil {
+				return collectorhttp.AuditMemoState{}, false
+			}
+			return collectorhttp.AuditMemoState{Hits: mc.Hits, Misses: mc.Misses, Evictions: mc.Evictions}, true
 		}
 	}
 	col, err := collectorhttp.New(cfg)

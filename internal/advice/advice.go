@@ -3,15 +3,13 @@
 // logs, per-variable variable logs, per-transaction logs, the global write
 // order, opcounts, responseEmittedBy, and recorded non-determinism.
 //
-// The structures here are a wire format — slices and string-keyed maps, all
-// JSON-serializable — because advice size is itself an evaluated quantity
-// (Figure 8). The verifier builds whatever lookup indexes it needs during
-// Preprocess; nothing in this package is trusted.
+// The structures here are a wire format — slices and string-keyed maps,
+// serialized by the binary codec in codec.go — because advice size is itself
+// an evaluated quantity (Figure 8). The verifier builds whatever lookup
+// indexes it needs during Preprocess; nothing in this package is trusted.
 package advice
 
 import (
-	"encoding/json"
-
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/value"
 )
@@ -29,8 +27,8 @@ const (
 // OpAt locates an operation within a known request: the OpNum-th operation
 // of handler HID.
 type OpAt struct {
-	HID   core.HID `json:"hid"`
-	OpNum int      `json:"opnum"`
+	HID   core.HID
+	OpNum int
 }
 
 // HandlerOpKind enumerates handler-log entries (C.1.3).
@@ -57,13 +55,13 @@ func (k HandlerOpKind) String() string {
 // HandlerOp is one entry of a request's handler log: a register, emit, or
 // unregister issued by handler HID as its OpNum-th operation.
 type HandlerOp struct {
-	HID   core.HID       `json:"hid"`
-	OpNum int            `json:"opnum"`
-	Kind  HandlerOpKind  `json:"kind"`
-	Event core.EventName `json:"event,omitempty"` // emit and unregister
+	HID   core.HID
+	OpNum int
+	Kind  HandlerOpKind
+	Event core.EventName // emit and unregister
 	// Events is the set of event names for register operations.
-	Events []core.EventName `json:"events,omitempty"`
-	Fn     core.FunctionID  `json:"fn,omitempty"` // register and unregister
+	Events []core.EventName
+	Fn     core.FunctionID // register and unregister
 }
 
 // AccessType distinguishes variable-log entries.
@@ -85,11 +83,11 @@ func (a AccessType) String() string {
 // reference the write they observe; WRITE entries carry the value written and
 // reference the write they overwrite (absent for lazily-logged writes).
 type VarLogEntry struct {
-	Op      core.Op    `json:"op"`
-	Type    AccessType `json:"type"`
-	Value   value.V    `json:"value,omitempty"` // writes only
-	HasPrec bool       `json:"hasPrec,omitempty"`
-	Prec    core.Op    `json:"prec,omitempty"`
+	Op      core.Op
+	Type    AccessType
+	Value   value.V // writes only
+	HasPrec bool
+	Prec    core.Op
 }
 
 // TxPos locates an operation inside the transaction logs: the Index-th
@@ -103,8 +101,8 @@ type TxPos struct {
 // ScanRead is one row of a range read's alleged result set: the key and the
 // position of its dictating write.
 type ScanRead struct {
-	Key      string `json:"key"`
-	ReadFrom TxPos  `json:"readFrom"`
+	Key      string
+	ReadFrom TxPos
 }
 
 // TxOp is one entry of a transaction log (C.1.3): the operation's issuing
@@ -112,72 +110,72 @@ type ScanRead struct {
 // written contents (PUT), the position of the dictating write (GET; nil when
 // the row was absent), and the alleged result set (SCAN).
 type TxOp struct {
-	HID      core.HID      `json:"hid"`
-	OpNum    int           `json:"opnum"`
-	Type     core.TxOpType `json:"type"`
-	Key      string        `json:"key,omitempty"`
-	Contents value.V       `json:"contents,omitempty"`
-	ReadFrom *TxPos        `json:"readFrom,omitempty"`
-	ReadSet  []ScanRead    `json:"readSet,omitempty"`
+	HID      core.HID
+	OpNum    int
+	Type     core.TxOpType
+	Key      string
+	Contents value.V
+	ReadFrom *TxPos
+	ReadSet  []ScanRead
 }
 
 // TxLog is the ordered operation log of one transaction.
 type TxLog struct {
-	RID core.RID  `json:"rid"`
-	TID core.TxID `json:"tid"`
-	Ops []TxOp    `json:"ops"`
+	RID core.RID
+	TID core.TxID
+	Ops []TxOp
 }
 
 // TxOrderEvent is one entry of the alleged begin/commit order (snapshot
 // isolation only): Kind 0 is begin, 1 is commit.
 type TxOrderEvent struct {
-	Kind uint8     `json:"kind"`
-	RID  core.RID  `json:"rid"`
-	TID  core.TxID `json:"tid"`
+	Kind uint8
+	RID  core.RID
+	TID  core.TxID
 }
 
 // NondetEntry records the result of one non-deterministic operation (§5).
 type NondetEntry struct {
-	Op    core.Op `json:"op"`
-	Value value.V `json:"value"`
+	Op    core.Op
+	Value value.V
 }
 
 // Advice is everything the untrusted server reports for one audit period.
 type Advice struct {
-	Mode Mode `json:"mode"`
+	Mode Mode
 
 	// Tags maps each request to its control-flow group tag (§4.1):
 	// requests with equal tags allegedly replay together.
-	Tags map[core.RID]string `json:"tags"`
+	Tags map[core.RID]string
 
 	// OpCounts maps each executed handler activation to the number of
 	// operations it issued (C.1.3's opcounts).
-	OpCounts map[core.RID]map[core.HID]int `json:"opcounts"`
+	OpCounts map[core.RID]map[core.HID]int
 
 	// ResponseEmittedBy names, per request, the handler that delivered the
 	// response and how many operations it had issued beforehand.
-	ResponseEmittedBy map[core.RID]OpAt `json:"responseEmittedBy"`
+	ResponseEmittedBy map[core.RID]OpAt
 
 	// HandlerLogs holds each request's ordered handler-operation log (§4.1).
-	HandlerLogs map[core.RID][]HandlerOp `json:"handlerLogs"`
+	HandlerLogs map[core.RID][]HandlerOp
 
 	// VarLogs holds each loggable variable's log (§4.2, Figure 13).
-	VarLogs map[core.VarID][]VarLogEntry `json:"varLogs"`
+	VarLogs map[core.VarID][]VarLogEntry
 
 	// TxLogs holds the per-transaction operation logs (§4.4).
-	TxLogs []TxLog `json:"txLogs"`
+	TxLogs []TxLog
 
 	// WriteOrder is the alleged global order of installed writes (§4.4),
 	// derived from the store's binlog at an honest server.
-	WriteOrder []TxPos `json:"writeOrder"`
+	WriteOrder []TxPos
 
 	// TxOrder is the alleged global begin/commit order, present only when
 	// the store runs snapshot isolation (Adya's G-SI phenomena are defined
 	// over it).
-	TxOrder []TxOrderEvent `json:"txOrder,omitempty"`
+	TxOrder []TxOrderEvent
 
 	// Nondet holds recorded non-deterministic results (§5).
-	Nondet []NondetEntry `json:"nondet"`
+	Nondet []NondetEntry
 }
 
 // New returns an empty advice in the given mode with all maps allocated.
@@ -192,21 +190,6 @@ func New(mode Mode) *Advice {
 	}
 }
 
-// Marshal serializes the advice; the result's length is the advice size the
-// Figure 8 experiments report.
-func (a *Advice) Marshal() ([]byte, error) {
-	return json.Marshal(a)
-}
-
-// Unmarshal parses serialized advice.
-func Unmarshal(data []byte) (*Advice, error) {
-	var a Advice
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
 // Size returns the size of the advice in the binary wire format — the bytes
 // a server would ship to the verifier, which is what the Figure 8
 // experiments report.
@@ -214,16 +197,12 @@ func (a *Advice) Size() int {
 	return len(a.MarshalBinary())
 }
 
-// Clone deep-copies the advice via serialization; attack tests mutate clones
-// so one honest run can feed many adversarial audits.
+// Clone deep-copies the advice through the binary wire format; attack tests
+// mutate clones so one honest run can feed many adversarial audits.
 func (a *Advice) Clone() *Advice {
-	b, err := a.Marshal()
+	out, err := UnmarshalBinary(a.MarshalBinary())
 	if err != nil {
-		panic("advice: marshal failed: " + err.Error())
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		panic("advice: unmarshal failed: " + err.Error())
+		panic("advice: clone failed to decode its own encoding: " + err.Error())
 	}
 	return out
 }

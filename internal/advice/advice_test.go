@@ -110,19 +110,6 @@ func adviceEqual(t *testing.T, a, b *Advice) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	a := sampleAdvice()
-	data, err := a.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adviceEqual(t, a, b)
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	a := sampleAdvice()
 	b, err := UnmarshalBinary(a.MarshalBinary())

@@ -14,9 +14,8 @@ import (
 // This file implements the compact binary wire format for advice. Advice is
 // measured (Figure 8) and shipped from server to verifier on every audit, and
 // the verifier's turnaround time includes decoding it, so the codec matters
-// to the evaluation. JSON remains available (Marshal/Unmarshal) for
-// debugging and for the attack tests' structured mutation, but the harness
-// moves advice in this format.
+// to the evaluation. It is the only serialization of advice: the one that is
+// fuzzed, clamped, shipped, and (through Clone) used by the attack tests.
 //
 // The format is deliberately simple — tag bytes, unsigned varints, explicit
 // lengths — and the decoder treats its input as untrusted: every length is

@@ -100,72 +100,117 @@ func sortedWriteKeys(h *History) []string {
 	return keys
 }
 
-// DSG builds the direct serialization graph with the edge families required
-// by the given level. Nodes are exactly the committed transactions; edges
-// never connect a transaction to itself.
-func DSG(h *History, level Level) *graph.Graph[TxKey] {
-	committed := make(map[TxKey]bool, len(h.Committed))
-	dg := graph.New[TxKey]()
+// txIndex numbers the committed transactions 0..n-1 in History.Committed
+// order, so the dependency graphs are graph.Dense over those indexes: roots
+// are visited and successors followed in the same order as a graph keyed by
+// TxKey in insertion order would, and every reported cycle is the same.
+type txIndex struct {
+	keys []TxKey
+	id   map[TxKey]uint32
+}
+
+func indexCommitted(h *History) txIndex {
+	x := txIndex{id: make(map[TxKey]uint32, len(h.Committed))}
 	for _, t := range h.Committed {
-		committed[t] = true
-		dg.AddNode(t)
+		if _, dup := x.id[t]; !dup {
+			x.id[t] = uint32(len(x.keys))
+			x.keys = append(x.keys, t)
+		}
+	}
+	return x
+}
+
+// newGraph returns a graph whose nodes are exactly the committed
+// transactions.
+func (x txIndex) newGraph() *graph.Dense {
+	d := graph.NewDense(len(x.keys))
+	for i := range x.keys {
+		d.AddNode(uint32(i))
+	}
+	return d
+}
+
+// pair resolves a dependency a→b to node ids; ok is false for a self edge
+// or when either end is not committed.
+func (x txIndex) pair(a, b TxKey) (ia, ib uint32, ok bool) {
+	ia, okA := x.id[a]
+	ib, okB := x.id[b]
+	return ia, ib, okA && okB && a != b
+}
+
+// readersOf maps each installed version to its committed readers.
+func (x txIndex) readersOf(h *History) map[Write][]TxKey {
+	m := make(map[Write][]TxKey)
+	for _, r := range h.Reads {
+		if _, ok := x.id[r.By]; ok {
+			m[r.From] = append(m[r.From], r.By)
+		}
+	}
+	return m
+}
+
+// DSG builds the direct serialization graph with the edge families required
+// by the given level. Node i is the i-th distinct transaction of
+// h.Committed; edges never connect a transaction to itself.
+func DSG(h *History, level Level) *graph.Dense {
+	dg, _ := buildDSG(h, level)
+	return dg
+}
+
+func buildDSG(h *History, level Level) (*graph.Dense, txIndex) {
+	x := indexCommitted(h)
+	dg := x.newGraph()
+	add := func(a, b TxKey) {
+		if ia, ib, ok := x.pair(a, b); ok {
+			dg.AddEdge(ia, ib)
+		}
 	}
 
 	// ww (write-depend) edges: consecutive installed versions of a key.
 	for _, key := range sortedWriteKeys(h) {
 		order := h.WriteOrderPerKey[key]
 		for j := 0; j+1 < len(order); j++ {
-			a, b := order[j].Tx, order[j+1].Tx
-			if a != b && committed[a] && committed[b] {
-				dg.AddEdge(a, b)
-			}
+			add(order[j].Tx, order[j+1].Tx)
 		}
 	}
 
 	if level == ReadUncommitted {
-		return dg
+		return dg, x
 	}
 
 	// wr (read-depend) edges: reader reads a version the writer installed.
 	for _, r := range h.Reads {
-		a, b := r.From.Tx, r.By
-		if a != b && committed[a] && committed[b] {
-			dg.AddEdge(a, b)
-		}
+		add(r.From.Tx, r.By)
 	}
 
 	if level == ReadCommitted {
-		return dg
+		return dg, x
 	}
 
 	// rw (anti-depend) edges: a committed transaction read version v of a
 	// key, and another transaction installed the version immediately after
 	// v in the version order.
-	readersOf := make(map[Write][]TxKey)
-	for _, r := range h.Reads {
-		if committed[r.By] {
-			readersOf[r.From] = append(readersOf[r.From], r.By)
-		}
-	}
+	readersOf := x.readersOf(h)
 	for _, key := range sortedWriteKeys(h) {
 		order := h.WriteOrderPerKey[key]
 		for j := 0; j+1 < len(order); j++ {
-			next := order[j+1].Tx
 			for _, reader := range readersOf[order[j]] {
-				if reader != next && committed[reader] && committed[next] {
-					dg.AddEdge(reader, next)
-				}
+				add(reader, order[j+1].Tx)
 			}
 		}
 	}
-	return dg
+	return dg, x
 }
 
 // Check verifies that the history satisfies the isolation level: it builds
 // the level's DSG and reports the phenomenon (a cycle) if one exists.
 func Check(h *History, level Level) error {
-	dg := DSG(h, level)
-	if cycle := dg.FindCycle(); cycle != nil {
+	dg, x := buildDSG(h, level)
+	if ids := dg.FindCycle(); ids != nil {
+		cycle := make([]TxKey, len(ids))
+		for i, id := range ids {
+			cycle[i] = x.keys[id]
+		}
 		return &ViolationError{Level: level, Cycle: cycle}
 	}
 	return nil
@@ -210,9 +255,8 @@ func CheckSI(h *History, times map[TxKey]TxTimes) error {
 	if err := Check(h, ReadCommitted); err != nil {
 		return err
 	}
-	committed := make(map[TxKey]bool, len(h.Committed))
-	for _, t := range h.Committed {
-		committed[t] = true
+	x := indexCommitted(h)
+	for _, t := range x.keys {
 		tt, ok := times[t]
 		if !ok {
 			return fmt.Errorf("adya: committed transaction %v has no begin/commit times", t)
@@ -223,19 +267,17 @@ func CheckSI(h *History, times map[TxKey]TxTimes) error {
 	}
 
 	// Dependency (ww+wr) edges, for G-SIa and the G-SIb reachability test.
-	dep := graph.New[TxKey]()
-	for _, t := range h.Committed {
-		dep.AddNode(t)
-	}
+	dep := x.newGraph()
 	checkDep := func(a, b TxKey) error {
-		if a == b || !committed[a] || !committed[b] {
+		ia, ib, ok := x.pair(a, b)
+		if !ok {
 			return nil
 		}
 		if times[a].Commit >= times[b].Begin {
 			return fmt.Errorf("adya: snapshot isolation violated (G-SIa): %v depends on %v, which committed at %d, after %v began at %d",
 				b, a, times[a].Commit, b, times[b].Begin)
 		}
-		dep.AddEdge(a, b)
+		dep.AddEdge(ia, ib)
 		return nil
 	}
 	for _, key := range sortedWriteKeys(h) {
@@ -254,24 +296,14 @@ func CheckSI(h *History, times map[TxKey]TxTimes) error {
 
 	// G-SIb: an anti-dependency edge a→b closing a dependency-only path
 	// b→…→a forms a cycle with exactly one anti-dependency edge.
-	readersOf := make(map[Write][]TxKey)
-	for _, r := range h.Reads {
-		if committed[r.By] {
-			readersOf[r.From] = append(readersOf[r.From], r.By)
-		}
-	}
+	readersOf := x.readersOf(h)
 	for _, key := range sortedWriteKeys(h) {
 		order := h.WriteOrderPerKey[key]
 		for j := 0; j+1 < len(order); j++ {
 			next := order[j+1].Tx
 			for _, reader := range readersOf[order[j]] {
-				if reader == next || !committed[reader] || !committed[next] {
-					continue
-				}
-				if next == reader {
-					continue
-				}
-				if dep.Reachable(next, reader) {
+				ir, in, ok := x.pair(reader, next)
+				if ok && dep.Reachable(in, ir) {
 					return fmt.Errorf("adya: snapshot isolation violated (G-SIb): anti-dependency %v→%v closes a dependency cycle", reader, next)
 				}
 			}

@@ -606,13 +606,14 @@ func writeCheckpoint(fsys iofault.FS, path string, cp checkpoint) error {
 	return nil
 }
 
-// CheckpointProbe classifies what ProbeCheckpointProgress found at the
-// checkpoint path. The distinction matters to admission control: "no
-// checkpoint yet" means no auditor has been attached, so there is no lag
-// signal and the window stays open, while a corrupt checkpoint means an
-// auditor exists but its progress marker is unreadable — the auditor will
-// quarantine it and restart from zero, so progress *is* known (zero) and
-// the window should tighten against the real backlog.
+// CheckpointProbe classifies what ProbeCheckpoint found at the checkpoint
+// path. The distinction matters to admission control: "no checkpoint yet"
+// means no auditor has been attached, so there is no lag signal and the
+// window stays open, while a corrupt checkpoint means an auditor exists but
+// its progress marker is unreadable — the auditor will quarantine it and
+// restart from zero, so progress *is* known (zero) and the window should
+// tighten against the real backlog. (Reading a torn checkpoint as "no
+// auditor" would release backpressure exactly when the backlog is largest.)
 type CheckpointProbe int
 
 const (
@@ -627,58 +628,30 @@ const (
 	CheckpointCorrupt
 )
 
-// ProbeCheckpointProgress reports the newest epoch an auditor process has
-// graded, read from its checkpoint file, along with what it found there.
-// The probe is advisory — collectors poll it to measure audit lag for
-// admission backpressure — so no failure mode surfaces as an error.
-func ProbeCheckpointProgress(fsys iofault.FS, path string) (lastProcessed uint64, probe CheckpointProbe) {
+// ProbeCheckpoint is how a process other than the auditor reads its
+// checkpoint file: the newest epoch the auditor has graded, the memo-cache
+// counters it last checkpointed (nil when it runs without memoization), and
+// what was found at the path. The probe is advisory — collectors poll it for
+// admission backpressure and /healthz telemetry, `karousos status` for
+// pending counts — so no failure mode surfaces as an error; anything but
+// CheckpointOK reports progress zero and no counters.
+func ProbeCheckpoint(fsys iofault.FS, path string) (lastProcessed uint64, memo *MemoCounters, probe CheckpointProbe) {
 	if fsys == nil {
 		fsys = iofault.OS
 	}
 	blob, err := fsys.ReadFile(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		return 0, CheckpointMissing //karousos:errladder-ok advisory progress probe; no checkpoint yet reads as missing
+		return 0, nil, CheckpointMissing //karousos:errladder-ok advisory probe; no checkpoint yet reads as missing
 	case err != nil:
-		return 0, CheckpointCorrupt //karousos:errladder-ok advisory progress probe; an unreadable checkpoint reads as corrupt, not surfaced
+		return 0, nil, CheckpointCorrupt //karousos:errladder-ok advisory probe; an unreadable checkpoint reads as corrupt, not surfaced
 	}
 	var cp checkpoint
 	if err := json.Unmarshal(blob, &cp); err != nil {
-		return 0, CheckpointCorrupt //karousos:errladder-ok advisory progress probe; a torn checkpoint reads as corrupt, not surfaced
+		return 0, nil, CheckpointCorrupt //karousos:errladder-ok advisory probe; a torn checkpoint reads as corrupt, not surfaced
 	}
 	if cp.LastProcessed < cp.LastAccepted {
 		cp.LastProcessed = cp.LastAccepted
 	}
-	return cp.LastProcessed, CheckpointOK
-}
-
-// ReadCheckpointMemo reports the memo-cache counters an auditor process
-// last checkpointed, for the collector's /healthz payload. Advisory like
-// the progress probe: ok is false when there is no checkpoint or the
-// auditor runs without memoization.
-func ReadCheckpointMemo(fsys iofault.FS, path string) (MemoCounters, bool) {
-	if fsys == nil {
-		fsys = iofault.OS
-	}
-	blob, err := fsys.ReadFile(path)
-	if err != nil {
-		return MemoCounters{}, false //karousos:errladder-ok advisory telemetry probe; an unreadable checkpoint reads as no-signal
-	}
-	var cp checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil || cp.Memo == nil {
-		return MemoCounters{}, false //karousos:errladder-ok advisory telemetry probe; a torn or memo-less checkpoint reads as no-signal
-	}
-	return *cp.Memo, true
-}
-
-// ReadCheckpointProgress is the admission-control view of the probe: ok is
-// false only when there is no checkpoint at all (no lag signal — the
-// window stays open). A corrupt checkpoint reports progress zero with
-// ok=true: the attached auditor restarts from zero, so the whole sealed
-// prefix is real lag and the window must tighten. Before this
-// distinction, a torn checkpoint read as "no auditor", silently releasing
-// backpressure exactly when the backlog was at its largest.
-func ReadCheckpointProgress(fsys iofault.FS, path string) (lastProcessed uint64, ok bool) {
-	last, probe := ProbeCheckpointProgress(fsys, path)
-	return last, probe != CheckpointMissing
+	return cp.LastProcessed, cp.Memo, CheckpointOK
 }

@@ -404,86 +404,76 @@ func TestPrefetchByteBound(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointProgress: the advisory lag probe reads the checkpoint
-// another auditor wrote; absence or corruption reads as unknown.
-func TestReadCheckpointProgress(t *testing.T) {
-	cpPath := filepath.Join(t.TempDir(), "checkpoint.json")
-	if _, ok := ReadCheckpointProgress(nil, cpPath); ok {
-		t.Fatal("missing checkpoint reported progress")
+// TestProbeCheckpoint: the one advisory reader of another process's
+// checkpoint, one row per state of the file. The missing and corrupt rows
+// are the regression for their conflation: a missing checkpoint means no
+// auditor is attached (no lag signal; admission window stays open); a
+// corrupt one means the auditor will quarantine it and restart from zero
+// (progress zero is *known*, and the window must tighten against the whole
+// sealed prefix). The old probe reported both as "unknown", releasing
+// backpressure exactly when a torn checkpoint had made the backlog largest.
+func TestProbeCheckpoint(t *testing.T) {
+	// readFault makes a present checkpoint unreadable: corrupt, not
+	// missing — the auditor cannot resume from it.
+	readFault := iofault.NewInjector(iofault.OS)
+	if err := readFault.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: "checkpoint.json"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		contents string // "" leaves the file absent
+		fs       iofault.FS
+		wantLast uint64
+		wantMemo *MemoCounters
+		want     CheckpointProbe
+	}{
+		{name: "missing", want: CheckpointMissing},
+		{name: "torn", contents: "{torn", want: CheckpointCorrupt},
+		{name: "good", contents: `{"lastAccepted":3,"lastProcessed":5}`, wantLast: 5, want: CheckpointOK},
+		{name: "pre-lastProcessed schema", contents: `{"lastAccepted":3}`, wantLast: 3, want: CheckpointOK},
+		{name: "with memo counters", contents: `{"lastAccepted":2,"memo":{"hits":7,"misses":4,"evictions":1}}`,
+			wantLast: 2, wantMemo: &MemoCounters{Hits: 7, Misses: 4, Evictions: 1}, want: CheckpointOK},
+		{name: "read-faulted", contents: `{"lastAccepted":3,"lastProcessed":5}`, fs: readFault, want: CheckpointCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cpPath := filepath.Join(t.TempDir(), "checkpoint.json")
+			if tc.contents != "" {
+				if err := os.WriteFile(cpPath, []byte(tc.contents), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last, mc, probe := ProbeCheckpoint(tc.fs, cpPath)
+			if last != tc.wantLast || probe != tc.want {
+				t.Fatalf("probe = %d, %v; want %d, %v", last, probe, tc.wantLast, tc.want)
+			}
+			if (mc == nil) != (tc.wantMemo == nil) || (mc != nil && *mc != *tc.wantMemo) {
+				t.Fatalf("memo counters = %+v, want %+v", mc, tc.wantMemo)
+			}
+		})
 	}
 
-	dir := t.TempDir()
-	col, err := collectorhttp.New(collectorhttp.Config{Spec: harness.MOTDApp(), Dir: dir, EpochRequests: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newLoopback(t, col)
-	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 3, 7))
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
-	aud, err := New(Config{Dir: dir, Checkpoint: cpPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aud.RunOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ReadCheckpointProgress(nil, cpPath)
-	if !ok || got != aud.Status().LastProcessed {
-		t.Fatalf("progress = %d, %v; want %d, true", got, ok, aud.Status().LastProcessed)
-	}
-
-	if err := os.WriteFile(cpPath, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok = ReadCheckpointProgress(nil, cpPath)
-	if !ok || got != 0 {
-		t.Fatalf("corrupt checkpoint = %d, %v; want 0, true (auditor restarts from zero — real lag, not absence)", got, ok)
-	}
-}
-
-// TestProbeCheckpointProgress: regression for the missing-vs-corrupt
-// conflation. A missing checkpoint means no auditor is attached (no lag
-// signal; admission window stays open); a corrupt one means the auditor
-// will quarantine it and restart from zero (progress zero is *known*, and
-// the window must tighten against the whole sealed prefix). The old probe
-// reported both as "unknown", releasing backpressure exactly when a torn
-// checkpoint had made the backlog largest.
-func TestProbeCheckpointProgress(t *testing.T) {
-	cpPath := filepath.Join(t.TempDir(), "checkpoint.json")
-
-	if last, probe := ProbeCheckpointProgress(nil, cpPath); probe != CheckpointMissing || last != 0 {
-		t.Fatalf("missing file: probe = %d, %v; want 0, CheckpointMissing", last, probe)
-	}
-	if _, ok := ReadCheckpointProgress(nil, cpPath); ok {
-		t.Fatal("missing checkpoint must read as no-signal (ok=false)")
-	}
-
-	if err := os.WriteFile(cpPath, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if last, probe := ProbeCheckpointProgress(nil, cpPath); probe != CheckpointCorrupt || last != 0 {
-		t.Fatalf("torn file: probe = %d, %v; want 0, CheckpointCorrupt", last, probe)
-	}
-	if last, ok := ReadCheckpointProgress(nil, cpPath); !ok || last != 0 {
-		t.Fatalf("torn file: progress = %d, %v; want 0, true", last, ok)
-	}
-
-	if err := os.WriteFile(cpPath, []byte(`{"lastAccepted":3,"lastProcessed":5}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if last, probe := ProbeCheckpointProgress(nil, cpPath); probe != CheckpointOK || last != 5 {
-		t.Fatalf("good file: probe = %d, %v; want 5, CheckpointOK", last, probe)
-	}
-
-	// An unreadable-but-present checkpoint (read fault injected via
-	// iofault) is corrupt, not missing: the auditor cannot resume from it.
-	inj := iofault.NewInjector(iofault.OS)
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: "checkpoint.json"}); err != nil {
-		t.Fatal(err)
-	}
-	if last, probe := ProbeCheckpointProgress(inj, cpPath); probe != CheckpointCorrupt || last != 0 {
-		t.Fatalf("read-faulted file: probe = %d, %v; want 0, CheckpointCorrupt", last, probe)
-	}
+	// And the file a real auditor wrote reads back as that auditor's progress.
+	t.Run("written by an auditor", func(t *testing.T) {
+		cpPath := filepath.Join(t.TempDir(), "checkpoint.json")
+		dir := t.TempDir()
+		col, err := collectorhttp.New(collectorhttp.Config{Spec: harness.MOTDApp(), Dir: dir, EpochRequests: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newLoopback(t, col)
+		driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 3, 7))
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+		aud, err := New(Config{Dir: dir, Checkpoint: cpPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := aud.RunOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if last, _, probe := ProbeCheckpoint(nil, cpPath); probe != CheckpointOK || last != aud.Status().LastProcessed {
+			t.Fatalf("probe = %d, %v; want %d, CheckpointOK", last, probe, aud.Status().LastProcessed)
+		}
+	})
 }

@@ -79,12 +79,12 @@ func TestMemoWarmAcrossEpochs(t *testing.T) {
 	}
 
 	// The durable checkpoint doubles as the memo telemetry channel: the
-	// collector's /healthz probes it with ReadCheckpointMemo, so the counters
+	// collector's /healthz probes it with ProbeCheckpoint, so the counters
 	// written on the last accept must round-trip.
-	mc, ok := ReadCheckpointMemo(nil, ckpt)
-	if !ok || mc.Hits != ws.MemoHits || mc.Misses != ws.MemoMisses {
-		t.Fatalf("checkpoint memo counters = %+v (ok=%v), want hits=%d misses=%d",
-			mc, ok, ws.MemoHits, ws.MemoMisses)
+	_, mc, _ := ProbeCheckpoint(nil, ckpt)
+	if mc == nil || mc.Hits != ws.MemoHits || mc.Misses != ws.MemoMisses {
+		t.Fatalf("checkpoint memo counters = %+v, want hits=%d misses=%d",
+			mc, ws.MemoHits, ws.MemoMisses)
 	}
 }
 

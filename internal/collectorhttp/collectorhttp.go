@@ -65,10 +65,6 @@ const (
 	// CommitPerRequest fsyncs every append individually — the naive
 	// durable baseline the bench panel compares group commit against.
 	CommitPerRequest CommitMode = "per-request"
-	// CommitAsync is the legacy mode: appends are buffered by the OS and
-	// only the seal fsyncs. Cheapest, but a crash can lose acknowledged
-	// requests (the recovered epoch seals degraded).
-	CommitAsync CommitMode = "async"
 )
 
 // Config describes one collector instance.
@@ -212,7 +208,7 @@ func New(cfg Config) (*Collector, error) {
 	}
 	commit := cfg.commitMode()
 	switch commit {
-	case CommitGroup, CommitPerRequest, CommitAsync:
+	case CommitGroup, CommitPerRequest:
 	default:
 		return nil, fmt.Errorf("collectorhttp: unknown commit mode %q", commit)
 	}
@@ -414,29 +410,6 @@ func (c *Collector) Handler() http.Handler {
 	return mux
 }
 
-// ack is the durability handle of one trusted-channel append, whichever
-// commit mode produced it.
-type ack interface{ Wait() error }
-
-// doneAck is an already-resolved ack (the CommitAsync path, where the
-// append returns before anything is durable).
-type doneAck struct{ err error }
-
-func (a doneAck) Wait() error { return a.err }
-
-// appendAsync starts one trusted-channel append in the configured commit
-// mode. The durable modes (group, per-request) hand the frame to the epoch
-// log's commit path, which retries transient faults internally; the legacy
-// async mode keeps the retry loop here and defers durability to the seal.
-func (c *Collector) appendAsync(ctx context.Context, e trace.Event) ack {
-	if c.commit == CommitAsync {
-		return doneAck{err: iofault.Retry(ctx, c.cfg.Backoff, func() error {
-			return c.log.AppendEvent(e)
-		})}
-	}
-	return c.log.AppendEventAsync(ctx, e)
-}
-
 // shed refuses an arrival with 429 and a jittered Retry-After hint, so a
 // synchronized burst's retries do not come back in phase.
 func (c *Collector) shed(w http.ResponseWriter, reason string) {
@@ -547,7 +520,7 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	c.ridMu.Lock()
 	c.nextRID++
 	rid := core.RID(fmt.Sprintf("r%08d", c.nextRID))
-	reqAck := c.appendAsync(ctx, trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
+	reqAck := c.log.AppendEventAsync(ctx, trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
 	c.ridMu.Unlock()
 	if err := reqAck.Wait(); err != nil {
 		if errors.Is(err, epochlog.ErrCommitQueueFull) {
@@ -578,7 +551,7 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	// may retry non-idempotently) and the epoch is flagged: its trace is
 	// unbalanced through an infrastructure fault, so the auditor grades it
 	// Unauditable rather than rejected.
-	respAck := c.appendAsync(context.Background(), trace.Event{Kind: trace.Resp, RID: string(rid), Data: out})
+	respAck := c.log.AppendEventAsync(context.Background(), trace.Event{Kind: trace.Resp, RID: string(rid), Data: out})
 	if err := respAck.Wait(); err != nil {
 		c.log.MarkDegraded("response append failed for " + string(rid) + ": " + err.Error())
 	}

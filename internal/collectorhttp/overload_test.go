@@ -178,7 +178,7 @@ func TestCommitModesServeAndSeal(t *testing.T) {
 	if _, err := New(Config{Spec: harness.MOTDApp(), Dir: t.TempDir(), Commit: "bogus"}); err == nil {
 		t.Fatal("New accepted an unknown commit mode")
 	}
-	for _, mode := range []CommitMode{CommitGroup, CommitPerRequest, CommitAsync} {
+	for _, mode := range []CommitMode{CommitGroup, CommitPerRequest} {
 		t.Run(string(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir, Commit: mode, EpochRequests: 2})

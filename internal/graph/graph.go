@@ -4,6 +4,10 @@
 // reduce to "insist the graph is acyclic", so the central export is an
 // iterative cycle detector that does not recurse (execution graphs over
 // 600-request audits reach tens of thousands of nodes).
+//
+// Both graphs are built on Dense. The generic Graph has no importer outside
+// this package's tests: it is the map-keyed reference that dense_test.go
+// checks Dense against, differentially.
 package graph
 
 import (
@@ -12,8 +16,10 @@ import (
 	"strconv"
 )
 
-// Graph is a directed graph over comparable node keys. The zero value is not
-// usable; construct with New. Adding an edge implicitly adds its endpoints.
+// Graph is a directed graph over comparable node keys — the reference
+// implementation Dense is tested against, not used by the audit. The zero
+// value is not usable; construct with New. Adding an edge implicitly adds
+// its endpoints.
 //
 // Parallel edges are stored as-is rather than deduplicated: the verifier adds
 // the same ordering fact from several advice sources, cycle detection and

@@ -74,77 +74,13 @@ func (v *Verifier) checkVarLogsKnown() {
 	}
 }
 
-func (vv *vvar) dictAppend(op core.Op, val value.V) {
-	k := dkey{rid: op.RID, hid: op.HID}
-	vv.dict[k] = append(vv.dict[k], dictEntry{num: op.Num, val: val})
-}
-
-// The eff-routed mutation helpers: with a nil eff (sequential engine, init
-// replay, carry injection) they mutate the shared vvar directly; with an
-// effect buffer they append to the group's overlay/intent stream and the
-// coordinator replays them in canonical group order (parallel.go).
-
-func (v *Verifier) dictAppendEff(vv *vvar, op core.Op, val value.V, eff *groupEffects) {
-	if eff == nil {
-		vv.dictAppend(op, val)
-		return
-	}
-	k := vkey{varID: vv.id, rid: op.RID, hid: op.HID}
-	eff.overlay[k] = append(eff.overlay[k], dictEntry{num: op.Num, val: val})
-	eff.record(intent{kind: effDict, varID: vv.id, op: op, val: val})
-}
-
-func (v *Verifier) consumeVarEff(vv *vvar, op core.Op, eff *groupEffects) {
-	if eff == nil {
-		vv.consumed[op] = true
-		return
-	}
-	eff.record(intent{kind: effVarConsumed, varID: vv.id, op: op})
-}
-
-func (v *Verifier) readObsEff(vv *vvar, prec, op core.Op, eff *groupEffects) {
-	if eff == nil {
-		vv.readObs[prec] = append(vv.readObs[prec], op)
-		return
-	}
-	eff.record(intent{kind: effReadObs, varID: vv.id, prec: prec, op: op})
-}
-
-// writeObsEff links op as the overwriter of prec. Sequentially the conflict
-// check runs here; a group worker defers it to the merge, where the shared
-// write_observer map reflects every canonically-earlier group — the worker
-// could only check against its private view, which misses cross-group
-// conflicts and would make the loser depend on scheduling.
-func (v *Verifier) writeObsEff(vv *vvar, prec, op core.Op, eff *groupEffects) {
-	if eff == nil {
-		if prev, set := vv.writeObs[prec]; set {
-			core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", prev, op, prec, vv.id)
-		}
-		vv.writeObs[prec] = op
-		return
-	}
-	eff.record(intent{kind: effWriteObs, varID: vv.id, prec: prec, op: op})
-}
-
-func (v *Verifier) initialEff(vv *vvar, op core.Op, eff *groupEffects) {
-	if eff == nil {
-		if vv.initial != nil {
-			core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, *vv.initial, op)
-		}
-		cp := op
-		vv.initial = &cp
-		return
-	}
-	eff.record(intent{kind: effInitial, varID: vv.id, op: op})
-}
-
 // annotateRead implements Figure 20's OnRead for one request: a logged read
 // feeds from its logged dictating write; an unlogged read climbs the handler
 // tree through the version dictionary (FindNearestRPrecedingWrite). Under
 // Orochi-JS semantics every request read must be logged.
-func (v *Verifier) annotateRead(vv *vvar, op core.Op, parentOf map[core.HID]core.HID, eff *groupEffects) value.V {
+func (g *groupExec) annotateRead(vv *vvar, op core.Op) value.V {
 	if e, ok := vv.log[op]; ok {
-		v.consumeVarEff(vv, op, eff)
+		g.effect(intent{kind: effVarConsumed, vv: vv, op: op})
 		if e.Type != advice.AccessRead {
 			core.RejectCodef(core.RejectLogMismatch, "re-executed read %v logged as write", op)
 		}
@@ -155,17 +91,17 @@ func (v *Verifier) annotateRead(vv *vvar, op core.Op, parentOf map[core.HID]core
 		if !ok || pe.Type != advice.AccessWrite {
 			core.Rejectf("logged read %v dictated by missing or non-write entry %v", op, e.Prec)
 		}
-		v.readObsEff(vv, e.Prec, op, eff)
+		g.effect(intent{kind: effReadObs, vv: vv, prec: e.Prec, op: op})
 		return pe.Value
 	}
-	if v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
+	if g.v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
 		core.RejectCodef(core.RejectLogMismatch, "orochi-js: read %v of variable %s is not logged", op, vv.id)
 	}
-	prev, val, found := v.findNearestRPrecedingWrite(vv, op, parentOf, eff)
+	prev, val, found := g.findNearestRPrecedingWrite(vv, op)
 	if !found {
 		core.RejectCodef(core.RejectLogMismatch, "read %v of variable %s precedes every write", op, vv.id)
 	}
-	v.readObsEff(vv, prev, op, eff)
+	g.effect(intent{kind: effReadObs, vv: vv, prec: prev, op: op})
 	return val
 }
 
@@ -175,10 +111,10 @@ func (v *Verifier) annotateRead(vv *vvar, op core.Op, parentOf map[core.HID]core
 // predecessor's write_observer; an unlogged (or lazily logged) write finds
 // its R-preceding predecessor through the dictionary. Exactly one write per
 // variable may have no predecessor — the initializer.
-func (v *Verifier) annotateWrite(vv *vvar, op core.Op, val value.V, parentOf map[core.HID]core.HID, eff *groupEffects) {
-	v.dictAppendEff(vv, op, val, eff)
+func (g *groupExec) annotateWrite(vv *vvar, op core.Op, val value.V) {
+	g.effect(intent{kind: effDict, vv: vv, op: op, val: val})
 	if e, ok := vv.log[op]; ok {
-		v.consumeVarEff(vv, op, eff)
+		g.effect(intent{kind: effVarConsumed, vv: vv, op: op})
 		if e.Type != advice.AccessWrite {
 			core.RejectCodef(core.RejectLogMismatch, "re-executed write %v logged as read", op)
 		}
@@ -187,35 +123,35 @@ func (v *Verifier) annotateWrite(vv *vvar, op core.Op, val value.V, parentOf map
 				op, vv.id, value.String(val), value.String(e.Value))
 		}
 		if e.HasPrec {
-			v.writeObsEff(vv, e.Prec, op, eff)
+			g.effect(intent{kind: effWriteObs, vv: vv, prec: e.Prec, op: op})
 			return
 		}
 		// A lazily-logged write carries no predecessor reference; its
 		// predecessor is R-ordered before it and is found below.
-	} else if v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
+	} else if g.v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
 		core.RejectCodef(core.RejectLogMismatch, "orochi-js: write %v of variable %s is not logged", op, vv.id)
 	}
-	prev, _, found := v.findNearestRPrecedingWrite(vv, op, parentOf, eff)
+	prev, _, found := g.findNearestRPrecedingWrite(vv, op)
 	if found {
-		v.writeObsEff(vv, prev, op, eff)
+		g.effect(intent{kind: effWriteObs, vv: vv, prec: prev, op: op})
 		return
 	}
-	v.initialEff(vv, op, eff)
+	g.effect(intent{kind: effInitial, vv: vv, op: op})
 }
 
 // findNearestRPrecedingWrite climbs from the reading/writing handler up the
 // activation tree (§4.2): the last earlier write by the same handler, then
 // any write by each successive ancestor, ending at the initialization
 // activation I.
-func (v *Verifier) findNearestRPrecedingWrite(vv *vvar, op core.Op, parentOf map[core.HID]core.HID, eff *groupEffects) (core.Op, value.V, bool) {
+func (g *groupExec) findNearestRPrecedingWrite(vv *vvar, op core.Op) (core.Op, value.V, bool) {
 	rid, hid, bound := op.RID, op.HID, op.Num
 	// The climb is bounded by the activation-tree depth; hids are digests of
 	// their parents, so a parentOf cycle cannot arise from honest hashing —
 	// but the bound makes "cannot hang" a property of this loop, not of the
 	// hash function.
 	for depth := 0; ; depth++ {
-		v.effPoll(eff)
-		if depth > len(parentOf)+1 {
+		g.poll()
+		if depth > len(g.parentOf)+1 {
 			core.RejectCodef(core.RejectGraphCycle, "activation parent chain of handler %s does not terminate", op.HID)
 		}
 		// A group worker reads its own overlay for the group's rids. The
@@ -224,8 +160,8 @@ func (v *Verifier) findNearestRPrecedingWrite(vv *vvar, op core.Op, parentOf map
 		// race-free; entries for another group's rids are unreachable from
 		// this climb (dkeys carry this op's rid until the init hop).
 		var entries []dictEntry
-		if eff != nil && rid != core.InitRID {
-			entries = eff.overlay[vkey{varID: vv.id, rid: rid, hid: hid}]
+		if g.eff != nil && rid != core.InitRID {
+			entries = g.eff.overlay[vkey{varID: vv.id, rid: rid, hid: hid}]
 		} else {
 			entries = vv.dict[dkey{rid: rid, hid: hid}]
 		}
@@ -237,7 +173,7 @@ func (v *Verifier) findNearestRPrecedingWrite(vv *vvar, op core.Op, parentOf map
 		if hid == core.InitHID {
 			return core.Op{}, nil, false
 		}
-		parent, ok := parentOf[hid]
+		parent, ok := g.parentOf[hid]
 		if !ok {
 			core.RejectCodef(core.RejectLogMismatch, "handler %s has no recorded activator", hid)
 		}
@@ -254,11 +190,12 @@ func (v *Verifier) findNearestRPrecedingWrite(vv *vvar, op core.Op, parentOf map
 // registrations, and replays init-time variable accesses through the same
 // annotations as request code.
 type initOps struct {
-	v    *Verifier
+	v *Verifier
+	// g annotates init-level accesses: a group of no requests whose intents
+	// apply immediately (init runs alone, before any group exists).
+	g    *groupExec
 	done bool
 }
-
-var emptyParents = map[core.HID]core.HID{}
 
 func (io *initOps) VarInit(ctx *core.Context, vr *core.Variable, opnum int, val *mv.MV) {
 	if io.done {
@@ -280,18 +217,18 @@ func (io *initOps) VarInit(ctx *core.Context, vr *core.Variable, opnum int, val 
 	}
 	io.v.vars[vr.ID] = vv
 	// The initialization is the variable's first write.
-	io.v.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)), emptyParents, nil)
+	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)))
 }
 
 func (io *initOps) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv.MV {
 	vv := io.v.variable(vr.ID)
-	val := io.v.annotateRead(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, emptyParents, nil)
+	val := io.g.annotateRead(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum})
 	return mv.Scalar(val, 1)
 }
 
 func (io *initOps) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, val *mv.MV) {
 	vv := io.v.variable(vr.ID)
-	io.v.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)), emptyParents, nil)
+	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)))
 }
 
 func (io *initOps) Register(ctx *core.Context, opnum int, event core.EventName, fn core.FunctionID) {

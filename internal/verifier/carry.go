@@ -83,6 +83,7 @@ func (v *Verifier) injectCarry() {
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)
+	g := &groupExec{v: v} // no requests, no buffer: intents apply immediately
 	for i, id := range ids {
 		vv := v.vars[core.VarID(id)]
 		val, ok := c.Vars[core.VarID(id)]
@@ -95,7 +96,7 @@ func (v *Verifier) injectCarry() {
 		}
 		val = value.Normalize(val)
 		vv.log[op] = &advice.VarLogEntry{Op: op, Type: advice.AccessWrite, Value: val}
-		v.annotateWrite(vv, op, val, emptyParents, nil)
+		g.annotateWrite(vv, op, val)
 	}
 	if len(c.Store) > 0 {
 		v.carryTx = make(map[advice.TxPos]*advice.TxOp, len(c.Store))

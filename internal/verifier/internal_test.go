@@ -99,7 +99,6 @@ func TestTimePrecedenceEdgeCountLinear(t *testing.T) {
 }
 
 func TestFindNearestClimbsTree(t *testing.T) {
-	v := New(Config{})
 	vv := &vvar{
 		id:       "x",
 		dict:     map[dkey][]dictEntry{},
@@ -113,6 +112,7 @@ func TestFindNearestClimbsTree(t *testing.T) {
 		"childA": "root",
 		"childB": "root",
 	}
+	g := &groupExec{v: New(Config{}), parentOf: parentOf}
 	vv.dict[dkey{core.InitRID, core.InitHID}] = []dictEntry{{num: 1, val: "init"}}
 	vv.dict[dkey{"r1", "root"}] = []dictEntry{{num: 3, val: "root3"}}
 	vv.dict[dkey{"r1", "childA"}] = []dictEntry{{num: 2, val: "a2"}}
@@ -133,7 +133,7 @@ func TestFindNearestClimbsTree(t *testing.T) {
 		{core.Op{RID: "r1", HID: "root", Num: 9}, "root3"},
 	}
 	for _, c := range cases {
-		_, val, found := v.findNearestRPrecedingWrite(vv, c.op, parentOf, nil)
+		_, val, found := g.findNearestRPrecedingWrite(vv, c.op)
 		if !found {
 			t.Errorf("%v: no write found", c.op)
 			continue
@@ -145,7 +145,7 @@ func TestFindNearestClimbsTree(t *testing.T) {
 
 	// A different request sees only init through the climb (cross-request
 	// feeding goes through logs, never the dictionary).
-	_, val, found := v.findNearestRPrecedingWrite(vv, core.Op{RID: "r2", HID: "root", Num: 1}, parentOf, nil)
+	_, val, found := g.findNearestRPrecedingWrite(vv, core.Op{RID: "r2", HID: "root", Num: 1})
 	if !found || val != "init" {
 		t.Errorf("other request read %v (found=%v), want init", val, found)
 	}

@@ -7,17 +7,18 @@ package verifier
 // from scratch at every audit pass. This file extends the deduplication
 // *across* epochs: a content-addressed cache maps the digest of a group's
 // full input closure to the group's recorded effect intents (parallel.go),
-// and on a hit the coordinator replays the intents instead of re-executing
-// handler code.
+// and on a hit the coordinator rebinds the intents to the new epoch's rids
+// and applies them — through the same v.apply every re-executed intent goes
+// through — instead of re-executing handler code.
 //
 // # Soundness: the key covers everything a group can observe
 //
-// PR 5's effect-buffered engine is what makes group replay memoizable:
-// when a group runs with a non-nil effect buffer it reads ONLY state frozen
-// during reExec — its requests' inputs/outputs, its rids' slices of the
-// advice logs, the init-level dictionary (deterministic init + injected
-// carry), and resolved reads-from targets — and writes only intents. The
-// memo key is the SHA-256 digest of exactly that read set:
+// The buffered engine is what makes group replay memoizable: when a group
+// runs with an effect buffer it reads ONLY state frozen during reExec — its
+// requests' inputs/outputs, its rids' slices of the advice logs, the
+// init-level dictionary (deterministic init + injected carry), and resolved
+// reads-from targets — and writes only intents. The memo key is the SHA-256
+// digest of exactly that read set:
 //
 //   - an audit-level prefix: application fingerprint, mode, isolation
 //     level, and the full init-level version dictionary (which is where
@@ -60,8 +61,8 @@ package verifier
 // content digests and therefore stable across epochs. Predecessor ops in
 // readObs/writeObs intents come in three stable encodings:
 //
-//   - precFromLog: the access is logged with a predecessor reference; the
-//     sequential engine uses e.Prec verbatim, so replay re-reads it from
+//   - precFromLog: the access is logged with a predecessor reference;
+//     re-execution uses e.Prec verbatim, so replay re-reads it from
 //     the NEW epoch's log entry. This is also why predecessor identities
 //     can stay out of the key: replay behaves exactly as cold re-execution
 //     would for any predecessor whose observable facts match.
@@ -70,7 +71,7 @@ package verifier
 //     yields same-request or init-level ops — both epoch-stable.
 //
 // Any intent that fits none of these encodings makes the group
-// uncacheable (memoCapture returns nil); that is a defensive bail, not a
+// uncacheable (memoCapture records no candidate); a defensive bail, not a
 // reachable path.
 //
 // # Determinism
@@ -79,9 +80,9 @@ package verifier
 // count, so every cache interaction happens on the coordinator in
 // canonical tag order: keys are computed and probed sequentially BEFORE
 // the fan-out, and accepted candidates are inserted sequentially after the
-// audit accepts. When a memo cache is configured the engine always uses
-// the effect-buffered path (even at Workers=1), which PR 5's differential
-// tests prove bit-identical to the sequential engine.
+// audit accepts (reExecBuffered, memoPublish). When a memo cache is
+// configured reExec always takes the buffered path (even at Workers=1),
+// which the differential tests prove bit-identical to the immediate engine.
 
 import (
 	"crypto/sha256"
@@ -380,16 +381,18 @@ type memoOp struct {
 	num  int
 }
 
+func (m memoOp) bind(rids []core.RID) core.Op {
+	return core.Op{RID: rids[m.slot], HID: m.hid, Num: m.num}
+}
+
 // memoIntent is one normalized intent of a cached effect set.
 type memoIntent struct {
 	kind     intentKind
 	precMode uint8
-	varID    core.VarID
+	varID    core.VarID // "" for intents that touch no variable
 	op       memoOp
 	prec     memoOp
-	slot     int      // effExecuted / effResponded: rid slot
-	hid      core.HID // effExecuted
-	val      value.V  // effDict
+	val      value.V // effDict
 }
 
 // memoEntry is one cached effect set: the normalized intent stream of a
@@ -411,168 +414,16 @@ type memoCandidate struct {
 // canonical encoded size on top.
 const memoIntentBytes = 96
 
-// memoCapture normalizes an accepted group's intent stream into a cache
-// candidate, or returns nil when any intent does not fit a stable encoding
-// (defensive; see the file comment).
-func (v *Verifier) memoCapture(rids []core.RID, eff *groupEffects) *memoEntry {
-	slotOf := make(map[core.RID]int, len(rids))
-	for i, rid := range rids {
-		slotOf[rid] = i
+// memoProbe keys every group and probes the cache, in canonical tag order
+// on the coordinator (the MemoHits/MemoMisses counters and the LRU touch
+// order depend on it). Without a cache it returns nil keys and no hits.
+func (v *Verifier) memoProbe(order []string, groups map[string][]core.RID) ([]memo.Key, []*memoEntry) {
+	hits := make([]*memoEntry, len(order))
+	if v.cfg.Memo == nil {
+		return nil, hits
 	}
-	toOp := func(op core.Op) (memoOp, bool) {
-		s, ok := slotOf[op.RID]
-		if !ok {
-			return memoOp{}, false
-		}
-		return memoOp{slot: s, hid: op.HID, num: op.Num}, true
-	}
-	ent := &memoEntry{slots: len(rids), intents: make([]memoIntent, 0, len(eff.intents))}
-	size := memoIntentBytes // entry header
-	var scratch []byte
-	for i := range eff.intents {
-		in := &eff.intents[i]
-		mi := memoIntent{kind: in.kind}
-		switch in.kind {
-		case effRerun:
-		case effExecuted:
-			s, ok := slotOf[in.rid]
-			if !ok {
-				return nil
-			}
-			mi.slot, mi.hid = s, in.hid
-		case effResponded:
-			s, ok := slotOf[in.rid]
-			if !ok {
-				return nil
-			}
-			mi.slot = s
-		case effOpConsumed:
-			op, ok := toOp(in.op)
-			if !ok {
-				return nil
-			}
-			mi.op = op
-		case effDict, effVarConsumed, effInitial:
-			op, ok := toOp(in.op)
-			if !ok {
-				return nil
-			}
-			mi.varID, mi.op = in.varID, op
-			if in.kind == effDict {
-				mi.val = in.val
-				scratch = value.Encode(scratch[:0], in.val)
-				size += len(scratch)
-			}
-		case effReadObs, effWriteObs:
-			op, ok := toOp(in.op)
-			if !ok {
-				return nil
-			}
-			mi.varID, mi.op = in.varID, op
-			vv := v.vars[in.varID]
-			if e, logged := vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
-				mi.precMode = precFromLog
-			} else if s, grp := slotOf[in.prec.RID]; grp {
-				mi.precMode, mi.prec = precSlot, memoOp{slot: s, hid: in.prec.HID, num: in.prec.Num}
-			} else if in.prec.RID == core.InitRID {
-				mi.precMode, mi.prec = precInit, memoOp{hid: in.prec.HID, num: in.prec.Num}
-			} else {
-				return nil
-			}
-		default:
-			return nil
-		}
-		size += memoIntentBytes
-		ent.intents = append(ent.intents, mi)
-	}
-	ent.bytes = size
-	return ent
-}
-
-// memoReplay rebinds a cached effect set to this epoch's group and applies
-// it to the shared verifier state directly — the fusion of the rebinding
-// with applyEffects' merge, without materializing an intent buffer. It runs
-// on the coordinator at the group's canonical merge position, so the
-// sequence of shared-state mutations (and the position of any cross-group
-// conflict rejection) is exactly what recording-then-applying would
-// produce. The shape checks reject with InternalFault: under key equality
-// they are unreachable (the group size and every logged access are part of
-// the key), so tripping one means the cache itself misbehaved — an
-// auditor-side fault, not advice forgery.
-func (v *Verifier) memoReplay(ent *memoEntry, rids []core.RID) {
-	if ent.slots != len(rids) {
-		core.RejectCodef(core.RejectInternalFault, "memo entry caches %d slots for a group of %d", ent.slots, len(rids))
-	}
-	for i := range ent.intents {
-		v.poll()
-		m := &ent.intents[i]
-		switch m.kind {
-		case effRerun:
-			v.Stats.HandlersRerun++
-		case effExecuted:
-			rid := rids[m.slot]
-			ex := v.executed[rid]
-			if ex == nil {
-				ex = make(map[core.HID]bool)
-				v.executed[rid] = ex
-			}
-			ex[m.hid] = true
-		case effResponded:
-			v.responded[rids[m.slot]] = true
-		case effOpConsumed:
-			v.opConsumed[core.Op{RID: rids[m.op.slot], HID: m.op.hid, Num: m.op.num}] = true
-		case effDict:
-			v.vars[m.varID].dictAppend(core.Op{RID: rids[m.op.slot], HID: m.op.hid, Num: m.op.num}, m.val)
-		case effVarConsumed:
-			v.vars[m.varID].consumed[core.Op{RID: rids[m.op.slot], HID: m.op.hid, Num: m.op.num}] = true
-		case effInitial:
-			vv := v.vars[m.varID]
-			op := core.Op{RID: rids[m.op.slot], HID: m.op.hid, Num: m.op.num}
-			if vv.initial != nil {
-				core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, *vv.initial, op)
-			}
-			vv.initial = &op
-		case effReadObs, effWriteObs:
-			op := core.Op{RID: rids[m.op.slot], HID: m.op.hid, Num: m.op.num}
-			var prec core.Op
-			switch m.precMode {
-			case precFromLog:
-				vv := v.vars[m.varID]
-				if vv == nil {
-					core.RejectCodef(core.RejectInternalFault, "memo replay references unknown variable %s", m.varID)
-				}
-				e, ok := vv.log[op]
-				if !ok || !e.HasPrec {
-					core.RejectCodef(core.RejectInternalFault, "memo replay: logged access %v lost its predecessor", op)
-				}
-				prec = e.Prec
-			case precSlot:
-				prec = core.Op{RID: rids[m.prec.slot], HID: m.prec.hid, Num: m.prec.num}
-			case precInit:
-				prec = core.Op{RID: core.InitRID, HID: m.prec.hid, Num: m.prec.num}
-			}
-			vv := v.vars[m.varID]
-			if m.kind == effReadObs {
-				vv.readObs[prec] = append(vv.readObs[prec], op)
-			} else {
-				if prev, set := vv.writeObs[prec]; set {
-					core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", prev, op, prec, vv.id)
-				}
-				vv.writeObs[prec] = op
-			}
-		}
-	}
-}
-
-// reExecMemo is reExec's group phase with the memo cache in the loop. All
-// cache interactions are coordinator-side and in canonical tag order:
-// classification (and the MemoHits/MemoMisses counters, and the LRU touch
-// order) before the fan-out, candidate capture during the deterministic
-// merge, publication only after the whole audit accepts (memoPublish).
-func (v *Verifier) reExecMemo(order []string, groups map[string][]core.RID) {
 	prep := v.memoPrepare()
 	keys := make([]memo.Key, len(order))
-	hits := make([]*memoEntry, len(order))
 	for i, tag := range order {
 		keys[i] = prep.groupKey(tag, groups[tag])
 		if got, ok := v.cfg.Memo.Probe(keys[i]); ok {
@@ -584,34 +435,94 @@ func (v *Verifier) reExecMemo(order []string, groups map[string][]core.RID) {
 		}
 		v.Stats.MemoMisses++
 	}
-	effs := make([]*groupEffects, len(order))
-	fanOut(v.workers(), len(order), func(i int) {
-		if hits[i] != nil {
-			// Hit groups skip the worker pool entirely: replay is applied
-			// directly at the merge position below, freeing the workers for
-			// the cold groups.
-			return
-		}
-		eff := newGroupEffects()
-		defer func() {
-			if r := recover(); r != nil {
-				eff.rej = asReject(r)
+	return keys, hits
+}
+
+// memoCapture normalizes a merged group's intent stream into a cache
+// candidate awaiting publish-after-accept. A group whose stream holds an
+// intent that fits no stable encoding is left uncached (defensive; see the
+// file comment).
+func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects) {
+	slotOf := make(map[core.RID]int, len(rids))
+	for i, rid := range rids {
+		slotOf[rid] = i
+	}
+	ent := &memoEntry{slots: len(rids), intents: make([]memoIntent, 0, len(eff.intents))}
+	size := memoIntentBytes // entry header
+	var scratch []byte
+	for i := range eff.intents {
+		in := &eff.intents[i]
+		mi := memoIntent{kind: in.kind, val: in.val}
+		if in.kind != effRerun {
+			s, ok := slotOf[in.op.RID]
+			if !ok {
+				return
 			}
-			effs[i] = eff
-		}()
-		v.runGroup(groups[order[i]], eff)
-	})
-	for i, eff := range effs {
-		if hits[i] != nil {
-			v.memoReplay(hits[i], groups[order[i]])
-			continue
+			mi.op = memoOp{slot: s, hid: in.op.HID, num: in.op.Num}
 		}
-		v.applyEffects(eff)
-		if eff.rej == nil {
-			if ent := v.memoCapture(groups[order[i]], eff); ent != nil {
-				v.memoPending = append(v.memoPending, memoCandidate{key: keys[i], ent: ent})
+		if in.vv != nil {
+			mi.varID = in.vv.id
+		}
+		switch in.kind {
+		case effDict:
+			scratch = value.Encode(scratch[:0], in.val)
+			size += len(scratch)
+		case effReadObs, effWriteObs:
+			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
+				mi.precMode = precFromLog
+			} else if s, grp := slotOf[in.prec.RID]; grp {
+				mi.precMode, mi.prec = precSlot, memoOp{slot: s, hid: in.prec.HID, num: in.prec.Num}
+			} else if in.prec.RID == core.InitRID {
+				mi.precMode, mi.prec = precInit, memoOp{hid: in.prec.HID, num: in.prec.Num}
+			} else {
+				return
 			}
 		}
+		size += memoIntentBytes
+		ent.intents = append(ent.intents, mi)
+	}
+	ent.bytes = size
+	v.memoPending = append(v.memoPending, memoCandidate{key: key, ent: ent})
+}
+
+// memoReplay rebinds a cached effect set to this epoch's group — slot → rid,
+// predecessor by its recorded encoding — and hands each intent to apply. It
+// runs on the coordinator at the group's canonical merge position, so the
+// sequence of shared-state mutations (and the position of any cross-group
+// conflict rejection) is exactly what re-executing the group would produce.
+// The shape checks reject with InternalFault: under key equality they are
+// unreachable (the group size and every logged access are part of the key),
+// so tripping one means the cache itself misbehaved — an auditor-side fault,
+// not advice forgery.
+func (v *Verifier) memoReplay(ent *memoEntry, rids []core.RID) {
+	if ent.slots != len(rids) {
+		core.RejectCodef(core.RejectInternalFault, "memo entry caches %d slots for a group of %d", ent.slots, len(rids))
+	}
+	for i := range ent.intents {
+		v.poll()
+		m := &ent.intents[i]
+		in := intent{kind: m.kind, val: m.val}
+		if m.kind != effRerun {
+			in.op = m.op.bind(rids)
+		}
+		if m.varID != "" {
+			if in.vv = v.vars[m.varID]; in.vv == nil {
+				core.RejectCodef(core.RejectInternalFault, "memo replay references unknown variable %s", m.varID)
+			}
+		}
+		switch m.precMode {
+		case precFromLog:
+			e, ok := in.vv.log[in.op]
+			if !ok || !e.HasPrec {
+				core.RejectCodef(core.RejectInternalFault, "memo replay: logged access %v lost its predecessor", in.op)
+			}
+			in.prec = e.Prec
+		case precSlot:
+			in.prec = m.prec.bind(rids)
+		case precInit:
+			in.prec = core.Op{RID: core.InitRID, HID: m.prec.hid, Num: m.prec.num}
+		}
+		v.apply(&in)
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 	"karousos.dev/karousos/internal/value"
 )
 
-// This file is the parallel audit engine's scaffolding: a deterministic
-// fan-out helper, per-phase preprocess sharding, and the per-group effect
-// buffers that make concurrent re-execution's verdict bit-identical to the
-// sequential engine's. The determinism argument lives in DESIGN.md §13; the
-// invariants it rests on are marked at the code they constrain.
+// This file holds the one writer of shared re-execution state (apply) and the
+// parallel audit engine's scaffolding around it: a deterministic fan-out
+// helper, per-phase preprocess sharding, and the per-group effect buffers
+// whose canonical-order merge makes concurrent re-execution's verdict
+// bit-identical to the immediate engine's. The determinism argument lives in
+// DESIGN.md §13; the invariants it rests on are marked at the code they
+// constrain.
 
 // workers resolves the configured worker count; 0 means GOMAXPROCS.
 func (v *Verifier) workers() int {
@@ -59,11 +61,12 @@ func fanOut(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// asReject converts a recovered panic value into the rejection the
-// coordinator re-panics during the deterministic merge. The wrapping matches
-// auditFull's containment exactly — same code, same reason format — so a
-// worker-side panic surfaces as the same error a sequential run would have
-// produced, with the worker's stack preserved for diagnosis.
+// asReject converts a recovered panic value into a rejection: a core.Reject
+// passes through; anything else — the advice is untrusted, and a panic it
+// provoked must not take down the audit process — is contained as an
+// InternalFault with the panicking goroutine's stack attached. Workers and
+// auditFull share it, so a worker-side panic surfaces (re-panicked at its
+// merge position) as the same error a sequential run would have produced.
 func asReject(r any) *core.Reject {
 	if rej, ok := r.(core.Reject); ok {
 		return &rej
@@ -135,38 +138,81 @@ func (v *Verifier) preprocessEdges() {
 	}
 }
 
-// --- effect-buffered group re-execution ---
+// --- the one writer of shared re-execution state ---
 
 // intentKind enumerates the shared-state mutations a group replay performs.
-// A worker records them in order instead of applying them; the coordinator
-// replays each group's stream in canonical group order, running the
-// cross-group conflict checks (write_observer, initializer) at exactly the
-// intent position where the sequential engine would have run them.
+// Every engine expresses them as intents and hands them to apply: the
+// immediate engine at once, the buffered engine when the coordinator merges
+// the group's recorded stream at its canonical position, the memo replay
+// after rebinding a cached stream to this epoch's rids.
 type intentKind uint8
 
 const (
-	effDict        intentKind = iota // dictAppend(op, val) on variable varID
-	effVarConsumed                   // variable log entry op consumed
-	effReadObs                       // readObs[prec] append op
-	effWriteObs                      // writeObs[prec] = op (conflict-checked)
-	effInitial                       // initial = op (conflict-checked)
+	effDict        intentKind = iota // vv.dict[(op.RID, op.HID)] append (op.Num, val)
+	effVarConsumed                   // vv.consumed[op] = true
+	effReadObs                       // vv.readObs[prec] append op
+	effWriteObs                      // vv.writeObs[prec] = op (conflict-checked)
+	effInitial                       // vv.initial = op (conflict-checked)
 	effOpConsumed                    // opConsumed[op] = true
-	effExecuted                      // executed[rid][hid] = true
-	effResponded                     // responded[rid] = true
-	effRerun                         // Stats.HandlersRerun++
+	effExecuted                      // executed[op.RID][op.HID] = true
+	effResponded                     // responded[op.RID] = true
+	effRerun                         // one more handler re-executed
 )
 
-// intent is one recorded mutation. One flat struct for all kinds keeps the
+// intent is one mutation. One flat struct for all kinds keeps a recorded
 // stream a single slice; unused fields stay zero.
 type intent struct {
-	kind  intentKind
-	varID core.VarID
-	op    core.Op
-	prec  core.Op
-	rid   core.RID
-	hid   core.HID
-	val   value.V
+	kind intentKind
+	vv   *vvar
+	op   core.Op
+	prec core.Op
+	val  value.V
 }
+
+// apply performs one intent on the shared verifier state. It is the only
+// code that writes the variable bookkeeping, the consumption marks, the
+// executed/responded sets and HandlersRerun once init replay begins, so the
+// two cross-group conflict checks (write_observer, initializer) exist once
+// and run at the same position in the canonical intent order whichever
+// engine produced the intent. Must run on the coordinating goroutine.
+func (v *Verifier) apply(in *intent) {
+	vv := in.vv
+	switch in.kind {
+	case effDict:
+		k := dkey{rid: in.op.RID, hid: in.op.HID}
+		vv.dict[k] = append(vv.dict[k], dictEntry{num: in.op.Num, val: in.val})
+	case effVarConsumed:
+		vv.consumed[in.op] = true
+	case effReadObs:
+		vv.readObs[in.prec] = append(vv.readObs[in.prec], in.op)
+	case effWriteObs:
+		if prev, set := vv.writeObs[in.prec]; set {
+			core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", prev, in.op, in.prec, vv.id)
+		}
+		vv.writeObs[in.prec] = in.op
+	case effInitial:
+		if vv.initial != nil {
+			core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, *vv.initial, in.op)
+		}
+		cp := in.op
+		vv.initial = &cp
+	case effOpConsumed:
+		v.opConsumed[in.op] = true
+	case effExecuted:
+		ex := v.executed[in.op.RID]
+		if ex == nil {
+			ex = make(map[core.HID]bool)
+			v.executed[in.op.RID] = ex
+		}
+		ex[in.op.HID] = true
+	case effResponded:
+		v.responded[in.op.RID] = true
+	case effRerun:
+		v.Stats.HandlersRerun++
+	}
+}
+
+// --- buffered group re-execution ---
 
 // vkey keys a group's private version-dictionary overlay.
 type vkey struct {
@@ -175,97 +221,65 @@ type vkey struct {
 	hid   core.HID
 }
 
-// groupEffects is one group's private effect buffer. The replay reads shared
-// verifier state that is frozen during reExec (logs, opMap, activated,
-// nondet, txIndex, carryTx, the graph) and writes only here.
+// groupEffects is one group's private effect buffer. A buffered replay reads
+// shared verifier state that is frozen during reExec (logs, opMap, activated,
+// nondet, txIndex, carryTx, the graph) and writes only here — which is also
+// what makes a group's intent stream a pure function of its input closure,
+// and therefore memoizable (memo.go).
 type groupEffects struct {
 	intents []intent
-	// overlay holds the group's own dictAppends; findNearest reads it for
-	// the group's rids and falls through to the frozen init-level dictionary
-	// — the only dictionary state another group could never have written.
-	overlay   map[vkey][]dictEntry
-	executed  map[core.RID]map[core.HID]bool
-	responded map[core.RID]bool
-	pollN     int
-	rej       *core.Reject
+	// overlay holds the group's own dictionary writes; findNearest reads it
+	// for the group's rids and falls through to the frozen init-level
+	// dictionary — the only dictionary state another group could never have
+	// written.
+	overlay map[vkey][]dictEntry
+	pollN   int
+	rej     *core.Reject
 }
 
-func newGroupEffects() *groupEffects {
-	return &groupEffects{
-		overlay:   make(map[vkey][]dictEntry),
-		executed:  make(map[core.RID]map[core.HID]bool),
-		responded: make(map[core.RID]bool),
-	}
-}
-
-func (eff *groupEffects) record(in intent) {
-	eff.intents = append(eff.intents, in)
-}
-
-// effPoll is poll for code that runs on group workers: cancellation is the
-// only budget a worker can check race-free (the graph is frozen during
-// reExec), and the counter is per-group so the global pollN stays unshared.
-func (v *Verifier) effPoll(eff *groupEffects) {
-	if eff == nil {
-		v.poll()
-		return
-	}
-	eff.pollN++
-	if eff.pollN%pollInterval != 0 {
-		return
-	}
-	v.checkCtx()
-}
-
-// applyEffects replays one group's intent stream onto the shared verifier
-// state, then surfaces the group's own contained rejection if it had one.
-// Cross-group conflicts are detected here, at the first conflicting intent —
-// which is exactly where the sequential engine would have rejected, because
-// intents are recorded at the same program points the sequential engine
-// mutates shared state. A worker's own later rejection (recorded in rej) is
-// correctly masked by an earlier conflicting intent, matching the sequential
-// engine's first-rejection order.
-func (v *Verifier) applyEffects(eff *groupEffects) {
-	for i := range eff.intents {
-		in := &eff.intents[i]
-		v.poll()
-		switch in.kind {
-		case effDict:
-			v.vars[in.varID].dictAppend(in.op, in.val)
-		case effVarConsumed:
-			v.vars[in.varID].consumed[in.op] = true
-		case effReadObs:
-			vv := v.vars[in.varID]
-			vv.readObs[in.prec] = append(vv.readObs[in.prec], in.op)
-		case effWriteObs:
-			vv := v.vars[in.varID]
-			if prev, set := vv.writeObs[in.prec]; set {
-				core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", prev, in.op, in.prec, vv.id)
-			}
-			vv.writeObs[in.prec] = in.op
-		case effInitial:
-			vv := v.vars[in.varID]
-			if vv.initial != nil {
-				core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, *vv.initial, in.op)
-			}
-			cp := in.op
-			vv.initial = &cp
-		case effOpConsumed:
-			v.opConsumed[in.op] = true
-		case effExecuted:
-			ex := v.executed[in.rid]
-			if ex == nil {
-				ex = make(map[core.HID]bool)
-				v.executed[in.rid] = ex
-			}
-			ex[in.hid] = true
-		case effResponded:
-			v.responded[in.rid] = true
-		case effRerun:
-			v.Stats.HandlersRerun++
+// reExecBuffered re-executes the groups into private effect buffers and
+// merges them in canonical tag order, so the verdict, the first rejection and
+// every Stats counter are bit-identical to the immediate engine no matter how
+// the scheduler interleaves the workers (DESIGN.md §13). With a memo cache
+// configured, every cache interaction also happens here on the coordinator,
+// in the same order: groups are keyed and probed before the fan-out (hits
+// skip the worker pool and replay at their merge position), cold groups'
+// streams are captured at the merge, and captured candidates are published
+// only after the whole audit accepts (memoPublish).
+func (v *Verifier) reExecBuffered(order []string, groups map[string][]core.RID) {
+	keys, hits := v.memoProbe(order, groups)
+	effs := make([]*groupEffects, len(order))
+	fanOut(v.workers(), len(order), func(i int) {
+		if hits[i] != nil {
+			return
 		}
-	}
-	if eff.rej != nil {
-		panic(*eff.rej)
+		eff := &groupEffects{overlay: make(map[vkey][]dictEntry)}
+		defer func() {
+			if r := recover(); r != nil {
+				eff.rej = asReject(r)
+			}
+			effs[i] = eff
+		}()
+		v.runGroup(groups[order[i]], eff)
+	})
+	for i, eff := range effs {
+		rids := groups[order[i]]
+		if hits[i] != nil {
+			v.memoReplay(hits[i], rids)
+			continue
+		}
+		// A cross-group conflict surfaces at the first conflicting intent —
+		// where the immediate engine would have rejected — and so correctly
+		// masks the group's own later rejection.
+		for j := range eff.intents {
+			v.poll()
+			v.apply(&eff.intents[j])
+		}
+		if eff.rej != nil {
+			panic(*eff.rej)
+		}
+		if keys != nil {
+			v.memoCapture(keys[i], rids, eff)
+		}
 	}
 }

@@ -28,35 +28,15 @@ func (v *Verifier) reExec() {
 		groups[tag] = append(groups[tag], rid)
 	}
 	v.Stats.Groups = len(order)
-	w := v.workers()
-	if v.cfg.Memo != nil {
-		// Memoized dispatch always takes the effect-buffered path — even at
-		// Workers=1 — so hits and misses merge through one engine whose
-		// bit-identity to the sequential path is differentially proven.
-		v.reExecMemo(order, groups)
-	} else if w <= 1 || len(order) <= 1 {
+	if v.cfg.Memo == nil && (v.workers() <= 1 || len(order) <= 1) {
+		// Immediate: each group applies its intents to shared state as it
+		// replays. This is the reference the buffered engine is
+		// differentially tested against.
 		for _, tag := range order {
 			v.runGroup(groups[tag], nil)
 		}
 	} else {
-		// Each group replays into a private effect buffer; buffers merge in
-		// canonical tag order, so the verdict, the first rejection, and every
-		// Stats counter are bit-identical to the sequential engine no matter
-		// how the scheduler interleaves the workers (DESIGN.md §13).
-		effs := make([]*groupEffects, len(order))
-		fanOut(w, len(order), func(i int) {
-			eff := newGroupEffects()
-			defer func() {
-				if r := recover(); r != nil {
-					eff.rej = asReject(r)
-				}
-				effs[i] = eff
-			}()
-			v.runGroup(groups[order[i]], eff)
-		})
-		for _, eff := range effs {
-			v.applyEffects(eff)
-		}
+		v.reExecBuffered(order, groups)
 	}
 
 	// Figure 18 line 64: every handler in the advice must have been
@@ -90,57 +70,58 @@ type groupExec struct {
 	parentOf map[core.HID]core.HID
 	active   []groupAct
 	txnum    map[core.TxID]int
-	// eff is the group's private effect buffer when re-execution runs on a
-	// worker pool; nil means mutate shared state directly (sequential mode).
+	// executed and responded are the group's own duplicate-check sets.
+	// Requests are partitioned across groups by tag, and a group activates
+	// each handler for all of its requests at once, so these group-local
+	// views see every duplicate the shared v.executed / v.responded would.
+	executed  map[core.HID]bool
+	responded []bool // by slot in rids
+	// eff is the group's private effect buffer when re-execution is
+	// buffered; nil means intents apply to shared state immediately.
 	eff *groupEffects
 }
 
-// markExecuted performs the duplicate-activation check and marks (rid, hid)
-// re-executed. Requests are partitioned across groups by their tag, so the
-// executed set is rid-partitioned and a group's private view of its own rids
-// equals the sequential engine's shared view.
-func (g *groupExec) markExecuted(rid core.RID, hid core.HID) {
+// effect is the only way a group replay changes shared audit state: the
+// intent is applied at once (immediate engine, init replay, carry injection)
+// or recorded for the coordinator to apply at the group's canonical merge
+// position (buffered engine). Either way the mutation itself is v.apply.
+func (g *groupExec) effect(in intent) {
 	if g.eff == nil {
-		ex := g.v.executed[rid]
-		if ex == nil {
-			ex = make(map[core.HID]bool)
-			g.v.executed[rid] = ex
-		}
-		if ex[hid] {
-			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) re-executed twice", rid, hid)
-		}
-		ex[hid] = true
+		g.v.apply(&in)
 		return
 	}
-	ex := g.eff.executed[rid]
-	if ex == nil {
-		ex = make(map[core.HID]bool)
-		g.eff.executed[rid] = ex
+	if in.kind == effDict {
+		// The group reads its own writes back from its overlay; see
+		// findNearestRPrecedingWrite.
+		k := vkey{varID: in.vv.id, rid: in.op.RID, hid: in.op.HID}
+		g.eff.overlay[k] = append(g.eff.overlay[k], dictEntry{num: in.op.Num, val: in.val})
 	}
-	if ex[hid] {
-		core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) re-executed twice", rid, hid)
-	}
-	ex[hid] = true
-	g.eff.record(intent{kind: effExecuted, rid: rid, hid: hid})
+	g.eff.intents = append(g.eff.intents, in)
 }
 
-// consumeOp marks a handler-log or transaction-log entry consumed. Op
-// identities carry the rid, so consumption marks are rid-partitioned too.
-func (g *groupExec) consumeOp(op core.Op) {
+// poll is v.poll for code that may run on a group worker: there cancellation
+// is the only budget that can be checked race-free (the graph is frozen
+// during reExec), and the counter is per-group so v.pollN stays unshared.
+func (g *groupExec) poll() {
 	if g.eff == nil {
-		g.v.opConsumed[op] = true
+		g.v.poll()
 		return
 	}
-	g.eff.record(intent{kind: effOpConsumed, op: op})
+	g.eff.pollN++
+	if g.eff.pollN%pollInterval == 0 {
+		g.v.checkCtx()
+	}
 }
 
 func (v *Verifier) runGroup(rids []core.RID, eff *groupEffects) {
 	g := &groupExec{
-		v:        v,
-		rids:     rids,
-		parentOf: make(map[core.HID]core.HID),
-		txnum:    make(map[core.TxID]int),
-		eff:      eff,
+		v:         v,
+		rids:      rids,
+		parentOf:  make(map[core.HID]core.HID),
+		txnum:     make(map[core.TxID]int),
+		executed:  make(map[core.HID]bool),
+		responded: make([]bool, len(rids)),
+		eff:       eff,
 	}
 	// Step (1) of Figure 18: enqueue the request handlers with the request
 	// inputs; every request in the group must advise every request handler.
@@ -161,11 +142,15 @@ func (v *Verifier) runGroup(rids []core.RID, eff *groupEffects) {
 	}
 	// Step (2): run handlers from the active queue to completion.
 	for len(g.active) > 0 {
-		v.effPoll(eff)
+		g.poll()
 		act := g.active[0]
 		g.active = g.active[1:]
+		if g.executed[act.hid] {
+			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) re-executed twice", rids[0], act.hid)
+		}
+		g.executed[act.hid] = true
 		for _, rid := range rids {
-			g.markExecuted(rid, act.hid)
+			g.effect(intent{kind: effExecuted, op: core.Op{RID: rid, HID: act.hid}})
 		}
 		ctx := core.NewContext(g, rids, act.hid, act.fn, act.event, core.InitLabel)
 		v.cfg.App.Func(act.fn)(ctx, act.payload)
@@ -176,18 +161,14 @@ func (v *Verifier) runGroup(rids []core.RID, eff *groupEffects) {
 				core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) advised %d ops but re-executed %d", rid, act.hid, n, ctx.OpsIssued())
 			}
 		}
-		if eff == nil {
-			v.Stats.HandlersRerun++
-		} else {
-			eff.record(intent{kind: effRerun})
-		}
+		g.effect(intent{kind: effRerun})
 	}
 }
 
 // checkWithin enforces Figure 18 line 43 / Figure 19 lines 5 and 19: an op
 // number beyond the advised count is a divergence between advice and replay.
 func (g *groupExec) checkWithin(ctx *core.Context, opnum int) {
-	g.v.effPoll(g.eff)
+	g.poll()
 	for _, rid := range g.rids {
 		if n := g.v.adv.OpCounts[rid][ctx.HID()]; opnum > n {
 			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) exceeded its advised %d operations", rid, ctx.HID(), n)
@@ -218,7 +199,7 @@ func (g *groupExec) checkHandlerOp(rid core.RID, hid core.HID, opnum int, want a
 			}
 		}
 	}
-	g.consumeOp(op)
+	g.effect(intent{kind: effOpConsumed, op: op})
 	return e
 }
 
@@ -310,7 +291,7 @@ func (g *groupExec) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOp
 			core.RejectCodef(core.RejectLogMismatch, "state operation %v does not match transaction log position (%s,%d)", cur, tx.ID, idx)
 		}
 		e := g.v.txIndex[txRef{rid: rid, tid: tx.ID}].Ops[idx-1]
-		g.consumeOp(cur)
+		g.effect(intent{kind: effOpConsumed, op: cur})
 		if e.Type == core.TxAbort && op != core.TxAbort {
 			// The store aborted this transaction at this operation
 			// (conflict) or the commit failed; replay the failure.
@@ -375,20 +356,11 @@ func (g *groupExec) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 		if at.HID != ctx.HID() || at.OpNum != opsIssued {
 			core.RejectCodef(core.RejectLogMismatch, "request %s responded at (%s,%d) but advice says (%s,%d)", rid, ctx.HID(), opsIssued, at.HID, at.OpNum)
 		}
-		// responded is rid-partitioned like executed: only this group can
-		// respond to its own rids, so the group-local view is complete.
-		if g.eff == nil {
-			if g.v.responded[rid] {
-				core.RejectCodef(core.RejectLogMismatch, "request %s responded twice during re-execution", rid)
-			}
-			g.v.responded[rid] = true
-		} else {
-			if g.eff.responded[rid] {
-				core.RejectCodef(core.RejectLogMismatch, "request %s responded twice during re-execution", rid)
-			}
-			g.eff.responded[rid] = true
-			g.eff.record(intent{kind: effResponded, rid: rid})
+		if g.responded[i] {
+			core.RejectCodef(core.RejectLogMismatch, "request %s responded twice during re-execution", rid)
 		}
+		g.responded[i] = true
+		g.effect(intent{kind: effResponded, op: core.Op{RID: rid}})
 		got := value.Normalize(payload.At(i))
 		if !value.Equal(got, g.v.outputs[rid]) {
 			core.RejectCodef(core.RejectOutputMismatch, "request %s re-executed output %s does not match trace %s",
@@ -433,7 +405,7 @@ func (g *groupExec) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv
 	vv := g.v.variable(vr.ID)
 	vals := make([]value.V, len(g.rids))
 	for i, rid := range g.rids {
-		vals[i] = g.v.annotateRead(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, g.parentOf, g.eff)
+		vals[i] = g.annotateRead(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum})
 	}
 	return mv.FromVals(vals)
 }
@@ -444,6 +416,6 @@ func (g *groupExec) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, va
 	g.checkWithin(ctx, opnum)
 	vv := g.v.variable(vr.ID)
 	for i, rid := range g.rids {
-		g.v.annotateWrite(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, value.Normalize(val.At(i)), g.parentOf, g.eff)
+		g.annotateWrite(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, value.Normalize(val.At(i)))
 	}
 }

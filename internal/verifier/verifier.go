@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime/debug"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/adya"
@@ -286,19 +285,7 @@ func auditFull(ctx context.Context, cfg Config, tr *trace.Trace, adv *advice.Adv
 	v.ctx = ctx
 	defer func() {
 		if r := recover(); r != nil {
-			st, carry = v.Stats, nil
-			if rej, ok := r.(core.Reject); ok {
-				err = rej
-				return
-			}
-			// The advice is untrusted; a panic it provoked must not take
-			// down the audit process. Contain it as a coded rejection with
-			// the stack attached — an InternalFault is also a verifier bug.
-			err = core.Reject{
-				Code:   core.RejectInternalFault,
-				Reason: fmt.Sprintf("verifier panicked: %v", r),
-				Stack:  string(debug.Stack()),
-			}
+			st, carry, err = v.Stats, nil, *asReject(r)
 		}
 	}()
 	if adv.Mode != cfg.Mode {
@@ -351,7 +338,7 @@ func (v *Verifier) preprocess() {
 // tically at the verifier (Figure 14 line 20), populating global handlers
 // and variable state.
 func (v *Verifier) runInit() {
-	io := &initOps{v: v}
+	io := &initOps{v: v, g: &groupExec{v: v}}
 	if v.cfg.App.Init != nil {
 		ictx := core.NewContext(io, []core.RID{core.InitRID}, core.InitHID, "", "", core.InitLabel)
 		v.cfg.App.Init(ictx)

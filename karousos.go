@@ -52,9 +52,7 @@ import (
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/adya"
 	"karousos.dev/karousos/internal/apps/appkit"
-	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/kvstore"
@@ -351,40 +349,16 @@ func ApplyFault(spec string, wire []byte) ([]byte, error) {
 // log; an incremental auditor tails the log and audits each sealed epoch
 // with the dictionary state carried from the previous one. See cmd/karousos
 // and DESIGN.md §10.
-type (
-	// CarryState is the trusted cross-epoch dictionary state an accepting
-	// audit produces for the next epoch's audit.
-	CarryState = verifier.CarryState
-	// AuditorStatus is the incremental auditor's counters.
-	AuditorStatus = auditd.Status
-	// EpochReject is the machine-readable per-epoch rejection.
-	EpochReject = auditd.Reject
-	// EpochManifest describes one sealed epoch on disk.
-	EpochManifest = epochlog.Manifest
-)
+
+// CarryState is the trusted cross-epoch dictionary state an accepting audit
+// produces for the next epoch's audit.
+type CarryState = verifier.CarryState
 
 // AuditCarry audits one epoch like Audit but additionally takes the carry
 // produced by the previous epoch's audit (nil for the first epoch) and
 // returns the next epoch's carry.
 func AuditCarry(ctx context.Context, cfg verifier.Config, tr *Trace, adv *Advice) (verifier.Stats, *CarryState, error) {
 	return verifier.AuditCarry(ctx, cfg, tr, adv)
-}
-
-// AuditEpochDir audits every sealed epoch of an epoch log directory in
-// order, resolving the application from the directory's sidecar. The error,
-// if any, is an *EpochReject for server misbehavior and an ordinary error
-// for infrastructure failure. workers is each epoch audit's parallelism
-// (0 = GOMAXPROCS, 1 = the sequential engine); the verdict is identical at
-// every setting. memoMaxBytes > 0 enables the cross-epoch re-execution memo
-// cache (DESIGN.md §18) with that byte budget — a pure performance lever,
-// the verdict is identical with it on or off.
-func AuditEpochDir(ctx context.Context, dir string, lim Limits, workers, memoMaxBytes int) (AuditorStatus, error) {
-	aud, err := auditd.New(auditd.Config{Dir: dir, Limits: lim, AuditWorkers: workers, MemoMaxBytes: memoMaxBytes})
-	if err != nil {
-		return AuditorStatus{}, err
-	}
-	_, err = aud.RunOnce(ctx)
-	return aud.Status(), err
 }
 
 // MemoCache is the content-addressed re-execution memo cache the verifier
@@ -397,6 +371,3 @@ type MemoCache = memo.Cache
 // NewMemoCache returns a memo cache with the given byte budget
 // (maxBytes <= 0 means unbounded).
 func NewMemoCache(maxBytes int) *MemoCache { return memo.NewCache(maxBytes) }
-
-// ListSealedEpochs lists an epoch log directory's sealed manifests.
-func ListSealedEpochs(dir string) ([]EpochManifest, error) { return epochlog.ListSealed(dir) }
