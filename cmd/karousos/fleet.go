@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,11 +16,9 @@ import (
 
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/chaos"
-	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fleet"
+	"karousos.dev/karousos/internal/loadgen"
 	"karousos.dev/karousos/internal/shard"
-	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -223,15 +219,13 @@ func fleetAcceptCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// acceptResult is what the acceptance scenario observed.
+// acceptResult is what the acceptance scenario observed: the driver's
+// arrival ledger, the honest-run grader's tallies, and the supervision
+// facts only a process fleet has.
 type acceptResult struct {
-	Served         int      `json:"served"`
-	Degraded       int      `json:"degraded"`
-	Shed           int      `json:"shed"`
+	loadgen.Ledger
+	chaos.Tally
 	VictimRestarts int      `json:"victimRestarts"`
-	Accepted       int      `json:"accepted"`
-	Rejected       int      `json:"rejected"`
-	Unauditable    int      `json:"unauditable"`
 	Merge          string   `json:"merge"`
 	Violations     []string `json:"violations,omitempty"`
 }
@@ -269,64 +263,35 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		res.Violations = append(res.Violations, fmt.Sprintf(format, a...))
 	}
 	victim := 1 % shards
-	victimName := fmt.Sprintf("shard-%02d", victim)
-	m, err := shard.ReadMap(root)
-	if err != nil {
-		return nil, err
-	}
+	victimName, victimKey := fmt.Sprintf("shard-%02d", victim), strconv.Itoa(victim)
 
-	client := &http.Client{Timeout: 30 * time.Second}
-	ackedByShard := make([]map[string]bool, shards)
 	victimServed, killed := 0, false
-	for i, req := range workload.Wiki(n, seed) {
+	load, err := loadgen.Run(ctx, loadgen.Config{
+		BaseURL: gwURL,
 		// The kill waits for "mid-epoch": the victim must hold a nonempty
 		// open epoch so SIGKILL provably strands evidence for the audit to
 		// grade Unauditable — a kill on a boundary would prove less.
-		if !killed && i >= killAt && victimServed%epochReqs != 0 {
-			if err := sup.Kill(victimName); err != nil {
-				return res, fmt.Errorf("killing %s: %w", victimName, err)
+		Before: func(i int) error {
+			if killed || i < killAt || victimServed%epochReqs == 0 {
+				return nil
 			}
 			killed = true
-		}
-		body, err := json.Marshal(map[string]any{"input": req.Input})
-		if err != nil {
-			return res, err
-		}
-		resp, err := client.Post(gwURL+"/invoke", "application/json", bytes.NewReader(body))
-		if err != nil {
-			violate("request %d: gateway unreachable: %v", i, err)
-			continue
-		}
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) //karousos:errladder-ok scenario-side read; status carries the verdict
-		resp.Body.Close()
-		wantShard := m.ShardOf(value.Normalize(req.Input))
-		switch resp.StatusCode {
-		case http.StatusOK:
-			res.Served++
-			var out struct {
-				RID string `json:"rid"`
-			}
-			if err := json.Unmarshal(blob, &out); err != nil || out.RID == "" {
-				violate("request %d: 200 with no rid: %v", i, err)
-				break
-			}
-			if ackedByShard[wantShard] == nil {
-				ackedByShard[wantShard] = map[string]bool{}
-			}
-			ackedByShard[wantShard][out.RID] = true
-			if wantShard == victim {
+			return sup.Kill(victimName)
+		},
+		Outcome: func(i int, o loadgen.Outcome) {
+			switch {
+			case o.Class == loadgen.Served && o.Shard == victimKey:
 				victimServed++
+			case o.Class == loadgen.Degraded && o.Shard != victimKey:
+				violate("request %d: survivor shard %s degraded (victim is %d)", i, o.Shard, victim)
+			case o.Class == loadgen.Other || o.Class == loadgen.NoAnswer:
+				violate("request %d: %s — a member death must surface as an acked 200, 429 or hinted 503", i, o)
 			}
-		case http.StatusTooManyRequests:
-			res.Shed++
-		case http.StatusServiceUnavailable:
-			res.Degraded++
-			if wantShard != victim {
-				violate("request %d: survivor shard %d degraded (victim is %d)", i, wantShard, victim)
-			}
-		default:
-			violate("request %d: status %d — a member death must surface as 200/429/503", i, resp.StatusCode)
-		}
+		},
+	}, workload.Wiki(n, seed))
+	res.Ledger = load.Ledger
+	if err != nil {
+		return res, err
 	}
 	if !killed {
 		violate("the victim was never killed: kill-at %d left no mid-epoch window in %d requests", killAt, n)
@@ -350,7 +315,8 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if resp, err := client.Get(gwURL + "/readyz"); err != nil {
+	probe := &http.Client{Timeout: 30 * time.Second}
+	if resp, err := probe.Get(gwURL + "/readyz"); err != nil {
 		violate("gateway /readyz after recovery: %v", err)
 	} else {
 		resp.Body.Close()
@@ -365,34 +331,16 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		violate("graceful stop escalated: %v", err)
 	}
 
-	// Invariant: acked⊆sealed per shard — SIGKILL included, every RID a
-	// client saw 200 for is in a sealed epoch of the shard that served it.
-	for s, acked := range ackedByShard {
-		sealed := map[string]bool{}
-		dirS := shard.Dir(root, s)
-		manifests, err := epochlog.ListSealed(dirS)
-		if err != nil {
-			return res, err
-		}
-		for _, man := range manifests {
-			tr, _, _, err := epochlog.ReadSealed(dirS, man.Seq, epochlog.Options{})
-			if err != nil {
-				return res, err
-			}
-			for _, rid := range tr.RIDs() {
-				sealed[rid] = true
-			}
-		}
-		for rid := range acked {
-			if !sealed[rid] {
-				violate("shard %d: acked rid %s missing from the sealed log", s, rid)
-			}
-		}
+	// The two shared invariants (DESIGN.md §19.4). SIGKILL included, every
+	// RID a client saw 200 for is in a sealed epoch of the shard that served
+	// it; and the post-mortem audit — identical across lane and worker
+	// counts — grades the victim's stranded epoch Unauditable at worst and
+	// accuses nobody.
+	_, breaches, err := chaos.AckedSealed(root, load.Acked)
+	if err != nil {
+		return res, err
 	}
-
-	// The post-mortem audit: verdicts must be identical across lane and
-	// worker counts, the victim's SIGKILL grades Unauditable at worst, and
-	// nothing is accused.
+	res.Violations = append(res.Violations, breaches...)
 	out, diff, err := chaos.Reaudit(context.Background(), auditd.ShardedConfig{Root: root, Limits: verifier.DefaultLimits()})
 	if err != nil {
 		return res, err
@@ -401,32 +349,11 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 		violate("%s", diff)
 	}
 	res.Merge = string(out.Merge.Code)
-	victimUnauditable := false
-	for _, rep := range out.Shards {
-		for _, v := range rep.Verdicts {
-			switch v.Code {
-			case "":
-				res.Accepted++
-			case core.RejectUnauditable:
-				res.Unauditable++
-				if rep.Shard == victim {
-					victimUnauditable = true
-				} else {
-					violate("surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason)
-				}
-			default:
-				res.Rejected++
-				violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
-			}
-		}
+	var owed []int
+	if killed {
+		owed = []int{victim}
 	}
-	if killed && !victimUnauditable {
-		violate("victim shard %d has no unauditable epoch: the SIGKILL left no stranded evidence to grade", victim)
-	}
-	switch out.Merge.Code {
-	case "", core.RejectUnauditable:
-	default:
-		violate("combined verdict accuses after a process death: [%s] %s", out.Merge.Code, out.Merge.Reason)
-	}
+	res.Tally, breaches = chaos.GradeHonest(out, owed)
+	res.Violations = append(res.Violations, breaches...)
 	return res, nil
 }

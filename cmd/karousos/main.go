@@ -25,12 +25,13 @@
 //	karousos status -dir <log or topology root> [-checkpoint dir]
 //	    sealed manifests and audit progress per shard, as JSON;
 //
-//	karousos chaos -scenario pipeline|partition|… -seed 11
+//	karousos chaos -scenario pipeline|partition|overload-burst|… -seed 11
 //	    stands a topology up in-process, drives a workload, follows it with
 //	    a live auditor and checks every robustness invariant;
 //
-//	karousos load -n 2000 -rate 500 [-url U | -target GW] [-audit]
-//	    the open-loop load generator.
+//	karousos load -url U -n 2000 -rate 500
+//	    the external client: drives a running collector or gateway and
+//	    prints the arrival ledger, per shard behind a gateway.
 //
 // Exit codes are the same everywhere: 0 accepted (chaos, load, fleet
 // accept: every invariant held), 2 the merged verdict is not an accept or
@@ -89,7 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
   status   print sealed manifests and audit progress per shard
   chaos    replay a scenario (-scenario name or -scenario-file); exits 0
            if every robustness invariant held
-  load     open-loop load generator against a collector or gateway`)
+  load     drive a running collector or gateway (-url) and print the
+           arrival ledger`)
 	return 1
 }
 
@@ -162,7 +164,7 @@ func serveHTTP(addr string, h http.Handler, drain time.Duration, onShutdown func
 }
 
 // collectorFlags is the flag group every subcommand that boots collectors
-// registers: serve, gateway -local and load's self-contained mode.
+// registers: serve and gateway -local.
 type collectorFlags struct {
 	app         *string
 	epochReqs   *int

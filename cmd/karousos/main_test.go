@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"net/http"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"karousos.dev/karousos/internal/chaos"
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/loadgen"
@@ -46,22 +49,12 @@ func has(s string, subs ...string) bool {
 	return true
 }
 
-// drive posts each wiki request through url, requiring 200.
+// drive serves n wiki requests through url one at a time, requiring 200s.
 func drive(t *testing.T, url string, n int, seed int64) {
 	t.Helper()
-	for _, r := range workload.Wiki(n, seed) {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(url+"/invoke", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke: status %d", resp.StatusCode)
-		}
+	res, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: url}, workload.Wiki(n, seed))
+	if err != nil || res.Served != n {
+		t.Fatalf("served %d of %d: %+v, %v", res.Served, n, res, err)
 	}
 }
 
@@ -186,6 +179,18 @@ func TestChaosCmd(t *testing.T) {
 		t.Fatalf("audit of the pipeline's topology exit %d: %s / %s", code, out, errs)
 	}
 
+	// The self-contained overload story: a burst past a tight admission
+	// window (and one with slow clients mixed in) sheds, seals and re-audits
+	// clean at both worker counts.
+	for _, args := range [][]string{
+		{"chaos", "-scenario", "overload-burst", "-app", "motd", "-seed", "9"},
+		{"chaos", "-scenario", "overload-slow-client", "-app", "stacks", "-seed", "13"},
+	} {
+		if code, out, errs = cli(args...); code != 0 || !has(out, "CHAOS OK", "shards=1", "degraded=0", "unauditable=0", "rejected=0", "merge=accepted") {
+			t.Fatalf("%v exit %d: %s / %s", args, code, out, errs)
+		}
+	}
+
 	// A scripted scenario from a JSON file: honest run, no faults.
 	sc := filepath.Join(t.TempDir(), "sc.json")
 	blob := `{"topology":{"app":"motd","shards":1,"epochRequests":10},"load":{"seed":3,"requests":20}}`
@@ -239,24 +244,31 @@ func TestShardedAuditCmd(t *testing.T) {
 	}
 }
 
-// TestLoadCmd covers the load generator's surface: a burst past a tight
-// admission window then a re-audit at both worker counts, the recurring
-// steady-state mix, the JSON ledger, and gateway-target mode with the
-// ledger split per shard.
+// TestLoadCmd covers the external client's surface against in-process
+// targets: the JSON ledger and the recurring steady-state mix against a bare
+// collector, and a gateway's answers split per shard.
 func TestLoadCmd(t *testing.T) {
-	code, out, errs := cli("load", "-app", "motd", "-n", "64", "-seed", "9",
-		"-epoch-requests", "16", "-max-inflight", "4", "-outstanding", "16", "-dir", t.TempDir(), "-audit")
-	if code != 0 || !has(out, "offered 64", "AUDIT ACCEPTED", "LOAD OK") {
-		t.Fatalf("burst exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+	collector := func(app string) string {
+		t.Helper()
+		spec, err := harness.SpecByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: t.TempDir(), EpochRequests: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(col.Handler())
+		t.Cleanup(func() { ts.Close(); col.Close() })
+		return ts.URL
 	}
-	code, out, errs = cli("load", "-app", "motd", "-n", "32", "-seed", "3", "-repeat-mix", "0.8",
-		"-epoch-requests", "8", "-dir", t.TempDir(), "-audit")
-	if code != 0 || !has(out, "AUDIT ACCEPTED") {
-		t.Fatalf("repeat-mix exit %d\nstdout: %s\nstderr: %s", code, out, errs)
-	}
-	code, out, errs = cli("load", "-app", "feeds", "-n", "8", "-dir", t.TempDir(), "-json")
-	if code != 0 || !has(out, `"offered": 8`, `"ok": 8`) {
+	code, out, errs := cli("load", "-url", collector("feeds"), "-app", "feeds", "-n", "8", "-json")
+	if code != 0 || !has(out, `"offered": 8`, `"served": 8`, "LOAD OK") {
 		t.Fatalf("json exit %d: %s / %s", code, out, errs)
+	}
+	code, out, errs = cli("load", "-url", collector("motd"), "-app", "motd", "-n", "32", "-seed", "3", "-repeat-mix", "0.8", "-outstanding", "1")
+	if code != 0 || !has(out, "offered 32", "ok 32", "LOAD OK") {
+		t.Fatalf("repeat-mix exit %d\nstdout: %s\nstderr: %s", code, out, errs)
 	}
 
 	top, err := gateway.NewLocal(gateway.LocalConfig{
@@ -273,17 +285,17 @@ func TestLoadCmd(t *testing.T) {
 	defer top.Close()
 	ts := httptest.NewServer(top.Handler())
 	defer ts.Close()
-	code, out, errs = cli("load", "-target", ts.URL, "-app", "wiki", "-n", "30", "-seed", "7", "-json")
+	code, out, errs = cli("load", "-url", ts.URL, "-app", "wiki", "-n", "30", "-seed", "7", "-json")
 	if code != 0 {
-		t.Fatalf("target exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+		t.Fatalf("gateway exit %d\nstdout: %s\nstderr: %s", code, out, errs)
 	}
 	var res loadgen.Result
 	// The ledger JSON is followed by the OK banner; decode the first value.
 	if err := json.NewDecoder(strings.NewReader(out)).Decode(&res); err != nil {
 		t.Fatalf("bad json: %v\n%s", err, out)
 	}
-	if res.OK != 30 || len(res.Shards) != 2 || res.Shards["0"] == nil || res.Shards["1"] == nil ||
-		res.Shards["0"].OK+res.Shards["1"].OK != 30 {
+	if res.Served != 30 || len(res.Shards) != 2 || res.Shards["0"] == nil || res.Shards["1"] == nil ||
+		res.Shards["0"].Served+res.Shards["1"].Served != 30 {
 		t.Fatalf("per-shard ledger: %+v / %+v", res, res.Shards)
 	}
 }
@@ -291,15 +303,44 @@ func TestLoadCmd(t *testing.T) {
 // TestFleetAccept: the full supervised-fleet acceptance scenario — spawn
 // collectors + gateway as real processes (re-execs of the public serve and
 // gateway subcommands), SIGKILL one collector mid-epoch, verify the
-// supervisor repairs it, drain, and audit — exits 0 with the OK banner.
+// supervisor repairs it, drain, and audit — exits 0 with the tallies the
+// command printed before its request loop, acked⊆sealed scan and verdict
+// grader were replaced by the shared driver and invariants.
 func TestFleetAccept(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
 	}
-	code, out, errs := cli("fleet", "accept", "-shards", "2", "-n", "40", "-epoch-requests", "5",
-		"-seed", "11", "-root", t.TempDir())
-	if code != 0 || !has(out, "FLEET ACCEPT OK", "restart 1/") {
-		t.Fatalf("accept exit %d:\n%s\n%s", code, out, errs)
+	for _, row := range []struct {
+		args        []string
+		n, accepted int
+	}{
+		{[]string{"-shards", "2", "-n", "40", "-epoch-requests", "5", "-seed", "11"}, 40, 8},
+		{[]string{"-shards", "3", "-n", "60"}, 60, 13},
+	} {
+		args := append([]string{"fleet", "accept", "-v", "-root", t.TempDir()}, row.args...)
+		code, out, errs := cli(args...)
+		if code != 0 || !has(out, "FLEET ACCEPT OK", "restart 1/") {
+			t.Fatalf("%v exit %d:\n%s\n%s", args, code, out, errs)
+		}
+		// -v prints the result as JSON between the members' output and the
+		// banner.
+		var res acceptResult
+		if err := json.NewDecoder(strings.NewReader(out[strings.Index(out, "\n{\n"):])).Decode(&res); err != nil {
+			t.Fatalf("bad -v json: %v\n%s", err, out)
+		}
+		// What no schedule can change: every arrival is served or degraded,
+		// the kill strands exactly one epoch, one restart repairs it.
+		if res.Served+res.Degraded != row.n || res.Shed != 0 || res.Other != 0 || res.Rejected != 0 ||
+			res.Unauditable != 1 || res.VictimRestarts != 1 || len(res.Violations) != 0 {
+			t.Fatalf("%v result %+v", args, res)
+		}
+		// The gateway's retries normally bridge the supervised restart (a
+		// slow one, e.g. under the race detector, degrades the arrivals that
+		// land in it); then the tallies are exactly the recorded ones.
+		banner := fmt.Sprintf("FLEET ACCEPT OK: served=%d degraded=0 restarts=1 accepted=%d unauditable=1 —", row.n, row.accepted)
+		if res.Degraded == 0 && (res.Tally != chaos.Tally{Accepted: row.accepted, Unauditable: 1} || res.Merge != "" || !has(out, banner)) {
+			t.Fatalf("%v result %+v, want %q", args, res, banner)
+		}
 	}
 }
 
@@ -324,18 +365,25 @@ func TestBadArgs(t *testing.T) {
 		{"chaos", "-scenario", "pipeline", "-app", "nope"},
 		{"chaos", "-scenario", "shard-kill", "-app", "motd"}, // unshardable app
 		{"chaos", "-scenario-file", filepath.Join(t.TempDir(), "missing.json")},
-		{"load", "-mix", "nope"},
-		{"load", "-app", "nope", "-n", "1", "-dir", t.TempDir()},
+		{"load", "-url", "http://127.0.0.1:1", "-mix", "nope"},
+		{"load", "-url", "http://127.0.0.1:1", "-app", "nope", "-n", "1"},
+		{"load", "-url", "http://127.0.0.1:1", "-repeat-mix", "1.5", "-n", "4"},
+		{"load", "-n", "4"}, // no target: the self-contained mode moved to chaos
+		// The flags that left with it.
 		{"load", "-url", "http://127.0.0.1:1", "-audit"},
-		{"load", "-target", "http://127.0.0.1:1", "-url", "http://127.0.0.1:2"},
-		{"load", "-target", "http://127.0.0.1:1", "-audit"},
-		{"load", "-repeat-mix", "1.5", "-n", "4", "-dir", t.TempDir()},
+		{"load", "-target", "http://127.0.0.1:1"},
+		{"load", "-url", "http://127.0.0.1:1", "-dir", t.TempDir()},
+		{"load", "-url", "http://127.0.0.1:1", "-max-queued-bytes", "1"},
+		{"load", "-url", "http://127.0.0.1:1", "-epoch-requests", "8"},
+		{"load", "-url", "http://127.0.0.1:1", "-epoch-max-age", "1s"},
+		{"load", "-url", "http://127.0.0.1:1", "-commit", "group"},
+		{"load", "-url", "http://127.0.0.1:1", "-max-inflight", "4"},
 	} {
 		if code, _, errs := cli(args...); code != 1 {
 			t.Errorf("%v: exit %d, want 1 (%s)", args, code, errs)
 		}
 	}
-	if _, _, errs := cli("load", "-url", "http://127.0.0.1:1", "-audit"); !has(errs, "-audit") {
-		t.Errorf("stderr should explain the -audit restriction: %s", errs)
+	if _, _, errs := cli("load", "-n", "4"); !has(errs, "-url", "chaos -scenario overload-burst") {
+		t.Errorf("stderr should point at -url and the chaos scenario: %s", errs)
 	}
 }

@@ -27,12 +27,8 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -146,23 +142,21 @@ type Scenario struct {
 
 // Result is what a scenario run observed.
 type Result struct {
-	// The arrival ledger: every offered request is in exactly one bucket.
-	Served    int `json:"served"`    // 200
-	Shed      int `json:"shed"`      // 429, passed through from a shard
-	Degraded  int `json:"degraded"`  // 503 from the gateway, hinted
-	ShedLocal int `json:"shedLocal"` // open loop only: shed at the source
+	// The arrival ledger: every offered request is in exactly one bucket —
+	// served, shed by a shard (429), degraded by the gateway (hinted 503)
+	// or, open loop only, shed at the source.
+	loadgen.Ledger
+	ShedLocal int `json:"shedLocal"`
 	// Sealed counts sealed epochs across all shards.
 	Sealed int `json:"sealed"`
 	// Gateway and Admission are the per-shard front-door counters and
 	// admission gauges at shutdown.
 	Gateway   []gateway.ShardCounters        `json:"gateway"`
 	Admission []collectorhttp.AdmissionState `json:"admission"`
-	// Audit is the post-run re-audit at one lane per shard; the tallies
-	// count its per-epoch verdicts across the topology.
-	Audit       auditd.ShardedResult `json:"audit"`
-	Accepted    int                  `json:"accepted"`
-	Rejected    int                  `json:"rejected"`
-	Unauditable int                  `json:"unauditable"`
+	// Audit is the post-run re-audit at one lane per shard; the Tally
+	// counts its per-epoch verdicts across the topology.
+	Audit auditd.ShardedResult `json:"audit"`
+	Tally
 	// AuditorRestarts counts the live auditor's lane rebuilds plus scripted
 	// kills.
 	AuditorRestarts int `json:"auditorRestarts"`
@@ -213,6 +207,7 @@ func Reaudit(ctx context.Context, cfg auditd.ShardedConfig) (auditd.ShardedResul
 
 type runner struct {
 	sc      Scenario
+	reqs    []server.Request
 	root    string
 	ckptDir string
 
@@ -229,9 +224,8 @@ type runner struct {
 
 	mu  sync.Mutex // guards everything below; requests and lanes run concurrently
 	res *Result
-	// acked is every 200's RID by serving shard; graded each (shard, epoch)'s
-	// first verdict; evidence every evidence file ever seen.
-	acked    []map[string]bool
+	// graded is each (shard, epoch)'s first verdict; evidence every evidence
+	// file ever seen.
 	graded   map[[2]uint64]core.RejectCode
 	evidence map[string]bool
 }
@@ -253,6 +247,7 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	}
 	r := &runner{
 		sc:       sc,
+		reqs:     reqs,
 		root:     filepath.Join(dir, "shards"),
 		ckptDir:  filepath.Join(dir, "auditd.ckpt"),
 		cInj:     iofault.NewInjector(nil),
@@ -260,7 +255,6 @@ func Run(dir string, sc Scenario) (*Result, error) {
 		nInj:     netfault.NewInjector(),
 		faulted:  map[int]bool{},
 		res:      &Result{},
-		acked:    make([]map[string]bool, sc.Topology.Shards),
 		graded:   map[[2]uint64]core.RejectCode{},
 		evidence: map[string]bool{},
 	}
@@ -308,34 +302,18 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	}
 
 	ctx := context.Background()
-	sem := make(chan struct{}, sc.Load.Outstanding)
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if err := r.applyDue(i); err != nil {
-			return r.res, err
-		}
-		if sc.Load.Outstanding <= 1 {
-			r.send(i, req)
-			// A pass that fails here failed on a fault still armed; the lane
-			// rebuilds itself on the next one, and the final drain below
-			// must succeed.
-			_, _ = r.aud.RunOnce(ctx)
-			r.scanEvidence()
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, req server.Request) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				r.send(i, req)
-			}(i, req)
-		default:
-			r.res.ShedLocal++
-		}
+	load, err := loadgen.Run(ctx, loadgen.Config{
+		BaseURL:        r.ts.URL,
+		MaxOutstanding: sc.Load.Outstanding,
+		SlowEvery:      sc.Load.SlowEvery,
+		Client:         r.ts.Client(),
+		Before:         r.applyDue,
+		Outcome:        r.outcome,
+	}, reqs)
+	r.res.Ledger, r.res.ShedLocal = load.Ledger, load.ShedLocal
+	if err != nil {
+		return r.res, err
 	}
-	wg.Wait()
 	if r.next < len(sc.Steps) {
 		return r.res, fmt.Errorf("chaos: step %d (%s at %d) never became due; the run proves nothing about it", r.next, sc.Steps[r.next].Do, sc.Steps[r.next].At)
 	}
@@ -371,9 +349,11 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	}
 	live := r.aud.Result()
 	r.scanEvidence()
-	if err := r.checkAckedSealed(); err != nil {
+	var breaches []string
+	if r.res.Sealed, breaches, err = AckedSealed(r.root, load.Acked); err != nil {
 		return r.res, err
 	}
+	r.breach(breaches...)
 
 	var diff string
 	r.res.Audit, diff, err = Reaudit(ctx, auditd.ShardedConfig{
@@ -389,7 +369,8 @@ func Run(dir string, sc Scenario) (*Result, error) {
 		r.violate("live auditor merged [%s], re-audit merged [%s]", live.Merge.Code, r.res.Audit.Merge.Code)
 	}
 	r.bookLaneRestarts(live)
-	r.grade()
+	r.res.Tally, breaches = GradeHonest(r.res.Audit, sc.Expect.Unauditable)
+	r.breach(breaches...)
 	r.scanEvidence()
 	return r.res, nil
 }
@@ -536,74 +517,43 @@ func (r *runner) apply(st Step) error {
 }
 
 func (r *runner) violate(format string, args ...any) {
+	r.breach(fmt.Sprintf(format, args...))
+}
+
+func (r *runner) breach(lines ...string) {
 	r.mu.Lock()
-	r.res.Violations = append(r.res.Violations, fmt.Sprintf(format, args...))
+	r.res.Violations = append(r.res.Violations, lines...)
 	r.mu.Unlock()
 }
 
-// count books one arrival into a ledger bucket.
-func (r *runner) count(bucket *int) {
-	r.mu.Lock()
-	*bucket++
-	r.mu.Unlock()
-}
-
-// send drives one request through the gateway and books its outcome.
-func (r *runner) send(i int, req server.Request) {
-	body, err := json.Marshal(map[string]any{"input": req.Input})
-	if err != nil {
-		r.violate("request %d: marshal: %v", i, err)
-		return
-	}
-	var rd io.Reader = bytes.NewReader(body)
-	if n := r.sc.Load.SlowEvery; n > 0 && i%n == n-1 {
-		rd = &loadgen.SlowBody{Data: body, Delay: 2 * time.Millisecond}
-	}
-	resp, err := r.ts.Client().Post(r.ts.URL+"/invoke", "application/json", rd)
-	if err != nil {
+// outcome holds one answered arrival to the front-door invariants, and in
+// the closed loop lets the live auditor follow it.
+func (r *runner) outcome(i int, o loadgen.Outcome) {
+	want := r.top.Map.ShardOf(value.Normalize(r.reqs[i].Input))
+	switch {
+	case o.Class == loadgen.NoAnswer:
 		// The gateway itself must always answer; only the shards may be dark.
-		r.violate("request %d: gateway unreachable: %v", i, err)
-		return
+		r.violate("request %d: gateway unreachable: %v", i, o.Err)
+	case o.Shard != strconv.Itoa(want):
+		r.violate("request %d: shard header %q, map says %d", i, o.Shard, want)
 	}
-	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) //karousos:errladder-ok scenario-side read; the status carries the outcome
-	resp.Body.Close()
-
-	want := r.top.Map.ShardOf(value.Normalize(req.Input))
-	if got := resp.Header.Get(gateway.ShardHeader); got != strconv.Itoa(want) {
-		r.violate("request %d: shard header %q, map says %d", i, got, want)
-	}
-	hinted := resp.Header.Get("Retry-After") != ""
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var out struct {
-			RID string `json:"rid"`
-		}
-		if err := json.Unmarshal(blob, &out); err != nil || out.RID == "" {
-			r.violate("request %d: 200 with no rid: %v", i, err)
-			return
-		}
-		r.mu.Lock()
-		r.res.Served++
-		if r.acked[want] == nil {
-			r.acked[want] = map[string]bool{}
-		}
-		r.acked[want][out.RID] = true
-		r.mu.Unlock()
-	case http.StatusTooManyRequests:
-		r.count(&r.res.Shed)
-		if !hinted {
+	switch o.Class {
+	case loadgen.Shed:
+		if !o.Hinted {
 			r.violate("request %d: 429 without Retry-After", i)
 		}
-	case http.StatusServiceUnavailable:
-		r.count(&r.res.Degraded)
-		if !hinted {
-			r.violate("request %d: 503 without Retry-After", i)
-		}
+	case loadgen.Degraded:
 		if !r.faulted[want] {
 			r.violate("request %d: shard %d degraded, but the script never faulted it", i, want)
 		}
-	default:
-		r.violate("request %d: status %d — faults and overload must surface as 200/429/503, nothing else", i, resp.StatusCode)
+	case loadgen.Other:
+		r.violate("request %d: %s — faults and overload must surface as an acked 200, 429 or hinted 503, nothing else", i, o)
+	}
+	if r.sc.Load.Outstanding <= 1 {
+		// A pass that fails here failed on a fault still armed; the lane
+		// rebuilds itself on the next one, and the final drain must succeed.
+		_, _ = r.aud.RunOnce(context.Background())
+		r.scanEvidence()
 	}
 }
 
@@ -651,71 +601,91 @@ func (r *runner) scanEvidence() {
 	}
 }
 
-// checkAckedSealed is the zero-evidence-loss invariant: every RID a client
-// saw 200 for is a REQ in a sealed, balanced epoch of the shard that
-// served it.
-func (r *runner) checkAckedSealed() error {
-	for s, acked := range r.acked {
-		dir := shard.Dir(r.root, s)
+// AckedSealed checks the zero-evidence-loss invariant over the sealed
+// topology under root: every RID a client saw 200 for — acked, keyed by
+// serving shard as the X-Karousos-Shard header names it (loadgen's
+// Result.Acked) — is a REQ in a sealed, balanced epoch of that shard. It
+// returns how many epochs the topology sealed and one line per breach.
+func AckedSealed(root string, acked map[string][]string) (sealed int, breaches []string, err error) {
+	m, err := shard.ReadMap(root)
+	if err != nil {
+		return 0, nil, err
+	}
+	for key, rids := range acked {
+		if s, err := strconv.Atoi(key); err != nil || s < 0 || s >= m.Shards {
+			breaches = append(breaches, fmt.Sprintf("%d acked requests name shard %q, which the %d-shard map does not have", len(rids), key, m.Shards))
+		}
+	}
+	for s, dir := range m.Dirs(root) {
 		manifests, err := epochlog.ListSealed(dir)
 		if err != nil {
-			return err
+			return sealed, breaches, err
 		}
-		r.res.Sealed += len(manifests)
-		sealed := map[string]bool{}
+		sealed += len(manifests)
+		inLog := map[string]bool{}
 		for _, man := range manifests {
 			tr, _, _, err := epochlog.ReadSealed(dir, man.Seq, epochlog.Options{})
 			if err != nil {
-				return err
+				return sealed, breaches, err
 			}
 			if err := tr.CheckBalanced(); err != nil {
-				r.violate("shard %d epoch %d sealed unbalanced: %v", s, man.Seq, err)
+				breaches = append(breaches, fmt.Sprintf("shard %d epoch %d sealed unbalanced: %v", s, man.Seq, err))
 			}
 			for _, rid := range tr.RIDs() {
-				sealed[rid] = true
+				inLog[rid] = true
 			}
 		}
-		for rid := range acked {
-			if !sealed[rid] {
-				r.violate("shard %d: acked rid %s missing from the sealed log", s, rid)
+		for _, rid := range acked[strconv.Itoa(s)] {
+			if !inLog[rid] {
+				breaches = append(breaches, fmt.Sprintf("shard %d: acked rid %s missing from the sealed log", s, rid))
 			}
 		}
 	}
-	return nil
+	return sealed, breaches, nil
 }
 
-// grade tallies the re-audit's verdicts and applies the honest-run
-// invariant: the engine only scripts infrastructure faults, so a rejection
-// is always false, and Unauditable is owed only where the scenario says so.
-func (r *runner) grade() {
+// Tally counts a sharded audit's per-epoch verdicts.
+type Tally struct {
+	Accepted    int `json:"accepted"`
+	Rejected    int `json:"rejected"`
+	Unauditable int `json:"unauditable"`
+}
+
+// GradeHonest tallies the audit of a run that suffered infrastructure
+// faults only and applies the honest-run invariant, one line per breach: a
+// rejection is always false, and Unauditable is owed on exactly the shards
+// whose evidence the faults stranded.
+func GradeHonest(res auditd.ShardedResult, owedShards []int) (t Tally, breaches []string) {
+	breach := func(format string, args ...any) { breaches = append(breaches, fmt.Sprintf(format, args...)) }
 	owed := map[int]bool{}
-	for _, s := range r.sc.Expect.Unauditable {
+	for _, s := range owedShards {
 		owed[s] = true
 	}
-	for _, rep := range r.res.Audit.Shards {
+	for _, rep := range res.Shards {
 		unauditable := 0
 		for _, v := range rep.Verdicts {
 			switch v.Code {
 			case "":
-				r.res.Accepted++
+				t.Accepted++
 			case core.RejectUnauditable:
 				unauditable++
 			default:
-				r.res.Rejected++
-				r.violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
+				t.Rejected++
+				breach("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
 			}
 		}
-		r.res.Unauditable += unauditable
+		t.Unauditable += unauditable
 		if owed[rep.Shard] && unauditable == 0 {
-			r.violate("shard %d has no unauditable epoch: the script stranded no evidence there", rep.Shard)
+			breach("shard %d has no unauditable epoch: the faults stranded no evidence there", rep.Shard)
 		}
 		if !owed[rep.Shard] && unauditable > 0 {
-			r.violate("shard %d graded %d epochs unauditable; the scenario expects none there", rep.Shard, unauditable)
+			breach("shard %d graded %d epochs unauditable; none is owed there", rep.Shard, unauditable)
 		}
 	}
-	switch m := r.res.Audit.Merge; {
+	switch m := res.Merge; {
 	case m.Code == "", m.Code == core.RejectUnauditable && len(owed) > 0:
 	default:
-		r.violate("combined verdict [%s] after infrastructure faults only: %s", m.Code, m.Reason)
+		breach("combined verdict [%s] after infrastructure faults only: %s", m.Code, m.Reason)
 	}
+	return t, breaches
 }

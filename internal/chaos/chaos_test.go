@@ -1,11 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/loadgen"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -362,19 +361,9 @@ func TestCommitModeDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(c.Handler())
-		for _, r := range reqs {
-			body, err := json.Marshal(map[string]any{"input": r.Input})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ts.Client().Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("mode %q: invoke status %d", mode, resp.StatusCode)
-			}
+		load, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: ts.URL, Client: ts.Client()}, reqs)
+		if err != nil || load.Served != len(reqs) {
+			t.Fatalf("mode %q: served %d of %d: %+v, %v", mode, load.Served, len(reqs), load, err)
 		}
 		ts.Close()
 		if err := c.Close(); err != nil {
@@ -404,5 +393,49 @@ func TestCommitModeDifferential(t *testing.T) {
 	}
 	if group.Stats != perReq.Stats {
 		t.Fatalf("audit stats differ: group %+v, per-request %+v", group.Stats, perReq.Stats)
+	}
+}
+
+// TestInvariantsNameBreaches: the two exported invariants — shared with
+// `karousos fleet accept` — report each kind of breach, one line apiece.
+func TestInvariantsNameBreaches(t *testing.T) {
+	dir := t.TempDir()
+	sc := Scenario{Topology: Topology{App: "wiki", Shards: 2, EpochRequests: 5}, Load: Load{Seed: 3, Requests: 20}}
+	res, err := Run(dir, sc)
+	if err != nil || len(res.Violations) != 0 {
+		t.Fatalf("honest run: %v, %v", err, res)
+	}
+	root := dir + "/shards"
+	sealed, breaches, err := AckedSealed(root, map[string][]string{"0": {"r00000001", "r-never-served"}, "7": {"x"}, "": {"y", "z"}})
+	if err != nil || sealed != res.Sealed || len(breaches) != 3 {
+		t.Fatalf("sealed %d (run saw %d), err %v, breaches %q", sealed, res.Sealed, err, breaches)
+	}
+	for _, want := range []string{`name shard "7"`, `2 acked requests name shard ""`, "shard 0: acked rid r-never-served missing"} {
+		if !strings.Contains(strings.Join(breaches, "\n"), want) {
+			t.Errorf("no breach mentions %q: %q", want, breaches)
+		}
+	}
+	if _, _, err := AckedSealed(t.TempDir(), nil); err == nil {
+		t.Error("a root without a shard map checked clean")
+	}
+
+	audit := auditd.ShardedResult{Shards: []auditd.ShardReport{
+		{Shard: 0, Verdicts: []auditd.Verdict{{Epoch: 1}, {Epoch: 2, Code: "OutputMismatch"}}},
+		{Shard: 1, Verdicts: []auditd.Verdict{{Epoch: 1, Code: "Unauditable"}}},
+		{Shard: 2, Verdicts: []auditd.Verdict{{Epoch: 1}}},
+	}}
+	audit.Merge.Code = "Unauditable"
+	tally, breaches := GradeHonest(audit, []int{2})
+	if tally != (Tally{Accepted: 2, Rejected: 1, Unauditable: 1}) || len(breaches) != 3 {
+		t.Fatalf("tally %+v, breaches %q", tally, breaches)
+	}
+	// Unauditable where it is owed, and only there, is the price of the
+	// fault; with nothing owed even the merged Unauditable is a breach.
+	if _, breaches = GradeHonest(audit, []int{1, 2}); len(breaches) != 2 {
+		t.Errorf("owed on 1 and 2: %q", breaches)
+	}
+	audit.Shards = audit.Shards[2:]
+	if _, breaches = GradeHonest(audit, nil); len(breaches) != 1 || !strings.Contains(breaches[0], "combined verdict [Unauditable]") {
+		t.Errorf("nothing owed: %q", breaches)
 	}
 }

@@ -152,7 +152,9 @@ func (cfg Config) commitMode() CommitMode {
 }
 
 // Meta is the sidecar record written next to the epoch log so offline tools
-// (karousos-audit, karousos audit) know how to re-execute the epochs.
+// (karousos-audit, karousos audit) know how to re-execute the epochs. It is
+// pinned when the directory's first collector boots (iofault.PinJSON):
+// reopening the directory as another app or advice mode is refused.
 type Meta struct {
 	App  string      `json:"app"`
 	Mode advice.Mode `json:"mode"`
@@ -227,8 +229,8 @@ func New(cfg Config) (*Collector, error) {
 	if err := cfg.fs().MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := writeMeta(cfg.fs(), cfg.Dir, Meta{App: cfg.Spec.Name, Mode: cfg.Mode}); err != nil {
-		return nil, err
+	if err := iofault.PinJSON(cfg.fs(), filepath.Join(cfg.Dir, MetaFile), Meta{App: cfg.Spec.Name, Mode: cfg.Mode}); err != nil {
+		return nil, fmt.Errorf("collectorhttp: %w", err)
 	}
 	l, err := epochlog.Open(cfg.Dir, epochlog.Options{
 		MaxAdviceBytes: cfg.Limits.MaxAdviceBytes,
@@ -323,14 +325,6 @@ func recoverIncarnation(l *epochlog.Log) (uint64, error) {
 		return 0, err
 	}
 	return next, nil
-}
-
-func writeMeta(fsys iofault.FS, dir string, m Meta) error {
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return fsys.WriteFile(filepath.Join(dir, MetaFile), blob, 0o644)
 }
 
 // ReadMeta loads the sidecar record from an epoch log directory.

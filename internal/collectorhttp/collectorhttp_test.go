@@ -252,6 +252,32 @@ func TestRestartResumesRIDsAndMarksFresh(t *testing.T) {
 	}
 }
 
+// TestRestartRefusesRelabel: meta.json is how an auditor knows which
+// application to re-execute sealed epochs under, so reopening a log as a
+// different application or advice mode is refused, not silently relabelled.
+func TestRestartRefusesRelabel(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"app":  {Spec: harness.StacksApp(), Dir: dir},
+		"mode": {Spec: harness.MOTDApp(), Dir: dir, Mode: advice.ModeOrochiJS},
+	} {
+		if c, err := New(cfg); err == nil {
+			c.Close()
+			t.Errorf("log of motd/karousos reopened with another %s", name)
+		}
+	}
+	if m, err := ReadMeta(dir); err != nil || m != (Meta{App: "motd", Mode: advice.ModeKarousos}) {
+		t.Fatalf("meta after refused relabels: %+v, %v", m, err)
+	}
+}
+
 // brokenBody yields some bytes, then fails — a client disconnecting
 // mid-upload.
 type brokenBody struct{ sent bool }

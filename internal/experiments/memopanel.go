@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"time"
@@ -13,6 +10,8 @@ import (
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/loadgen"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -36,6 +35,15 @@ const memoEpochs = 16
 // sub-stream bit-identical across epochs and the remainder re-seeded per
 // epoch — exactly the log `karousos audit -memo` is built for.
 func BuildMemoLog(dir string, epochs, perEpoch int, repeat float64, seed int64) error {
+	var stream []server.Request
+	for e := 0; e < epochs; e++ {
+		base := workload.Feeds(perEpoch, workload.Mixed, seed+int64(e))
+		reqs, err := workload.WithRepeats(base, "feeds", repeat, seed)
+		if err != nil {
+			return err
+		}
+		stream = append(stream, reqs...)
+	}
 	col, err := collectorhttp.New(collectorhttp.Config{
 		Spec:          harness.FeedsApp(),
 		Dir:           dir,
@@ -46,33 +54,25 @@ func BuildMemoLog(dir string, epochs, perEpoch int, repeat float64, seed int64) 
 		return err
 	}
 	ts := httptest.NewServer(col.Handler())
-	defer ts.Close()
-	for e := 0; e < epochs; e++ {
-		base := workload.Feeds(perEpoch, workload.Mixed, seed+int64(e))
-		reqs, err := workload.WithRepeats(base, "feeds", repeat, seed)
-		if err != nil {
-			col.Close()
-			return err
-		}
-		for _, r := range reqs {
-			body, err := json.Marshal(map[string]any{"input": r.Input})
-			if err != nil {
-				col.Close()
-				return err
-			}
-			resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-			if err != nil {
-				col.Close()
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				col.Close()
-				return fmt.Errorf("experiments: memo log invoke: status %d", resp.StatusCode)
-			}
-		}
+	err = serveAll(ts.URL, stream)
+	ts.Close()
+	if cerr := col.Close(); err == nil {
+		err = cerr
 	}
-	return col.Close()
+	return err
+}
+
+// serveAll drives reqs through url one at a time, in order, and requires
+// every one acknowledged: a figure's log must hold exactly its workload.
+func serveAll(url string, reqs []server.Request) error {
+	res, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: url}, reqs)
+	if err != nil {
+		return err
+	}
+	if res.Served != len(reqs) {
+		return fmt.Errorf("experiments: %d of %d requests acknowledged (ledger %+v, %d unanswered)", res.Served, len(reqs), res.Ledger, res.NetErr)
+	}
+	return nil
 }
 
 // auditMemoLog grades the whole log from scratch (fresh auditor, no

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"time"
@@ -49,28 +46,12 @@ func BuildShardTopology(root string, shards, requests int, seed int64) error {
 		return err
 	}
 	ts := httptest.NewServer(top.Gateway.Handler())
-	for _, r := range workload.Wiki(requests, seed) {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			ts.Close()
-			top.Close()
-			return err
-		}
-		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-		if err != nil {
-			ts.Close()
-			top.Close()
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			ts.Close()
-			top.Close()
-			return fmt.Errorf("experiments: shard topology invoke: status %d", resp.StatusCode)
-		}
-	}
+	err = serveAll(ts.URL, workload.Wiki(requests, seed))
 	ts.Close()
-	return top.Close()
+	if cerr := top.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // auditShardTopology audits a sealed topology from scratch (no

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -280,5 +281,60 @@ func TestFsyncFailNotTransient(t *testing.T) {
 	serr := f.Sync()
 	if serr == nil || Classify(serr) != ClassPermanent {
 		t.Fatalf("injected fsync failure %v classifies %v, want permanent", serr, Classify(serr))
+	}
+}
+
+// TestPinJSON: a sidecar is written once. The same value again — however
+// the file is formatted — costs no write; a different value is refused and
+// the file left as it was; and the first write is atomic: a fault between
+// the temp write and the rename leaves no torn file, so the retry succeeds.
+func TestPinJSON(t *testing.T) {
+	type label struct {
+		App    string   `json:"app"`
+		Fields []string `json:"fields,omitempty"`
+	}
+	in := NewInjector(nil)
+	p := filepath.Join(t.TempDir(), "label.json")
+	motd := label{App: "motd", Fields: []string{"id"}}
+
+	if err := in.Arm(OpRenameFail, fault.Arm{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := PinJSON(in, p, motd); err == nil {
+		t.Fatal("rename fault did not surface")
+	}
+	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed first write left something at the sidecar path: %v", err)
+	}
+	if err := PinJSON(in, p, motd); err != nil {
+		t.Fatalf("retry after the rename fault: %v", err)
+	}
+
+	if err := os.WriteFile(p, []byte("{\n  \"fields\": [\"id\"],\n  \"app\": \"motd\"\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := in.Counts()
+	if err := PinJSON(in, p, motd); err != nil {
+		t.Fatalf("same value, other formatting: %v", err)
+	}
+	err := PinJSON(in, p, label{App: "stacks"})
+	if err == nil || !strings.Contains(err.Error(), `"motd"`) || !strings.Contains(err.Error(), `"stacks"`) {
+		t.Fatalf("relabel error %v, want both values named", err)
+	}
+	after := in.Counts()
+	for _, call := range []fault.Call{CallWrite, CallRename, CallOpen, CallRemove, CallTruncate} {
+		if after[call] != before[call] {
+			t.Errorf("%d %s calls on an existing sidecar, want none", after[call]-before[call], call)
+		}
+	}
+	if blob, err := os.ReadFile(p); err != nil || !strings.Contains(string(blob), `"app": "motd"`) {
+		t.Fatalf("refused relabel disturbed the old file: %q, %v", blob, err)
+	}
+
+	if err := os.WriteFile(p, []byte(`{"app":"mo`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := PinJSON(in, p, motd); err == nil {
+		t.Fatal("an undecodable sidecar was overwritten")
 	}
 }

@@ -1,8 +1,16 @@
-// Package loadgen is the open-loop load generator behind the serving
-// path's load story (DESIGN.md §14). Open-loop means arrivals are paced by
-// a clock, not by completions: request i is due at start + i/rate whether
-// or not earlier requests have finished, which is how real traffic behaves
-// and exactly what closed-loop generators hide (closed loops slow their
+// Package loadgen is the one client of the serving path: the only code in
+// the tree that POSTs /invoke and classifies the answer. Everything that
+// drives a collector or a gateway — the chaos scenario engine, the fleet
+// acceptance run, `karousos load`, the figure log-builders — calls Run, so
+// the arrival ledger the overload and evidence invariants are stated on is
+// booked in one place (DESIGN.md §14.3, §19.4).
+//
+// Run covers three loops. The closed loop sends one request at a time, each
+// when the previous has been answered: fully deterministic, and what a
+// scripted scenario or a log builder wants. The open loops pace arrivals by
+// a clock, not by completions — request i is due at start + i/rate (or at
+// once, a burst) whether or not earlier requests have finished, which is how
+// real traffic behaves and exactly what closed loops hide (they slow their
 // offered load down to whatever the server survives, so overload never
 // shows). When the outstanding-request bound is hit, a due arrival is shed
 // locally and counted — the generator itself never queues without bound,
@@ -26,304 +34,327 @@ import (
 	"karousos.dev/karousos/internal/workload"
 )
 
-// Config describes one load run.
+// Config describes how one run drives its request stream.
 type Config struct {
-	// BaseURL is the collector to drive (e.g. "http://127.0.0.1:8080").
+	// BaseURL is the collector or gateway to drive (e.g.
+	// "http://127.0.0.1:8080").
 	BaseURL string
-	// App selects the workload generator: "motd", "stacks", "wiki", or
-	// "feeds".
-	App string
-	// Mix is the read/write mix for motd, stacks, and feeds; ignored by
-	// wiki. Empty means workload.Mixed.
-	Mix workload.Mix
-	// Requests is how many arrivals to offer.
-	Requests int
-	// Rate is the open-loop arrival rate in requests/second. 0 means no
-	// pacing: every arrival is due immediately (a pure burst).
+	// Rate paces arrivals at this many requests/second. 0 means no pacing:
+	// every arrival is due immediately.
 	Rate float64
-	// MaxOutstanding bounds concurrently outstanding requests; a due
-	// arrival past the bound is shed locally. <=0 means 64.
+	// MaxOutstanding selects the loop. At most 1 is the closed loop: one
+	// request at a time, nothing shed. More is an open loop: this many may
+	// be outstanding and a due arrival past the bound is shed locally.
 	MaxOutstanding int
-	// Seed seeds the workload generator — same seed, same request stream.
-	Seed int64
-	// RepeatMix rewrites this fraction of arrivals to the app's fixed pool
-	// of recurring read-only request shapes (workload.Repeats) — the
-	// steady-state traffic that exercises the auditor's cross-epoch memo
-	// cache. 0 disables; must stay within [0,1].
-	RepeatMix float64
 	// Timeout bounds one request end to end. <=0 means 30s.
 	Timeout time.Duration
 	// SlowEvery, when >0, sends every Nth request's body through a
 	// trickling chunked reader — the slow-client (slowloris-shaped)
 	// overload ingredient.
 	SlowEvery int
-	// SlowChunkDelay is the pause between a slow client's body chunks.
-	// <=0 means 2ms.
-	SlowChunkDelay time.Duration
 	// Client overrides the HTTP client (tests inject httptest clients).
 	Client *http.Client
-	// TrackShards is gateway-target mode: split the ledger per shard using
-	// the X-Karousos-Shard response header, and count a 503 that carries
-	// Retry-After as Degraded503 (partial-shard degradation, a promised
-	// overload/partition outcome) rather than a server error.
-	TrackShards bool
+	// Before, when set, runs on Run's goroutine before arrival i is
+	// offered — where a scenario applies its scripted steps. An error
+	// aborts the run.
+	Before func(i int) error
+	// Outcome, when set, sees every arrival that was sent, once, after it
+	// is booked. The closed loop calls it on Run's goroutine before the
+	// next arrival; the open loops call it from the request goroutines,
+	// concurrently.
+	Outcome func(i int, o Outcome)
 }
 
-// ShardLedger is one shard's slice of the accounting in gateway-target
-// mode, keyed by the X-Karousos-Shard header the gateway echoes.
-type ShardLedger struct {
-	OK          int `json:"ok"`
-	Shed429     int `json:"shed429"`
-	Degraded503 int `json:"degraded503"`
-	ServerErr   int `json:"serverErr"`
-	Other       int `json:"other"`
+// Class is the ledger bucket an answered arrival lands in.
+type Class int
+
+const (
+	// Served is a 200 carrying a rid: the collector is now on the hook to
+	// have made the request durable.
+	Served Class = iota
+	// Shed is a 429: admission control refused the arrival.
+	Shed
+	// Degraded is a 503 carrying Retry-After: a gateway shedding exactly
+	// one dark shard's keyspace — a promised outcome, not a server error.
+	Degraded
+	// Other is any other answer. The overload invariant is that there are
+	// none.
+	Other
+	// NoAnswer is a transport error or a torn response body.
+	NoAnswer
+)
+
+// Outcome is one sent arrival's answer.
+type Outcome struct {
+	Class Class
+	// Status is the HTTP status, 0 when no response arrived.
+	Status int
+	// Err is set for NoAnswer.
+	Err error
+	// Shard is the X-Karousos-Shard response header: the backend a gateway
+	// routed to, "" from a bare collector.
+	Shard string
+	// Hinted reports a Retry-After header.
+	Hinted bool
+	// RID is a Served arrival's request id.
+	RID string
 }
 
-// Result is one load run's outcome, split the way the overload invariants
-// need: every offered arrival is accounted to exactly one bucket, and the
-// acked RIDs are the set the sealed log must contain.
+func (o Outcome) String() string {
+	if o.Err != nil {
+		return "no answer: " + o.Err.Error()
+	}
+	return fmt.Sprintf("status %d (shard %q, Retry-After %v, rid %q)", o.Status, o.Shard, o.Hinted, o.RID)
+}
+
+// Ledger books answered arrivals: each lands in exactly one bucket.
+type Ledger struct {
+	Served   int `json:"served"`
+	Shed     int `json:"shed"`
+	Degraded int `json:"degraded"`
+	Other    int `json:"other"`
+}
+
+func (l *Ledger) book(c Class) {
+	switch c {
+	case Served:
+		l.Served++
+	case Shed:
+		l.Shed++
+	case Degraded:
+		l.Degraded++
+	default:
+		l.Other++
+	}
+}
+
+// Result is one run's accounting, split the way the overload invariants
+// need: every offered arrival is answered (the embedded Ledger), shed at
+// the source, or unanswered, and the acked RIDs are the set the sealed log
+// must contain.
 type Result struct {
-	Offered   int `json:"offered"`
-	OK        int `json:"ok"`
-	Shed429   int `json:"shed429"`
+	Offered int `json:"offered"`
+	Ledger
 	ShedLocal int `json:"shedLocal"`
-	ServerErr int `json:"serverErr"`
 	NetErr    int `json:"netErr"`
-	// OtherStatus counts responses outside {200, 429, 5xx-as-ServerErr}.
-	// The overload invariant is that this stays zero.
-	OtherStatus int `json:"otherStatus"`
-	// Degraded503 counts 503s carrying Retry-After in gateway-target mode:
-	// a shard's breaker shedding its own keyspace, not a server error.
-	Degraded503 int `json:"degraded503,omitempty"`
-	// Shards is the per-shard ledger in gateway-target mode, keyed by the
-	// X-Karousos-Shard header ("" collects responses without one).
-	Shards map[string]*ShardLedger `json:"shards,omitempty"`
-	// RetryAfterSeen reports whether at least one 429 carried the hint.
-	RetryAfterSeen bool `json:"retryAfterSeen"`
-	// AckedRIDs are the RIDs of every 200 — the requests the collector is
-	// now on the hook to have made durable.
-	AckedRIDs []string      `json:"-"`
-	Elapsed   time.Duration `json:"elapsedNanos"`
-	Hist      *Histogram    `json:"-"`
-	// P50/P99/P999 are the latency quantiles over completed requests, for
+	// Shards splits the ledger by X-Karousos-Shard header; nil when no
+	// answer carried one (a bare collector).
+	Shards map[string]*Ledger `json:"shards,omitempty"`
+	// Acked holds the sorted RIDs of every Served arrival, keyed by the
+	// shard header ("" from a bare collector).
+	Acked   map[string][]string `json:"-"`
+	Elapsed time.Duration       `json:"elapsedNanos"`
+	Hist    *Histogram          `json:"-"`
+	// P50/P99/P999 are the latency quantiles over answered requests, for
 	// the JSON summary.
 	P50  time.Duration `json:"p50Nanos"`
 	P99  time.Duration `json:"p99Nanos"`
 	P999 time.Duration `json:"p999Nanos"`
 }
 
-// requests builds the deterministic request stream for cfg.
-func requests(cfg Config) ([]server.Request, error) {
-	reqs, err := workload.For(cfg.App, cfg.Mix, cfg.Requests, cfg.Seed)
+// Stream builds the deterministic request stream the CLI offers: n requests
+// of app at mix, with the repeat fraction rewritten to the app's fixed pool
+// of recurring read-only shapes (workload.WithRepeats). Same seed, same
+// stream.
+func Stream(app string, mix workload.Mix, n int, seed int64, repeat float64) ([]server.Request, error) {
+	reqs, err := workload.For(app, mix, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	return workload.WithRepeats(reqs, cfg.App, cfg.RepeatMix, cfg.Seed)
+	return workload.WithRepeats(reqs, app, repeat, seed)
 }
 
-// SlowBody trickles a payload out in small delayed chunks — a client on a
+// slowBody trickles a payload out in small delayed chunks — a client on a
 // bad link, or a deliberate slowloris. Sent without a content length so
 // the server cannot size-check its way out of reading slowly.
-type SlowBody struct {
-	Data  []byte
-	Delay time.Duration
-}
+type slowBody struct{ data []byte }
 
-func (s *SlowBody) Read(p []byte) (int, error) {
-	if len(s.Data) == 0 {
+func (s *slowBody) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
 		return 0, io.EOF
 	}
-	time.Sleep(s.Delay)
-	n := 16
-	if n > len(s.Data) {
-		n = len(s.Data)
-	}
-	if n > len(p) {
-		n = len(p)
-	}
-	copy(p, s.Data[:n])
-	s.Data = s.Data[n:]
+	time.Sleep(2 * time.Millisecond)
+	n := copy(p[:min(len(p), 16)], s.data)
+	s.data = s.data[n:]
 	return n, nil
 }
 
-// Run offers cfg.Requests arrivals open-loop and returns the accounting.
-// The context cancels pacing between arrivals; requests already in flight
-// finish under their own timeout.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	reqs, err := requests(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 64
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	chunkDelay := cfg.SlowChunkDelay
-	if chunkDelay <= 0 {
-		chunkDelay = 2 * time.Millisecond
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
+// run is one Run's shared state.
+type run struct {
+	cfg Config     // Client and Timeout defaulted
+	mu  sync.Mutex // guards res against the open loops' request goroutines
+	res *Result
+}
 
-	res := &Result{Hist: NewHistogram()}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.MaxOutstanding)
+// Run offers reqs in order and returns the accounting. A cancelled context
+// stops offering new arrivals; requests already in flight finish under
+// their own timeout, and Run waits for them, so the ledger it returns —
+// with the context's error — is complete for what was offered.
+func Run(ctx context.Context, cfg Config, reqs []server.Request) (*Result, error) {
+	if cfg.Client == nil {
+		cfg.Client = &http.Client{}
+	}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 30 * time.Second
+	}
+	r := &run{cfg: cfg, res: &Result{Hist: NewHistogram(), Acked: map[string][]string{}}}
 	start := time.Now()
+	err := r.offer(ctx, reqs, start)
+	r.res.Elapsed = time.Since(start)
+	for _, rids := range r.res.Acked {
+		sort.Strings(rids)
+	}
+	r.res.P50 = r.res.Hist.Quantile(0.50)
+	r.res.P99 = r.res.Hist.Quantile(0.99)
+	r.res.P999 = r.res.Hist.Quantile(0.999)
+	return r.res, err
+}
 
-	for i, r := range reqs {
+// offer is the arrival loop. It returns once every request it sent has been
+// answered or timed out, whether it ran to the end or stopped early.
+func (r *run) offer(ctx context.Context, reqs []server.Request, start time.Time) error {
+	cfg := r.cfg
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	sem := make(chan struct{}, max(cfg.MaxOutstanding, 1))
+	for i, req := range reqs {
 		if cfg.Rate > 0 {
 			due := start.Add(time.Duration(float64(i) / cfg.Rate * float64(time.Second)))
 			if d := time.Until(due); d > 0 {
 				select {
 				case <-ctx.Done():
-					res.Elapsed = time.Since(start)
-					return res, ctx.Err()
 				case <-time.After(d):
 				}
 			}
 		}
-		res.Offered++
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if cfg.Before != nil {
+			if err := cfg.Before(i); err != nil {
+				return err
+			}
+		}
+		r.res.Offered++
+		if cfg.MaxOutstanding <= 1 {
+			r.send(ctx, i, req)
+			continue
+		}
 		select {
 		case sem <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				r.send(ctx, i, req)
+			}()
 		default:
 			// Open loop: the arrival was due now; with the outstanding
 			// bound full it is shed at the source, never queued.
-			res.ShedLocal++
-			continue
+			r.res.ShedLocal++
 		}
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			<-sem
-			return res, err
-		}
-		slow := cfg.SlowEvery > 0 && i%cfg.SlowEvery == cfg.SlowEvery-1
-		wg.Add(1)
-		go func(body []byte, slow bool) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			reqStart := time.Now()
-			rctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			var rd io.Reader = bytes.NewReader(body)
-			if slow {
-				rd = &SlowBody{Data: body, Delay: chunkDelay}
-			}
-			req, err := http.NewRequestWithContext(rctx, http.MethodPost, cfg.BaseURL+"/invoke", rd)
-			if err != nil {
-				mu.Lock()
-				res.NetErr++
-				mu.Unlock()
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := client.Do(req)
-			if err != nil {
-				mu.Lock()
-				res.NetErr++
-				mu.Unlock()
-				return
-			}
-			out, readErr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			lat := time.Since(reqStart)
-
-			mu.Lock()
-			defer mu.Unlock()
-			res.Hist.Observe(lat)
-			var ledger *ShardLedger
-			if cfg.TrackShards {
-				if res.Shards == nil {
-					res.Shards = make(map[string]*ShardLedger)
-				}
-				key := resp.Header.Get(gateway.ShardHeader)
-				if ledger = res.Shards[key]; ledger == nil {
-					ledger = &ShardLedger{}
-					res.Shards[key] = ledger
-				}
-			}
-			switch {
-			case readErr != nil:
-				res.NetErr++
-			case resp.StatusCode == http.StatusOK:
-				var decoded struct {
-					RID string `json:"rid"`
-				}
-				if err := json.Unmarshal(out, &decoded); err != nil || decoded.RID == "" {
-					res.OtherStatus++
-					if ledger != nil {
-						ledger.Other++
-					}
-					return
-				}
-				res.OK++
-				res.AckedRIDs = append(res.AckedRIDs, decoded.RID)
-				if ledger != nil {
-					ledger.OK++
-				}
-			case resp.StatusCode == http.StatusTooManyRequests:
-				res.Shed429++
-				if resp.Header.Get("Retry-After") != "" {
-					res.RetryAfterSeen = true
-				}
-				if ledger != nil {
-					ledger.Shed429++
-				}
-			case cfg.TrackShards && resp.StatusCode == http.StatusServiceUnavailable &&
-				resp.Header.Get("Retry-After") != "":
-				// The gateway's partial-shard degradation: the breaker is
-				// shedding exactly this shard's keyspace, with a hint — a
-				// promised outcome, not an overload-invariant breach.
-				res.Degraded503++
-				ledger.Degraded503++
-			case resp.StatusCode >= 500:
-				res.ServerErr++
-				if ledger != nil {
-					ledger.ServerErr++
-				}
-			default:
-				res.OtherStatus++
-				if ledger != nil {
-					ledger.Other++
-				}
-			}
-		}(body, slow)
 	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	sort.Strings(res.AckedRIDs)
-	res.P50 = res.Hist.Quantile(0.50)
-	res.P99 = res.Hist.Quantile(0.99)
-	res.P999 = res.Hist.Quantile(0.999)
-	return res, nil
+	return nil
+}
+
+// send posts arrival i, books its outcome and reports it to the hook.
+func (r *run) send(ctx context.Context, i int, req server.Request) {
+	begin := time.Now()
+	o := r.post(ctx, req, r.cfg.SlowEvery > 0 && i%r.cfg.SlowEvery == r.cfg.SlowEvery-1)
+	lat := time.Since(begin)
+
+	r.mu.Lock()
+	if o.Class == NoAnswer {
+		r.res.NetErr++
+	} else {
+		r.res.Hist.Observe(lat)
+		r.res.Ledger.book(o.Class)
+		if o.Shard != "" {
+			if r.res.Shards == nil {
+				r.res.Shards = map[string]*Ledger{}
+			}
+			l := r.res.Shards[o.Shard]
+			if l == nil {
+				l = &Ledger{}
+				r.res.Shards[o.Shard] = l
+			}
+			l.book(o.Class)
+		}
+		if o.Class == Served {
+			r.res.Acked[o.Shard] = append(r.res.Acked[o.Shard], o.RID)
+		}
+	}
+	r.mu.Unlock()
+	if r.cfg.Outcome != nil {
+		r.cfg.Outcome(i, o)
+	}
+}
+
+// post is the tree's one POST to /invoke: it sends the body and classifies
+// the answer. The request outlives a cancelled run context on purpose — it
+// was offered, so the ledger owes it an outcome — and is bounded by the
+// per-request timeout instead.
+func (r *run) post(ctx context.Context, in server.Request, slow bool) Outcome {
+	body, err := json.Marshal(map[string]any{"input": in.Input})
+	if err != nil {
+		return Outcome{Class: NoAnswer, Err: err}
+	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), r.cfg.Timeout)
+	defer cancel()
+	var rd io.Reader = bytes.NewReader(body)
+	if slow {
+		rd = &slowBody{data: body}
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.BaseURL+"/invoke", rd)
+	if err != nil {
+		return Outcome{Class: NoAnswer, Err: err}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.cfg.Client.Do(req)
+	if err != nil {
+		return Outcome{Class: NoAnswer, Err: err}
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	o := Outcome{
+		Class:  Other,
+		Status: resp.StatusCode,
+		Shard:  resp.Header.Get(gateway.ShardHeader),
+		Hinted: resp.Header.Get("Retry-After") != "",
+	}
+	switch {
+	case err != nil:
+		o.Class, o.Err = NoAnswer, err
+	case o.Status == http.StatusOK:
+		var ack struct {
+			RID string `json:"rid"`
+		}
+		// A 200 without a rid acknowledges nothing auditable: Other.
+		if json.Unmarshal(blob, &ack) == nil && ack.RID != "" {
+			o.Class, o.RID = Served, ack.RID
+		}
+	case o.Status == http.StatusTooManyRequests:
+		o.Class = Shed
+	case o.Status == http.StatusServiceUnavailable && o.Hinted:
+		o.Class = Degraded
+	}
+	return o
 }
 
 // Summary renders the run the way the CLI prints it.
 func (r *Result) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "offered %d in %v (%.1f req/s completed)\n", r.Offered, r.Elapsed.Round(time.Millisecond), float64(r.OK)/r.Elapsed.Seconds())
-	fmt.Fprintf(&b, "  ok %d  shed429 %d  shedLocal %d  serverErr %d  netErr %d  other %d",
-		r.OK, r.Shed429, r.ShedLocal, r.ServerErr, r.NetErr, r.OtherStatus)
-	if r.Degraded503 > 0 {
-		fmt.Fprintf(&b, "  degraded503 %d", r.Degraded503)
+	fmt.Fprintf(&b, "offered %d in %v (%.1f req/s completed)\n", r.Offered, r.Elapsed.Round(time.Millisecond), float64(r.Served)/r.Elapsed.Seconds())
+	fmt.Fprintf(&b, "  ok %d  shed429 %d  degraded503 %d  shedLocal %d  netErr %d  other %d\n",
+		r.Served, r.Shed, r.Degraded, r.ShedLocal, r.NetErr, r.Other)
+	keys := make([]string, 0, len(r.Shards))
+	for k := range r.Shards {
+		keys = append(keys, k)
 	}
-	b.WriteString("\n")
-	if len(r.Shards) > 0 {
-		keys := make([]string, 0, len(r.Shards))
-		for k := range r.Shards {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			l := r.Shards[k]
-			fmt.Fprintf(&b, "  shard %-4s ok %d  shed429 %d  degraded503 %d  serverErr %d  other %d\n",
-				k, l.OK, l.Shed429, l.Degraded503, l.ServerErr, l.Other)
-		}
+	sort.Strings(keys)
+	for _, k := range keys {
+		l := r.Shards[k]
+		fmt.Fprintf(&b, "  shard %-4s ok %d  shed429 %d  degraded503 %d  other %d\n", k, l.Served, l.Shed, l.Degraded, l.Other)
 	}
 	fmt.Fprintf(&b, "  latency p50 %v  p99 %v  p99.9 %v  mean %v\n",
 		r.Hist.Quantile(0.50).Round(time.Microsecond), r.Hist.Quantile(0.99).Round(time.Microsecond),

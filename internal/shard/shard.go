@@ -129,8 +129,9 @@ func (m Map) Dirs(root string) []string {
 // MapFile is the shard map's filename inside the topology root.
 const MapFile = "shardmap.json"
 
-// WriteMap persists the topology manifest. The gateway writes it once at
-// topology creation; auditors and re-audits read it back so routing is
+// WriteMap persists the topology manifest. It is pinned at topology
+// creation (iofault.PinJSON): a restart on the same root must bring the
+// same map, because auditors and re-audits read it back so routing is
 // checked against the map that actually served, not a reconstruction.
 func WriteMap(fsys iofault.FS, root string, m Map) error {
 	if fsys == nil {
@@ -142,11 +143,7 @@ func WriteMap(fsys iofault.FS, root string, m Map) error {
 	if err := fsys.MkdirAll(root, 0o755); err != nil {
 		return err
 	}
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return fsys.WriteFile(filepath.Join(root, MapFile), blob, 0o644)
+	return iofault.PinJSON(fsys, filepath.Join(root, MapFile), m)
 }
 
 // ReadMap loads and validates the topology manifest from a topology root.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
@@ -142,6 +143,21 @@ func TestDirsAndMapRoundTrip(t *testing.T) {
 	if back.Shards != m.Shards || len(back.KeyFields) != 2 || back.KeyFields[0] != "id" ||
 		len(back.SharedKeyPrefixes) != 1 || back.SharedKeyPrefixes[0] != "config:" {
 		t.Fatalf("round trip = %+v", back)
+	}
+	// The map is evidence: a restart with the same map rewrites nothing, a
+	// restart with another is refused and the old map stays.
+	in := iofault.NewInjector(nil)
+	if err := WriteMap(in, root, m); err != nil {
+		t.Fatal(err)
+	}
+	if c := in.Counts(); c[iofault.CallWrite] != 0 || c[iofault.CallRename] != 0 {
+		t.Fatalf("same-map restart wrote: %v", c)
+	}
+	if err := WriteMap(in, root, Map{Shards: 4, KeyFields: m.KeyFields}); err == nil {
+		t.Fatal("a 3-shard topology root was relabelled 4-shard")
+	}
+	if back, err = ReadMap(root); err != nil || back.Shards != 3 {
+		t.Fatalf("refused relabel disturbed the map: %+v, %v", back, err)
 	}
 	if _, err := ReadMap(t.TempDir()); err == nil {
 		t.Fatal("ReadMap on an empty dir succeeded")
