@@ -33,10 +33,14 @@
 //	    the external client: drives a running collector or gateway and
 //	    prints the arrival ledger, per shard behind a gateway.
 //
+//	karousos figures [-fig 7] [-requests 300 -trials 1 -conc 1,30]
+//	    regenerates the tables behind the paper's evaluation (Figures 6–12);
+//	    operational numbers come from `bash benchmark/run.sh` instead.
+//
 // Exit codes are the same everywhere: 0 accepted (chaos, load, fleet
-// accept: every invariant held), 2 the merged verdict is not an accept or
-// an invariant was violated (the code and reason are printed), 1
-// infrastructure error or bad arguments.
+// accept: every invariant held; figures: tables printed), 2 the merged
+// verdict is not an accept or an invariant was violated (the code and
+// reason are printed), 1 infrastructure error or bad arguments.
 package main
 
 import (
@@ -69,6 +73,7 @@ var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
 	"status":  statusCmd,
 	"chaos":   chaosCmd,
 	"load":    loadCmd,
+	"figures": figuresCmd,
 }
 
 // run is main with its environment explicit so tests drive the CLI
@@ -79,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cmd(args[1:], stdout, stderr)
 		}
 	}
-	fmt.Fprintln(stderr, `usage: karousos serve|gateway|fleet|audit|status|chaos|load [flags]
+	fmt.Fprintln(stderr, `usage: karousos serve|gateway|fleet|audit|status|chaos|load|figures [flags]
 
   serve    one collector: serve an app over HTTP into a durable epoch log
   gateway  front a shard topology (-local boots the collectors in-process,
@@ -91,7 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
   chaos    replay a scenario (-scenario name or -scenario-file); exits 0
            if every robustness invariant held
   load     drive a running collector or gateway (-url) and print the
-           arrival ledger`)
+           arrival ledger
+  figures  regenerate the paper's evaluation tables (Figures 6–12; -fig N)`)
 	return 1
 }
 

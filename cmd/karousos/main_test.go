@@ -378,6 +378,12 @@ func TestBadArgs(t *testing.T) {
 		{"load", "-url", "http://127.0.0.1:1", "-epoch-max-age", "1s"},
 		{"load", "-url", "http://127.0.0.1:1", "-commit", "group"},
 		{"load", "-url", "http://127.0.0.1:1", "-max-inflight", "4"},
+		{"figures", "-fig", "99"},
+		{"figures", "-fig", "x"},
+		{"figures", "-conc", "1,x"},
+		{"figures", "-workers", "0"},
+		{"figures", "-requests", "30", "-warmup", "30"},
+		{"figures", "-trials", "0"},
 	} {
 		if code, _, errs := cli(args...); code != 1 {
 			t.Errorf("%v: exit %d, want 1 (%s)", args, code, errs)
@@ -385,5 +391,39 @@ func TestBadArgs(t *testing.T) {
 	}
 	if _, _, errs := cli("load", "-n", "4"); !has(errs, "-url", "chaos -scenario overload-burst") {
 		t.Errorf("stderr should point at -url and the chaos scenario: %s", errs)
+	}
+	// The stage-baseline gate did not move with the figure sweeps.
+	for _, gone := range []string{"out", "update", "check", "tolerance"} {
+		if code, _, errs := cli("figures", "-baseline-"+gone, "1"); code != 1 {
+			t.Errorf("figures -baseline-%s: exit %d, want 1 (%s)", gone, code, errs)
+		}
+	}
+	// The operational figures are benchmark workloads now; the error says
+	// which.
+	for fig, workload := range map[string]string{"13": "motd-write-burst", "14": "wiki-live", "15": "feeds-steady"} {
+		if code, _, errs := cli("figures", "-fig", fig); code != 1 || !has(errs, "benchmark/run.sh", workload) {
+			t.Errorf("figures -fig %s: exit %d, stderr should name workload %s: %s", fig, code, workload, errs)
+		}
+	}
+}
+
+// TestFiguresCmd: one figure at a tiny sweep prints its heading and one
+// panel per application with one row per concurrency level.
+func TestFiguresCmd(t *testing.T) {
+	code, out, errs := cli("figures", "-fig", "8", "-requests", "30", "-warmup", "6", "-trials", "1", "-conc", "1,4")
+	if code != 0 || !strings.HasPrefix(out, "==== Figure 8 ====\n") {
+		t.Fatalf("figures exit %d: %s / %s", code, out, errs)
+	}
+	panels := strings.Split(out, "\n-- ")[1:]
+	if len(panels) != 2 || !has(panels[0], "advice size — motd") || !has(panels[1], "advice size — wiki") {
+		t.Fatalf("want the motd and wiki advice-size panels, got %d: %s", len(panels), out)
+	}
+	for _, p := range panels {
+		// Title, header, then the rows.
+		lines := strings.Split(strings.TrimSpace(p), "\n")
+		if len(lines) != 4 || !has(lines[1], "conc", "karousos", "orochi-js", "ratio") ||
+			!strings.HasPrefix(lines[2], "1 ") || !strings.HasPrefix(lines[3], "4 ") {
+			t.Fatalf("panel is not header + rows for conc 1 and 4:\n%s", p)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/value"
+	"karousos.dev/karousos/internal/workload"
 )
 
 // recurringGets is one epoch's worth of a recurring read-only workload:
@@ -25,66 +26,85 @@ func recurringGets() []server.Request {
 	}
 }
 
-// TestMemoWarmAcrossEpochs: four epochs of an identical read-only workload
+// TestMemoWarmAcrossEpochs: K epochs of an identical read-only workload
 // audited through one auditor. The warm-up takes two epochs — epoch 1
 // audits with no carry and epoch 2 is the first with an injected carry, so
 // their input closures legitimately differ — after which the carry is at
 // its fixed point and every later epoch must be served entirely from the
 // memo cache, with the verdict and non-memo Stats identical to a memo-off
-// auditor over the same log.
+// auditor over the same log. The feeds row is the steady-state log the
+// benchmark's feeds-steady workload serves: the app's recurring shapes at
+// repeat fraction 1.0, so (K-2)/K of all groups hit.
 func TestMemoWarmAcrossEpochs(t *testing.T) {
-	dir := t.TempDir()
-	col, err := collectorhttp.New(collectorhttp.Config{Spec: harness.MOTDApp(), Dir: dir, EpochRequests: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newLoopback(t, col)
-	for epoch := 0; epoch < 4; epoch++ {
-		driveHTTP(t, ts, recurringGets())
-	}
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range []struct {
+		spec             harness.AppSpec
+		epochs, perEpoch int
+		stream           func(t *testing.T, epoch, n int) []server.Request
+	}{
+		{harness.MOTDApp(), 4, 4, func(*testing.T, int, int) []server.Request { return recurringGets() }},
+		{harness.FeedsApp(), 6, 37, func(t *testing.T, epoch, n int) []server.Request {
+			reqs, err := workload.WithRepeats(workload.Feeds(n, workload.Mixed, 42+int64(epoch)), "feeds", 1.0, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reqs
+		}},
+	} {
+		t.Run(row.spec.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			col, err := collectorhttp.New(collectorhttp.Config{Spec: row.spec, Dir: dir, EpochRequests: row.perEpoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newLoopback(t, col)
+			for epoch := 0; epoch < row.epochs; epoch++ {
+				driveHTTP(t, ts, row.stream(t, epoch, row.perEpoch))
+			}
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	cold, err := New(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := cold.RunOnce(context.Background()); err != nil || n != 4 {
-		t.Fatalf("memo-off auditor accepted %d epochs (err %v), want 4", n, err)
-	}
+			cold, err := New(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := cold.RunOnce(context.Background()); err != nil || n != row.epochs {
+				t.Fatalf("memo-off auditor accepted %d epochs (err %v), want %d", n, err, row.epochs)
+			}
 
-	ckpt := dir + "/audit.ckpt"
-	warm, err := New(Config{Dir: dir, MemoMaxBytes: 64 << 20, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := warm.RunOnce(context.Background()); err != nil || n != 4 {
-		t.Fatalf("memo-on auditor accepted %d epochs (err %v), want 4", n, err)
-	}
+			ckpt := dir + "/audit.ckpt"
+			warm, err := New(Config{Dir: dir, MemoMaxBytes: 64 << 20, Checkpoint: ckpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := warm.RunOnce(context.Background()); err != nil || n != row.epochs {
+				t.Fatalf("memo-on auditor accepted %d epochs (err %v), want %d", n, err, row.epochs)
+			}
 
-	ws := warm.Status().Stats
-	if ws.Groups%4 != 0 || ws.Groups == 0 {
-		t.Fatalf("Groups = %d across 4 identical epochs, want a positive multiple of 4", ws.Groups)
-	}
-	perEpoch := ws.Groups / 4
-	if ws.MemoMisses != 2*perEpoch || ws.MemoHits != 2*perEpoch {
-		t.Fatalf("hits=%d misses=%d; want epochs 1-2 cold (%d) and epochs 3-4 all-hit (%d)",
-			ws.MemoHits, ws.MemoMisses, 2*perEpoch, 2*perEpoch)
-	}
-	got := fmt.Sprintf("%+v", ws.ZeroMemo())
-	want := fmt.Sprintf("%+v", cold.Status().Stats.ZeroMemo())
-	if got != want {
-		t.Fatalf("memo-on Stats diverged from memo-off:\n  off: %s\n  on:  %s", want, got)
-	}
+			ws := warm.Status().Stats
+			if ws.Groups%row.epochs != 0 || ws.Groups == 0 {
+				t.Fatalf("Groups = %d across %d identical epochs, want a positive multiple", ws.Groups, row.epochs)
+			}
+			perEpoch := ws.Groups / row.epochs
+			if ws.MemoMisses != 2*perEpoch || ws.MemoHits != (row.epochs-2)*perEpoch {
+				t.Fatalf("hits=%d misses=%d; want epochs 1-2 cold (%d) and every later epoch all-hit (%d)",
+					ws.MemoHits, ws.MemoMisses, 2*perEpoch, (row.epochs-2)*perEpoch)
+			}
+			got := fmt.Sprintf("%+v", ws.ZeroMemo())
+			want := fmt.Sprintf("%+v", cold.Status().Stats.ZeroMemo())
+			if got != want {
+				t.Fatalf("memo-on Stats diverged from memo-off:\n  off: %s\n  on:  %s", want, got)
+			}
 
-	// The durable checkpoint doubles as the memo telemetry channel: the
-	// collector's /healthz probes it with ProbeCheckpoint, so the counters
-	// written on the last accept must round-trip.
-	_, mc, _ := ProbeCheckpoint(nil, ckpt)
-	if mc == nil || mc.Hits != ws.MemoHits || mc.Misses != ws.MemoMisses {
-		t.Fatalf("checkpoint memo counters = %+v, want hits=%d misses=%d",
-			mc, ws.MemoHits, ws.MemoMisses)
+			// The durable checkpoint doubles as the memo telemetry channel: the
+			// collector's /healthz probes it with ProbeCheckpoint, so the counters
+			// written on the last accept must round-trip.
+			_, mc, _ := ProbeCheckpoint(nil, ckpt)
+			if mc == nil || mc.Hits != ws.MemoHits || mc.Misses != ws.MemoMisses {
+				t.Fatalf("checkpoint memo counters = %+v, want hits=%d misses=%d",
+					mc, ws.MemoHits, ws.MemoMisses)
+			}
+		})
 	}
 }
 

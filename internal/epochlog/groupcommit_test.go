@@ -76,6 +76,53 @@ func TestGroupCommitConcurrentAppendsSealIntact(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAmortisesFsyncs pins the group-commit bargain as a count:
+// 32 concurrent appenders, each waiting for durability before its next
+// event (the collector's discipline), on a disk whose trace writes and
+// fsyncs are slow enough that waiters pile up behind every batch.
+// Per-request mode pays one data fsync per event; group mode must need at
+// most a quarter as many.
+func TestGroupCommitAmortisesFsyncs(t *testing.T) {
+	const waiters, perWaiter = 32, 4
+	dataFsyncs := func(group bool) int {
+		inj := iofault.NewInjector(nil)
+		l, err := Open(t.TempDir(), Options{FS: inj, GroupCommit: group, Backoff: noSleep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if err := inj.Arm(iofault.OpLatency, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
+			t.Fatal(err)
+		}
+		before := inj.Counts()[iofault.CallSync]
+		var wg sync.WaitGroup
+		errs := make([]error, waiters)
+		for g := 0; g < waiters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perWaiter && errs[g] == nil; i++ {
+					errs[g] = l.AppendEventDurable(context.Background(), ev(trace.Req, fmt.Sprintf("g%d-r%d", g, i), i))
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("waiter %d: %v", g, err)
+			}
+		}
+		return inj.Counts()[iofault.CallSync] - before
+	}
+	const events = waiters * perWaiter
+	if per := dataFsyncs(false); per != events {
+		t.Fatalf("per-request mode: %d data fsyncs for %d events, want one each", per, events)
+	}
+	if grp := dataFsyncs(true); grp > events/4 {
+		t.Fatalf("group commit: %d data fsyncs for %d events, want at most %d", grp, events, events/4)
+	}
+}
+
 func TestGroupCommitAckImpliesDurable(t *testing.T) {
 	// Every acked frame must survive a crash (Close without Seal models
 	// losing the page cache is too kind — but the fsync already happened,

@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation (§6, Figures 6–12):
 // each figure maps to panels of rows — one row per concurrency level — that
 // report medians over several trials, exactly the quantities the paper
-// plots. cmd/karousos-bench prints these panels; bench_test.go exercises the
-// same code paths under testing.B.
+// plots. `karousos figures` prints these panels. Operational numbers —
+// record throughput, shard scaling, the memo cache — are the repo
+// benchmark's (benchmark/, BENCHMARK.json), not figures.
 package experiments
 
 import (
@@ -211,14 +212,6 @@ func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 //	Fig 10: MOTD 90% reads
 //	Fig 11: stacks mixed
 //	Fig 12: stacks 90% writes
-//	Fig 13: sustained record throughput — group commit vs per-request fsync
-//	        (not from the paper; the serving-path load story of DESIGN.md §14)
-//	Fig 14: shard scaling — audit throughput of the shard-parallel auditd
-//	        over 1/2/4/8-shard topologies (not from the paper; the sharded
-//	        audit plane of DESIGN.md §15)
-//	Fig 15: memo cold vs warm — the steady-state recurring workload audited
-//	        with the cross-epoch re-execution memo cache off and on (not
-//	        from the paper; DESIGN.md §18)
 func Figure(n int, cfg Config) []Panel {
 	switch n {
 	case 6:
@@ -247,12 +240,6 @@ func Figure(n int, cfg Config) []Panel {
 		return appFigure("stacks", workload.Mixed, cfg)
 	case 12:
 		return appFigure("stacks", workload.WriteHeavy, cfg)
-	case 13:
-		return []Panel{RecordThroughputPanel(cfg)}
-	case 14:
-		return []Panel{ShardScalingPanel(cfg)}
-	case 15:
-		return []Panel{MemoAuditPanel(cfg)}
 	}
 	panic(fmt.Sprintf("experiments: no figure %d", n))
 }
@@ -268,7 +255,7 @@ func appFigure(app string, mix workload.Mix, cfg Config) []Panel {
 }
 
 // Figures lists the figure numbers this package can regenerate.
-func Figures() []int { return []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15} }
+func Figures() []int { return []int{6, 7, 8, 9, 10, 11, 12} }
 
 func must(err error) {
 	if err != nil {

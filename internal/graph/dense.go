@@ -1,21 +1,28 @@
-// Dense is the allocation-lean sibling of Graph for the verifier's hot path:
-// nodes are uint32 IDs assigned by the caller from a layout computed up-front
+// Package graph provides the directed graph the Karousos verifier builds:
+// the execution graph G over operations (paper §4.3, Figures 14–16, 21) and
+// the Adya dependency graph DG over transactions (Figure 17) are both a
+// Dense. Both audits reduce to "insist the graph is acyclic", so the central
+// export is an iterative cycle detector that does not recurse (execution
+// graphs over 600-request audits reach tens of thousands of nodes).
+//
+// Nodes are uint32 IDs assigned by the caller from a layout computed up-front
 // (trace length + opcount totals), so presence is a bitmap and the edge list
 // is one flat []uint32 — no per-node map entries, no per-node slice headers.
 // Traversals (cycle check, topological sort, reachability) build a CSR index
 // on demand with a stable counting sort, so successor order — and therefore
-// every reported cycle — is the edge-insertion order, exactly like Graph.
+// every reported cycle — is the edge-insertion order.
 package graph
 
 import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strconv"
 )
 
 // Dense is a directed graph over dense uint32 node IDs. The zero value is
-// usable; NewDense pre-sizes it. Like Graph, adding an edge implicitly adds
+// usable; NewDense pre-sizes it. Adding an edge implicitly adds
 // its endpoints and parallel edges are kept as-is.
 type Dense struct {
 	present []uint64 // bitmap over IDs; bit set ⇔ node added
@@ -195,7 +202,7 @@ func (d *Dense) FindCycle() []uint32 {
 							break
 						}
 					}
-					reverse(cyc)
+					slices.Reverse(cyc)
 					return
 				}
 				continue
@@ -212,7 +219,7 @@ func (d *Dense) HasCycle() bool { return d.FindCycle() != nil }
 
 // TopoSort returns the node IDs in a topological order (Kahn's algorithm over
 // the CSR arrays), or ok=false if the graph is cyclic. Among ready nodes the
-// highest ID is taken first, mirroring Graph.TopoSort's stack discipline.
+// highest ID is taken first.
 func (d *Dense) TopoSort() (order []uint32, ok bool) {
 	g := d.buildCSR()
 	n := len(g.start) - 1
@@ -265,9 +272,9 @@ func (d *Dense) Reachable(from, to uint32) bool {
 	return false
 }
 
-// DOT writes the graph in Graphviz DOT format, mirroring Graph.DOT: node
-// declarations in ascending ID order, edges in insertion order, highlight
-// path filled salmon with red edges.
+// DOT writes the graph in Graphviz DOT format: node declarations in
+// ascending ID order, edges in insertion order, highlight path filled salmon
+// with red edges.
 func (d *Dense) DOT(w io.Writer, name string, label func(uint32) string, highlight []uint32) error {
 	lit := func(id uint32) string {
 		return strconv.Quote(label(id))

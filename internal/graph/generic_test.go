@@ -1,25 +1,18 @@
-// Package graph provides the directed graphs the Karousos verifier builds:
-// the execution graph G over operations (paper §4.3, Figures 14–16, 21) and
-// the Adya dependency graph DG over transactions (Figure 17). Both audits
-// reduce to "insist the graph is acyclic", so the central export is an
-// iterative cycle detector that does not recurse (execution graphs over
-// 600-request audits reach tens of thousands of nodes).
-//
-// Both graphs are built on Dense. The generic Graph has no importer outside
-// this package's tests: it is the map-keyed reference that dense_test.go
-// checks Dense against, differentially.
 package graph
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
-// Graph is a directed graph over comparable node keys — the reference
-// implementation Dense is tested against, not used by the audit. The zero
-// value is not usable; construct with New. Adding an edge implicitly adds
-// its endpoints.
+// Graph is a directed graph over comparable node keys — the map-keyed
+// reference that TestDenseMatchesGenericOnRandomGraphs checks Dense against,
+// differentially; graph_test.go and dot_test.go test it directly. It lives
+// in a test file because nothing outside this package's tests uses it. The
+// zero value is not usable; construct with New. Adding an edge implicitly
+// adds its endpoints.
 //
 // Parallel edges are stored as-is rather than deduplicated: the verifier adds
 // the same ordering fact from several advice sources, cycle detection and
@@ -141,7 +134,7 @@ func (g *Graph[N]) FindCycle() []N {
 							break
 						}
 					}
-					reverse(cycle)
+					slices.Reverse(cycle)
 					return cycle
 				}
 				continue
@@ -211,12 +204,6 @@ func (g *Graph[N]) Reachable(from, to N) bool {
 		stack = append(stack, g.adj[n]...)
 	}
 	return false
-}
-
-func reverse[N any](s []N) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }
 
 // DOT writes the graph in Graphviz DOT format, labeling nodes with label and

@@ -2,9 +2,9 @@
 // workload through the server runtime (in unmodified, Karousos, or Orochi-JS
 // collection modes), times the serving, measures advice size, and runs the
 // three verifiers (Karousos, Orochi-JS, sequential re-execution) against the
-// resulting trace. The root bench_test.go and cmd/karousos-bench both sit on
-// top of this package, so the figures and the go-bench numbers come from the
-// same code path.
+// resulting trace. `karousos figures` (through internal/experiments) and the
+// root bench_test.go both sit on top of this package, so the figures and the
+// go-bench numbers come from the same code path.
 package harness
 
 import (
