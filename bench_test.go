@@ -17,6 +17,7 @@ import (
 	"karousos.dev/karousos"
 	"karousos.dev/karousos/internal/experiments"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/verifier/memo"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -69,6 +70,20 @@ func BenchmarkAuditComponents(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if v := karousos.VerifyKarousos(spec, run.Trace, run.Karousos); v.Err != nil {
+					b.Fatal(v.Err)
+				}
+			}
+		})
+		if w.app != "motd" {
+			continue
+		}
+		// The memo miss path: every group is keyed, probed, missed,
+		// captured and published into a cache that starts empty.
+		b.Run(w.app+"/full-audit-memo-cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opt := harness.VerifyOptions{Memo: memo.NewCache(256 << 20)}
+				if v := harness.VerifyWith(spec, run.Trace, run.Karousos, opt); v.Err != nil {
 					b.Fatal(v.Err)
 				}
 			}

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,7 +180,8 @@ func Clone(v V) V {
 
 // Encode appends a canonical, self-delimiting encoding of v to dst. Map keys
 // are emitted in sorted order, so the encoding (and therefore Digest) is
-// deterministic across runs and processes.
+// deterministic across runs and processes. Encoding into a buffer with
+// enough capacity does not allocate for maps of up to 16 keys.
 func Encode(dst []byte, v V) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -193,35 +196,88 @@ func Encode(dst []byte, v V) []byte {
 		dst = strconv.AppendUint(dst, math.Float64bits(x), 16)
 		return append(dst, ';')
 	case string:
-		dst = append(dst, 's')
-		dst = strconv.AppendInt(dst, int64(len(x)), 10)
-		dst = append(dst, ':')
-		return append(dst, x...)
+		return appendString(dst, x)
 	case []V:
-		dst = append(dst, '[')
-		dst = strconv.AppendInt(dst, int64(len(x)), 10)
-		dst = append(dst, ':')
+		dst = appendHeader(dst, '[', len(x))
 		for _, e := range x {
 			dst = Encode(dst, e)
 		}
 		return append(dst, ']')
 	case map[string]V:
-		keys := make([]string, 0, len(x))
+		var kb [16]string
+		keys := kb[:0]
 		for k := range x {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		dst = append(dst, '{')
-		dst = strconv.AppendInt(dst, int64(len(x)), 10)
-		dst = append(dst, ':')
+		slices.Sort(keys)
+		dst = appendHeader(dst, '{', len(x))
 		for _, k := range keys {
-			dst = Encode(dst, k)
+			dst = appendString(dst, k)
 			dst = Encode(dst, x[k])
 		}
 		return append(dst, '}')
 	default:
 		panic(fmt.Sprintf("value: unsupported kind %T", v))
 	}
+}
+
+// appendString is Encode of a string without boxing it into a V.
+func appendString(dst []byte, s string) []byte {
+	dst = appendHeader(dst, 's', len(s))
+	return append(dst, s...)
+}
+
+// appendHeader emits a kind byte and a decimal length followed by ':'.
+func appendHeader(dst []byte, kind byte, n int) []byte {
+	dst = append(dst, kind)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, ':')
+}
+
+// EncodedLen returns len(Encode(nil, v)) without encoding: it walks v once,
+// neither sorting map keys nor allocating.
+func EncodedLen(v V) int {
+	switch x := v.(type) {
+	case nil, bool:
+		return 1
+	case float64:
+		return 2 + hexDigits(math.Float64bits(x))
+	case string:
+		return stringLen(x)
+	case []V:
+		n := 3 + decDigits(len(x)) // '[' len ':' … ']'
+		for _, e := range x {
+			n += EncodedLen(e)
+		}
+		return n
+	case map[string]V:
+		n := 3 + decDigits(len(x)) // '{' len ':' … '}'
+		for k, e := range x {
+			n += stringLen(k) + EncodedLen(e)
+		}
+		return n
+	default:
+		panic(fmt.Sprintf("value: unsupported kind %T", v))
+	}
+}
+
+func stringLen(s string) int { return 2 + decDigits(len(s)) + len(s) }
+
+// hexDigits is the length of strconv.AppendUint(nil, u, 16).
+func hexDigits(u uint64) int {
+	if u == 0 {
+		return 1
+	}
+	return (bits.Len64(u) + 3) / 4
+}
+
+// decDigits is the length of strconv.AppendInt(nil, int64(n), 10) for n ≥ 0.
+func decDigits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // Digest returns a 64-bit FNV-1a digest of the canonical encoding of v.

@@ -157,6 +157,52 @@ func TestEncodeDistinguishesKinds(t *testing.T) {
 	}
 }
 
+// TestEncodeGolden pins Encode's exact bytes and Digest of one nested value,
+// recorded before the encoder stopped boxing map keys: Digest feeds HIDs and
+// tags, so any byte drift here would change advice bytes.
+func TestEncodeGolden(t *testing.T) {
+	v := Map("scope", "day", "day", "mon", "msg", "hello", "n", 3, "l", List("a", Map("x", 1)),
+		"f", -1.5, "ok", true, "none", nil, "big", 1e300, "empty", "")
+	const want = "{10:s3:bigd7e37e43c8800759c;s3:days3:mons5:emptys0:s1:fdbff8000000000000;" +
+		"s1:l[2:s1:a{1:s1:xd3ff0000000000000;}]s3:msgs5:hellos1:nd4008000000000000;" +
+		"s4:nonens2:okts5:scopes3:day}"
+	if got := string(Encode(nil, v)); got != want {
+		t.Errorf("Encode drifted:\n got  %q\n want %q", got, want)
+	}
+	if got := Digest(v); got != 0xbf75d7fd8bb96fd5 {
+		t.Errorf("Digest = %#016x, want 0xbf75d7fd8bb96fd5", got)
+	}
+}
+
+func TestEncodeSmallMapsDoNotAllocate(t *testing.T) {
+	v := Map("scope", "day", "day", "mon", "msg", "hello", "n", 3, "l", List("a", Map("x", 1)))
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = Encode(buf[:0], v) }); n != 0 {
+		t.Errorf("Encode of a small nested map allocates %v times, want 0", n)
+	}
+}
+
+func TestEncodedLenExact(t *testing.T) {
+	fixed := []V{
+		0.0, -1.0, 1e300, float64(1 << 60), "", "0123456789",
+		Map("a", List(1, "b", Map("c", nil, "d", true)), "e", List()),
+		List(Map(), List(List()), 1e-300),
+		List(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+	}
+	for _, v := range fixed {
+		if got, want := EncodedLen(v), len(Encode(nil, v)); got != want {
+			t.Errorf("EncodedLen(%s) = %d, want %d", String(v), got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		v := randomValue(r, 4)
+		if got, want := EncodedLen(v), len(Encode(nil, v)); got != want {
+			t.Fatalf("EncodedLen(%s) = %d, want %d", String(v), got, want)
+		}
+	}
+}
+
 func TestDigestStable(t *testing.T) {
 	v := Map("op", "get", "day", "mon", "n", 3.5)
 	d1, d2 := Digest(v), Digest(Clone(v))

@@ -41,6 +41,14 @@ package verifier
 // transaction logs, fnOfActivated inverts ComputeHID over the hashed
 // function table, and parentOf is rebuilt by replaying emits.
 //
+// Logged values (variable-log values, transaction contents, and the
+// resolved predecessors and dictated writes among them) enter the key as
+// their SHA-256 digests, each computed once per audit by a parallel pass
+// over this epoch's advice (digestLogged); a carried predecessor, which is
+// not advice, is digested on first use. The table is built after
+// preprocess from the advice being audited and dropped with the audit, so
+// it cannot go stale, and a fixed-width digest frames itself.
+//
 // A single tampered byte in any of these inputs changes the key and forces
 // cold re-execution — a poisoned entry can never be REACHED by an honest
 // key. The converse hazard (an honest key reaching an entry recorded from
@@ -79,8 +87,10 @@ package verifier
 // MemoHits/MemoMisses/MemoEvictions must be bit-identical at every worker
 // count, so every cache interaction happens on the coordinator in
 // canonical tag order: keys are computed and probed sequentially BEFORE
-// the fan-out, and accepted candidates are inserted sequentially after the
-// audit accepts (reExecBuffered, memoPublish). When a memo cache is
+// the fan-out (only the value digests they consume are computed in
+// parallel, into indexed slots), and accepted candidates are inserted
+// sequentially after the audit accepts (reExecBuffered, memoPublish).
+// When a memo cache is
 // configured reExec always takes the buffered path (even at Workers=1),
 // which the differential tests prove bit-identical to the immediate engine.
 
@@ -97,13 +107,22 @@ import (
 )
 
 // memoHasher streams framed components into SHA-256. Every component is
-// either fixed-width, length-prefixed, or canonically self-delimiting
-// (value.Encode), so distinct input sequences cannot collide by framing.
+// either fixed-width (numbers, value digests), length-prefixed, or
+// canonically self-delimiting (value.Encode), so distinct input sequences
+// cannot collide by framing.
 type memoHasher struct {
 	h   hash.Hash
 	buf []byte
 	n8  [8]byte
+	d   memoDigest
 }
+
+// memoDigest is the SHA-256 of one value's canonical encoding.
+type memoDigest = [sha256.Size]byte
+
+// memoDigestChunk is how many logged values one fan-out item digests with
+// one encode buffer.
+const memoDigestChunk = 16
 
 func newMemoHasher() *memoHasher { return &memoHasher{h: sha256.New()} }
 
@@ -132,6 +151,18 @@ func (m *memoHasher) val(v value.V) {
 	m.h.Write(m.buf)
 }
 
+// dig hashes a value digest in place of the value's encoding.
+func (m *memoHasher) dig(d memoDigest) {
+	m.d = d
+	m.h.Write(m.d[:])
+}
+
+// digest computes one value's digest with the hasher's scratch buffer.
+func (m *memoHasher) digest(v value.V) memoDigest {
+	m.buf = value.Encode(m.buf[:0], v)
+	return sha256.Sum256(m.buf)
+}
+
 func (m *memoHasher) sum() (k memo.Key) {
 	m.h.Sum(k[:0])
 	return k
@@ -145,8 +176,9 @@ type memoVarEntry struct {
 }
 
 // memoPrep is the per-audit key-derivation state: the audit-level prefix
-// digest and per-request views of the advice slices that are keyed per
-// group. Built once per audit, on the coordinator, after preprocess.
+// digest, per-request views of the advice slices that are keyed per group,
+// and the digest of every logged value. Built once per audit, on the
+// coordinator, after preprocess; dropped with the audit.
 type memoPrep struct {
 	v      *Verifier
 	h      *memoHasher
@@ -154,6 +186,12 @@ type memoPrep struct {
 	txs    map[core.RID][]*advice.TxLog
 	vlogs  map[core.RID][]memoVarEntry
 	nondet map[core.RID][]advice.NondetEntry
+	// vdig and tdig map every variable-log entry and transaction op of
+	// this epoch's advice to its value's digest (digestLogged); a carried
+	// predecessor, which is not advice, is added lazily (varDigest,
+	// txDigest).
+	vdig map[*advice.VarLogEntry]memoDigest
+	tdig map[*advice.TxOp]memoDigest
 }
 
 func (v *Verifier) memoPrepare() *memoPrep {
@@ -164,20 +202,27 @@ func (v *Verifier) memoPrepare() *memoPrep {
 		vlogs:  make(map[core.RID][]memoVarEntry),
 		nondet: make(map[core.RID][]advice.NondetEntry),
 	}
+	var ops []*advice.TxOp
 	for i := range v.adv.TxLogs {
 		tl := &v.adv.TxLogs[i]
 		p.txs[tl.RID] = append(p.txs[tl.RID], tl)
+		for j := range tl.Ops {
+			ops = append(ops, &tl.Ops[j])
+		}
 	}
+	var logged []*advice.VarLogEntry
 	for _, id := range sortedKeys(v.adv.VarLogs) {
 		entries := v.adv.VarLogs[id]
 		for i := range entries {
 			e := &entries[i]
 			p.vlogs[e.Op.RID] = append(p.vlogs[e.Op.RID], memoVarEntry{id: id, e: e})
+			logged = append(logged, e)
 		}
 	}
 	for _, e := range v.adv.Nondet {
 		p.nondet[e.Op.RID] = append(p.nondet[e.Op.RID], e)
 	}
+	p.digestLogged(logged, ops)
 
 	// Audit-level prefix: everything group-independent a replay observes.
 	// The init-level dictionary is hashed entry by entry in append order
@@ -212,14 +257,77 @@ func (v *Verifier) memoPrepare() *memoPrep {
 	return p
 }
 
+// digestLogged digests every logged value once: the encode + SHA-256 work
+// fans out over the audit's workers in chunks of memoDigestChunk values
+// (one encode buffer each) into indexed slots, and the coordinator then
+// indexes the slots by entry. A panic in a chunk surfaces here, in chunk
+// order, like any worker-side rejection.
+func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxOp) {
+	v := p.v
+	vals := make([]value.V, 0, len(entries)+len(ops))
+	for _, e := range entries {
+		vals = append(vals, e.Value)
+	}
+	for _, op := range ops {
+		vals = append(vals, op.Contents)
+	}
+	digs := make([]memoDigest, len(vals))
+	chunks := (len(vals) + memoDigestChunk - 1) / memoDigestChunk
+	rejs := make([]*core.Reject, chunks)
+	fanOut(v.workers(), chunks, func(c int) {
+		defer func() {
+			if r := recover(); r != nil {
+				rejs[c] = asReject(r)
+			}
+		}()
+		v.checkCtx()
+		var buf []byte
+		for i := c * memoDigestChunk; i < min((c+1)*memoDigestChunk, len(vals)); i++ {
+			buf = value.Encode(buf[:0], vals[i])
+			digs[i] = sha256.Sum256(buf)
+		}
+	})
+	for _, rej := range rejs {
+		if rej != nil {
+			panic(*rej)
+		}
+	}
+	p.vdig = make(map[*advice.VarLogEntry]memoDigest, len(entries))
+	for i, e := range entries {
+		p.vdig[e] = digs[i]
+	}
+	p.tdig = make(map[*advice.TxOp]memoDigest, len(ops))
+	for i, op := range ops {
+		p.tdig[op] = digs[len(entries)+i]
+	}
+}
+
+// varDigest returns the digest of a variable-log entry's value. Every entry
+// of this epoch's advice is in the table; a carried predecessor is digested
+// on first use, on the coordinator.
+func (p *memoPrep) varDigest(e *advice.VarLogEntry) memoDigest {
+	d, ok := p.vdig[e]
+	if !ok {
+		d = p.h.digest(e.Value)
+		p.vdig[e] = d
+	}
+	return d
+}
+
+// txDigest is varDigest for a transaction op's contents.
+func (p *memoPrep) txDigest(op *advice.TxOp) memoDigest {
+	d, ok := p.tdig[op]
+	if !ok {
+		d = p.h.digest(op.Contents)
+		p.tdig[op] = d
+	}
+	return d
+}
+
 // groupKey digests one tag group's full input closure. Runs on the
 // coordinator only (the hasher is shared across groups).
 func (p *memoPrep) groupKey(tag string, rids []core.RID) memo.Key {
 	v := p.v
-	slotOf := make(map[core.RID]int, len(rids))
-	for i, rid := range rids {
-		slotOf[rid] = i
-	}
 	h := p.h
 	h.reset()
 	h.tag('G')
@@ -306,14 +414,14 @@ func (p *memoPrep) hashVarEntry(ve memoVarEntry) {
 	h.str(string(e.Op.HID))
 	h.num(e.Op.Num)
 	h.num(int(e.Type))
-	h.val(e.Value)
+	h.dig(p.varDigest(e))
 	h.num(boolNum(e.HasPrec))
 	if e.Type == advice.AccessRead && e.HasPrec {
 		pe, ok := p.v.vars[ve.id].log[e.Prec]
 		h.num(boolNum(ok))
 		if ok {
 			h.num(int(pe.Type))
-			h.val(pe.Value)
+			h.dig(p.varDigest(pe))
 		}
 	}
 }
@@ -331,7 +439,7 @@ func (p *memoPrep) hashTxOp(e *advice.TxOp) {
 	h.num(e.OpNum)
 	h.num(int(e.Type))
 	h.str(e.Key)
-	h.val(e.Contents)
+	h.dig(p.txDigest(e))
 	if e.ReadFrom == nil {
 		h.tag('n')
 	} else {
@@ -350,7 +458,7 @@ func (p *memoPrep) hashResolved(pos advice.TxPos) {
 	op := p.v.txOpAt(pos)
 	h.num(boolNum(op != nil))
 	if op != nil {
-		h.val(op.Contents)
+		h.dig(p.txDigest(op))
 	}
 }
 
@@ -449,7 +557,6 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 	}
 	ent := &memoEntry{slots: len(rids), intents: make([]memoIntent, 0, len(eff.intents))}
 	size := memoIntentBytes // entry header
-	var scratch []byte
 	for i := range eff.intents {
 		in := &eff.intents[i]
 		mi := memoIntent{kind: in.kind, val: in.val}
@@ -465,8 +572,7 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 		}
 		switch in.kind {
 		case effDict:
-			scratch = value.Encode(scratch[:0], in.val)
-			size += len(scratch)
+			size += value.EncodedLen(in.val)
 		case effReadObs, effWriteObs:
 			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
 				mi.precMode = precFromLog

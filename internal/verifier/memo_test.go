@@ -14,12 +14,16 @@
 package verifier_test
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"karousos.dev/karousos/internal/advice"
+	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/verifier"
@@ -209,6 +213,34 @@ func TestMemoCachePoisoning(t *testing.T) {
 			}
 			return false
 		}},
+		// A logged write read as a predecessor by a request of an EARLIER tag
+		// group: that group's key sees the write only through the
+		// predecessor digest, and it merges (and rejects cold) before the
+		// writer's own group does.
+		{"flip-predecessor-of-other-group", func(adv *advice.Advice) bool {
+			pos := make(map[string]int) // tag → canonical group position
+			for _, rid := range run.Trace.RIDs() {
+				if tag := adv.Tags[core.RID(rid)]; pos[tag] == 0 {
+					pos[tag] = len(pos) + 1
+				}
+			}
+			for _, id := range sortedVarIDs(adv.VarLogs) {
+				entries := adv.VarLogs[id]
+				for _, r := range entries {
+					if r.Type != advice.AccessRead || !r.HasPrec || r.Prec.RID == core.InitRID {
+						continue
+					}
+					for j := range entries {
+						w := &entries[j]
+						if w.Op == r.Prec && w.Type == advice.AccessWrite && pos[adv.Tags[r.Op.RID]] < pos[adv.Tags[w.Op.RID]] {
+							w.Value = value.Normalize(map[string]any{"poison": true})
+							return true
+						}
+					}
+				}
+			}
+			return false
+		}},
 	}
 	for _, mut := range mutations {
 		t.Run(mut.name, func(t *testing.T) {
@@ -235,6 +267,81 @@ func TestMemoCachePoisoning(t *testing.T) {
 			}
 		})
 	}
+	t.Run("flip-carried-predecessor", testMemoPoisonCarriedPredecessor)
+}
+
+// testMemoPoisonCarriedPredecessor flips the contents of a carried
+// prior-epoch store write that an epoch-2 GET is dictated by. A carried
+// write is not advice and not part of the audit-level prefix, so the key
+// reaches it only through the lazily digested resolved predecessor.
+func testMemoPoisonCarriedPredecessor(t *testing.T) {
+	spec := harness.WikiApp()
+	reqs := workload.Wiki(60, 4)
+	eps := serveEpochs(t, spec, [][]server.Request{reqs[:30], reqs[30:]})
+	audit := func(carry *verifier.CarryState, ep epoch, cache *memo.Cache) (verifier.Stats, *verifier.CarryState, error) {
+		app, _ := spec.New()
+		cfg := verifier.Config{
+			App: app, Mode: advice.ModeKarousos, Isolation: spec.Isolation,
+			Limits: verifier.DefaultLimits(), Workers: 1, Carry: carry, Memo: cache,
+		}
+		return verifier.AuditCarry(context.Background(), cfg, ep.tr, ep.kar)
+	}
+	_, carry, err := audit(nil, eps[0], nil)
+	if err != nil {
+		t.Fatalf("epoch 1 rejected: %v", err)
+	}
+	cache := memo.NewCache(memoTestBytes)
+	if _, _, err := audit(carry, eps[1], cache); err != nil {
+		t.Fatalf("honest epoch 2 warmup rejected: %v", err)
+	}
+
+	// The first epoch-2 GET dictated by a carried write, in log order.
+	var key string
+find:
+	for _, tl := range eps[1].kar.TxLogs {
+		for _, op := range tl.Ops {
+			for k, cw := range carry.Store {
+				if op.ReadFrom != nil && cw.Pos == *op.ReadFrom {
+					key = k
+					break find
+				}
+			}
+		}
+	}
+	if key == "" {
+		t.Fatal("no epoch-2 read is dictated by a carried write")
+	}
+	tampered := &verifier.CarryState{Vars: carry.Vars, Store: make(map[string]verifier.CarriedWrite, len(carry.Store))}
+	for k, cw := range carry.Store {
+		tampered.Store[k] = cw
+	}
+	cw := tampered.Store[key]
+	cw.Contents = value.Normalize(map[string]any{"poison": true})
+	tampered.Store[key] = cw
+
+	coldSt, _, coldErr := audit(tampered, eps[1], nil)
+	if coldErr == nil {
+		t.Fatal("cold audit accepted the flipped carried write; mutation is not a usable probe")
+	}
+	warmSt, _, warmErr := audit(tampered, eps[1], cache)
+	if warmErr == nil {
+		t.Fatal("POISONED: warm cache accepted a carry the cold audit rejects")
+	}
+	if warmSt.MemoMisses == 0 {
+		t.Error("the flipped carried write missed no warm entry")
+	}
+	if got, want := fmt.Sprintf("%v | %+v", warmErr, warmSt.ZeroMemo()), fmt.Sprintf("%v | %+v", coldErr, coldSt.ZeroMemo()); got != want {
+		t.Fatalf("warm rejection differs from cold:\n  cold: %s\n  warm: %s", want, got)
+	}
+}
+
+func sortedVarIDs(m map[core.VarID][]advice.VarLogEntry) []core.VarID {
+	ids := make([]core.VarID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // TestMemoEvictionBounded checks the byte budget holds across audits and
