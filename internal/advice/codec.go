@@ -190,9 +190,14 @@ func (a *Advice) MarshalBinary() []byte {
 // errTruncated is returned whenever the decoder runs out of input.
 var errTruncated = errors.New("advice: truncated input")
 
+// decoder reads one advice blob. Every string it makes — identifiers and the
+// strings inside logged values alike — goes through one Interner, so a
+// request ID, handler ID or map key that recurs across the blob is copied
+// once per decode rather than once per occurrence.
 type decoder struct {
 	buf []byte
 	off int
+	in  value.Interner
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -261,7 +266,7 @@ func (d *decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := string(d.buf[d.off : d.off+n])
+	s := d.in.String(d.buf[d.off : d.off+n])
 	d.off += n
 	return s, nil
 }
@@ -281,7 +286,7 @@ func (d *decoder) boolv() (bool, error) {
 }
 
 func (d *decoder) value() (value.V, error) {
-	v, n, err := value.DecodeBinary(d.buf[d.off:])
+	v, n, err := d.in.DecodeBinary(d.buf[d.off:])
 	if err != nil {
 		return nil, err
 	}

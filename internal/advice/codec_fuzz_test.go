@@ -7,6 +7,9 @@ package advice
 import (
 	"runtime"
 	"testing"
+
+	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/value"
 )
 
 // TestBinaryTruncationEveryOffset cuts the sample advice at every byte
@@ -78,4 +81,35 @@ func FuzzDecodeAdvice(f *testing.F) {
 			t.Fatalf("re-encoded advice fails to decode: %v", err)
 		}
 	})
+}
+
+// TestDecodeCopiesEachStringOnce: the request ID, handler ID, map keys and
+// message a variable log repeats on every entry are copied once per decode,
+// not once per entry. Doubling the entries adds only each logged value's
+// map (two allocations: the map and its slot group), never a string.
+func TestDecodeCopiesEachStringOnce(t *testing.T) {
+	wire := func(entries int) []byte {
+		a := New(ModeKarousos)
+		log := make([]VarLogEntry, entries)
+		for i := range log {
+			log[i] = VarLogEntry{
+				Op:    core.Op{RID: "request-000042", HID: "handler-root-request", Num: 1},
+				Type:  AccessWrite,
+				Value: value.Map("msg", "the message of the day", "scope", "always"),
+			}
+		}
+		a.VarLogs["motd-state"] = log
+		return a.MarshalBinary()
+	}
+	allocs := func(blob []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := UnmarshalBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(wire(100)), allocs(wire(200))
+	if perEntry := (large - small) / 100; perEntry > 2 {
+		t.Errorf("decode allocates %.2f times per repeated log entry, want at most 2 (the value's map)", perEntry)
+	}
 }

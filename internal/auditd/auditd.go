@@ -6,9 +6,11 @@
 //
 // Ordering is semantic, not cosmetic: epoch k's audit needs the carry
 // produced by epoch k-1's accepting audit, so audits run strictly in
-// sequence. The worker pool prefetches — reads and integrity-checks —
-// upcoming epochs concurrently, which is where the wall-clock time goes for
-// I/O-bound logs.
+// sequence. The worker pool prefetches upcoming epochs concurrently — reads
+// and integrity-checks the trace, and decodes the advice — so that the
+// in-order loop spends its time auditing: reading is where the wall-clock
+// time goes for I/O-bound logs, and decoding is about a third of a
+// write-heavy epoch's CPU.
 //
 // The auditor checkpoints (last accepted epoch, carry state) after every
 // accept. A restarted auditor resumes from the checkpoint without
@@ -56,7 +58,9 @@ type Config struct {
 	// Workers bounds concurrent epoch prefetches. Defaults to 2.
 	Workers int
 	// MaxPrefetchBytes bounds the estimated bytes of fetched-but-unaudited
-	// epochs resident at once (manifest TraceBytes + AdviceBytes). The
+	// epochs resident at once (manifest TraceBytes + AdviceBytes; a
+	// prefetched epoch holds its advice decoded, which is a few times its
+	// wire size, so the bound is on the wire estimate, not the heap). The
 	// count window alone is not enough: 2×Workers epochs of a byte-heavy
 	// workload can dwarf the count bound. At least one epoch is always in
 	// flight, so an oversized epoch stalls the window instead of wedging
@@ -298,11 +302,18 @@ func (a *Auditor) recordVerdict(v Verdict) {
 	}
 }
 
-// fetched is one prefetched epoch, integrity-checked against its manifest.
+// fetched is one prefetched epoch: the trace integrity-checked against its
+// manifest and the advice already decoded, so neither read nor decode sits
+// on the in-order audit's path.
 type fetched struct {
-	tr   *trace.Trace
-	blob []byte
-	err  error
+	tr  *trace.Trace
+	adv *advice.Advice
+	// adviceErr is why the advice blob was refused — over the size limit or
+	// undecodable. It is evidence, not a fetch failure: auditEpoch grades
+	// it in order, at the point the blob used to be decoded.
+	adviceErr error
+	// err is an unreadable trusted channel, after retries.
+	err error
 }
 
 // RunOnce grades every sealed epoch past the checkpoint, in order, and
@@ -352,23 +363,35 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 		}
 		return n
 	}
-	sem := make(chan struct{}, a.cfg.Workers)
 	results := make([]chan fetched, len(pending))
 	for i := range pending {
 		results[i] = make(chan fetched, 1)
 	}
-	prefetch := func(i int) {
-		go func(seq uint64, ch chan fetched) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var f fetched
-			f.err = iofault.Retry(ctx, a.cfg.Backoff, func() error {
-				var rerr error
-				f.tr, f.blob, _, rerr = epochlog.ReadSealed(a.cfg.Dir, seq, opt)
-				return rerr
-			})
-			ch <- f
-		}(pending[i].Seq, results[i])
+	// Workers take epochs in the order the window admits them, so the epoch
+	// the audit loop waits for next is always the first one a worker starts
+	// on: a fetch includes the decode, and a worker that picked a later
+	// epoch first would hold the loop up for a whole decode. Every index is
+	// queued at most once, so the queue is sized for all of them and
+	// queueing never blocks; closing it on return lets the workers finish
+	// what was queued and exit.
+	jobs := make(chan int, len(pending))
+	defer close(jobs)
+	for w := 0; w < min(a.cfg.Workers, len(pending)); w++ {
+		go func() {
+			for i := range jobs {
+				var f fetched
+				var blob []byte
+				f.err = iofault.Retry(ctx, a.cfg.Backoff, func() error {
+					var rerr error
+					f.tr, blob, _, rerr = epochlog.ReadSealed(a.cfg.Dir, pending[i].Seq, opt)
+					return rerr
+				})
+				if f.err == nil {
+					f.adv, f.adviceErr = a.decodeAdvice(blob)
+				}
+				results[i] <- f
+			}
+		}()
 	}
 	next, inWindow := 0, 0
 	var windowBytes int64
@@ -388,7 +411,7 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 				a.status.PeakPrefetchBytes = windowBytes
 			}
 			a.mu.Unlock()
-			prefetch(next)
+			jobs <- next
 			next++
 		}
 	}
@@ -473,15 +496,8 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 		return a.reject(m.Seq, code, reason)
 	}
 
-	if err := a.cfg.Limits.CheckAdviceBytes(len(f.blob)); err != nil {
-		return reject(rejectCode(err), err.Error())
-	}
-	adv, err := advice.UnmarshalBinary(f.blob)
-	if err != nil {
-		// The advice channel is untrusted end to end: a blob that does not
-		// decode — whether the server sent garbage or the disk lost the
-		// frame — is a coded rejection, not an infrastructure error.
-		return reject(core.RejectMalformedAdvice, err.Error())
+	if f.adviceErr != nil {
+		return reject(rejectCode(f.adviceErr), f.adviceErr.Error())
 	}
 
 	app, _ := a.cfg.Spec.New()
@@ -494,7 +510,7 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 		Workers:   a.cfg.AuditWorkers,
 		Memo:      a.memo,
 	}
-	st, next, err := verifier.AuditCarry(ctx, cfg, f.tr, adv)
+	st, next, err := verifier.AuditCarry(ctx, cfg, f.tr, f.adv)
 	if err != nil {
 		return reject(rejectCode(err), err.Error())
 	}
@@ -519,6 +535,18 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 	a.recordVerdict(Verdict{Epoch: m.Seq})
 
 	return a.persistCheckpoint(cp)
+}
+
+// decodeAdvice is the advice channel's boundary, run by a prefetch worker:
+// the size limit first, then the decode. The advice is untrusted end to end,
+// so a blob that does not decode — whether the server sent garbage or the
+// disk lost the frame — is a coded rejection (MalformedAdvice, the code
+// rejectCode gives an uncoded error), not an infrastructure error.
+func (a *Auditor) decodeAdvice(blob []byte) (*advice.Advice, error) {
+	if err := a.cfg.Limits.CheckAdviceBytes(len(blob)); err != nil {
+		return nil, err
+	}
+	return advice.UnmarshalBinary(blob)
 }
 
 // reject records the epoch's rejection verdict and returns it as the error

@@ -36,7 +36,7 @@ func requestsFor(t testing.TB, spec harness.AppSpec, n int, seed int64) []server
 
 // sealLog serves reqs through a fresh collector on dir, sealing every
 // epochRequests, and closes it cleanly (sealing the tail).
-func sealLog(t *testing.T, spec harness.AppSpec, dir string, reqs []server.Request, epochRequests int) {
+func sealLog(t testing.TB, spec harness.AppSpec, dir string, reqs []server.Request, epochRequests int) {
 	t.Helper()
 	col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: dir, EpochRequests: epochRequests, Seed: 42})
 	if err != nil {
@@ -107,7 +107,7 @@ func TestPipelineAllAppsAccept(t *testing.T) {
 
 // newLoopback serves the collector on an httptest server torn down with
 // the test.
-func newLoopback(t *testing.T, col *collectorhttp.Collector) *httptest.Server {
+func newLoopback(t testing.TB, col *collectorhttp.Collector) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(col.Handler())
 	t.Cleanup(ts.Close)
@@ -116,7 +116,7 @@ func newLoopback(t *testing.T, col *collectorhttp.Collector) *httptest.Server {
 
 // driveHTTP posts each request's input through the collector's /invoke
 // endpoint.
-func driveHTTP(t *testing.T, ts *httptest.Server, reqs []server.Request) {
+func driveHTTP(t testing.TB, ts *httptest.Server, reqs []server.Request) {
 	t.Helper()
 	for _, r := range reqs {
 		body, err := json.Marshal(map[string]any{"input": r.Input})
@@ -476,4 +476,37 @@ func TestProbeCheckpoint(t *testing.T) {
 			t.Fatalf("probe = %d, %v; want %d, CheckpointOK", last, probe, aud.Status().LastProcessed)
 		}
 	})
+}
+
+// TestPrefetchedAdviceGradedInOrder: the prefetch workers decode advice
+// ahead of the audit, but a blob that does not decode is graded where the
+// in-order loop reaches it. With every epoch in the look-ahead window,
+// epochs 3 and 4 both carry garbage advice; epochs 1–2 still accept, epoch 3
+// is the one rejection, and epoch 4 is never graded.
+func TestPrefetchedAdviceGradedInOrder(t *testing.T) {
+	dir := t.TempDir()
+	spec := harness.MOTDApp()
+	sealLog(t, spec, dir, requestsFor(t, spec, 40, 5), 10)
+	for _, seq := range []string{"3", "4"} {
+		garbage := bytes.Repeat([]byte{0xff}, 64)
+		if err := os.WriteFile(filepath.Join(dir, "ep00000"+seq+".advice"), garbage, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aud, err := New(Config{Dir: dir, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := aud.RunOnce(context.Background())
+	var rej *Reject
+	if !errors.As(err, &rej) || rej.Epoch != 3 || rej.Code != core.RejectMalformedAdvice {
+		t.Fatalf("RunOnce error = %v, want epoch 3 rejected MalformedAdvice", err)
+	}
+	vs := aud.Verdicts()
+	if n != 2 || len(vs) != 3 || !vs[0].Accepted() || !vs[1].Accepted() || vs[2].Epoch != 3 {
+		t.Fatalf("processed %d, verdicts %+v; want epochs 1-2 accepted, then epoch 3's rejection", n, vs)
+	}
+	if st := aud.Status(); st.LastAccepted != 2 || st.Rejected != 1 || st.PeakPrefetchEpochs != 4 {
+		t.Fatalf("status %+v; want last accepted 2, one rejection, all four epochs prefetched", st)
+	}
 }

@@ -44,6 +44,7 @@ import (
 	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
+	"karousos.dev/karousos/internal/value"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -332,7 +333,7 @@ func (l *Log) openActive() error {
 		return err
 	}
 	if err := scanFrames(l.fs, tp, 0, func(payload []byte) error {
-		e, err := trace.DecodeEventBinary(payload)
+		e, err := trace.DecodeEventBinary(payload, nil)
 		if err != nil {
 			return fmt.Errorf("epochlog: %s: recovered frame undecodable: %w", tp, err)
 		}
@@ -795,8 +796,10 @@ func ListSealedFS(fsys iofault.FS, dir string) ([]Manifest, error) {
 
 // ReadSealed loads one sealed epoch: the trace (every frame must be intact
 // and the recomputed digest must match the manifest — the trusted channel
-// does not tolerate corruption) and the winning advice blob (nil when none
-// was uploaded; undecodable contents are the audit's concern, not ours).
+// does not tolerate corruption; its frames share one value.Interner, since
+// every rid appears twice and inputs repeat their keys) and the winning
+// advice blob (nil when none was uploaded; undecodable contents are the
+// audit's concern, not ours).
 func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Manifest, error) {
 	fsys := opt.fs()
 	m, ok, err := readManifest(fsys, dir, seq)
@@ -808,8 +811,9 @@ func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Man
 	}
 	tr := &trace.Trace{}
 	h := sha256.New()
+	var in value.Interner
 	if err := scanFrames(fsys, tracePath(dir, seq), 0, func(payload []byte) error {
-		e, err := trace.DecodeEventBinary(payload)
+		e, err := trace.DecodeEventBinary(payload, &in)
 		if err != nil {
 			return fmt.Errorf("epochlog: epoch %d trace frame undecodable: %w", seq, err)
 		}

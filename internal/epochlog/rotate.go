@@ -123,7 +123,7 @@ func recoverySeal(fsys iofault.FS, dir string, seq uint64) (*Manifest, error) {
 	dig := sha256.New()
 	m := Manifest{Seq: seq, Degraded: "sealed by crash recovery: collector stopped before finishing this epoch's seal"}
 	if err := scanFrames(fsys, tp, 0, func(payload []byte) error {
-		e, err := trace.DecodeEventBinary(payload)
+		e, err := trace.DecodeEventBinary(payload, nil)
 		if err != nil {
 			return fmt.Errorf("epochlog: %s: recovered frame undecodable: %w", tp, err)
 		}

@@ -25,8 +25,11 @@ func AppendEventBinary(dst []byte, e Event) []byte {
 }
 
 // DecodeEventBinary decodes one event from buf, which must contain exactly
-// one encoded event (the epoch log's frames carry exact payloads).
-func DecodeEventBinary(buf []byte) (Event, error) {
+// one encoded event (the epoch log's frames carry exact payloads). Its
+// strings are shared through in, which may be nil: a trace names each rid
+// twice and repeats the same input keys on every request, so a reader of a
+// whole epoch passes one Interner for all of its frames.
+func DecodeEventBinary(buf []byte, in *value.Interner) (Event, error) {
 	var e Event
 	if len(buf) == 0 {
 		return e, fmt.Errorf("trace: empty event encoding")
@@ -43,9 +46,9 @@ func DecodeEventBinary(buf []byte) (Event, error) {
 		return e, fmt.Errorf("trace: truncated event rid")
 	}
 	off += w
-	e.RID = string(buf[off : off+int(n)])
+	e.RID = in.String(buf[off : off+int(n)])
 	off += int(n)
-	v, vn, err := value.DecodeBinary(buf[off:])
+	v, vn, err := in.DecodeBinary(buf[off:])
 	if err != nil {
 		return e, fmt.Errorf("trace: event data: %w", err)
 	}

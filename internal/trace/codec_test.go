@@ -15,30 +15,34 @@ func TestEventBinaryRoundTrip(t *testing.T) {
 		{Kind: Req, RID: "", Data: nil},
 		{Kind: Resp, RID: "r2", Data: value.Map("nested", value.Map("k", value.List(float64(1), float64(2))))},
 	}
-	for i, e := range events {
-		enc := AppendEventBinary(nil, e)
-		got, err := DecodeEventBinary(enc)
-		if err != nil {
-			t.Fatalf("event %d: decode: %v", i, err)
-		}
-		if got.Kind != e.Kind || got.RID != e.RID || !value.Equal(got.Data, e.Data) {
-			t.Fatalf("event %d: round trip mismatch: %+v vs %+v", i, got, e)
+	// Uninterned, and through one Interner shared by every event as a
+	// sealed-epoch read shares it across frames.
+	for _, in := range []*value.Interner{nil, new(value.Interner)} {
+		for i, e := range events {
+			enc := AppendEventBinary(nil, e)
+			got, err := DecodeEventBinary(enc, in)
+			if err != nil {
+				t.Fatalf("event %d: decode: %v", i, err)
+			}
+			if got.Kind != e.Kind || got.RID != e.RID || !value.Equal(got.Data, e.Data) {
+				t.Fatalf("event %d: round trip mismatch: %+v vs %+v", i, got, e)
+			}
 		}
 	}
 }
 
 func TestEventBinaryRejectsMalformed(t *testing.T) {
 	enc := AppendEventBinary(nil, Event{Kind: Req, RID: "r1", Data: value.Map("k", "v")})
-	if _, err := DecodeEventBinary(nil); err == nil {
+	if _, err := DecodeEventBinary(nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := DecodeEventBinary([]byte{99}); err == nil {
+	if _, err := DecodeEventBinary([]byte{99}, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := DecodeEventBinary(enc[:len(enc)-1]); err == nil {
+	if _, err := DecodeEventBinary(enc[:len(enc)-1], nil); err == nil {
 		t.Error("truncated event accepted")
 	}
-	if _, err := DecodeEventBinary(append(enc, 0)); err == nil {
+	if _, err := DecodeEventBinary(append(enc, 0), nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

@@ -85,7 +85,77 @@ var ErrTruncated = errors.New("value: truncated input")
 // returning the value and the number of bytes consumed. Trailing bytes are
 // the caller's concern.
 func DecodeBinary(buf []byte) (V, int, error) {
-	d := &binDecoder{buf: buf}
+	return (*Interner)(nil).DecodeBinary(buf)
+}
+
+// maxInternLen bounds the strings an Interner shares. Identifiers, map keys
+// and short messages repeat; a long string is usually unique, and hashing it
+// into the table would cost what copying it does.
+const maxInternLen = 128
+
+// maxInternEntries bounds an Interner's table. Honest advice repeats a few
+// thousand distinct strings at most; hostile advice made of distinct short
+// strings would otherwise grow the table by a map entry per string on top of
+// the strings themselves. Past the bound, strings are copied as if uninterned.
+const maxInternEntries = 1 << 16
+
+// Interner shares one copy of every short string among everything decoded
+// through it. An epoch's advice names the same request IDs, handler IDs,
+// events, map keys and messages hundreds of times over — motd logs its whole
+// state, history included, at every write — so without sharing, decoding
+// spends most of its allocations re-copying strings it has already made.
+// Strings are immutable, so sharing them is invisible to every consumer.
+//
+// The zero value is ready to use; a nil *Interner copies every string. An
+// Interner is not safe for concurrent use: make one per decode, and drop it
+// with the decode so the table never outlives the bytes it came from.
+type Interner struct {
+	// strs maps a string to its shared copy, boxed once so that a string
+	// value shares the interface header too.
+	strs map[string]V
+}
+
+// String returns b as a string, the same copy for every equal b.
+func (in *Interner) String(b []byte) string {
+	if v, ok := in.lookup(b); ok {
+		return v.(string)
+	}
+	return string(b)
+}
+
+// boxed is String boxed into a V, sharing the box as well.
+func (in *Interner) boxed(b []byte) V {
+	if v, ok := in.lookup(b); ok {
+		return v
+	}
+	return string(b)
+}
+
+// lookup returns the shared copy of b, making it on first sight; ok is false
+// when b is not shared: empty, longer than maxInternLen, or the table is full.
+func (in *Interner) lookup(b []byte) (v V, ok bool) {
+	if in == nil || len(b) == 0 || len(b) > maxInternLen {
+		return nil, false
+	}
+	if v, ok := in.strs[string(b)]; ok {
+		return v, true
+	}
+	if len(in.strs) >= maxInternEntries {
+		return nil, false
+	}
+	if in.strs == nil {
+		in.strs = make(map[string]V)
+	}
+	s := string(b)
+	v = s
+	in.strs[s] = v
+	return v, true
+}
+
+// DecodeBinary is the package-level DecodeBinary with every string of the
+// value shared through in.
+func (in *Interner) DecodeBinary(buf []byte) (V, int, error) {
+	d := binDecoder{buf: buf, in: in}
 	v, err := d.value()
 	if err != nil {
 		return nil, 0, err
@@ -93,9 +163,20 @@ func DecodeBinary(buf []byte) (V, int, error) {
 	return v, d.off, nil
 }
 
+// smallInts holds the integers 0–255 boxed once. Counters, indexes and
+// flags in logged state are mostly small integers, and boxing a float64
+// into a V otherwise allocates for every one decoded.
+var smallInts = func() (t [256]V) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
+
 type binDecoder struct {
 	buf []byte
 	off int
+	in  *Interner
 }
 
 func (d *binDecoder) byteAt() (byte, error) {
@@ -130,14 +211,16 @@ func (d *binDecoder) lengthElems(minElemSize int) (int, error) {
 	return int(x), nil
 }
 
-func (d *binDecoder) str() (string, error) {
+// str reads a length-prefixed string's bytes; the caller decides whether
+// they become a map key or a boxed value.
+func (d *binDecoder) str() ([]byte, error) {
 	n, err := d.lengthElems(1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s, nil
+	return b, nil
 }
 
 func (d *binDecoder) value() (V, error) {
@@ -158,9 +241,18 @@ func (d *binDecoder) value() (V, error) {
 		}
 		bits := binary.LittleEndian.Uint64(d.buf[d.off:])
 		d.off += 8
-		return math.Float64frombits(bits), nil
+		f := math.Float64frombits(bits)
+		// The bits comparison keeps -0 (== 0, other bits) off the table.
+		if i := int(f); f >= 0 && f < float64(len(smallInts)) && math.Float64bits(float64(i)) == bits {
+			return smallInts[i], nil
+		}
+		return f, nil
 	case tagStr:
-		return d.str()
+		b, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		return d.in.boxed(b), nil
 	case tagList:
 		n, err := d.lengthElems(1)
 		if err != nil {
@@ -181,10 +273,11 @@ func (d *binDecoder) value() (V, error) {
 		}
 		out := make(map[string]V, n)
 		for i := 0; i < n; i++ {
-			k, err := d.str()
+			kb, err := d.str()
 			if err != nil {
 				return nil, err
 			}
+			k := d.in.String(kb)
 			if out[k], err = d.value(); err != nil {
 				return nil, err
 			}

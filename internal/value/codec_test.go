@@ -2,6 +2,8 @@ package value
 
 import (
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -79,4 +81,70 @@ func TestAppendBinaryPanicsOnUnencodable(t *testing.T) {
 		}
 	}()
 	AppendBinary(nil, struct{}{})
+}
+
+// TestInternerDecodeMatchesPlain: decoding through one shared Interner gives
+// the same values, consuming the same bytes, as the plain decoder — over
+// 2000 random values whose strings repeat across samples.
+func TestInternerDecodeMatchesPlain(t *testing.T) {
+	var in Interner
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		v := randomValue(r, 4)
+		enc := AppendBinary(nil, v)
+		want, wn, err := DecodeBinary(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gn, err := in.DecodeBinary(enc)
+		if err != nil {
+			t.Fatalf("interned decode of %s: %v", String(v), err)
+		}
+		if gn != wn || !Equal(got, want) || string(AppendBinary(nil, got)) != string(enc) {
+			t.Fatalf("interned decode of %s = %s (%d bytes), plain %s (%d bytes)", String(v), String(got), gn, String(want), wn)
+		}
+	}
+}
+
+// TestInternerAllocatesContainersOnly: once an Interner has seen a value's
+// strings, decoding it again allocates exactly what decoding the same shape
+// with no strings at all does — the list and the maps, never a string.
+func TestInternerAllocatesContainersOnly(t *testing.T) {
+	words := AppendBinary(nil, List("request", "handler", "request",
+		Map("scope", "day", "msg", "hello"), Map("scope", "day", "msg", "hello")))
+	shape := AppendBinary(nil, List(nil, nil, nil, Map("a", nil, "b", nil), Map("a", nil, "b", nil)))
+	var in Interner
+	decode := func(buf []byte, in *Interner) {
+		if _, _, err := in.DecodeBinary(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(words, &in)
+	got := testing.AllocsPerRun(100, func() { decode(words, &in) })
+	base := testing.AllocsPerRun(100, func() { decode(shape, nil) })
+	if got != base {
+		t.Errorf("warm interned decode allocates %v times, a string-free value of the same shape %v", got, base)
+	}
+	if plain := testing.AllocsPerRun(100, func() { decode(words, nil) }); plain <= got {
+		t.Errorf("uninterned decode allocates %v times, no more than interned (%v)", plain, got)
+	}
+}
+
+// TestDecodeSmallIntegersKeepBits: the boxed small-integer table serves
+// exactly the integers 0–255; every other number, -0 and NaN included,
+// decodes bit for bit.
+func TestDecodeSmallIntegersKeepBits(t *testing.T) {
+	for _, f := range []float64{0, 1, 255, math.Copysign(0, -1), -1, 256, 3.5, 1e300, math.NaN(), math.Inf(1)} {
+		got, _, err := DecodeBinary(AppendBinary(nil, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, ok := got.(float64); !ok || math.Float64bits(g) != math.Float64bits(f) {
+			t.Errorf("decode(%v) = %#v, bits differ", f, got)
+		}
+	}
+	small := AppendBinary(nil, float64(42))
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeBinary(small) }); n != 0 {
+		t.Errorf("decoding a small integer allocates %v times, want 0", n)
+	}
 }
