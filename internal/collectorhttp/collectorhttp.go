@@ -181,8 +181,8 @@ type Collector struct {
 	ridMu   sync.Mutex
 	nextRID uint64
 	// serveMu serializes the deterministic dispatch loop: server.ServeOne
-	// is single-threaded by design, the concurrency lives in the commit
-	// path on either side of it.
+	// runs it at admission window 1 (one request's whole handler tree), so
+	// the concurrency lives in the commit path on either side of it.
 	serveMu sync.Mutex
 	// sealMu serializes whole seals (rotate + finish) across their
 	// triggers: threshold, age, /seal, Close.

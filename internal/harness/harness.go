@@ -112,6 +112,19 @@ const (
 	CollectBoth
 )
 
+// newServer boots a fresh instance of the application on the single-threaded
+// runtime, collecting the advice mode selects.
+func newServer(spec AppSpec, seed int64, mode Collect) *server.Server {
+	app, store := spec.New()
+	return server.New(server.Config{
+		App:             app,
+		Store:           store,
+		Seed:            seed,
+		CollectKarousos: mode == CollectKarousos || mode == CollectBoth,
+		CollectOrochi:   mode == CollectOrochi || mode == CollectBoth,
+	})
+}
+
 // ServeResult is one serving run's output.
 type ServeResult struct {
 	Trace    *trace.Trace
@@ -126,15 +139,7 @@ type ServeResult struct {
 // Serve runs the workload at the given admission concurrency and collection
 // mode. The scheduler seed makes runs reproducible.
 func Serve(spec AppSpec, reqs []server.Request, concurrency int, seed int64, mode Collect) (*ServeResult, error) {
-	app, store := spec.New()
-	cfg := server.Config{
-		App:             app,
-		Store:           store,
-		Seed:            seed,
-		CollectKarousos: mode == CollectKarousos || mode == CollectBoth,
-		CollectOrochi:   mode == CollectOrochi || mode == CollectBoth,
-	}
-	srv := server.New(cfg)
+	srv := newServer(spec, seed, mode)
 	start := time.Now()
 	res, err := srv.Run(reqs, concurrency)
 	elapsed := time.Since(start)
@@ -328,14 +333,7 @@ func ServeWarm(spec AppSpec, reqs []server.Request, warmup, concurrency int, see
 	if warmup > len(reqs) {
 		return 0, fmt.Errorf("harness: warmup %d exceeds workload size %d", warmup, len(reqs))
 	}
-	app, store := spec.New()
-	srv := server.New(server.Config{
-		App:             app,
-		Store:           store,
-		Seed:            seed,
-		CollectKarousos: mode == CollectKarousos || mode == CollectBoth,
-		CollectOrochi:   mode == CollectOrochi || mode == CollectBoth,
-	})
+	srv := newServer(spec, seed, mode)
 	if _, err := srv.Run(reqs[:warmup], concurrency); err != nil {
 		return 0, fmt.Errorf("harness: warmup %s: %w", spec.Name, err)
 	}

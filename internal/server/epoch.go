@@ -1,7 +1,7 @@
 package server
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"karousos.dev/karousos/internal/advice"
@@ -17,29 +17,15 @@ import (
 // accumulated so far (DrainAdvice). The two modes must not be mixed on one
 // Server: Run snapshots the store's full binlog, DrainAdvice tracks deltas.
 
-// ServeOne serves a single request to completion on the single-threaded
-// dispatch loop and returns its normalized response payload. The request is
-// recorded through the trusted collector exactly as under Run.
+// ServeOne serves a single request to completion — the window-1 case of
+// Run's dispatch loop — and returns its normalized response payload. The
+// request is recorded through the trusted collector exactly as under Run.
 func (s *Server) ServeOne(r Request) (value.V, error) {
-	if s.parallel {
-		return nil, fmt.Errorf("server: ServeOne requires the single-threaded loop (Workers ≤ 1)")
+	if err := s.serve([]Request{r}, 1); err != nil {
+		return nil, err
 	}
-	s.admit(r)
-	for len(s.pending) > 0 {
-		i := s.rng.Intn(len(s.pending))
-		act := s.pending[i]
-		s.pending[i] = s.pending[len(s.pending)-1]
-		s.pending = s.pending[:len(s.pending)-1]
-		s.runActivation(act)
-		rs := s.requests[act.rid]
-		rs.outstanding--
-		if rs.outstanding == 0 {
-			if !rs.responded {
-				return nil, fmt.Errorf("server: request %s finished without responding", act.rid)
-			}
-			s.finishRequest(act.rid, rs)
-		}
-	}
+	s.lock()
+	defer s.unlock()
 	return s.requests[r.RID].respVal, nil
 }
 
@@ -71,35 +57,15 @@ func (s *Server) TakeTrace() *trace.Trace {
 func (s *Server) DrainAdvice() (kar, oro *advice.Advice) {
 	s.lock()
 	defer s.unlock()
-	kar, oro = s.kar, s.oro
-	if s.kar != nil {
-		s.kar = advice.New(advice.ModeKarousos)
-	}
-	if s.oro != nil {
-		s.oro = advice.New(advice.ModeOrochiJS)
-	}
-	s.wireKar, s.wireOro = nil, nil
-
+	var wo []advice.TxPos
+	var to []advice.TxOrderEvent
 	if s.cfg.Store != nil {
-		binlog := s.cfg.Store.Binlog()
-		var wo []advice.TxPos
-		for _, ref := range binlog[s.binlogDrained:] {
-			wo = append(wo, advice.TxPos{RID: ref.RID, TID: ref.TID, Index: ref.Index})
-		}
-		s.binlogDrained = len(binlog)
-		events := s.cfg.Store.TxEvents()
-		var to []advice.TxOrderEvent
-		for _, ev := range events[s.txEventsDrained:] {
-			to = append(to, advice.TxOrderEvent{Kind: uint8(ev.Kind), RID: ev.RID, TID: ev.TID})
-		}
-		s.txEventsDrained = len(events)
-		if kar != nil {
-			kar.WriteOrder, kar.TxOrder = wo, to
-		}
-		if oro != nil {
-			oro.WriteOrder = append([]advice.TxPos(nil), wo...)
-			oro.TxOrder = append([]advice.TxOrderEvent(nil), to...)
-		}
+		wo, to, s.binlogDrained, s.txEventsDrained = s.storeOrder(s.binlogDrained, s.txEventsDrained)
+	}
+	kar, oro = s.collected(advice.ModeKarousos), s.collected(advice.ModeOrochiJS)
+	for _, d := range s.dialects {
+		d.adv.WriteOrder, d.adv.TxOrder = slices.Clone(wo), slices.Clone(to)
+		d.adv, d.wire = advice.New(d.mode), nil
 	}
 
 	// Rebase every variable's last-write marker onto its carry identity.
@@ -109,20 +75,25 @@ func (s *Server) DrainAdvice() (kar, oro *advice.Advice) {
 	}
 	sort.Strings(ids)
 	for i, id := range ids {
-		vs := s.vars[core.VarID(id)]
 		op := core.Op{RID: core.InitRID, HID: core.InitHID, Num: core.EpochCarryBase + i}
-		vs.last = core.TaggedOp{Op: op, Label: core.InitLabel}
-		vs.karLogged = map[core.Op]bool{op: true}
-		vs.oroLogged = map[core.Op]bool{op: true}
+		s.vars[core.VarID(id)].last = core.TaggedOp{Op: op, Label: core.InitLabel}
+		for _, d := range s.dialects {
+			d.logged[core.VarID(id)] = map[core.Op]bool{op: true}
+		}
 	}
 
-	// Served requests' per-request state was already folded into the drained
-	// advice; drop it so a long-running server's memory stays bounded. Rids
-	// must never repeat across epochs (the HTTP collector assigns them
-	// monotonically).
+	// Served requests' per-request state, and their transactions', was
+	// already folded into the drained advice; drop it so a long-running
+	// server's memory stays bounded. Rids must never repeat across epochs
+	// (the HTTP collector assigns them monotonically).
 	for rid, rs := range s.requests {
 		if rs.outstanding == 0 {
 			delete(s.requests, rid)
+		}
+	}
+	for k := range s.txs {
+		if _, live := s.requests[k.rid]; !live {
+			delete(s.txs, k)
 		}
 	}
 	return kar, oro

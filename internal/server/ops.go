@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
@@ -33,11 +34,9 @@ func (s *Server) VarInit(ctx *core.Context, v *core.Variable, opnum int, val *mv
 	if _, dup := s.vars[v.ID]; dup {
 		panic(fmt.Sprintf("server: duplicate variable id %s", v.ID))
 	}
-	s.vars[v.ID] = &varState{
-		val:       val.At(0),
-		last:      s.op(ctx, opnum),
-		karLogged: make(map[core.Op]bool),
-		oroLogged: make(map[core.Op]bool),
+	s.vars[v.ID] = &varState{val: val.At(0), last: s.op(ctx, opnum)}
+	for _, d := range s.dialects {
+		d.logged[v.ID] = make(map[core.Op]bool)
 	}
 }
 
@@ -49,85 +48,46 @@ func (s *Server) varState(v *core.Variable) *varState {
 	return vs
 }
 
-// VarRead implements Figure 13's OnRead. Karousos logs the read only when it
-// is R-concurrent with the dictating write (lazily logging that write
-// first); Orochi-JS logs every read.
+// VarRead implements Figure 13's OnRead.
 func (s *Server) VarRead(ctx *core.Context, v *core.Variable, opnum int) *mv.MV {
 	s.lock()
 	defer s.unlock()
 	vs := s.varState(v)
 	cur := s.op(ctx, opnum)
-	if s.kar != nil && core.RConcurrent(cur, vs.last) {
-		s.karLazyLogWrite(v, vs)
-		e := advice.VarLogEntry{Op: cur.Op, Type: advice.AccessRead, HasPrec: true, Prec: vs.last.Op}
-		s.kar.VarLogs[v.ID] = append(s.kar.VarLogs[v.ID], e)
-		s.wireKar = advice.AppendVarEntry(s.wireKar, &e)
-		vs.karLogged[cur.Op] = true
-	}
-	if s.oro != nil && cur.RID != core.InitRID {
-		s.oroLazyLogWrite(v, vs)
-		e := advice.VarLogEntry{Op: cur.Op, Type: advice.AccessRead, HasPrec: true, Prec: vs.last.Op}
-		s.oro.VarLogs[v.ID] = append(s.oro.VarLogs[v.ID], e)
-		s.wireOro = advice.AppendVarEntry(s.wireOro, &e)
-		vs.oroLogged[cur.Op] = true
-	}
+	s.logAccess(v.ID, vs, cur, advice.VarLogEntry{Op: cur.Op, Type: advice.AccessRead, HasPrec: true, Prec: vs.last.Op})
 	return mv.Scalar(vs.val, 1)
 }
 
-// VarWrite implements Figure 13's OnWrite. The write is logged when
-// R-concurrent with the write it overwrites (Karousos) or always (Orochi-JS),
-// and in both cases becomes the variable's most recent write.
+// VarWrite implements Figure 13's OnWrite: whether or not it is logged, the
+// write becomes the variable's most recent write.
 func (s *Server) VarWrite(ctx *core.Context, v *core.Variable, opnum int, val *mv.MV) {
 	s.lock()
 	defer s.unlock()
 	vs := s.varState(v)
 	cur := s.op(ctx, opnum)
 	contents := val.At(0)
-	if s.kar != nil && cur.RID != core.InitRID && core.RConcurrent(cur, vs.last) {
-		s.karLazyLogWrite(v, vs)
-		e := advice.VarLogEntry{
-			Op: cur.Op, Type: advice.AccessWrite, Value: contents,
-			HasPrec: true, Prec: vs.last.Op,
-		}
-		s.kar.VarLogs[v.ID] = append(s.kar.VarLogs[v.ID], e)
-		s.wireKar = advice.AppendVarEntry(s.wireKar, &e)
-		vs.karLogged[cur.Op] = true
-	}
-	if s.oro != nil && cur.RID != core.InitRID {
-		s.oroLazyLogWrite(v, vs)
-		e := advice.VarLogEntry{
-			Op: cur.Op, Type: advice.AccessWrite, Value: contents,
-			HasPrec: true, Prec: vs.last.Op,
-		}
-		s.oro.VarLogs[v.ID] = append(s.oro.VarLogs[v.ID], e)
-		s.wireOro = advice.AppendVarEntry(s.wireOro, &e)
-		vs.oroLogged[cur.Op] = true
-	}
+	s.logAccess(v.ID, vs, cur, advice.VarLogEntry{
+		Op: cur.Op, Type: advice.AccessWrite, Value: contents,
+		HasPrec: true, Prec: vs.last.Op,
+	})
 	vs.val = contents
 	vs.last = cur
 }
 
-// karLazyLogWrite logs the variable's current most-recent write if it was not
-// already logged (Figure 13 lines 14–15 and 21–22): the entry carries the
-// value and no predecessor reference.
-func (s *Server) karLazyLogWrite(v *core.Variable, vs *varState) {
-	if vs.karLogged[vs.last.Op] {
-		return
+// logAccess appends e, the entry for access cur, to the variable log of
+// every dialect that logs the access, first logging the variable's current
+// most-recent write if that dialect has not yet (Figure 13 lines 14–15 and
+// 21–22): the lazily logged entry carries the value and no predecessor.
+func (s *Server) logAccess(id core.VarID, vs *varState, cur core.TaggedOp, e advice.VarLogEntry) {
+	for _, d := range s.dialects {
+		if !d.logs(cur, vs.last) {
+			continue
+		}
+		if !d.logged[id][vs.last.Op] {
+			d.logVar(id, advice.VarLogEntry{Op: vs.last.Op, Type: advice.AccessWrite, Value: vs.val})
+		}
+		d.logVar(id, e)
 	}
-	e := advice.VarLogEntry{Op: vs.last.Op, Type: advice.AccessWrite, Value: vs.val}
-	s.kar.VarLogs[v.ID] = append(s.kar.VarLogs[v.ID], e)
-	s.wireKar = advice.AppendVarEntry(s.wireKar, &e)
-	vs.karLogged[vs.last.Op] = true
-}
-
-func (s *Server) oroLazyLogWrite(v *core.Variable, vs *varState) {
-	if vs.oroLogged[vs.last.Op] {
-		return
-	}
-	e := advice.VarLogEntry{Op: vs.last.Op, Type: advice.AccessWrite, Value: vs.val}
-	s.oro.VarLogs[v.ID] = append(s.oro.VarLogs[v.ID], e)
-	s.wireOro = advice.AppendVarEntry(s.wireOro, &e)
-	vs.oroLogged[vs.last.Op] = true
 }
 
 // Emit adds the event to the pending set: every function currently registered
@@ -141,11 +101,7 @@ func (s *Server) Emit(ctx *core.Context, opnum int, event core.EventName, payloa
 		panic("server: emit from the init function is not supported")
 	}
 	rs := s.requests[rid]
-	if s.collecting() {
-		e := advice.HandlerOp{HID: ctx.HID(), OpNum: opnum, Kind: advice.OpEmit, Event: event}
-		rs.handlerLog = append(rs.handlerLog, e)
-		s.streamHandlerOp(&e)
-	}
+	s.logHandlerOp(rs, advice.HandlerOp{HID: ctx.HID(), OpNum: opnum, Kind: advice.OpEmit, Event: event})
 	pv := value.Clone(payload.At(0))
 	for _, fn := range rs.listeners[event] {
 		hid := core.ComputeHID(fn, event, ctx.HID(), opnum)
@@ -180,14 +136,10 @@ func (s *Server) Register(ctx *core.Context, opnum int, event core.EventName, fn
 		}
 	}
 	rs.listeners[event] = append(rs.listeners[event], fn)
-	if s.collecting() {
-		e := advice.HandlerOp{
-			HID: ctx.HID(), OpNum: opnum, Kind: advice.OpRegister,
-			Events: []core.EventName{event}, Fn: fn,
-		}
-		rs.handlerLog = append(rs.handlerLog, e)
-		s.streamHandlerOp(&e)
-	}
+	s.logHandlerOp(rs, advice.HandlerOp{
+		HID: ctx.HID(), OpNum: opnum, Kind: advice.OpRegister,
+		Events: []core.EventName{event}, Fn: fn,
+	})
 }
 
 // Unregister removes fn as a listener for event in the request-local table.
@@ -206,26 +158,21 @@ func (s *Server) Unregister(ctx *core.Context, opnum int, event core.EventName, 
 			break
 		}
 	}
-	if s.collecting() {
-		e := advice.HandlerOp{
-			HID: ctx.HID(), OpNum: opnum, Kind: advice.OpUnregister,
-			Event: event, Fn: fn,
-		}
-		rs.handlerLog = append(rs.handlerLog, e)
-		s.streamHandlerOp(&e)
-	}
+	s.logHandlerOp(rs, advice.HandlerOp{
+		HID: ctx.HID(), OpNum: opnum, Kind: advice.OpUnregister,
+		Event: event, Fn: fn,
+	})
 }
 
-func (s *Server) collecting() bool { return s.kar != nil || s.oro != nil }
-
-// streamHandlerOp appends a handler-log entry's wire encoding to the advice
-// streams being collected.
-func (s *Server) streamHandlerOp(e *advice.HandlerOp) {
-	if s.kar != nil {
-		s.wireKar = advice.AppendHandlerOp(s.wireKar, e)
+// logHandlerOp appends e to the request's handler log, which every dialect
+// shares.
+func (s *Server) logHandlerOp(rs *reqState, e advice.HandlerOp) {
+	if len(s.dialects) == 0 {
+		return
 	}
-	if s.oro != nil {
-		s.wireOro = advice.AppendHandlerOp(s.wireOro, e)
+	rs.handlerLog = append(rs.handlerLog, e)
+	for _, d := range s.dialects {
+		d.wire = advice.AppendHandlerOp(d.wire, &e)
 	}
 }
 
@@ -249,11 +196,8 @@ func (s *Server) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOpTyp
 		e.HID = ctx.HID()
 		e.OpNum = opnum
 		ts.log = append(ts.log, e)
-		if s.kar != nil {
-			s.wireKar = advice.AppendTxOp(s.wireKar, &e)
-		}
-		if s.oro != nil {
-			s.wireOro = advice.AppendTxOp(s.wireOro, &e)
+		for _, d := range s.dialects {
+			d.wire = advice.AppendTxOp(d.wire, &e)
 		}
 		return len(ts.log)
 	}
@@ -351,11 +295,8 @@ func keyString(key *mv.MV) string {
 
 // flushTxLog moves a finished transaction's log into the advice.
 func (s *Server) flushTxLog(k txKey, ts *txState) {
-	if s.kar != nil {
-		s.kar.TxLogs = append(s.kar.TxLogs, advice.TxLog{RID: k.rid, TID: k.tid, Ops: append([]advice.TxOp(nil), ts.log...)})
-	}
-	if s.oro != nil {
-		s.oro.TxLogs = append(s.oro.TxLogs, advice.TxLog{RID: k.rid, TID: k.tid, Ops: append([]advice.TxOp(nil), ts.log...)})
+	for _, d := range s.dialects {
+		d.adv.TxLogs = append(d.adv.TxLogs, advice.TxLog{RID: k.rid, TID: k.tid, Ops: slices.Clone(ts.log)})
 	}
 }
 
@@ -375,19 +316,13 @@ func (s *Server) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 	s.collector.Response(string(rid), payload.At(0))
 }
 
-// Branch records the control-flow decision into the handler's running
-// control-flow digest (§5) and returns the direction taken.
+// Branch returns the direction taken. A request handler's decisions also
+// enter its control-flow digest (activationOps.Branch); the init function's
+// do not, since init is not part of any request's tag.
 func (s *Server) Branch(ctx *core.Context, site string, cond *mv.MV) bool {
 	taken, ok := cond.Bool()
 	if !ok {
 		panic("server: branch condition must be a boolean")
-	}
-	if s.collecting() {
-		s.lock()
-		if st := s.states[ctx]; st != nil {
-			st.cfd = cfdUpdate(st.cfd, site, taken)
-		}
-		s.unlock()
 	}
 	return taken
 }
@@ -400,11 +335,8 @@ func (s *Server) Nondet(ctx *core.Context, opnum int, site string, gen func(rid 
 	rid := ctx.RIDs()[0]
 	v := value.Normalize(gen(rid))
 	e := advice.NondetEntry{Op: core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, Value: v}
-	if s.kar != nil {
-		s.kar.Nondet = append(s.kar.Nondet, e)
-	}
-	if s.oro != nil {
-		s.oro.Nondet = append(s.oro.Nondet, e)
+	for _, d := range s.dialects {
+		d.adv.Nondet = append(d.adv.Nondet, e)
 	}
 	return mv.Scalar(v, 1)
 }

@@ -22,7 +22,9 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -77,16 +79,9 @@ type Server struct {
 	rng       *rand.Rand
 	collector *trace.Collector
 
-	kar *advice.Advice
-	oro *advice.Advice
-
-	// wireKar/wireOro accumulate the streamed wire encoding of log entries
-	// as they are produced. A deployed server ships advice continuously
-	// rather than materializing it at the end of an audit period, so the
-	// encoding cost — proportional to logged value sizes — is charged to the
-	// serving path, exactly where the paper measures it (§6.1).
-	wireKar []byte
-	wireOro []byte
+	// dialects are the advice collections enabled by the config (Karousos
+	// first); none for the unmodified baseline.
+	dialects []*dialect
 
 	// global listener table built by Init: registration order preserved.
 	globalListeners map[core.EventName][]core.FunctionID
@@ -105,10 +100,6 @@ type Server struct {
 	// provides. Single-threaded mode skips locking.
 	mu       sync.Mutex
 	parallel bool
-
-	// states tracks each running activation's control-flow digest, keyed by
-	// its context (one context per activation).
-	states map[*core.Context]*runState
 
 	// binlogDrained/txEventsDrained are the store cursors of the epoch
 	// pipeline: DrainAdvice emits write-order and tx-order deltas past them.
@@ -140,7 +131,7 @@ type reqState struct {
 	// opcounts per handler activation.
 	opcounts map[core.HID]int
 	// tag material: per handler (hid, control-flow digest), in activation
-	// order for Orochi and as a set for Karousos.
+	// order; each dialect's tag digests it as a sequence or as a set.
 	tagParts []tagPart
 	// childCounters assigns activation labels: children per parent hid.
 	childCounters map[core.HID]int
@@ -167,9 +158,6 @@ type activation struct {
 type varState struct {
 	val  value.V
 	last core.TaggedOp // most recent write (the Figure 13 v.rid/hid/opnum fields)
-
-	karLogged map[core.Op]bool
-	oroLogged map[core.Op]bool
 }
 
 // New builds a server and runs the application's initialization function
@@ -184,14 +172,13 @@ func New(cfg Config) *Server {
 		vars:            make(map[core.VarID]*varState),
 		requests:        make(map[core.RID]*reqState),
 		txs:             make(map[txKey]*txState),
-		states:          make(map[*core.Context]*runState),
 		parallel:        cfg.Workers > 1,
 	}
 	if cfg.CollectKarousos {
-		s.kar = advice.New(advice.ModeKarousos)
+		s.dialects = append(s.dialects, newDialect(advice.ModeKarousos))
 	}
 	if cfg.CollectOrochi {
-		s.oro = advice.New(advice.ModeOrochiJS)
+		s.dialects = append(s.dialects, newDialect(advice.ModeOrochiJS))
 	}
 	if cfg.App.Init != nil {
 		ictx := core.NewContext(s, []core.RID{core.InitRID}, core.InitHID, "", "", core.InitLabel)
@@ -208,104 +195,56 @@ func (s *Server) Run(reqs []Request, concurrency int) (*Result, error) {
 	if concurrency < 1 {
 		return nil, fmt.Errorf("server: concurrency must be ≥ 1, got %d", concurrency)
 	}
-	var runErr error
-	if s.parallel {
-		runErr = s.runParallel(reqs, concurrency)
-	} else {
-		runErr = s.runSingle(reqs, concurrency)
+	if err := s.serve(reqs, concurrency); err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
+	res := &Result{
+		Trace:    s.collector.Trace(),
+		Karousos: s.collected(advice.ModeKarousos),
+		Orochi:   s.collected(advice.ModeOrochiJS),
 	}
-	res := &Result{Trace: s.collector.Trace(), Karousos: s.kar, Orochi: s.oro}
 	if s.cfg.Store != nil {
-		_, aborts := s.cfg.Store.Stats()
-		res.Conflicts = aborts
-		wo := make([]advice.TxPos, 0)
-		for _, ref := range s.cfg.Store.Binlog() {
-			wo = append(wo, advice.TxPos{RID: ref.RID, TID: ref.TID, Index: ref.Index})
-		}
-		var to []advice.TxOrderEvent
-		for _, ev := range s.cfg.Store.TxEvents() {
-			to = append(to, advice.TxOrderEvent{Kind: uint8(ev.Kind), RID: ev.RID, TID: ev.TID})
-		}
-		if s.kar != nil {
-			s.kar.WriteOrder = wo
-			s.kar.TxOrder = to
-		}
-		if s.oro != nil {
-			s.oro.WriteOrder = append([]advice.TxPos(nil), wo...)
-			s.oro.TxOrder = append([]advice.TxOrderEvent(nil), to...)
+		_, res.Conflicts = s.cfg.Store.Stats()
+		wo, to, _, _ := s.storeOrder(0, 0)
+		for _, d := range s.dialects {
+			d.adv.WriteOrder, d.adv.TxOrder = slices.Clone(wo), slices.Clone(to)
 		}
 	}
 	return res, nil
 }
 
-// runSingle is the Node.js-style dispatch loop: one activation at a time,
-// picked pseudo-randomly from the pending set.
-func (s *Server) runSingle(reqs []Request, concurrency int) error {
-	next := 0
-	inflight := 0
-	admit := func() {
-		for inflight < concurrency && next < len(reqs) {
-			r := reqs[next]
+// serve is the dispatch loop: it admits requests in order, at most window
+// of them in flight, and runs their pending activations — each picked
+// pseudo-randomly by the seeded scheduler — until every request has
+// finished. With Workers ≤ 1 the loop runs on the calling goroutine, one
+// activation at a time, so a run is reproducible from Seed; otherwise
+// Workers goroutines share it, each running its activation outside s.mu
+// while every special operation serializes on it. The audit algorithms
+// never assumed a single-threaded server, so honest parallel executions
+// verify unchanged.
+func (s *Server) serve(reqs []Request, window int) error {
+	var (
+		next, inflight, running int
+		err                     error
+		cond                    = sync.NewCond(&s.mu)
+	)
+	admit := func() { // caller owns the server state
+		for inflight < window && next < len(reqs) {
+			s.admit(reqs[next])
 			next++
 			inflight++
-			s.admit(r)
 		}
 	}
-	admit()
-	for len(s.pending) > 0 {
-		i := s.rng.Intn(len(s.pending))
-		act := s.pending[i]
-		s.pending[i] = s.pending[len(s.pending)-1]
-		s.pending = s.pending[:len(s.pending)-1]
-		s.runActivation(act)
-		rs := s.requests[act.rid]
-		rs.outstanding--
-		if rs.outstanding == 0 {
-			if !rs.responded {
-				return fmt.Errorf("server: request %s finished without responding", act.rid)
-			}
-			s.finishRequest(act.rid, rs)
-			inflight--
-			admit()
-		}
-	}
-	return nil
-}
-
-// runParallel dispatches pending activations to cfg.Workers goroutines.
-// Every special operation serializes on s.mu (sequential consistency for
-// variables, atomic advice appends, ordered trace events); the computation
-// between operations runs in parallel. The audit algorithms never assumed a
-// single-threaded server, so honest parallel executions verify unchanged.
-func (s *Server) runParallel(reqs []Request, concurrency int) error {
-	next := 0
-	inflight := 0
-	running := 0
-	var firstErr error
-	cond := sync.NewCond(&s.mu)
-
-	admit := func() { // caller holds s.mu
-		for inflight < concurrency && next < len(reqs) {
-			r := reqs[next]
-			next++
-			inflight++
-			s.admit(r)
-		}
-	}
-
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
+	loop := func() {
+		s.lock()
+		defer s.unlock()
 		for {
-			s.mu.Lock()
-			for len(s.pending) == 0 && running > 0 && firstErr == nil {
+			// Only a parallel worker can find nothing pending while
+			// another still runs; the single-threaded loop never waits.
+			for len(s.pending) == 0 && running > 0 && err == nil {
 				cond.Wait()
 			}
-			if firstErr != nil || (len(s.pending) == 0 && running == 0) {
-				s.mu.Unlock()
+			if err != nil || len(s.pending) == 0 {
 				cond.Broadcast()
 				return
 			}
@@ -314,18 +253,20 @@ func (s *Server) runParallel(reqs []Request, concurrency int) error {
 			s.pending[i] = s.pending[len(s.pending)-1]
 			s.pending = s.pending[:len(s.pending)-1]
 			running++
-			s.mu.Unlock()
+			s.unlock()
 
-			s.runActivation(act)
+			opsIssued, cfd := s.runActivation(act)
 
-			s.mu.Lock()
+			s.lock()
 			running--
 			rs := s.requests[act.rid]
+			rs.opcounts[act.hid] = opsIssued
+			rs.tagParts = append(rs.tagParts, tagPart{hid: act.hid, cfd: cfd})
 			rs.outstanding--
 			if rs.outstanding == 0 {
 				if !rs.responded {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("server: request %s finished without responding", act.rid)
+					if err == nil {
+						err = fmt.Errorf("server: request %s finished without responding", act.rid)
 					}
 				} else {
 					s.finishRequest(act.rid, rs)
@@ -334,19 +275,26 @@ func (s *Server) runParallel(reqs []Request, concurrency int) error {
 				}
 			}
 			cond.Broadcast()
-			s.mu.Unlock()
 		}
 	}
 
-	s.mu.Lock()
+	s.lock()
 	admit()
-	s.mu.Unlock()
+	s.unlock()
+	if !s.parallel {
+		loop()
+		return err
+	}
+	var wg sync.WaitGroup
 	for w := 0; w < s.cfg.Workers; w++ {
 		wg.Add(1)
-		go worker()
+		go func() {
+			defer wg.Done()
+			loop()
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return err
 }
 
 func (s *Server) admit(r Request) {
@@ -382,13 +330,6 @@ func (s *Server) admit(r Request) {
 	}
 }
 
-// cfDigests tracks the running control-flow digest of the current handler
-// activation; the server is single-threaded so one slot suffices.
-type runState struct {
-	act *activation
-	cfd uint64
-}
-
 var fnvOffset = fnv.New64a().Sum64()
 
 func cfdUpdate(cfd uint64, site string, taken bool) uint64 {
@@ -402,19 +343,31 @@ func cfdUpdate(cfd uint64, site string, taken bool) uint64 {
 	return cfd*1099511628211 ^ h.Sum64()
 }
 
-func (s *Server) runActivation(act *activation) {
-	st := &runState{act: act, cfd: fnvOffset}
-	ctx := core.NewContext(s, []core.RID{act.rid}, act.hid, act.fn, act.event, act.label)
-	s.lock()
-	s.states[ctx] = st
-	s.unlock()
+// activationOps is the core.Ops a handler activation runs against: the
+// server's operations plus the activation's running control-flow digest,
+// which only the goroutine running the activation touches.
+type activationOps struct {
+	*Server
+	cfd uint64
+}
+
+// Branch records the decision into the activation's control-flow digest
+// (§5) when advice is collected.
+func (a *activationOps) Branch(ctx *core.Context, site string, cond *mv.MV) bool {
+	taken := a.Server.Branch(ctx, site, cond)
+	if len(a.dialects) > 0 {
+		a.cfd = cfdUpdate(a.cfd, site, taken)
+	}
+	return taken
+}
+
+// runActivation runs one handler activation to completion and returns the
+// number of operations it issued and its control-flow digest.
+func (s *Server) runActivation(act *activation) (int, uint64) {
+	ops := &activationOps{Server: s, cfd: fnvOffset}
+	ctx := core.NewContext(ops, []core.RID{act.rid}, act.hid, act.fn, act.event, act.label)
 	s.cfg.App.Func(act.fn)(ctx, mv.Scalar(act.payload, 1))
-	s.lock()
-	rs := s.requests[act.rid]
-	rs.opcounts[act.hid] = ctx.OpsIssued()
-	rs.tagParts = append(rs.tagParts, tagPart{hid: act.hid, cfd: st.cfd})
-	delete(s.states, ctx)
-	s.unlock()
+	return ctx.OpsIssued(), ops.cfd
 }
 
 // lock/unlock guard shared server state in parallel mode and are no-ops in
@@ -431,27 +384,40 @@ func (s *Server) unlock() {
 	}
 }
 
+// finishRequest folds a finished request's handler log, opcounts,
+// responseEmittedBy and tag into every dialect's advice.
 func (s *Server) finishRequest(rid core.RID, rs *reqState) {
-	if s.kar != nil {
-		s.kar.Tags[rid] = karousosTag(rs.tagParts)
-		s.kar.OpCounts[rid] = cloneCounts(rs.opcounts)
-		s.kar.ResponseEmittedBy[rid] = rs.response
-		s.kar.HandlerLogs[rid] = append([]advice.HandlerOp(nil), rs.handlerLog...)
-	}
-	if s.oro != nil {
-		s.oro.Tags[rid] = orochiTag(rs.tagParts)
-		s.oro.OpCounts[rid] = cloneCounts(rs.opcounts)
-		s.oro.ResponseEmittedBy[rid] = rs.response
-		s.oro.HandlerLogs[rid] = append([]advice.HandlerOp(nil), rs.handlerLog...)
+	for _, d := range s.dialects {
+		d.adv.Tags[rid] = d.tag(rs.tagParts)
+		d.adv.OpCounts[rid] = maps.Clone(rs.opcounts)
+		d.adv.ResponseEmittedBy[rid] = rs.response
+		d.adv.HandlerLogs[rid] = slices.Clone(rs.handlerLog)
 	}
 }
 
-func cloneCounts(m map[core.HID]int) map[core.HID]int {
-	out := make(map[core.HID]int, len(m))
-	for k, v := range m {
-		out[k] = v
+// collected returns the advice being collected in mode, nil if none.
+func (s *Server) collected(mode advice.Mode) *advice.Advice {
+	for _, d := range s.dialects {
+		if d.mode == mode {
+			return d.adv
+		}
 	}
-	return out
+	return nil
+}
+
+// storeOrder converts the store's binlog installations and transaction
+// events past the given cursors into the advice's write order and
+// transaction order (§4.4), and returns the cursors past what it read.
+func (s *Server) storeOrder(binlogFrom, eventsFrom int) (wo []advice.TxPos, to []advice.TxOrderEvent, binlogTo, eventsTo int) {
+	binlog := s.cfg.Store.Binlog()
+	for _, ref := range binlog[binlogFrom:] {
+		wo = append(wo, advice.TxPos{RID: ref.RID, TID: ref.TID, Index: ref.Index})
+	}
+	events := s.cfg.Store.TxEvents()
+	for _, ev := range events[eventsFrom:] {
+		to = append(to, advice.TxOrderEvent{Kind: uint8(ev.Kind), RID: ev.RID, TID: ev.TID})
+	}
+	return wo, to, len(binlog), len(events)
 }
 
 // karousosTag groups requests with the same tree of handlers and the same

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"karousos.dev/karousos/internal/advice"
@@ -213,6 +214,111 @@ func TestDeterministicAdvicePerSeed(t *testing.T) {
 	_ = c // different seed may or may not differ; only determinism is required
 }
 
+// fixture pairs a test application (with a fresh store when it uses one)
+// with a request stream.
+type fixture struct {
+	name string
+	new  func() (*core.App, *kvstore.Store)
+	reqs []Request
+}
+
+// fixtures cover variable logs (tree) and transaction logs (tx) alike.
+func fixtures() []fixture {
+	return []fixture{
+		{"tree", func() (*core.App, *kvstore.Store) { return treeApp(), nil },
+			[]Request{req("r1", 1), req("r2", 2), req("r3", 3), req("r4", 4)}},
+		{"tx", func() (*core.App, *kvstore.Store) { return txApp(), kvstore.New(kvstore.Serializable) },
+			[]Request{{RID: "r1"}, {RID: "r2"}, {RID: "r3"}}},
+	}
+}
+
+// TestServeOneIsRunAtWindowOne: serving requests one at a time through
+// ServeOne and draining is the same execution as Run at concurrency 1 — the
+// same trace and byte-identical advice in both dialects.
+func TestServeOneIsRunAtWindowOne(t *testing.T) {
+	for _, fx := range fixtures() {
+		for seed := int64(0); seed < 5; seed++ {
+			app, store := fx.new()
+			cfg := Config{App: app, Store: store, Seed: seed, CollectKarousos: true, CollectOrochi: true}
+			res, err := New(cfg).Run(fx.reqs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.App, cfg.Store = fx.new()
+			srv := New(cfg)
+			outs := res.Trace.Outputs()
+			for _, r := range fx.reqs {
+				out, err := srv.ServeOne(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !value.Equal(out, outs[string(r.RID)]) {
+					t.Errorf("%s seed %d: ServeOne(%s) = %v, Run responded %v", fx.name, seed, r.RID, out, outs[string(r.RID)])
+				}
+			}
+			kar, oro := srv.DrainAdvice()
+			if got, want := srv.TakeTrace().Digest(), res.Trace.Digest(); got != want {
+				t.Errorf("%s seed %d: trace differs between ServeOne and Run", fx.name, seed)
+			}
+			if string(kar.MarshalBinary()) != string(res.Karousos.MarshalBinary()) {
+				t.Errorf("%s seed %d: Karousos advice differs between ServeOne and Run", fx.name, seed)
+			}
+			if string(oro.MarshalBinary()) != string(res.Orochi.MarshalBinary()) {
+				t.Errorf("%s seed %d: Orochi-JS advice differs between ServeOne and Run", fx.name, seed)
+			}
+		}
+	}
+}
+
+// TestServeOneParallelDispatch: ServeOne runs on the one dispatch loop at
+// any worker count, so a parallel server serves and drains epochs too.
+func TestServeOneParallelDispatch(t *testing.T) {
+	srv := New(Config{App: txApp(), Store: kvstore.New(kvstore.Serializable), Seed: 1, Workers: 8, CollectKarousos: true})
+	for i := 1; i <= 3; i++ {
+		out, err := srv.ServeOne(Request{RID: core.RID("r" + string(rune('0'+i)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !value.Equal(out, float64(i)) {
+			t.Errorf("request %d responded %v, want %d (sequential increments)", i, out, i)
+		}
+	}
+	kar, _ := srv.DrainAdvice()
+	if len(kar.TxLogs) != 3 || len(kar.WriteOrder) != 3 {
+		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.TxLogs), len(kar.WriteOrder))
+	}
+	if err := srv.TakeTrace().CheckBalanced(); err != nil {
+		t.Fatal(err)
+	}
+	if len(srv.requests) != 0 || len(srv.txs) != 0 {
+		t.Errorf("after the drain the server still holds %d requests and %d transactions, want none", len(srv.requests), len(srv.txs))
+	}
+}
+
+// TestDialectsIndependent: collecting both dialects in one run yields, for
+// each, exactly the advice a run collecting it alone does.
+func TestDialectsIndependent(t *testing.T) {
+	for _, fx := range fixtures() {
+		for seed := int64(0); seed < 5; seed++ {
+			run := func(kar, oro bool) *Result {
+				app, store := fx.new()
+				res, err := New(Config{App: app, Store: store, Seed: seed, CollectKarousos: kar, CollectOrochi: oro}).Run(fx.reqs, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			both := run(true, true)
+			if string(run(true, false).Karousos.MarshalBinary()) != string(both.Karousos.MarshalBinary()) {
+				t.Errorf("%s seed %d: Karousos advice depends on whether Orochi-JS is collected", fx.name, seed)
+			}
+			if string(run(false, true).Orochi.MarshalBinary()) != string(both.Orochi.MarshalBinary()) {
+				t.Errorf("%s seed %d: Orochi-JS advice depends on whether Karousos is collected", fx.name, seed)
+			}
+		}
+	}
+}
+
 func TestHandlerLogOrderAndContents(t *testing.T) {
 	res := serveTree(t, []Request{req("r1", 5)}, 1, 1)
 	log := res.Karousos.HandlerLogs["r1"]
@@ -281,8 +387,11 @@ func TestZeroConcurrencyRejected(t *testing.T) {
 // two handlers, as §4.4 allows.
 func txApp() *core.App {
 	app := &core.App{Name: "txapp", RequestEvent: "request"}
-	type txCarrier struct{ tx *core.Tx }
-	carriers := map[core.RID]*txCarrier{} // keyed per request; handlers of one request are not concurrent
+	// carriers hands a request's transaction from "start" to "finish".
+	// Handlers of different requests run concurrently under parallel
+	// dispatch, so the map is guarded.
+	var mu sync.Mutex
+	carriers := map[core.RID]*core.Tx{}
 	app.Init = func(ctx *core.Context) {
 		ctx.Register("request", "start")
 		ctx.Register("finish", "finish")
@@ -295,11 +404,15 @@ func txApp() *core.App {
 				ctx.Respond(ctx.Scalar("retry"))
 				return
 			}
-			carriers[ctx.RIDs()[0]] = &txCarrier{tx: tx}
+			mu.Lock()
+			carriers[ctx.RIDs()[0]] = tx
+			mu.Unlock()
 			ctx.Emit("finish", cur)
 		},
 		"finish": func(ctx *core.Context, p *mv.MV) {
-			tx := carriers[ctx.RIDs()[0]].tx
+			mu.Lock()
+			tx := carriers[ctx.RIDs()[0]]
+			mu.Unlock()
 			n := ctx.Apply(func(a []value.V) value.V {
 				return appkit.Num(a[0]) + 1
 			}, p)
