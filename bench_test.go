@@ -17,6 +17,7 @@ import (
 	"karousos.dev/karousos"
 	"karousos.dev/karousos/internal/experiments"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/verifier/memo"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -26,20 +27,21 @@ import (
 const benchRequests = 300
 
 // benchRun serves one workload at concurrency 30 outside the timed region.
-func benchRun(b *testing.B, app string, mix workload.Mix) (harness.AppSpec, *harness.ServeResult) {
+func benchRun(b *testing.B, app string, mix workload.Mix) (harness.AppSpec, []server.Request, *harness.ServeResult) {
 	b.Helper()
 	spec, reqs := experiments.AppWorkload(app, mix, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return spec, run
+	return spec, reqs, run
 }
 
 // BenchmarkAuditComponents breaks one audit into its stages, per
 // application at its headline mix: the advice codec in both directions and
 // the whole verifier pass, with allocations — the stage numbers the
-// decode and verifier-scratch targets are stated on.
+// decode and verifier-scratch targets are stated on — plus the seal: what
+// a collector does under its exclusive epoch gate.
 func BenchmarkAuditComponents(b *testing.B) {
 	for _, w := range []struct {
 		app string
@@ -49,7 +51,7 @@ func BenchmarkAuditComponents(b *testing.B) {
 		{"stacks", workload.ReadHeavy},
 		{"wiki", workload.Mixed},
 	} {
-		spec, run := benchRun(b, w.app, w.mix)
+		spec, reqs, run := benchRun(b, w.app, w.mix)
 		wire := run.Karousos.MarshalBinary()
 		b.Run(w.app+"/advice-decode", func(b *testing.B) {
 			b.ReportAllocs()
@@ -74,6 +76,24 @@ func BenchmarkAuditComponents(b *testing.B) {
 				}
 			}
 		})
+		// The seal: drain the serving runtime's advice and lay out its blob,
+		// as a collector does while holding the epoch gate exclusively. Each
+		// iteration serves the workload again, untimed.
+		b.Run(w.app+"/seal", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				app, store := spec.New()
+				srv := server.New(server.Config{App: app, Store: store, Seed: 42, CollectKarousos: true})
+				if _, err := srv.Run(reqs, 30); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if kar, _ := srv.DrainAdvice(); len(kar.Blob) == 0 {
+					b.Fatal("drained no advice")
+				}
+			}
+		})
 		if w.app != "motd" {
 			continue
 		}
@@ -94,7 +114,7 @@ func BenchmarkAuditComponents(b *testing.B) {
 // --- ablation: batched vs singleton-group re-execution (§4.1 trade-off) ---
 
 func benchWikiVerify(b *testing.B, verify func(harness.AppSpec, *karousos.Trace, *karousos.Advice) *karousos.VerifyResult) {
-	spec, run := benchRun(b, "wiki", workload.Mixed)
+	spec, _, run := benchRun(b, "wiki", workload.Mixed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := verify(spec, run.Trace, run.Karousos); v.Err != nil {

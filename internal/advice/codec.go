@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/value"
@@ -60,110 +60,123 @@ func (e *encoder) txPos(p TxPos) {
 	e.intv(p.Index)
 }
 
-// MarshalBinary encodes the advice in the compact wire format. Map-valued
-// sections are emitted in sorted key order, so equal advice encodes to equal
-// bytes.
+// Segments holds an advice's logs already in wire form: for each variable
+// log, handler log and transaction log, and for the non-determinism list,
+// the concatenated encodings of its entries exactly as AppendVarEntry,
+// AppendHandlerOp, AppendTxOp and AppendNondet produce them. A server
+// encodes each entry once, when it logs it; sealing an epoch then lays the
+// segments out (AppendBinary) instead of encoding every logged value again.
+type Segments struct {
+	VarLogs     map[core.VarID][]byte
+	HandlerLogs map[core.RID][]byte
+	TxLogs      [][]byte // by index into Advice.TxLogs
+	Nondet      []byte
+}
+
+// size is the total length of the pre-encoded entries.
+func (seg *Segments) size() int {
+	n := len(seg.Nondet)
+	for _, b := range seg.VarLogs {
+		n += len(b)
+	}
+	for _, b := range seg.HandlerLogs {
+		n += len(b)
+	}
+	for _, b := range seg.TxLogs {
+		n += len(b)
+	}
+	return n
+}
+
+// MarshalBinary encodes the advice in the compact wire format: AppendBinary
+// with every entry encoded here.
 func (a *Advice) MarshalBinary() []byte {
-	e := &encoder{buf: make([]byte, 0, 1<<16)}
-	e.buf = append(e.buf, codecMagic...)
+	return a.AppendBinary(make([]byte, 0, 1<<16), nil)
+}
+
+// AppendBinary appends the advice's wire encoding to dst. It is the one
+// layout of the format: map-valued sections are emitted in sorted key order,
+// so equal advice encodes to equal bytes. With seg nil it encodes every log
+// entry itself; otherwise the entries of every log are copied from seg,
+// which must then hold exactly the encodings of a's entries — the counts
+// still come from a.
+func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
+	if seg != nil {
+		dst = slices.Grow(dst, seg.size()+1<<12)
+	}
+	e := &encoder{buf: append(dst, codecMagic...)}
 	e.str(string(a.Mode))
 
-	rids := make([]string, 0, len(a.Tags))
-	for rid := range a.Tags {
-		rids = append(rids, string(rid))
-	}
-	sort.Strings(rids)
+	rids := sortedKeys(a.Tags)
 	e.uvarint(uint64(len(rids)))
 	for _, rid := range rids {
-		e.str(rid)
-		e.str(a.Tags[core.RID(rid)])
+		e.str(string(rid))
+		e.str(a.Tags[rid])
 	}
 
-	crids := make([]string, 0, len(a.OpCounts))
-	for rid := range a.OpCounts {
-		crids = append(crids, string(rid))
-	}
-	sort.Strings(crids)
+	crids := sortedKeys(a.OpCounts)
 	e.uvarint(uint64(len(crids)))
 	for _, rid := range crids {
-		counts := a.OpCounts[core.RID(rid)]
-		hids := make([]string, 0, len(counts))
-		for hid := range counts {
-			hids = append(hids, string(hid))
-		}
-		sort.Strings(hids)
-		e.str(rid)
+		counts := a.OpCounts[rid]
+		hids := sortedKeys(counts)
+		e.str(string(rid))
 		e.uvarint(uint64(len(hids)))
 		for _, hid := range hids {
-			e.str(hid)
-			e.intv(counts[core.HID(hid)])
+			e.str(string(hid))
+			e.intv(counts[hid])
 		}
 	}
 
-	rrids := make([]string, 0, len(a.ResponseEmittedBy))
-	for rid := range a.ResponseEmittedBy {
-		rrids = append(rrids, string(rid))
-	}
-	sort.Strings(rrids)
+	rrids := sortedKeys(a.ResponseEmittedBy)
 	e.uvarint(uint64(len(rrids)))
 	for _, rid := range rrids {
-		at := a.ResponseEmittedBy[core.RID(rid)]
-		e.str(rid)
+		at := a.ResponseEmittedBy[rid]
+		e.str(string(rid))
 		e.str(string(at.HID))
 		e.intv(at.OpNum)
 	}
 
-	hrids := make([]string, 0, len(a.HandlerLogs))
-	for rid := range a.HandlerLogs {
-		hrids = append(hrids, string(rid))
-	}
-	sort.Strings(hrids)
+	hrids := sortedKeys(a.HandlerLogs)
 	e.uvarint(uint64(len(hrids)))
 	for _, rid := range hrids {
-		log := a.HandlerLogs[core.RID(rid)]
-		e.str(rid)
+		log := a.HandlerLogs[rid]
+		e.str(string(rid))
 		e.uvarint(uint64(len(log)))
-		for _, op := range log {
-			e.str(string(op.HID))
-			e.intv(op.OpNum)
-			e.buf = append(e.buf, byte(op.Kind))
-			e.str(string(op.Event))
-			e.uvarint(uint64(len(op.Events)))
-			for _, ev := range op.Events {
-				e.str(string(ev))
-			}
-			e.str(string(op.Fn))
+		if seg != nil {
+			e.buf = append(e.buf, seg.HandlerLogs[rid]...)
+			continue
+		}
+		for i := range log {
+			e.handlerOp(&log[i])
 		}
 	}
 
-	vids := make([]string, 0, len(a.VarLogs))
-	for id := range a.VarLogs {
-		vids = append(vids, string(id))
-	}
-	sort.Strings(vids)
+	vids := sortedKeys(a.VarLogs)
 	e.uvarint(uint64(len(vids)))
 	for _, id := range vids {
-		entries := a.VarLogs[core.VarID(id)]
-		e.str(id)
+		entries := a.VarLogs[id]
+		e.str(string(id))
 		e.uvarint(uint64(len(entries)))
-		for _, en := range entries {
-			e.op(en.Op)
-			e.buf = append(e.buf, byte(en.Type))
-			e.value(en.Value)
-			e.boolb(en.HasPrec)
-			if en.HasPrec {
-				e.op(en.Prec)
-			}
+		if seg != nil {
+			e.buf = append(e.buf, seg.VarLogs[id]...)
+			continue
+		}
+		for i := range entries {
+			e.varEntry(&entries[i])
 		}
 	}
 
 	e.uvarint(uint64(len(a.TxLogs)))
-	for _, tl := range a.TxLogs {
+	for i, tl := range a.TxLogs {
 		e.str(string(tl.RID))
 		e.str(string(tl.TID))
 		e.uvarint(uint64(len(tl.Ops)))
-		for _, op := range tl.Ops {
-			e.txOpBody(&op)
+		if seg != nil {
+			e.buf = append(e.buf, seg.TxLogs[i]...)
+			continue
+		}
+		for j := range tl.Ops {
+			e.txOp(&tl.Ops[j])
 		}
 	}
 
@@ -180,11 +193,23 @@ func (a *Advice) MarshalBinary() []byte {
 	}
 
 	e.uvarint(uint64(len(a.Nondet)))
-	for _, n := range a.Nondet {
-		e.op(n.Op)
-		e.value(n.Value)
+	if seg != nil {
+		e.buf = append(e.buf, seg.Nondet...)
+	} else {
+		for i := range a.Nondet {
+			e.nondet(&a.Nondet[i])
+		}
 	}
 	return e.buf
+}
+
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // errTruncated is returned whenever the decoder runs out of input.
@@ -640,16 +665,41 @@ func (d *decoder) txLog() (TxLog, error) {
 	return tl, nil
 }
 
-// Streaming entry encoders. The online server writes advice continuously
-// while serving (the paper's artifact streams advice files during
-// execution); these helpers let it encode each entry at logging time, which
-// is where Karousos's server-side overhead genuinely lives — encoding a
-// logged write costs O(value size), so write-heavy workloads pay more
-// (Figure 6).
+// Entry encoders. The online server encodes each entry as it logs it (the
+// paper's artifact streams advice files during execution), which is where
+// Karousos's server-side overhead genuinely lives — encoding a logged write
+// costs O(value size), so write-heavy workloads pay more (Figure 6) — and
+// keeps the bytes as the Segments its sealed blob is laid out from.
 
 // AppendVarEntry appends the wire encoding of one variable-log entry.
 func AppendVarEntry(dst []byte, en *VarLogEntry) []byte {
 	e := &encoder{buf: dst}
+	e.varEntry(en)
+	return e.buf
+}
+
+// AppendHandlerOp appends the wire encoding of one handler-log entry.
+func AppendHandlerOp(dst []byte, op *HandlerOp) []byte {
+	e := &encoder{buf: dst}
+	e.handlerOp(op)
+	return e.buf
+}
+
+// AppendTxOp appends the wire encoding of one transaction-log entry.
+func AppendTxOp(dst []byte, op *TxOp) []byte {
+	e := &encoder{buf: dst}
+	e.txOp(op)
+	return e.buf
+}
+
+// AppendNondet appends the wire encoding of one non-determinism entry.
+func AppendNondet(dst []byte, n *NondetEntry) []byte {
+	e := &encoder{buf: dst}
+	e.nondet(n)
+	return e.buf
+}
+
+func (e *encoder) varEntry(en *VarLogEntry) {
 	e.op(en.Op)
 	e.buf = append(e.buf, byte(en.Type))
 	e.value(en.Value)
@@ -657,12 +707,9 @@ func AppendVarEntry(dst []byte, en *VarLogEntry) []byte {
 	if en.HasPrec {
 		e.op(en.Prec)
 	}
-	return e.buf
 }
 
-// AppendHandlerOp appends the wire encoding of one handler-log entry.
-func AppendHandlerOp(dst []byte, op *HandlerOp) []byte {
-	e := &encoder{buf: dst}
+func (e *encoder) handlerOp(op *HandlerOp) {
 	e.str(string(op.HID))
 	e.intv(op.OpNum)
 	e.buf = append(e.buf, byte(op.Kind))
@@ -672,17 +719,9 @@ func AppendHandlerOp(dst []byte, op *HandlerOp) []byte {
 		e.str(string(ev))
 	}
 	e.str(string(op.Fn))
-	return e.buf
 }
 
-// AppendTxOp appends the wire encoding of one transaction-log entry.
-func AppendTxOp(dst []byte, op *TxOp) []byte {
-	e := &encoder{buf: dst}
-	e.txOpBody(op)
-	return e.buf
-}
-
-func (e *encoder) txOpBody(op *TxOp) {
+func (e *encoder) txOp(op *TxOp) {
 	e.str(string(op.HID))
 	e.intv(op.OpNum)
 	e.buf = append(e.buf, byte(op.Type))
@@ -697,4 +736,9 @@ func (e *encoder) txOpBody(op *TxOp) {
 		e.str(sr.Key)
 		e.txPos(sr.ReadFrom)
 	}
+}
+
+func (e *encoder) nondet(n *NondetEntry) {
+	e.op(n.Op)
+	e.value(n.Value)
 }

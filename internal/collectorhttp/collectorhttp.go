@@ -358,7 +358,7 @@ func (c *Collector) maintenanceLoop() {
 			c.mu.Unlock()
 			if due {
 				//karousos:errladder-ok seal failure is held in lastSealErr (flips /readyz) and retried on the next tick
-				_, _ = c.seal()
+				_, _ = c.seal(0)
 			}
 		}
 	}
@@ -482,7 +482,7 @@ func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			// is held in lastSealErr (flips /readyz) and the seal retries on
 			// the next request or age tick.
 			//karousos:errladder-ok seal failure must not fail the admitted request; held in lastSealErr and retried
-			_, _ = c.seal()
+			_, _ = c.seal(c.cfg.EpochRequests)
 		}
 	}
 	writeJSON(w, status, map[string]any{"rid": string(rid), "output": out})
@@ -613,7 +613,7 @@ func (c *Collector) handleAdvice(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Collector) handleSeal(w http.ResponseWriter, r *http.Request) {
-	m, err := c.seal()
+	m, err := c.seal(0)
 	if err != nil {
 		http.Error(w, "seal: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -749,7 +749,7 @@ func (c *Collector) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // rotated epochs are still pending their durable seal, in which case those
 // are finished.
 func (c *Collector) Seal() (*epochlog.Manifest, error) {
-	return c.seal()
+	return c.seal(0)
 }
 
 // seal rotates the active epoch out and finishes its durable seal. The
@@ -759,12 +759,21 @@ func (c *Collector) Seal() (*epochlog.Manifest, error) {
 // traffic resumes while the rotated epoch syncs. sealMu keeps concurrent
 // seal triggers from interleaving, and a failed finish stays pending:
 // the next seal attempt retries it before anything newer.
-func (c *Collector) seal() (*epochlog.Manifest, error) {
+//
+// minRequests is the threshold trigger's re-check: the epoch rotates only
+// if it still holds that many requests once this caller owns sealMu. Every
+// request that saw the threshold crossed races here, and without the
+// re-check each one that lost the race would seal whatever arrived after
+// the winner's rotation — an epoch of two or three requests.
+func (c *Collector) seal(minRequests int) (*epochlog.Manifest, error) {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
-	c.gate.Lock()
-	err := c.rotateGated()
-	c.gate.Unlock()
+	var err error
+	if _, reqs := c.log.ActiveEvents(); reqs >= minRequests {
+		c.gate.Lock()
+		err = c.rotateGated()
+		c.gate.Unlock()
+	}
 	var m *epochlog.Manifest
 	if err == nil {
 		m, err = c.log.FinishSeals()
@@ -782,19 +791,22 @@ func (c *Collector) seal() (*epochlog.Manifest, error) {
 }
 
 // rotateGated drains the runtime's advice into the active epoch and
-// rotates it out. Caller holds c.gate exclusively and c.sealMu.
+// rotates it out. Caller holds c.gate exclusively and c.sealMu, so no
+// request is served meanwhile; the work here is a copy of the advice the
+// runtime encoded while it logged (server.DrainAdvice), an append, and the
+// memory-only rotation.
 func (c *Collector) rotateGated() error {
 	if events, _ := c.log.ActiveEvents(); events == 0 {
 		return nil
 	}
 	kar, oro := c.srv.DrainAdvice()
-	adv := kar
+	drained := kar
 	if c.cfg.Mode == advice.ModeOrochiJS {
-		adv = oro
+		drained = oro
 	}
-	if adv != nil {
+	if drained.Advice != nil {
 		err := iofault.Retry(context.Background(), c.cfg.Backoff, func() error {
-			return c.log.AppendAdvice(adv.MarshalBinary())
+			return c.log.AppendAdvice(drained.Blob)
 		})
 		if err != nil {
 			// The drain already consumed the runtime's advice; it cannot be
@@ -835,7 +847,7 @@ func (c *Collector) Close() error {
 	c.mu.Unlock()
 	// In-flight requests finish under the gate before the final seal's
 	// rotation; new arrivals see closed and are refused.
-	_, sealErr := c.seal()
+	_, sealErr := c.seal(0)
 	logErr := c.log.Close()
 	if sealErr != nil {
 		return sealErr

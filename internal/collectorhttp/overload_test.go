@@ -311,3 +311,71 @@ func TestHealthSurfacesAuditMemo(t *testing.T) {
 		t.Fatalf("healthz auditMemo = %+v, want {12 3 1}", h.AuditMemo)
 	}
 }
+
+// TestThresholdSealsFullEpochs: every request that finds the count
+// threshold crossed triggers a seal, and under concurrency several find it
+// at once. Only the first may rotate; the others must see the fresh epoch
+// below threshold and leave it alone, so every sealed epoch but the last
+// (Close's partial one) holds at least EpochRequests requests.
+func TestThresholdSealsFullEpochs(t *testing.T) {
+	dir := t.TempDir()
+	const clients, per, threshold = 8, 200, 100
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir, EpochRequests: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				input := map[string]any{"op": "get", "day": "mon"}
+				if i%2 == 0 {
+					input = map[string]any{"op": "set", "scope": "always", "msg": fmt.Sprintf("c%d-%d", g, i)}
+				}
+				body, _ := json.Marshal(map[string]any{"input": input})
+				resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("client %d: status %d", g, resp.StatusCode)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := epochlog.ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, len(sealed))
+	total := 0
+	for i, m := range sealed {
+		sizes[i] = m.Requests
+		total += m.Requests
+	}
+	if total != clients*per {
+		t.Fatalf("sealed epochs hold %d requests, want %d", total, clients*per)
+	}
+	for i, n := range sizes[:len(sizes)-1] {
+		if n < threshold {
+			t.Fatalf("epoch %d sealed with %d requests, below the threshold %d; epoch sizes %v", i+1, n, threshold, sizes)
+		}
+	}
+}

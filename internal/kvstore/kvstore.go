@@ -396,20 +396,23 @@ func (t *Txn) Active() bool {
 	return !t.done
 }
 
-// Binlog returns the commit-ordered global write order accumulated so far
-// (the advice's writeOrder source, §4.4/§5). The returned slice is a copy.
-func (s *Store) Binlog() []WriteRef {
+// Binlog returns the commit-ordered global write order (the advice's
+// writeOrder source, §4.4/§5) from position from on, so a caller that
+// drains it periodically copies only what is new. The returned slice is a
+// copy.
+func (s *Store) Binlog(from int) []WriteRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]WriteRef(nil), s.binlog...)
+	return append([]WriteRef(nil), s.binlog[from:]...)
 }
 
 // TxEvents returns the begin/commit order recorded under snapshot isolation
-// (empty at other levels). The returned slice is a copy.
-func (s *Store) TxEvents() []TxEvent {
+// (empty at other levels) from position from on. The returned slice is a
+// copy.
+func (s *Store) TxEvents(from int) []TxEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]TxEvent(nil), s.txEvents...)
+	return append([]TxEvent(nil), s.txEvents[from:]...)
 }
 
 // Stats returns commit/abort counters, used by tests and the stacks app's

@@ -46,7 +46,7 @@ func TestAbortDiscards(t *testing.T) {
 	if found {
 		t.Error("aborted write visible")
 	}
-	if len(s.Binlog()) != 0 {
+	if len(s.Binlog(0)) != 0 {
 		t.Error("aborted write in binlog")
 	}
 }
@@ -209,7 +209,7 @@ func TestBinlogOrderAndLastModification(t *testing.T) {
 	t2 := s.Begin()
 	t2.Put("b", "b2", ref("r2", "t2", 2))
 	t2.Commit()
-	bl := s.Binlog()
+	bl := s.Binlog(0)
 	want := []WriteRef{ref("r1", "t1", 3), ref("r1", "t1", 4), ref("r2", "t2", 2)}
 	if len(bl) != len(want) {
 		t.Fatalf("binlog = %v", bl)
@@ -327,7 +327,7 @@ func TestQuickSerializableHistoriesPassAdya(t *testing.T) {
 		for _, tx := range open {
 			tx.Abort()
 		}
-		for _, ref := range s.Binlog() {
+		for _, ref := range s.Binlog(0) {
 			w := adya.Write{Tx: adya.TxKey{RID: string(ref.RID), TID: string(ref.TID)}, Pos: ref.Index}
 			// Reconstruct per-key order from binlog via the last-mod map.
 			for txp, mods := range lastMod {

@@ -132,7 +132,7 @@ func TestSITxEventsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Abort()
-	evs := s.TxEvents()
+	evs := s.TxEvents(0)
 	want := []TxEvent{
 		{TxBegin, "r1", "t1"},
 		{TxBegin, "r2", "t2"},
@@ -171,7 +171,7 @@ func TestNonSILevelsRecordNoTxEvents(t *testing.T) {
 	a := s.BeginTx("r1", "t1")
 	a.Put("k", "v", ref("r1", "t1", 2))
 	a.Commit()
-	if len(s.TxEvents()) != 0 {
+	if len(s.TxEvents(0)) != 0 {
 		t.Error("non-SI store recorded tx events")
 	}
 }

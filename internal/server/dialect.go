@@ -13,19 +13,27 @@ import (
 type dialect struct {
 	mode advice.Mode
 	adv  *advice.Advice
-	// wire accumulates the streamed wire encoding of log entries as they are
-	// produced. A deployed server ships advice continuously rather than
-	// materializing it at the end of an audit period, so the encoding cost —
-	// proportional to logged value sizes — is charged to the serving path,
-	// exactly where the paper measures it (§6.1).
-	wire []byte
+	// seg holds the wire encoding of every entry in adv's logs, written when
+	// the entry is logged. The sealed blob is laid out from it (DrainAdvice),
+	// so the encoding cost — proportional to logged value sizes — is paid
+	// once, on the serving path where the paper measures it (§6.1), and a
+	// seal only copies bytes.
+	seg advice.Segments
 	// logged holds, per variable, the ops already in adv's variable log, so a
 	// dictating write is logged lazily at most once (Figure 13).
 	logged map[core.VarID]map[core.Op]bool
 }
 
 func newDialect(mode advice.Mode) *dialect {
-	return &dialect{mode: mode, adv: advice.New(mode), logged: make(map[core.VarID]map[core.Op]bool)}
+	d := &dialect{mode: mode, logged: make(map[core.VarID]map[core.Op]bool)}
+	d.reset()
+	return d
+}
+
+// reset starts the next epoch's advice.
+func (d *dialect) reset() {
+	d.adv = advice.New(d.mode)
+	d.seg = advice.Segments{VarLogs: make(map[core.VarID][]byte), HandlerLogs: make(map[core.RID][]byte)}
 }
 
 // logs reports whether the variable access cur, whose variable's most recent
@@ -51,6 +59,6 @@ func (d *dialect) tag(parts []tagPart) string {
 // logVar appends e to the variable log of id.
 func (d *dialect) logVar(id core.VarID, e advice.VarLogEntry) {
 	d.adv.VarLogs[id] = append(d.adv.VarLogs[id], e)
-	d.wire = advice.AppendVarEntry(d.wire, &e)
+	d.seg.VarLogs[id] = advice.AppendVarEntry(d.seg.VarLogs[id], &e)
 	d.logged[id][e.Op] = true
 }

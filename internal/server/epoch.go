@@ -36,9 +36,19 @@ func (s *Server) TakeTrace() *trace.Trace {
 	return s.collector.Trace()
 }
 
+// Drained is one dialect's advice handed back by DrainAdvice: the epoch's
+// advice and its wire encoding, which is Advice.MarshalBinary's bytes laid
+// out from the entries the server encoded as it logged them.
+type Drained struct {
+	Advice *advice.Advice
+	Blob   []byte
+}
+
 // DrainAdvice seals the server side of an epoch: it hands back the advice
-// collected since the previous drain and rebases the in-memory runtime
-// state so the next epoch's advice is self-contained.
+// collected since the previous drain, with its blob, per collected dialect
+// (the zero Drained for one not collected), and rebases the in-memory
+// runtime state so the next epoch's advice is self-contained. Building the
+// blob copies the logs' pre-encoded bytes; no logged value is encoded here.
 //
 // Rebasing is the heart of cross-epoch auditing. Each variable's
 // most-recent-write marker is reassigned to a synthetic init-level op
@@ -54,7 +64,7 @@ func (s *Server) TakeTrace() *trace.Trace {
 //
 // The store's write order and transaction order are emitted as deltas:
 // only binlog installations and tx events since the previous drain.
-func (s *Server) DrainAdvice() (kar, oro *advice.Advice) {
+func (s *Server) DrainAdvice() (kar, oro Drained) {
 	s.lock()
 	defer s.unlock()
 	var wo []advice.TxPos
@@ -62,10 +72,15 @@ func (s *Server) DrainAdvice() (kar, oro *advice.Advice) {
 	if s.cfg.Store != nil {
 		wo, to, s.binlogDrained, s.txEventsDrained = s.storeOrder(s.binlogDrained, s.txEventsDrained)
 	}
-	kar, oro = s.collected(advice.ModeKarousos), s.collected(advice.ModeOrochiJS)
 	for _, d := range s.dialects {
 		d.adv.WriteOrder, d.adv.TxOrder = slices.Clone(wo), slices.Clone(to)
-		d.adv, d.wire = advice.New(d.mode), nil
+		out := Drained{Advice: d.adv, Blob: d.adv.AppendBinary(nil, &d.seg)}
+		if d.mode == advice.ModeKarousos {
+			kar = out
+		} else {
+			oro = out
+		}
+		d.reset()
 	}
 
 	// Rebase every variable's last-write marker onto its carry identity.

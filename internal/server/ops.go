@@ -165,15 +165,13 @@ func (s *Server) Unregister(ctx *core.Context, opnum int, event core.EventName, 
 }
 
 // logHandlerOp appends e to the request's handler log, which every dialect
-// shares.
+// shares, and encodes it once for all of them.
 func (s *Server) logHandlerOp(rs *reqState, e advice.HandlerOp) {
 	if len(s.dialects) == 0 {
 		return
 	}
 	rs.handlerLog = append(rs.handlerLog, e)
-	for _, d := range s.dialects {
-		d.wire = advice.AppendHandlerOp(d.wire, &e)
-	}
+	rs.handlerWire = advice.AppendHandlerOp(rs.handlerWire, &e)
 }
 
 // TxOp executes one transactional operation against the store and logs it in
@@ -196,8 +194,8 @@ func (s *Server) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOpTyp
 		e.HID = ctx.HID()
 		e.OpNum = opnum
 		ts.log = append(ts.log, e)
-		for _, d := range s.dialects {
-			d.wire = advice.AppendTxOp(d.wire, &e)
+		if len(s.dialects) > 0 {
+			ts.wire = advice.AppendTxOp(ts.wire, &e)
 		}
 		return len(ts.log)
 	}
@@ -293,10 +291,12 @@ func keyString(key *mv.MV) string {
 	return k
 }
 
-// flushTxLog moves a finished transaction's log into the advice.
+// flushTxLog moves a finished transaction's log, and its encoding, into the
+// advice.
 func (s *Server) flushTxLog(k txKey, ts *txState) {
 	for _, d := range s.dialects {
 		d.adv.TxLogs = append(d.adv.TxLogs, advice.TxLog{RID: k.rid, TID: k.tid, Ops: slices.Clone(ts.log)})
+		d.seg.TxLogs = append(d.seg.TxLogs, ts.wire)
 	}
 }
 
@@ -335,8 +335,13 @@ func (s *Server) Nondet(ctx *core.Context, opnum int, site string, gen func(rid 
 	rid := ctx.RIDs()[0]
 	v := value.Normalize(gen(rid))
 	e := advice.NondetEntry{Op: core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, Value: v}
+	var wire []byte
+	if len(s.dialects) > 0 {
+		wire = advice.AppendNondet(nil, &e)
+	}
 	for _, d := range s.dialects {
 		d.adv.Nondet = append(d.adv.Nondet, e)
+		d.seg.Nondet = append(d.seg.Nondet, wire...)
 	}
 	return mv.Scalar(v, 1)
 }

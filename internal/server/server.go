@@ -117,6 +117,8 @@ type txKey struct {
 type txState struct {
 	txn *kvstore.Txn
 	log []advice.TxOp
+	// wire is log's encoding, shared by every dialect's advice.
+	wire []byte
 }
 
 type reqState struct {
@@ -125,6 +127,9 @@ type reqState struct {
 	// handlerLog accumulates this request's handler operations in issue
 	// order.
 	handlerLog []advice.HandlerOp
+	// handlerWire is handlerLog's encoding, shared by every dialect's
+	// advice.
+	handlerWire []byte
 	// listeners is the request-local listener table (global handlers plus
 	// request-scoped registrations; Figure 16's per-request Registered set).
 	listeners map[core.EventName][]core.FunctionID
@@ -392,6 +397,7 @@ func (s *Server) finishRequest(rid core.RID, rs *reqState) {
 		d.adv.OpCounts[rid] = maps.Clone(rs.opcounts)
 		d.adv.ResponseEmittedBy[rid] = rs.response
 		d.adv.HandlerLogs[rid] = slices.Clone(rs.handlerLog)
+		d.seg.HandlerLogs[rid] = rs.handlerWire
 	}
 }
 
@@ -409,15 +415,15 @@ func (s *Server) collected(mode advice.Mode) *advice.Advice {
 // events past the given cursors into the advice's write order and
 // transaction order (§4.4), and returns the cursors past what it read.
 func (s *Server) storeOrder(binlogFrom, eventsFrom int) (wo []advice.TxPos, to []advice.TxOrderEvent, binlogTo, eventsTo int) {
-	binlog := s.cfg.Store.Binlog()
-	for _, ref := range binlog[binlogFrom:] {
+	binlog := s.cfg.Store.Binlog(binlogFrom)
+	for _, ref := range binlog {
 		wo = append(wo, advice.TxPos{RID: ref.RID, TID: ref.TID, Index: ref.Index})
 	}
-	events := s.cfg.Store.TxEvents()
-	for _, ev := range events[eventsFrom:] {
+	events := s.cfg.Store.TxEvents(eventsFrom)
+	for _, ev := range events {
 		to = append(to, advice.TxOrderEvent{Kind: uint8(ev.Kind), RID: ev.RID, TID: ev.TID})
 	}
-	return wo, to, len(binlog), len(events)
+	return wo, to, binlogFrom + len(binlog), eventsFrom + len(events)
 }
 
 // karousosTag groups requests with the same tree of handlers and the same

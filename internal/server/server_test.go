@@ -260,10 +260,10 @@ func TestServeOneIsRunAtWindowOne(t *testing.T) {
 			if got, want := srv.TakeTrace().Digest(), res.Trace.Digest(); got != want {
 				t.Errorf("%s seed %d: trace differs between ServeOne and Run", fx.name, seed)
 			}
-			if string(kar.MarshalBinary()) != string(res.Karousos.MarshalBinary()) {
+			if string(kar.Blob) != string(res.Karousos.MarshalBinary()) {
 				t.Errorf("%s seed %d: Karousos advice differs between ServeOne and Run", fx.name, seed)
 			}
-			if string(oro.MarshalBinary()) != string(res.Orochi.MarshalBinary()) {
+			if string(oro.Blob) != string(res.Orochi.MarshalBinary()) {
 				t.Errorf("%s seed %d: Orochi-JS advice differs between ServeOne and Run", fx.name, seed)
 			}
 		}
@@ -284,8 +284,8 @@ func TestServeOneParallelDispatch(t *testing.T) {
 		}
 	}
 	kar, _ := srv.DrainAdvice()
-	if len(kar.TxLogs) != 3 || len(kar.WriteOrder) != 3 {
-		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.TxLogs), len(kar.WriteOrder))
+	if len(kar.Advice.TxLogs) != 3 || len(kar.Advice.WriteOrder) != 3 {
+		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.Advice.TxLogs), len(kar.Advice.WriteOrder))
 	}
 	if err := srv.TakeTrace().CheckBalanced(); err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestNondetRecording(t *testing.T) {
 			ctx.Respond(v)
 		},
 	}
-	srv := New(Config{App: app, Seed: 1, CollectKarousos: true})
+	srv := New(Config{App: app, Seed: 1, CollectKarousos: true, CollectOrochi: true})
 	res, err := srv.Run([]Request{{RID: "r1"}, {RID: "r2"}}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -520,6 +520,13 @@ func TestNondetRecording(t *testing.T) {
 	}
 	if !value.Equal(res.Trace.Outputs()["r1"], float64(100)) {
 		t.Error("nondet result not delivered to the response")
+	}
+	// The drained blob lays the nondet list out from its segment.
+	kar, oro := srv.DrainAdvice()
+	for _, d := range []Drained{kar, oro} {
+		if len(d.Advice.Nondet) != 2 || string(d.Blob) != string(d.Advice.MarshalBinary()) {
+			t.Errorf("%s: drained blob differs from MarshalBinary of its %d nondet entries", d.Advice.Mode, len(d.Advice.Nondet))
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func serveEpochs(t *testing.T, spec harness.AppSpec, batches [][]server.Request)
 			}
 		}
 		kar, oro := srv.DrainAdvice()
-		out = append(out, epoch{tr: srv.TakeTrace(), kar: kar, oro: oro})
+		out = append(out, epoch{tr: srv.TakeTrace(), kar: kar.Advice, oro: oro.Advice})
 	}
 	return out
 }

@@ -114,7 +114,7 @@ func TestReset(t *testing.T) {
 func TestUnboundedCache(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < 50; i++ {
-		if ev := c.Insert(k(byte(i)), i, 1 << 20); ev != 0 {
+		if ev := c.Insert(k(byte(i)), i, 1<<20); ev != 0 {
 			t.Fatalf("unbounded cache evicted %d", ev)
 		}
 	}
