@@ -88,7 +88,13 @@ type VarLogEntry struct {
 	Value   value.V // writes only
 	HasPrec bool
 	Prec    core.Op
+
+	wire wire // Value's bytes, when decoded from a blob
 }
+
+// Wire returns the bytes e.Value was decoded from, or nil when e was not
+// decoded from a blob or its Value has been replaced since.
+func (e *VarLogEntry) Wire() []byte { return e.wire.of(e.Value) }
 
 // TxPos locates an operation inside the transaction logs: the Index-th
 // (1-based) operation of transaction TID of request RID.
@@ -117,6 +123,31 @@ type TxOp struct {
 	Contents value.V
 	ReadFrom *TxPos
 	ReadSet  []ScanRead
+
+	wire wire // Contents' bytes, when decoded from a blob
+}
+
+// Wire is VarLogEntry.Wire for the op's Contents.
+func (op *TxOp) Wire() []byte { return op.wire.of(op.Contents) }
+
+// wire is a logged value's encoding in the blob it was decoded from, paired
+// with the value decoded from it. The decoder records it so that consumers
+// which identify a value by its canonical encoding (the verifier's memo
+// keys) can hash these bytes instead of encoding the value again. It is
+// not a second copy of the value that could drift from it: of hands the
+// bytes out only while the entry still holds the very value decoded from
+// them (value.Same), so an entry whose value was replaced after decode —
+// as fault injection and tests do — reports no bytes and is encoded afresh.
+type wire struct {
+	b []byte
+	v value.V
+}
+
+func (w wire) of(v value.V) []byte {
+	if w.b == nil || !value.Same(v, w.v) {
+		return nil
+	}
+	return w.b
 }
 
 // TxLog is the ordered operation log of one transaction.

@@ -216,9 +216,11 @@ func sortedKeys[K ~string, V any](m map[K]V) []K {
 var errTruncated = errors.New("advice: truncated input")
 
 // decoder reads one advice blob. Every string it makes — identifiers and the
-// strings inside logged values alike — goes through one Interner, so a
-// request ID, handler ID or map key that recurs across the blob is copied
-// once per decode rather than once per occurrence.
+// strings inside logged values alike — and every small list and map of a
+// logged value goes through one Interner, so a request ID, handler ID or map
+// key that recurs across the blob is copied once per decode rather than once
+// per occurrence, and a history entry motd re-logs at every write is decoded
+// once.
 type decoder struct {
 	buf []byte
 	off int
@@ -317,6 +319,17 @@ func (d *decoder) value() (value.V, error) {
 	}
 	d.off += n
 	return v, nil
+}
+
+// logged is value for a logged value the verifier identifies by its bytes:
+// a variable-log entry's value or a transaction op's contents.
+func (d *decoder) logged() (value.V, wire, error) {
+	start := d.off
+	v, err := d.value()
+	if err != nil {
+		return nil, wire{}, err
+	}
+	return v, wire{b: d.buf[start:d.off:d.off], v: v}, nil
 }
 
 func (d *decoder) op() (core.Op, error) {
@@ -583,7 +596,7 @@ func (d *decoder) varEntry() (VarLogEntry, error) {
 		return en, err
 	}
 	en.Type = AccessType(typ)
-	if en.Value, err = d.value(); err != nil {
+	if en.Value, en.wire, err = d.logged(); err != nil {
 		return en, err
 	}
 	if en.HasPrec, err = d.boolv(); err != nil {
@@ -631,7 +644,7 @@ func (d *decoder) txLog() (TxLog, error) {
 		if op.Key, err = d.str(); err != nil {
 			return tl, err
 		}
-		if op.Contents, err = d.value(); err != nil {
+		if op.Contents, op.wire, err = d.logged(); err != nil {
 			return tl, err
 		}
 		has, err := d.boolv()

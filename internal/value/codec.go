@@ -99,20 +99,52 @@ const maxInternLen = 128
 // the strings themselves. Past the bound, strings are copied as if uninterned.
 const maxInternEntries = 1 << 16
 
-// Interner shares one copy of every short string among everything decoded
-// through it. An epoch's advice names the same request IDs, handler IDs,
-// events, map keys and messages hundreds of times over — motd logs its whole
-// state, history included, at every write — so without sharing, decoding
-// spends most of its allocations re-copying strings it has already made.
-// Strings are immutable, so sharing them is invisible to every consumer.
+// maxShareLen bounds the containers an Interner shares: a list or map is
+// looked up only if its encoding, tag included, ends within this many bytes.
+// Small containers are the ones that repeat — a history entry, a feed item,
+// an input — and the scan that finds a container's end before decoding it
+// never reads further than this.
+const maxShareLen = 256
+
+// maxShareEntries bounds an Interner's container table, as maxInternEntries
+// bounds its strings. The table's key bytes are bounded separately, by the
+// bytes decoded through the Interner.
+const maxShareEntries = 1 << 14
+
+// Interner shares one copy of every short string, and of every small list
+// and map, among everything decoded through it. An epoch's advice names the
+// same request IDs, handler IDs, events, map keys and messages hundreds of
+// times over, and motd logs its whole state, history included, at every
+// write — so without sharing, decoding spends most of its allocations
+// re-making strings and history entries it has already made. A container is
+// shared by its encoding: equal bytes decode to equal values, so a list or
+// map whose bytes were decoded before is the earlier value, returned without
+// decoding or allocating.
 //
-// The zero value is ready to use; a nil *Interner copies every string. An
-// Interner is not safe for concurrent use: make one per decode, and drop it
-// with the decode so the table never outlives the bytes it came from.
+// Sharing containers is sound only because no consumer mutates a decoded
+// value in place. Applications copy before they change (appkit.With and
+// Without, value.Clone), and the verifier and the multivalue layer never
+// write into a value they did not make. TestDecodedValuesSurviveAudit
+// (internal/auditd) guards the rule: every application in both modes, cold
+// and warm, at one and four workers, after which every decoded advice blob
+// and trace frame must still re-encode to its bytes.
+//
+// The zero value is ready to use; a nil *Interner copies every string and
+// container. An Interner is not safe for concurrent use: make one per decode,
+// and drop it with the decode so the tables never outlive the bytes they
+// came from. Both tables are bounded by constants, and the container table's
+// key bytes by the bytes decoded through the Interner, so hostile input
+// costs at most a table proportional to its own length.
 type Interner struct {
 	// strs maps a string to its shared copy, boxed once so that a string
 	// value shares the interface header too.
 	strs map[string]V
+	// trees maps the encoding of a small list or map to its shared value;
+	// treeBytes is the total length of its keys.
+	trees     map[string]V
+	treeBytes int
+	// decoded counts the bytes consumed by finished DecodeBinary calls.
+	decoded int
 }
 
 // String returns b as a string, the same copy for every equal b.
@@ -152,13 +184,16 @@ func (in *Interner) lookup(b []byte) (v V, ok bool) {
 	return v, true
 }
 
-// DecodeBinary is the package-level DecodeBinary with every string of the
-// value shared through in.
+// DecodeBinary is the package-level DecodeBinary with every short string and
+// small container of the value shared through in.
 func (in *Interner) DecodeBinary(buf []byte) (V, int, error) {
 	d := binDecoder{buf: buf, in: in}
 	v, err := d.value()
 	if err != nil {
 		return nil, 0, err
+	}
+	if in != nil {
+		in.decoded += d.off
 	}
 	return v, d.off, nil
 }
@@ -224,6 +259,7 @@ func (d *binDecoder) str() ([]byte, error) {
 }
 
 func (d *binDecoder) value() (V, error) {
+	start := d.off
 	tag, err := d.byteAt()
 	if err != nil {
 		return nil, err
@@ -253,7 +289,24 @@ func (d *binDecoder) value() (V, error) {
 			return nil, err
 		}
 		return d.in.boxed(b), nil
-	case tagList:
+	case tagList, tagMap:
+		if v, ok := d.shared(start); ok {
+			return v, nil
+		}
+		v, err := d.container(tag)
+		if err != nil {
+			return nil, err
+		}
+		d.share(start, v)
+		return v, nil
+	default:
+		return nil, fmt.Errorf("value: unknown value tag %d", tag)
+	}
+}
+
+// container decodes the body of a list or map whose tag has been read.
+func (d *binDecoder) container(tag byte) (V, error) {
+	if tag == tagList {
 		n, err := d.lengthElems(1)
 		if err != nil {
 			return nil, err
@@ -265,25 +318,115 @@ func (d *binDecoder) value() (V, error) {
 			}
 		}
 		return out, nil
-	case tagMap:
-		// A key is at least its length varint; a value at least its tag.
-		n, err := d.lengthElems(2)
+	}
+	// A key is at least its length varint; a value at least its tag.
+	n, err := d.lengthElems(2)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]V, n)
+	for i := 0; i < n; i++ {
+		kb, err := d.str()
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[string]V, n)
-		for i := 0; i < n; i++ {
-			kb, err := d.str()
-			if err != nil {
-				return nil, err
+		k := d.in.String(kb)
+		if out[k], err = d.value(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// shared returns the Interner's copy of the container whose tag is at start
+// and moves past it, when the container's encoding ends within maxShareLen
+// bytes and has been decoded through the Interner before. Finding the end
+// scans the bytes without allocating.
+func (d *binDecoder) shared(start int) (V, bool) {
+	if d.in == nil || len(d.in.trees) == 0 {
+		return nil, false
+	}
+	end, ok := skip(d.buf, start, min(len(d.buf), start+maxShareLen))
+	if !ok {
+		return nil, false
+	}
+	v, ok := d.in.trees[string(d.buf[start:end])]
+	if ok {
+		d.off = end
+	}
+	return v, ok
+}
+
+// share offers the container just decoded from d.buf[start:d.off] to the
+// Interner's table. It is taken if the encoding is at most maxShareLen
+// bytes, the table has room for another entry, and the table's key bytes
+// stay within the bytes decoded through the Interner so far — nested
+// containers repeat their contents in every enclosing key, and the last
+// bound keeps that from outgrowing the input.
+func (d *binDecoder) share(start int, v V) {
+	in := d.in
+	n := d.off - start
+	if in == nil || n > maxShareLen || len(in.trees) >= maxShareEntries || in.treeBytes+n > in.decoded+d.off {
+		return
+	}
+	if in.trees == nil {
+		in.trees = make(map[string]V)
+	}
+	in.trees[string(d.buf[start:d.off])] = v
+	in.treeBytes += n
+}
+
+// skip returns the offset just past the value encoded at off in buf, when
+// it ends at or before limit (≤ len(buf)); ok is false when it does not, or
+// when the bytes up to limit are malformed — the decoder proper reports
+// those. Every level of nesting costs at least two bytes, so the recursion
+// is at most limit-off deep.
+func skip(buf []byte, off, limit int) (end int, ok bool) {
+	if off >= limit {
+		return 0, false
+	}
+	tag := buf[off]
+	off++
+	switch tag {
+	case tagNil, tagFalse, tagTrue:
+		return off, true
+	case tagNum:
+		off += 8
+	case tagStr:
+		if off, ok = skipStr(buf, off, limit); !ok {
+			return 0, false
+		}
+	case tagList, tagMap:
+		n, w := binary.Uvarint(buf[off:limit])
+		if w <= 0 || n > uint64(limit-off) {
+			return 0, false
+		}
+		off += w
+		for i := uint64(0); i < n; i++ {
+			if tag == tagMap {
+				if off, ok = skipStr(buf, off, limit); !ok {
+					return 0, false
+				}
 			}
-			k := d.in.String(kb)
-			if out[k], err = d.value(); err != nil {
-				return nil, err
+			if off, ok = skip(buf, off, limit); !ok {
+				return 0, false
 			}
 		}
-		return out, nil
 	default:
-		return nil, fmt.Errorf("value: unknown value tag %d", tag)
+		return 0, false
 	}
+	return off, off <= limit
+}
+
+// skipStr is skip for a length-prefixed string with no tag: a map key, or
+// the body of a string value.
+func skipStr(buf []byte, off, limit int) (int, bool) {
+	if off >= limit {
+		return 0, false
+	}
+	n, w := binary.Uvarint(buf[off:limit])
+	if w <= 0 || n > uint64(limit-off-w) {
+		return 0, false
+	}
+	return off + w + int(n), true
 }

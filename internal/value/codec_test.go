@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -106,28 +107,126 @@ func TestInternerDecodeMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestInternerAllocatesContainersOnly: once an Interner has seen a value's
-// strings, decoding it again allocates exactly what decoding the same shape
-// with no strings at all does — the list and the maps, never a string.
-func TestInternerAllocatesContainersOnly(t *testing.T) {
-	words := AppendBinary(nil, List("request", "handler", "request",
-		Map("scope", "day", "msg", "hello"), Map("scope", "day", "msg", "hello")))
-	shape := AppendBinary(nil, List(nil, nil, nil, Map("a", nil, "b", nil), Map("a", nil, "b", nil)))
+// TestInternerSharesSmallContainers: once an Interner has decoded a value
+// whose lists and maps all end within maxShareLen bytes, decoding it again
+// allocates nothing — every container is the shared one. A container longer
+// than the bound still decodes fresh, and allocates exactly what a
+// container of the same length and no contents does: its small children
+// are shared.
+func TestInternerSharesSmallContainers(t *testing.T) {
+	entry := Map("scope", "day", "msg", "hello", "n", float64(7))
+	small := AppendBinary(nil, List("request", "handler", entry, Map("scope", "day", "msg", "hello", "n", float64(7)), List()))
+	if len(small) > maxShareLen {
+		t.Fatalf("small value encodes to %d bytes, above the %d-byte bound", len(small), maxShareLen)
+	}
 	var in Interner
-	decode := func(buf []byte, in *Interner) {
-		if _, _, err := in.DecodeBinary(buf); err != nil {
+	decode := func(buf []byte, in *Interner) V {
+		v, _, err := in.DecodeBinary(buf)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return v
 	}
-	decode(words, &in)
-	got := testing.AllocsPerRun(100, func() { decode(words, &in) })
-	base := testing.AllocsPerRun(100, func() { decode(shape, nil) })
+	// The first decode shares the inner containers; the outer list's key
+	// would repeat their bytes, which the key-byte bound defers until the
+	// Interner has decoded that many bytes more.
+	first := decode(small, &in)
+	second := decode(small, &in)
+	if got := testing.AllocsPerRun(100, func() { decode(small, &in) }); got != 0 {
+		t.Errorf("warm decode of a value within the bound allocates %v times, want 0", got)
+	}
+	if again := decode(small, &in); !Same(again, second) {
+		t.Error("warm decode of a value within the bound is not the shared value")
+	}
+	if l := first.([]V); !Same(l[2], l[3]) {
+		t.Error("two equal maps of one value decode to two maps")
+	}
+
+	history := make([]V, 40)
+	shape := make([]V, len(history))
+	for i := range history {
+		history[i] = entry
+	}
+	big := AppendBinary(nil, history)
+	if len(big) <= maxShareLen {
+		t.Fatalf("big value encodes to %d bytes, within the %d-byte bound", len(big), maxShareLen)
+	}
+	a, b := decode(big, &in).([]V), decode(big, &in).([]V)
+	if &a[0] == &b[0] {
+		t.Error("a list above the bound was shared")
+	}
+	if !Same(a[0], b[0]) || !Same(a[0], first.([]V)[2]) {
+		t.Error("the small maps inside a list above the bound were not shared")
+	}
+	got := testing.AllocsPerRun(100, func() { decode(big, &in) })
+	shapeEnc := AppendBinary(nil, shape)
+	base := testing.AllocsPerRun(100, func() { decode(shapeEnc, nil) })
 	if got != base {
-		t.Errorf("warm interned decode allocates %v times, a string-free value of the same shape %v", got, base)
+		t.Errorf("warm decode of a list above the bound allocates %v times, a list of nils of the same length %v", got, base)
 	}
-	if plain := testing.AllocsPerRun(100, func() { decode(words, nil) }); plain <= got {
-		t.Errorf("uninterned decode allocates %v times, no more than interned (%v)", plain, got)
+}
+
+// TestInternerTablesBounded: hostile input cannot grow an Interner's
+// container table past its entry cap or its key bytes past the input — not
+// with many distinct small maps, and not with deep nests, whose every level
+// repeats the levels inside it in its key. Decoding stays proportional to
+// the input in allocated bytes too.
+func TestInternerTablesBounded(t *testing.T) {
+	distinct := make([]V, 2*maxShareEntries)
+	for i := range distinct {
+		distinct[i] = Map("k", float64(1000+i))
 	}
+	// Each element nests a distinct number 120 lists deep: about 250 bytes,
+	// whose nested keys would total some 15 KB without the byte bound.
+	nests := make([]V, 200)
+	for i := range nests {
+		var v V = float64(1000 + i)
+		for d := 0; d < 120; d++ {
+			v = List(v)
+		}
+		nests[i] = v
+	}
+	for _, tc := range []struct {
+		name       string
+		v          V
+		fullTable  bool
+		fullBudget bool
+	}{
+		{"distinct-small-maps", distinct, true, false},
+		{"deep-nests", nests, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc := AppendBinary(nil, tc.v)
+			var in Interner
+			got, n, err := in.DecodeBinary(enc)
+			if err != nil || n != len(enc) || string(AppendBinary(nil, got)) != string(enc) {
+				t.Fatalf("interned decode: %d of %d bytes, err %v", n, len(enc), err)
+			}
+			if len(in.trees) > maxShareEntries || in.treeBytes > len(enc) {
+				t.Fatalf("table holds %d entries (cap %d) and %d key bytes (input %d)", len(in.trees), maxShareEntries, in.treeBytes, len(enc))
+			}
+			if tc.fullTable && len(in.trees) != maxShareEntries {
+				t.Errorf("table holds %d entries, want the cap %d reached", len(in.trees), maxShareEntries)
+			}
+			if tc.fullBudget && in.treeBytes < len(enc)/2 {
+				t.Errorf("table holds %d key bytes of a %d-byte input; the byte bound never bit", in.treeBytes, len(enc))
+			}
+			interned := allocatedBytes(func() { _, _, _ = new(Interner).DecodeBinary(enc) })
+			plain := allocatedBytes(func() { _, _, _ = DecodeBinary(enc) })
+			if interned > plain+16*uint64(len(enc)) {
+				t.Errorf("interned decode allocates %d bytes, plain %d, input %d", interned, plain, len(enc))
+			}
+		})
+	}
+}
+
+// allocatedBytes is the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestDecodeSmallIntegersKeepBits: the boxed small-integer table serves

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -151,6 +152,35 @@ func Equal(a, b V) bool {
 		return true
 	default:
 		panic(fmt.Sprintf("value: unsupported kind %T", a))
+	}
+}
+
+// Same reports whether a and b are one value rather than two equal ones:
+// the same map, the same list (the same elements in the same memory), or
+// scalars with the same bits. Same implies Equal for everything but NaN,
+// and it never walks a container, so it is a constant-time test that a
+// value has not been replaced since it was taken.
+func Same(a, b V) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case []V:
+		y, ok := b.([]V)
+		return ok && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+	case map[string]V:
+		y, ok := b.(map[string]V)
+		return ok && reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer()
+	default:
+		return false
 	}
 }
 

@@ -43,9 +43,18 @@ package verifier
 //
 // Logged values (variable-log values, transaction contents, and the
 // resolved predecessors and dictated writes among them) enter the key as
-// their SHA-256 digests, each computed once per audit by a parallel pass
-// over this epoch's advice (digestLogged); a carried predecessor, which is
-// not advice, is digested on first use. The table is built after
+// the SHA-256 of their canonical binary encoding (value.AppendBinary), each
+// computed once per audit by a parallel pass over this epoch's advice
+// (digestLogged). The encoding is taken from the wire span when there is
+// one: the advice decoder records the bytes every logged value was decoded
+// from (VarLogEntry.Wire, TxOp.Wire), so the pass hashes those bytes
+// instead of encoding the value again. Equal bytes decode to equal values,
+// so keying on them is sound, and an honest server writes exactly the
+// canonical encoding, so a value digests identically with or without a
+// span; a non-canonical encoding can only cause a miss. A value with no
+// span — a carried predecessor, which is not advice and is digested on
+// first use; in-memory advice; or an entry whose value was replaced after
+// decode, whose span Wire withholds — is encoded. The table is built after
 // preprocess from the advice being audited and dropped with the audit, so
 // it cannot go stale, and a fixed-width digest frames itself.
 //
@@ -117,12 +126,23 @@ type memoHasher struct {
 	d   memoDigest
 }
 
-// memoDigest is the SHA-256 of one value's canonical encoding.
+// memoDigest is the SHA-256 of one value's canonical binary encoding.
 type memoDigest = [sha256.Size]byte
 
 // memoDigestChunk is how many logged values one fan-out item digests with
 // one encode buffer.
 const memoDigestChunk = 16
+
+// digestLoggedValue digests a logged value: its wire bytes when it has
+// them, otherwise its canonical binary encoding, made in buf (returned for
+// reuse).
+func digestLoggedValue(buf []byte, v value.V, wire []byte) (memoDigest, []byte) {
+	if wire == nil {
+		buf = value.AppendBinary(buf[:0], v)
+		wire = buf
+	}
+	return sha256.Sum256(wire), buf
+}
 
 func newMemoHasher() *memoHasher { return &memoHasher{h: sha256.New()} }
 
@@ -157,10 +177,11 @@ func (m *memoHasher) dig(d memoDigest) {
 	m.h.Write(m.d[:])
 }
 
-// digest computes one value's digest with the hasher's scratch buffer.
-func (m *memoHasher) digest(v value.V) memoDigest {
-	m.buf = value.Encode(m.buf[:0], v)
-	return sha256.Sum256(m.buf)
+// digest computes one logged value's digest with the hasher's scratch
+// buffer.
+func (m *memoHasher) digest(v value.V, wire []byte) (d memoDigest) {
+	d, m.buf = digestLoggedValue(m.buf, v, wire)
+	return d
 }
 
 func (m *memoHasher) sum() (k memo.Key) {
@@ -257,19 +278,24 @@ func (v *Verifier) memoPrepare() *memoPrep {
 	return p
 }
 
-// digestLogged digests every logged value once: the encode + SHA-256 work
-// fans out over the audit's workers in chunks of memoDigestChunk values
-// (one encode buffer each) into indexed slots, and the coordinator then
-// indexes the slots by entry. A panic in a chunk surfaces here, in chunk
-// order, like any worker-side rejection.
+// digestLogged digests every logged value once: the SHA-256 work (and the
+// encoding of any value without wire bytes) fans out over the audit's
+// workers in chunks of memoDigestChunk values (one encode buffer each) into
+// indexed slots, and the coordinator then indexes the slots by entry. A
+// panic in a chunk surfaces here, in chunk order, like any worker-side
+// rejection.
 func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxOp) {
 	v := p.v
-	vals := make([]value.V, 0, len(entries)+len(ops))
+	type logged struct {
+		v    value.V
+		wire []byte
+	}
+	vals := make([]logged, 0, len(entries)+len(ops))
 	for _, e := range entries {
-		vals = append(vals, e.Value)
+		vals = append(vals, logged{e.Value, e.Wire()})
 	}
 	for _, op := range ops {
-		vals = append(vals, op.Contents)
+		vals = append(vals, logged{op.Contents, op.Wire()})
 	}
 	digs := make([]memoDigest, len(vals))
 	chunks := (len(vals) + memoDigestChunk - 1) / memoDigestChunk
@@ -283,8 +309,7 @@ func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxO
 		v.checkCtx()
 		var buf []byte
 		for i := c * memoDigestChunk; i < min((c+1)*memoDigestChunk, len(vals)); i++ {
-			buf = value.Encode(buf[:0], vals[i])
-			digs[i] = sha256.Sum256(buf)
+			digs[i], buf = digestLoggedValue(buf, vals[i].v, vals[i].wire)
 		}
 	})
 	for _, rej := range rejs {
@@ -308,7 +333,7 @@ func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxO
 func (p *memoPrep) varDigest(e *advice.VarLogEntry) memoDigest {
 	d, ok := p.vdig[e]
 	if !ok {
-		d = p.h.digest(e.Value)
+		d = p.h.digest(e.Value, e.Wire())
 		p.vdig[e] = d
 	}
 	return d
@@ -318,7 +343,7 @@ func (p *memoPrep) varDigest(e *advice.VarLogEntry) memoDigest {
 func (p *memoPrep) txDigest(op *advice.TxOp) memoDigest {
 	d, ok := p.tdig[op]
 	if !ok {
-		d = p.h.digest(op.Contents)
+		d = p.h.digest(op.Contents, op.Wire())
 		p.tdig[op] = d
 	}
 	return d

@@ -335,6 +335,135 @@ find:
 	}
 }
 
+// memoAudit audits one epoch of app through cache at one worker, handing
+// the verifier adv as it is — decoded advice keeps the bytes its logged
+// values were decoded from, in-memory advice has none.
+func memoAudit(app diffApp, tr *trace.Trace, adv *advice.Advice, cache *memo.Cache) (verifier.Stats, error) {
+	a, _ := app.spec.New()
+	return verifier.Audit(verifier.Config{
+		App: a, Mode: advice.ModeKarousos, Isolation: app.spec.Isolation,
+		Limits: verifier.DefaultLimits(), Workers: 1, Memo: cache,
+	}, tr, adv)
+}
+
+// TestMemoStaleSpanNeverKeys: the memo keys a logged value on the bytes it
+// was decoded from only while the entry still holds that value. The cache is
+// warmed with an honest epoch decoded from its blob, and the same blob is
+// decoded again, so that every group would hit; then one logged value is
+// replaced in memory. Keyed on the stale bytes, the replaced value's group
+// would hit the warm entry; keyed on the value itself it misses, and is
+// re-executed or the audit rejects. An equal copy put in place of the value
+// is keyed identically from its encoding and still hits.
+func TestMemoStaleSpanNeverKeys(t *testing.T) {
+	sites := []struct {
+		name    string
+		replace func(adv *advice.Advice, with func(value.V) value.V) bool
+	}{
+		{"var-log-value", func(adv *advice.Advice, with func(value.V) value.V) bool {
+			for _, id := range sortedVarIDs(adv.VarLogs) {
+				entries := adv.VarLogs[id]
+				for i := range entries {
+					if entries[i].Type == advice.AccessWrite && entries[i].Wire() != nil {
+						entries[i].Value = with(entries[i].Value)
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		{"tx-op-contents", func(adv *advice.Advice, with func(value.V) value.V) bool {
+			for i := range adv.TxLogs {
+				ops := adv.TxLogs[i].Ops
+				for j := range ops {
+					if ops[j].Type == core.TxPut && ops[j].Wire() != nil {
+						ops[j].Contents = with(ops[j].Contents)
+						return true
+					}
+				}
+			}
+			return false
+		}},
+	}
+	poison := func(value.V) value.V { return value.Normalize(map[string]any{"poison": true}) }
+	for _, app := range diffApps() {
+		run, err := harness.Serve(app.spec, app.reqs(60, 1), 10, 1, harness.CollectKarousos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := run.Karousos.MarshalBinary()
+		decode := func(t *testing.T) *advice.Advice {
+			adv, err := advice.UnmarshalBinary(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return adv
+		}
+		for _, site := range sites {
+			t.Run(app.name+"/"+site.name, func(t *testing.T) {
+				if !site.replace(decode(t), value.Clone) {
+					t.Skip("the epoch logs no such value")
+				}
+				cache := memo.NewCache(memoTestBytes)
+				cold, err := memoAudit(app, run.Trace, decode(t), cache)
+				if err != nil {
+					t.Fatalf("honest warmup rejected: %v", err)
+				}
+				copied := decode(t)
+				site.replace(copied, value.Clone)
+				if st, err := memoAudit(app, run.Trace, copied, cache); err != nil || st.MemoHits != cold.Groups {
+					t.Fatalf("an equal copy of a logged value: hits=%d of %d groups, err %v; want every group hit", st.MemoHits, cold.Groups, err)
+				}
+				replaced := decode(t)
+				site.replace(replaced, poison)
+				if st, err := memoAudit(app, run.Trace, replaced, cache); st.MemoHits >= cold.Groups {
+					t.Fatalf("STALE: a replaced logged value was keyed on its old bytes: hits=%d of %d groups (err %v)", st.MemoHits, cold.Groups, err)
+				}
+			})
+		}
+	}
+}
+
+// TestMemoSpanKeysMatchEncodedKeys: a logged value digests the same from
+// its wire bytes as from its encoding. Each epoch is audited twice through
+// one cache: first as the in-memory advice the server collected, whose
+// values carry no bytes, then decoded from its blob. The decoded pass hits
+// every group, and its Stats are otherwise identical.
+func TestMemoSpanKeysMatchEncodedKeys(t *testing.T) {
+	for _, app := range diffApps() {
+		t.Run(app.name, func(t *testing.T) {
+			run, err := harness.Serve(app.spec, app.reqs(60, 1), 10, 1, harness.CollectKarousos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := advice.UnmarshalBinary(run.Karousos.MarshalBinary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range sortedVarIDs(decoded.VarLogs) {
+				mem, dec := &run.Karousos.VarLogs[id][0], &decoded.VarLogs[id][0]
+				if mem.Wire() != nil || dec.Wire() == nil {
+					t.Fatalf("variable %s: in-memory entry has bytes %v, decoded entry has bytes %v; want none and some", id, mem.Wire() != nil, dec.Wire() != nil)
+				}
+			}
+			cache := memo.NewCache(memoTestBytes)
+			mem, err := memoAudit(app, run.Trace, run.Karousos, cache)
+			if err != nil {
+				t.Fatalf("in-memory advice rejected: %v", err)
+			}
+			dec, err := memoAudit(app, run.Trace, decoded, cache)
+			if err != nil {
+				t.Fatalf("decoded advice rejected: %v", err)
+			}
+			if dec.MemoHits != dec.Groups || dec.MemoMisses != 0 {
+				t.Fatalf("decoded pass: hits=%d misses=%d groups=%d; wire-byte keys differ from encoded keys", dec.MemoHits, dec.MemoMisses, dec.Groups)
+			}
+			if got, want := fmt.Sprintf("%+v", dec.ZeroMemo()), fmt.Sprintf("%+v", mem.ZeroMemo()); got != want {
+				t.Fatalf("decoded Stats diverged from in-memory:\n  in-memory: %s\n  decoded:   %s", want, got)
+			}
+		})
+	}
+}
+
 func sortedVarIDs(m map[core.VarID][]advice.VarLogEntry) []core.VarID {
 	ids := make([]core.VarID, 0, len(m))
 	for id := range m {
