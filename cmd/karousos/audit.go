@@ -29,6 +29,7 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 	lanes := fs.Int("lanes", 0, "concurrent audit lanes (0 = one per shard; the verdict is identical at every setting)")
 	memoOn := fs.Bool("memo", false, "memoize re-execution across epochs (content-addressed tag-group cache; verdict identical on or off)")
 	memoMax := fs.Int("memo-max-bytes", 256<<20, "memo cache byte budget per lane when -memo is set (0 = unbounded)")
+	graph := fs.String("graph", "", "write each graded epoch's execution graph G as Graphviz DOT to DIR/shard-NN/epNNNNNN.dot (cycles highlighted); created if missing")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -45,6 +46,7 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 		CheckpointDir: *cp,
 		Limits:        verifier.DefaultLimits(),
 		AuditWorkers:  *workers,
+		GraphDir:      *graph,
 	}
 	cfg.Limits.Deadline = *deadline
 	if *memoOn {

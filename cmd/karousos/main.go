@@ -18,9 +18,10 @@
 //	    serve` and `karousos gateway -backends`); accept is the
 //	    kill-and-recover acceptance scenario;
 //
-//	karousos audit -dir <log or topology root> [-checkpoint dir] [-follow]
+//	karousos audit -dir <log or topology root> [-checkpoint dir] [-follow] [-graph dir]
 //	    the supervised auditor: one lane per shard, each epoch routing-
 //	    checked then audited in order, joined by the cross-shard merge;
+//	    -graph writes every graded epoch's execution graph as Graphviz DOT;
 //
 //	karousos status -dir <log or topology root> [-checkpoint dir]
 //	    sealed manifests and audit progress per shard, as JSON;
@@ -92,6 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
   fleet    serve: supervise collectors + gateway as processes;
            accept: kill one collector mid-burst and verify recovery
   audit    audit a log or topology root; exits 0 ACCEPT, 2 not, 1 error
+           (-graph DIR writes each epoch's execution graph as DOT)
   status   print sealed manifests and audit progress per shard
   chaos    replay a scenario (-scenario name or -scenario-file); exits 0
            if every robustness invariant held

@@ -19,6 +19,7 @@
 package auditd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,8 +78,13 @@ type Config struct {
 	// lever: verdicts, reject codes, and non-memo Stats are identical with
 	// it on or off.
 	MemoMaxBytes int
+	// GraphDir, when set, is an existing directory that receives the
+	// execution graph G of every epoch the verifier builds one for, as
+	// Graphviz DOT (epNNNNNN.dot, cycles highlighted on a GraphCycle
+	// rejection). Empty writes nothing.
+	GraphDir string
 	// FS is the filesystem the auditor reads epochs and writes checkpoints
-	// through. nil means the real OS.
+	// and graphs through. nil means the real OS.
 	FS iofault.FS
 	// Backoff bounds the retry loops around epoch reads and checkpoint
 	// writes. Zero-valued fields take fault.Backoff's defaults.
@@ -510,7 +516,18 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 		Workers:   a.cfg.AuditWorkers,
 		Memo:      a.memo,
 	}
+	var dot *bytes.Buffer
+	if a.cfg.GraphDir != "" {
+		dot = new(bytes.Buffer)
+		cfg.DumpGraph = dot
+	}
 	st, next, err := verifier.AuditCarry(ctx, cfg, f.tr, f.adv)
+	if dot != nil && dot.Len() > 0 {
+		path := filepath.Join(a.cfg.GraphDir, fmt.Sprintf("ep%06d.dot", m.Seq))
+		if werr := a.cfg.fs().WriteFile(path, dot.Bytes(), 0o644); werr != nil {
+			return fmt.Errorf("auditd: writing graph: %w", werr)
+		}
+	}
 	if err != nil {
 		return reject(rejectCode(err), err.Error())
 	}

@@ -68,6 +68,9 @@ type ShardedConfig struct {
 	// is an in-memory cache, so losing it costs re-execution, never
 	// correctness.
 	MemoMaxBytes int
+	// GraphDir, when set, receives each lane's execution graphs under
+	// shard-NN/, as in Config.GraphDir.
+	GraphDir string
 	// MaxRestarts bounds per-lane incarnation rebuilds after restartable
 	// failures within one pass. Defaults to 3.
 	MaxRestarts int
@@ -204,6 +207,13 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		}
 		if cfg.CheckpointDir != "" {
 			l.cfg.Checkpoint = CheckpointPath(cfg.CheckpointDir, i)
+		}
+		if cfg.GraphDir != "" {
+			// Created here for the same reason as the checkpoint directory.
+			l.cfg.GraphDir = shard.Dir(cfg.GraphDir, i)
+			if err := cfg.fs().MkdirAll(l.cfg.GraphDir, 0o755); err != nil {
+				return nil, fmt.Errorf("auditd: sharded: graph dir: %w", err)
+			}
 		}
 		if m.Shards > 1 {
 			// Everything routes to the only shard of a one-shard map.

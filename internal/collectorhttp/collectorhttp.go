@@ -151,8 +151,8 @@ func (cfg Config) commitMode() CommitMode {
 	return cfg.Commit
 }
 
-// Meta is the sidecar record written next to the epoch log so offline tools
-// (karousos-audit, karousos audit) know how to re-execute the epochs. It is
+// Meta is the sidecar record written next to the epoch log so the offline
+// auditor (karousos audit) knows how to re-execute the epochs. It is
 // pinned when the directory's first collector boots (iofault.PinJSON):
 // reopening the directory as another app or advice mode is refused.
 type Meta struct {

@@ -9,7 +9,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"karousos.dev/karousos/internal/advice"
@@ -176,13 +175,6 @@ func verify(spec AppSpec, tr *trace.Trace, adv *advice.Advice, mode advice.Mode)
 	return VerifyWith(spec, tr, adv, VerifyOptions{Mode: mode})
 }
 
-// VerifyKarousosLimits audits under explicit resource bounds: the wire size
-// is checked before decode-side allocation, and the audit runs under lim's
-// deadline and graph budgets.
-func VerifyKarousosLimits(spec AppSpec, tr *trace.Trace, adv *advice.Advice, lim verifier.Limits) *VerifyResult {
-	return VerifyWith(spec, tr, adv, VerifyOptions{Mode: advice.ModeKarousos, Limits: lim, Workers: 1})
-}
-
 // VerifyOptions selects the audit configuration beyond the app spec.
 type VerifyOptions struct {
 	// Mode selects the advice dialect; the zero value is ModeKarousos.
@@ -192,9 +184,6 @@ type VerifyOptions struct {
 	// Workers is the audit's parallelism: 0 means GOMAXPROCS, 1 is the
 	// sequential engine. The verdict is identical at every setting.
 	Workers int
-	// DumpGraph, when non-nil, receives the execution graph G in Graphviz
-	// DOT format (cycles highlighted on rejection).
-	DumpGraph io.Writer
 	// Memo, when non-nil, is the cross-epoch replay cache threaded into
 	// the audit (verifier.Config.Memo); the caller owns its lifetime.
 	Memo *memo.Cache
@@ -206,16 +195,11 @@ func VerifyWith(spec AppSpec, tr *trace.Trace, adv *advice.Advice, opt VerifyOpt
 	if opt.Mode == "" {
 		opt.Mode = advice.ModeKarousos
 	}
-	return verifyLimits(spec, tr, adv, opt)
-}
-
-func verifyLimits(spec AppSpec, tr *trace.Trace, adv *advice.Advice, opt VerifyOptions) *VerifyResult {
 	lim := opt.Limits
 	app, _ := spec.New()
 	cfg := verifier.Config{
 		App: app, Mode: opt.Mode, Isolation: spec.Isolation,
-		Limits: lim, Workers: opt.Workers, DumpGraph: opt.DumpGraph,
-		Memo: opt.Memo,
+		Limits: lim, Workers: opt.Workers, Memo: opt.Memo,
 	}
 	// The advice crosses the network in a deployment (§2.1), so the timed
 	// region starts from its serialized form: decoding bigger advice is part

@@ -46,22 +46,16 @@
 package karousos
 
 import (
-	"context"
-	"io"
-
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/adya"
 	"karousos.dev/karousos/internal/apps/appkit"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/kvstore"
 	"karousos.dev/karousos/internal/mv"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
-	"karousos.dev/karousos/internal/verifier"
-	"karousos.dev/karousos/internal/verifier/memo"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -77,8 +71,6 @@ type (
 	HandlerFunc = core.HandlerFunc
 	// Variable is a loggable program variable handle.
 	Variable = core.Variable
-	// Tx is an open transaction handle.
-	Tx = core.Tx
 	// MV is a multivalue (SIMD-on-demand batched value).
 	MV = mv.MV
 	// V is the dynamic value domain (JSON-like).
@@ -115,16 +107,12 @@ type (
 	Server = server.Server
 	// ServerConfig configures a Server.
 	ServerConfig = server.Config
-	// ServerResult is a Server run's raw output.
-	ServerResult = server.Result
 )
 
-// Trace event kinds and variable-log access types, for tests and tools that
-// inspect traces and advice.
+// TraceResp marks a response event of the trace; AccessWrite marks a write
+// in a variable log. Tools that forge traces and advice inspect both.
 const (
-	TraceReq    = trace.Req
 	TraceResp   = trace.Resp
-	AccessRead  = advice.AccessRead
 	AccessWrite = advice.AccessWrite
 )
 
@@ -132,23 +120,18 @@ const (
 const (
 	CollectNone     = harness.CollectNone
 	CollectKarousos = harness.CollectKarousos
-	CollectOrochi   = harness.CollectOrochi
 	CollectBoth     = harness.CollectBoth
 )
 
-// Isolation levels for application stores.
+// Serializable is the isolation level an application's store provides to
+// the audit; StoreSerializable is the matching store setting for NewStore.
 const (
 	Serializable      = adya.Serializable
-	ReadCommitted     = adya.ReadCommitted
-	ReadUncommitted   = adya.ReadUncommitted
-	SnapshotIsolation = adya.SnapshotIsolation
+	StoreSerializable = kvstore.Serializable
 )
 
 // MOTDApp returns the message-of-the-day model application (§6).
 func MOTDApp() AppSpec { return harness.MOTDApp() }
-
-// StacksApp returns the stack-dump logging model application (§6).
-func StacksApp() AppSpec { return harness.StacksApp() }
 
 // WikiApp returns the wiki application (§6).
 func WikiApp() AppSpec { return harness.WikiApp() }
@@ -166,21 +149,11 @@ func VerifyKarousos(spec AppSpec, tr *Trace, adv *Advice) *VerifyResult {
 	return harness.VerifyKarousos(spec, tr, adv)
 }
 
-// VerifyOrochi audits with the Orochi-JS baseline verifier.
-func VerifyOrochi(spec AppSpec, tr *Trace, adv *Advice) *VerifyResult {
-	return harness.VerifyOrochi(spec, tr, adv)
-}
-
-// VerifyOptions selects the audit configuration beyond the app spec; see
-// harness.VerifyOptions. The zero value is the Karousos verifier, unbounded,
-// at GOMAXPROCS workers.
-type VerifyOptions = harness.VerifyOptions
-
-// VerifyWith audits with explicit options — notably Workers, the audit's
-// parallelism. The verdict, reject code, and Stats are identical at every
-// worker count; only wall-clock time changes.
-func VerifyWith(spec AppSpec, tr *Trace, adv *Advice, opt VerifyOptions) *VerifyResult {
-	return harness.VerifyWith(spec, tr, adv, opt)
+// VerifyKarousosUnbatched audits with batching disabled (every request in a
+// singleton group) — the ablation that isolates what grouped re-execution
+// buys; see harness.VerifyKarousosUnbatched.
+func VerifyKarousosUnbatched(spec AppSpec, tr *Trace, adv *Advice) *VerifyResult {
+	return harness.VerifyKarousosUnbatched(spec, tr, adv)
 }
 
 // VerifySequential replays the trace one request at a time with no advice.
@@ -188,27 +161,14 @@ func VerifySequential(spec AppSpec, tr *Trace) *SequentialResult {
 	return harness.VerifySequential(spec, tr)
 }
 
-// Audit runs the Karousos audit directly against a custom application (one
-// not wrapped in an AppSpec). app must be a fresh instance; isolation is the
-// level the application's store is expected to provide.
-func Audit(app *App, isolation adya.Level, tr *Trace, adv *Advice) error {
-	_, err := verifier.Audit(verifier.Config{
-		App: app, Mode: advice.ModeKarousos, Isolation: isolation,
-	}, tr, adv)
-	return err
-}
+// UnmarshalAdvice decodes advice from its binary wire format (the output of
+// Advice.MarshalBinary), validating structure but — by design — not
+// semantics: advice is untrusted and the audit judges it.
+func UnmarshalAdvice(data []byte) (*Advice, error) { return advice.UnmarshalBinary(data) }
 
 // NewStore returns a transactional KV store at the given isolation level for
 // use with custom applications.
 func NewStore(level kvstore.Isolation) *Store { return kvstore.New(level) }
-
-// Store isolation levels.
-const (
-	StoreSerializable      = kvstore.Serializable
-	StoreReadCommitted     = kvstore.ReadCommitted
-	StoreReadUncommitted   = kvstore.ReadUncommitted
-	StoreSnapshotIsolation = kvstore.SnapshotIsolation
-)
 
 // NewServer builds a server runtime for a custom application; see
 // ServerConfig for the knobs.
@@ -218,12 +178,10 @@ func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 // split-brain server would; see harness.MergeRuns.
 func MergeRuns(a, b *ServeResult) *ServeResult { return harness.MergeRuns(a, b) }
 
-// Workload generators (§6 "Workloads").
+// Workload mixes (§6 "Workloads").
 var (
 	// ReadHeavy is 90% reads / 10% writes.
 	ReadHeavy = workload.ReadHeavy
-	// WriteHeavy is 90% writes / 10% reads.
-	WriteHeavy = workload.WriteHeavy
 	// Mixed is 50/50.
 	Mixed = workload.Mixed
 )
@@ -231,12 +189,6 @@ var (
 // MOTDWorkload generates n MOTD requests with the given mix.
 func MOTDWorkload(n int, mix workload.Mix, seed int64) []Request {
 	return workload.MOTD(n, mix, seed)
-}
-
-// StacksWorkload generates n stack-dump requests with the given mix (10% of
-// reports are new dumps, as in the paper).
-func StacksWorkload(n int, mix workload.Mix, seed int64) []Request {
-	return workload.Stacks(n, mix, seed, workload.DefaultStacksOptions())
 }
 
 // WikiWorkload generates n wiki requests with the paper's 25/15/60 mix.
@@ -249,10 +201,6 @@ func WikiWorkload(n int, seed int64) []Request {
 var (
 	// Map builds a map value from alternating key/value arguments.
 	Map = value.Map
-	// List builds a list value.
-	List = value.List
-	// Equal is deep equality on values.
-	Equal = value.Equal
 	// CloneValue deep-copies a value.
 	CloneValue = value.Clone
 	// FormatValue renders a value compactly for logs and errors.
@@ -264,110 +212,3 @@ func Field(v V, k string) V { return appkit.Field(v, k) }
 
 // Str coerces a value to string ("" if not a string).
 func Str(v V) string { return appkit.Str(v) }
-
-// Num coerces a value to float64 (0 if not a number).
-func Num(v V) float64 { return appkit.Num(v) }
-
-// Bool coerces a value to bool (false if not a bool).
-func Bool(v V) bool { return appkit.Bool(v) }
-
-// With returns a copy of map value v with key k set to val.
-func With(v V, k string, val V) map[string]V { return appkit.With(v, k, val) }
-
-// UnmarshalAdvice decodes advice from its binary wire format (the output of
-// Advice.MarshalBinary), validating structure but — by design — not
-// semantics: advice is untrusted and the audit judges it.
-func UnmarshalAdvice(data []byte) (*Advice, error) { return advice.UnmarshalBinary(data) }
-
-// VerifyKarousosUnbatched audits with batching disabled (every request in a
-// singleton group) — the ablation that isolates what grouped re-execution
-// buys; see harness.VerifyKarousosUnbatched.
-func VerifyKarousosUnbatched(spec AppSpec, tr *Trace, adv *Advice) *VerifyResult {
-	return harness.VerifyKarousosUnbatched(spec, tr, adv)
-}
-
-// VerifyKarousosWithGraph audits like VerifyKarousos and additionally writes
-// the execution graph G in Graphviz DOT format to w — with the offending
-// cycle highlighted when the audit rejects on acyclicity.
-func VerifyKarousosWithGraph(spec AppSpec, tr *Trace, adv *Advice, w io.Writer) *VerifyResult {
-	return harness.VerifyWith(spec, tr, adv, VerifyOptions{DumpGraph: w})
-}
-
-// Rejection taxonomy: every audit rejection carries a machine-readable
-// reason code; see core.RejectCode for the classification rules.
-type RejectCode = core.RejectCode
-
-// The rejection reason codes.
-const (
-	RejectMalformedAdvice    = core.RejectMalformedAdvice
-	RejectLogMismatch        = core.RejectLogMismatch
-	RejectGraphCycle         = core.RejectGraphCycle
-	RejectIsolationViolation = core.RejectIsolationViolation
-	RejectOutputMismatch     = core.RejectOutputMismatch
-	RejectResourceLimit      = core.RejectResourceLimit
-	RejectInternalFault      = core.RejectInternalFault
-)
-
-// RejectCodeOf extracts the reason code from an audit error; "" when the
-// error is not an audit rejection.
-func RejectCodeOf(err error) RejectCode { return core.RejectCodeOf(err) }
-
-// Limits bounds the resources one audit may consume; the zero value is
-// unbounded, DefaultLimits is production-shaped.
-type Limits = verifier.Limits
-
-// DefaultLimits returns the production-shaped resource bounds.
-func DefaultLimits() Limits { return verifier.DefaultLimits() }
-
-// VerifyKarousosLimits audits like VerifyKarousos under explicit resource
-// bounds: the serialized advice size is checked before decoding, and the
-// audit itself runs under lim's deadline and graph budgets, rejecting with
-// RejectResourceLimit when exceeded.
-func VerifyKarousosLimits(spec AppSpec, tr *Trace, adv *Advice, lim Limits) *VerifyResult {
-	return harness.VerifyKarousosLimits(spec, tr, adv, lim)
-}
-
-// FaultOp is one operator of the fault-injection catalogue; see
-// internal/faultinject.
-type FaultOp = faultinject.Op
-
-// FaultCatalogue returns every fault-injection operator.
-func FaultCatalogue() []FaultOp { return faultinject.Catalogue() }
-
-// ApplyFault corrupts wire-format advice per an "op:seed" spec (seed
-// defaults to 0) from the fault-injection catalogue, deterministically.
-func ApplyFault(spec string, wire []byte) ([]byte, error) {
-	op, seed, err := faultinject.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return op.Apply(seed, wire)
-}
-
-// Continuous auditing (the epoch pipeline): a collector serves an
-// application over HTTP, recording the trusted trace into a durable epoch
-// log; an incremental auditor tails the log and audits each sealed epoch
-// with the dictionary state carried from the previous one. See cmd/karousos
-// and DESIGN.md §10.
-
-// CarryState is the trusted cross-epoch dictionary state an accepting audit
-// produces for the next epoch's audit.
-type CarryState = verifier.CarryState
-
-// AuditCarry audits one epoch like Audit but additionally takes the carry
-// produced by the previous epoch's audit (nil for the first epoch) and
-// returns the next epoch's carry.
-func AuditCarry(ctx context.Context, cfg verifier.Config, tr *Trace, adv *Advice) (verifier.Stats, *CarryState, error) {
-	return verifier.AuditCarry(ctx, cfg, tr, adv)
-}
-
-// MemoCache is the content-addressed re-execution memo cache the verifier
-// consults when VerifyOptions.Memo (or auditd's MemoMaxBytes) is set; see
-// DESIGN.md §18. One cache is threaded through consecutive epoch audits;
-// entries are keyed by the full input closure of a tag group, so a hit
-// replays the group's recorded effects instead of re-executing it.
-type MemoCache = memo.Cache
-
-// NewMemoCache returns a memo cache with the given byte budget
-// (maxBytes <= 0 means unbounded).
-func NewMemoCache(maxBytes int) *MemoCache { return memo.NewCache(maxBytes) }
