@@ -1,8 +1,7 @@
 // Command karousos-vet is the multichecker for the repo's invariant
 // analyzers (internal/analysis/all): detlint, errladder, rejectcode, plus
-// the interprocedural passes advicetaint, retrysound, and conclint
-// (leaklint + locklint), plus validation of every //karousos: suppression
-// directive.
+// the interprocedural passes advicetaint and conclint (leaklint +
+// locklint), plus validation of every //karousos: suppression directive.
 //
 // Usage:
 //
@@ -17,7 +16,9 @@
 //
 // -json emits a JSON array of diagnostics instead of text, including
 // suppressed findings with their suppression state, for tooling that wants
-// to audit what the //karousos: directives are hiding.
+// to audit what the //karousos: directives are hiding. A run of every
+// analyzer (no -checks) also reports each well-formed directive that
+// suppressed no finding.
 //
 // Exit status: 0 when the tree is clean (suppressed findings are clean),
 // 1 when any diagnostic or load problem is reported, 2 on a driver failure
@@ -119,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Analyzer: a, Fset: p.Fset, Files: p.Syntax,
 				Pkg: p.Types, TypesInfo: p.TypesInfo,
 				Program:          prog,
-				ReportSuppressed: *asJSON,
+				ReportSuppressed: true,
 				Report:           func(d analysis.Diagnostic) { ds = append(ds, d) },
 			}
 			if err := a.Run(pass); err != nil {
@@ -128,14 +129,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		// Directive hygiene runs regardless of -checks: a typoed directive
-		// must never silently suppress nothing.
+		// must never silently suppress nothing. Whether a well-formed one
+		// suppresses anything is known only when every analyzer ran.
 		dirPass := &analysis.Pass{Fset: p.Fset, Files: p.Syntax, Pkg: p.Types, TypesInfo: p.TypesInfo}
+		if *checks == "" {
+			ds = append(ds, analysis.UnusedDirectives(dirPass, ds)...)
+		}
 		ds = append(ds, analysis.CheckDirectives(dirPass)...)
 
 		analysis.SortDiagnostics(p.Fset, ds)
 		for _, d := range ds {
 			if !d.Suppressed {
 				exit = 1
+			} else if !*asJSON {
+				continue
 			}
 			if *asJSON {
 				out = append(out, jsonDiag{

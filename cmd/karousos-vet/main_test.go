@@ -16,7 +16,7 @@ func runVet(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestListShowsAllAnalyzers pins the analyzer census the driver exposes:
-// all seven, with conclint's two check names spelled out.
+// all five, with conclint's two check names spelled out.
 func TestListShowsAllAnalyzers(t *testing.T) {
 	code, out, errb := runVet(t, "-list")
 	if code != 0 {
@@ -28,8 +28,8 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 			lines = append(lines, l)
 		}
 	}
-	if len(lines) != 6 {
-		t.Fatalf("got %d analyzers listed, want 6:\n%s", len(lines), out)
+	if len(lines) != 5 {
+		t.Fatalf("got %d analyzers listed, want 5:\n%s", len(lines), out)
 	}
 	if !strings.Contains(out, "conclint (leaklint, locklint)") {
 		t.Errorf("-list should spell out conclint's check names:\n%s", out)
@@ -99,5 +99,27 @@ func TestBrokenPackageDegradesToLoadDiagnostic(t *testing.T) {
 	}
 	if !strings.Contains(out, "[load]") || !strings.Contains(out, "typeerr") {
 		t.Errorf("broken package should surface as a [load] diagnostic naming it, got:\n%s", out)
+	}
+}
+
+// TestUnusedDirective: a run of every analyzer reports a well-formed
+// directive that suppressed nothing; a -checks subset cannot tell, so it
+// stays quiet.
+func TestUnusedDirective(t *testing.T) {
+	const pkg = "./cmd/karousos-vet/testdata/src/unuseddirective"
+	cases := []struct {
+		args     []string
+		wantExit int
+		wantOut  string
+	}{
+		{[]string{pkg}, 1, "a.go:7:11: [directive] karousos:errladder-ok directive suppresses no finding"},
+		{[]string{"-checks", "errladder", pkg}, 0, ""},
+	}
+	for _, c := range cases {
+		code, out, errb := runVet(t, c.args...)
+		if code != c.wantExit || !strings.Contains(out, c.wantOut) {
+			t.Errorf("karousos-vet %v: exit %d, want %d with %q\nstdout: %s\nstderr: %s",
+				c.args, code, c.wantExit, c.wantOut, out, errb)
+		}
 	}
 }

@@ -161,7 +161,7 @@ func fleetServeCmd(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := sup.Start(ctx); err != nil {
-		sup.Stop(*drain) //karousos:errladder-ok the start failure is the error that surfaces
+		sup.Stop(*drain) // the start failure is the error that surfaces
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "fleet up: %d collectors + gateway at %s (SIGTERM to drain and seal)\n", *shards, gwURL)
@@ -252,11 +252,11 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := sup.Start(ctx); err != nil {
-		sup.Stop(drain) //karousos:errladder-ok the start failure is the error that surfaces
+		sup.Stop(drain) // the start failure is the error that surfaces
 		return nil, err
 	}
 	// Stop is idempotent: the deferred one only acts on an early return.
-	defer sup.Stop(drain) //karousos:errladder-ok cleanup on the error path; the first error surfaces
+	defer sup.Stop(drain) // cleanup on the error path; the first error surfaces
 
 	res := &acceptResult{}
 	violate := func(format string, a ...any) {

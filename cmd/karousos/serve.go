@@ -90,7 +90,6 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 	maxRetries := fs.Int("max-retries", 0, "extra attempts for provably-unsent requests (0 = default 2, -1 = none)")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive transport failures that open a shard's circuit (0 = default 5)")
 	breakerOpenFor := fs.Duration("breaker-open-for", 0, "open-circuit window before a half-open probe (0 = default 1s)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "race a second idempotent health probe after this long (0 = no hedging)")
 	netfaultSpec := fs.String("netfault", "", "arm a network fault on the proxy path, \"op[:seed[:times]]\" (testing)")
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -100,7 +99,6 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 		MaxRetries:      *maxRetries,
 		BreakerFailures: *breakerFailures,
 		BreakerOpenFor:  *breakerOpenFor,
-		HedgeAfter:      *hedgeAfter,
 	}
 	var transport http.RoundTripper
 	if *netfaultSpec != "" {

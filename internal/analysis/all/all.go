@@ -11,7 +11,6 @@ import (
 	"karousos.dev/karousos/internal/analysis/detlint"
 	"karousos.dev/karousos/internal/analysis/errladder"
 	"karousos.dev/karousos/internal/analysis/rejectcode"
-	"karousos.dev/karousos/internal/analysis/retrysound"
 )
 
 // Analyzers is every analyzer karousos-vet runs, in output order.
@@ -20,6 +19,5 @@ var Analyzers = []*analysis.Analyzer{
 	errladder.Analyzer,
 	rejectcode.Analyzer,
 	advicetaint.Analyzer,
-	retrysound.Analyzer,
 	conclint.Analyzer,
 }

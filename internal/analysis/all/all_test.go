@@ -42,15 +42,15 @@ func TestRegistryMatchesAnalyzers(t *testing.T) {
 	}
 }
 
-// TestSixAnalyzers pins the analyzer census: three intraprocedural passes
-// plus advicetaint, retrysound, and conclint.
-func TestSixAnalyzers(t *testing.T) {
-	if len(Analyzers) != 6 {
-		t.Fatalf("got %d analyzers, want 6", len(Analyzers))
+// TestFiveAnalyzers pins the analyzer census: three intraprocedural passes
+// plus advicetaint and conclint.
+func TestFiveAnalyzers(t *testing.T) {
+	if len(Analyzers) != 5 {
+		t.Fatalf("got %d analyzers, want 5", len(Analyzers))
 	}
 	want := map[string]bool{
 		"detlint": true, "errladder": true, "rejectcode": true,
-		"advicetaint": true, "retrysound": true, "conclint": true,
+		"advicetaint": true, "conclint": true,
 	}
 	for _, a := range Analyzers {
 		if !want[a.Name] {

@@ -34,7 +34,9 @@
 // non-empty free text read by the reviewer, not the tool. A directive with
 // an unknown check name or an empty reason is itself a diagnostic
 // (CheckDirectives), so the escape hatch cannot rot into bare unexplained
-// pragmas.
+// pragmas; so is a well-formed directive that suppresses no finding of a
+// run of every analyzer (UnusedDirectives), so it cannot outlive the
+// finding it was written for.
 package analysis
 
 import (
@@ -72,17 +74,18 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Program, when the driver sets it, is the whole loaded package set —
-	// the interprocedural analyzers (advicetaint, retrysound, conclint)
+	// the interprocedural analyzers (advicetaint, conclint)
 	// build their call graph and dataflow summaries from it. nil restricts
 	// those analyzers to the pass's own package.
 	Program *Program
 	// Report delivers one diagnostic. The driver sets it; analyzers call
 	// Reportf.
 	Report func(Diagnostic)
-	// ReportSuppressed, when set by the driver (karousos-vet -json),
-	// delivers findings covered by a //karousos: directive with
-	// Diagnostic.Suppressed=true instead of dropping them, so the machine-
-	// readable output carries the full suppression state.
+	// ReportSuppressed, when set (karousos-vet sets it), delivers findings
+	// covered by a //karousos: directive with Diagnostic.Suppressed=true
+	// instead of dropping them, so karousos-vet knows which directives
+	// suppressed something and its -json output carries the full
+	// suppression state.
 	ReportSuppressed bool
 
 	directives []Directive // lazily built
@@ -230,14 +233,17 @@ func (p *Pass) parseDirectives() []Directive {
 func (p *Pass) Suppressed(check string, pos token.Pos) bool {
 	where := p.Fset.Position(pos)
 	for _, d := range p.parseDirectives() {
-		if d.Check != check || d.Reason == "" {
-			continue
-		}
-		if d.File == where.Filename && (d.Line == where.Line || d.Line == where.Line-1) {
+		if d.covers(check, where) {
 			return true
 		}
 	}
 	return false
+}
+
+// covers reports whether d suppresses a check finding at where.
+func (d Directive) covers(check string, where token.Position) bool {
+	return d.Check == check && d.Reason != "" && d.File == where.Filename &&
+		(d.Line == where.Line || d.Line == where.Line-1)
 }
 
 // CheckDirectives validates every //karousos: directive in the pass's files:
@@ -255,6 +261,32 @@ func CheckDirectives(p *Pass) []Diagnostic {
 		case d.Reason == "":
 			out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Check: "directive",
 				Message: fmt.Sprintf("karousos:%s-ok directive needs a reason", d.Check)})
+		}
+	}
+	return out
+}
+
+// UnusedDirectives reports every well-formed directive in the pass's files
+// that covers none of the suppressed findings in ds, the diagnostics every
+// analyzer reported for this package. Only a run of every analyzer can tell
+// a directive is unused, so karousos-vet calls it on full runs alone.
+func UnusedDirectives(p *Pass, ds []Diagnostic) []Diagnostic {
+	known := KnownChecks()
+	var out []Diagnostic
+	for _, d := range p.parseDirectives() {
+		if d.Reason == "" || !slicesContains(known, d.Check) {
+			continue // malformed: CheckDirectives reports it
+		}
+		used := false
+		for _, f := range ds {
+			if f.Suppressed && d.covers(f.Check, p.Fset.Position(f.Pos)) {
+				used = true
+				break
+			}
+		}
+		if !used {
+			out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Check: "directive",
+				Message: fmt.Sprintf("karousos:%s-ok directive suppresses no finding", d.Check)})
 		}
 	}
 	return out

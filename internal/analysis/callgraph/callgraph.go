@@ -1,6 +1,6 @@
 // Package callgraph builds the static call graph of an analysis.Program —
 // the shared substrate of the interprocedural analyzers (advicetaint,
-// retrysound, conclint) and of detlint's named-goroutine resolution.
+// conclint) and of detlint's named-goroutine resolution.
 //
 // The graph is edge-per-call-site over statically resolvable callees:
 // direct function calls, qualified package calls, and method calls on
@@ -140,9 +140,8 @@ func (g *Graph) Callers(key string) []*Node {
 // TransitiveMatchers computes the set of node keys from which a call site
 // matching direct is reachable through resolved edges: a node matches if
 // direct reports true for one of its own call sites, or if it calls a
-// matching node. This is the shared reachability fact under locklint's
-// "holds a lock across blocking I/O" and retrysound's "this loop re-sends
-// an HTTP request". The direct matcher is run over Sites — every call
+// matching node. This is the reachability fact under locklint's "holds a
+// lock across blocking I/O". The direct matcher is run over Sites — every call
 // expression including dynamic and interface-dispatched ones — so a
 // shape-based matcher (an interface fsync) still fires where no edge
 // exists; only the transitive PROPAGATION is limited to resolved edges. A

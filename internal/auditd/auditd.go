@@ -687,13 +687,13 @@ func ProbeCheckpoint(fsys iofault.FS, path string) (lastProcessed uint64, memo *
 	blob, err := fsys.ReadFile(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		return 0, nil, CheckpointMissing //karousos:errladder-ok advisory probe; no checkpoint yet reads as missing
+		return 0, nil, CheckpointMissing // advisory probe; no checkpoint yet reads as missing
 	case err != nil:
-		return 0, nil, CheckpointCorrupt //karousos:errladder-ok advisory probe; an unreadable checkpoint reads as corrupt, not surfaced
+		return 0, nil, CheckpointCorrupt // advisory probe; an unreadable checkpoint reads as corrupt, not surfaced
 	}
 	var cp checkpoint
 	if err := json.Unmarshal(blob, &cp); err != nil {
-		return 0, nil, CheckpointCorrupt //karousos:errladder-ok advisory probe; a torn checkpoint reads as corrupt, not surfaced
+		return 0, nil, CheckpointCorrupt // advisory probe; a torn checkpoint reads as corrupt, not surfaced
 	}
 	if cp.LastProcessed < cp.LastAccepted {
 		cp.LastProcessed = cp.LastAccepted

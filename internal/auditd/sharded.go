@@ -71,9 +71,6 @@ type ShardedConfig struct {
 	// GraphDir, when set, receives each lane's execution graphs under
 	// shard-NN/, as in Config.GraphDir.
 	GraphDir string
-	// MaxRestarts bounds per-lane incarnation rebuilds after restartable
-	// failures within one pass. Defaults to 3.
-	MaxRestarts int
 	// Poll is the follow-mode polling interval. Defaults to 200ms.
 	Poll time.Duration
 	// FS and Backoff are as in Config; Backoff also paces lane rebuilds.
@@ -180,9 +177,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Lanes <= 0 || cfg.Lanes > m.Shards {
 		cfg.Lanes = m.Shards
 	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 3
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 200 * time.Millisecond
 	}
@@ -234,7 +228,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 
 // RunOnce drains every lane once: each lane routing-checks and audits, epoch
 // by epoch, all currently sealed epochs past its cursor, restarting itself
-// (up to MaxRestarts) on restartable failures. Lanes run concurrently up to
+// (up to maxLaneRestarts) on restartable failures. Lanes run concurrently up to
 // the lane budget; the pass returns how many epochs were graded across all
 // lanes and the first infrastructure error by shard order. Lane verdicts
 // — including rejections — are not errors here; they surface through
@@ -253,7 +247,7 @@ func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			n, err := s.lanes[i].step(ctx, s.cfg.MaxRestarts)
+			n, err := s.lanes[i].step(ctx)
 			results[i] = stepResult{n: n, err: err}
 		}(i)
 	}
@@ -328,10 +322,14 @@ func (s *Sharded) Result() ShardedResult {
 	return res
 }
 
+// maxLaneRestarts bounds per-lane incarnation rebuilds after restartable
+// failures within one pass.
+const maxLaneRestarts = 3
+
 // step is one lane pass: grade newly sealed epochs — routing, then audit,
 // epoch by epoch — rebuilding the lane's auditor from its checkpoint after
 // restartable failures. The caller owns the lane for the duration.
-func (l *lane) step(ctx context.Context, maxRestarts int) (int, error) {
+func (l *lane) step(ctx context.Context) (int, error) {
 	if l.haltedNow() != nil {
 		return 0, nil
 	}
@@ -365,10 +363,9 @@ func (l *lane) step(ctx context.Context, maxRestarts int) (int, error) {
 		// in-memory state may be poisoned) and rebuild from the durable
 		// checkpoint.
 		l.retire(aud)
-		if attempt >= maxRestarts {
-			return processed, fmt.Errorf("lane restart budget (%d) exhausted: %w", maxRestarts, err)
+		if attempt >= maxLaneRestarts {
+			return processed, fmt.Errorf("lane restart budget (%d) exhausted: %w", maxLaneRestarts, err)
 		}
-		//karousos:nondeterminism-ok restart backoff sleep; supervision timing is not part of any verdict
 		if l.cfg.Backoff.Wait(ctx, attempt) != nil {
 			return processed, err
 		}

@@ -334,7 +334,7 @@ func Run(dir string, sc Scenario) (*Result, error) {
 				return r.res, fmt.Errorf("chaos: restarting shard %d: %w", s, err)
 			}
 		}
-		adm := r.top.Collector(s).HealthSnapshot().Admission
+		adm := r.top.Collector(s).Status().Admission
 		r.res.Admission = append(r.res.Admission, adm)
 		if adm.PeakInflight > adm.MaxInflight || adm.PeakQueuedBytes > adm.MaxQueuedBytes {
 			r.violate("shard %d admission peaked past its ceilings: %+v", s, adm)
@@ -472,7 +472,7 @@ func (r *runner) applyDue(i int) error {
 		}
 		if st.MidEpoch {
 			col := r.top.Collector(st.Shard)
-			if col == nil || col.HealthSnapshot().ActiveRequests == 0 {
+			if col == nil || col.Status().ActiveRequests == 0 {
 				return nil
 			}
 		}

@@ -6,9 +6,8 @@
 // itself on the trusted path, appended to a durable epoch log before and
 // after each invocation. The advice is untrusted: the serving runtime
 // produces it, and nothing the advice says can change what the trace
-// records. A separate endpoint accepts (re-)uploaded advice blobs for the
-// active epoch, so a deployment where the server process is distinct from
-// the collector uses the same wire path our in-process pipeline does.
+// records. The collector embeds the runtime, so the advice reaches the log
+// only through the drain at every seal.
 //
 // The serving path is built to survive overload (DESIGN.md §14). Admission
 // is bounded: past a window of in-flight requests and queued body bytes,
@@ -84,7 +83,7 @@ type Config struct {
 	// Seed seeds the dispatch loop's scheduler.
 	Seed int64
 	// Limits clamps the advice size accepted into the log; its
-	// MaxAdviceBytes is enforced on upload and again on replay.
+	// MaxAdviceBytes is enforced on append and again on replay.
 	Limits verifier.Limits
 	// FS is the filesystem the collector and its epoch log write through.
 	// nil means the real OS; tests and chaos scenarios pass an
@@ -387,18 +386,15 @@ func (c *Collector) refreshLag() {
 // Handler returns the collector's HTTP mux:
 //
 //	POST /invoke  {"input": <value>} → {"rid": "...", "output": <value>}
-//	POST /advice  raw advice blob for the active epoch (untrusted)
 //	POST /seal    force-seal the active epoch → manifest (204 when empty)
-//	GET  /status  counters and epoch positions
-//	GET  /healthz epoch-log + admission detail, always 200 while the process lives
+//	GET  /healthz Status: counters, epoch positions, epoch-log and admission
+//	              detail; always 200 while the process lives
 //	GET  /readyz  200 when accepting traffic, 503 when closed, seal-stuck,
 //	              saturated, or too far ahead of the auditor
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /invoke", c.handleInvoke)
-	mux.HandleFunc("POST /advice", c.handleAdvice)
 	mux.HandleFunc("POST /seal", c.handleSeal)
-	mux.HandleFunc("GET /status", c.handleStatus)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	return mux
@@ -560,58 +556,6 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	return rid, out, status, ""
 }
 
-func (c *Collector) handleAdvice(w http.ResponseWriter, r *http.Request) {
-	max := int64(c.cfg.Limits.MaxAdviceBytes)
-	if max <= 0 {
-		max = 1 << 30
-	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
-	if err != nil {
-		// A partial body (client disconnect mid-upload) must never land in
-		// the log as a complete record: the last intact record wins at
-		// seal, so a truncated re-upload would clobber good advice.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "advice exceeds byte limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading advice body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// The upload holds the epoch gate shared so the blob cannot straddle a
-	// rotation and land in an epoch it does not describe.
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		http.Error(w, "collector closed", http.StatusServiceUnavailable)
-		return
-	}
-	err = iofault.Retry(r.Context(), c.cfg.Backoff, func() error {
-		return c.log.AppendAdvice(blob)
-	})
-	if err != nil {
-		if errors.Is(err, epochlog.ErrAdviceTooLarge) {
-			// Client fault, not infrastructure: the epoch is not degraded.
-			http.Error(w, "epoch log: "+err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		// The advice channel is untrusted and lossy by design: losing an
-		// upload never stops the collector from recording the trace, it only
-		// flags the epoch so a failed audit grades Unauditable.
-		c.log.MarkDegraded("advice append failed: " + err.Error())
-		status := http.StatusInternalServerError
-		if iofault.Classify(err) == iofault.ClassDegraded {
-			status = http.StatusInsufficientStorage
-		}
-		http.Error(w, "epoch log: "+err.Error(), status)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (c *Collector) handleSeal(w http.ResponseWriter, r *http.Request) {
 	m, err := c.seal(0)
 	if err != nil {
@@ -625,50 +569,18 @@ func (c *Collector) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// Status is the collector's observable state.
+// Status is the collector's observable state, served on /healthz.
 type Status struct {
 	App            string `json:"app"`
 	Mode           string `json:"mode"`
+	CommitMode     string `json:"commitMode"`
 	Served         int    `json:"served"`
 	ActiveSeq      uint64 `json:"activeSeq"`
 	ActiveEvents   int    `json:"activeEvents"`
 	ActiveRequests int    `json:"activeRequests"`
 	SealedEpochs   int    `json:"sealedEpochs"`
 	// Shed counts arrivals refused with 429 since boot.
-	Shed uint64 `json:"shed,omitempty"`
-}
-
-func (c *Collector) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
-}
-
-// Status reports the collector's counters.
-func (c *Collector) Status() Status {
-	c.mu.Lock()
-	served := c.served
-	c.mu.Unlock()
-	events, reqs := c.log.ActiveEvents()
-	return Status{
-		App:            c.cfg.Spec.Name,
-		Mode:           string(c.cfg.Mode),
-		Served:         served,
-		ActiveSeq:      c.log.ActiveSeq(),
-		ActiveEvents:   events,
-		ActiveRequests: reqs,
-		SealedEpochs:   len(c.log.Sealed()),
-		Shed:           c.adm.snapshot().Shed,
-	}
-}
-
-// Health is the epoch-log and admission health detail served on /healthz.
-type Health struct {
-	App            string `json:"app"`
-	Mode           string `json:"mode"`
-	CommitMode     string `json:"commitMode"`
-	ActiveSeq      uint64 `json:"activeSeq"`
-	ActiveEvents   int    `json:"activeEvents"`
-	ActiveRequests int    `json:"activeRequests"`
-	SealedEpochs   int    `json:"sealedEpochs"`
+	Shed uint64 `json:"shed"`
 	// PendingSeals counts epochs rotated out but not yet durably sealed.
 	PendingSeals int `json:"pendingSeals,omitempty"`
 	// OpenEpochAgeMS is how long ago the last seal completed — how stale
@@ -689,45 +601,49 @@ type Health struct {
 	AuditMemo *AuditMemoState `json:"auditMemo,omitempty"`
 }
 
-// HealthSnapshot reports the collector's epoch-log and admission health.
-func (c *Collector) HealthSnapshot() Health {
+// Status reports the collector's counters, epoch positions, and epoch-log
+// and admission health.
+func (c *Collector) Status() Status {
 	c.mu.Lock()
-	lastSeal, lastSealErr, closed := c.lastSeal, c.lastSealErr, c.closed
+	served, lastSeal, lastSealErr, closed := c.served, c.lastSeal, c.lastSealErr, c.closed
 	c.mu.Unlock()
 	events, reqs := c.log.ActiveEvents()
-	h := Health{
+	adm := c.adm.snapshot()
+	st := Status{
 		App:            c.cfg.Spec.Name,
 		Mode:           string(c.cfg.Mode),
 		CommitMode:     string(c.commit),
+		Served:         served,
 		ActiveSeq:      c.log.ActiveSeq(),
 		ActiveEvents:   events,
 		ActiveRequests: reqs,
 		SealedEpochs:   len(c.log.Sealed()),
+		Shed:           adm.Shed,
 		PendingSeals:   c.log.PendingSeals(),
 		OpenEpochAgeMS: time.Since(lastSeal).Milliseconds(),
 		Degraded:       c.log.Degraded(),
 		Closed:         closed,
-		Admission:      c.adm.snapshot(),
+		Admission:      adm,
 	}
 	if lastSealErr != nil {
-		h.LastSealError = lastSealErr.Error()
+		st.LastSealError = lastSealErr.Error()
 	}
 	if c.cfg.AuditMemo != nil {
 		if ms, ok := c.cfg.AuditMemo(); ok {
-			h.AuditMemo = &ms
+			st.AuditMemo = &ms
 		}
 	}
-	return h
+	return st
 }
 
 func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.refreshLag()
-	writeJSON(w, http.StatusOK, c.HealthSnapshot())
+	writeJSON(w, http.StatusOK, c.Status())
 }
 
 func (c *Collector) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	c.refreshLag()
-	h := c.HealthSnapshot()
+	h := c.Status()
 	switch {
 	case h.Closed:
 		http.Error(w, "collector closed", http.StatusServiceUnavailable)

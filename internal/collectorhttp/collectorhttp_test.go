@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/verifier"
 )
 
 func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -100,71 +97,6 @@ func TestInvokeRecordsAndSeals(t *testing.T) {
 	meta, err := ReadMeta(dir)
 	if err != nil || meta.App != "motd" || meta.Mode != advice.ModeKarousos {
 		t.Fatalf("meta = %+v, err %v", meta, err)
-	}
-}
-
-// TestAdviceEndpointLastWins: uploads to /advice land in the active epoch
-// and the last intact record wins over the collector's own drain — the
-// upload path is how an out-of-process server supplies its advice.
-func TestAdviceEndpointLastWins(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
-	resp, _ := post(t, ts.URL+"/advice", []byte("not-the-winner"))
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("advice upload: status %d", resp.StatusCode)
-	}
-	resp, body := post(t, ts.URL+"/seal", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seal: status %d", resp.StatusCode)
-	}
-	var m epochlog.Manifest
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-
-	_, blob, _, err := epochlog.ReadSealed(dir, m.Seq, epochlog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The collector drains its own advice at seal time, after the upload.
-	if adv, err := advice.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("winning record is not the drained advice: %v", err)
-	} else if adv.Mode != advice.ModeKarousos {
-		t.Fatalf("winning advice mode = %s", adv.Mode)
-	}
-}
-
-// TestAdviceByteLimitOverHTTP: an oversized upload is refused with 413 and
-// never reaches the log.
-func TestAdviceByteLimitOverHTTP(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{
-		Spec:   harness.MOTDApp(),
-		Dir:    dir,
-		Limits: verifier.Limits{MaxAdviceBytes: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-	defer c.Close()
-
-	resp, _ := post(t, ts.URL+"/advice", bytes.Repeat([]byte("x"), 65))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized advice: status %d, want 413", resp.StatusCode)
-	}
-	resp, _ = post(t, ts.URL+"/advice", []byte("small"))
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("in-limit advice: status %d", resp.StatusCode)
 	}
 }
 
@@ -275,53 +207,6 @@ func TestRestartRefusesRelabel(t *testing.T) {
 	}
 	if m, err := ReadMeta(dir); err != nil || m != (Meta{App: "motd", Mode: advice.ModeKarousos}) {
 		t.Fatalf("meta after refused relabels: %+v, %v", m, err)
-	}
-}
-
-// brokenBody yields some bytes, then fails — a client disconnecting
-// mid-upload.
-type brokenBody struct{ sent bool }
-
-func (b *brokenBody) Read(p []byte) (int, error) {
-	if !b.sent {
-		b.sent = true
-		return copy(p, "partial-advice"), nil
-	}
-	return 0, fmt.Errorf("client disconnected")
-}
-func (b *brokenBody) Close() error { return nil }
-
-// TestAdvicePartialBodyNotAppended: a body-read failure returns 400 and the
-// partial bytes never reach the log — an appended truncation would win over
-// an earlier intact record at seal time.
-func TestAdvicePartialBodyNotAppended(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	good := []byte("good-blob")
-	resp, _ := post(t, ts.URL+"/advice", good)
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("intact upload: status %d", resp.StatusCode)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/advice", &brokenBody{})
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("partial upload: status %d, want 400", rec.Code)
-	}
-	// Exactly one frame on disk: header + the intact record.
-	data, err := os.ReadFile(filepath.Join(dir, "ep000001.advice"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 8 + len(good); len(data) != want {
-		t.Fatalf("advice file is %d bytes, want %d (partial body appended?)", len(data), want)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestInvokeRetriesTransientAppend(t *testing.T) {
 	if fired := inj.Fired()[iofault.OpTransientEIO]; fired != 2 {
 		t.Fatalf("fired %d transient faults, want both absorbed", fired)
 	}
-	if got := c.HealthSnapshot().Degraded; got != "" {
+	if got := c.Status().Degraded; got != "" {
 		t.Fatalf("absorbed transient degraded the epoch: %q", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	if out["output"] == nil {
 		t.Fatalf("degraded invoke dropped the output: %v", out)
 	}
-	h := c.HealthSnapshot()
+	h := c.Status()
 	if !strings.Contains(h.Degraded, "response append failed") {
 		t.Fatalf("health degraded = %q, want response-append reason", h.Degraded)
 	}
@@ -101,28 +101,6 @@ func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	if m, err := c.Seal(); err != nil || m == nil || m.Degraded == "" {
 		t.Fatalf("sealed degraded epoch = %+v, %v", m, err)
 	}
-}
-
-// TestAdviceENOSPCDegradesNotFails: disk-full on the advice channel returns
-// 507, flags the epoch, and leaves the trusted path serving.
-func TestAdviceENOSPCDegradesNotFails(t *testing.T) {
-	inj := iofault.NewInjector(nil)
-	c, ts := newFaulted(t, inj, 0)
-	defer c.Close()
-
-	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
-	if err := inj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := post(t, ts.URL+"/advice", []byte("uploaded-advice"))
-	if resp.StatusCode != http.StatusInsufficientStorage {
-		t.Fatalf("advice upload on full disk: status %d (%s), want 507", resp.StatusCode, body)
-	}
-	if h := c.HealthSnapshot(); !strings.Contains(h.Degraded, "advice append failed") {
-		t.Fatalf("health degraded = %q, want advice-append reason", h.Degraded)
-	}
-	// Trusted path unaffected: the .advice filter spares the trace.
-	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
 }
 
 // TestSealAdviceLossDegradesButSeals: when the drained advice cannot be
@@ -146,8 +124,8 @@ func TestSealAdviceLossDegradesButSeals(t *testing.T) {
 	}
 }
 
-// TestHealthAndReadyEndpoints: /healthz always answers with epoch-log
-// detail; /readyz flips to 503 when sealing is stuck and again once closed.
+// TestHealthAndReadyEndpoints: /healthz always answers with the collector's
+// counters and epoch-log detail; /readyz flips to 503 when sealing is stuck and again once closed.
 func TestHealthAndReadyEndpoints(t *testing.T) {
 	inj := iofault.NewInjector(nil)
 	c, ts := newFaulted(t, inj, 2)
@@ -157,12 +135,21 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
-	var h Health
+	var h Status
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.App != "motd" || h.ActiveSeq != 1 || h.ActiveRequests != 1 || h.OpenEpochAgeMS < 0 {
+	if h.App != "motd" || h.ActiveSeq != 1 || h.ActiveRequests != 1 || h.Served != 1 || h.OpenEpochAgeMS < 0 {
 		t.Fatalf("healthz body: %+v", h)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"served", "shed"} {
+		if _, ok := fields[k]; !ok {
+			t.Fatalf("healthz body has no %q: %s", k, body)
+		}
 	}
 	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz while healthy: %d", resp.StatusCode)

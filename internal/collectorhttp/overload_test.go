@@ -120,7 +120,7 @@ func TestLagBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
-	var h Health
+	var h Status
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestHealthSurfacesAuditMemo(t *testing.T) {
 	}
 	have.Store(true)
 	_, body = get(t, ts.URL+"/healthz")
-	var h Health
+	var h Status
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,6 @@ type Options struct {
 	// batch rather than per frame). Off by default: the legacy append path
 	// and its call-count fault semantics are unchanged unless opted in.
 	GroupCommit bool
-	// MaxBatchFrames caps how many frames one group-commit batch carries
-	// (default 512).
-	MaxBatchFrames int
 	// CommitQueue caps enqueued-but-uncommitted durable appends (default
 	// 4096). A full queue refuses with ErrCommitQueueFull rather than
 	// queueing unboundedly.
@@ -291,9 +288,6 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, err
 	}
 	if opt.GroupCommit {
-		if l.opt.MaxBatchFrames <= 0 {
-			l.opt.MaxBatchFrames = 512
-		}
 		if l.opt.CommitQueue <= 0 {
 			l.opt.CommitQueue = 4096
 		}

@@ -97,8 +97,11 @@ func (l *Log) AppendEventDurable(ctx context.Context, e trace.Event) error {
 	return l.AppendEventAsync(ctx, e).Wait()
 }
 
+// maxBatchFrames caps how many frames one group-commit batch carries.
+const maxBatchFrames = 512
+
 // committer is the group-commit loop: it blocks for one enqueued waiter,
-// then drains whatever else arrived (up to MaxBatchFrames) and commits the
+// then drains whatever else arrived (up to maxBatchFrames) and commits the
 // whole batch under one write+fsync. Batch size is emergent — light load
 // commits single frames at per-frame latency, heavy load amortizes one
 // fsync across hundreds of frames — the classic group-commit bargain.
@@ -116,7 +119,7 @@ func (l *Log) committer() {
 		runtime.Gosched()
 		batch := []*commitWaiter{w}
 	fill:
-		for len(batch) < l.opt.MaxBatchFrames {
+		for len(batch) < maxBatchFrames {
 			select {
 			case w2, ok := <-l.commitCh:
 				if !ok {

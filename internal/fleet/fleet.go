@@ -37,8 +37,6 @@ type MemberSpec struct {
 	Argv []string
 	// Dir is the working directory ("" = inherit).
 	Dir string
-	// Env entries are appended to the parent environment.
-	Env []string
 	// ReadyURL, when set, is polled (GET, expect 200) before Start
 	// returns and after every restart. "" means ready-on-start.
 	ReadyURL string
@@ -68,20 +66,17 @@ type MemberStatus struct {
 type Config struct {
 	Members []MemberSpec
 	// Output receives every member's combined stdout+stderr, each line
-	// prefixed "[name] ". Writes are serialized by the supervisor, so a
-	// plain bytes.Buffer is safe. nil discards.
+	// prefixed "[name] ", and the supervisor's own events (spawn, crash,
+	// restart, stop) as "[fleet] " lines. Writes are serialized by the
+	// supervisor, so a plain bytes.Buffer is safe. nil discards.
 	Output io.Writer
-	// ReadyTimeout bounds one member's readiness wait (default 15s).
-	ReadyTimeout time.Duration
 	// RestartBackoff is the delay before the first restart, doubling per
 	// consecutive restart up to a minute (default 100ms).
 	RestartBackoff time.Duration
-	// Logf receives supervisor events (spawn, crash, restart, stop). nil
-	// writes "[fleet] " lines to Output when that is set, else discards.
-	// A custom Logf must be safe to call concurrently and must not write
-	// to Output unsynchronized.
-	Logf func(format string, args ...any)
 }
+
+// readyTimeout bounds one member's readiness wait.
+const readyTimeout = 15 * time.Second
 
 // member is one supervised process's live state.
 type member struct {
@@ -101,7 +96,6 @@ type member struct {
 // Supervisor runs a fleet of member processes.
 type Supervisor struct {
 	cfg     Config
-	logf    func(string, ...any)
 	out     *syncWriter
 	members []*member
 	byName  map[string]*member
@@ -121,9 +115,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("fleet: no members")
 	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 15 * time.Second
-	}
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = 100 * time.Millisecond
 	}
@@ -133,16 +124,6 @@ func New(cfg Config) (*Supervisor, error) {
 		// One lock serializes every writer into Output: member stdout/stderr
 		// copiers and the supervisor's own log lines all interleave here.
 		s.out = &syncWriter{w: cfg.Output}
-	}
-	switch {
-	case cfg.Logf != nil:
-		s.logf = cfg.Logf
-	case s.out != nil:
-		s.logf = func(format string, args ...any) {
-			fmt.Fprintf(s.out, "[fleet] "+format+"\n", args...)
-		}
-	default:
-		s.logf = func(string, ...any) {}
 	}
 	for _, spec := range cfg.Members {
 		if spec.Name == "" || len(spec.Argv) == 0 {
@@ -160,6 +141,13 @@ func New(cfg Config) (*Supervisor, error) {
 		s.byName[spec.Name] = m
 	}
 	return s, nil
+}
+
+// logf writes one supervisor event to Output as a "[fleet] " line.
+func (s *Supervisor) logf(format string, args ...any) {
+	if s.out != nil {
+		fmt.Fprintf(s.out, "[fleet] "+format+"\n", args...)
+	}
 }
 
 // Start spawns every member in order and waits for each one's readiness.
@@ -188,9 +176,6 @@ func (s *Supervisor) Start(ctx context.Context) error {
 func (s *Supervisor) spawn(m *member) error {
 	cmd := exec.Command(m.spec.Argv[0], m.spec.Argv[1:]...)
 	cmd.Dir = m.spec.Dir
-	if len(m.spec.Env) > 0 {
-		cmd.Env = append(cmd.Environ(), m.spec.Env...)
-	}
 	if s.out != nil {
 		pw := &prefixWriter{w: s.out, prefix: "[" + m.spec.Name + "] "}
 		cmd.Stdout = pw
@@ -263,7 +248,7 @@ func (s *Supervisor) monitor(m *member, cmd *exec.Cmd) {
 	}
 	// Readiness after a restart is polled in the background: the fleet's
 	// front door reports the hole via its own AND-/readyz meanwhile.
-	go s.waitReady(context.Background(), m) //karousos:errladder-ok readiness after restart is advisory; Status and /readyz carry the signal
+	go s.waitReady(context.Background(), m) // readiness after restart is advisory; Status and /readyz carry the signal
 }
 
 // waitReady polls the member's ReadyURL until 200, timeout, or ctx done.
@@ -271,7 +256,7 @@ func (s *Supervisor) waitReady(ctx context.Context, m *member) error {
 	if m.spec.ReadyURL == "" {
 		return nil
 	}
-	deadline := time.Now().Add(s.cfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	client := &http.Client{Timeout: time.Second}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -297,7 +282,7 @@ func (s *Supervisor) waitReady(ctx context.Context, m *member) error {
 			return fmt.Errorf("fleet: %s exited before becoming ready", m.spec.Name)
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet: %s not ready after %v", m.spec.Name, s.cfg.ReadyTimeout)
+			return fmt.Errorf("fleet: %s not ready after %v", m.spec.Name, readyTimeout)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -385,7 +370,7 @@ func (s *Supervisor) Stop(grace time.Duration) error {
 		m.stopping = true
 		if m.running && m.cmd != nil && m.cmd.Process != nil {
 			s.logf("fleet: stopping %s (SIGTERM)", m.spec.Name)
-			m.cmd.Process.Signal(syscall.SIGTERM) //karousos:errladder-ok the grace-period SIGKILL below is the fallback for a failed signal
+			m.cmd.Process.Signal(syscall.SIGTERM) // the grace-period SIGKILL below is the fallback for a failed signal
 		} else {
 			// Already down; nothing will close dead unless it was closed by
 			// the monitor — check below.
@@ -408,7 +393,7 @@ func (s *Supervisor) Stop(grace time.Duration) error {
 			m.mu.Lock()
 			if m.running && m.cmd != nil && m.cmd.Process != nil {
 				s.logf("fleet: %s outlived the grace period (SIGKILL)", m.spec.Name)
-				m.cmd.Process.Kill() //karousos:errladder-ok the process is already past grace; Wait below reports its end state
+				m.cmd.Process.Kill() // the process is already past grace; Wait below reports its end state
 				if firstErr == nil {
 					firstErr = fmt.Errorf("fleet: %s needed SIGKILL", m.spec.Name)
 				}
@@ -456,10 +441,10 @@ func (p *prefixWriter) Write(b []byte) (int, error) {
 		line := data[:i+1]
 		data = data[i+1:]
 		if _, err := io.WriteString(p.w, p.prefix); err != nil {
-			return len(b), nil //karousos:errladder-ok member log decoration is best-effort
+			return len(b), nil // member log decoration is best-effort
 		}
 		if _, err := p.w.Write(line); err != nil {
-			return len(b), nil //karousos:errladder-ok member log decoration is best-effort
+			return len(b), nil // member log decoration is best-effort
 		}
 	}
 	return len(b), nil

@@ -28,7 +28,7 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// BreakerStatus is one shard breaker's state for /status.
+// BreakerStatus is one shard breaker's state for /healthz.
 type BreakerStatus struct {
 	Shard    int    `json:"shard"`
 	State    string `json:"state"`
@@ -132,33 +132,34 @@ func (b *breaker) snapshot(shard int) BreakerStatus {
 	return BreakerStatus{Shard: shard, State: b.state.String(), Failures: b.failures, Opened: b.opened}
 }
 
+// Retry budget shape: every proxied request earns retryBudgetRatio tokens,
+// capped at retryBudgetMax, so retries add at most ~20% load on top of
+// offered traffic.
+const (
+	retryBudgetMax   = 16
+	retryBudgetRatio = 0.2
+)
+
 // retryBudget is the gateway-wide token bucket bounding total retry
-// amplification: every proxied request earns ratio tokens (capped), every
-// retry spends one. Under a full partition the budget drains and retries
-// stop — the gateway degrades instead of tripling the storm.
+// amplification: every proxied request earns tokens (capped), every retry
+// spends one. Under a full partition the budget drains and retries stop —
+// the gateway degrades instead of tripling the storm.
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	max    float64
-	ratio  float64
 }
 
-func newRetryBudget(max, ratio float64) *retryBudget {
-	if max <= 0 {
-		max = 16
-	}
-	if ratio <= 0 {
-		ratio = 0.2
-	}
-	// Start full so a cold gateway can retry its very first request.
-	return &retryBudget{tokens: max, max: max, ratio: ratio}
+// newRetryBudget starts full so a cold gateway can retry its very first
+// request.
+func newRetryBudget() *retryBudget {
+	return &retryBudget{tokens: retryBudgetMax}
 }
 
 func (b *retryBudget) earn() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.max {
-		b.tokens = b.max
+	b.tokens += retryBudgetRatio
+	if b.tokens > retryBudgetMax {
+		b.tokens = retryBudgetMax
 	}
 	b.mu.Unlock()
 }

@@ -23,13 +23,13 @@
 // retried, under bounded exponential backoff and a gateway-wide retry
 // budget — /invoke is not idempotent, so an ambiguous failure (timeout,
 // reset after send) is never re-issued. Consecutive transport failures
-// open that shard's circuit breaker (closed→open→half-open, /status
+// open that shard's circuit breaker (closed→open→half-open, /healthz
 // exposure); while it is open, only requests routing to that shard
 // fast-fail with 503 + Retry-After and every other shard keeps serving.
 // A dark shard therefore degrades exactly its own keyspace, and its
 // unsealed epochs grade Unauditable at merge — degradation, never a false
 // accusation. /readyz aggregates, reporting ready only when every shard
-// backend is; idempotent health probes may be hedged (Tuning.HedgeAfter).
+// backend is.
 package gateway
 
 import (
@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
@@ -67,8 +66,8 @@ type Config struct {
 	// gateway→shard hop on the fault schedule. nil means the default
 	// transport.
 	Transport http.RoundTripper
-	// Tuning bounds retries, breakers, hedging and degradation hints;
-	// the zero value means defaults.
+	// Tuning bounds retries, breakers and degradation hints; the zero
+	// value means defaults.
 	Tuning Tuning
 	// MaxRequestBytes bounds one /invoke body read at the gateway (413
 	// past it). <=0 means 1 MiB, matching the collector's default.
@@ -99,7 +98,6 @@ type Gateway struct {
 	tuning   Tuning
 	breakers []*breaker
 	budget   *retryBudget
-	hedges   atomic.Uint64
 
 	mu       sync.Mutex
 	backends []string
@@ -131,7 +129,7 @@ func New(cfg Config) (*Gateway, error) {
 		client:   client,
 		tuning:   tuning,
 		breakers: breakers,
-		budget:   newRetryBudget(tuning.RetryBudget, tuning.RetryBudgetRatio),
+		budget:   newRetryBudget(),
 		backends: append([]string(nil), cfg.Backends...),
 		counters: make([]ShardCounters, cfg.Map.Shards),
 	}, nil
@@ -173,14 +171,13 @@ func (g *Gateway) count(s int, f func(*ShardCounters)) {
 //	POST /invoke  routed to ShardOf(input)'s backend; response passed
 //	              through with X-Karousos-Shard set
 //	POST /seal    fans out to every backend; 200 with per-shard results
-//	GET  /status  per-shard backend status plus gateway counters
-//	GET  /healthz gateway-level detail, 200 while the process lives
+//	GET  /healthz gateway counters and breakers plus every backend's
+//	              /healthz, 200 while the process lives
 //	GET  /readyz  200 only when every shard backend reports ready
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /invoke", g.handleInvoke)
 	mux.HandleFunc("POST /seal", g.handleSeal)
-	mux.HandleFunc("GET /status", g.handleStatus)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	return mux
@@ -242,7 +239,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body) //karousos:errladder-ok best-effort proxy body; the status header is already sent
+	_, _ = w.Write(resp.body) // best-effort proxy body; the status header is already sent
 }
 
 // sealResult is one backend's answer to a fanned-out /seal.
@@ -287,7 +284,7 @@ func (g *Gateway) sealShard(i int) sealResult {
 		return sealResult{Shard: i, Error: err.Error()}
 	}
 	defer resp.Body.Close()
-	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) //karousos:errladder-ok best-effort seal report body
+	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // best-effort seal report body
 	out := sealResult{Shard: i, Status: resp.StatusCode}
 	if json.Valid(blob) {
 		out.Body = blob
@@ -304,9 +301,8 @@ type shardProbe struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-// probe GETs path on every backend concurrently — hedged when
-// Tuning.HedgeAfter is set (safe: probes are idempotent). Probe outcomes
-// feed the breakers without consulting them: a health sweep can both
+// probe GETs path on every backend concurrently. Probe outcomes feed the
+// breakers without consulting them: a health sweep can both
 // detect a dark shard before any invoke pays for the discovery and close
 // an open circuit the moment the backend answers again.
 func (g *Gateway) probe(path string) []shardProbe {
@@ -318,7 +314,7 @@ func (g *Gateway) probe(path string) []shardProbe {
 			defer wg.Done()
 			backend := g.backend(i)
 			results[i] = shardProbe{Shard: i, Backend: backend}
-			resp, err := g.hedgedGet(context.Background(), backend+path)
+			resp, err := g.probeGet(context.Background(), backend+path)
 			if err != nil {
 				g.breakers[i].onFailure()
 				results[i].Error = err.Error()
@@ -326,7 +322,7 @@ func (g *Gateway) probe(path string) []shardProbe {
 			}
 			defer resp.Body.Close()
 			g.breakers[i].onSuccess()
-			blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) //karousos:errladder-ok best-effort probe body
+			blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // best-effort probe body
 			results[i].Status = resp.StatusCode
 			if json.Valid(blob) {
 				results[i].Body = blob
@@ -346,21 +342,14 @@ func (g *Gateway) Breakers() []BreakerStatus {
 	return out
 }
 
-func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	// Probe first: its outcomes feed the breakers reported alongside.
+	backends := g.probe("/healthz")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shards":   g.cfg.Map.Shards,
 		"counters": g.Counters(),
 		"breakers": g.Breakers(),
-		"hedges":   g.hedges.Load(),
-		"backends": g.probe("/status"),
-	})
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"shards":   g.cfg.Map.Shards,
-		"counters": g.Counters(),
-		"backends": g.probe("/healthz"),
+		"backends": backends,
 	})
 }
 
@@ -385,5 +374,5 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) //karousos:errladder-ok best-effort response body; the status header is already sent
+	_ = json.NewEncoder(w).Encode(v) // best-effort response body; the status header is already sent
 }

@@ -164,8 +164,8 @@ func TestReadyzAggregates(t *testing.T) {
 	}
 }
 
-// TestSealFanoutAndStatus: /seal reaches every backend; /status reports
-// per-shard collector state plus gateway counters.
+// TestSealFanoutAndStatus: /seal reaches every backend; /healthz reports
+// gateway counters and breakers plus one collector document per backend.
 func TestSealFanoutAndStatus(t *testing.T) {
 	root := t.TempDir()
 	m := wikiMap(2)
@@ -214,24 +214,41 @@ func TestSealFanoutAndStatus(t *testing.T) {
 		t.Fatalf("topology root has no readable shard map: %v", err)
 	}
 
-	sresp, err := http.Get(ts.URL + "/status")
+	sresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var status struct {
+	var health struct {
 		Shards   int             `json:"shards"`
 		Counters []ShardCounters `json:"counters"`
+		Breakers []BreakerStatus `json:"breakers"`
 		Backends []struct {
 			Shard  int `json:"shard"`
 			Status int `json:"status"`
+			Body   struct {
+				Served int `json:"served"`
+			} `json:"body"`
 		} `json:"backends"`
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&status); err != nil {
+	if err := json.NewDecoder(sresp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if status.Shards != 2 || len(status.Backends) != 2 || len(status.Counters) != 2 {
-		t.Fatalf("status shape: %+v", status)
+	if health.Shards != 2 || len(health.Backends) != 2 || len(health.Counters) != 2 || len(health.Breakers) != 2 {
+		t.Fatalf("healthz shape: %+v", health)
+	}
+	served := 0
+	for i, b := range health.Backends {
+		if b.Shard != i || b.Status != http.StatusOK {
+			t.Fatalf("backend %d healthz: %+v", i, b)
+		}
+		if health.Breakers[i].State != "closed" {
+			t.Fatalf("shard %d breaker %q after clean traffic", i, health.Breakers[i].State)
+		}
+		served += b.Body.Served
+	}
+	if served != 16 {
+		t.Fatalf("backends report %d served, want 16", served)
 	}
 }
 

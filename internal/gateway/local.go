@@ -82,12 +82,12 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	}
 	for s := range t.backends {
 		if err := t.boot(s); err != nil {
-			t.Close() //karousos:errladder-ok partial-boot cleanup; the boot failure is the error that surfaces
+			t.Close() // partial-boot cleanup; the boot failure is the error that surfaces
 			return nil, err
 		}
 	}
 	if err := t.newGateway(); err != nil {
-		t.Close() //karousos:errladder-ok partial-boot cleanup; the gateway failure is the error that surfaces
+		t.Close() // partial-boot cleanup; the gateway failure is the error that surfaces
 		return nil, err
 	}
 	return t, nil

@@ -24,20 +24,11 @@ type Tuning struct {
 	// (default 2). Only provably-unsent requests are ever retried —
 	// netfault.ClassRetryable — because /invoke is not idempotent.
 	MaxRetries int
-	// RetryBudget caps stored retry tokens (default 16); RetryBudgetRatio
-	// is the fraction of proxied requests that earn a token (default 0.2,
-	// i.e. retries may add at most ~20% load on top of offered traffic).
-	RetryBudget      float64
-	RetryBudgetRatio float64
 	// BreakerFailures consecutive transport failures open a shard's
 	// circuit (default 5); BreakerOpenFor is the open window before a
 	// half-open probe (default 1s).
 	BreakerFailures int
 	BreakerOpenFor  time.Duration
-	// HedgeAfter, when >0, races a second identical GET against any
-	// health/status probe still unanswered after this long — idempotent
-	// requests only, first answer wins.
-	HedgeAfter time.Duration
 	// RetryAfter is the hint stamped on gateway-degraded 503s (default 1s).
 	RetryAfter time.Duration
 	// Backoff shapes the retry delays (zero = 10ms base, 250ms max).
@@ -144,70 +135,22 @@ func (g *Gateway) degrade(w http.ResponseWriter, s int, why string) {
 	http.Error(w, fmt.Sprintf("shard %d unavailable: %s", s, why), http.StatusServiceUnavailable)
 }
 
-// hedgedGet GETs url, racing a second attempt after HedgeAfter when
-// hedging is on. Safe only because probes are idempotent GETs; /invoke
-// never hedges.
-func (g *Gateway) hedgedGet(ctx context.Context, url string) (*http.Response, error) {
+// probeGet GETs url under the per-try timeout. The returned body cancels
+// the timeout when closed.
+func (g *Gateway) probeGet(ctx context.Context, url string) (*http.Response, error) {
 	tctx, cancel := context.WithTimeout(ctx, g.tuning.PerTryTimeout)
-	get := func() (*http.Response, error) {
-		req, err := http.NewRequestWithContext(tctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		return g.client.Do(req)
+	req, err := http.NewRequestWithContext(tctx, http.MethodGet, url, nil)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-	if g.tuning.HedgeAfter <= 0 {
-		resp, err := get()
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		// cancel when the caller closes the body
-		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
+	resp, err := g.client.Do(req)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-	type result struct {
-		resp *http.Response
-		err  error
-	}
-	ch := make(chan result, 2)
-	launch := func() { r, err := get(); ch <- result{r, err} }
-	go launch()
-	launched, got := 1, 0
-	timer := time.NewTimer(g.tuning.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for got < launched {
-		select {
-		case <-timer.C:
-			if launched == 1 {
-				launched++
-				g.hedges.Add(1)
-				go launch()
-			}
-		case r := <-ch:
-			got++
-			if r.err == nil {
-				// First answer wins. Closing the winner's body cancels tctx,
-				// which aborts the loser; the drainer closes whatever the
-				// loser still delivers.
-				if got < launched {
-					go func() {
-						if late := <-ch; late.err == nil {
-							late.resp.Body.Close()
-						}
-					}()
-				}
-				r.resp.Body = &cancelBody{ReadCloser: r.resp.Body, cancel: cancel}
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		}
-	}
-	cancel()
-	return nil, firstErr
+	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	return resp, nil
 }
 
 type cancelBody struct {

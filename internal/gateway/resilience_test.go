@@ -351,33 +351,3 @@ func TestGatewayRestartStateless(t *testing.T) {
 		}
 	}
 }
-
-// TestHedgedProbes: with HedgeAfter set and one sluggish backend, /readyz
-// still answers promptly and the hedge counter moves.
-func TestHedgedProbes(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(150 * time.Millisecond)
-		w.Write([]byte(`{"ready":true}`))
-	}))
-	defer slow.Close()
-	tn := fastTuning()
-	tn.HedgeAfter = 20 * time.Millisecond
-	gw, err := New(Config{Map: wikiMap(1), Backends: []string{slow.URL}, Tuning: tn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(gw.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz through slow backend: %d", resp.StatusCode)
-	}
-	if gw.hedges.Load() == 0 {
-		t.Fatal("slow probe did not hedge")
-	}
-}

@@ -8,14 +8,11 @@
 //
 // Arming, healing, and the seeded fire schedule live in internal/fault;
 // this package owns the operator catalogue, what a fired operator does to
-// a round trip or a connection, and the ladder that reads the error back.
+// a round trip, and the ladder that reads the error back.
 //
-// Two plug points cover both ends of an HTTP hop:
-//
-//   - Injector.Transport wraps an http.RoundTripper — the gateway's proxy
-//     client threads every backend request through the schedule;
-//   - Injector.Listener wraps a net.Listener — a collector's serve loop
-//     accepts connections that reset, stall, or die mid-response.
+// The plug point is Injector.Transport, which wraps an http.RoundTripper:
+// the gateway's proxy client threads every backend request through the
+// schedule.
 //
 // The invariant the chaos harness uses this package to enforce is the
 // network restatement of iofault's: a network fault must never surface as
@@ -34,19 +31,14 @@ import (
 	"karousos.dev/karousos/internal/fault"
 )
 
-// The two interception points; every operator applies to both.
-const (
-	// CallRequest is one whole client-side HTTP round trip (Transport).
-	CallRequest fault.Call = "request"
-	// CallAccept is one accepted server-side connection (Listener).
-	CallAccept fault.Call = "accept"
-)
+// CallRequest is the interception point: one whole client-side HTTP round
+// trip (Transport).
+const CallRequest fault.Call = "request"
 
 // Operator names. Each models one network failure class.
 const (
 	// OpConnRefused fails the round trip before any request byte is sent
-	// (dial refused); the accepted server-side connection is closed before
-	// any byte is read. Provably safe to retry.
+	// (dial refused). Provably safe to retry.
 	OpConnRefused = "conn-refused"
 	// OpConnReset forwards the request to the peer, then loses the
 	// response to a reset — the dangerous half-failure: the peer may have
@@ -58,8 +50,7 @@ const (
 	// fires — a partitioned link dropping packets. The client sees a
 	// timeout, which is ambiguous by definition.
 	OpBlackhole = "blackhole"
-	// OpSlowResponse delays the response without erroring — latency, the
-	// hedging trigger.
+	// OpSlowResponse delays the response without erroring — latency.
 	OpSlowResponse = "slow-response"
 	// OpPartialBody delivers the response status and headers, then
 	// truncates the body halfway — a connection dying mid-transfer.
@@ -87,7 +78,7 @@ var operators = []fault.Operator{
 type FaultError struct {
 	Op        string     // operator name
 	Call      fault.Call // interception point
-	Target    string     // host (Transport) or remote address (Listener)
+	Target    string     // "host/path" of the round trip
 	Forwarded bool       // request bytes may have reached the peer
 	Err       error      // underlying errno / sentinel
 }
@@ -104,10 +95,9 @@ func (e *FaultError) Timeout() bool { return e.Op == OpBlackhole }
 // Temporary is retained for net.Error compatibility.
 func (e *FaultError) Temporary() bool { return !e.Forwarded }
 
-// Injector wraps transports and listeners with armed fault operators; the
-// embedded schedule supplies Arm, ArmSpec, Heal, HealTarget, Counts, and
-// Fired. The Arm target filter matches "host/path" on the Transport and
-// the remote address on the Listener.
+// Injector wraps transports with armed fault operators; the embedded
+// schedule supplies Arm, ArmSpec, Heal, HealTarget, Counts, and Fired. The
+// Arm target filter matches "host/path".
 type Injector struct {
 	*fault.Schedule
 	// MaxBlock caps how long a blackhole stalls when the caller's context

@@ -229,53 +229,6 @@ func TestTargetFilterAndHealTarget(t *testing.T) {
 	}
 }
 
-func TestListenerFaults(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits atomic.Int64
-	in := NewInjector()
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		fmt.Fprint(w, strings.Repeat("x", 4096))
-	})}
-	go srv.Serve(in.Listener(ln))
-	t.Cleanup(func() { srv.Close() })
-	url := "http://" + ln.Addr().String()
-
-	// conn-reset through the listener: the handler runs, the client loses
-	// the response.
-	if err := in.Arm(OpConnReset, fault.Arm{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh client per probe: a pooled conn would dodge the next Accept.
-	c := &http.Client{Timeout: 2 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
-	resp, err := c.Get(url)
-	if err == nil {
-		// The reset may surface as a read error on the body instead.
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatal("want reset through faulted listener")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("hits = %d: listener conn-reset must let the request through", hits.Load())
-	}
-
-	// Healed: normal service.
-	resp, err = c.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := in.Counts()[CallAccept]; got < 2 {
-		t.Fatalf("Counts[accept] = %d, want >= 2", got)
-	}
-}
-
 func TestClassifyLadder(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -153,31 +153,3 @@ func (t *Trace) Outputs() map[string]value.V {
 	}
 	return out
 }
-
-// PrecedencePair is one time-precedence fact: the response of Before was
-// delivered strictly before the request of After arrived, so any valid
-// schedule must order them (Orochi's CreateTimePrecedenceGraph, reused by
-// Karousos §4.3).
-type PrecedencePair struct {
-	Before, After string
-}
-
-// PrecedencePairs returns a transitively-sufficient set of time-precedence
-// facts in O(n) pairs: each response is linked to the next request event, and
-// the verifier inserts barrier chaining so the transitive closure covers
-// every earlier response vs. every later request.
-//
-// The returned slices are grouped: Links[i] says "all responses with
-// BarrierIndex ≤ i precede request Reqs[i]". The verifier materializes this
-// with one barrier-node chain rather than O(n²) edges.
-type PrecedenceSchedule struct {
-	// Order lists the trace events as (kind, rid) in chronological order,
-	// already filtered to REQ/RESP.
-	Order []Event
-}
-
-// Precedence returns the chronological event order used to build the
-// time-precedence portion of the execution graph.
-func (t *Trace) Precedence() PrecedenceSchedule {
-	return PrecedenceSchedule{Order: t.Events}
-}
