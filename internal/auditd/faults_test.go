@@ -342,3 +342,44 @@ func TestSupervisorStopsOnHonestReject(t *testing.T) {
 		t.Fatalf("lane rebuilt %d times on an honest reject", rep.Restarts)
 	}
 }
+
+// TestLaneRestartBudgetExhausts: a lane whose every incarnation dies on an
+// infrastructure failure (each checkpoint fsync fails) is rebuilt
+// maxLaneRestarts times, then the pass gives up with the failure instead
+// of spinning. A failure outside the verifier never turns a verdict the
+// dying incarnations reached into anything but an accept.
+func TestLaneRestartBudgetExhausts(t *testing.T) {
+	dir := t.TempDir()
+	sealEpochs(t, dir, nil, 30, 10)
+
+	inj := iofault.NewInjector(nil)
+	sh, err := NewSharded(ShardedConfig{
+		Root:          dir,
+		CheckpointDir: filepath.Join(t.TempDir(), "auditd.ckpt"),
+		FS:            inj,
+		Backoff:       quietBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".ckpt"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Audit(context.Background()); err == nil || !strings.Contains(err.Error(), "restart budget") {
+		t.Fatalf("audit with a dead checkpoint disk: %v, want the restart budget exhausted", err)
+	}
+	rep := sh.Result().Shards[0]
+	// The first incarnation and each of its maxLaneRestarts rebuilds is
+	// retired when it dies.
+	if rep.Restarts != maxLaneRestarts+1 {
+		t.Fatalf("lane retired %d incarnations, want %d", rep.Restarts, maxLaneRestarts+1)
+	}
+	if len(rep.Verdicts) == 0 {
+		t.Fatal("no incarnation graded an epoch before its checkpoint failed")
+	}
+	for _, v := range rep.Verdicts {
+		if !v.Accepted() {
+			t.Fatalf("infra fault produced non-accept verdict: %+v", v)
+		}
+	}
+}

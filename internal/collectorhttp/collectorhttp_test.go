@@ -235,3 +235,61 @@ func TestRIDsMonotonicAcrossEpochs(t *testing.T) {
 		t.Fatalf("sealed %d epochs (err %v), want 5", len(sealed), err)
 	}
 }
+
+// TestServesExactlyItsRoutes: the collector answers POST /invoke, POST
+// /seal, GET /healthz and GET /readyz and nothing else. Advice is never
+// uploaded: bytes posted to /advice are refused, and the sealed epoch
+// carries the blob the seal drained from the embedded runtime.
+func TestServesExactlyItsRoutes(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
+	forged := []byte("forged advice")
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/advice", http.StatusNotFound},
+		{http.MethodGet, "/status", http.StatusNotFound},
+		{http.MethodGet, "/invoke", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/seal", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/readyz", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/readyz", http.StatusOK},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(forged))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+
+	if resp, body := post(t, ts.URL+"/seal", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seal: status %d: %s", resp.StatusCode, body)
+	}
+	_, blob, _, err := epochlog.ReadSealed(dir, 1, epochlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(blob, forged) {
+		t.Fatal("sealed epoch carries the bytes posted to /advice")
+	}
+	if _, err := advice.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("sealed advice is not the drained blob: %v", err)
+	}
+}

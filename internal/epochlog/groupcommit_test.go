@@ -485,3 +485,49 @@ func TestRecoverySealPreservesFreshMarker(t *testing.T) {
 		t.Fatalf("recovery-sealed epoch lost its fresh mark: %+v", sealed)
 	}
 }
+
+// TestGroupCommitBatchCap: a backlog larger than maxBatchFrames commits in
+// batches of at most maxBatchFrames frames, one fsync each, and every
+// queued frame lands. The committer's first batch is stalled in a retry
+// so the whole backlog is queued before it drains.
+func TestGroupCommitBatchCap(t *testing.T) {
+	inj := iofault.NewInjector(nil)
+	blocked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	l := openGroup(t, t.TempDir(), Options{FS: inj, Backoff: fault.Backoff{
+		Attempts: 100,
+		Sleep: func(time.Duration) {
+			once.Do(func() { close(blocked) })
+			<-release
+		},
+	}})
+	defer l.Close()
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
+		t.Fatal(err)
+	}
+	before := inj.Counts()[iofault.CallSync]
+	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
+	<-blocked // committer holds r0, retrying
+	const backlog = 2*maxBatchFrames + 76
+	acks := make([]*Ack, backlog)
+	for i := range acks {
+		acks[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
+	}
+	close(release)
+	if err := first.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range acks {
+		if err := a.Wait(); err != nil {
+			t.Fatalf("queued append %d: %v", i, err)
+		}
+	}
+	// r0 alone, then two full batches and the 76-frame remainder.
+	if got, want := inj.Counts()[iofault.CallSync]-before, 1+3; got != want {
+		t.Fatalf("%d data fsyncs for a %d-frame backlog, want %d (batches capped at %d)", got, backlog, want, maxBatchFrames)
+	}
+	if events, _ := l.ActiveEvents(); events != backlog+1 {
+		t.Fatalf("%d events committed, want %d", events, backlog+1)
+	}
+}

@@ -218,6 +218,44 @@ func TestNeverRestart(t *testing.T) {
 	sup.Stop(time.Second)
 }
 
+// TestSupervisorEventsOnOutput: the supervisor's own events reach Output
+// as whole "[fleet] " lines, interleaved with the members' prefixed lines.
+func TestSupervisorEventsOnOutput(t *testing.T) {
+	var out lockedBuffer
+	sup, err := New(Config{
+		Members:        []MemberSpec{shMember("crasher", "echo up; exit 3", 1)},
+		Output:         &out,
+		RestartBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "budget exhaustion", func() bool { return sup.Status()[0].Exhausted })
+	if err := sup.Stop(time.Second); err != nil {
+		t.Fatalf("stop after exhaustion: %v", err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"[fleet] fleet: crasher started (pid ",
+		"[fleet] fleet: crasher died (",
+		"restart 1/1\n",
+		"with no restart budget left (1 used)\n",
+		"[crasher] up\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output has no %q:\n%s", want, got)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(got, "\n"), "\n") {
+		if !strings.HasPrefix(line, "[fleet] ") && !strings.HasPrefix(line, "[crasher] ") {
+			t.Fatalf("output line %q carries no source prefix", line)
+		}
+	}
+}
+
 // lockedBuffer is a concurrency-safe bytes.Buffer for member output.
 type lockedBuffer struct {
 	mu sync.Mutex

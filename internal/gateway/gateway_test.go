@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/shard"
@@ -265,5 +266,110 @@ func TestNewValidation(t *testing.T) {
 	}
 	if err := gw.SetBackend(5, "http://y"); err == nil {
 		t.Fatal("out-of-range SetBackend accepted")
+	}
+}
+
+// TestGatewayServesExactlyItsRoutes: the gateway answers POST /invoke,
+// POST /seal, GET /healthz and GET /readyz and nothing else.
+func TestGatewayServesExactlyItsRoutes(t *testing.T) {
+	top, err := NewLocal(LocalConfig{Spec: harness.WikiApp(), Root: t.TempDir(), Map: wikiMap(1), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer top.Close()
+	ts := httptest.NewServer(top.Gateway.Handler())
+	defer ts.Close()
+
+	if resp := postInvoke(t, ts.URL, workload.Wiki(1, 3)[0].Input); resp.StatusCode != http.StatusOK {
+		t.Fatalf("invoke: status %d", resp.StatusCode)
+	}
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/advice", http.StatusNotFound},
+		{http.MethodGet, "/status", http.StatusNotFound},
+		{http.MethodGet, "/invoke", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/seal", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/readyz", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/readyz", http.StatusOK},
+		{http.MethodPost, "/seal", http.StatusOK},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestHealthzProbeTimesOut: a backend whose /healthz hangs is cut off at
+// the per-try timeout. The gateway's /healthz still answers, reports the
+// error for that shard and counts a breaker failure, while the healthy
+// shard's document comes through untouched.
+func TestHealthzProbeTimesOut(t *testing.T) {
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"served":7}`)
+	}))
+	defer healthy.Close()
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+
+	tun := fastTuning()
+	tun.PerTryTimeout = 100 * time.Millisecond
+	gw, err := New(Config{Map: wikiMap(2), Backends: []string{healthy.URL, hung.URL}, Tuning: tun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("healthz took %v behind a hung backend", took)
+	}
+	var health struct {
+		Breakers []BreakerStatus `json:"breakers"`
+		Backends []shardProbe    `json:"backends"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if len(health.Backends) != 2 || len(health.Breakers) != 2 {
+		t.Fatalf("healthz shape: %+v", health)
+	}
+	if b := health.Backends[1]; b.Error == "" || b.Status != 0 {
+		t.Fatalf("hung backend probe: %+v, want a timeout error", b)
+	}
+	if f := health.Breakers[1].Failures; f != 1 {
+		t.Fatalf("hung backend breaker failures = %d, want 1", f)
+	}
+	if b := health.Backends[0]; b.Error != "" || b.Status != http.StatusOK || string(b.Body) != `{"served":7}` {
+		t.Fatalf("healthy backend probe: %+v", b)
+	}
+	if f := health.Breakers[0].Failures; f != 0 {
+		t.Fatalf("healthy backend breaker failures = %d, want 0", f)
 	}
 }

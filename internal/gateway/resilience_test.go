@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,5 +350,93 @@ func TestGatewayRestartStateless(t *testing.T) {
 		if got := resp.Header.Get(ShardHeader); got != echo[i] {
 			t.Fatalf("request %d echoed shard %s after gateway restart, was %s", i, got, echo[i])
 		}
+	}
+}
+
+// TestRetryBudgetShape: the budget starts full at retryBudgetMax tokens,
+// every retry spends one, and every proxied request earns
+// retryBudgetRatio (0.2) of one, never past the cap.
+func TestRetryBudgetShape(t *testing.T) {
+	b := newRetryBudget()
+	for i := 0; i < retryBudgetMax; i++ {
+		if !b.spend() {
+			t.Fatalf("a fresh budget refused retry %d of %d", i+1, retryBudgetMax)
+		}
+	}
+	if b.spend() {
+		t.Fatal("an empty budget paid for a retry")
+	}
+	for i := 0; i < 4; i++ {
+		b.earn()
+	}
+	if b.spend() {
+		t.Fatal("four requests earned a whole retry")
+	}
+	b.earn()
+	b.earn()
+	if !b.spend() {
+		t.Fatal("six requests did not earn a retry")
+	}
+	if b.spend() {
+		t.Fatal("six requests earned two retries")
+	}
+	for i := 0; i < 1000; i++ {
+		b.earn()
+	}
+	n := 0
+	for b.spend() {
+		n++
+	}
+	if n != retryBudgetMax {
+		t.Fatalf("a long quiet stretch stored %d retries, want the cap %d", n, retryBudgetMax)
+	}
+}
+
+// TestRetryBudgetBoundsAmplification: under a full partition (every dial
+// refused) the gateway retries until the shared budget runs dry, then
+// stops retrying and counts the refusal, so retries stay bounded however
+// generous MaxRetries is. Nothing ever reaches the backend.
+func TestRetryBudgetBoundsAmplification(t *testing.T) {
+	var hits atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer backend.Close()
+
+	in := netfault.NewInjector()
+	if err := in.Arm(netfault.OpConnRefused, fault.Arm{Times: -1}); err != nil {
+		t.Fatal(err)
+	}
+	tun := fastTuning()
+	tun.MaxRetries = 100
+	tun.BreakerFailures = 1000
+	gw, err := New(Config{
+		Map: wikiMap(1), Backends: []string{backend.URL},
+		Transport: in.Transport(nil), Tuning: tun,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	req := workload.Wiki(1, 3)[0]
+	if resp := postInvoke(t, ts.URL, req.Input); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d through a partition, want 503", resp.StatusCode)
+	}
+	if c := gw.Counters()[0]; c.Retries != retryBudgetMax || c.BudgetDenied != 1 || c.Errors != 1 {
+		t.Fatalf("first request: counters = %+v, want %d retries then one budget refusal", c, retryBudgetMax)
+	}
+	// Four more requests earn 0.8 of a token between them: none may retry.
+	for i := 0; i < 4; i++ {
+		if resp := postInvoke(t, ts.URL, req.Input); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status %d through a partition, want 503", resp.StatusCode)
+		}
+	}
+	if c := gw.Counters()[0]; c.Retries != retryBudgetMax || c.BudgetDenied != 5 || c.Errors != 5 {
+		t.Fatalf("after the budget ran dry: counters = %+v, want no new retries and 5 refusals", c)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("backend saw %d requests through refused dials", n)
 	}
 }
