@@ -7,6 +7,7 @@ package appkit
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 
 	"karousos.dev/karousos/internal/value"
 )
@@ -70,16 +71,32 @@ func AsList(v value.V) []value.V {
 }
 
 // With returns a copy of map v with k set to val; handler code uses it to
-// derive new states without mutating values that may be shared with logs.
+// derive a new state from one that may be shared with logs. The copy is
+// shallow: values are immutable (package value), so the new map shares every
+// other entry with v, and only val is normalized.
 func With(v value.V, k string, val value.V) map[string]value.V {
-	m := AsMap(value.Clone(v))
+	m := maps.Clone(AsMap(v))
 	m[k] = value.Normalize(val)
 	return m
 }
 
-// Without returns a copy of map v with k removed.
+// Without returns a shallow copy of map v with k removed.
 func Without(v value.V, k string) map[string]value.V {
-	m := AsMap(value.Clone(v))
+	m := maps.Clone(AsMap(v))
 	delete(m, k)
 	return m
+}
+
+// Append returns a new list holding list v's elements followed by elems,
+// normalized. It never writes into v's backing array, which other values may
+// share: two lists appended to one list stay independent even when that list
+// has spare capacity. Every list extension in handler code goes through it.
+func Append(v value.V, elems ...value.V) []value.V {
+	l := AsList(v)
+	out := make([]value.V, len(l), len(l)+len(elems))
+	copy(out, l)
+	for _, e := range elems {
+		out = append(out, value.Normalize(e))
+	}
+	return out
 }

@@ -49,18 +49,50 @@ func TestAsMapAsList(t *testing.T) {
 	}
 }
 
+// TestWithDoesNotMutate pins the copy-on-write contract: With and Without
+// leave their argument as it was, and the map they return shares every
+// nested value with it, since values are immutable (package value).
 func TestWithDoesNotMutate(t *testing.T) {
-	orig := value.Map("a", 1, "nested", value.Map("x", "y"))
+	nested := value.Map("x", "y")
+	list := value.List(1, 2)
+	orig := value.Map("a", 1, "nested", nested, "list", list)
 	derived := With(orig, "a", 2)
-	if orig["a"] != float64(1) {
+	if orig["a"] != float64(1) || len(orig) != 3 {
 		t.Error("With mutated the original")
 	}
-	if derived["a"] != float64(2) {
+	if derived["a"] != float64(2) || len(derived) != 3 {
 		t.Error("With did not set the key")
 	}
-	derived["nested"].(map[string]value.V)["x"] = "mutated"
-	if orig["nested"].(map[string]value.V)["x"] != "y" {
-		t.Error("With shares nested values with the original")
+	removed := Without(orig, "a")
+	if orig["a"] != float64(1) || len(orig) != 3 {
+		t.Error("Without mutated the original")
+	}
+	for _, d := range []map[string]value.V{derived, removed} {
+		if value.Same(d, orig) {
+			t.Error("With/Without returned the original map instead of a copy")
+		}
+		if !value.Same(d["nested"], nested) || !value.Same(d["list"], list) {
+			t.Error("With/Without copied a nested value instead of sharing it")
+		}
+	}
+}
+
+// TestAppendNeverSharesSpareCapacity: two lists appended to one list with
+// spare capacity stay independent of each other and of that list, which is
+// what an in-place append onto a shared state gets wrong.
+func TestAppendNeverSharesSpareCapacity(t *testing.T) {
+	base := make([]value.V, 2, 8)
+	base[0], base[1] = "a", "b"
+	left := Append(base, "left")
+	right := Append(base, "right")
+	if len(base) != 2 || base[:3][2] != nil {
+		t.Error("Append wrote into its argument's backing array")
+	}
+	if !value.Equal(left, value.List("a", "b", "left")) || !value.Equal(right, value.List("a", "b", "right")) {
+		t.Errorf("Append = %s, %s", value.String(left), value.String(right))
+	}
+	if d := Append(nil, 3); !value.Equal(d, value.List(3)) || d[0] != float64(3) {
+		t.Errorf("Append(nil, 3) = %s, want a normalized one-element list", value.String(d))
 	}
 }
 

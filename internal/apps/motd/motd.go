@@ -100,8 +100,7 @@ func (a *app) handleRequest(ctx *core.Context, req *mv.MV) {
 	if forDay {
 		next = ctx.Apply(func(args []value.V) value.V {
 			st, r := args[0], args[1]
-			daily := appkit.AsMap(value.Clone(appkit.Field(st, "daily")))
-			daily[appkit.Str(appkit.Field(r, "day"))] = appkit.Field(r, "msg")
+			daily := appkit.With(appkit.Field(st, "daily"), appkit.Str(appkit.Field(r, "day")), appkit.Field(r, "msg"))
 			return withHistory(appkit.With(st, "daily", daily), r)
 		}, state, req)
 	} else {
@@ -114,9 +113,11 @@ func (a *app) handleRequest(ctx *core.Context, req *mv.MV) {
 	ctx.Respond(ctx.Scalar(value.Map("status", "ok")))
 }
 
-// withHistory appends the set operation to the state's bounded history list.
+// withHistory records the set operation in st's bounded history list. st is
+// the map the caller has just made; the list it holds is shared with the
+// state st was derived from, so the extension goes through appkit.Append.
 func withHistory(st map[string]value.V, r value.V) value.V {
-	hist := append(appkit.AsList(st["history"]), value.Map(
+	hist := appkit.Append(st["history"], value.Map(
 		"scope", appkit.Field(r, "scope"),
 		"day", appkit.Field(r, "day"),
 		"msg", appkit.Field(r, "msg"),

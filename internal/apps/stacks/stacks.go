@@ -186,10 +186,7 @@ func (a *app) handleReport(ctx *core.Context, p *mv.MV) {
 	a.openTxs[ctx.RIDs()[0]] = tx
 	a.txMu.Unlock()
 	ctx.Emit(evReportPut, ctx.Apply(func(args []value.V) value.V {
-		row, pp := args[0], args[1]
-		m := value.Clone(pp).(map[string]value.V)
-		m["row"] = row
-		return m
+		return appkit.With(args[1], "row", args[0])
 	}, cur, p))
 }
 
@@ -239,8 +236,7 @@ func (a *app) handleReportPut(ctx *core.Context, p *mv.MV) {
 	// committed, so list requests never see uncommitted dumps.
 	known := ctx.Read(a.digests)
 	ctx.Write(a.digests, ctx.Apply(func(args []value.V) value.V {
-		l := appkit.AsList(value.Clone(args[0]))
-		return append(l, appkit.Field(args[1], "digest"))
+		return appkit.Append(args[0], appkit.Field(args[1], "digest"))
 	}, known, p))
 	ctx.Respond(ctx.Scalar(value.Map("status", "new")))
 }

@@ -110,9 +110,7 @@ func (a *app) acquire(ctx *core.Context, req *mv.MV) {
 	pool := ctx.Read(a.pool)
 	ctx.Write(a.pool, ctx.Apply(func(args []value.V) value.V {
 		p, r := args[0], args[1]
-		slots := appkit.AsMap(value.Clone(appkit.Field(p, "slots")))
-		slots[acquireKeyOf(r)] = value.Map("state", "busy")
-		return appkit.With(p, "slots", slots)
+		return appkit.With(p, "slots", appkit.With(appkit.Field(p, "slots"), acquireKeyOf(r), value.Map("state", "busy")))
 	}, pool, req))
 }
 
@@ -137,9 +135,7 @@ func (a *app) release(ctx *core.Context, req *mv.MV) {
 	pool := ctx.Read(a.pool)
 	ctx.Write(a.pool, ctx.Apply(func(args []value.V) value.V {
 		p, r := args[0], args[1]
-		slots := appkit.AsMap(value.Clone(appkit.Field(p, "slots")))
-		delete(slots, acquireKeyOf(r))
-		return appkit.With(p, "slots", slots)
+		return appkit.With(p, "slots", appkit.Without(appkit.Field(p, "slots"), acquireKeyOf(r)))
 	}, pool, req))
 }
 
@@ -337,9 +333,7 @@ func (a *app) handleRender(ctx *core.Context, req *mv.MV) {
 	cache2 := ctx.Read(a.cache)
 	ctx.Write(a.cache, ctx.Apply(func(args []value.V) value.V {
 		c, r, h := args[0], args[1], args[2]
-		m := appkit.AsMap(value.Clone(c))
-		m[appkit.Str(appkit.Field(r, "id"))] = h
-		return m
+		return appkit.With(c, appkit.Str(appkit.Field(r, "id")), h)
 	}, cache2, req, html))
 	a.release(ctx, req)
 	ctx.Respond(ctx.Apply(func(args []value.V) value.V {

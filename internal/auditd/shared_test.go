@@ -17,11 +17,12 @@ import (
 
 // TestDecodedValuesSurviveAudit guards the rule that lets value.Interner
 // share lists and maps among everything decoded from one advice blob or
-// one epoch's trace: no consumer mutates a decoded value in place.
-// Applications copy before they change (appkit.With and Without,
-// value.Clone); the verifier and the multivalue layer never write into a
-// value they did not make. A write into a shared value would change every
-// entry that shares it, so the test looks for any write at all.
+// one epoch's trace: values are immutable and shared by identity (package
+// value; DESIGN.md §9). Applications derive new state through appkit.With,
+// Without and Append, which copy only what they change; the verifier and
+// the multivalue layer never write into a value. A write into a shared
+// value would change every entry that shares it, so the test looks for any
+// write at all.
 //
 // Every application is served in both advice modes into an epoch log. Its
 // sealed epochs are read and decoded once, as the auditor does, and then

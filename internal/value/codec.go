@@ -121,10 +121,10 @@ const maxShareEntries = 1 << 14
 // map whose bytes were decoded before is the earlier value, returned without
 // decoding or allocating.
 //
-// Sharing containers is sound only because no consumer mutates a decoded
-// value in place. Applications copy before they change (appkit.With and
-// Without, value.Clone), and the verifier and the multivalue layer never
-// write into a value they did not make. TestDecodedValuesSurviveAudit
+// Sharing containers is sound only because values are immutable (see the
+// package comment): applications derive new state through appkit.With,
+// Without and Append, and the verifier and the multivalue layer never
+// write into a value. TestDecodedValuesSurviveAudit
 // (internal/auditd) guards the rule: every application in both modes, cold
 // and warm, at one and four workers, after which every decoded advice blob
 // and trace frame must still re-encode to its bytes.

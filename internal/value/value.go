@@ -11,6 +11,13 @@
 // the Karousos server computes control-flow tags and handler IDs from value
 // digests, and the verifier compares re-executed outputs byte-for-byte
 // against the trace.
+//
+// Values are immutable once made, and shared by identity: a list or map
+// that has been handed on (returned from a handler closure, written to a
+// variable, logged, decoded, put in a dictionary) is never written into
+// again, so every holder may keep it without a copy. Code that derives a
+// new value copies only what it changes (appkit.With, Without and Append
+// for application state). DESIGN.md §9 states the rule and its guards.
 package value
 
 import (
@@ -23,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // V is a dynamic value. Only the JSON-like kinds listed in the package
@@ -113,7 +121,10 @@ func normalizeSlow(v V) V {
 }
 
 // Equal reports deep equality of two canonical values. Callers should
-// Normalize first.
+// Normalize first. Two containers that are one value (Same) are equal
+// without a walk, so comparing a re-executed value with a logged one costs
+// a pointer comparison for every subtree the two share; this also makes a
+// container equal to itself when it holds a NaN.
 func Equal(a, b V) bool {
 	switch x := a.(type) {
 	case nil:
@@ -132,6 +143,9 @@ func Equal(a, b V) bool {
 		if !ok || len(x) != len(y) {
 			return false
 		}
+		if len(x) > 0 && &x[0] == &y[0] {
+			return true
+		}
 		for i := range x {
 			if !Equal(x[i], y[i]) {
 				return false
@@ -142,6 +156,9 @@ func Equal(a, b V) bool {
 		y, ok := b.(map[string]V)
 		if !ok || len(x) != len(y) {
 			return false
+		}
+		if mapPointer(x) == mapPointer(y) {
+			return true
 		}
 		for k, v := range x {
 			w, ok := y[k]
@@ -178,15 +195,21 @@ func Same(a, b V) bool {
 		return ok && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 	case map[string]V:
 		y, ok := b.(map[string]V)
-		return ok && reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer()
+		return ok && mapPointer(x) == mapPointer(y)
 	default:
 		return false
 	}
 }
 
-// Clone returns a deep copy of v. The server and verifier clone values at
-// every logging and dictionary boundary so that later in-place mutation by
-// application code cannot retroactively change recorded history.
+// mapPointer is the identity of a map: two map values are one map exactly
+// when their pointers are equal.
+func mapPointer(m map[string]V) unsafe.Pointer {
+	return reflect.ValueOf(m).UnsafePointer()
+}
+
+// Clone returns a deep copy of v, for code that wants a value of its own to
+// write into, such as a test that forges advice. Nothing else needs one:
+// values are immutable and shared by identity (see the package comment).
 func Clone(v V) V {
 	switch x := v.(type) {
 	case nil, bool, float64, string:
@@ -289,6 +312,64 @@ func EncodedLen(v V) int {
 	default:
 		panic(fmt.Sprintf("value: unsupported kind %T", v))
 	}
+}
+
+// Sizes memoises EncodedLen per container. Values are immutable (see the
+// package comment), so a container's encoded length never changes, and
+// sizing many values that share subtrees walks each shared container once.
+// A list is known by its first element's address and its length, a map by
+// its pointer; the memo holds those pointers, so no container it has sized
+// is freed and its address reused while the memo lives. The zero Sizes is
+// ready to use. It is not safe for concurrent use.
+type Sizes struct {
+	m map[sizeKey]int
+}
+
+type sizeKey struct {
+	p unsafe.Pointer
+	n int // list length; -1 for a map
+}
+
+// Len returns EncodedLen(v).
+func (s *Sizes) Len(v V) int {
+	switch x := v.(type) {
+	case []V:
+		if len(x) == 0 {
+			break
+		}
+		k := sizeKey{unsafe.Pointer(&x[0]), len(x)}
+		n, ok := s.m[k]
+		if !ok {
+			n = 3 + decDigits(len(x))
+			for _, e := range x {
+				n += s.Len(e)
+			}
+			s.put(k, n)
+		}
+		return n
+	case map[string]V:
+		if len(x) == 0 {
+			break
+		}
+		k := sizeKey{mapPointer(x), -1}
+		n, ok := s.m[k]
+		if !ok {
+			n = 3 + decDigits(len(x))
+			for key, e := range x {
+				n += stringLen(key) + s.Len(e)
+			}
+			s.put(k, n)
+		}
+		return n
+	}
+	return EncodedLen(v)
+}
+
+func (s *Sizes) put(k sizeKey, n int) {
+	if s.m == nil {
+		s.m = make(map[sizeKey]int)
+	}
+	s.m[k] = n
 }
 
 func stringLen(s string) int { return 2 + decDigits(len(s)) + len(s) }

@@ -203,6 +203,41 @@ func TestEncodedLenExact(t *testing.T) {
 	}
 }
 
+// TestEqualSharedContainers: a container is equal to itself without a
+// walk, which is visible only for one that holds a NaN; equal containers
+// that are not one value still compare element by element.
+func TestEqualSharedContainers(t *testing.T) {
+	l := List(math.NaN())
+	m := Map("n", math.NaN())
+	if !Equal(l, l) || !Equal(m, m) {
+		t.Error("a container is not equal to itself")
+	}
+	if Equal(l, List(math.NaN())) || Equal(m, Map("n", math.NaN())) {
+		t.Error("two NaN-holding containers that are not one value compared equal")
+	}
+	long := List(1, 2, 3)
+	if Equal(long[:2], long) || !Equal(long[:2], List(1, 2)) || Equal(long[1:], long[:2]) {
+		t.Error("Equal on sublists of one backing array is wrong")
+	}
+}
+
+// TestSizesMatchEncodedLen: the memo answers EncodedLen for every value,
+// shared subtrees and sublists of one backing array included.
+func TestSizesMatchEncodedLen(t *testing.T) {
+	var s Sizes
+	r := rand.New(rand.NewSource(2))
+	shared := Map("k", List("a", 1, Map("z", true)))
+	long := List("a", "bb", "ccc", Map("d", 1))
+	for i := 0; i < 2000; i++ {
+		v := randomValue(r, 4)
+		for _, w := range []V{v, List(v, shared), Map("v", v, "s", shared), long[:i%5], long[i%5:], long} {
+			if got, want := s.Len(w), EncodedLen(w); got != want {
+				t.Fatalf("Sizes.Len(%s) = %d, want %d", String(w), got, want)
+			}
+		}
+	}
+}
+
 func TestDigestStable(t *testing.T) {
 	v := Map("op", "get", "day", "mon", "n", 3.5)
 	d1, d2 := Digest(v), Digest(Clone(v))

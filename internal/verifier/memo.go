@@ -597,7 +597,7 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 		}
 		switch in.kind {
 		case effDict:
-			size += value.EncodedLen(in.val)
+			size += v.memoSizes.Len(in.val)
 		case effReadObs, effWriteObs:
 			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
 				mi.precMode = precFromLog
