@@ -23,9 +23,9 @@ package value
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/bits"
-	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -42,10 +42,11 @@ type V = any
 // Normalize maps the supported Go representations onto the canonical domain:
 // every numeric type becomes float64 (JavaScript semantics), and slices/maps
 // are normalized recursively. It returns the input unchanged (no allocation)
-// when it is already canonical — the overwhelmingly common case on the
-// verifier's hot path — and panics on unsupported kinds, because an
-// unsupported value indicates an application bug rather than a recoverable
-// condition.
+// when it is already canonical, the common case, and panics on unsupported
+// kinds, because an unsupported value indicates an application bug rather
+// than a recoverable condition. Code that normalises many values sharing
+// subtrees, as the verifier does with re-executed writes, uses
+// Sizes.Normalize, which walks each container once.
 func Normalize(v V) V {
 	if isCanonical(v) {
 		return v
@@ -202,9 +203,10 @@ func Same(a, b V) bool {
 }
 
 // mapPointer is the identity of a map: two map values are one map exactly
-// when their pointers are equal.
+// when their pointers are equal. A map value is a pointer to the runtime's
+// map header, so the pointer is read from the map variable itself.
 func mapPointer(m map[string]V) unsafe.Pointer {
-	return reflect.ValueOf(m).UnsafePointer()
+	return *(*unsafe.Pointer)(unsafe.Pointer(&m))
 }
 
 // Clone returns a deep copy of v, for code that wants a value of its own to
@@ -314,13 +316,15 @@ func EncodedLen(v V) int {
 	}
 }
 
-// Sizes memoises EncodedLen per container. Values are immutable (see the
-// package comment), so a container's encoded length never changes, and
-// sizing many values that share subtrees walks each shared container once.
-// A list is known by its first element's address and its length, a map by
-// its pointer; the memo holds those pointers, so no container it has sized
-// is freed and its address reused while the memo lives. The zero Sizes is
-// ready to use. It is not safe for concurrent use.
+// Sizes memoises, per container, the two facts Normalize and EncodedLen
+// find by walking it: that it is canonical, and its encoded length. A
+// container in the memo is canonical and sized. Values are immutable (see
+// the package comment), so neither fact changes while the memo lives, and
+// normalising many values that share subtrees walks each shared container
+// once. A list is known by its first element's address and its length, a
+// map by its pointer; the memo holds those pointers, so no container it
+// knows is freed and its address reused while the memo lives. The zero
+// Sizes is ready to use. It is not safe for concurrent use.
 type Sizes struct {
 	m map[sizeKey]int
 }
@@ -330,39 +334,68 @@ type sizeKey struct {
 	n int // list length; -1 for a map
 }
 
-// Len returns EncodedLen(v).
-func (s *Sizes) Len(v V) int {
+// Normalize returns Normalize(v) and the EncodedLen of the result. It does
+// not walk a container the memo holds. A container it does walk enters the
+// memo: v's own containers when they are canonical, and otherwise the
+// copies it makes of them. A copy is made only of a container with a
+// non-canonical element, and it shares every canonical element with v, as
+// Normalize's does.
+func (s *Sizes) Normalize(v V) (V, int) {
 	switch x := v.(type) {
 	case []V:
 		if len(x) == 0 {
 			break
 		}
-		k := sizeKey{unsafe.Pointer(&x[0]), len(x)}
-		n, ok := s.m[k]
-		if !ok {
-			n = 3 + decDigits(len(x))
-			for _, e := range x {
-				n += s.Len(e)
-			}
-			s.put(k, n)
+		if n, ok := s.m[sizeKey{unsafe.Pointer(&x[0]), len(x)}]; ok {
+			return v, n
 		}
-		return n
+		n := 3 + decDigits(len(x)) // '[' len ':' … ']'
+		var out []V
+		for i, e := range x {
+			ne, en := s.Normalize(e)
+			n += en
+			if out == nil && !Same(ne, e) {
+				out = make([]V, len(x))
+				copy(out, x[:i])
+			}
+			if out != nil {
+				out[i] = ne
+			}
+		}
+		if out != nil {
+			x, v = out, out
+		}
+		s.put(sizeKey{unsafe.Pointer(&x[0]), len(x)}, n)
+		return v, n
 	case map[string]V:
 		if len(x) == 0 {
 			break
 		}
-		k := sizeKey{mapPointer(x), -1}
-		n, ok := s.m[k]
-		if !ok {
-			n = 3 + decDigits(len(x))
-			for key, e := range x {
-				n += stringLen(key) + s.Len(e)
-			}
-			s.put(k, n)
+		if n, ok := s.m[sizeKey{mapPointer(x), -1}]; ok {
+			return v, n
 		}
-		return n
+		n := 3 + decDigits(len(x)) // '{' len ':' … '}'
+		var out map[string]V
+		for key, e := range x {
+			ne, en := s.Normalize(e)
+			n += stringLen(key) + en
+			if out == nil && !Same(ne, e) {
+				// Keys not yet visited are overwritten when the range
+				// reaches them.
+				out = maps.Clone(x)
+			}
+			if out != nil {
+				out[key] = ne
+			}
+		}
+		if out != nil {
+			x, v = out, out
+		}
+		s.put(sizeKey{mapPointer(x), -1}, n)
+		return v, n
 	}
-	return EncodedLen(v)
+	v = Normalize(v)
+	return v, EncodedLen(v)
 }
 
 func (s *Sizes) put(k sizeKey, n int) {

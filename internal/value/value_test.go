@@ -221,20 +221,72 @@ func TestEqualSharedContainers(t *testing.T) {
 	}
 }
 
-// TestSizesMatchEncodedLen: the memo answers EncodedLen for every value,
-// shared subtrees and sublists of one backing array included.
-func TestSizesMatchEncodedLen(t *testing.T) {
+// TestSizesNormalize: the memo's Normalize agrees with Normalize and
+// EncodedLen on values that mix canonical subtrees shared across calls,
+// sublists of one backing array, and fresh containers with int, int64 and
+// uint8 leaves. It returns v itself exactly when v is canonical, and a
+// second call gives the same answers as the first.
+func TestSizesNormalize(t *testing.T) {
 	var s Sizes
 	r := rand.New(rand.NewSource(2))
-	shared := Map("k", List("a", 1, Map("z", true)))
 	long := List("a", "bb", "ccc", Map("d", 1))
+	shared := []V{Map("k", List("a", 1, Map("z", true))), long, long[1:3]}
+	for i := 0; i < 50; i++ {
+		shared = append(shared, randomValue(r, 3))
+	}
 	for i := 0; i < 2000; i++ {
-		v := randomValue(r, 4)
-		for _, w := range []V{v, List(v, shared), Map("v", v, "s", shared), long[:i%5], long[i%5:], long} {
-			if got, want := s.Len(w), EncodedLen(w); got != want {
-				t.Fatalf("Sizes.Len(%s) = %d, want %d", String(w), got, want)
+		v := mixedValue(r, 4, shared)
+		for _, w := range []V{v, List(v, shared[0]), Map("v", v, "s", shared[0]), long[:i%5], long[i%5:]} {
+			got, n := s.Normalize(w)
+			if !isCanonical(got) || !Equal(got, Normalize(w)) {
+				t.Fatalf("Sizes.Normalize(%s) = %s, want %s", String(w), String(got), String(Normalize(w)))
+			}
+			if Same(got, w) != isCanonical(w) {
+				t.Fatalf("Sizes.Normalize(%s): returned the input %v, input canonical %v", String(w), Same(got, w), isCanonical(w))
+			}
+			if want := len(Encode(nil, got)); n != want {
+				t.Fatalf("Sizes.Normalize(%s) sized %d, want %d", String(w), n, want)
+			}
+			again, n2 := s.Normalize(w)
+			if !Equal(again, got) || n2 != n || Same(again, w) != Same(got, w) {
+				t.Fatalf("Sizes.Normalize(%s) answered %s (%d bytes), then %s (%d bytes)", String(w), String(got), n, String(again), n2)
 			}
 		}
+	}
+}
+
+// mixedValue is a random value whose containers are fresh or drawn from
+// shared, and whose fresh leaves may be int, int64 or uint8.
+func mixedValue(r *rand.Rand, depth int, shared []V) V {
+	if depth <= 0 {
+		switch r.Intn(4) {
+		case 0:
+			return r.Intn(100)
+		case 1:
+			return int64(r.Intn(100))
+		case 2:
+			return uint8(r.Intn(100))
+		default:
+			return randomValue(r, 0)
+		}
+	}
+	switch r.Intn(4) {
+	case 0:
+		return shared[r.Intn(len(shared))]
+	case 1:
+		l := make([]V, r.Intn(4))
+		for i := range l {
+			l[i] = mixedValue(r, depth-1, shared)
+		}
+		return l
+	case 2:
+		m := make(map[string]V)
+		for n := r.Intn(4); n > 0; n-- {
+			m[string(rune('a'+r.Intn(26)))] = mixedValue(r, depth-1, shared)
+		}
+		return m
+	default:
+		return mixedValue(r, 0, shared)
 	}
 }
 

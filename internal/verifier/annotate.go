@@ -110,8 +110,13 @@ func (g *groupExec) annotateRead(vv *vvar, op core.Op) value.V {
 // simulate-and-checked against the log and links its overwritten
 // predecessor's write_observer; an unlogged (or lazily logged) write finds
 // its R-preceding predecessor through the dictionary. Exactly one write per
-// variable may have no predecessor — the initializer.
-func (g *groupExec) annotateWrite(vv *vvar, op core.Op, val value.V) {
+// variable may have no predecessor — the initializer. The written value is
+// normalised here, and a buffered group adds its size to the memo charge.
+func (g *groupExec) annotateWrite(vv *vvar, op core.Op, written value.V) {
+	val, size := g.sizes.Normalize(written)
+	if g.eff != nil {
+		g.eff.dictBytes += size
+	}
 	g.effect(intent{kind: effDict, vv: vv, op: op, val: val})
 	if e, ok := vv.log[op]; ok {
 		g.effect(intent{kind: effVarConsumed, vv: vv, op: op})
@@ -217,7 +222,7 @@ func (io *initOps) VarInit(ctx *core.Context, vr *core.Variable, opnum int, val 
 	}
 	io.v.vars[vr.ID] = vv
 	// The initialization is the variable's first write.
-	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)))
+	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, val.At(0))
 }
 
 func (io *initOps) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv.MV {
@@ -228,7 +233,7 @@ func (io *initOps) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv.
 
 func (io *initOps) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, val *mv.MV) {
 	vv := io.v.variable(vr.ID)
-	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, value.Normalize(val.At(0)))
+	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, val.At(0))
 }
 
 func (io *initOps) Register(ctx *core.Context, opnum int, event core.EventName, fn core.FunctionID) {

@@ -581,7 +581,7 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 		slotOf[rid] = i
 	}
 	ent := &memoEntry{slots: len(rids), intents: make([]memoIntent, 0, len(eff.intents))}
-	size := memoIntentBytes // entry header
+	size := memoIntentBytes + eff.dictBytes // entry header and written values
 	for i := range eff.intents {
 		in := &eff.intents[i]
 		mi := memoIntent{kind: in.kind, val: in.val}
@@ -596,8 +596,6 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 			mi.varID = in.vv.id
 		}
 		switch in.kind {
-		case effDict:
-			size += v.memoSizes.Len(in.val)
 		case effReadObs, effWriteObs:
 			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
 				mi.precMode = precFromLog

@@ -517,3 +517,34 @@ func TestMemoEvictionBounded(t *testing.T) {
 		t.Fatal("half-sized cache reported no evictions; size accounting is off")
 	}
 }
+
+// TestMemoChargePinned pins what an accepted audit charges the memo cache:
+// each entry costs a fixed header per intent plus the EncodedLen of every
+// value the group wrote. The figures were recorded before the charge moved
+// from the coordinator onto the group workers, so they hold that move to
+// exactly the old sum, at one worker and at four.
+func TestMemoChargePinned(t *testing.T) {
+	for _, tc := range []struct {
+		app   diffApp
+		bytes int
+		stats verifier.Stats
+	}{
+		{diffApps()[0], 431692, verifier.Stats{Groups: 3, Requests: 120, GraphNodes: 832, GraphEdges: 1411, HandlersRerun: 3, MemoMisses: 3}},
+		{diffApps()[2], 595698, verifier.Stats{Groups: 6, Requests: 120, GraphNodes: 3514, GraphEdges: 6199, HandlersRerun: 18, MemoMisses: 6}},
+	} {
+		run, err := harness.Serve(tc.app.spec, tc.app.reqs(120, 4), 10, 4, harness.CollectKarousos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4} {
+			cache := memo.NewCache(memoTestBytes)
+			vr := harness.VerifyWith(tc.app.spec, run.Trace, run.Karousos, harness.VerifyOptions{Workers: w, Limits: verifier.DefaultLimits(), Memo: cache})
+			if vr.Err != nil {
+				t.Fatalf("%s workers=%d: honest run rejected: %v", tc.app.name, w, vr.Err)
+			}
+			if got := cache.Bytes(); got != tc.bytes || vr.Stats != tc.stats {
+				t.Errorf("%s workers=%d: cache holds %d bytes, stats %+v; want %d bytes, stats %+v", tc.app.name, w, got, vr.Stats, tc.bytes, tc.stats)
+			}
+		}
+	}
+}

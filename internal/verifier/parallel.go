@@ -233,8 +233,11 @@ type groupEffects struct {
 	// dictionary — the only dictionary state another group could never have
 	// written.
 	overlay map[vkey][]dictEntry
-	pollN   int
-	rej     *core.Reject
+	// dictBytes is Σ EncodedLen of the values in the effDict intents, the
+	// part of a memo entry's charge that depends on values (memoCapture).
+	dictBytes int
+	pollN     int
+	rej       *core.Reject
 }
 
 // reExecBuffered re-executes the groups into private effect buffers and

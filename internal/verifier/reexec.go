@@ -76,6 +76,9 @@ type groupExec struct {
 	// views see every duplicate the shared v.executed / v.responded would.
 	executed  map[core.HID]bool
 	responded []bool // by slot in rids
+	// sizes normalises and sizes the group's re-executed values; it is the
+	// group's own, so it never crosses to another worker.
+	sizes value.Sizes
 	// eff is the group's private effect buffer when re-execution is
 	// buffered; nil means intents apply to shared state immediately.
 	eff *groupEffects
@@ -330,7 +333,7 @@ func (g *groupExec) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOp
 			if e.Key != k {
 				core.RejectCodef(core.RejectLogMismatch, "PUT %v on key %q but log records %q", cur, k, e.Key)
 			}
-			if !value.Equal(e.Contents, value.Normalize(val.At(i))) {
+			if got, _ := g.sizes.Normalize(val.At(i)); !value.Equal(e.Contents, got) {
 				core.RejectCodef(core.RejectLogMismatch, "PUT %v writes %s but log records %s", cur, value.String(val.At(i)), value.String(e.Contents))
 			}
 		}
@@ -361,7 +364,7 @@ func (g *groupExec) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 		}
 		g.responded[i] = true
 		g.effect(intent{kind: effResponded, op: core.Op{RID: rid}})
-		got := value.Normalize(payload.At(i))
+		got, _ := g.sizes.Normalize(payload.At(i))
 		if !value.Equal(got, g.v.outputs[rid]) {
 			core.RejectCodef(core.RejectOutputMismatch, "request %s re-executed output %s does not match trace %s",
 				rid, value.String(got), value.String(g.v.outputs[rid]))
@@ -416,6 +419,6 @@ func (g *groupExec) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, va
 	g.checkWithin(ctx, opnum)
 	vv := g.v.variable(vr.ID)
 	for i, rid := range g.rids {
-		g.annotateWrite(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, value.Normalize(val.At(i)))
+		g.annotateWrite(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, val.At(i))
 	}
 }

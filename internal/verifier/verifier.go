@@ -182,9 +182,6 @@ type Verifier struct {
 	// memoPending holds effect sets captured during reExec awaiting the
 	// publish-after-accept boundary (memo.go).
 	memoPending []memoCandidate
-	// memoSizes sizes the values memoCapture charges to cache entries,
-	// each container once per audit.
-	memoSizes value.Sizes
 
 	// Stats are filled in as the audit runs, for the evaluation harness.
 	Stats Stats
