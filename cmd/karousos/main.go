@@ -178,7 +178,6 @@ type collectorFlags struct {
 	epochReqs   *int
 	maxAge      *time.Duration
 	seed        *int64
-	commit      *string
 	maxInflight *int
 }
 
@@ -188,7 +187,6 @@ func registerCollectorFlags(fs *flag.FlagSet) collectorFlags {
 		epochReqs:   fs.Int("epoch-requests", 50, "seal a collector's epoch after this many requests (0 = /seal endpoint only)"),
 		maxAge:      fs.Duration("epoch-max-age", 0, "seal non-empty epochs older than this (0 = disabled)"),
 		seed:        fs.Int64("seed", 42, "workload and scheduler seed; shard s serves with seed+s"),
-		commit:      fs.String("commit", "group", "trace commit mode: group (one fsync per batch) or per-request"),
 		maxInflight: fs.Int("max-inflight", 0, "admission window per collector: max requests between admit and durable commit (0 = default 256)"),
 	}
 }
@@ -203,7 +201,6 @@ func (f collectorFlags) config(dir string) (collectorhttp.Config, error) {
 		EpochMaxAge:   *f.maxAge,
 		Seed:          *f.seed,
 		Limits:        verifier.DefaultLimits(),
-		Commit:        collectorhttp.CommitMode(*f.commit),
 		MaxInflight:   *f.maxInflight,
 	}, err
 }

@@ -565,6 +565,16 @@ func TestBadArgs(t *testing.T) {
 			t.Errorf("%v: exit %d, want 1 (%s)", args, code, errs)
 		}
 	}
+	// Group commit is the only durable append: the mode flag is gone from
+	// every subcommand that boots collectors.
+	for _, args := range [][]string{
+		{"serve", "-commit", "group", "-dir", t.TempDir()},
+		{"gateway", "-local", "-commit", "group", "-root", t.TempDir()},
+	} {
+		if code, _, errs := cli(args...); code != 1 || !has(errs, "flag provided but not defined: -commit") {
+			t.Errorf("%v: exit %d, want 1 for an unknown flag (%s)", args, code, errs)
+		}
+	}
 	if _, _, errs := cli("load", "-n", "4"); !has(errs, "-url", "chaos -scenario overload-burst") {
 		t.Errorf("stderr should point at -url and the chaos scenario: %s", errs)
 	}

@@ -133,7 +133,6 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 			EpochRequests: *cf.epochReqs,
 			EpochMaxAge:   *cf.maxAge,
 			Seed:          *cf.seed,
-			Commit:        collectorhttp.CommitMode(*cf.commit),
 			Limits:        verifier.DefaultLimits(),
 			MaxInflight:   *cf.maxInflight,
 			Transport:     transport,

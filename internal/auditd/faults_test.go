@@ -10,9 +10,12 @@ import (
 
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
+	"karousos.dev/karousos/internal/trace"
+	"karousos.dev/karousos/internal/verifier"
 )
 
 var quietBackoff = fault.Backoff{Sleep: func(time.Duration) {}}
@@ -255,6 +258,73 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 	if len(vs) != 3 || !vs[0].Accepted() || vs[1].Code != core.RejectUnauditable || !vs[2].Accepted() {
 		t.Fatalf("verdicts across fresh boundary: %+v", vs)
 	}
+}
+
+// TestRecoveredOversizedAdviceGradesUnauditable: a crash between Rotate
+// and FinishSeals orphans an epoch whose advice record is larger than
+// MaxAdviceBytes. Recovery seals it Degraded and the auditor grades it
+// Unauditable — an oversized record on the untrusted channel is never an
+// accusation when the collector could not finish the seal.
+func TestRecoveredOversizedAdviceGradesUnauditable(t *testing.T) {
+	src := t.TempDir()
+	sealLog(t, harness.MOTDApp(), src, requestsFor(t, harness.MOTDApp(), 6, 7), 0)
+	tr, blob, _, err := epochlog.ReadSealed(src, 1, epochlog.Options{})
+	if err != nil || len(blob) == 0 {
+		t.Fatalf("source epoch: %d advice bytes, %v", len(blob), err)
+	}
+	dir := t.TempDir()
+	meta, err := os.ReadFile(filepath.Join(src, collectorhttp.MetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, collectorhttp.MetaFile), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := epochlog.Open(dir, epochlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Events {
+		if err := l.AppendEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.AppendAdvice(blob); err != nil {
+		t.Fatal(err)
+	}
+	if rotated, err := l.Rotate(); err != nil || !rotated {
+		t.Fatalf("rotate: %v", err)
+	}
+	next := trace.Event{Kind: trace.Req, RID: "r99", Data: tr.Events[0].Data}
+	if err := l.AppendEventAsync(context.Background(), next).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close() // crash: epoch 1 rotated out, its seal never finished
+
+	limits := verifier.Limits{MaxAdviceBytes: len(blob) - 1}
+	l2, err := epochlog.Open(dir, epochlog.Options{MaxAdviceBytes: limits.MaxAdviceBytes})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	sealed := l2.Sealed()
+	l2.Close()
+	if len(sealed) != 1 || sealed[0].Degraded == "" {
+		t.Fatalf("recovered manifests %+v, want epoch 1 sealed degraded", sealed)
+	}
+	t.Logf("recovered epoch 1 records %d advice bytes (record %d, limit %d)", sealed[0].AdviceBytes, len(blob), limits.MaxAdviceBytes)
+
+	a, err := New(Config{Dir: dir, Limits: limits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.RunOnce(context.Background()); err != nil || n != 1 {
+		t.Fatalf("RunOnce = %d, %v", n, err)
+	}
+	vs := a.Verdicts()
+	if len(vs) != 1 || vs[0].Code != core.RejectUnauditable {
+		t.Fatalf("verdicts %+v, want epoch 1 Unauditable", vs)
+	}
+	t.Logf("epoch 1: %s", vs[0].Reason)
 }
 
 // TestSupervisorRestartsOnInfraError: a lane incarnation dying on an

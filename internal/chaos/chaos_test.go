@@ -1,19 +1,12 @@
 package chaos
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"karousos.dev/karousos/internal/auditd"
-	"karousos.dev/karousos/internal/collectorhttp"
-	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/loadgen"
-	"karousos.dev/karousos/internal/workload"
 )
 
 // golden is what a scenario must reproduce. Every value in the built-in
@@ -332,67 +325,6 @@ func TestScenarioValidation(t *testing.T) {
 	sc.Steps = []Step{{At: 1, Do: DoRestart}}
 	if _, err := Run(t.TempDir(), sc); err == nil {
 		t.Error("restart of a live shard accepted")
-	}
-}
-
-// TestCommitModeDifferential drives the identical sequential workload
-// through a group-commit collector and a per-request-fsync collector: the
-// sealed evidence must be bit-identical (same epoch trace digests) and the
-// audit must reach the same verdicts with the same work counters. Group
-// commit is a durability batching strategy, never a semantic one.
-func TestCommitModeDifferential(t *testing.T) {
-	spec, err := harness.SpecByName("motd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := workload.MOTD(24, workload.Mixed, 11)
-
-	runMode := func(mode collectorhttp.CommitMode) (digests []string, out auditd.ShardedResult) {
-		t.Helper()
-		dir := t.TempDir()
-		c, err := collectorhttp.New(collectorhttp.Config{
-			Spec:          spec,
-			Dir:           dir,
-			Seed:          11,
-			EpochRequests: 8,
-			Commit:        mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(c.Handler())
-		load, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: ts.URL, Client: ts.Client()}, reqs)
-		if err != nil || load.Served != len(reqs) {
-			t.Fatalf("mode %q: served %d of %d: %+v, %v", mode, load.Served, len(reqs), load, err)
-		}
-		ts.Close()
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sealed, err := epochlog.ListSealed(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range sealed {
-			digests = append(digests, fmt.Sprintf("%d:%s", m.Seq, m.TraceDigest))
-		}
-		out, diff, err := Reaudit(context.Background(), auditd.ShardedConfig{Root: dir})
-		if err != nil || diff != "" || !out.Accepted() {
-			t.Fatalf("mode %q: re-audit err %v, diff %q, verdicts %s", mode, err, diff, VerdictKey(out))
-		}
-		return digests, out
-	}
-
-	groupDigests, group := runMode(collectorhttp.CommitGroup)
-	perReqDigests, perReq := runMode(collectorhttp.CommitPerRequest)
-	if fmt.Sprint(groupDigests) != fmt.Sprint(perReqDigests) {
-		t.Fatalf("epoch digests differ:\n  group       %v\n  per-request %v", groupDigests, perReqDigests)
-	}
-	if VerdictKey(group) != VerdictKey(perReq) || len(group.Shards[0].Verdicts) != len(groupDigests) {
-		t.Fatalf("verdicts differ: group %s, per-request %s", VerdictKey(group), VerdictKey(perReq))
-	}
-	if group.Stats != perReq.Stats {
-		t.Fatalf("audit stats differ: group %+v, per-request %+v", group.Stats, perReq.Stats)
 	}
 }
 

@@ -53,19 +53,6 @@ import (
 	"karousos.dev/karousos/internal/verifier"
 )
 
-// CommitMode selects the trusted channel's durability discipline.
-type CommitMode string
-
-const (
-	// CommitGroup (the default) makes every append durable before its
-	// request is acknowledged, amortizing fsyncs across concurrent
-	// arrivals via the epoch log's group commit.
-	CommitGroup CommitMode = "group"
-	// CommitPerRequest fsyncs every append individually — the naive
-	// durable baseline the bench panel compares group commit against.
-	CommitPerRequest CommitMode = "per-request"
-)
-
 // Config describes one collector instance.
 type Config struct {
 	// Spec is the application to serve.
@@ -93,9 +80,6 @@ type Config struct {
 	// Zero-valued fields take fault.Backoff's defaults.
 	Backoff fault.Backoff
 
-	// Commit selects the trusted channel's durability discipline; ""
-	// means CommitGroup.
-	Commit CommitMode
 	// MaxInflight bounds concurrently admitted /invoke requests; arrivals
 	// beyond the window are shed with 429. <=0 means 256.
 	MaxInflight int
@@ -143,13 +127,6 @@ func (cfg Config) fs() iofault.FS {
 	return cfg.FS
 }
 
-func (cfg Config) commitMode() CommitMode {
-	if cfg.Commit == "" {
-		return CommitGroup
-	}
-	return cfg.Commit
-}
-
 // Meta is the sidecar record written next to the epoch log so the offline
 // auditor (karousos audit) knows how to re-execute the epochs. It is
 // pinned when the directory's first collector boots (iofault.PinJSON):
@@ -164,9 +141,8 @@ const MetaFile = "meta.json"
 
 // Collector is the HTTP front-end plus its serving runtime and epoch log.
 type Collector struct {
-	cfg    Config
-	commit CommitMode
-	adm    *admission
+	cfg Config
+	adm *admission
 
 	srv *server.Server // immutable; ServeOne under serveMu, DrainAdvice under the gate's write lock
 	log *epochlog.Log  // immutable pointer; the log is internally synchronized
@@ -207,12 +183,6 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Mode == "" {
 		cfg.Mode = advice.ModeKarousos
 	}
-	commit := cfg.commitMode()
-	switch commit {
-	case CommitGroup, CommitPerRequest:
-	default:
-		return nil, fmt.Errorf("collectorhttp: unknown commit mode %q", commit)
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
@@ -234,7 +204,6 @@ func New(cfg Config) (*Collector, error) {
 	l, err := epochlog.Open(cfg.Dir, epochlog.Options{
 		MaxAdviceBytes: cfg.Limits.MaxAdviceBytes,
 		FS:             cfg.FS,
-		GroupCommit:    commit == CommitGroup,
 		Backoff:        cfg.Backoff,
 	})
 	if err != nil {
@@ -259,7 +228,6 @@ func New(cfg Config) (*Collector, error) {
 	}
 	c := &Collector{
 		cfg:      cfg,
-		commit:   commit,
 		adm:      newAdmission(cfg.MaxInflight, cfg.MaxQueuedBytes, lagLimit),
 		srv:      srv,
 		log:      l,
@@ -573,7 +541,6 @@ func (c *Collector) handleSeal(w http.ResponseWriter, r *http.Request) {
 type Status struct {
 	App            string `json:"app"`
 	Mode           string `json:"mode"`
-	CommitMode     string `json:"commitMode"`
 	Served         int    `json:"served"`
 	ActiveSeq      uint64 `json:"activeSeq"`
 	ActiveEvents   int    `json:"activeEvents"`
@@ -612,7 +579,6 @@ func (c *Collector) Status() Status {
 	st := Status{
 		App:            c.cfg.Spec.Name,
 		Mode:           string(c.cfg.Mode),
-		CommitMode:     string(c.commit),
 		Served:         served,
 		ActiveSeq:      c.log.ActiveSeq(),
 		ActiveEvents:   events,

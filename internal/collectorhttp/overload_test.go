@@ -124,9 +124,6 @@ func TestLagBackpressure(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.CommitMode != "group" {
-		t.Fatalf("default commit mode = %q, want group", h.CommitMode)
-	}
 	if h.Admission.AuditLag != 3 || h.Admission.EffectiveWindow != 3 {
 		t.Fatalf("admission under lag 3 (limit 1, max 9) = %+v, want window 9*1/3=3", h.Admission)
 	}
@@ -171,42 +168,34 @@ func TestRequestDeadlineAbandonsCommit(t *testing.T) {
 	}
 }
 
-// TestCommitModesServeAndSeal: each commit discipline serves the same
-// little workload to balanced, auditable epochs; unknown modes are refused
-// at construction.
-func TestCommitModesServeAndSeal(t *testing.T) {
-	if _, err := New(Config{Spec: harness.MOTDApp(), Dir: t.TempDir(), Commit: "bogus"}); err == nil {
-		t.Fatal("New accepted an unknown commit mode")
+// TestServeAndSeal: a little workload serves to one balanced, sealed
+// epoch, and a read sees the write before it.
+func TestServeAndSeal(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir, EpochRequests: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, mode := range []CommitMode{CommitGroup, CommitPerRequest} {
-		t.Run(string(mode), func(t *testing.T) {
-			dir := t.TempDir()
-			c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir, Commit: mode, EpochRequests: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(c.Handler())
-			defer ts.Close()
-			invoke(t, ts.URL, map[string]any{"op": "set", "scope": "always", "msg": string(mode)})
-			out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
-			if msg, _ := out["output"].(map[string]any); msg["msg"] != string(mode) {
-				t.Fatalf("served output %v", out["output"])
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sealed, err := epochlog.ListSealed(dir)
-			if err != nil || len(sealed) != 1 {
-				t.Fatalf("sealed %d epochs (err %v), want 1", len(sealed), err)
-			}
-			tr, _, _, err := epochlog.ReadSealed(dir, 1, epochlog.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.CheckBalanced(); err != nil {
-				t.Fatalf("mode %s trace unbalanced: %v", mode, err)
-			}
-		})
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	invoke(t, ts.URL, map[string]any{"op": "set", "scope": "always", "msg": "hello"})
+	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
+	if msg, _ := out["output"].(map[string]any); msg["msg"] != "hello" {
+		t.Fatalf("served output %v", out["output"])
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := epochlog.ListSealed(dir)
+	if err != nil || len(sealed) != 1 {
+		t.Fatalf("sealed %d epochs (err %v), want 1", len(sealed), err)
+	}
+	tr, _, _, err := epochlog.ReadSealed(dir, 1, epochlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckBalanced(); err != nil {
+		t.Fatalf("trace unbalanced: %v", err)
 	}
 }
 

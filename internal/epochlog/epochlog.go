@@ -110,15 +110,6 @@ type Options struct {
 	// real filesystem (iofault.OS). Fault-injection harnesses pass an
 	// *iofault.Injector.
 	FS iofault.FS
-	// GroupCommit starts a commit-queue goroutine that coalesces
-	// AppendEventDurable calls into amortized batch fsyncs (one fsync per
-	// batch rather than per frame). Off by default: the legacy append path
-	// and its call-count fault semantics are unchanged unless opted in.
-	GroupCommit bool
-	// CommitQueue caps enqueued-but-uncommitted durable appends (default
-	// 4096). A full queue refuses with ErrCommitQueueFull rather than
-	// queueing unboundedly.
-	CommitQueue int
 	// Backoff bounds the committer's retries of transient write faults.
 	Backoff fault.Backoff
 }
@@ -162,12 +153,12 @@ type Log struct {
 	pending []*pendingSeal
 	sealMu  sync.Mutex
 
-	// commitCh feeds the group-commit goroutine (nil unless
-	// Options.GroupCommit; set once in Open, immutable after). Enqueues
-	// deliberately avoid l.mu — the committer holds l.mu for a whole batch
-	// commit, and an enqueue that waited on it would turn the bounded
-	// queue into unbounded mutex blocking. commitMu only fences enqueues
-	// against Close closing the channel; commitWG tracks the goroutine.
+	// commitCh feeds the group-commit goroutine (set once in Open,
+	// immutable after). Enqueues deliberately avoid l.mu — the committer
+	// holds l.mu for a whole batch commit, and an enqueue that waited on it
+	// would turn the bounded queue into unbounded mutex blocking. commitMu
+	// only fences enqueues against Close closing the channel; commitWG
+	// tracks the goroutine.
 	commitCh     chan *commitWaiter
 	commitMu     sync.RWMutex
 	commitClosed bool
@@ -197,8 +188,10 @@ func freshPath(dir string, seq uint64) string {
 
 // Open opens (creating if needed) the log in dir and recovers from any
 // torn state: the longest contiguous prefix of validly sealed epochs is
-// adopted, the next epoch becomes active with torn frame tails truncated
-// off its data files, and stray files beyond it are removed.
+// adopted, a chain of data-bearing epochs a crash left unsealed is sealed
+// degraded up to its last epoch, which becomes active with torn frame
+// tails truncated off its data files, and stray files beyond it are
+// quarantined. A failed recovery closes every handle it opened.
 func Open(dir string, opt Options) (*Log, error) {
 	fsys := opt.fs()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -208,13 +201,16 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opt: opt, fs: fsys, sealed: sealed, active: uint64(len(sealed)) + 1}
+	l := &Log{
+		dir: dir, opt: opt, fs: fsys, sealed: sealed, active: uint64(len(sealed)) + 1,
+		commitCh: make(chan *commitWaiter, commitQueue),
+	}
 
 	// A crash between Rotate and FinishSeals leaves whole epochs with
 	// durable data but no manifest, and the successor epoch already
 	// accumulating frames. Walk the contiguous chain of data-bearing epochs
 	// starting at the first unsealed one: every epoch in the chain except
-	// the last gets recovery-sealed below; the last becomes active again.
+	// the last gets sealed below; the last becomes active again.
 	chainEnd := l.active
 	for {
 		ok, err := hasIntactFrames(fsys, tracePath(dir, chainEnd+1))
@@ -271,31 +267,36 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 	}
 
-	// Seal the chain's non-final epochs from their on-disk frames alone.
-	// Group-commit acks are durable, so every frame a client was ever told
-	// about is in those files; the epochs seal degraded because advice that
-	// was never uploaded (or synced) is gone for good.
-	for l.active < chainEnd {
-		m, err := recoverySeal(fsys, dir, l.active)
-		if err != nil {
-			return nil, err
-		}
-		l.sealed = append(l.sealed, *m)
-		l.active++
-	}
-
 	if err := l.openActive(); err != nil {
 		return nil, err
 	}
-	if opt.GroupCommit {
-		if l.opt.CommitQueue <= 0 {
-			l.opt.CommitQueue = 4096
-		}
-		l.commitCh = make(chan *commitWaiter, l.opt.CommitQueue)
-		l.commitWG.Add(1)
-		go l.committer()
+	if err := l.sealChain(chainEnd); err != nil {
+		return nil, errors.Join(err, l.closeFiles())
 	}
+	l.commitWG.Add(1)
+	go l.committer()
 	return l, nil
+}
+
+// sealChain seals the chain's non-final epochs, l.active up to chainEnd,
+// through the live seal path: each is recovered from its files as the
+// active epoch, flagged degraded and rotated out, and FinishSeals seals
+// them in order. Group-commit acks are durable, so every frame a client
+// was ever told about is in those files; the epochs seal degraded because
+// advice that was never synced is gone for good.
+func (l *Log) sealChain(chainEnd uint64) error {
+	for l.active < chainEnd {
+		l.MarkDegraded("sealed by crash recovery: collector stopped before finishing this epoch's seal")
+		rotated, err := l.Rotate()
+		if err != nil {
+			return err
+		}
+		if !rotated {
+			return fmt.Errorf("epochlog: recovering epoch %d: no intact frames", l.active)
+		}
+	}
+	_, err := l.FinishSeals()
+	return err
 }
 
 // hasIntactFrames reports whether path exists and holds at least one intact
@@ -314,7 +315,7 @@ func hasIntactFrames(fsys iofault.FS, path string) (bool, error) {
 
 // openActive recovers the active epoch's data files — truncating torn
 // tails, recomputing counters and the running digest — and opens them for
-// appending. Caller holds no lock (Open) or l.mu (Seal).
+// appending. Caller holds no lock (Open) or l.mu (Rotate).
 func (l *Log) openActive() error {
 	l.events, l.requests, l.adviceBytes, l.lastRID, l.degraded = 0, 0, 0, "", ""
 	l.written, l.tailBroken = 0, false
@@ -543,62 +544,19 @@ func writeManifestDurable(fsys iofault.FS, dir string, m Manifest) error {
 	return nil
 }
 
-// Seal durably closes the active epoch: data files are fsynced, the
-// manifest (carrying the trace digest) is written and fsynced, and a fresh
-// active epoch begins. Sealing an epoch with no events is a no-op.
+// Seal durably closes the active epoch: Rotate, then FinishSeals. It
+// returns the last manifest it sealed, nil when the active epoch was empty
+// and nothing was pending.
 //
-// A failed seal leaves the log fully usable: the data handles stay open
-// until the manifest is durable, and a manifest that failed partway is
-// removed — the manifest's presence IS the seal, so one must never survive
-// a seal that did not complete. Appends may continue and Seal may be
-// retried. When the manifest is durable but rotating to the next epoch
-// fails, Seal returns the manifest *and* an error: the epoch is sealed,
-// the log is closed.
+// A failed Seal leaves the log usable. A failed rotation rolls back before
+// anything is durable: the epoch stays active. A failed durable half leaves
+// the epoch pending (rotated out, no manifest): appends land in the next
+// epoch, and a retried Seal seals both, in order.
 func (l *Log) Seal() (*Manifest, error) {
-	l.sealMu.Lock()
-	defer l.sealMu.Unlock()
-	// Earlier rotated-out epochs must seal first: manifests land strictly
-	// in epoch order so the sealed prefix never has a gap.
-	if _, err := l.finishPending(); err != nil { //karousos:locklint-ok sealMu exists to serialize seal durability work; finishPending fsyncs old epochs without l.mu so appends proceed
+	if _, err := l.Rotate(); err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, errors.New("epochlog: log is closed")
-	}
-	// A seal linearizes after every append already accepted into the
-	// group-commit queue: commit the stragglers into this epoch now.
-	l.drainCommitQueueLocked() //karousos:locklint-ok seal linearization: stragglers must commit into this epoch before the boundary; arrivals queue on commitCh, not l.mu
-	if l.events == 0 {
-		return nil, nil
-	}
-	for _, f := range []iofault.File{l.traceF, l.adviceF} {
-		if err := f.Sync(); err != nil { //karousos:locklint-ok seal linearization point: no append may land between the drained queue and the manifest, so the data fsync holds l.mu by design
-			return nil, fmt.Errorf("epochlog: sealing epoch %d: data fsync: %w", l.active, err)
-		}
-	}
-	m := l.manifestLocked()
-	if err := writeManifestDurable(l.fs, l.dir, m); err != nil { //karousos:locklint-ok the manifest IS the seal; it must be durable before any post-seal append is accepted
-		return nil, err
-	}
-	// The epoch is sealed. Release the data handles (close errors after a
-	// successful fsync carry no durability information) and clean up the
-	// fresh marker: the manifest durably records Fresh now.
-	_ = l.traceF.Close()                     //karousos:errladder-ok close after successful fsync carries no durability information
-	_ = l.adviceF.Close()                    //karousos:errladder-ok close after successful fsync carries no durability information
-	_ = l.fs.Remove(freshPath(l.dir, m.Seq)) //karousos:errladder-ok best-effort; the sealed manifest now records Fresh durably
-
-	l.sealed = append(l.sealed, m)
-	l.active++
-	if err := l.openActive(); err != nil {
-		// The manifest is durable: the epoch IS sealed even though the log
-		// cannot rotate to the next one. Return the manifest with the error
-		// so callers don't mistake a rotation failure for a failed seal.
-		l.closed = true
-		return &m, fmt.Errorf("epochlog: epoch %d sealed but rotating to epoch %d failed (log closed): %w", m.Seq, l.active, err)
-	}
-	return &m, nil
+	return l.FinishSeals()
 }
 
 // Sealed returns the manifests of all sealed epochs in order.
@@ -621,15 +579,18 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	if l.commitCh != nil {
-		l.commitMu.Lock()
-		l.commitClosed = true
-		close(l.commitCh)
-		l.commitMu.Unlock()
-		l.commitWG.Wait()
-	}
+	l.commitMu.Lock()
+	l.commitClosed = true
+	close(l.commitCh)
+	l.commitMu.Unlock()
+	l.commitWG.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.closeFiles()
+}
+
+// closeFiles releases the active epoch's handles and every pending epoch's.
+func (l *Log) closeFiles() error {
 	err1 := l.traceF.Close()
 	err2 := l.adviceF.Close()
 	for _, ps := range l.pending {

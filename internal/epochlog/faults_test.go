@@ -1,6 +1,7 @@
 package epochlog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -31,8 +32,9 @@ func fillOpen(t *testing.T, l *Log, n int) {
 
 // TestSealDataFsyncFailureLeavesNoManifest: the manifest must not exist
 // unless the data files are durable. An injected fsync failure on a data
-// file aborts the seal before the manifest is created, the log stays
-// appendable, and the retried seal succeeds.
+// file aborts the seal before the manifest is created and leaves the epoch
+// pending; the log stays appendable into the next epoch, and the retried
+// seal seals both epochs in order.
 func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
@@ -54,9 +56,12 @@ func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 	if _, statErr := os.Stat(manifestPath(dir, 1)); !os.IsNotExist(statErr) {
 		t.Fatalf("manifest exists after failed data fsync (stat err %v)", statErr)
 	}
+	if n := l.PendingSeals(); n != 1 {
+		t.Fatalf("%d pending seals after failed data fsync, want 1", n)
+	}
 
-	// The failed seal must leave the log usable: appends and a retried
-	// seal both work.
+	// The failed seal must leave the log usable: appends land in epoch 2,
+	// and a retried seal seals epoch 1 and then epoch 2.
 	if err := l.AppendEvent(ev(trace.Req, "rz", 9)); err != nil {
 		t.Fatalf("append after failed seal: %v", err)
 	}
@@ -67,12 +72,55 @@ func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("retried seal: %v (manifest %v)", err, m)
 	}
-	if m.Events != 6 {
-		t.Fatalf("retried seal recorded %d events, want 6", m.Events)
+	if m.Seq != 2 || m.Events != 2 {
+		t.Fatalf("retried seal returned epoch %d with %d events, want epoch 2 with 2", m.Seq, m.Events)
 	}
 	tr, blob, _, err := ReadSealed(dir, 1, Options{})
-	if err != nil || len(tr.Events) != 6 || string(blob) != "advice-blob" {
-		t.Fatalf("sealed epoch after retry: %d events, advice %q, err %v", len(tr.Events), blob, err)
+	if err != nil || len(tr.Events) != 4 || string(blob) != "advice-blob" {
+		t.Fatalf("sealed epoch 1 after retry: %d events, advice %q, err %v", len(tr.Events), blob, err)
+	}
+	if tr, _, _, err := ReadSealed(dir, 2, Options{}); err != nil || len(tr.Events) != 2 || tr.Events[0].RID != "rz" {
+		t.Fatalf("sealed epoch 2 after retry: %v, %v", tr, err)
+	}
+}
+
+// TestSealRotationFailureRollsBack: when Seal cannot open the next
+// epoch's files, nothing is durable yet — no manifest, no pending seal —
+// and the epoch stays active: appends land in it and a retried Seal seals
+// the whole of it.
+func TestSealRotationFailureRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	inj := iofault.NewInjector(nil)
+	l, err := Open(dir, Options{FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fillOpen(t, l, 2)
+	// Rotation reads epoch 2's advice file twice (torn-tail check, scan),
+	// then opens it: fail the open, after epoch 2's trace file is open.
+	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 1, After: 2, Target: "ep000002.advice"}); err != nil {
+		t.Fatal(err)
+	}
+	var fe *iofault.FaultError
+	if _, err := l.Seal(); !errors.As(err, &fe) || fe.Call != iofault.CallOpen {
+		t.Fatalf("seal error = %v, want the next epoch's failed open", err)
+	}
+	if _, statErr := os.Stat(manifestPath(dir, 1)); !os.IsNotExist(statErr) {
+		t.Fatalf("manifest exists after failed rotation (stat err %v)", statErr)
+	}
+	if l.ActiveSeq() != 1 || l.PendingSeals() != 0 {
+		t.Fatalf("after failed rotation: active %d, %d pending; want epoch 1 active, none pending", l.ActiveSeq(), l.PendingSeals())
+	}
+	if err := l.AppendEvent(ev(trace.Req, "rz", 9)); err != nil {
+		t.Fatalf("append after failed rotation: %v", err)
+	}
+	m, err := l.Seal()
+	if err != nil || m == nil || m.Seq != 1 || m.Events != 5 {
+		t.Fatalf("retried seal = %+v, %v; want epoch 1 with 5 events", m, err)
+	}
+	if tr, _, _, err := ReadSealed(dir, 1, Options{}); err != nil || len(tr.Events) != 5 {
+		t.Fatalf("sealed epoch 1 after retry: %v", err)
 	}
 }
 
@@ -280,5 +328,45 @@ func TestShortWriteOnAppendIsRecoverable(t *testing.T) {
 	}
 	if m, err := l2.Seal(); err != nil || m.Events != 4 {
 		t.Fatalf("seal after torn-tail recovery = %+v, %v", m, err)
+	}
+}
+
+// TestOpenRecoveryFailureRetries: a recovery whose seal of a
+// crash-orphaned epoch fails leaves no manifest and no open handle, and
+// the next Open finishes the same recovery.
+func TestOpenRecoveryFailureRetries(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillOpen(t, l, 2)
+	if rotated, err := l.Rotate(); err != nil || !rotated {
+		t.Fatalf("rotate: %v", err)
+	}
+	fillOpen(t, l, 1)
+	l.Close() // crash: epoch 1 rotated out, its seal never finished
+
+	inj := iofault.NewInjector(nil)
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, Target: ".manifest"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{FS: inj}); err == nil || !strings.Contains(err.Error(), "manifest fsync") {
+		t.Fatalf("Open through a failed recovery seal: %v, want the manifest fsync failure", err)
+	}
+	if _, statErr := os.Stat(manifestPath(dir, 1)); !os.IsNotExist(statErr) {
+		t.Fatalf("failed recovery left a manifest (stat err %v)", statErr)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after failed recovery: %v", err)
+	}
+	defer l2.Close()
+	sealed := l2.Sealed()
+	if len(sealed) != 1 || sealed[0].Events != 4 || sealed[0].Degraded == "" {
+		t.Fatalf("recovered manifests %+v, want epoch 1 with 4 events, degraded", sealed)
+	}
+	if events, _ := l2.ActiveEvents(); l2.ActiveSeq() != 2 || events != 2 {
+		t.Fatalf("active epoch %d with %d events, want epoch 2 with 2", l2.ActiveSeq(), events)
 	}
 }

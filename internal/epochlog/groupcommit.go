@@ -47,13 +47,12 @@ type commitWaiter struct {
 	done    chan error
 }
 
-// AppendEventAsync appends one trace event with a durability ack. Under
-// Options.GroupCommit the frame rides the committer's next batch fsync;
-// otherwise it pays a private write+fsync inline (the per-request
-// baseline). A full commit queue refuses immediately with an Ack carrying
-// ErrCommitQueueFull — the queue is bounded, overload sheds here. ctx only
-// abandons an append whose batch has not started committing; it cannot
-// recall bytes already headed for the disk.
+// AppendEventAsync appends one trace event with a durability ack: the
+// frame rides the committer's next batch fsync. A full commit queue
+// refuses immediately with an Ack carrying ErrCommitQueueFull — the queue
+// is bounded, overload sheds here. ctx only abandons an append whose batch
+// has not started committing; it cannot recall bytes already headed for
+// the disk.
 func (l *Log) AppendEventAsync(ctx context.Context, e trace.Event) *Ack {
 	payload := trace.AppendEventBinary(nil, e)
 	w := &commitWaiter{
@@ -64,41 +63,28 @@ func (l *Log) AppendEventAsync(ctx context.Context, e trace.Event) *Ack {
 		ctx:     ctx,
 		done:    make(chan error, 1),
 	}
-	if l.commitCh != nil {
-		// Group mode. No l.mu here: the committer holds it across a whole
-		// batch (fsync included), and blocking arrivals on it would be an
-		// unbounded queue in disguise. commitMu only fences against Close.
-		l.commitMu.RLock()
-		defer l.commitMu.RUnlock()
-		if l.commitClosed {
-			return ackDone(errors.New("epochlog: log is closed"))
-		}
-		select {
-		case l.commitCh <- w:
-			return &Ack{ch: w.done}
-		default:
-			return ackDone(fmt.Errorf("epochlog: %w", ErrCommitQueueFull))
-		}
-	}
-	// Per-request durability: pay a private write+fsync inline.
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	// No l.mu here: the committer holds it across a whole batch (fsync
+	// included), and blocking arrivals on it would be an unbounded queue in
+	// disguise. commitMu only fences against Close.
+	l.commitMu.RLock()
+	defer l.commitMu.RUnlock()
+	if l.commitClosed {
 		return ackDone(errors.New("epochlog: log is closed"))
 	}
-	l.commitLocked([]*commitWaiter{w}) //karousos:locklint-ok per-request durability mode: the caller opted to pay a private write+fsync inline; group mode is the committer path
-	l.mu.Unlock()
-	return &Ack{ch: w.done}
-}
-
-// AppendEventDurable appends one trace event and returns only once the
-// frame is durable on disk (or the append failed).
-func (l *Log) AppendEventDurable(ctx context.Context, e trace.Event) error {
-	return l.AppendEventAsync(ctx, e).Wait()
+	select {
+	case l.commitCh <- w:
+		return &Ack{ch: w.done}
+	default:
+		return ackDone(fmt.Errorf("epochlog: %w", ErrCommitQueueFull))
+	}
 }
 
 // maxBatchFrames caps how many frames one group-commit batch carries.
 const maxBatchFrames = 512
+
+// commitQueue caps enqueued-but-uncommitted durable appends. A full queue
+// refuses with ErrCommitQueueFull rather than queueing unboundedly.
+const commitQueue = 4096
 
 // committer is the group-commit loop: it blocks for one enqueued waiter,
 // then drains whatever else arrived (up to maxBatchFrames) and commits the
@@ -143,9 +129,6 @@ func (l *Log) committer() {
 // will land in the next epoch — which its callers tolerate, since the
 // collector's epoch gate keeps appends and rotations from overlapping.
 func (l *Log) drainCommitQueueLocked() {
-	if l.commitCh == nil {
-		return
-	}
 	var batch []*commitWaiter
 drain:
 	for {

@@ -19,7 +19,6 @@ var noSleep = fault.Backoff{Sleep: func(time.Duration) {}}
 
 func openGroup(t *testing.T, dir string, opt Options) *Log {
 	t.Helper()
-	opt.GroupCommit = true
 	if opt.Backoff.Sleep == nil {
 		opt.Backoff = noSleep
 	}
@@ -41,11 +40,11 @@ func TestGroupCommitConcurrentAppendsSealIntact(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rid := fmt.Sprintf("r%04d", i)
-			if err := l.AppendEventDurable(context.Background(), ev(trace.Req, rid, i)); err != nil {
+			if err := l.AppendEventAsync(context.Background(), ev(trace.Req, rid, i)).Wait(); err != nil {
 				errs[i] = err
 				return
 			}
-			errs[i] = l.AppendEventDurable(context.Background(), ev(trace.Resp, rid, i))
+			errs[i] = l.AppendEventAsync(context.Background(), ev(trace.Resp, rid, i)).Wait()
 		}(i)
 	}
 	wg.Wait()
@@ -79,46 +78,37 @@ func TestGroupCommitConcurrentAppendsSealIntact(t *testing.T) {
 // TestGroupCommitAmortisesFsyncs pins the group-commit bargain as a count:
 // 32 concurrent appenders, each waiting for durability before its next
 // event (the collector's discipline), on a disk whose trace writes and
-// fsyncs are slow enough that waiters pile up behind every batch.
-// Per-request mode pays one data fsync per event; group mode must need at
-// most a quarter as many.
+// fsyncs are slow enough that waiters pile up behind every batch. One
+// fsync per event would be 128; group commit must need at most a quarter
+// as many.
 func TestGroupCommitAmortisesFsyncs(t *testing.T) {
 	const waiters, perWaiter = 32, 4
-	dataFsyncs := func(group bool) int {
-		inj := iofault.NewInjector(nil)
-		l, err := Open(t.TempDir(), Options{FS: inj, GroupCommit: group, Backoff: noSleep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		if err := inj.Arm(iofault.OpLatency, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
-			t.Fatal(err)
-		}
-		before := inj.Counts()[iofault.CallSync]
-		var wg sync.WaitGroup
-		errs := make([]error, waiters)
-		for g := 0; g < waiters; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < perWaiter && errs[g] == nil; i++ {
-					errs[g] = l.AppendEventDurable(context.Background(), ev(trace.Req, fmt.Sprintf("g%d-r%d", g, i), i))
-				}
-			}(g)
-		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Fatalf("waiter %d: %v", g, err)
+	inj := iofault.NewInjector(nil)
+	l := openGroup(t, t.TempDir(), Options{FS: inj})
+	defer l.Close()
+	if err := inj.Arm(iofault.OpLatency, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
+		t.Fatal(err)
+	}
+	before := inj.Counts()[iofault.CallSync]
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWaiter && errs[g] == nil; i++ {
+				errs[g] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("g%d-r%d", g, i), i)).Wait()
 			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("waiter %d: %v", g, err)
 		}
-		return inj.Counts()[iofault.CallSync] - before
 	}
 	const events = waiters * perWaiter
-	if per := dataFsyncs(false); per != events {
-		t.Fatalf("per-request mode: %d data fsyncs for %d events, want one each", per, events)
-	}
-	if grp := dataFsyncs(true); grp > events/4 {
+	if grp := inj.Counts()[iofault.CallSync] - before; grp > events/4 {
 		t.Fatalf("group commit: %d data fsyncs for %d events, want at most %d", grp, events, events/4)
 	}
 }
@@ -130,7 +120,7 @@ func TestGroupCommitAckImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendEventDurable(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)); err != nil {
+		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +143,7 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	l := openGroup(t, dir, Options{FS: inj, CommitQueue: 2, Backoff: fault.Backoff{
+	l := openGroup(t, dir, Options{FS: inj, Backoff: fault.Backoff{
 		Attempts: 100,
 		Sleep: func(time.Duration) {
 			once.Do(func() { close(blocked) })
@@ -165,21 +155,23 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	}
 	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
 	<-blocked // committer holds r0, retrying
-	a1 := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1))
-	a2 := l.AppendEventAsync(context.Background(), ev(trace.Req, "r2", 2))
-	shed := l.AppendEventAsync(context.Background(), ev(trace.Req, "r3", 3))
+	queued := make([]*Ack, commitQueue)
+	for i := range queued {
+		queued[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
+	}
+	shed := l.AppendEventAsync(context.Background(), ev(trace.Req, "shed", 0))
 	if err := shed.Wait(); !errors.Is(err, ErrCommitQueueFull) {
 		t.Fatalf("append to full queue: %v, want ErrCommitQueueFull", err)
 	}
 	inj.Heal()
 	close(release)
-	for i, a := range []*Ack{first, a1, a2} {
+	for i, a := range append([]*Ack{first}, queued...) {
 		if err := a.Wait(); err != nil {
 			t.Fatalf("queued append %d failed after heal: %v", i, err)
 		}
 	}
-	if events, _ := l.ActiveEvents(); events != 3 {
-		t.Fatalf("%d events committed, want 3", events)
+	if events, _ := l.ActiveEvents(); events != commitQueue+1 {
+		t.Fatalf("%d events committed, want %d", events, commitQueue+1)
 	}
 	l.Close()
 }
@@ -189,14 +181,14 @@ func TestGroupCommitAbandonsExpiredDeadlines(t *testing.T) {
 	l := openGroup(t, dir, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := l.AppendEventDurable(ctx, ev(trace.Req, "r0", 0))
+	err := l.AppendEventAsync(ctx, ev(trace.Req, "r0", 0)).Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("append with dead context: %v, want context.Canceled", err)
 	}
 	if events, _ := l.ActiveEvents(); events != 0 {
 		t.Fatalf("abandoned append still landed: %d events", events)
 	}
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "r1", 1)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -218,18 +210,18 @@ func TestGroupCommitBatchFsyncFailureAcksNobody(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "good", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "good", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
-	err := l.AppendEventDurable(context.Background(), ev(trace.Req, "doomed", 1))
+	err := l.AppendEventAsync(context.Background(), ev(trace.Req, "doomed", 1)).Wait()
 	if err == nil {
 		t.Fatal("append with failing batch fsync was acked")
 	}
 	// The failed batch's bytes are gone; the log keeps accepting.
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "after", 2)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "after", 2)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -255,7 +247,7 @@ func TestGroupCommitShortWriteRetriesWithoutTearing(t *testing.T) {
 	}
 	// The first batch write tears mid-frame; the committer truncates the
 	// tear and the transient retry lands the full batch.
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "r0", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatalf("short-write batch not retried: %v", err)
 	}
 	m, err := l.Seal()
@@ -278,7 +270,7 @@ func TestGroupCommitTornBatchTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 4; i++ {
-		if err := l.AppendEventDurable(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)); err != nil {
+		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +289,7 @@ func TestGroupCommitTornBatchTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fh.Close()
-	l2, err := Open(dir, Options{GroupCommit: true})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +309,7 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 6; i++ {
-		if err := l.AppendEventDurable(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)); err != nil {
+		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +325,7 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 	}
 	// Appends keep flowing into the new epoch before the seal finishes —
 	// that is the double buffer's whole point.
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "next-epoch", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "next-epoch", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	m, err := l.FinishSeals()
@@ -377,7 +369,7 @@ func TestFinishSealsFailureKeepsPendingAndRetries(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "r0", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if rotated, err := l.Rotate(); err != nil || !rotated {
@@ -413,7 +405,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 	for ep := 0; ep < 2; ep++ {
 		for i := 0; i < 3; i++ {
 			rid := fmt.Sprintf("e%d-r%d", ep, i)
-			if err := l.AppendEventDurable(context.Background(), ev(trace.Req, rid, i)); err != nil {
+			if err := l.AppendEventAsync(context.Background(), ev(trace.Req, rid, i)).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -421,13 +413,13 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 			t.Fatalf("rotate epoch %d: %v", ep, err)
 		}
 	}
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "active-r0", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "active-r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: no FinishSeals, no Close-side fsyncs.
 	l.Close()
 
-	l2, err := Open(dir, Options{GroupCommit: true})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +442,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 		t.Fatalf("active epoch recovered %d events, want 1", events)
 	}
 	// The log keeps working end to end.
-	if err := l2.AppendEventDurable(context.Background(), ev(trace.Req, "post", 1)); err != nil {
+	if err := l2.AppendEventAsync(context.Background(), ev(trace.Req, "post", 1)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := l2.Seal(); err != nil || m.Seq != 3 {
@@ -465,13 +457,13 @@ func TestRecoverySealPreservesFreshMarker(t *testing.T) {
 	if err := l.MarkFresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "r0", 0)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if rotated, err := l.Rotate(); err != nil || !rotated {
 		t.Fatalf("rotate: %v", err)
 	}
-	if err := l.AppendEventDurable(context.Background(), ev(trace.Req, "r1", 1)); err != nil {
+	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

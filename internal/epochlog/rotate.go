@@ -1,22 +1,19 @@
 package epochlog
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
 
 	"karousos.dev/karousos/internal/iofault"
-	"karousos.dev/karousos/internal/trace"
 )
 
-// This file is the double-buffered seal (DESIGN.md §14). The legacy Seal
-// does everything — data fsync, manifest, rotation — under one lock, which
-// stalls every in-flight request for the seal's worth of fsyncs. Rotate
-// splits off the fast half: snapshot the epoch's accounting, swap in fresh
-// files, done — no fsync. FinishSeals pays the durable half afterwards,
-// outside whatever gate the caller serializes appends with, so the accept
-// loop keeps moving while the old epoch syncs.
+// This file is the one seal path (DESIGN.md §14), split in two halves so
+// that no lock is held across a seal's fsyncs. Rotate is the fast half:
+// snapshot the epoch's accounting, swap in fresh files, done — no fsync.
+// FinishSeals pays the durable half afterwards, outside whatever gate the
+// caller serializes appends with, so the accept loop keeps moving while
+// the old epoch syncs. Seal is the two in a row, and Open seals the epochs
+// a crash left unsealed through the same two calls.
 
 // Rotate closes the active epoch's accounting and swaps in the next
 // epoch's files without any fsync; the rotated epoch becomes a pending
@@ -105,77 +102,4 @@ func (l *Log) PendingSeals() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.pending)
-}
-
-// recoverySeal seals epoch seq from its on-disk bytes alone. A crash
-// between Rotate and FinishSeals leaves an epoch whose acked frames are
-// durable — group-commit acks happen only after their batch fsync — but
-// whose manifest never landed, while the collector already filled
-// successor epochs. Recovery truncates the torn tails, recounts, and
-// seals the epoch Degraded: frames past the last batch fsync and advice
-// that never synced are gone, and the auditor must grade what remains as
-// possibly incomplete evidence, never as the server's lie.
-func recoverySeal(fsys iofault.FS, dir string, seq uint64) (*Manifest, error) {
-	tp := tracePath(dir, seq)
-	if err := truncateTorn(fsys, tp); err != nil {
-		return nil, err
-	}
-	dig := sha256.New()
-	m := Manifest{Seq: seq, Degraded: "sealed by crash recovery: collector stopped before finishing this epoch's seal"}
-	if err := scanFrames(fsys, tp, 0, func(payload []byte) error {
-		e, err := trace.DecodeEventBinary(payload, nil)
-		if err != nil {
-			return fmt.Errorf("epochlog: %s: recovered frame undecodable: %w", tp, err)
-		}
-		m.Events++
-		if e.Kind == trace.Req {
-			m.Requests++
-			m.LastRID = e.RID
-		}
-		m.TraceBytes += int64(frameHeader + len(payload))
-		dig.Write(payload) //karousos:errladder-ok hash.Hash.Write is documented never to return an error
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if m.Events == 0 {
-		// Open only recovery-seals data-bearing epochs, so this is a
-		// should-not-happen guard, not a reachable state.
-		return nil, fmt.Errorf("epochlog: recovery-sealing epoch %d: no intact frames", seq)
-	}
-	m.TraceDigest = fmt.Sprintf("%x", dig.Sum(nil))
-	ap := advicePath(dir, seq)
-	if err := truncateTorn(fsys, ap); err != nil {
-		return nil, err
-	}
-	if err := scanFrames(fsys, ap, 0, func(payload []byte) error {
-		m.AdviceBytes = len(payload)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, statErr := fsys.Stat(freshPath(dir, seq))
-	m.Fresh = statErr == nil
-	// Make the surviving data durable before the manifest claims it.
-	for _, p := range []string{tp, ap} {
-		f, err := fsys.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
-		if errors.Is(err, os.ErrNotExist) {
-			continue // the epoch never got an advice file
-		}
-		if err != nil {
-			return nil, fmt.Errorf("epochlog: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close() //karousos:errladder-ok close-after-error; the fsync failure is the error that surfaces
-			return nil, fmt.Errorf("epochlog: recovery-sealing epoch %d: data fsync: %w", seq, err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("epochlog: %w", err)
-		}
-	}
-	if err := writeManifestDurable(fsys, dir, m); err != nil {
-		return nil, err
-	}
-	_ = fsys.Remove(freshPath(dir, seq)) //karousos:errladder-ok best-effort; the sealed manifest now records Fresh durably
-	return &m, nil
 }

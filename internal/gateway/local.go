@@ -25,13 +25,12 @@ type LocalConfig struct {
 	Root string
 	// Map is the topology. Validate must pass.
 	Map shard.Map
-	// EpochRequests, Seed, Commit, Limits, FS, Backoff pass through to each
+	// EpochRequests, Seed, Limits, FS, Backoff pass through to each
 	// shard's collector. Shard s serves with Seed+s so the shards'
 	// schedules differ the way independent processes' would.
 	EpochRequests int
 	EpochMaxAge   time.Duration
 	Seed          int64
-	Commit        collectorhttp.CommitMode
 	Limits        verifier.Limits
 	FS            iofault.FS
 	Backoff       fault.Backoff
@@ -145,7 +144,6 @@ func (t *Local) boot(s int) error {
 		EpochRequests: t.cfg.EpochRequests,
 		EpochMaxAge:   t.cfg.EpochMaxAge,
 		Seed:          t.cfg.Seed + int64(s),
-		Commit:        t.cfg.Commit,
 		Limits:        t.cfg.Limits,
 		FS:            t.cfg.FS,
 		Backoff:       t.cfg.Backoff,
