@@ -15,18 +15,33 @@ import (
 // handler activation, and the read_observers / write_observer / initializer
 // bookkeeping that Postprocess turns into WR/WW/RW edges.
 type vvar struct {
-	id       core.VarID
-	log      map[core.Op]*advice.VarLogEntry
-	consumed map[core.Op]bool
+	id core.VarID
+	varLog
 	dict     map[dkey][]dictEntry
-	readObs  map[core.Op][]core.Op
-	writeObs map[core.Op]core.Op
-	initial  *core.Op // Figure 20's v.initializer
+	readObs  map[op][]op
+	writeObs map[op]op
+	initial  *op // Figure 20's v.initializer
 }
 
-type dkey struct {
-	rid core.RID
-	hid core.HID
+// varLog indexes one variable's log by interned op. order holds the same
+// entries in advice order, then the carried ones: the consumption sweep
+// walks it instead of the map.
+type varLog struct {
+	log   map[op]*vlogEntry
+	order []*vlogEntry
+}
+
+// vlogEntry is one variable-log entry with its op and, when it has one, its
+// predecessor interned; consumed marks that re-execution performed it.
+type vlogEntry struct {
+	*advice.VarLogEntry
+	op, prec op
+	consumed bool
+}
+
+func (l *varLog) add(e *vlogEntry) {
+	l.log[e.op] = e
+	l.order = append(l.order, e)
 }
 
 type dictEntry struct {
@@ -43,24 +58,31 @@ func (v *Verifier) variable(id core.VarID) *vvar {
 }
 
 // buildVarLogIndex indexes the advice's variable logs before init runs, so
-// that init-time writes can consume their (lazily logged) entries. Duplicate
-// entries for one operation are forgery.
+// that init-time writes can consume their (lazily logged) entries, interning
+// every entry's op and predecessor. Duplicate entries for one operation are
+// forgery.
 func (v *Verifier) buildVarLogIndex() {
-	v.rawVarLogs = make(map[core.VarID]map[core.Op]*advice.VarLogEntry, len(v.adv.VarLogs))
+	v.rawVarLogs = make(map[core.VarID]*varLog, len(v.adv.VarLogs))
 	for _, id := range sortedKeys(v.adv.VarLogs) {
 		entries := v.adv.VarLogs[id]
-		idx := make(map[core.Op]*advice.VarLogEntry, len(entries))
+		l := &varLog{log: make(map[op]*vlogEntry, len(entries)), order: make([]*vlogEntry, 0, len(entries))}
+		ents := make([]vlogEntry, len(entries))
 		for i := range entries {
 			e := &entries[i]
 			if e.Op.RID != core.InitRID && !v.inTrace[e.Op.RID] {
 				core.Rejectf("variable log entry %v for request absent from trace", e.Op)
 			}
-			if _, dup := idx[e.Op]; dup {
+			ve := &ents[i]
+			ve.VarLogEntry, ve.op = e, v.ids.intern(e.Op)
+			if _, dup := l.log[ve.op]; dup {
 				core.Rejectf("duplicate variable log entry at %v", e.Op)
 			}
-			idx[e.Op] = e
+			if e.HasPrec {
+				ve.prec = v.ids.intern(e.Prec)
+			}
+			l.add(ve)
 		}
-		v.rawVarLogs[id] = idx
+		v.rawVarLogs[id] = l
 	}
 }
 
@@ -78,30 +100,31 @@ func (v *Verifier) checkVarLogsKnown() {
 // feeds from its logged dictating write; an unlogged read climbs the handler
 // tree through the version dictionary (FindNearestRPrecedingWrite). Under
 // Orochi-JS semantics every request read must be logged.
-func (g *groupExec) annotateRead(vv *vvar, op core.Op) value.V {
-	if e, ok := vv.log[op]; ok {
-		g.effect(intent{kind: effVarConsumed, vv: vv, op: op})
+func (g *groupExec) annotateRead(vv *vvar, o op) value.V {
+	ids := g.v.ids
+	if e, ok := vv.log[o]; ok {
+		g.effect(intent{kind: effVarConsumed, vv: vv, op: o})
 		if e.Type != advice.AccessRead {
-			core.RejectCodef(core.RejectLogMismatch, "re-executed read %v logged as write", op)
+			core.RejectCodef(core.RejectLogMismatch, "re-executed read %v logged as write", ids.core(o))
 		}
 		if !e.HasPrec {
-			core.Rejectf("logged read %v has no dictating write", op)
+			core.Rejectf("logged read %v has no dictating write", ids.core(o))
 		}
-		pe, ok := vv.log[e.Prec]
+		pe, ok := vv.log[e.prec]
 		if !ok || pe.Type != advice.AccessWrite {
-			core.Rejectf("logged read %v dictated by missing or non-write entry %v", op, e.Prec)
+			core.Rejectf("logged read %v dictated by missing or non-write entry %v", ids.core(o), e.Prec)
 		}
-		g.effect(intent{kind: effReadObs, vv: vv, prec: e.Prec, op: op})
+		g.effect(intent{kind: effReadObs, vv: vv, prec: e.prec, op: o})
 		return pe.Value
 	}
-	if g.v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
-		core.RejectCodef(core.RejectLogMismatch, "orochi-js: read %v of variable %s is not logged", op, vv.id)
+	if g.v.cfg.Mode == advice.ModeOrochiJS && o.r != initR {
+		core.RejectCodef(core.RejectLogMismatch, "orochi-js: read %v of variable %s is not logged", ids.core(o), vv.id)
 	}
-	prev, val, found := g.findNearestRPrecedingWrite(vv, op)
+	prev, val, found := g.findNearestRPrecedingWrite(vv, o)
 	if !found {
-		core.RejectCodef(core.RejectLogMismatch, "read %v of variable %s precedes every write", op, vv.id)
+		core.RejectCodef(core.RejectLogMismatch, "read %v of variable %s precedes every write", ids.core(o), vv.id)
 	}
-	g.effect(intent{kind: effReadObs, vv: vv, prec: prev, op: op})
+	g.effect(intent{kind: effReadObs, vv: vv, prec: prev, op: o})
 	return val
 }
 
@@ -112,44 +135,45 @@ func (g *groupExec) annotateRead(vv *vvar, op core.Op) value.V {
 // its R-preceding predecessor through the dictionary. Exactly one write per
 // variable may have no predecessor — the initializer. The written value is
 // normalised here, and a buffered group adds its size to the memo charge.
-func (g *groupExec) annotateWrite(vv *vvar, op core.Op, written value.V) {
+func (g *groupExec) annotateWrite(vv *vvar, o op, written value.V) {
+	ids := g.v.ids
 	val, size := g.sizes.Normalize(written)
 	if g.eff != nil {
 		g.eff.dictBytes += size
 	}
-	g.effect(intent{kind: effDict, vv: vv, op: op, val: val})
-	if e, ok := vv.log[op]; ok {
-		g.effect(intent{kind: effVarConsumed, vv: vv, op: op})
+	g.effect(intent{kind: effDict, vv: vv, op: o, val: val})
+	if e, ok := vv.log[o]; ok {
+		g.effect(intent{kind: effVarConsumed, vv: vv, op: o})
 		if e.Type != advice.AccessWrite {
-			core.RejectCodef(core.RejectLogMismatch, "re-executed write %v logged as read", op)
+			core.RejectCodef(core.RejectLogMismatch, "re-executed write %v logged as read", ids.core(o))
 		}
 		if !value.Equal(e.Value, val) {
 			core.RejectCodef(core.RejectLogMismatch, "write %v of variable %s produced %s but log records %s",
-				op, vv.id, value.String(val), value.String(e.Value))
+				ids.core(o), vv.id, value.String(val), value.String(e.Value))
 		}
 		if e.HasPrec {
-			g.effect(intent{kind: effWriteObs, vv: vv, prec: e.Prec, op: op})
+			g.effect(intent{kind: effWriteObs, vv: vv, prec: e.prec, op: o})
 			return
 		}
 		// A lazily-logged write carries no predecessor reference; its
 		// predecessor is R-ordered before it and is found below.
-	} else if g.v.cfg.Mode == advice.ModeOrochiJS && op.RID != core.InitRID {
-		core.RejectCodef(core.RejectLogMismatch, "orochi-js: write %v of variable %s is not logged", op, vv.id)
+	} else if g.v.cfg.Mode == advice.ModeOrochiJS && o.r != initR {
+		core.RejectCodef(core.RejectLogMismatch, "orochi-js: write %v of variable %s is not logged", ids.core(o), vv.id)
 	}
-	prev, _, found := g.findNearestRPrecedingWrite(vv, op)
+	prev, _, found := g.findNearestRPrecedingWrite(vv, o)
 	if found {
-		g.effect(intent{kind: effWriteObs, vv: vv, prec: prev, op: op})
+		g.effect(intent{kind: effWriteObs, vv: vv, prec: prev, op: o})
 		return
 	}
-	g.effect(intent{kind: effInitial, vv: vv, op: op})
+	g.effect(intent{kind: effInitial, vv: vv, op: o})
 }
 
 // findNearestRPrecedingWrite climbs from the reading/writing handler up the
 // activation tree (§4.2): the last earlier write by the same handler, then
 // any write by each successive ancestor, ending at the initialization
 // activation I.
-func (g *groupExec) findNearestRPrecedingWrite(vv *vvar, op core.Op) (core.Op, value.V, bool) {
-	rid, hid, bound := op.RID, op.HID, op.Num
+func (g *groupExec) findNearestRPrecedingWrite(vv *vvar, o op) (op, value.V, bool) {
+	r, h, bound := o.r, o.h, o.n
 	// The climb is bounded by the activation-tree depth; hids are digests of
 	// their parents, so a parentOf cycle cannot arise from honest hashing —
 	// but the bound makes "cannot hang" a property of this loop, not of the
@@ -157,7 +181,7 @@ func (g *groupExec) findNearestRPrecedingWrite(vv *vvar, op core.Op) (core.Op, v
 	for depth := 0; ; depth++ {
 		g.poll()
 		if depth > len(g.parentOf)+1 {
-			core.RejectCodef(core.RejectGraphCycle, "activation parent chain of handler %s does not terminate", op.HID)
+			core.RejectCodef(core.RejectGraphCycle, "activation parent chain of handler %s does not terminate", g.v.ids.hids[o.h])
 		}
 		// A group worker reads its own overlay for the group's rids. The
 		// init-level dictionary (rid == InitRID) is frozen during reExec and
@@ -165,27 +189,27 @@ func (g *groupExec) findNearestRPrecedingWrite(vv *vvar, op core.Op) (core.Op, v
 		// race-free; entries for another group's rids are unreachable from
 		// this climb (dkeys carry this op's rid until the init hop).
 		var entries []dictEntry
-		if g.eff != nil && rid != core.InitRID {
-			entries = g.eff.overlay[vkey{varID: vv.id, rid: rid, hid: hid}]
+		if g.eff != nil && r != initR {
+			entries = g.eff.overlay[vkey{vv: vv, a: dkey{r: r, h: h}}]
 		} else {
-			entries = vv.dict[dkey{rid: rid, hid: hid}]
+			entries = vv.dict[dkey{r: r, h: h}]
 		}
 		for i := len(entries) - 1; i >= 0; i-- {
 			if entries[i].num < bound {
-				return core.Op{RID: rid, HID: hid, Num: entries[i].num}, entries[i].val, true
+				return op{r: r, h: h, n: entries[i].num}, entries[i].val, true
 			}
 		}
-		if hid == core.InitHID {
-			return core.Op{}, nil, false
+		if h == initH {
+			return op{}, nil, false
 		}
-		parent, ok := g.parentOf[hid]
+		parent, ok := g.parentOf[h]
 		if !ok {
-			core.RejectCodef(core.RejectLogMismatch, "handler %s has no recorded activator", hid)
+			core.RejectCodef(core.RejectLogMismatch, "handler %s has no recorded activator", g.v.ids.hids[h])
 		}
-		hid = parent
+		h = parent
 		bound = math.MaxInt
-		if hid == core.InitHID {
-			rid = core.InitRID
+		if h == initH {
+			r = initR
 		}
 	}
 }
@@ -211,29 +235,29 @@ func (io *initOps) VarInit(ctx *core.Context, vr *core.Variable, opnum int, val 
 	}
 	vv := &vvar{
 		id:       vr.ID,
-		log:      io.v.rawVarLogs[vr.ID],
-		consumed: make(map[core.Op]bool),
 		dict:     make(map[dkey][]dictEntry),
-		readObs:  make(map[core.Op][]core.Op),
-		writeObs: make(map[core.Op]core.Op),
+		readObs:  make(map[op][]op),
+		writeObs: make(map[op]op),
 	}
-	if vv.log == nil {
-		vv.log = make(map[core.Op]*advice.VarLogEntry)
+	if l := io.v.rawVarLogs[vr.ID]; l != nil {
+		vv.varLog = *l
+	} else {
+		vv.log = make(map[op]*vlogEntry)
 	}
 	io.v.vars[vr.ID] = vv
 	// The initialization is the variable's first write.
-	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, val.At(0))
+	io.g.annotateWrite(vv, op{r: initR, h: initH, n: opnum}, val.At(0))
 }
 
 func (io *initOps) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv.MV {
 	vv := io.v.variable(vr.ID)
-	val := io.g.annotateRead(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum})
+	val := io.g.annotateRead(vv, op{r: initR, h: initH, n: opnum})
 	return mv.Scalar(val, 1)
 }
 
 func (io *initOps) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, val *mv.MV) {
 	vv := io.v.variable(vr.ID)
-	io.g.annotateWrite(vv, core.Op{RID: core.InitRID, HID: core.InitHID, Num: opnum}, val.At(0))
+	io.g.annotateWrite(vv, op{r: initR, h: initH, n: opnum}, val.At(0))
 }
 
 func (io *initOps) Register(ctx *core.Context, opnum int, event core.EventName, fn core.FunctionID) {
@@ -318,37 +342,37 @@ func gnodeLabel(n gnode) string {
 	}
 }
 
-func gnodeOf(op core.Op) gnode { return opNode(op.RID, op.HID, op.Num) }
-
 func (v *Verifier) addInternalStateEdges() {
-	// Runs serially on the coordinator after all group effects have merged;
-	// carried prior-epoch writes may name ops outside the advised layout, so
-	// edges go through addEdgeN, which interns overflow nodes on demand.
+	// Runs serially on the coordinator after all group effects have merged.
+	// Ops resolve to node ids through the layout; carried prior-epoch writes
+	// may name ops outside it, and only those intern an overflow gnode.
+	eg := v.eg
 	s := &esink{v: v}
+	visited := make(map[op]bool)
 	for _, id := range sortedKeys(v.vars) {
 		vv := v.vars[id]
 		if vv.initial == nil {
 			continue
 		}
 		cur := *vv.initial
-		visited := make(map[core.Op]bool)
+		clear(visited)
 		for {
 			v.poll()
 			if visited[cur] {
-				core.RejectCodef(core.RejectGraphCycle, "variable %s has a cyclic write chain through %v", vv.id, cur)
+				core.RejectCodef(core.RejectGraphCycle, "variable %s has a cyclic write chain through %v", vv.id, v.ids.core(cur))
 			}
 			visited[cur] = true
 			for _, r := range vv.readObs[cur] {
-				s.addEdgeN(gnodeOf(cur), gnodeOf(r)) // WR
+				s.addEdge(eg.nodeOf(cur), eg.nodeOf(r)) // WR
 			}
 			wo, ok := vv.writeObs[cur]
 			if !ok {
 				break
 			}
 			for _, r := range vv.readObs[cur] {
-				s.addEdgeN(gnodeOf(r), gnodeOf(wo)) // RW (anti-dependency)
+				s.addEdge(eg.nodeOf(r), eg.nodeOf(wo)) // RW (anti-dependency)
 			}
-			s.addEdgeN(gnodeOf(cur), gnodeOf(wo)) // WW
+			s.addEdge(eg.nodeOf(cur), eg.nodeOf(wo)) // WW
 			cur = wo
 		}
 	}
@@ -359,18 +383,33 @@ func (v *Verifier) addInternalStateEdges() {
 // issued, or a variable-log access that replay never performed. Without this
 // check a forged "phantom" write could feed logged reads while staying
 // invisible to the execution graph.
+//
+// Each sweep rejects on the opLess-least unconsumed entry without sorting:
+// log-claimed ops are layout nodes, and layout node ids ascend in opLess
+// order (slots are laid out in sorted (rid, hid) order, ops by number within
+// a slot), so the least unconsumed node id is that entry; a variable's log
+// is scanned in advice order for its least unconsumed op under ids.less.
 func (v *Verifier) checkConsumption() {
-	for _, op := range sortedKeysFunc(v.opMap, opLess) {
-		if !v.opConsumed[op] {
-			core.RejectCodef(core.RejectLogMismatch, "log entry %v was never produced by re-execution", op)
+	least, found := uint32(0), false
+	for _, id := range v.claimed {
+		if !v.opIsConsumed(id) && (!found || id < least) {
+			least, found = id, true
 		}
+	}
+	if found {
+		n := v.eg.name(least)
+		core.RejectCodef(core.RejectLogMismatch, "log entry %v was never produced by re-execution", core.Op{RID: n.rid, HID: n.hid, Num: n.op})
 	}
 	for _, id := range sortedKeys(v.vars) {
 		vv := v.vars[id]
-		for _, op := range sortedKeysFunc(vv.log, opLess) {
-			if !vv.consumed[op] {
-				core.RejectCodef(core.RejectLogMismatch, "variable log entry %v of %s was never produced by re-execution", op, vv.id)
+		var least *vlogEntry
+		for _, e := range vv.order {
+			if !e.consumed && (least == nil || v.ids.less(e.op, least.op)) {
+				least = e
 			}
+		}
+		if least != nil {
+			core.RejectCodef(core.RejectLogMismatch, "variable log entry %v of %s was never produced by re-execution", least.Op, vv.id)
 		}
 	}
 }

@@ -90,13 +90,13 @@ func (v *Verifier) injectCarry() {
 		if !ok {
 			core.RejectCodef(core.RejectInternalFault, "carry state has no value for variable %s", id)
 		}
-		op := core.Op{RID: core.InitRID, HID: core.InitHID, Num: core.EpochCarryBase + i}
-		if _, forged := vv.log[op]; forged {
-			core.RejectCodef(core.RejectMalformedAdvice, "advice forges a log entry at carry identity %v of variable %s", op, id)
+		o := op{r: initR, h: initH, n: core.EpochCarryBase + i}
+		if _, forged := vv.log[o]; forged {
+			core.RejectCodef(core.RejectMalformedAdvice, "advice forges a log entry at carry identity %v of variable %s", v.ids.core(o), id)
 		}
 		val = value.Normalize(val)
-		vv.log[op] = &advice.VarLogEntry{Op: op, Type: advice.AccessWrite, Value: val}
-		g.annotateWrite(vv, op, val)
+		vv.add(&vlogEntry{VarLogEntry: &advice.VarLogEntry{Op: v.ids.core(o), Type: advice.AccessWrite, Value: val}, op: o})
+		g.annotateWrite(vv, o, val)
 	}
 	if len(c.Store) > 0 {
 		v.carryTx = make(map[advice.TxPos]*advice.TxOp, len(c.Store))
@@ -158,15 +158,15 @@ func (v *Verifier) carryOut() *CarryState {
 // valueOfWrite returns the value a verified write produced: from its log
 // entry when logged, otherwise from the version dictionary (every
 // annotated write entered it).
-func (v *Verifier) valueOfWrite(vv *vvar, op core.Op) value.V {
-	if e, ok := vv.log[op]; ok && e.Type == advice.AccessWrite {
+func (v *Verifier) valueOfWrite(vv *vvar, o op) value.V {
+	if e, ok := vv.log[o]; ok && e.Type == advice.AccessWrite {
 		return e.Value
 	}
-	for _, en := range vv.dict[dkey{rid: op.RID, hid: op.HID}] {
-		if en.num == op.Num {
+	for _, en := range vv.dict[o.act()] {
+		if en.num == o.n {
 			return en.val
 		}
 	}
-	core.RejectCodef(core.RejectInternalFault, "verified write %v of variable %s has no recorded value", op, vv.id)
+	core.RejectCodef(core.RejectInternalFault, "verified write %v of variable %s has no recorded value", v.ids.core(o), vv.id)
 	return nil
 }

@@ -81,7 +81,7 @@ func TestCrossGroupConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest run rejected: %v", err)
 	}
-	initOp := *hv.vars["x"].initial
+	initOp := hv.ids.core(*hv.vars["x"].initial)
 	hid := core.RequestHID("h", "request")
 	w1, w2 := core.Op{RID: "r1", HID: hid, Num: 1}, core.Op{RID: "r2", HID: hid, Num: 1}
 
@@ -103,7 +103,7 @@ func TestCrossGroupConflicts(t *testing.T) {
 	eraseInitializer := func(v *Verifier) {
 		vv := v.vars["x"]
 		vv.initial = nil
-		delete(vv.dict, dkey{rid: core.InitRID, hid: core.InitHID})
+		delete(vv.dict, dkey{r: initR, h: initH})
 	}
 
 	for _, tc := range []struct {

@@ -34,8 +34,9 @@ type egraph struct {
 	ridList []core.RID
 
 	slotBase uint32
-	slotIdx  map[dkey]int
+	slotOf   map[dkey]int32
 	slotList []eslot // ascending base
+	ids      *idTable
 
 	ovBase uint32
 	ovIDs  map[gnode]uint32
@@ -46,6 +47,7 @@ type egraph struct {
 type eslot struct {
 	rid  core.RID
 	hid  core.HID
+	h    uint32 // interned hid
 	base uint32
 	n    int // advised opcount; ops occupy base..base+n, hEnd is base+n+1
 }
@@ -65,8 +67,9 @@ func (v *Verifier) buildLayout() {
 	eg := &egraph{
 		nEvents: len(v.tr.Events),
 		ridIdx:  make(map[core.RID]uint32),
-		slotIdx: make(map[dkey]int),
+		slotOf:  make(map[dkey]int32),
 		ovIDs:   make(map[gnode]uint32),
+		ids:     v.ids,
 	}
 	for _, e := range v.tr.Events {
 		rid := core.RID(e.RID)
@@ -89,6 +92,7 @@ func (v *Verifier) buildLayout() {
 		if !v.inTrace[rid] {
 			core.Rejectf("opcounts mention request %s absent from trace", rid)
 		}
+		r := v.ids.ridOf[rid]
 		counts := v.adv.OpCounts[rid]
 		for _, hid := range sortedKeys(counts) {
 			n := counts[hid]
@@ -102,8 +106,9 @@ func (v *Verifier) buildLayout() {
 			if lim.MaxOpsPerHandler > 0 && n > lim.MaxOpsPerHandler {
 				core.RejectCodef(core.RejectResourceLimit, "opcount %d for (%s,%s) exceeds limit %d", n, rid, hid, lim.MaxOpsPerHandler)
 			}
-			eg.slotIdx[dkey{rid: rid, hid: hid}] = len(eg.slotList)
-			eg.slotList = append(eg.slotList, eslot{rid: rid, hid: hid, base: uint32(next), n: n})
+			h := v.ids.hid(hid)
+			eg.slotOf[dkey{r: r, h: h}] = int32(len(eg.slotList))
+			eg.slotList = append(eg.slotList, eslot{rid: rid, hid: hid, h: h, base: uint32(next), n: n})
 			next += uint64(n) + 2
 			// Sizing the layout is where an inflated opcount total first
 			// materializes; rejecting here is the poll-based node-budget
@@ -116,6 +121,8 @@ func (v *Verifier) buildLayout() {
 	eg.ovBase = uint32(next)
 	eg.d = graph.NewDense(int(next))
 	v.eg = eg
+	v.opConsumed = make([]uint64, (next-uint64(eg.slotBase)+63)/64)
+	v.executed = make([]bool, len(eg.slotList))
 }
 
 func (eg *egraph) barID(i int) uint32 { return uint32(i) }
@@ -124,16 +131,62 @@ func (eg *egraph) barID(i int) uint32 { return uint32(i) }
 func (eg *egraph) reqID(rid core.RID) uint32  { return eg.reqBase + 2*eg.ridIdx[rid] }
 func (eg *egraph) respID(rid core.RID) uint32 { return eg.reqID(rid) + 1 }
 
-// opID / hEndID require (rid, hid) advised and 0 ≤ num ≤ n (the caller has
-// checked); they are pure lookups with no interning, safe from any phase.
-func (eg *egraph) opID(rid core.RID, hid core.HID, num int) uint32 {
-	sl := eg.slotList[eg.slotIdx[dkey{rid: rid, hid: hid}]]
-	return sl.base + uint32(num)
+// slotNamed resolves an advised activation named by strings; ok is false
+// when (rid, hid) has no slot. A pure lookup, safe from any phase.
+func (eg *egraph) slotNamed(rid core.RID, hid core.HID) (int32, bool) {
+	r, ok := eg.ids.ridOf[rid]
+	if !ok {
+		return 0, false
+	}
+	h, ok := eg.ids.hidOf[hid]
+	if !ok {
+		return 0, false
+	}
+	si, ok := eg.slotOf[dkey{r: r, h: h}]
+	return si, ok
 }
 
-func (eg *egraph) hEndID(rid core.RID, hid core.HID) uint32 {
-	sl := eg.slotList[eg.slotIdx[dkey{rid: rid, hid: hid}]]
+// hEndID is the handler-end node of slot si.
+func (eg *egraph) hEndID(si int32) uint32 {
+	sl := &eg.slotList[si]
 	return sl.base + uint32(sl.n) + 1
+}
+
+// opIndex is an in-layout op node's offset from slotBase, which indexes the
+// per-op tables (opLocs, opConsumed); ok is false outside the layout.
+func (eg *egraph) opIndex(o op) (uint32, bool) {
+	si, ok := eg.slotOf[o.act()]
+	if !ok {
+		return 0, false
+	}
+	sl := &eg.slotList[si]
+	if o.n < 0 || o.n > sl.n {
+		return 0, false
+	}
+	return sl.base - eg.slotBase + uint32(o.n), true
+}
+
+// nodeOf resolves an op to its node, interning an overflow node when the op
+// lies outside the layout — the only case that builds a gnode. Same
+// ownership rule as intern.
+func (eg *egraph) nodeOf(o op) uint32 {
+	if i, ok := eg.opIndex(o); ok {
+		return eg.slotBase + i
+	}
+	return eg.intern(opNode(eg.ids.rids[o.r], eg.ids.hids[o.h], o.n))
+}
+
+// hidOrder sorts one request's activated slots by hid and drops repeats: the
+// order in which an emit enqueues the handlers it activates.
+func (eg *egraph) hidOrder(set []int32) []int32 {
+	sort.Slice(set, func(i, j int) bool { return eg.slotList[set[i]].hid < eg.slotList[set[j]].hid })
+	out := set[:0]
+	for _, si := range set {
+		if len(out) == 0 || out[len(out)-1] != si {
+			out = append(out, si)
+		}
+	}
+	return out
 }
 
 // idOf resolves a gnode to its layout ID without interning. ok=false means
@@ -153,7 +206,7 @@ func (eg *egraph) idOf(n gnode) (uint32, bool) {
 			return id, true
 		}
 	case kOp, kHEnd:
-		if si, ok := eg.slotIdx[dkey{rid: n.rid, hid: n.hid}]; ok {
+		if si, ok := eg.slotNamed(n.rid, n.hid); ok {
 			sl := eg.slotList[si]
 			if n.kind == kHEnd {
 				return sl.base + uint32(sl.n) + 1, true

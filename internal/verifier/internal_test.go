@@ -6,6 +6,7 @@ package verifier
 
 import (
 	"testing"
+	"unsafe"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
@@ -102,20 +103,23 @@ func TestFindNearestClimbsTree(t *testing.T) {
 	vv := &vvar{
 		id:       "x",
 		dict:     map[dkey][]dictEntry{},
-		readObs:  map[core.Op][]core.Op{},
-		writeObs: map[core.Op]core.Op{},
+		readObs:  map[op][]op{},
+		writeObs: map[op]op{},
 	}
+	v := New(Config{})
+	ids := v.ids
+	r1, root, childA, childB := ids.rid("r1"), ids.hid("root"), ids.hid("childA"), ids.hid("childB")
 	// Tree: init → root → {childA, childB}; writes at init(1), root(3), and
 	// childA(2).
-	parentOf := map[core.HID]core.HID{
-		"root":   core.InitHID,
-		"childA": "root",
-		"childB": "root",
+	parentOf := map[uint32]uint32{
+		root:   initH,
+		childA: root,
+		childB: root,
 	}
-	g := &groupExec{v: New(Config{}), parentOf: parentOf}
-	vv.dict[dkey{core.InitRID, core.InitHID}] = []dictEntry{{num: 1, val: "init"}}
-	vv.dict[dkey{"r1", "root"}] = []dictEntry{{num: 3, val: "root3"}}
-	vv.dict[dkey{"r1", "childA"}] = []dictEntry{{num: 2, val: "a2"}}
+	g := &groupExec{v: v, parentOf: parentOf}
+	vv.dict[dkey{initR, initH}] = []dictEntry{{num: 1, val: "init"}}
+	vv.dict[dkey{r1, root}] = []dictEntry{{num: 3, val: "root3"}}
+	vv.dict[dkey{r1, childA}] = []dictEntry{{num: 2, val: "a2"}}
 
 	cases := []struct {
 		op   core.Op
@@ -133,7 +137,7 @@ func TestFindNearestClimbsTree(t *testing.T) {
 		{core.Op{RID: "r1", HID: "root", Num: 9}, "root3"},
 	}
 	for _, c := range cases {
-		_, val, found := g.findNearestRPrecedingWrite(vv, c.op)
+		_, val, found := g.findNearestRPrecedingWrite(vv, ids.intern(c.op))
 		if !found {
 			t.Errorf("%v: no write found", c.op)
 			continue
@@ -145,7 +149,7 @@ func TestFindNearestClimbsTree(t *testing.T) {
 
 	// A different request sees only init through the climb (cross-request
 	// feeding goes through logs, never the dictionary).
-	_, val, found := g.findNearestRPrecedingWrite(vv, core.Op{RID: "r2", HID: "root", Num: 1})
+	_, val, found := g.findNearestRPrecedingWrite(vv, ids.intern(core.Op{RID: "r2", HID: "root", Num: 1}))
 	if !found || val != "init" {
 		t.Errorf("other request read %v (found=%v), want init", val, found)
 	}
@@ -168,5 +172,13 @@ func TestGnodeLabelShapes(t *testing.T) {
 			t.Errorf("duplicate label %q", l)
 		}
 		seen[l] = true
+	}
+}
+
+// TestIntentSize is a tripwire: every re-executed operation appends intents,
+// and interned ops keep one within a cache line.
+func TestIntentSize(t *testing.T) {
+	if n := unsafe.Sizeof(intent{}); n > 64 {
+		t.Errorf("intent is %d bytes, want at most 64", n)
 	}
 }

@@ -36,7 +36,7 @@ func (v *Verifier) addExternalStateEdges(s *esink) {
 		for j := range tl.Ops {
 			s.poll()
 			op := &tl.Ops[j]
-			v.checkOpIsValid(tl.RID, op.HID, op.OpNum, opLoc{isTx: true, rid: tl.RID, tid: tl.TID, idx: j + 1})
+			v.checkOpIsValid(tl.RID, op.HID, op.OpNum, opLoc{tl: tl, idx: j + 1})
 		}
 	}
 

@@ -266,7 +266,7 @@ func (v *Verifier) memoPrepare() *memoPrep {
 	for _, id := range ids {
 		vv := v.vars[id]
 		h.str(string(id))
-		entries := vv.dict[dkey{rid: core.InitRID, hid: core.InitHID}]
+		entries := vv.dict[dkey{r: initR, h: initH}]
 		h.num(len(entries))
 		for _, en := range entries {
 			v.poll()
@@ -442,11 +442,12 @@ func (p *memoPrep) hashVarEntry(ve memoVarEntry) {
 	h.dig(p.varDigest(e))
 	h.num(boolNum(e.HasPrec))
 	if e.Type == advice.AccessRead && e.HasPrec {
-		pe, ok := p.v.vars[ve.id].log[e.Prec]
+		prec, _ := p.v.ids.lookup(e.Prec) // interned with e by buildVarLogIndex
+		pe, ok := p.v.vars[ve.id].log[prec]
 		h.num(boolNum(ok))
 		if ok {
 			h.num(int(pe.Type))
-			h.dig(p.varDigest(pe))
+			h.dig(p.varDigest(pe.VarLogEntry))
 		}
 	}
 }
@@ -514,8 +515,10 @@ type memoOp struct {
 	num  int
 }
 
-func (m memoOp) bind(rids []core.RID) core.Op {
-	return core.Op{RID: rids[m.slot], HID: m.hid, Num: m.num}
+// bind rebinds m to this epoch's group, interning its hid; rs are the
+// group's interned rids. Coordinator only.
+func (m memoOp) bind(ids *idTable, rs []uint32) op {
+	return op{r: rs[m.slot], h: ids.hid(m.hid), n: m.num}
 }
 
 // memoIntent is one normalized intent of a cached effect set.
@@ -576,9 +579,10 @@ func (v *Verifier) memoProbe(order []string, groups map[string][]core.RID) ([]me
 // intent that fits no stable encoding is left uncached (defensive; see the
 // file comment).
 func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects) {
-	slotOf := make(map[core.RID]int, len(rids))
+	ids := v.ids
+	slotOf := make(map[uint32]int, len(rids))
 	for i, rid := range rids {
-		slotOf[rid] = i
+		slotOf[ids.ridOf[rid]] = i
 	}
 	ent := &memoEntry{slots: len(rids), intents: make([]memoIntent, 0, len(eff.intents))}
 	size := memoIntentBytes + eff.dictBytes // entry header and written values
@@ -586,23 +590,23 @@ func (v *Verifier) memoCapture(key memo.Key, rids []core.RID, eff *groupEffects)
 		in := &eff.intents[i]
 		mi := memoIntent{kind: in.kind, val: in.val}
 		if in.kind != effRerun {
-			s, ok := slotOf[in.op.RID]
+			s, ok := slotOf[in.op.r]
 			if !ok {
 				return
 			}
-			mi.op = memoOp{slot: s, hid: in.op.HID, num: in.op.Num}
+			mi.op = memoOp{slot: s, hid: ids.hids[in.op.h], num: in.op.n}
 		}
 		if in.vv != nil {
 			mi.varID = in.vv.id
 		}
 		switch in.kind {
 		case effReadObs, effWriteObs:
-			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.Prec == in.prec {
+			if e, logged := in.vv.log[in.op]; logged && e.HasPrec && e.prec == in.prec {
 				mi.precMode = precFromLog
-			} else if s, grp := slotOf[in.prec.RID]; grp {
-				mi.precMode, mi.prec = precSlot, memoOp{slot: s, hid: in.prec.HID, num: in.prec.Num}
-			} else if in.prec.RID == core.InitRID {
-				mi.precMode, mi.prec = precInit, memoOp{hid: in.prec.HID, num: in.prec.Num}
+			} else if s, grp := slotOf[in.prec.r]; grp {
+				mi.precMode, mi.prec = precSlot, memoOp{slot: s, hid: ids.hids[in.prec.h], num: in.prec.n}
+			} else if in.prec.r == initR {
+				mi.precMode, mi.prec = precInit, memoOp{hid: ids.hids[in.prec.h], num: in.prec.n}
 			} else {
 				return
 			}
@@ -627,12 +631,17 @@ func (v *Verifier) memoReplay(ent *memoEntry, rids []core.RID) {
 	if ent.slots != len(rids) {
 		core.RejectCodef(core.RejectInternalFault, "memo entry caches %d slots for a group of %d", ent.slots, len(rids))
 	}
+	ids := v.ids
+	rs := make([]uint32, len(rids))
+	for i, rid := range rids {
+		rs[i] = ids.ridOf[rid]
+	}
 	for i := range ent.intents {
 		v.poll()
 		m := &ent.intents[i]
 		in := intent{kind: m.kind, val: m.val}
 		if m.kind != effRerun {
-			in.op = m.op.bind(rids)
+			in.op = m.op.bind(ids, rs)
 		}
 		if m.varID != "" {
 			if in.vv = v.vars[m.varID]; in.vv == nil {
@@ -643,13 +652,13 @@ func (v *Verifier) memoReplay(ent *memoEntry, rids []core.RID) {
 		case precFromLog:
 			e, ok := in.vv.log[in.op]
 			if !ok || !e.HasPrec {
-				core.RejectCodef(core.RejectInternalFault, "memo replay: logged access %v lost its predecessor", in.op)
+				core.RejectCodef(core.RejectInternalFault, "memo replay: logged access %v lost its predecessor", ids.core(in.op))
 			}
-			in.prec = e.Prec
+			in.prec = e.prec
 		case precSlot:
-			in.prec = m.prec.bind(rids)
+			in.prec = m.prec.bind(ids, rs)
 		case precInit:
-			in.prec = core.Op{RID: core.InitRID, HID: m.prec.hid, Num: m.prec.num}
+			in.prec = op{r: initR, h: ids.hid(m.prec.hid), n: m.prec.num}
 		}
 		v.apply(&in)
 	}

@@ -148,24 +148,25 @@ func (v *Verifier) preprocessEdges() {
 type intentKind uint8
 
 const (
-	effDict        intentKind = iota // vv.dict[(op.RID, op.HID)] append (op.Num, val)
-	effVarConsumed                   // vv.consumed[op] = true
+	effDict        intentKind = iota // vv.dict[op.act()] append (op.n, val)
+	effVarConsumed                   // vv.log[op].consumed = true
 	effReadObs                       // vv.readObs[prec] append op
 	effWriteObs                      // vv.writeObs[prec] = op (conflict-checked)
 	effInitial                       // vv.initial = op (conflict-checked)
-	effOpConsumed                    // opConsumed[op] = true
-	effExecuted                      // executed[op.RID][op.HID] = true
-	effResponded                     // responded[op.RID] = true
+	effOpConsumed                    // op's bit in opConsumed set
+	effExecuted                      // executed[slot of op.act()] = true
+	effResponded                     // responded[op.r] = true
 	effRerun                         // one more handler re-executed
 )
 
 // intent is one mutation. One flat struct for all kinds keeps a recorded
-// stream a single slice; unused fields stay zero.
+// stream a single slice; unused fields stay zero. With interned ops it is
+// 64 bytes.
 type intent struct {
 	kind intentKind
 	vv   *vvar
-	op   core.Op
-	prec core.Op
+	op   op
+	prec op
 	val  value.V
 }
 
@@ -175,50 +176,61 @@ type intent struct {
 // two cross-group conflict checks (write_observer, initializer) exist once
 // and run at the same position in the canonical intent order whichever
 // engine produced the intent. Must run on the coordinating goroutine.
+//
+// The consumption and executed marks are no-ops for an op outside the log
+// or layout, as they were when they were set entries: a group only issues
+// logged, advised ops, and a replayed cache entry is keyed on its logs.
 func (v *Verifier) apply(in *intent) {
 	vv := in.vv
+	ids := v.ids
 	switch in.kind {
 	case effDict:
-		k := dkey{rid: in.op.RID, hid: in.op.HID}
-		vv.dict[k] = append(vv.dict[k], dictEntry{num: in.op.Num, val: in.val})
+		k := in.op.act()
+		vv.dict[k] = append(vv.dict[k], dictEntry{num: in.op.n, val: in.val})
 	case effVarConsumed:
-		vv.consumed[in.op] = true
+		if e := vv.log[in.op]; e != nil {
+			e.consumed = true
+		}
 	case effReadObs:
 		vv.readObs[in.prec] = append(vv.readObs[in.prec], in.op)
 	case effWriteObs:
 		if prev, set := vv.writeObs[in.prec]; set {
-			core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", prev, in.op, in.prec, vv.id)
+			core.RejectCodef(core.RejectLogMismatch, "writes %v and %v both overwrite %v of variable %s", ids.core(prev), ids.core(in.op), ids.core(in.prec), vv.id)
 		}
 		vv.writeObs[in.prec] = in.op
 	case effInitial:
 		if vv.initial != nil {
-			core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, *vv.initial, in.op)
+			core.RejectCodef(core.RejectLogMismatch, "variable %s has two initial writes (%v and %v)", vv.id, ids.core(*vv.initial), ids.core(in.op))
 		}
 		cp := in.op
 		vv.initial = &cp
 	case effOpConsumed:
-		v.opConsumed[in.op] = true
-	case effExecuted:
-		ex := v.executed[in.op.RID]
-		if ex == nil {
-			ex = make(map[core.HID]bool)
-			v.executed[in.op.RID] = ex
+		if i, ok := v.eg.opIndex(in.op); ok {
+			v.opConsumed[i/64] |= 1 << (i % 64)
 		}
-		ex[in.op.HID] = true
+	case effExecuted:
+		if si, ok := v.eg.slotOf[in.op.act()]; ok {
+			v.executed[si] = true
+		}
 	case effResponded:
-		v.responded[in.op.RID] = true
+		v.responded[in.op.r] = true
 	case effRerun:
 		v.Stats.HandlersRerun++
 	}
+}
+
+// opIsConsumed reports whether re-execution consumed the layout op node id.
+func (v *Verifier) opIsConsumed(id uint32) bool {
+	i := id - v.eg.slotBase
+	return v.opConsumed[i/64]&(1<<(i%64)) != 0
 }
 
 // --- buffered group re-execution ---
 
 // vkey keys a group's private version-dictionary overlay.
 type vkey struct {
-	varID core.VarID
-	rid   core.RID
-	hid   core.HID
+	vv *vvar
+	a  dkey
 }
 
 // groupEffects is one group's private effect buffer. A buffered replay reads
@@ -240,6 +252,22 @@ type groupEffects struct {
 	rej       *core.Reject
 }
 
+// effPool recycles effect buffers: a group worker takes one, and the
+// coordinator returns it once the group's intents are merged and captured,
+// so the intent slices and overlay maps of one audit serve the next.
+var effPool = sync.Pool{New: func() any {
+	return &groupEffects{overlay: make(map[vkey][]dictEntry)}
+}}
+
+// recycle clears eff — dropping its references to values and variables —
+// and returns it to effPool.
+func (eff *groupEffects) recycle() {
+	clear(eff.intents)
+	clear(eff.overlay)
+	*eff = groupEffects{intents: eff.intents[:0], overlay: eff.overlay}
+	effPool.Put(eff)
+}
+
 // reExecBuffered re-executes the groups into private effect buffers and
 // merges them in canonical tag order, so the verdict, the first rejection and
 // every Stats counter are bit-identical to the immediate engine no matter how
@@ -256,7 +284,7 @@ func (v *Verifier) reExecBuffered(order []string, groups map[string][]core.RID) 
 		if hits[i] != nil {
 			return
 		}
-		eff := &groupEffects{overlay: make(map[vkey][]dictEntry)}
+		eff := effPool.Get().(*groupEffects)
 		defer func() {
 			if r := recover(); r != nil {
 				eff.rej = asReject(r)
@@ -284,5 +312,6 @@ func (v *Verifier) reExecBuffered(order []string, groups map[string][]core.RID) 
 		if keys != nil {
 			v.memoCapture(keys[i], rids, eff)
 		}
+		eff.recycle()
 	}
 }

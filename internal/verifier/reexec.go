@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"sort"
-
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/mv"
@@ -28,6 +26,7 @@ func (v *Verifier) reExec() {
 		groups[tag] = append(groups[tag], rid)
 	}
 	v.Stats.Groups = len(order)
+	v.responded = make([]bool, len(v.ids.rids))
 	if v.cfg.Memo == nil && (v.workers() <= 1 || len(order) <= 1) {
 		// Immediate: each group applies its intents to shared state as it
 		// replays. This is the reference the buffered engine is
@@ -40,23 +39,25 @@ func (v *Verifier) reExec() {
 	}
 
 	// Figure 18 line 64: every handler in the advice must have been
-	// re-executed.
-	for _, rid := range sortedKeys(v.adv.OpCounts) {
-		for _, hid := range sortedKeys(v.adv.OpCounts[rid]) {
-			if !v.executed[rid][hid] {
-				core.RejectCodef(core.RejectLogMismatch, "advised handler (%s,%s) was never re-executed", rid, hid)
-			}
+	// re-executed. Slots are laid out in sorted (rid, hid) order.
+	for si, done := range v.executed {
+		if !done {
+			sl := &v.eg.slotList[si]
+			core.RejectCodef(core.RejectLogMismatch, "advised handler (%s,%s) was never re-executed", sl.rid, sl.hid)
 		}
 	}
 	for _, rid := range sortedKeys(v.inputs) {
-		if !v.responded[rid] {
+		if !v.responded[v.ids.ridOf[rid]] {
 			core.RejectCodef(core.RejectLogMismatch, "re-execution produced no response for %s", rid)
 		}
 	}
 }
 
+// groupAct is one handler activation of a group: its interned hid and its
+// layout slot for each member request.
 type groupAct struct {
-	hid     core.HID
+	h       uint32
+	slots   []int32 // by member, as rids
 	fn      core.FunctionID
 	event   core.EventName
 	payload *mv.MV
@@ -65,17 +66,23 @@ type groupAct struct {
 // groupExec re-executes one control-flow group; it implements core.Ops for
 // the group's contexts.
 type groupExec struct {
-	v        *Verifier
-	rids     []core.RID
-	parentOf map[core.HID]core.HID
+	v    *Verifier
+	rids []core.RID
+	rs   []uint32 // interned rids, by member
+	// parentOf maps an activated hid to its activator's, both interned.
+	parentOf map[uint32]uint32
 	active   []groupAct
-	txnum    map[core.TxID]int
+	// cur is the running activation. Handlers run one at a time to
+	// completion, so every op the group issues belongs to it: ops and the
+	// opcount checks come from its cached ids and slots, hashing no string.
+	cur   groupAct
+	txnum map[core.TxID]int
 	// executed and responded are the group's own duplicate-check sets.
 	// Requests are partitioned across groups by tag, and a group activates
 	// each handler for all of its requests at once, so these group-local
 	// views see every duplicate the shared v.executed / v.responded would.
-	executed  map[core.HID]bool
-	responded []bool // by slot in rids
+	executed  map[uint32]bool // by interned hid
+	responded []bool          // by member
 	// sizes normalises and sizes the group's re-executed values; it is the
 	// group's own, so it never crosses to another worker.
 	sizes value.Sizes
@@ -96,8 +103,8 @@ func (g *groupExec) effect(in intent) {
 	if in.kind == effDict {
 		// The group reads its own writes back from its overlay; see
 		// findNearestRPrecedingWrite.
-		k := vkey{varID: in.vv.id, rid: in.op.RID, hid: in.op.HID}
-		g.eff.overlay[k] = append(g.eff.overlay[k], dictEntry{num: in.op.Num, val: in.val})
+		k := vkey{vv: in.vv, a: in.op.act()}
+		g.eff.overlay[k] = append(g.eff.overlay[k], dictEntry{num: in.op.n, val: in.val})
 	}
 	g.eff.intents = append(g.eff.intents, in)
 }
@@ -120,75 +127,91 @@ func (v *Verifier) runGroup(rids []core.RID, eff *groupEffects) {
 	g := &groupExec{
 		v:         v,
 		rids:      rids,
-		parentOf:  make(map[core.HID]core.HID),
+		rs:        make([]uint32, len(rids)),
+		parentOf:  make(map[uint32]uint32),
 		txnum:     make(map[core.TxID]int),
-		executed:  make(map[core.HID]bool),
+		executed:  make(map[uint32]bool),
 		responded: make([]bool, len(rids)),
 		eff:       eff,
 	}
+	eg := v.eg
 	// Step (1) of Figure 18: enqueue the request handlers with the request
 	// inputs; every request in the group must advise every request handler.
 	inputs := make([]value.V, len(rids))
 	for i, rid := range rids {
 		inputs[i] = v.inputs[rid]
+		g.rs[i] = v.ids.ridOf[rid]
 	}
 	in := mv.FromVals(inputs)
-	for _, fn := range v.requestFns {
-		hid := core.RequestHID(fn, v.cfg.App.RequestEvent)
-		for _, rid := range rids {
-			if _, ok := v.adv.OpCounts[rid][hid]; !ok {
+	for i, fn := range v.requestFns {
+		hid := v.requestHIDs[i]
+		h, known := v.ids.hidOf[hid]
+		slots := make([]int32, len(rids))
+		for j, rid := range rids {
+			si, ok := eg.slotOf[dkey{r: g.rs[j], h: h}]
+			if !known || !ok {
 				core.Rejectf("request handler %s not advised for %s", hid, rid)
 			}
+			slots[j] = si
 		}
-		g.parentOf[hid] = core.InitHID
-		g.active = append(g.active, groupAct{hid: hid, fn: fn, event: v.cfg.App.RequestEvent, payload: in})
+		g.parentOf[h] = initH
+		g.active = append(g.active, groupAct{h: h, slots: slots, fn: fn, event: v.cfg.App.RequestEvent, payload: in})
 	}
 	// Step (2): run handlers from the active queue to completion.
 	for len(g.active) > 0 {
 		g.poll()
 		act := g.active[0]
 		g.active = g.active[1:]
-		if g.executed[act.hid] {
-			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) re-executed twice", rids[0], act.hid)
+		hid := v.ids.hids[act.h]
+		if g.executed[act.h] {
+			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) re-executed twice", rids[0], hid)
 		}
-		g.executed[act.hid] = true
-		for _, rid := range rids {
-			g.effect(intent{kind: effExecuted, op: core.Op{RID: rid, HID: act.hid}})
+		g.executed[act.h] = true
+		for _, r := range g.rs {
+			g.effect(intent{kind: effExecuted, op: op{r: r, h: act.h}})
 		}
-		ctx := core.NewContext(g, rids, act.hid, act.fn, act.event, core.InitLabel)
+		g.cur = act
+		ctx := core.NewContext(g, rids, hid, act.fn, act.event, core.InitLabel)
 		v.cfg.App.Func(act.fn)(ctx, act.payload)
 		// Handler exit (Figure 18 line 60): the advised op count must match
 		// the re-executed count exactly.
-		for _, rid := range rids {
-			if n := v.adv.OpCounts[rid][act.hid]; n != ctx.OpsIssued() {
-				core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) advised %d ops but re-executed %d", rid, act.hid, n, ctx.OpsIssued())
+		for i, rid := range rids {
+			if n := eg.slotList[act.slots[i]].n; n != ctx.OpsIssued() {
+				core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) advised %d ops but re-executed %d", rid, hid, n, ctx.OpsIssued())
 			}
 		}
 		g.effect(intent{kind: effRerun})
 	}
 }
 
+// opAt is member i's op number opnum in the running activation.
+func (g *groupExec) opAt(i, opnum int) op { return op{r: g.rs[i], h: g.cur.h, n: opnum} }
+
+// nodeAt is opAt's node id; opnum must be within the advised count.
+func (g *groupExec) nodeAt(i, opnum int) uint32 {
+	return g.v.eg.slotList[g.cur.slots[i]].base + uint32(opnum)
+}
+
 // checkWithin enforces Figure 18 line 43 / Figure 19 lines 5 and 19: an op
 // number beyond the advised count is a divergence between advice and replay.
 func (g *groupExec) checkWithin(ctx *core.Context, opnum int) {
 	g.poll()
-	for _, rid := range g.rids {
-		if n := g.v.adv.OpCounts[rid][ctx.HID()]; opnum > n {
-			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) exceeded its advised %d operations", rid, ctx.HID(), n)
+	for i, si := range g.cur.slots {
+		if n := g.v.eg.slotList[si].n; opnum > n {
+			core.RejectCodef(core.RejectLogMismatch, "handler (%s,%s) exceeded its advised %d operations", g.rids[i], ctx.HID(), n)
 		}
 	}
 }
 
-// checkHandlerOp implements Figure 19's CheckHandlerOp for one request: the
+// checkHandlerOp implements Figure 19's CheckHandlerOp for member i: the
 // re-executed handler operation must match the advice's log entry at this
 // position exactly.
-func (g *groupExec) checkHandlerOp(rid core.RID, hid core.HID, opnum int, want advice.HandlerOp) *advice.HandlerOp {
-	op := core.Op{RID: rid, HID: hid, Num: opnum}
-	loc, ok := g.v.opMap[op]
-	if !ok || loc.isTx || loc.rid != rid {
+func (g *groupExec) checkHandlerOp(i int, ctx *core.Context, opnum int, want advice.HandlerOp) {
+	op := core.Op{RID: g.rids[i], HID: ctx.HID(), Num: opnum}
+	e := g.v.opLocs[g.nodeAt(i, opnum)].hop
+	if e == nil {
 		core.RejectCodef(core.RejectLogMismatch, "handler operation %v not found in handler log", op)
 	}
-	e := &g.v.adv.HandlerLogs[rid][loc.idx]
 	if e.Kind != want.Kind || e.Event != want.Event || e.Fn != want.Fn {
 		core.RejectCodef(core.RejectLogMismatch, "handler operation %v does not match logged %s", op, e.Kind)
 	}
@@ -202,45 +225,43 @@ func (g *groupExec) checkHandlerOp(rid core.RID, hid core.HID, opnum int, want a
 			}
 		}
 	}
-	g.effect(intent{kind: effOpConsumed, op: op})
-	return e
+	g.effect(intent{kind: effOpConsumed, op: g.opAt(i, opnum)})
 }
 
 // Emit checks the handler-log entries, verifies that all requests in the
 // group activate the same handlers (Figure 19's ActivateHandlers), and
-// enqueues the activated handlers with the emit's payload.
+// enqueues the activated handlers with the emit's payload. Each member's
+// activated list is already in hid order (addHandlerRelatedEdges), so set
+// equality is list equality.
 func (g *groupExec) Emit(ctx *core.Context, opnum int, event core.EventName, payload *mv.MV) {
 	g.checkWithin(ctx, opnum)
-	var set map[core.HID]bool
-	for i, rid := range g.rids {
-		g.checkHandlerOp(rid, ctx.HID(), opnum, advice.HandlerOp{Kind: advice.OpEmit, Event: event})
-		s := g.v.activated[core.Op{RID: rid, HID: ctx.HID(), Num: opnum}]
-		if i == 0 {
-			set = s
-			continue
-		}
-		if len(s) != len(set) {
+	eg := g.v.eg
+	lists := make([][]int32, len(g.rids))
+	for i := range g.rids {
+		g.checkHandlerOp(i, ctx, opnum, advice.HandlerOp{Kind: advice.OpEmit, Event: event})
+		lists[i] = g.v.activated[g.nodeAt(i, opnum)]
+		if len(lists[i]) != len(lists[0]) {
 			core.RejectCodef(core.RejectLogMismatch, "emit (%s,%d) activates different handlers across the group", ctx.HID(), opnum)
 		}
-		//karousos:nondeterminism-ok set-equality sweep; the rejection message is identical no matter which member differs
-		for hid := range set {
-			if !s[hid] {
+		for k, si := range lists[i] {
+			if eg.slotList[si].h != eg.slotList[lists[0][k]].h {
 				core.RejectCodef(core.RejectLogMismatch, "emit (%s,%d) activates different handlers across the group", ctx.HID(), opnum)
 			}
 		}
 	}
-	hids := make([]core.HID, 0, len(set))
-	for hid := range set {
-		hids = append(hids, hid)
-	}
-	sort.Slice(hids, func(i, j int) bool { return hids[i] < hids[j] })
-	for _, hid := range hids {
+	for k, si := range lists[0] {
+		h := eg.slotList[si].h
+		hid := g.v.ids.hids[h]
 		fn, ok := g.v.fnOfActivated(ctx.HID(), opnum, event, hid)
 		if !ok {
 			core.Rejectf("cannot resolve function for activated handler %s", hid)
 		}
-		g.parentOf[hid] = ctx.HID()
-		g.active = append(g.active, groupAct{hid: hid, fn: fn, event: event, payload: payload})
+		slots := make([]int32, len(g.rids))
+		for i := range slots {
+			slots[i] = lists[i][k]
+		}
+		g.parentOf[h] = g.cur.h
+		g.active = append(g.active, groupAct{h: h, slots: slots, fn: fn, event: event, payload: payload})
 	}
 }
 
@@ -259,8 +280,8 @@ func (v *Verifier) fnOfActivated(parent core.HID, opnum int, event core.EventNam
 // Register checks the logged register operation.
 func (g *groupExec) Register(ctx *core.Context, opnum int, event core.EventName, fn core.FunctionID) {
 	g.checkWithin(ctx, opnum)
-	for _, rid := range g.rids {
-		g.checkHandlerOp(rid, ctx.HID(), opnum, advice.HandlerOp{
+	for i := range g.rids {
+		g.checkHandlerOp(i, ctx, opnum, advice.HandlerOp{
 			Kind: advice.OpRegister, Events: []core.EventName{event}, Fn: fn,
 		})
 	}
@@ -269,8 +290,8 @@ func (g *groupExec) Register(ctx *core.Context, opnum int, event core.EventName,
 // Unregister checks the logged unregister operation.
 func (g *groupExec) Unregister(ctx *core.Context, opnum int, event core.EventName, fn core.FunctionID) {
 	g.checkWithin(ctx, opnum)
-	for _, rid := range g.rids {
-		g.checkHandlerOp(rid, ctx.HID(), opnum, advice.HandlerOp{
+	for i := range g.rids {
+		g.checkHandlerOp(i, ctx, opnum, advice.HandlerOp{
 			Kind: advice.OpUnregister, Event: event, Fn: fn,
 		})
 	}
@@ -289,12 +310,12 @@ func (g *groupExec) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOp
 	aborted := 0
 	for i, rid := range g.rids {
 		cur := core.Op{RID: rid, HID: ctx.HID(), Num: opnum}
-		loc, ok := g.v.opMap[cur]
-		if !ok || !loc.isTx || loc.rid != rid || loc.tid != tx.ID || loc.idx != idx {
+		loc := g.v.opLocs[g.nodeAt(i, opnum)]
+		if loc.tl == nil || loc.tl.TID != tx.ID || loc.idx != idx {
 			core.RejectCodef(core.RejectLogMismatch, "state operation %v does not match transaction log position (%s,%d)", cur, tx.ID, idx)
 		}
-		e := g.v.txIndex[txRef{rid: rid, tid: tx.ID}].Ops[idx-1]
-		g.effect(intent{kind: effOpConsumed, op: cur})
+		e := &loc.tl.Ops[idx-1]
+		g.effect(intent{kind: effOpConsumed, op: g.opAt(i, opnum)})
 		if e.Type == core.TxAbort && op != core.TxAbort {
 			// The store aborted this transaction at this operation
 			// (conflict) or the commit failed; replay the failure.
@@ -363,7 +384,7 @@ func (g *groupExec) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 			core.RejectCodef(core.RejectLogMismatch, "request %s responded twice during re-execution", rid)
 		}
 		g.responded[i] = true
-		g.effect(intent{kind: effResponded, op: core.Op{RID: rid}})
+		g.effect(intent{kind: effResponded, op: op{r: g.rs[i]}})
 		got, _ := g.sizes.Normalize(payload.At(i))
 		if !value.Equal(got, g.v.outputs[rid]) {
 			core.RejectCodef(core.RejectOutputMismatch, "request %s re-executed output %s does not match trace %s",
@@ -387,7 +408,7 @@ func (g *groupExec) Nondet(ctx *core.Context, opnum int, site string, gen func(r
 	g.checkWithin(ctx, opnum)
 	vals := make([]value.V, len(g.rids))
 	for i, rid := range g.rids {
-		rec, ok := g.v.nondet[core.Op{RID: rid, HID: ctx.HID(), Num: opnum}]
+		rec, ok := g.v.nondet[g.opAt(i, opnum)]
 		if !ok {
 			core.RejectCodef(core.RejectLogMismatch, "no recorded nondeterminism for %v at site %q", core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, site)
 		}
@@ -407,8 +428,8 @@ func (g *groupExec) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv
 	g.checkWithin(ctx, opnum)
 	vv := g.v.variable(vr.ID)
 	vals := make([]value.V, len(g.rids))
-	for i, rid := range g.rids {
-		vals[i] = g.annotateRead(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum})
+	for i := range g.rids {
+		vals[i] = g.annotateRead(vv, g.opAt(i, opnum))
 	}
 	return mv.FromVals(vals)
 }
@@ -418,7 +439,7 @@ func (g *groupExec) VarRead(ctx *core.Context, vr *core.Variable, opnum int) *mv
 func (g *groupExec) VarWrite(ctx *core.Context, vr *core.Variable, opnum int, val *mv.MV) {
 	g.checkWithin(ctx, opnum)
 	vv := g.v.variable(vr.ID)
-	for i, rid := range g.rids {
-		g.annotateWrite(vv, core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, val.At(i))
+	for i := range g.rids {
+		g.annotateWrite(vv, g.opAt(i, opnum), val.At(i))
 	}
 }

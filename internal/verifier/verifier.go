@@ -106,14 +106,12 @@ func opNode(rid core.RID, hid core.HID, i int) gnode {
 func hEndNode(rid core.RID, hid core.HID) gnode { return gnode{kind: kHEnd, rid: rid, hid: hid} }
 func barNode(i int) gnode                       { return gnode{kind: kBar, op: i} }
 
-// opLoc locates an operation inside the logs (Figure 14's OpMap).
+// opLoc locates an operation inside the logs (Figure 14's OpMap): its
+// handler-log entry, or its transaction log and 1-based position there.
 type opLoc struct {
-	isTx bool
-	// handler-log location: index into HandlerLogs[rid].
-	rid core.RID
-	// tx-log location.
-	tid core.TxID
-	idx int // 1-based for tx logs, 0-based for handler logs
+	hop *advice.HandlerOp
+	tl  *advice.TxLog
+	idx int
 }
 
 type txRef struct {
@@ -144,16 +142,23 @@ type Verifier struct {
 	ctx   context.Context
 	pollN int
 
-	// eg is the interned execution graph; buildLayout creates it once the
-	// trace and advice are known.
-	eg *egraph
+	// ids interns the epoch's rids and hids (ids.go); eg is the interned
+	// execution graph, which buildLayout creates once the trace and advice
+	// are known.
+	ids *idTable
+	eg  *egraph
 
 	inTrace map[core.RID]bool
 	inputs  map[core.RID]value.V
 	outputs map[core.RID]value.V
 
-	opMap     map[core.Op]opLoc
-	activated map[core.Op]map[core.HID]bool // emit op → activated hids
+	// opLocs maps each op a handler or transaction log claims, by node id,
+	// to its log location; claimed lists those node ids in claim order.
+	// activated maps an emit's node id to the slots of the handlers it
+	// activates, in hid order.
+	opLocs    map[uint32]opLoc
+	claimed   []uint32
+	activated map[uint32][]int32
 
 	txIndex   map[txRef]*advice.TxLog
 	committed map[txRef]bool
@@ -163,10 +168,11 @@ type Verifier struct {
 
 	globalHandlers []regEntry
 	requestFns     []core.FunctionID
+	requestHIDs    []core.HID // by requestFns index
 
 	vars       map[core.VarID]*vvar
-	rawVarLogs map[core.VarID]map[core.Op]*advice.VarLogEntry
-	nondet     map[core.Op]value.V
+	rawVarLogs map[core.VarID]*varLog
+	nondet     map[op]value.V
 
 	// carryTx resolves TxPos references into carried prior-epoch writes;
 	// woPerKey keeps the verified per-key write order for carryOut.
@@ -174,10 +180,11 @@ type Verifier struct {
 	woPerKey map[string][]advice.TxPos
 
 	// consumption tracking: re-execution must account for every log entry.
-	opConsumed map[core.Op]bool
-
-	executed  map[core.RID]map[core.HID]bool
-	responded map[core.RID]bool
+	// opConsumed is a bitmap over the layout's op nodes (by node id minus
+	// slotBase), executed is indexed by slot and responded by rid id.
+	opConsumed []uint64
+	executed   []bool
+	responded  []bool
 
 	// memoPending holds effect sets captured during reExec awaiting the
 	// publish-after-accept boundary (memo.go).
@@ -232,22 +239,20 @@ func (s Stats) ZeroMemo() Stats {
 // New builds a verifier for one audit.
 func New(cfg Config) *Verifier {
 	return &Verifier{
-		cfg:        cfg,
-		inTrace:    make(map[core.RID]bool),
-		inputs:     make(map[core.RID]value.V),
-		outputs:    make(map[core.RID]value.V),
-		opMap:      make(map[core.Op]opLoc),
-		activated:  make(map[core.Op]map[core.HID]bool),
-		txIndex:    make(map[txRef]*advice.TxLog),
-		committed:  make(map[txRef]bool),
-		readMap:    make(map[advice.TxPos][]advice.TxPos),
-		lastMod:    make(map[lmKey]int),
-		inWO:       make(map[advice.TxPos]bool),
-		vars:       make(map[core.VarID]*vvar),
-		nondet:     make(map[core.Op]value.V),
-		opConsumed: make(map[core.Op]bool),
-		executed:   make(map[core.RID]map[core.HID]bool),
-		responded:  make(map[core.RID]bool),
+		cfg:       cfg,
+		ids:       newIDTable(),
+		inTrace:   make(map[core.RID]bool),
+		inputs:    make(map[core.RID]value.V),
+		outputs:   make(map[core.RID]value.V),
+		opLocs:    make(map[uint32]opLoc),
+		activated: make(map[uint32][]int32),
+		txIndex:   make(map[txRef]*advice.TxLog),
+		committed: make(map[txRef]bool),
+		readMap:   make(map[advice.TxPos][]advice.TxPos),
+		lastMod:   make(map[lmKey]int),
+		inWO:      make(map[advice.TxPos]bool),
+		vars:      make(map[core.VarID]*vvar),
+		nondet:    make(map[op]value.V),
 	}
 }
 
@@ -317,6 +322,7 @@ func (v *Verifier) preprocess() {
 	for _, e := range v.tr.Events {
 		rid := core.RID(e.RID)
 		v.inTrace[rid] = true
+		v.ids.rid(rid)
 		if e.Kind == trace.Req {
 			v.inputs[rid] = e.Data
 		} else {
@@ -347,6 +353,7 @@ func (v *Verifier) runInit() {
 	for _, re := range v.globalHandlers {
 		if re.event == v.cfg.App.RequestEvent {
 			v.requestFns = append(v.requestFns, re.fn)
+			v.requestHIDs = append(v.requestHIDs, core.RequestHID(re.fn, re.event))
 		}
 	}
 	if len(v.requestFns) == 0 {
@@ -357,10 +364,11 @@ func (v *Verifier) runInit() {
 
 func (v *Verifier) buildNondetIndex() {
 	for _, e := range v.adv.Nondet {
-		if _, dup := v.nondet[e.Op]; dup {
+		o := v.ids.intern(e.Op)
+		if _, dup := v.nondet[o]; dup {
 			core.Rejectf("duplicate nondet entry at %v", e.Op)
 		}
-		v.nondet[e.Op] = e.Value
+		v.nondet[o] = e.Value
 	}
 }
 
@@ -415,9 +423,9 @@ func (v *Verifier) addBoundaryEdges(s *esink) {
 	eg := v.eg
 	// Request handler hids are computable from the globally registered
 	// request functions (hid = (fn, null, 0), Figure 18 line 11).
-	reqHIDs := make(map[core.HID]bool, len(v.requestFns))
-	for _, fn := range v.requestFns {
-		reqHIDs[core.RequestHID(fn, v.cfg.App.RequestEvent)] = true
+	reqHIDs := make(map[core.HID]bool, len(v.requestHIDs))
+	for _, hid := range v.requestHIDs {
+		reqHIDs[hid] = true
 	}
 	// slotList is ordered by (sorted rid, sorted hid) — the same nested
 	// sorted iteration the map-keyed engine used.
@@ -436,19 +444,22 @@ func (v *Verifier) addBoundaryEdges(s *esink) {
 		if !ok || at.OpNum < 0 || at.OpNum > n {
 			core.Rejectf("responseEmittedBy for %s names unknown operation (%s,%d)", rid, at.HID, at.OpNum)
 		}
-		s.addEdge(eg.opID(rid, at.HID, at.OpNum), eg.respID(rid))
+		si, _ := eg.slotNamed(rid, at.HID)
+		at0 := eg.slotList[si].base + uint32(at.OpNum)
+		s.addEdge(at0, eg.respID(rid))
 		if at.OpNum == n {
-			s.addEdge(eg.respID(rid), eg.hEndID(rid, at.HID))
+			s.addEdge(eg.respID(rid), eg.hEndID(si))
 		} else {
-			s.addEdge(eg.respID(rid), eg.opID(rid, at.HID, at.OpNum+1))
+			s.addEdge(eg.respID(rid), at0+1)
 		}
 	}
 }
 
 // checkOpIsValid implements Figure 16's CheckOpIsValid: the operation's
 // handler must be advised for this request, the op number must be in range,
-// and no other log entry may claim the same operation.
-func (v *Verifier) checkOpIsValid(rid core.RID, hid core.HID, opnum int, loc opLoc) {
+// and no other log entry may claim the same operation. It returns the op's
+// node id.
+func (v *Verifier) checkOpIsValid(rid core.RID, hid core.HID, opnum int, loc opLoc) uint32 {
 	counts, ok := v.adv.OpCounts[rid]
 	if !ok {
 		core.Rejectf("log entry for request %s with no opcounts", rid)
@@ -460,11 +471,14 @@ func (v *Verifier) checkOpIsValid(rid core.RID, hid core.HID, opnum int, loc opL
 	if opnum < 1 || opnum > n {
 		core.Rejectf("log entry op number %d out of range [1,%d] for (%s,%s)", opnum, n, rid, hid)
 	}
-	op := core.Op{RID: rid, HID: hid, Num: opnum}
-	if _, dup := v.opMap[op]; dup {
-		core.Rejectf("two log entries claim operation %v", op)
+	si, _ := v.eg.slotNamed(rid, hid)
+	id := v.eg.slotList[si].base + uint32(opnum)
+	if _, dup := v.opLocs[id]; dup {
+		core.Rejectf("two log entries claim operation %v", core.Op{RID: rid, HID: hid, Num: opnum})
 	}
-	v.opMap[op] = loc
+	v.opLocs[id] = loc
+	v.claimed = append(v.claimed, id)
+	return id
 }
 
 // addHandlerRelatedEdges implements Figure 16's AddHandlerRelatedEdges:
@@ -478,13 +492,13 @@ func (v *Verifier) addHandlerRelatedEdges(s *esink) {
 			core.Rejectf("handler log for request %s absent from trace", rid)
 		}
 		registered := make(map[regEntry]bool)
-		var prev core.Op
-		for i, op := range log {
+		var prev uint32
+		for i := range log {
+			op := &log[i]
 			s.poll()
-			v.checkOpIsValid(rid, op.HID, op.OpNum, opLoc{rid: rid, idx: i})
-			cur := core.Op{RID: rid, HID: op.HID, Num: op.OpNum}
+			cur := v.checkOpIsValid(rid, op.HID, op.OpNum, opLoc{hop: op})
 			if i != 0 {
-				s.addEdge(eg.opID(prev.RID, prev.HID, prev.Num), eg.opID(rid, op.HID, op.OpNum))
+				s.addEdge(prev, cur)
 			}
 			prev = cur
 			switch op.Kind {
@@ -495,14 +509,15 @@ func (v *Verifier) addHandlerRelatedEdges(s *esink) {
 			case advice.OpUnregister:
 				delete(registered, regEntry{event: op.Event, fn: op.Fn})
 			case advice.OpEmit:
-				set := make(map[core.HID]bool)
+				var set []int32
 				add := func(fn core.FunctionID) {
 					hid := core.ComputeHID(fn, op.Event, op.HID, op.OpNum)
 					if _, ok := v.adv.OpCounts[rid][hid]; !ok {
-						core.Rejectf("emit %v activates handler %s not advised for %s", cur, hid, rid)
+						core.Rejectf("emit %v activates handler %s not advised for %s", core.Op{RID: rid, HID: op.HID, Num: op.OpNum}, hid, rid)
 					}
-					set[hid] = true
-					s.addEdge(eg.opID(rid, op.HID, op.OpNum), eg.opID(rid, hid, 0))
+					si, _ := eg.slotNamed(rid, hid)
+					set = append(set, si)
+					s.addEdge(cur, eg.slotList[si].base)
 				}
 				for _, re := range v.globalHandlers {
 					if re.event == op.Event {
@@ -514,7 +529,7 @@ func (v *Verifier) addHandlerRelatedEdges(s *esink) {
 						add(re.fn)
 					}
 				}
-				v.activated[cur] = set
+				v.activated[cur] = eg.hidOrder(set)
 			default:
 				core.Rejectf("unknown handler-log op kind %d", op.Kind)
 			}
