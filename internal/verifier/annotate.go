@@ -384,11 +384,12 @@ func (v *Verifier) addInternalStateEdges() {
 // check a forged "phantom" write could feed logged reads while staying
 // invisible to the execution graph.
 //
-// Each sweep rejects on the opLess-least unconsumed entry without sorting:
-// log-claimed ops are layout nodes, and layout node ids ascend in opLess
-// order (slots are laid out in sorted (rid, hid) order, ops by number within
-// a slot), so the least unconsumed node id is that entry; a variable's log
-// is scanned in advice order for its least unconsumed op under ids.less.
+// Each sweep rejects on its least unconsumed entry in ids.less order, the
+// order a sort of the entries would give, without sorting them: log-claimed
+// ops are layout nodes, and layout node ids ascend in that order (slots are
+// laid out in sorted (rid, hid) order, ops by number within a slot), so the
+// least unconsumed node id names the entry; a variable's log is scanned in
+// advice order for its least unconsumed op under ids.less.
 func (v *Verifier) checkConsumption() {
 	least, found := uint32(0), false
 	for _, id := range v.claimed {

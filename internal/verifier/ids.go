@@ -101,8 +101,10 @@ func (t *idTable) core(o op) core.Op {
 	return core.Op{RID: t.rids[o.r], HID: t.hids[o.h], Num: o.n}
 }
 
-// less is opLess over interned ops: ids are assigned in interning order,
-// not string order, so the comparison goes through the strings.
+// less orders ops by rid, then hid, then number, comparing the strings:
+// the order in which the audit names the first of several bad entries. Ids
+// are assigned in interning order, not string order, so it cannot compare
+// them.
 func (t *idTable) less(a, b op) bool {
 	if a.r != b.r {
 		return t.rids[a.r] < t.rids[b.r]

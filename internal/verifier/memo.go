@@ -37,7 +37,7 @@ package verifier
 // behavioral content (a logged read behaves identically whichever op wrote
 // the value it observes — what matters is the value, which is hashed).
 // Everything else a group touches is derived from the hashed material:
-// activated sets and opMap locations are built from the handler and
+// activated sets and op locations (opLocs) are built from the handler and
 // transaction logs, fnOfActivated inverts ComputeHID over the hashed
 // function table, and parentOf is rebuilt by replaying emits.
 //
@@ -73,14 +73,18 @@ package verifier
 //
 // # Replay: rebinding intents to the new epoch
 //
-// Cached intents cannot store raw rids (epoch-local) so ops are encoded as
-// (slot, hid, num) against the group's rid slice — hids and op numbers are
-// content digests and therefore stable across epochs. Predecessor ops in
-// readObs/writeObs intents come in three stable encodings:
+// Cached intents cannot store rids or interned ids — both are epoch-local
+// (ids.go) — so ops are encoded as (slot, hid string, num) against the
+// group's rid slice: hids and op numbers are content digests and therefore
+// stable across epochs. Replay rebinds a slot to this epoch's interned rid
+// and interns the hid string into this epoch's table; it runs on the
+// coordinator after the fan-out has joined, so interning there is safe.
+// Predecessor ops in readObs/writeObs intents come in three stable
+// encodings:
 //
 //   - precFromLog: the access is logged with a predecessor reference;
-//     re-execution uses e.Prec verbatim, so replay re-reads it from
-//     the NEW epoch's log entry. This is also why predecessor identities
+//     re-execution uses the entry's predecessor verbatim, so replay
+//     re-reads it from the NEW epoch's log entry. This is also why predecessor identities
 //     can stay out of the key: replay behaves exactly as cold re-execution
 //     would for any predecessor whose observable facts match.
 //   - precSlot / precInit: the access is unlogged (or lazily logged) and

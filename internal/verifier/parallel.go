@@ -85,9 +85,10 @@ func asReject(r any) *core.Reject {
 // report — is identical to the sequential run's.
 //
 // Phase 3 bundles the handler, external-state, and isolation passes into one
-// task: they share single-writer state (opMap, activated, txIndex, readMap,
-// lastMod, inWO, the overflow intern table) and their seed-relative order is
-// load-bearing for rejection precedence.
+// task: they share single-writer state (opLocs, claimed, activated, txIndex,
+// readMap, lastMod, inWO, the overflow intern table) and their seed-relative
+// order is load-bearing for rejection precedence. Every phase reads the id
+// table, which is frozen by then (ids.go).
 func (v *Verifier) preprocessEdges() {
 	w := v.workers()
 	if w <= 1 {
@@ -234,7 +235,7 @@ type vkey struct {
 }
 
 // groupEffects is one group's private effect buffer. A buffered replay reads
-// shared verifier state that is frozen during reExec (logs, opMap, activated,
+// shared verifier state that is frozen during reExec (logs, opLocs, activated,
 // nondet, txIndex, carryTx, the graph) and writes only here — which is also
 // what makes a group's intent stream a pure function of its input closure,
 // and therefore memoizable (memo.go).

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"karousos.dev/karousos/internal/advice"
-	"karousos.dev/karousos/internal/core"
 )
 
 // Deterministic map sweeps. The verdict — including *which* forgery a
@@ -32,16 +31,6 @@ func sortedKeysFunc[K comparable, V any](m map[K]V, less func(a, b K) bool) []K 
 	}
 	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
-}
-
-func opLess(a, b core.Op) bool {
-	if a.RID != b.RID {
-		return a.RID < b.RID
-	}
-	if a.HID != b.HID {
-		return a.HID < b.HID
-	}
-	return a.Num < b.Num
 }
 
 func txPosLess(a, b advice.TxPos) bool {

@@ -102,7 +102,8 @@ func sweepForgeries() []sweepForgery {
 			want: fmt.Sprintf("log entry %v was never produced by re-execution", sweepOp("r1", 2)),
 		},
 		{
-			// Planted in r2 first; the rejection names the opLess-least.
+			// Planted in r2 first; the rejection names the least in (rid,
+			// hid, num) order.
 			name: "phantom handler-log entries in two requests",
 			forge: func(tr *trace.Trace, adv *advice.Advice) *trace.Trace {
 				phantomHandlerOp(adv, "r2")

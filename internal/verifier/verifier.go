@@ -484,8 +484,18 @@ func (v *Verifier) checkOpIsValid(rid core.RID, hid core.HID, opnum int, loc opL
 // addHandlerRelatedEdges implements Figure 16's AddHandlerRelatedEdges:
 // handler-log precedence edges, the per-request Registered set, and
 // activation edges from emits to the handlers they activate.
+//
+// An emit at the same (handler, op) activates the same hids in every request
+// of that shape, so each hid digest is computed once per epoch.
 func (v *Verifier) addHandlerRelatedEdges(s *esink) {
 	eg := v.eg
+	type hidKey struct {
+		fn     core.FunctionID
+		event  core.EventName
+		parent uint32
+		emitOp int
+	}
+	hids := make(map[hidKey]core.HID)
 	for _, rid := range sortedKeys(v.adv.HandlerLogs) {
 		log := v.adv.HandlerLogs[rid]
 		if !v.inTrace[rid] {
@@ -510,8 +520,14 @@ func (v *Verifier) addHandlerRelatedEdges(s *esink) {
 				delete(registered, regEntry{event: op.Event, fn: op.Fn})
 			case advice.OpEmit:
 				var set []int32
+				parent := v.ids.hidOf[op.HID] // advised, so interned
 				add := func(fn core.FunctionID) {
-					hid := core.ComputeHID(fn, op.Event, op.HID, op.OpNum)
+					k := hidKey{fn: fn, event: op.Event, parent: parent, emitOp: op.OpNum}
+					hid, ok := hids[k]
+					if !ok {
+						hid = core.ComputeHID(fn, op.Event, op.HID, op.OpNum)
+						hids[k] = hid
+					}
 					if _, ok := v.adv.OpCounts[rid][hid]; !ok {
 						core.Rejectf("emit %v activates handler %s not advised for %s", core.Op{RID: rid, HID: op.HID, Num: op.OpNum}, hid, rid)
 					}
