@@ -153,7 +153,7 @@ func (eg *egraph) hEndID(si int32) uint32 {
 }
 
 // opIndex is an in-layout op node's offset from slotBase, which indexes the
-// per-op tables (opLocs, opConsumed); ok is false outside the layout.
+// opConsumed bitmap; ok is false outside the layout.
 func (eg *egraph) opIndex(o op) (uint32, bool) {
 	si, ok := eg.slotOf[o.act()]
 	if !ok {

@@ -84,9 +84,10 @@ package verifier
 //
 //   - precFromLog: the access is logged with a predecessor reference;
 //     re-execution uses the entry's predecessor verbatim, so replay
-//     re-reads it from the NEW epoch's log entry. This is also why predecessor identities
-//     can stay out of the key: replay behaves exactly as cold re-execution
-//     would for any predecessor whose observable facts match.
+//     re-reads it from the NEW epoch's log entry. This is also why
+//     predecessor identities can stay out of the key: replay behaves
+//     exactly as cold re-execution would for any predecessor whose
+//     observable facts match.
 //   - precSlot / precInit: the access is unlogged (or lazily logged) and
 //     its predecessor came from the dictionary climb, which only ever
 //     yields same-request or init-level ops — both epoch-stable.
