@@ -1,11 +1,11 @@
 // Command karousos-vet is the multichecker for the repo's invariant
 // analyzers (internal/analysis/all): detlint, errladder, rejectcode, plus
-// the interprocedural passes advicetaint and conclint (leaklint +
-// locklint), plus validation of every //karousos: suppression directive.
+// the interprocedural passes advicetaint and leaklint, plus validation of
+// every //karousos: suppression directive.
 //
 // Usage:
 //
-//	karousos-vet [-checks detlint,locklint] [-json] [packages]
+//	karousos-vet [-checks detlint,leaklint] [-json] [packages]
 //	karousos-vet -list
 //
 // With no packages it defaults to ./... . The whole package set is loaded
@@ -22,9 +22,9 @@
 //
 // Exit status: 0 when the tree is clean (suppressed findings are clean),
 // 1 when any diagnostic or load problem is reported, 2 on a driver failure
-// (flag error, unknown check name, go list itself failing). CI runs
+// (flag error, unknown analyzer name, go list itself failing). CI runs
 // `karousos-vet ./...` and fails the build on any nonzero status, so every
-// finding is either fixed or carries a reviewed //karousos:<check>-ok
+// finding is either fixed or carries a reviewed //karousos:<analyzer>-ok
 // <reason> directive.
 package main
 
@@ -47,7 +47,6 @@ func main() {
 
 // jsonDiag is one diagnostic in -json output.
 type jsonDiag struct {
-	Check      string `json:"check"`
 	Analyzer   string `json:"analyzer"`
 	Pos        string `json:"pos"`
 	Message    string `json:"message"`
@@ -58,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("karousos-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	checks := fs.String("checks", "", "comma-separated analyzers or check names to run (default: all)")
+	checks := fs.String("checks", "", "comma-separated analyzers to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array (includes suppressed findings)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -66,11 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		for _, a := range all.Analyzers {
-			name := a.Name
-			if len(a.Checks) > 0 {
-				name = fmt.Sprintf("%s (%s)", a.Name, strings.Join(a.Checks, ", "))
-			}
-			fmt.Fprintf(stdout, "%-24s %s\n", name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -107,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, pb := range problems {
 		exit = 1
 		if *asJSON {
-			out = append(out, jsonDiag{Check: "load", Analyzer: "load", Message: pb.Error()})
+			out = append(out, jsonDiag{Analyzer: "load", Message: pb.Error()})
 		} else {
 			fmt.Fprintf(stdout, "%s: [load] %v\n", pb.PkgPath, pb.Err)
 		}
@@ -119,9 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			pass := &analysis.Pass{
 				Analyzer: a, Fset: p.Fset, Files: p.Syntax,
 				Pkg: p.Types, TypesInfo: p.TypesInfo,
-				Program:          prog,
-				ReportSuppressed: true,
-				Report:           func(d analysis.Diagnostic) { ds = append(ds, d) },
+				Program: prog,
+				Report:  func(d analysis.Diagnostic) { ds = append(ds, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(stderr, "karousos-vet: %s over %s: %v\n", a.Name, p.PkgPath, err)
@@ -133,9 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// suppresses anything is known only when every analyzer ran.
 		dirPass := &analysis.Pass{Fset: p.Fset, Files: p.Syntax, Pkg: p.Types, TypesInfo: p.TypesInfo}
 		if *checks == "" {
-			ds = append(ds, analysis.UnusedDirectives(dirPass, ds)...)
+			ds = append(ds, analysis.UnusedDirectives(dirPass, all.Analyzers, ds)...)
 		}
-		ds = append(ds, analysis.CheckDirectives(dirPass)...)
+		ds = append(ds, analysis.CheckDirectives(dirPass, all.Analyzers)...)
 
 		analysis.SortDiagnostics(p.Fset, ds)
 		for _, d := range ds {
@@ -146,12 +140,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if *asJSON {
 				out = append(out, jsonDiag{
-					Check: d.Check, Analyzer: d.Analyzer,
-					Pos: p.Fset.Position(d.Pos).String(), Message: d.Message,
-					Suppressed: d.Suppressed,
+					Analyzer: d.Analyzer, Pos: p.Fset.Position(d.Pos).String(),
+					Message: d.Message, Suppressed: d.Suppressed,
 				})
 			} else {
-				fmt.Fprintf(stdout, "%s: [%s] %s\n", p.Fset.Position(d.Pos), d.Check, d.Message)
+				fmt.Fprintf(stdout, "%s: [%s] %s\n", p.Fset.Position(d.Pos), d.Analyzer, d.Message)
 			}
 		}
 	}
@@ -170,8 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// selectAnalyzers resolves -checks: each element may be an analyzer name
-// or one of its check names (so -checks locklint selects conclint).
+// selectAnalyzers resolves -checks, a comma-separated list of analyzer
+// names.
 func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
 	if spec == "" {
 		return all.Analyzers, nil
@@ -182,8 +175,11 @@ func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a := findAnalyzer(name)
 		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer or check %q (known checks: %s)",
-				name, strings.Join(analysis.KnownChecks(), ", "))
+			names := make([]string, len(all.Analyzers))
+			for i, a := range all.Analyzers {
+				names[i] = a.Name
+			}
+			return nil, fmt.Errorf("unknown analyzer %q (known checks: %s)", name, strings.Join(names, ", "))
 		}
 		if !seen[a.Name] {
 			seen[a.Name] = true
@@ -197,11 +193,6 @@ func findAnalyzer(name string) *analysis.Analyzer {
 	for _, a := range all.Analyzers {
 		if a.Name == name {
 			return a
-		}
-		for _, c := range a.Checks {
-			if c == name {
-				return a
-			}
 		}
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"karousos.dev/karousos/internal/analysis/all"
 )
 
 // runVet drives run() and returns (exit, stdout, stderr).
@@ -16,7 +18,7 @@ func runVet(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestListShowsAllAnalyzers pins the analyzer census the driver exposes:
-// all five, with conclint's two check names spelled out.
+// all five, one line each, led by the analyzer's name.
 func TestListShowsAllAnalyzers(t *testing.T) {
 	code, out, errb := runVet(t, "-list")
 	if code != 0 {
@@ -31,8 +33,10 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("got %d analyzers listed, want 5:\n%s", len(lines), out)
 	}
-	if !strings.Contains(out, "conclint (leaklint, locklint)") {
-		t.Errorf("-list should spell out conclint's check names:\n%s", out)
+	for i, a := range all.Analyzers {
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != a.Name {
+			t.Errorf("-list line %d = %q, want it led by %q", i, lines[i], a.Name)
+		}
 	}
 }
 
@@ -47,20 +51,12 @@ func TestUnknownCheckIsDriverError(t *testing.T) {
 	}
 }
 
-// TestCheckNameSelectsOwningAnalyzer: -checks locklint must resolve to
-// conclint and vet cleanly over an in-scope, clean package.
-func TestCheckNameSelectsOwningAnalyzer(t *testing.T) {
-	code, out, errb := runVet(t, "-checks", "locklint", "karousos.dev/karousos/internal/fleet")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, errb)
-	}
-}
-
 // TestJSONSuppressedFindingsVisible pins the -json contract over the real
-// tree: epochlog's reviewed hold-across-fsync suppressions appear with
+// tree: auditd's three reviewed detlint suppressions (the Status latency
+// metric's two clock reads and the sharded poll loop's select) appear with
 // suppressed=true, and because every finding is suppressed the exit is 0.
 func TestJSONSuppressedFindingsVisible(t *testing.T) {
-	code, out, errb := runVet(t, "-json", "karousos.dev/karousos/internal/epochlog")
+	code, out, errb := runVet(t, "-json", "karousos.dev/karousos/internal/auditd")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, errb)
 	}
@@ -68,23 +64,20 @@ func TestJSONSuppressedFindingsVisible(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &ds); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
 	}
-	locklint := 0
+	detlint := 0
 	for _, d := range ds {
 		if !d.Suppressed {
 			t.Errorf("unsuppressed finding on an exit-0 run: %+v", d)
 		}
-		if d.Check == "locklint" {
-			locklint++
-			if d.Analyzer != "conclint" {
-				t.Errorf("locklint finding should belong to conclint, got %q", d.Analyzer)
-			}
-			if d.Pos == "" || !strings.Contains(d.Message, "holding") {
-				t.Errorf("locklint diagnostic incomplete: %+v", d)
+		if d.Analyzer == "detlint" {
+			detlint++
+			if d.Pos == "" || d.Message == "" {
+				t.Errorf("detlint diagnostic incomplete: %+v", d)
 			}
 		}
 	}
-	if locklint == 0 {
-		t.Error("epochlog's reviewed locklint suppressions should be visible under -json")
+	if detlint != 3 {
+		t.Errorf("got %d detlint suppressions under -json, want auditd's 3:\n%s", detlint, out)
 	}
 }
 

@@ -113,13 +113,11 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() { analysis.Register(Analyzer) }
-
 func run(pass *analysis.Pass) error {
 	if !analysis.PkgInScope(pass.Pkg.Path(), Packages) {
 		return nil
 	}
-	prog := pass.SingletonProgram()
+	prog := pass.Program
 	eng := engineOf(prog)
 	pp := prog.PackageOf(pass.Pkg)
 	if pp == nil {

@@ -1,15 +1,14 @@
-// Package all enumerates every karousos-vet analyzer. Importing it (as
-// cmd/karousos-vet does) runs each analyzer's init registration, so the
-// check-name registry (analysis.KnownChecks) and this list stay in sync by
-// construction — the consistency test in this package proves it both ways.
+// Package all enumerates every karousos-vet analyzer. The list is also the
+// directive registry: a //karousos:<name>-ok directive is well-formed only
+// when <name> is the Name of an analyzer here.
 package all
 
 import (
 	"karousos.dev/karousos/internal/analysis"
 	"karousos.dev/karousos/internal/analysis/advicetaint"
-	"karousos.dev/karousos/internal/analysis/conclint"
 	"karousos.dev/karousos/internal/analysis/detlint"
 	"karousos.dev/karousos/internal/analysis/errladder"
+	"karousos.dev/karousos/internal/analysis/leaklint"
 	"karousos.dev/karousos/internal/analysis/rejectcode"
 )
 
@@ -19,5 +18,5 @@ var Analyzers = []*analysis.Analyzer{
 	errladder.Analyzer,
 	rejectcode.Analyzer,
 	advicetaint.Analyzer,
-	conclint.Analyzer,
+	leaklint.Analyzer,
 }

@@ -9,34 +9,37 @@
 // Analyzer API mirrors x/tools closely enough that a pass written here ports
 // to the upstream driver by changing imports.
 //
-// The analyzers in the subpackages prove, at compile time, invariants the
-// dynamic layers (chaos scenarios, fuzzers, verifier.Limits) only sample:
+// The analyzers in the subpackages (internal/analysis/all lists them) prove,
+// at compile time, invariants the dynamic layers (chaos scenarios, fuzzers,
+// verifier.Limits) only sample:
 //
-//   - detlint:    the verdict is a deterministic function of (trace, advice) —
+//   - detlint:     the verdict is a deterministic function of (trace, advice) —
 //     no unsorted map iteration, wall-clock reads, math/rand, or
 //     multi-case selects on verdict paths.
+//   - errladder:   pipeline I/O errors are matched with errors.Is or
+//     iofault.Classify, never raw == comparisons or os.IsNotExist and
+//     its siblings.
+//   - rejectcode:  errors crossing the Audit boundary carry a core.RejectCode
+//     and RejectCode switches/registries are exhaustive.
 //   - advicetaint: every advice-derived length is clamped before it reaches
 //     an allocation, loop bound, path, verdict branch, or cache key.
-//   - errladder:  I/O errors in the pipeline flow through the iofault
-//     classification ladder, never raw == comparisons or silent drops.
-//   - rejectcode: errors crossing the Audit boundary carry a core.RejectCode
-//     and RejectCode switches/registries are exhaustive.
+//   - leaklint:    every goroutine in the serving and audit planes has a
+//     join or cancel path.
 //
 // # Directive grammar
 //
 // A finding is suppressed only by an explicit, reasoned directive on the
 // flagged line or the line directly above it:
 //
-//	//karousos:<check>-ok <reason>
+//	//karousos:<analyzer>-ok <reason>
 //
-// where <check> is a check name some registered analyzer owns (Register),
-// e.g. "nondeterminism" (detlint) or "leaklint" (conclint), and <reason> is
-// non-empty free text read by the reviewer, not the tool. A directive with
-// an unknown check name or an empty reason is itself a diagnostic
-// (CheckDirectives), so the escape hatch cannot rot into bare unexplained
-// pragmas; so is a well-formed directive that suppresses no finding of a
-// run of every analyzer (UnusedDirectives), so it cannot outlive the
-// finding it was written for.
+// where <analyzer> is the Name of the analyzer that reports the finding,
+// e.g. "detlint", and <reason> is non-empty free text read by the reviewer,
+// not the tool. A directive naming no known analyzer or carrying no reason
+// is itself a diagnostic (CheckDirectives), so the escape hatch cannot rot
+// into bare unexplained pragmas; so is a well-formed directive that
+// suppresses no finding of a run of every analyzer (UnusedDirectives), so it
+// cannot outlive the finding it was written for.
 package analysis
 
 import (
@@ -47,20 +50,15 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name is the short command-line name (e.g. "detlint").
+	// Name is the short command-line name (e.g. "detlint") and the check
+	// name of its suppression directive (//karousos:detlint-ok).
 	Name string
 	// Doc is the one-paragraph description printed by karousos-vet -list.
 	Doc string
-	// Checks are the suppression-directive check names this analyzer owns.
-	// Empty means one check named after the analyzer. The first entry is
-	// the default check Reportf uses; multi-check analyzers (conclint's
-	// leaklint/locklint) report the rest through ReportfAs.
-	Checks []string
 	// Run executes the pass over one package, reporting findings through
 	// pass.Report.
 	Run func(*Pass) error
@@ -73,133 +71,59 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Program, when the driver sets it, is the whole loaded package set —
-	// the interprocedural analyzers (advicetaint, conclint)
-	// build their call graph and dataflow summaries from it. nil restricts
-	// those analyzers to the pass's own package.
+	// Program is the whole loaded package set — the interprocedural
+	// analyzers (advicetaint, leaklint) build their call graph and
+	// dataflow summaries from it. A fixture run's Program is the fixture
+	// package alone.
 	Program *Program
 	// Report delivers one diagnostic. The driver sets it; analyzers call
 	// Reportf.
 	Report func(Diagnostic)
-	// ReportSuppressed, when set (karousos-vet sets it), delivers findings
-	// covered by a //karousos: directive with Diagnostic.Suppressed=true
-	// instead of dropping them, so karousos-vet knows which directives
-	// suppressed something and its -json output carries the full
-	// suppression state.
-	ReportSuppressed bool
 
-	directives []Directive // lazily built
+	directives []directive // lazily built
 }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos      token.Pos
+	Pos token.Pos
+	// Analyzer is the reporting analyzer's name, which is also the check
+	// name of the directive that suppresses the finding; "directive" for
+	// directive-hygiene findings.
 	Analyzer string
-	// Check is the directive check name that suppresses this finding.
-	Check   string
-	Message string
-	// Suppressed marks a finding covered by a reviewed directive; only
-	// delivered when Pass.ReportSuppressed is set.
+	Message  string
+	// Suppressed marks a finding covered by a reviewed directive. The
+	// driver counts it as clean but still sees it, so it knows which
+	// directives suppressed something and -json carries the full
+	// suppression state.
 	Suppressed bool
 }
 
-// Reportf reports a finding at pos under the analyzer's default check name
-// unless a matching //karousos: directive suppresses it there.
+// Reportf reports a finding at pos, marked Suppressed when a matching
+// //karousos:<analyzer>-ok directive covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfAs(p.Analyzer.check(), pos, format, args...)
+	p.Report(Diagnostic{
+		Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...),
+		Suppressed: p.suppressed(pos),
+	})
 }
 
-// ReportfAs reports a finding under an explicit check name — the path for
-// analyzers that own more than one check (conclint).
-func (p *Pass) ReportfAs(check string, pos token.Pos, format string, args ...any) {
-	d := Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Check: check, Message: fmt.Sprintf(format, args...)}
-	if p.Suppressed(check, pos) {
-		if !p.ReportSuppressed {
-			return
-		}
-		d.Suppressed = true
-	}
-	p.Report(d)
-}
-
-// check is the analyzer's default directive check name.
-func (a *Analyzer) check() string {
-	if len(a.Checks) > 0 {
-		return a.Checks[0]
-	}
-	return a.Name
-}
-
-// checkNames is every check name the analyzer owns.
-func (a *Analyzer) checkNames() []string {
-	if len(a.Checks) > 0 {
-		return a.Checks
-	}
-	return []string{a.Name}
-}
-
-// registry maps directive check names to the analyzer that owns them.
-// Analyzers register themselves in init, so importing an analyzer package
-// is what makes its suppressions well-formed — a directive for a check
-// nobody registered is flagged by CheckDirectives.
-var registry = struct {
-	sync.Mutex
-	checks map[string]string // check name -> analyzer name
-}{checks: map[string]string{}}
-
-// Register records an analyzer's check names in the directive registry.
-// Analyzer packages call it from init. Registering the same (check,
-// analyzer) pair twice is a no-op; claiming another analyzer's check name
-// panics — two analyzers must not share an escape hatch.
-func Register(a *Analyzer) {
-	registry.Lock()
-	defer registry.Unlock()
-	for _, c := range a.checkNames() {
-		if owner, ok := registry.checks[c]; ok && owner != a.Name {
-			panic(fmt.Sprintf("analysis: check %q registered by both %s and %s", c, owner, a.Name))
-		}
-		registry.checks[c] = a.Name
-	}
-}
-
-// KnownChecks returns the registered directive check names, sorted.
-func KnownChecks() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]string, 0, len(registry.checks))
-	for c := range registry.checks {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AnalyzerForCheck resolves a check name to its owning analyzer's name.
-func AnalyzerForCheck(check string) (string, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	a, ok := registry.checks[check]
-	return a, ok
-}
-
-// Directive is one parsed //karousos: comment.
-type Directive struct {
-	Pos    token.Pos
-	File   string
-	Line   int
-	Check  string // e.g. "nondeterminism"
-	Reason string // free text after the check; must be non-empty
-	Raw    string
+// directive is one parsed //karousos: comment.
+type directive struct {
+	pos    token.Pos
+	file   string
+	line   int
+	check  string // an analyzer name, e.g. "detlint"
+	reason string // free text after the check; must be non-empty
 }
 
 var directiveRE = regexp.MustCompile(`^//karousos:([a-z][a-z-]*)-ok(?:[ \t]+(.*))?$`)
 
 // parseDirectives scans every comment in the pass's files.
-func (p *Pass) parseDirectives() []Directive {
+func (p *Pass) parseDirectives() []directive {
 	if p.directives != nil {
 		return p.directives
 	}
-	var out []Directive
+	out := []directive{} // non-nil marks "parsed, none found"
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -208,32 +132,28 @@ func (p *Pass) parseDirectives() []Directive {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				out = append(out, Directive{
-					Pos:    c.Pos(),
-					File:   pos.Filename,
-					Line:   pos.Line,
-					Check:  m[1],
-					Reason: strings.TrimSpace(m[2]),
-					Raw:    c.Text,
+				out = append(out, directive{
+					pos:    c.Pos(),
+					file:   pos.Filename,
+					line:   pos.Line,
+					check:  m[1],
+					reason: strings.TrimSpace(m[2]),
 				})
 			}
 		}
-	}
-	if out == nil {
-		out = []Directive{} // mark "parsed, none found"
 	}
 	p.directives = out
 	return out
 }
 
-// Suppressed reports whether a well-formed //karousos:<check>-ok directive
-// covers pos: same line, or the line directly above (a comment hanging over
-// the flagged statement). Malformed directives (unknown check, no reason)
-// never suppress — CheckDirectives flags them instead.
-func (p *Pass) Suppressed(check string, pos token.Pos) bool {
+// suppressed reports whether a well-formed //karousos:<analyzer>-ok
+// directive for the pass's analyzer covers pos: same line, or the line
+// directly above (a comment hanging over the flagged statement). A
+// reasonless directive never suppresses — CheckDirectives flags it instead.
+func (p *Pass) suppressed(pos token.Pos) bool {
 	where := p.Fset.Position(pos)
 	for _, d := range p.parseDirectives() {
-		if d.covers(check, where) {
+		if d.covers(p.Analyzer.Name, where) {
 			return true
 		}
 	}
@@ -241,26 +161,30 @@ func (p *Pass) Suppressed(check string, pos token.Pos) bool {
 }
 
 // covers reports whether d suppresses a check finding at where.
-func (d Directive) covers(check string, where token.Position) bool {
-	return d.Check == check && d.Reason != "" && d.File == where.Filename &&
-		(d.Line == where.Line || d.Line == where.Line-1)
+func (d directive) covers(check string, where token.Position) bool {
+	return d.check == check && d.reason != "" && d.file == where.Filename &&
+		(d.line == where.Line || d.line == where.Line-1)
 }
 
-// CheckDirectives validates every //karousos: directive in the pass's files:
-// the check name must be known and the reason non-empty. The driver runs it
-// once per package, independent of which analyzers are selected, so a typoed
-// or bare directive can never silently suppress nothing.
-func CheckDirectives(p *Pass) []Diagnostic {
+// CheckDirectives validates every //karousos: directive in the pass's files
+// against the known analyzers: the check must name one of them and the
+// reason must be non-empty. The driver runs it once per package with every
+// analyzer it has, independent of which are selected, so a typoed or bare
+// directive can never silently suppress nothing.
+func CheckDirectives(p *Pass, known []*Analyzer) []Diagnostic {
 	var out []Diagnostic
-	known := KnownChecks()
 	for _, d := range p.parseDirectives() {
 		switch {
-		case !slicesContains(known, d.Check):
-			out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Check: "directive",
-				Message: fmt.Sprintf("unknown karousos directive check %q (known: %s)", d.Check, strings.Join(known, ", "))})
-		case d.Reason == "":
-			out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Check: "directive",
-				Message: fmt.Sprintf("karousos:%s-ok directive needs a reason", d.Check)})
+		case !isKnown(known, d.check):
+			names := make([]string, len(known))
+			for i, a := range known {
+				names[i] = a.Name
+			}
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "directive",
+				Message: fmt.Sprintf("unknown karousos directive check %q (known: %s)", d.check, strings.Join(names, ", "))})
+		case d.reason == "":
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "directive",
+				Message: fmt.Sprintf("karousos:%s-ok directive needs a reason", d.check)})
 		}
 	}
 	return out
@@ -268,33 +192,33 @@ func CheckDirectives(p *Pass) []Diagnostic {
 
 // UnusedDirectives reports every well-formed directive in the pass's files
 // that covers none of the suppressed findings in ds, the diagnostics every
-// analyzer reported for this package. Only a run of every analyzer can tell
-// a directive is unused, so karousos-vet calls it on full runs alone.
-func UnusedDirectives(p *Pass, ds []Diagnostic) []Diagnostic {
-	known := KnownChecks()
+// known analyzer reported for this package. Only a run of every analyzer
+// can tell a directive is unused, so karousos-vet calls it on full runs
+// alone.
+func UnusedDirectives(p *Pass, known []*Analyzer, ds []Diagnostic) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range p.parseDirectives() {
-		if d.Reason == "" || !slicesContains(known, d.Check) {
+		if d.reason == "" || !isKnown(known, d.check) {
 			continue // malformed: CheckDirectives reports it
 		}
 		used := false
 		for _, f := range ds {
-			if f.Suppressed && d.covers(f.Check, p.Fset.Position(f.Pos)) {
+			if f.Suppressed && d.covers(f.Analyzer, p.Fset.Position(f.Pos)) {
 				used = true
 				break
 			}
 		}
 		if !used {
-			out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Check: "directive",
-				Message: fmt.Sprintf("karousos:%s-ok directive suppresses no finding", d.Check)})
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "directive",
+				Message: fmt.Sprintf("karousos:%s-ok directive suppresses no finding", d.check)})
 		}
 	}
 	return out
 }
 
-func slicesContains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
+func isKnown(known []*Analyzer, name string) bool {
+	for _, a := range known {
+		if a.Name == name {
 			return true
 		}
 	}

@@ -8,7 +8,12 @@ import (
 	"testing"
 )
 
-func parsePass(t *testing.T, src string) *Pass {
+var (
+	detlintA   = &Analyzer{Name: "detlint"}
+	errladderA = &Analyzer{Name: "errladder"}
+)
+
+func parsePass(t *testing.T, a *Analyzer, src string) *Pass {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
@@ -16,7 +21,7 @@ func parsePass(t *testing.T, src string) *Pass {
 		t.Fatal(err)
 	}
 	return &Pass{
-		Analyzer: &Analyzer{Name: "detlint"},
+		Analyzer: a,
 		Fset:     fset,
 		Files:    []*ast.File{f},
 	}
@@ -26,68 +31,43 @@ func TestSuppressionSameLineAndAbove(t *testing.T) {
 	src := `package p
 
 func f() {
-	//karousos:nondeterminism-ok reviewed reason
+	//karousos:detlint-ok reviewed reason
 	_ = 1
-	_ = 2 //karousos:nondeterminism-ok trailing reason
+	_ = 2 //karousos:detlint-ok trailing reason
 
 	_ = 3
 }
 `
-	p := parsePass(t, src)
+	p := parsePass(t, detlintA, src)
 	line := func(n int) token.Pos {
 		return p.Fset.File(p.Files[0].Pos()).LineStart(n)
 	}
-	if !p.Suppressed("nondeterminism", line(5)) {
+	if !p.suppressed(line(5)) {
 		t.Error("directive on the line above must suppress")
 	}
-	if !p.Suppressed("nondeterminism", line(6)) {
+	if !p.suppressed(line(6)) {
 		t.Error("trailing directive on the same line must suppress")
 	}
-	if p.Suppressed("nondeterminism", line(8)) {
+	if p.suppressed(line(8)) {
 		t.Error("an unannotated line must not be suppressed")
 	}
-	if p.Suppressed("errladder", line(5)) {
-		t.Error("a directive for a different check must not suppress")
+	if other := parsePass(t, errladderA, src); other.suppressed(line(5)) {
+		t.Error("a directive for a different analyzer must not suppress")
 	}
-}
-
-func TestRegisterOwnsChecks(t *testing.T) {
-	Register(&Analyzer{Name: "detlint", Checks: []string{"nondeterminism"}})
-	Register(&Analyzer{Name: "errladder"})
-	// Re-registering the same pair is a no-op.
-	Register(&Analyzer{Name: "errladder"})
-	known := KnownChecks()
-	for _, want := range []string{"nondeterminism", "errladder"} {
-		if !slicesContains(known, want) {
-			t.Errorf("KnownChecks() = %v, missing %q", known, want)
-		}
-	}
-	if owner, ok := AnalyzerForCheck("nondeterminism"); !ok || owner != "detlint" {
-		t.Errorf("AnalyzerForCheck(nondeterminism) = %q, %v", owner, ok)
-	}
-	// A check name may not change hands between analyzers.
-	defer func() {
-		if recover() == nil {
-			t.Error("registering another analyzer's check name must panic")
-		}
-	}()
-	Register(&Analyzer{Name: "impostor", Checks: []string{"nondeterminism"}})
 }
 
 func TestCheckDirectivesFlagsMalformed(t *testing.T) {
-	Register(&Analyzer{Name: "detlint", Checks: []string{"nondeterminism"}})
-	Register(&Analyzer{Name: "errladder"})
 	src := `package p
 
 func f() {
-	//karousos:nondeterminism-ok
+	//karousos:detlint-ok
 	//karousos:typo-check-ok some reason
 	//karousos:errladder-ok a fine reason
 	_ = 1
 }
 `
-	p := parsePass(t, src)
-	ds := CheckDirectives(p)
+	p := parsePass(t, detlintA, src)
+	ds := CheckDirectives(p, []*Analyzer{detlintA, errladderA})
 	if len(ds) != 2 {
 		t.Fatalf("got %d diagnostics, want 2: %v", len(ds), ds)
 	}
@@ -99,13 +79,18 @@ func f() {
 	if !strings.Contains(joined, "needs a reason") {
 		t.Errorf("missing reasonless-directive diagnostic in %q", joined)
 	}
-	if !strings.Contains(joined, "unknown karousos directive check") {
+	if !strings.Contains(joined, `unknown karousos directive check "typo-check" (known: detlint, errladder)`) {
 		t.Errorf("missing unknown-check diagnostic in %q", joined)
 	}
 	// A reasonless directive must not suppress anything.
-	line4 := p.Fset.File(p.Files[0].Pos()).LineStart(5)
-	if p.Suppressed("nondeterminism", line4) {
+	line5 := p.Fset.File(p.Files[0].Pos()).LineStart(5)
+	if p.suppressed(line5) {
 		t.Error("a reasonless directive suppressed a finding")
+	}
+	// The known set comes from the caller: without errladder its
+	// directive is unknown too.
+	if ds := CheckDirectives(p, []*Analyzer{detlintA}); len(ds) != 3 {
+		t.Errorf("with only detlint known: got %d diagnostics, want 3: %v", len(ds), ds)
 	}
 }
 

@@ -15,6 +15,8 @@
 // Each backquoted or double-quoted string after "want" is a regular
 // expression; a line with no want comment must produce no diagnostics, and
 // every want regexp must be matched by exactly one diagnostic on its line.
+// The fixture package is the pass's whole Program, and its //karousos:
+// directives are checked against the analyzer under test alone.
 package analysistest
 
 import (
@@ -74,11 +76,22 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkgname string)
 	pass := &analysis.Pass{
 		Analyzer: a, Fset: p.Fset, Files: p.Syntax,
 		Pkg: p.Types, TypesInfo: p.TypesInfo,
-		Report: func(d analysis.Diagnostic) { got = append(got, d) },
+		Program: analysis.NewProgram([]*analysis.ProgramPackage{{
+			PkgPath: p.PkgPath, Fset: p.Fset, Files: p.Syntax,
+			Pkg: p.Types, TypesInfo: p.TypesInfo,
+		}}),
+		Report: func(d analysis.Diagnostic) {
+			if !d.Suppressed {
+				got = append(got, d)
+			}
+		},
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s: running over %s: %v", a.Name, pkgname, err)
 	}
+	// A fixture's directives must name the analyzer under test and carry a
+	// reason; a malformed one is an unexpected diagnostic like any other.
+	got = append(got, analysis.CheckDirectives(pass, []*analysis.Analyzer{a})...)
 	analysis.SortDiagnostics(p.Fset, got)
 
 	for _, d := range got {

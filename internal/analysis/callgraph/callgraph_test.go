@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"karousos.dev/karousos/internal/analysis"
@@ -50,66 +51,51 @@ func TestBuildResolvesStaticCalls(t *testing.T) {
 	if again := Of(prog); again != g {
 		t.Error("Of must cache the graph as a program fact")
 	}
+	if len(g.Nodes) != 5 {
+		t.Errorf("got %d nodes, want one per declaration with a body (5): %v", len(g.Nodes), keys(g))
+	}
 
-	find := func(suffix string) *Node {
+	// calls returns the callee node key of every call site in key's body,
+	// "" for a resolved callee outside the program, "dynamic" when
+	// StaticCallee cannot resolve it.
+	calls := func(key string) []string {
 		t.Helper()
-		for k, n := range g.Nodes {
-			if k == "cgfixture."+suffix || k == "(*cgfixture.T)."+suffix {
-				return n
+		n := g.Nodes[key]
+		if n == nil {
+			t.Fatalf("no node for %q in %v", key, keys(g))
+		}
+		var out []string
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
+			switch fn := StaticCallee(n.Pkg.TypesInfo, call); {
+			case fn == nil:
+				out = append(out, "dynamic")
+			case g.Node(fn) == nil:
+				out = append(out, "")
+			default:
+				out = append(out, fn.FullName())
+			}
+			return true
+		})
+		return out
+	}
+
+	check := func(key string, want ...string) {
+		t.Helper()
+		if got := calls(key); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s calls %q, want %q", key, got, want)
 		}
-		t.Fatalf("no node for %q in %v", suffix, keys(g))
-		return nil
 	}
-
-	top := find("top")
-	if len(top.Calls) != 1 {
-		t.Fatalf("top has %d resolved calls, want 1 (t.sync)", len(top.Calls))
-	}
-	if g.Nodes[top.Calls[0].Callee] == nil {
-		t.Errorf("top's callee %q has no node", top.Calls[0].Callee)
-	}
-
-	sync := find("sync")
+	check("cgfixture.top", "(*cgfixture.T).sync")
 	// t.f.Sync() resolves to (*os.File).Sync — a real static callee whose
-	// body is outside the program (no node, but an edge).
-	if len(sync.Calls) != 1 {
-		t.Fatalf("sync has %d resolved calls, want 1", len(sync.Calls))
-	}
-	if g.Nodes[sync.Calls[0].Callee] != nil {
-		t.Errorf("(*os.File).Sync should have no in-program node")
-	}
-
-	dyn := find("viaValue")
-	if dyn.Dynamic != 1 || len(dyn.Calls) != 0 {
-		t.Errorf("viaValue: dynamic=%d calls=%d, want 1/0", dyn.Dynamic, len(dyn.Calls))
-	}
-
-	leaf := find("leaf")
-	callers := g.Callers(leaf.Key)
-	if len(callers) != 1 || callers[0].Decl.Name.Name != "caller" {
-		t.Errorf("Callers(leaf) = %v, want [caller]", callers)
-	}
-}
-
-func TestTransitiveMatchers(t *testing.T) {
-	prog := progFromSource(t, src)
-	g := Of(prog)
-	matched := g.TransitiveMatchers(func(pp *analysis.ProgramPackage, call *ast.CallExpr) bool {
-		fn := StaticCallee(pp.TypesInfo, call)
-		return fn != nil && fn.Name() == "Sync"
-	})
-	wantMatched := []string{"(*cgfixture.T).sync", "cgfixture.top"}
-	for _, k := range wantMatched {
-		if !matched[k] {
-			t.Errorf("%s should transitively reach Sync; matched=%v", k, matched)
-		}
-	}
-	for _, k := range []string{"cgfixture.leaf", "cgfixture.caller", "cgfixture.viaValue"} {
-		if matched[k] {
-			t.Errorf("%s must not match", k)
-		}
-	}
+	// body is outside the program (no node).
+	check("(*cgfixture.T).sync", "")
+	check("cgfixture.viaValue", "dynamic")
+	check("cgfixture.caller", "cgfixture.leaf")
+	check("cgfixture.leaf")
 }
 
 func keys(g *Graph) []string {

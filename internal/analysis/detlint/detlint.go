@@ -26,7 +26,7 @@
 // The only escape hatch is an explicit, reasoned directive on or above the
 // flagged line:
 //
-//	//karousos:nondeterminism-ok <reason>
+//	//karousos:detlint-ok <reason>
 //
 // Test files are not analyzed: test randomness is legitimate when seeded and
 // logged (see internal/verifier/completeness_test.go).
@@ -56,14 +56,11 @@ var Packages = []string{
 
 // Analyzer is the detlint pass.
 var Analyzer = &analysis.Analyzer{
-	Name:   "detlint",
-	Checks: []string{"nondeterminism"},
+	Name: "detlint",
 	Doc: "flag nondeterminism (unsorted map iteration, wall-clock reads, math/rand, multi-case select) " +
-		"in verdict-affecting packages; suppress with //karousos:nondeterminism-ok <reason>",
+		"in verdict-affecting packages; suppress with //karousos:detlint-ok <reason>",
 	Run: run,
 }
-
-func init() { analysis.Register(Analyzer) }
 
 func run(pass *analysis.Pass) error {
 	if !analysis.PkgInScope(pass.Pkg.Path(), Packages) {
@@ -138,7 +135,7 @@ func checkGoStmt(pass *analysis.Pass, g *ast.GoStmt) {
 		return
 	}
 	fn := callgraph.StaticCallee(pass.TypesInfo, g.Call)
-	node := callgraph.Of(pass.SingletonProgram()).Node(fn)
+	node := callgraph.Of(pass.Program).Node(fn)
 	if node == nil {
 		pass.Reportf(g.Pos(), "go launches a function the call graph cannot resolve on a verdict path; spawn an inline func literal (or a named function) so the goroutine's writes are checkable (deterministic fan-out idiom)")
 		return
@@ -239,13 +236,13 @@ func checkMapRange(pass *analysis.Pass, enclBody *ast.BlockStmt, rs *ast.RangeSt
 	if bodyOrderInsensitive(pass.TypesInfo, rs.Body.List, targets) {
 		for obj := range targets {
 			if !sortedAfter(pass, enclBody, rs, obj) {
-				pass.Reportf(rs.Pos(), "map iteration order escapes through %q, which is never sorted in this function; sort it or annotate //karousos:nondeterminism-ok", obj.Name())
+				pass.Reportf(rs.Pos(), "map iteration order escapes through %q, which is never sorted in this function; sort it or annotate //karousos:detlint-ok", obj.Name())
 				return
 			}
 		}
 		return
 	}
-	pass.Reportf(rs.Pos(), "iterates a map in nondeterministic order on a verdict path; iterate sorted keys, make the body order-insensitive, or annotate //karousos:nondeterminism-ok")
+	pass.Reportf(rs.Pos(), "iterates a map in nondeterministic order on a verdict path; iterate sorted keys, make the body order-insensitive, or annotate //karousos:detlint-ok")
 }
 
 // bodyOrderInsensitive reports whether executing stmts for the map's entries

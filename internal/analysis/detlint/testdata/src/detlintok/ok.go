@@ -1,18 +1,18 @@
 // True-negative fixture for detlint: every would-be finding carries a
-// reviewed //karousos:nondeterminism-ok directive, so the analyzer must stay
+// reviewed //karousos:detlint-ok directive, so the analyzer must stay
 // silent.
 package detlintok
 
 import "time"
 
 func stamp() time.Time {
-	//karousos:nondeterminism-ok operator log timestamp, not part of any verdict
+	//karousos:detlint-ok operator log timestamp, not part of any verdict
 	return time.Now()
 }
 
 func drain(done chan struct{}, c chan int) int {
 	n := 0
-	//karousos:nondeterminism-ok daemon plumbing; the result does not depend on case choice
+	//karousos:detlint-ok daemon plumbing; the result does not depend on case choice
 	select {
 	case <-done:
 	case v := <-c:
@@ -22,7 +22,7 @@ func drain(done chan struct{}, c chan int) int {
 }
 
 func firstKey(m map[string]int) string {
-	for k := range m { //karousos:nondeterminism-ok any representative key serves; callers treat the result as unordered
+	for k := range m { //karousos:detlint-ok any representative key serves; callers treat the result as unordered
 		return k
 	}
 	return ""

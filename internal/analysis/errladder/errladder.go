@@ -1,23 +1,18 @@
 // Package errladder is the static twin of the iofault degradation ladder
-// (DESIGN.md §11): I/O errors in the pipeline packages must flow through
-// errors.Is / iofault.Classify / iofault.Retry, never raw comparisons or
-// silent drops. A raw == against a sentinel misses wrapped errors and every
-// injected *iofault.FaultError; a dropped error turns an infrastructure
-// fault into silent evidence loss.
+// (DESIGN.md §11): I/O errors in the pipeline packages must be matched
+// through errors.Is / iofault.Classify, never raw comparisons. A raw ==
+// against a sentinel, like the legacy os predicates, misses wrapped errors
+// and every injected *iofault.FaultError — the bug it caught was
+// os.IsNotExist on auditd's checkpoint path, blind to a wrapped
+// ErrNotExist.
 //
 // In the packages listed in Packages it flags:
 //
 //   - binary == / != where an operand is an error and the other is not nil;
 //   - the legacy os.IsNotExist / os.IsExist / os.IsPermission / os.IsTimeout
-//     predicates (they do not unwrap; use errors.Is or iofault.Classify);
-//   - assignments that discard an error result into the blank identifier;
-//   - expression statements that call an error-returning function and ignore
-//     every result (defer f.Close() is exempt by Go convention).
+//     predicates (they do not unwrap; use errors.Is or iofault.Classify).
 //
-// The escape hatch is //karousos:errladder-ok <reason> on or above the line;
-// deliberate drops (close-after-write-error, best-effort directory syncs)
-// carry one each, so every swallowed error in the evidence path is a
-// reviewed decision.
+// The escape hatch is //karousos:errladder-ok <reason> on or above the line.
 package errladder
 
 import (
@@ -38,12 +33,10 @@ var Packages = []string{
 // Analyzer is the errladder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "errladder",
-	Doc: "require pipeline I/O errors to flow through errors.Is/iofault.Classify — no raw error comparisons, " +
-		"no legacy os.IsNotExist, no silent drops; suppress with //karousos:errladder-ok <reason>",
+	Doc: "require pipeline I/O errors to be matched through errors.Is/iofault.Classify — no raw error " +
+		"comparisons, no legacy os.IsNotExist; suppress with //karousos:errladder-ok <reason>",
 	Run: run,
 }
-
-func init() { analysis.Register(Analyzer) }
 
 var legacyPredicates = map[string]string{
 	"IsNotExist":   "errors.Is(err, os.ErrNotExist)",
@@ -63,10 +56,6 @@ func run(pass *analysis.Pass) error {
 				checkComparison(pass, n)
 			case *ast.CallExpr:
 				checkLegacyPredicate(pass, n)
-			case *ast.AssignStmt:
-				checkBlankDrop(pass, n)
-			case *ast.ExprStmt:
-				checkIgnoredCall(pass, n)
 			}
 			return true
 		})
@@ -104,62 +93,6 @@ func checkLegacyPredicate(pass *analysis.Pass, call *ast.CallExpr) {
 	if repl, ok := legacyPredicates[sel.Sel.Name]; ok {
 		pass.Reportf(call.Pos(), "os.%s does not unwrap errors (retry/fault wrappers break it); use %s", sel.Sel.Name, repl)
 	}
-}
-
-// checkBlankDrop flags `_ = call()` and `n, _ := call()` where the blank
-// slot holds an error.
-func checkBlankDrop(pass *analysis.Pass, a *ast.AssignStmt) {
-	if len(a.Rhs) != 1 {
-		return
-	}
-	call, ok := a.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	results := callResults(pass.TypesInfo, call)
-	if results == nil {
-		return
-	}
-	for i, lhs := range a.Lhs {
-		if i >= len(results) {
-			break
-		}
-		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" && isErrorType(results[i]) {
-			pass.Reportf(a.Pos(), "silently drops an error on the evidence path; handle it, classify it, or annotate //karousos:errladder-ok")
-			return
-		}
-	}
-}
-
-// checkIgnoredCall flags a statement-position call whose results include an
-// error, all ignored.
-func checkIgnoredCall(pass *analysis.Pass, s *ast.ExprStmt) {
-	call, ok := s.X.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	for _, t := range callResults(pass.TypesInfo, call) {
-		if isErrorType(t) {
-			pass.Reportf(s.Pos(), "ignores an error result on the evidence path; handle it, classify it, or annotate //karousos:errladder-ok")
-			return
-		}
-	}
-}
-
-// callResults returns the call's result types (nil for void or unresolved).
-func callResults(info *types.Info, call *ast.CallExpr) []types.Type {
-	t := info.TypeOf(call)
-	if t == nil {
-		return nil
-	}
-	if tuple, ok := t.(*types.Tuple); ok {
-		out := make([]types.Type, tuple.Len())
-		for i := 0; i < tuple.Len(); i++ {
-			out[i] = tuple.At(i).Type()
-		}
-		return out
-	}
-	return []types.Type{t}
 }
 
 func isErrorType(t types.Type) bool {

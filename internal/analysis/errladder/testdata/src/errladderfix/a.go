@@ -1,10 +1,9 @@
-// Fixture for errladder: raw comparisons, legacy predicates, and silent
-// drops next to the blessed errors.Is / defer shapes.
+// Fixture for errladder: raw comparisons and legacy predicates next to the
+// blessed errors.Is shape.
 package errladderfix
 
 import (
 	"errors"
-	"io"
 	"os"
 )
 
@@ -29,25 +28,6 @@ func legacy(err error) bool {
 
 func legacyTimeout(err error) bool {
 	return os.IsTimeout(err) // want `os.IsTimeout does not unwrap errors`
-}
-
-func blankDrop(f *os.File) {
-	_ = f.Close() // want `silently drops an error`
-}
-
-func blankSlot(r io.Reader, p []byte) int {
-	n, _ := io.ReadFull(r, p) // want `silently drops an error`
-	return n
-}
-
-func ignored(c io.Closer) {
-	c.Close() // want `ignores an error result`
-}
-
-// deferred close is exempt by Go convention.
-func deferred(f *os.File) error {
-	defer f.Close()
-	return nil
 }
 
 func handled(err error) bool {

@@ -1,14 +1,17 @@
-// True-negative fixture for errladder: every deliberate drop carries a
-// reviewed //karousos:errladder-ok directive.
+// True-negative fixture for errladder: the one deliberate raw comparison
+// carries a reviewed //karousos:errladder-ok directive.
 package errladderok
 
-import "os"
+import "io"
 
-func bestEffortClose(f *os.File) {
-	_ = f.Close() //karousos:errladder-ok close after successful fsync carries no durability information
-}
-
-func cleanupAfterError(f *os.File, err error) error {
-	f.Close() //karousos:errladder-ok close-after-error; the original error is the one that surfaces
-	return err
+func readAll(r io.Reader, p []byte) error {
+	for {
+		_, err := r.Read(p)
+		if err == io.EOF { //karousos:errladder-ok io.Reader contract: Read returns io.EOF itself, never wrapped
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }

@@ -31,8 +31,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	PkgPath   string
-	Dir       string
-	GoFiles   []string
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
@@ -61,17 +59,16 @@ type Problem struct {
 
 func (p Problem) Error() string { return fmt.Sprintf("%s: %v", p.PkgPath, p.Err) }
 
-// snapshot is one module's resolved export-data universe.
+// snapshot is the module's resolved export-data universe.
 type snapshot struct {
-	root    string                // module root directory
-	exports map[string]string     // import path -> export data file
-	entries map[string]*listEntry // import path -> entry
+	root    string            // module root directory
+	exports map[string]string // import path -> export data file
 }
 
 var (
 	depOnce sync.Once
 	depErr  error
-	depSnap *snapshot // this module's snapshot, shared process-wide
+	depSnap *snapshot // built once, shared process-wide
 )
 
 // moduleRoot locates the directory of the enclosing go.mod, so the loader
@@ -88,30 +85,11 @@ func moduleRoot() (string, error) {
 	return filepath.Dir(gomod), nil
 }
 
-// newSnapshot builds the export-data map for the module rooted at dir and
-// its transitive dependencies, compiling what is stale. With -e, a broken
-// package yields an entry carrying its Error and no export data — the
-// breakage surfaces later as that package's Problem, not a load abort.
-func newSnapshot(dir string) (*snapshot, error) {
-	es, err := goList(dir, "-export", "-deps", "./...")
-	if err != nil {
-		return nil, err
-	}
-	s := &snapshot{
-		root:    dir,
-		exports: make(map[string]string),
-		entries: make(map[string]*listEntry),
-	}
-	for _, e := range es {
-		s.entries[e.ImportPath] = e
-		if e.Export != "" {
-			s.exports[e.ImportPath] = e.Export
-		}
-	}
-	return s, nil
-}
-
-// depExports returns (building once per process) this module's snapshot.
+// depExports returns (building once per process) the export-data map for
+// this module and its transitive dependencies, compiling what is stale.
+// With -e, a broken package yields an entry carrying its Error and no
+// export data — the breakage surfaces later as that package's Problem,
+// not a load abort.
 func depExports() (*snapshot, error) {
 	depOnce.Do(func() {
 		root, err := moduleRoot()
@@ -119,7 +97,17 @@ func depExports() (*snapshot, error) {
 			depErr = err
 			return
 		}
-		depSnap, depErr = newSnapshot(root)
+		es, err := goList(root, "-export", "-deps", "./...")
+		if err != nil {
+			depErr = err
+			return
+		}
+		depSnap = &snapshot{root: root, exports: make(map[string]string)}
+		for _, e := range es {
+			if e.Export != "" {
+				depSnap.exports[e.ImportPath] = e.Export
+			}
+		}
 	})
 	return depSnap, depErr
 }
@@ -174,39 +162,12 @@ func newInfo() *types.Info {
 	}
 }
 
-// Packages loads, parses, and type-checks the packages matched by patterns
-// (e.g. "./..."), excluding standard-library and test files. Any package
-// that fails to load aborts the call — the strict mode; drivers that want
-// to keep going use PackagesDiag.
-func Packages(patterns ...string) ([]*Package, error) {
-	pkgs, problems, err := PackagesDiag(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	if len(problems) > 0 {
-		return nil, fmt.Errorf("load: %w", problems[0])
-	}
-	return pkgs, nil
-}
-
 // PackagesDiag loads the packages matched by patterns, collecting broken
 // packages as Problems instead of aborting: a syntax error, a type error,
 // or missing export data costs that one package. The returned error is
 // reserved for run-level failures (no module, go list itself failing).
 func PackagesDiag(patterns ...string) ([]*Package, []Problem, error) {
 	snap, err := depExports()
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap.load(patterns)
-}
-
-// Module loads packages from a different module rooted at dir — its own
-// `go list -export -deps` run, nothing shared with this module's snapshot.
-// This is how the loader is proven against foreign layouts (e.g. a
-// stdlib-only module with no export data beyond the standard library).
-func Module(dir string, patterns ...string) ([]*Package, []Problem, error) {
-	snap, err := newSnapshot(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -247,26 +208,11 @@ func (s *snapshot) load(patterns []string) ([]*Package, []Problem, error) {
 
 // loadOne parses and type-checks a single listed package.
 func (s *snapshot) loadOne(t *listEntry) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var paths []string
-	for _, name := range t.GoFiles {
-		full := filepath.Join(t.Dir, name)
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		paths = append(paths, full)
+	paths := make([]string, len(t.GoFiles))
+	for i, name := range t.GoFiles {
+		paths[i] = filepath.Join(t.Dir, name)
 	}
-	pkg, info, err := check(fset, t.ImportPath, files, s.exports)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking: %w", err)
-	}
-	return &Package{
-		PkgPath: t.ImportPath, Dir: t.Dir, GoFiles: paths,
-		Fset: fset, Syntax: files, Types: pkg, TypesInfo: info,
-	}, nil
+	return parseAndCheck(t.ImportPath, paths, s.exports)
 }
 
 // Files parses and type-checks an ad-hoc package from explicit .go files —
@@ -278,28 +224,30 @@ func Files(pkgPath string, filenames []string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp := snap.exports
+	p, err := parseAndCheck(pkgPath, filenames, snap.exports)
+	if err != nil {
+		return nil, fmt.Errorf("load: %s: %w", pkgPath, err)
+	}
+	return p, nil
+}
+
+// parseAndCheck parses filenames and type-checks them as package pkgPath,
+// resolving imports through the export data in exp.
+func parseAndCheck(pkgPath string, filenames []string, exp map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, full := range filenames {
 		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	pkg, info, err := check(fset, pkgPath, files, exp)
 	if err != nil {
-		return nil, fmt.Errorf("load: type-checking %s: %w", pkgPath, err)
+		return nil, fmt.Errorf("type-checking: %w", err)
 	}
-	var dir string
-	if len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
-	}
-	return &Package{
-		PkgPath: pkgPath, Dir: dir, GoFiles: filenames,
-		Fset: fset, Syntax: files, Types: pkg, TypesInfo: info,
-	}, nil
+	return &Package{PkgPath: pkgPath, Fset: fset, Syntax: files, Types: pkg, TypesInfo: info}, nil
 }
 
 func check(fset *token.FileSet, pkgPath string, files []*ast.File, exp map[string]string) (*types.Package, *types.Info, error) {

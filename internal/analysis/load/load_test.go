@@ -10,9 +10,9 @@ import (
 // TestPackagesLoadsModule type-checks a real module package through export
 // data, proving the go list -export pipeline works offline.
 func TestPackagesLoadsModule(t *testing.T) {
-	pkgs, err := Packages("karousos.dev/karousos/internal/core", "karousos.dev/karousos/internal/verifier")
-	if err != nil {
-		t.Fatalf("Packages: %v", err)
+	pkgs, problems, err := PackagesDiag("karousos.dev/karousos/internal/core", "karousos.dev/karousos/internal/verifier")
+	if err != nil || len(problems) != 0 {
+		t.Fatalf("PackagesDiag: %v %v", err, problems)
 	}
 	if len(pkgs) != 2 {
 		t.Fatalf("got %d packages, want 2", len(pkgs))
@@ -104,56 +104,6 @@ func TestPackagesDiagDegradesBrokenPackages(t *testing.T) {
 		t.Errorf("missingdep problem missing entirely: %v", problems)
 	} else if !strings.Contains(msg, "export data") && !strings.Contains(msg, "could not import") && !strings.Contains(msg, "doesnotexist") {
 		t.Errorf("missingdep problem should name the unresolvable import, got %q", msg)
-	}
-}
-
-// TestPackagesStillAbortsOnProblems pins the strict mode's compatibility:
-// Packages turns the first Problem into an error.
-func TestPackagesStillAbortsOnProblems(t *testing.T) {
-	_, err := Packages("./internal/analysis/load/testdata/src/typeerr")
-	if err == nil {
-		t.Fatal("Packages should fail on a type-error package")
-	}
-}
-
-// TestModuleLoadsForeignStdlibOnlyModule proves the loader against a
-// module that is not this one: a temp module importing only the standard
-// library, with its own export-data universe.
-func TestModuleLoadsForeignStdlibOnlyModule(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, dir+"/go.mod", "module example.test/stdonly\n\ngo 1.22\n")
-	writeFile(t, dir+"/main.go", `package main
-
-import (
-	"fmt"
-	"sort"
-)
-
-func main() {
-	xs := []int{3, 1, 2}
-	sort.Ints(xs)
-	fmt.Println(xs)
-}
-`)
-	pkgs, problems, err := Module(dir, "./...")
-	if err != nil {
-		t.Fatalf("Module: %v", err)
-	}
-	if len(problems) != 0 {
-		t.Fatalf("unexpected problems: %v", problems)
-	}
-	if len(pkgs) != 1 || pkgs[0].PkgPath != "example.test/stdonly" {
-		t.Fatalf("packages = %v, want example.test/stdonly", pkgPaths(pkgs))
-	}
-	if pkgs[0].Types == nil || len(pkgs[0].Syntax) != 1 {
-		t.Fatal("stdonly package loaded incompletely")
-	}
-}
-
-func writeFile(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

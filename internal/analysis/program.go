@@ -21,7 +21,7 @@ type ProgramPackage struct {
 // Program is the whole package set of one karousos-vet run — the scope over
 // which interprocedural facts (call graph, dataflow summaries) are built.
 // Facts are computed once per Program and shared by every analyzer through
-// Fact, so seven analyzers over forty packages pay for one call graph.
+// Fact, so every analyzer over every package pays for one call graph.
 type Program struct {
 	Packages []*ProgramPackage
 
@@ -69,21 +69,4 @@ func (p *Program) PackageOf(pkg *types.Package) *ProgramPackage {
 		}
 	}
 	return nil
-}
-
-// SingletonProgram returns the pass's Program, building (and caching) a
-// one-package Program when the driver supplied none (unit tests, fixture
-// runs): interprocedural facts then cover exactly the fixture package,
-// which is what // want fixtures exercise.
-func (p *Pass) SingletonProgram() *Program {
-	if p.Program == nil {
-		p.Program = NewProgram([]*ProgramPackage{{
-			PkgPath:   p.Pkg.Path(),
-			Fset:      p.Fset,
-			Files:     p.Files,
-			Pkg:       p.Pkg,
-			TypesInfo: p.TypesInfo,
-		}})
-	}
-	return p.Program
 }

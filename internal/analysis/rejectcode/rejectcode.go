@@ -39,8 +39,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() { analysis.Register(Analyzer) }
-
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

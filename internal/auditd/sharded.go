@@ -286,7 +286,7 @@ func (s *Sharded) Run(ctx context.Context) error {
 		if !following {
 			return nil
 		}
-		//karousos:nondeterminism-ok poll-loop plumbing; each lane grades its epochs strictly in sequence regardless of which wakeup fires
+		//karousos:detlint-ok poll-loop plumbing; each lane grades its epochs strictly in sequence regardless of which wakeup fires
 		select {
 		case <-ctx.Done():
 			return nil

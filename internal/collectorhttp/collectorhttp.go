@@ -86,9 +86,6 @@ type Config struct {
 	// MaxQueuedBytes bounds the summed body bytes of admitted requests.
 	// <=0 means 32 MiB.
 	MaxQueuedBytes int64
-	// MaxRequestBytes bounds one /invoke body (413 past it). <=0 means
-	// 1 MiB.
-	MaxRequestBytes int64
 	// RetryAfter is the base retry hint attached to 429s; the value sent
 	// is jittered across [RetryAfter, 2×RetryAfter). <=0 means 1s.
 	RetryAfter time.Duration
@@ -138,6 +135,11 @@ type Meta struct {
 
 // MetaFile is the name of the sidecar inside the epoch log directory.
 const MetaFile = "meta.json"
+
+// MaxRequestBytes bounds one /invoke body, at the collector and at the
+// gateway in front of it; a longer body is answered 413 and never read
+// past the bound.
+const MaxRequestBytes = 1 << 20
 
 // Collector is the HTTP front-end plus its serving runtime and epoch log.
 type Collector struct {
@@ -189,9 +191,6 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.MaxQueuedBytes <= 0 {
 		cfg.MaxQueuedBytes = 32 << 20
 	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = 1 << 20
-	}
 	if cfg.AuditProgress != nil && cfg.MaxAuditLag <= 0 {
 		cfg.MaxAuditLag = 64
 	}
@@ -211,7 +210,7 @@ func New(cfg Config) (*Collector, error) {
 	}
 	nextRID, err := recoverIncarnation(l)
 	if err != nil {
-		l.Close() //karousos:errladder-ok close-after-error cleanup; the recovery failure is the error that surfaces
+		l.Close() // close-after-error cleanup; the recovery failure is the error that surfaces
 		return nil, err
 	}
 	app, store := cfg.Spec.New()
@@ -324,7 +323,7 @@ func (c *Collector) maintenanceLoop() {
 			due := !c.closed && time.Since(c.lastSeal) >= c.cfg.EpochMaxAge
 			c.mu.Unlock()
 			if due {
-				//karousos:errladder-ok seal failure is held in lastSealErr (flips /readyz) and retried on the next tick
+				// seal failure is held in lastSealErr (flips /readyz) and retried on the next tick
 				_, _ = c.seal(0)
 			}
 		}
@@ -382,7 +381,7 @@ func (c *Collector) shed(w http.ResponseWriter, reason string) {
 }
 
 func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxRequestBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -445,7 +444,7 @@ func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			// it — the response is already computed and recorded. The error
 			// is held in lastSealErr (flips /readyz) and the seal retries on
 			// the next request or age tick.
-			//karousos:errladder-ok seal failure must not fail the admitted request; held in lastSealErr and retried
+			// seal failure must not fail the admitted request; held in lastSealErr and retried
 			_, _ = c.seal(c.cfg.EpochRequests)
 		}
 	}
@@ -748,5 +747,5 @@ func (c *Collector) stopLoopLocked() {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) //karousos:errladder-ok best-effort response body; the status header is already sent
+	_ = json.NewEncoder(w).Encode(v) // best-effort response body; the status header is already sent
 }

@@ -243,7 +243,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		var seq uint64
 		var kind string
-		//karousos:errladder-ok parse-or-skip; a non-matching filename is not an epoch file, the n != 2 check covers it
+		// parse-or-skip; a non-matching filename is not an epoch file, the n != 2 check covers it
 		if n, _ := fmt.Sscanf(name, "ep%d.%s", &seq, &kind); n != 2 {
 			continue
 		}
@@ -338,7 +338,7 @@ func (l *Log) openActive() error {
 			l.lastRID = e.RID
 		}
 		l.written += int64(frameHeader + len(payload))
-		l.digest.Write(payload) //karousos:errladder-ok hash.Hash.Write is documented never to return an error
+		l.digest.Write(payload) // hash.Hash.Write is documented never to return an error
 		return nil
 	}); err != nil {
 		return err
@@ -360,7 +360,7 @@ func (l *Log) openActive() error {
 		return fmt.Errorf("epochlog: %w", err)
 	}
 	if l.adviceF, err = l.fs.OpenFile(ap, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		l.traceF.Close() //karousos:errladder-ok close-after-error cleanup; the open failure is the error that surfaces
+		l.traceF.Close() // close-after-error cleanup; the open failure is the error that surfaces
 		return fmt.Errorf("epochlog: %w", err)
 	}
 	return nil
@@ -404,7 +404,7 @@ func (l *Log) AppendEvent(e trace.Event) error {
 		l.requests++
 		l.lastRID = e.RID
 	}
-	l.digest.Write(payload) //karousos:errladder-ok hash.Hash.Write is documented never to return an error
+	l.digest.Write(payload) // hash.Hash.Write is documented never to return an error
 	return nil
 }
 
@@ -465,7 +465,7 @@ func (l *Log) MarkFresh() error {
 	if err := l.fs.WriteFile(freshPath(l.dir, l.active), nil, 0o644); err != nil {
 		return fmt.Errorf("epochlog: %w", err)
 	}
-	_ = l.fs.SyncDir(l.dir) //karousos:errladder-ok best-effort; the fresh flag is re-derived on restart
+	_ = l.fs.SyncDir(l.dir) // best-effort; the fresh flag is re-derived on restart
 	l.fresh = true
 	return nil
 }
@@ -524,15 +524,15 @@ func writeManifestDurable(fsys iofault.FS, dir string, m Manifest) error {
 		return fmt.Errorf("epochlog: %w", err)
 	}
 	abort := func(stage string, err error) error {
-		_ = fsys.Remove(mp) //karousos:errladder-ok best-effort cleanup of a failed seal; the staged error surfaces via abort
+		_ = fsys.Remove(mp) // best-effort cleanup of a failed seal; the staged error surfaces via abort
 		return fmt.Errorf("epochlog: sealing epoch %d: %s: %w", m.Seq, stage, err)
 	}
 	if _, err := mf.Write(frame(mj)); err != nil {
-		mf.Close() //karousos:errladder-ok close-after-error; the manifest write error is the one that surfaces
+		mf.Close() // close-after-error; the manifest write error is the one that surfaces
 		return abort("manifest write", err)
 	}
 	if err := mf.Sync(); err != nil {
-		mf.Close() //karousos:errladder-ok close-after-error; the manifest fsync error is the one that surfaces
+		mf.Close() // close-after-error; the manifest fsync error is the one that surfaces
 		return abort("manifest fsync", err)
 	}
 	if err := mf.Close(); err != nil {
@@ -594,8 +594,8 @@ func (l *Log) closeFiles() error {
 	err1 := l.traceF.Close()
 	err2 := l.adviceF.Close()
 	for _, ps := range l.pending {
-		_ = ps.traceF.Close()  //karousos:errladder-ok close-on-shutdown; the epoch is recovery-sealed by the next Open
-		_ = ps.adviceF.Close() //karousos:errladder-ok close-on-shutdown; the epoch is recovery-sealed by the next Open
+		_ = ps.traceF.Close()  // close-on-shutdown; the epoch is recovery-sealed by the next Open
+		_ = ps.adviceF.Close() // close-on-shutdown; the epoch is recovery-sealed by the next Open
 	}
 	if err1 != nil {
 		return err1
@@ -726,7 +726,7 @@ func ListSealedFS(fsys iofault.FS, dir string) ([]Manifest, error) {
 	for _, ent := range entries {
 		var seq uint64
 		var kind string
-		//karousos:errladder-ok parse-or-skip; a non-matching filename is not a manifest, the n == 2 check covers it
+		// parse-or-skip; a non-matching filename is not a manifest, the n == 2 check covers it
 		if n, _ := fmt.Sscanf(ent.Name(), "ep%d.%s", &seq, &kind); n == 2 && kind == "manifest" {
 			seqs = append(seqs, seq)
 		}
@@ -773,7 +773,7 @@ func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Man
 			return fmt.Errorf("epochlog: epoch %d trace frame undecodable: %w", seq, err)
 		}
 		tr.Events = append(tr.Events, e)
-		h.Write(payload) //karousos:errladder-ok hash.Hash.Write is documented never to return an error
+		h.Write(payload) // hash.Hash.Write is documented never to return an error
 		return nil
 	}); err != nil {
 		return nil, nil, nil, err

@@ -117,7 +117,7 @@ func (l *Log) committer() {
 			}
 		}
 		l.mu.Lock()
-		l.commitLocked(batch) //karousos:locklint-ok this IS the committer: one fsync amortized over the batch holds l.mu while arrivals queue on commitCh
+		l.commitLocked(batch) // this IS the committer: one fsync amortized over the batch holds l.mu while arrivals queue on commitCh
 		l.mu.Unlock()
 	}
 }
@@ -180,7 +180,7 @@ func (l *Log) commitLocked(batch []*commitWaiter) {
 			l.requests++
 			l.lastRID = w.rid
 		}
-		l.digest.Write(w.payload) //karousos:errladder-ok hash.Hash.Write is documented never to return an error
+		l.digest.Write(w.payload) // hash.Hash.Write is documented never to return an error
 		w.done <- nil
 	}
 }

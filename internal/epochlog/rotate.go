@@ -30,7 +30,7 @@ func (l *Log) Rotate() (bool, error) {
 		return false, errors.New("epochlog: log is closed")
 	}
 	// The rotation linearizes after every accepted append.
-	l.drainCommitQueueLocked() //karousos:locklint-ok rotation linearization: accepted appends must land in the outgoing epoch; arrivals queue on commitCh, not l.mu
+	l.drainCommitQueueLocked() // rotation linearization: accepted appends must land in the outgoing epoch; arrivals queue on commitCh, not l.mu
 	if l.events == 0 {
 		return false, nil
 	}
@@ -61,7 +61,7 @@ func (l *Log) Rotate() (bool, error) {
 func (l *Log) FinishSeals() (*Manifest, error) {
 	l.sealMu.Lock()
 	defer l.sealMu.Unlock()
-	return l.finishPending() //karousos:locklint-ok sealMu exists to serialize seal durability work; finishPending drops l.mu around each fsync so appends proceed
+	return l.finishPending() // sealMu exists to serialize seal durability work; finishPending drops l.mu around each fsync so appends proceed
 }
 
 // finishPending does FinishSeals' work. Caller holds l.sealMu but not
@@ -84,9 +84,9 @@ func (l *Log) finishPending() (*Manifest, error) {
 		if err := writeManifestDurable(l.fs, l.dir, ps.m); err != nil {
 			return last, err
 		}
-		_ = ps.traceF.Close()                       //karousos:errladder-ok close after successful fsync carries no durability information
-		_ = ps.adviceF.Close()                      //karousos:errladder-ok close after successful fsync carries no durability information
-		_ = l.fs.Remove(freshPath(l.dir, ps.m.Seq)) //karousos:errladder-ok best-effort; the sealed manifest now records Fresh durably
+		_ = ps.traceF.Close()                       // close after successful fsync carries no durability information
+		_ = ps.adviceF.Close()                      // close after successful fsync carries no durability information
+		_ = l.fs.Remove(freshPath(l.dir, ps.m.Seq)) // best-effort; the sealed manifest now records Fresh durably
 		m := ps.m
 		l.mu.Lock()
 		l.sealed = append(l.sealed, m)

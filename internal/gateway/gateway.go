@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"sync"
 
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
 )
@@ -69,9 +70,6 @@ type Config struct {
 	// Tuning bounds retries, breakers and degradation hints; the zero
 	// value means defaults.
 	Tuning Tuning
-	// MaxRequestBytes bounds one /invoke body read at the gateway (413
-	// past it). <=0 means 1 MiB, matching the collector's default.
-	MaxRequestBytes int64
 }
 
 // ShardCounters is one shard's traffic tally at the gateway.
@@ -111,9 +109,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if len(cfg.Backends) != cfg.Map.Shards {
 		return nil, fmt.Errorf("gateway: %d backends for a %d-shard map", len(cfg.Backends), cfg.Map.Shards)
-	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = 1 << 20
 	}
 	tuning := cfg.Tuning.withDefaults()
 	client := cfg.Client
@@ -184,7 +179,7 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, collectorhttp.MaxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -8,11 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"karousos.dev/karousos/internal/collectorhttp"
+	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/shard"
+	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -371,5 +375,82 @@ func TestHealthzProbeTimesOut(t *testing.T) {
 	}
 	if f := health.Breakers[0].Failures; f != 0 {
 		t.Fatalf("healthy backend breaker failures = %d, want 0", f)
+	}
+}
+
+// TestOverLimitBodyIs413 pins collectorhttp.MaxRequestBytes on both sides
+// of the wire: a body of exactly the limit is served, one byte more is
+// answered 413 by the gateway and by the collector behind it, and nothing
+// of the refused body reaches the sealed epoch.
+func TestOverLimitBodyIs413(t *testing.T) {
+	root := t.TempDir()
+	top, err := NewLocal(LocalConfig{Spec: harness.WikiApp(), Root: root, Map: wikiMap(1), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(top.Handler())
+	defer ts.Close()
+
+	// body is a wiki create of exactly n bytes whose content is pad
+	// repeated.
+	body := func(n int, pad byte) []byte {
+		const prefix, suffix = `{"input":{"op":"create","reqid":"rbig","id":"page-01","title":"t","content":"`, `"}}`
+		return []byte(prefix + strings.Repeat(string(pad), n-len(prefix)-len(suffix)) + suffix)
+	}
+	send := func(url string, b []byte) int {
+		t.Helper()
+		resp, err := http.Post(url+"/invoke", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const limit = collectorhttp.MaxRequestBytes
+	if got := send(ts.URL, body(limit, 'a')); got != http.StatusOK {
+		t.Fatalf("gateway, body of exactly %d bytes: status %d, want 200", limit, got)
+	}
+	if got := send(ts.URL, body(limit+1, 'b')); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("gateway, body of %d bytes: status %d, want 413", limit+1, got)
+	}
+	// The gateway refuses on its own, before routing: a 413 passed through
+	// from the collector would count as routed.
+	if routed := top.Gateway.Counters()[0].Routed; routed != 1 {
+		t.Fatalf("gateway routed %d requests, want only the at-limit one", routed)
+	}
+	if got := send(top.BackendURL(0), body(limit+1, 'c')); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("collector, body of %d bytes: status %d, want 413", limit+1, got)
+	}
+	if err := top.Close(); err != nil { // seals the partial epoch
+		t.Fatal(err)
+	}
+
+	dir := shard.Dir(root, 0)
+	sealed, err := epochlog.ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs int
+	for _, m := range sealed {
+		tr, _, _, err := epochlog.ReadSealed(dir, m.Seq, epochlog.Options{})
+		if err != nil {
+			t.Fatalf("epoch %d: %v", m.Seq, err)
+		}
+		for _, e := range tr.Events {
+			if e.Kind == trace.Req {
+				reqs++
+			}
+			data, err := json.Marshal(e.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(data, []byte("bbbb")) || bytes.Contains(data, []byte("cccc")) {
+				t.Errorf("epoch %d records part of a refused body: %.80s…", m.Seq, data)
+			}
+		}
+	}
+	if reqs != 1 {
+		t.Errorf("sealed epochs hold %d requests, want only the at-limit one", reqs)
 	}
 }

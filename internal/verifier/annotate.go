@@ -305,6 +305,10 @@ func (io *initOps) Nondet(ctx *core.Context, opnum int, site string, gen func(ri
 // entry, and accept iff G is acyclic.
 func (v *Verifier) postprocess() {
 	v.addInternalStateEdges()
+	// G is complete: bound it exactly. The polled checks see it only every
+	// pollInterval operations and would let the last stretch of growth
+	// through.
+	v.checkBudgets()
 	v.checkConsumption()
 	v.Stats.GraphNodes = v.eg.d.NumNodes()
 	v.Stats.GraphEdges = v.eg.d.NumEdges()

@@ -6,6 +6,7 @@ import (
 
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/graph"
+	"karousos.dev/karousos/internal/trace"
 )
 
 // egraph is the interned execution graph: G over dense uint32 node IDs
@@ -71,7 +72,16 @@ func (v *Verifier) buildLayout() {
 		ovIDs:   make(map[gnode]uint32),
 		ids:     v.ids,
 	}
+	// Only response positions of the barrier range become nodes
+	// (addTimePrecedenceEdges); in an accepted audit every other layout id
+	// does. The layout less the request positions is thus a lower bound on
+	// G's nodes, and bounding it never rejects a G of exactly
+	// MaxGraphNodes nodes.
+	reqEvents := uint64(0)
 	for _, e := range v.tr.Events {
+		if e.Kind == trace.Req {
+			reqEvents++
+		}
 		rid := core.RID(e.RID)
 		if _, ok := eg.ridIdx[rid]; !ok {
 			eg.ridIdx[rid] = uint32(len(eg.ridList))
@@ -113,7 +123,7 @@ func (v *Verifier) buildLayout() {
 			// Sizing the layout is where an inflated opcount total first
 			// materializes; rejecting here is the poll-based node-budget
 			// check moved to the earliest point it is decidable.
-			if next > capLimit {
+			if next-reqEvents > capLimit {
 				core.RejectCodef(core.RejectResourceLimit, "execution graph exceeds %d nodes", capLimit)
 			}
 		}
