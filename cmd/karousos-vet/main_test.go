@@ -51,6 +51,37 @@ func TestUnknownCheckIsDriverError(t *testing.T) {
 	}
 }
 
+// TestCheckNameSelectsOwningAnalyzer: -checks runs only the analyzers it
+// names. Over auditd, -checks detlint reports the three detlint
+// suppressions and nothing else; -checks errladder reports none of them.
+func TestCheckNameSelectsOwningAnalyzer(t *testing.T) {
+	for _, c := range []struct {
+		check       string
+		wantDetlint int
+	}{{"detlint", 3}, {"errladder", 0}} {
+		code, out, errb := runVet(t, "-json", "-checks", c.check, "karousos.dev/karousos/internal/auditd")
+		if code != 0 {
+			t.Fatalf("-checks %s: exit %d\nstdout: %s\nstderr: %s", c.check, code, out, errb)
+		}
+		var ds []jsonDiag
+		if err := json.Unmarshal([]byte(out), &ds); err != nil {
+			t.Fatalf("-checks %s: -json output is not a JSON array: %v\n%s", c.check, err, out)
+		}
+		detlint := 0
+		for _, d := range ds {
+			if d.Analyzer != c.check {
+				t.Errorf("-checks %s reported a %s finding: %+v", c.check, d.Analyzer, d)
+			}
+			if d.Analyzer == "detlint" {
+				detlint++
+			}
+		}
+		if detlint != c.wantDetlint {
+			t.Errorf("-checks %s: got %d detlint findings, want %d:\n%s", c.check, detlint, c.wantDetlint, out)
+		}
+	}
+}
+
 // TestJSONSuppressedFindingsVisible pins the -json contract over the real
 // tree: auditd's three reviewed detlint suppressions (the Status latency
 // metric's two clock reads and the sharded poll loop's select) appear with

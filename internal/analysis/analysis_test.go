@@ -4,7 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -91,6 +94,75 @@ func f() {
 	// directive is unknown too.
 	if ds := CheckDirectives(p, []*Analyzer{detlintA}); len(ds) != 3 {
 		t.Errorf("with only detlint known: got %d diagnostics, want 3: %v", len(ds), ds)
+	}
+}
+
+// TestUnusedDirectivesMatchesAnalyzer: a directive is used only by a
+// suppressed finding of its own analyzer on its line or the line below.
+// Malformed directives are left to CheckDirectives.
+func TestUnusedDirectivesMatchesAnalyzer(t *testing.T) {
+	src := `package p
+
+func f() {
+	_ = 1 //karousos:detlint-ok used by the detlint finding here
+	_ = 2 //karousos:errladder-ok only a detlint finding on this line
+	_ = 3 //karousos:detlint-ok the finding here is not suppressed
+	_ = 4 //karousos:detlint-ok
+	_ = 5 //karousos:typo-ok a reason
+}
+`
+	p := parsePass(t, detlintA, src)
+	line := func(n int) token.Pos {
+		return p.Fset.File(p.Files[0].Pos()).LineStart(n)
+	}
+	ds := []Diagnostic{
+		{Pos: line(4), Analyzer: "detlint", Suppressed: true},
+		{Pos: line(5), Analyzer: "detlint", Suppressed: true},
+		{Pos: line(6), Analyzer: "detlint", Suppressed: false},
+	}
+	unused := UnusedDirectives(p, []*Analyzer{detlintA, errladderA}, ds)
+	var got []int
+	for _, d := range unused {
+		got = append(got, p.Fset.Position(d.Pos).Line)
+	}
+	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
+		t.Fatalf("unused directives on lines %v, want [5 6]: %v", got, unused)
+	}
+	if want := "karousos:errladder-ok directive suppresses no finding"; unused[0].Message != want {
+		t.Errorf("message = %q, want %q", unused[0].Message, want)
+	}
+}
+
+// TestProgramFactBuildsOnce: a fact is built once however many callers ask
+// for it at once, a build may request a fact under another key, and
+// PackageOf finds the wrapper of a loaded package.
+func TestProgramFactBuildsOnce(t *testing.T) {
+	pp := &ProgramPackage{PkgPath: "p", Pkg: types.NewPackage("p", "p")}
+	prog := NewProgram([]*ProgramPackage{pp})
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := prog.Fact("outer", func() any {
+				builds.Add(1)
+				return prog.Fact("inner", func() any { return 41 }).(int) + 1
+			})
+			if v.(int) != 42 {
+				t.Errorf("Fact = %v, want 42", v)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("outer fact built %d times, want once", n)
+	}
+	if got := prog.PackageOf(pp.Pkg); got != pp {
+		t.Errorf("PackageOf(p) = %v, want its wrapper", got)
+	}
+	if got := prog.PackageOf(types.NewPackage("q", "q")); got != nil {
+		t.Errorf("PackageOf(q) = %v, want nil for a package outside the program", got)
 	}
 }
 

@@ -80,7 +80,17 @@ func (g *Graph) Node(fn *types.Func) *Node {
 // invoke, nil when the target is dynamic (function value, interface
 // method) or not a function call at all (conversion, builtin).
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	// Explicit type arguments (f[int](x), pkg.F[K, V](x)) call the same
+	// function; an index into a slice or map of funcs is left to resolve
+	// to nil below.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return origin(fn)

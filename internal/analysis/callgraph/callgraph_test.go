@@ -98,6 +98,56 @@ func TestBuildResolvesStaticCalls(t *testing.T) {
 	check("cgfixture.leaf")
 }
 
+// TestStaticCalleeDynamicAndGeneric: an interface method call, a function
+// value, a conversion, a builtin and an element of a func slice resolve to
+// nil; a call of a generic instantiation, with its type arguments written
+// out or inferred, resolves to the generic declaration's node.
+func TestStaticCalleeDynamicAndGeneric(t *testing.T) {
+	prog := progFromSource(t, `package cgfixture
+
+type I interface{ M() }
+
+type S struct{}
+
+func (S) M() {}
+
+func id[T any](x T) T { return x }
+
+func uses(i I, s S, fn func(), fns []func()) {
+	i.M()
+	s.M()
+	fn()
+	_ = int64(1)
+	_ = len("x")
+	_ = id[int](1)
+	_ = id("y")
+	fns[0]()
+}
+`)
+	g := Of(prog)
+	n := g.Nodes["cgfixture.uses"]
+	if n == nil {
+		t.Fatalf("no node for cgfixture.uses in %v", keys(g))
+	}
+	var got []string
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if node := g.Node(StaticCallee(n.Pkg.TypesInfo, call)); node != nil {
+			got = append(got, node.Func.FullName())
+		} else {
+			got = append(got, "nil")
+		}
+		return true
+	})
+	want := []string{"nil", "(cgfixture.S).M", "nil", "nil", "nil", "cgfixture.id", "cgfixture.id", "nil"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("callees %q, want %q", got, want)
+	}
+}
+
 func keys(g *Graph) []string {
 	var out []string
 	for k := range g.Nodes {
