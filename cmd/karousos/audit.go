@@ -113,7 +113,6 @@ type shardStatus struct {
 	Shard        int                 `json:"shard"`
 	Dir          string              `json:"dir"`
 	App          string              `json:"app,omitempty"`
-	Mode         string              `json:"mode,omitempty"`
 	SealedEpochs int                 `json:"sealedEpochs"`
 	Manifests    []epochlog.Manifest `json:"manifests"`
 	// LastProcessed and Pending report against the -checkpoint directory:
@@ -121,6 +120,9 @@ type shardStatus struct {
 	// many sealed epochs lie past it.
 	LastProcessed *uint64 `json:"lastProcessed,omitempty"`
 	Pending       *int    `json:"pending,omitempty"`
+	// Memo is the memo-cache traffic the auditor last checkpointed, absent
+	// when it audits without -memo.
+	Memo *auditd.MemoCounters `json:"memo,omitempty"`
 }
 
 func statusCmd(args []string, stdout, stderr io.Writer) int {
@@ -150,19 +152,19 @@ func statusCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		st := shardStatus{Shard: s, Dir: d, SealedEpochs: len(sealed), Manifests: sealed}
 		if meta, err := collectorhttp.ReadMeta(d); err == nil {
-			st.App, st.Mode = meta.App, string(meta.Mode)
+			st.App = meta.App
 		}
 		if *cp != "" {
 			// A missing or corrupt checkpoint reads as progress zero: the
 			// auditor (re)starts from the beginning, so everything is pending.
-			last, _, _ := auditd.ProbeCheckpoint(nil, auditd.CheckpointPath(*cp, s))
+			last, memo, _ := auditd.ProbeCheckpoint(nil, auditd.CheckpointPath(*cp, s))
 			pending := 0
 			for _, m := range sealed {
 				if m.Seq > last {
 					pending++
 				}
 			}
-			st.LastProcessed, st.Pending = &last, &pending
+			st.LastProcessed, st.Pending, st.Memo = &last, &pending, memo
 			*out.Pending += pending
 		}
 		out.SealedEpochs += len(sealed)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/chaos"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
@@ -67,10 +68,11 @@ type statusReport struct {
 	SealedEpochs int  `json:"sealedEpochs"`
 	Pending      *int `json:"pending"`
 	Shards       []struct {
-		App           string `json:"app"`
-		SealedEpochs  int    `json:"sealedEpochs"`
-		LastProcessed uint64 `json:"lastProcessed"`
-		Pending       int    `json:"pending"`
+		App           string               `json:"app"`
+		SealedEpochs  int                  `json:"sealedEpochs"`
+		LastProcessed uint64               `json:"lastProcessed"`
+		Pending       int                  `json:"pending"`
+		Memo          *auditd.MemoCounters `json:"memo"`
 	} `json:"shards"`
 }
 
@@ -105,8 +107,22 @@ func TestPipelineAuditStatusWorkflow(t *testing.T) {
 		}
 		return st
 	}
-	if st := status(cp); st.Shards[0].App != "motd" || st.SealedEpochs != 4 || st.Shards[0].LastProcessed != 4 || *st.Pending != 0 {
+	if st := status(cp); st.Shards[0].App != "motd" || st.SealedEpochs != 4 || st.Shards[0].LastProcessed != 4 || *st.Pending != 0 || st.Shards[0].Memo != nil {
 		t.Fatalf("status = %+v", st)
+	}
+	// A -memo audit into a fresh checkpoint directory checkpoints its memo
+	// counters, and status prints them as the audit reported them; the
+	// checkpoint of the memo-off audit above carries none.
+	memoCP := filepath.Join(t.TempDir(), "cp")
+	code, out, errs = cli("audit", "-dir", log, "-checkpoint", memoCP, "-memo")
+	var hits, misses, evictions int
+	if i := strings.Index(out, "(memo: "); code != 0 || i < 0 {
+		t.Fatalf("memo audit exit %d: %s / %s", code, out, errs)
+	} else if _, err := fmt.Sscanf(out[i:], "(memo: %d hits, %d misses, %d evictions)", &hits, &misses, &evictions); err != nil {
+		t.Fatalf("memo audit summary %q: %v", out, err)
+	}
+	if st := status(memoCP); st.Shards[0].Memo == nil || *st.Shards[0].Memo != (auditd.MemoCounters{Hits: hits, Misses: misses, Evictions: evictions}) || misses == 0 {
+		t.Fatalf("status after a memo audit = %+v, want memo {%d %d %d} with misses > 0", st.Shards[0].Memo, hits, misses, evictions)
 	}
 	// An auditor two epochs behind has two pending, and one that never ran
 	// has all four — whatever the first sealed seq is.
@@ -117,8 +133,39 @@ func TestPipelineAuditStatusWorkflow(t *testing.T) {
 	if st := status(behind); st.Shards[0].LastProcessed != 2 || *st.Pending != 2 {
 		t.Fatalf("status behind = %+v", st)
 	}
-	if st := status(t.TempDir()); *st.Pending != 4 {
+	if st := status(t.TempDir()); *st.Pending != 4 || st.Shards[0].Memo != nil {
 		t.Fatalf("status with no checkpoint = %+v", st)
+	}
+}
+
+// TestSidecarWithModeReopens: collectors before the advice mode was fixed to
+// Karousos wrote meta.json with a "mode" field. Such a log reopens through
+// the sidecar pin unchanged, serves more requests, and audits clean.
+func TestSidecarWithModeReopens(t *testing.T) {
+	log := pipelineLog(t, "motd")
+	old := []byte(`{"app":"motd","mode":"karousos"}`)
+	metaPath := filepath.Join(log, collectorhttp.MetaFile)
+	if err := os.WriteFile(metaPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	col, err := collectorhttp.New(collectorhttp.Config{Spec: harness.MOTDApp(), Dir: log, EpochRequests: 10})
+	if err != nil {
+		t.Fatalf("reopening a log with a mode in its sidecar: %v", err)
+	}
+	ts := httptest.NewServer(col.Handler())
+	res, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: ts.URL}, workload.MOTD(20, workload.Mixed, 5))
+	ts.Close()
+	if err != nil || res.Served != 20 {
+		t.Fatalf("served %d of 20: %v", res.Served, err)
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(metaPath); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("sidecar after reopening = %s, %v; want it untouched", got, err)
+	}
+	if code, out, errs := cli("audit", "-dir", log); code != 0 || !has(out, "through epoch 6, accepted", "6 epochs this run") {
+		t.Fatalf("audit exit %d: %s / %s", code, out, errs)
 	}
 }
 

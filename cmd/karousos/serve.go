@@ -44,19 +44,12 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	if *auditCkpt != "" {
 		// The auditor is a separate process; its durable checkpoint is the
 		// one signal both sides already agree on, so lag-based backpressure
-		// and memo telemetry read it instead of inventing an RPC.
+		// reads it instead of inventing an RPC.
 		// Only a missing checkpoint is "no lag signal"; a corrupt one is
 		// known progress zero (see auditd.CheckpointProbe).
 		cfg.AuditProgress = func() (uint64, bool) {
 			last, _, probe := auditd.ProbeCheckpoint(nil, *auditCkpt)
 			return last, probe != auditd.CheckpointMissing
-		}
-		cfg.AuditMemo = func() (collectorhttp.AuditMemoState, bool) {
-			_, mc, _ := auditd.ProbeCheckpoint(nil, *auditCkpt)
-			if mc == nil {
-				return collectorhttp.AuditMemoState{}, false
-			}
-			return collectorhttp.AuditMemoState{Hits: mc.Hits, Misses: mc.Misses, Evictions: mc.Evictions}, true
 		}
 	}
 	col, err := collectorhttp.New(cfg)

@@ -48,9 +48,6 @@ type Config struct {
 	// Spec is the application to re-execute. When its Name is empty the
 	// auditor resolves the app from the directory's meta.json sidecar.
 	Spec harness.AppSpec
-	// Mode selects the verifier. Empty means the sidecar's mode, falling
-	// back to Karousos.
-	Mode advice.Mode
 	// Limits bounds each epoch's audit; the zero value is unbounded.
 	Limits verifier.Limits
 	// Checkpoint is the path of the resume file. Empty keeps the cursor in
@@ -155,8 +152,8 @@ type Status struct {
 
 // MemoCounters is the memo cache's observable traffic: cumulative hit,
 // miss, and eviction counts across this auditor's accepted epochs. It rides
-// the checkpoint so the serving side (collector /healthz) can report
-// warm-cache behavior without an RPC to the auditor process.
+// the checkpoint so `karousos status` can report warm-cache behavior
+// without an RPC to the auditor process.
 type MemoCounters struct {
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
@@ -192,28 +189,19 @@ type Auditor struct {
 	// a Fresh manifest re-anchors at rebuilt state.
 	unauditable bool
 	status      Status
-	verdicts    []Verdict
 }
 
 // New resolves the application, loads the checkpoint if one exists, and
 // returns an auditor ready to run.
 func New(cfg Config) (*Auditor, error) {
-	if cfg.Spec.Name == "" || cfg.Mode == "" {
+	if cfg.Spec.Name == "" {
 		meta, err := collectorhttp.ReadMeta(cfg.Dir)
-		if cfg.Spec.Name == "" {
-			if err != nil {
-				return nil, fmt.Errorf("auditd: no app configured and no readable sidecar: %w", err)
-			}
-			if cfg.Spec, err = harness.SpecByName(meta.App); err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, fmt.Errorf("auditd: no app configured and no readable sidecar: %w", err)
 		}
-		if cfg.Mode == "" {
-			cfg.Mode = meta.Mode // zero when the sidecar was unreadable
+		if cfg.Spec, err = harness.SpecByName(meta.App); err != nil {
+			return nil, err
 		}
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = advice.ModeKarousos
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -270,14 +258,6 @@ func (a *Auditor) Status() Status {
 	return a.status
 }
 
-// Verdicts returns a copy of every verdict this auditor instance reached,
-// in grading order. Verdicts resumed past via checkpoint are not replayed.
-func (a *Auditor) Verdicts() []Verdict {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Verdict(nil), a.verdicts...)
-}
-
 // Carry returns the auditor's current cross-epoch carry state — the
 // verified server state after its newest accepting audit, or nil when
 // there is none (nothing audited yet, or the run is unanchored). The
@@ -297,12 +277,8 @@ func (a *Auditor) Unanchored() bool {
 	return a.unauditable
 }
 
-// recordVerdict appends the verdict under the lock and fires OnVerdict
-// outside it.
+// recordVerdict fires OnVerdict; callers have released the auditor's lock.
 func (a *Auditor) recordVerdict(v Verdict) {
-	a.mu.Lock()
-	a.verdicts = append(a.verdicts, v)
-	a.mu.Unlock()
 	if a.cfg.OnVerdict != nil {
 		a.cfg.OnVerdict(v)
 	}
@@ -509,7 +485,7 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 	app, _ := a.cfg.Spec.New()
 	cfg := verifier.Config{
 		App:       app,
-		Mode:      a.cfg.Mode,
+		Mode:      advice.ModeKarousos,
 		Isolation: a.cfg.Spec.Isolation,
 		Limits:    a.cfg.Limits,
 		Carry:     a.carry,
@@ -677,8 +653,8 @@ const (
 // checkpoint file: the newest epoch the auditor has graded, the memo-cache
 // counters it last checkpointed (nil when it runs without memoization), and
 // what was found at the path. The probe is advisory — collectors poll it for
-// admission backpressure and /healthz telemetry, `karousos status` for
-// pending counts — so no failure mode surfaces as an error; anything but
+// admission backpressure, `karousos status` for pending counts and memo
+// counters — so no failure mode surfaces as an error; anything but
 // CheckpointOK reports progress zero and no counters.
 func ProbeCheckpoint(fsys iofault.FS, path string) (lastProcessed uint64, memo *MemoCounters, probe CheckpointProbe) {
 	if fsys == nil {

@@ -34,6 +34,14 @@ func requestsFor(t testing.TB, spec harness.AppSpec, n int, seed int64) []server
 	return reqs
 }
 
+// collectVerdicts sets cfg.OnVerdict to append every verdict, in grading
+// order, to the returned slice.
+func collectVerdicts(cfg *Config) *[]Verdict {
+	vs := new([]Verdict)
+	cfg.OnVerdict = func(v Verdict) { *vs = append(*vs, v) }
+	return vs
+}
+
 // sealLog serves reqs through a fresh collector on dir, sealing every
 // epochRequests, and closes it cleanly (sealing the tail).
 func sealLog(t testing.TB, spec harness.AppSpec, dir string, reqs []server.Request, epochRequests int) {
@@ -493,7 +501,9 @@ func TestPrefetchedAdviceGradedInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	aud, err := New(Config{Dir: dir, Workers: 4})
+	cfg := Config{Dir: dir, Workers: 4}
+	verdicts := collectVerdicts(&cfg)
+	aud, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +512,7 @@ func TestPrefetchedAdviceGradedInOrder(t *testing.T) {
 	if !errors.As(err, &rej) || rej.Epoch != 3 || rej.Code != core.RejectMalformedAdvice {
 		t.Fatalf("RunOnce error = %v, want epoch 3 rejected MalformedAdvice", err)
 	}
-	vs := aud.Verdicts()
+	vs := *verdicts
 	if n != 2 || len(vs) != 3 || !vs[0].Accepted() || !vs[1].Accepted() || vs[2].Epoch != 3 {
 		t.Fatalf("processed %d, verdicts %+v; want epochs 1-2 accepted, then epoch 3's rejection", n, vs)
 	}

@@ -176,7 +176,9 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := New(Config{Dir: dir})
+	cfg := Config{Dir: dir}
+	verdicts := collectVerdicts(&cfg)
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("RunOnce = %d, %v; want all 3 epochs graded without error", n, err)
 	}
-	vs := a.Verdicts()
+	vs := *verdicts
 	if len(vs) != 3 {
 		t.Fatalf("verdicts = %+v", vs)
 	}
@@ -247,14 +249,16 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := New(Config{Dir: dir})
+	cfg := Config{Dir: dir}
+	verdicts := collectVerdicts(&cfg)
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := a.RunOnce(context.Background()); err != nil || n != 3 {
 		t.Fatalf("RunOnce = %d, %v", n, err)
 	}
-	vs := a.Verdicts()
+	vs := *verdicts
 	if len(vs) != 3 || !vs[0].Accepted() || vs[1].Code != core.RejectUnauditable || !vs[2].Accepted() {
 		t.Fatalf("verdicts across fresh boundary: %+v", vs)
 	}
@@ -313,14 +317,16 @@ func TestRecoveredOversizedAdviceGradesUnauditable(t *testing.T) {
 	}
 	t.Logf("recovered epoch 1 records %d advice bytes (record %d, limit %d)", sealed[0].AdviceBytes, len(blob), limits.MaxAdviceBytes)
 
-	a, err := New(Config{Dir: dir, Limits: limits})
+	cfg := Config{Dir: dir, Limits: limits}
+	verdicts := collectVerdicts(&cfg)
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := a.RunOnce(context.Background()); err != nil || n != 1 {
 		t.Fatalf("RunOnce = %d, %v", n, err)
 	}
-	vs := a.Verdicts()
+	vs := *verdicts
 	if len(vs) != 1 || vs[0].Code != core.RejectUnauditable {
 		t.Fatalf("verdicts %+v, want epoch 1 Unauditable", vs)
 	}

@@ -96,8 +96,8 @@ func TestMemoWarmAcrossEpochs(t *testing.T) {
 				t.Fatalf("memo-on Stats diverged from memo-off:\n  off: %s\n  on:  %s", want, got)
 			}
 
-			// The durable checkpoint doubles as the memo telemetry channel: the
-			// collector's /healthz probes it with ProbeCheckpoint, so the counters
+			// The durable checkpoint doubles as the memo telemetry channel:
+			// `karousos status` probes it with ProbeCheckpoint, so the counters
 			// written on the last accept must round-trip.
 			_, mc, _ := ProbeCheckpoint(nil, ckpt)
 			if mc == nil || mc.Hits != ws.MemoHits || mc.Misses != ws.MemoMisses {

@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"karousos.dev/karousos/internal/advice"
-	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/trace"
+	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/verifier/memo"
 )
@@ -24,8 +25,8 @@ import (
 // value would change every entry that shares it, so the test looks for any
 // write at all.
 //
-// Every application is served in both advice modes into an epoch log. Its
-// sealed epochs are read and decoded once, as the auditor does, and then
+// Every application is served in both advice modes into an epoch log, the
+// way the collector seals it. Its sealed epochs are read and decoded once, as the auditor does, and then
 // audited in order with the carry, through one memo cache, at one and at
 // four workers: cold, then warm, the warm pass replaying every group from
 // the cache. Afterwards every decoded advice must still encode to its blob
@@ -36,16 +37,7 @@ func TestDecodedValuesSurviveAudit(t *testing.T) {
 		for _, mode := range []advice.Mode{advice.ModeKarousos, advice.ModeOrochiJS} {
 			t.Run(fmt.Sprintf("%s/%s", spec.Name, mode), func(t *testing.T) {
 				dir := t.TempDir()
-				col, err := collectorhttp.New(collectorhttp.Config{Spec: spec, Dir: dir, EpochRequests: 20, Seed: 42, Mode: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := newLoopback(t, col)
-				driveHTTP(t, ts, requestsFor(t, spec, 60, 9))
-				ts.Close()
-				if err := col.Close(); err != nil {
-					t.Fatal(err)
-				}
+				sealDialectLog(t, spec, dir, requestsFor(t, spec, 60, 9), mode, 20)
 				sealed, err := epochlog.ListSealed(dir)
 				if err != nil || len(sealed) != 3 {
 					t.Fatalf("sealed %d epochs (err %v), want 3", len(sealed), err)
@@ -102,6 +94,51 @@ func TestDecodedValuesSurviveAudit(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// sealDialectLog serves reqs on one server collecting mode's advice and
+// seals an epoch into dir every epochRequests requests, as the collector
+// does with its Karousos advice: the REQ before and the RESP after each
+// ServeOne, the drained blob at the seal.
+func sealDialectLog(t *testing.T, spec harness.AppSpec, dir string, reqs []server.Request, mode advice.Mode, epochRequests int) {
+	t.Helper()
+	app, store := spec.New()
+	srv := server.New(server.Config{
+		App: app, Store: store, Seed: 42,
+		CollectKarousos: mode == advice.ModeKarousos, CollectOrochi: mode == advice.ModeOrochiJS,
+	})
+	l, err := epochlog.Open(dir, epochlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, r := range reqs {
+		r.Input = value.Normalize(r.Input)
+		if err := l.AppendEvent(trace.Event{Kind: trace.Req, RID: string(r.RID), Data: r.Input}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := srv.ServeOne(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendEvent(trace.Event{Kind: trace.Resp, RID: string(r.RID), Data: out}); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%epochRequests != 0 {
+			continue
+		}
+		kar, oro := srv.DrainAdvice()
+		blob := kar.Blob
+		if mode == advice.ModeOrochiJS {
+			blob = oro.Blob
+		}
+		if err := l.AppendAdvice(blob); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Seal(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

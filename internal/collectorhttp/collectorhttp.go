@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fault"
@@ -59,8 +58,6 @@ type Config struct {
 	Spec harness.AppSpec
 	// Dir is the epoch log directory; created if absent.
 	Dir string
-	// Mode selects which advice the runtime collects. Defaults to Karousos.
-	Mode advice.Mode
 	// EpochRequests seals the active epoch once it holds this many
 	// requests. 0 disables count-based sealing.
 	EpochRequests int
@@ -102,19 +99,6 @@ type Config struct {
 	// tolerates before tightening admission and failing /readyz. <=0
 	// means 64 when AuditProgress is set, disabled otherwise.
 	MaxAuditLag int
-	// AuditMemo, when set, reports the audit pipeline's memo-cache
-	// counters (ok=false while unknown or memoization is off); /healthz
-	// includes them so warm-cache behavior is observable from the serving
-	// side. Advisory only — never feeds admission.
-	AuditMemo func() (AuditMemoState, bool)
-}
-
-// AuditMemoState is the auditor's cumulative memo-cache traffic as
-// surfaced on /healthz.
-type AuditMemoState struct {
-	Hits      int `json:"hits"`
-	Misses    int `json:"misses"`
-	Evictions int `json:"evictions,omitempty"`
 }
 
 func (cfg Config) fs() iofault.FS {
@@ -125,12 +109,13 @@ func (cfg Config) fs() iofault.FS {
 }
 
 // Meta is the sidecar record written next to the epoch log so the offline
-// auditor (karousos audit) knows how to re-execute the epochs. It is
-// pinned when the directory's first collector boots (iofault.PinJSON):
-// reopening the directory as another app or advice mode is refused.
+// auditor (karousos audit) knows which application re-executes the epochs.
+// It is pinned when the directory's first collector boots (iofault.PinJSON):
+// reopening the directory as another app is refused. The advice is always
+// Karousos advice; a "mode" field in a sidecar written by older collectors
+// is ignored.
 type Meta struct {
-	App  string      `json:"app"`
-	Mode advice.Mode `json:"mode"`
+	App string `json:"app"`
 }
 
 // MetaFile is the name of the sidecar inside the epoch log directory.
@@ -182,9 +167,6 @@ type Collector struct {
 // epoch is marked fresh so the auditor knows the application state was
 // rebuilt (see recoverIncarnation).
 func New(cfg Config) (*Collector, error) {
-	if cfg.Mode == "" {
-		cfg.Mode = advice.ModeKarousos
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
@@ -197,7 +179,7 @@ func New(cfg Config) (*Collector, error) {
 	if err := cfg.fs().MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := iofault.PinJSON(cfg.fs(), filepath.Join(cfg.Dir, MetaFile), Meta{App: cfg.Spec.Name, Mode: cfg.Mode}); err != nil {
+	if err := iofault.PinJSON(cfg.fs(), filepath.Join(cfg.Dir, MetaFile), Meta{App: cfg.Spec.Name}); err != nil {
 		return nil, fmt.Errorf("collectorhttp: %w", err)
 	}
 	l, err := epochlog.Open(cfg.Dir, epochlog.Options{
@@ -218,8 +200,7 @@ func New(cfg Config) (*Collector, error) {
 		App:             app,
 		Store:           store,
 		Seed:            cfg.Seed,
-		CollectKarousos: cfg.Mode == advice.ModeKarousos,
-		CollectOrochi:   cfg.Mode == advice.ModeOrochiJS,
+		CollectKarousos: true,
 	})
 	lagLimit := 0
 	if cfg.AuditProgress != nil {
@@ -332,8 +313,9 @@ func (c *Collector) maintenanceLoop() {
 
 // refreshLag polls the auditor's progress and feeds the admission window.
 // Lag is measured in sealed-but-unaudited epochs: the distance between the
-// newest epoch the collector has made auditable and the newest one the
-// auditor has actually graded.
+// newest epoch the collector has durably sealed and the newest one the
+// auditor has actually graded. An epoch rotated out but still pending its
+// seal is not auditable yet, so it is not lag.
 func (c *Collector) refreshLag() {
 	if c.cfg.AuditProgress == nil {
 		return
@@ -342,7 +324,7 @@ func (c *Collector) refreshLag() {
 	if !ok {
 		return
 	}
-	sealedThrough := c.log.ActiveSeq() - 1
+	sealedThrough := uint64(c.log.SealedCount())
 	lag := 0
 	if sealedThrough > audited {
 		lag = int(sealedThrough - audited)
@@ -444,7 +426,6 @@ func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			// it — the response is already computed and recorded. The error
 			// is held in lastSealErr (flips /readyz) and the seal retries on
 			// the next request or age tick.
-			// seal failure must not fail the admitted request; held in lastSealErr and retried
 			_, _ = c.seal(c.cfg.EpochRequests)
 		}
 	}
@@ -488,10 +469,6 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 
 	c.serveMu.Lock()
 	out, serveErr := c.srv.ServeOne(server.Request{RID: rid, Input: input})
-	// The internal collector recorded the same pair; drain it so a
-	// long-running collector's memory stays bounded. The epoch log copy is
-	// the ground truth the auditor reads.
-	_ = c.srv.TakeTrace()
 	c.serveMu.Unlock()
 	if serveErr != nil {
 		// The request was admitted, so the trace must still balance: record
@@ -539,7 +516,6 @@ func (c *Collector) handleSeal(w http.ResponseWriter, r *http.Request) {
 // Status is the collector's observable state, served on /healthz.
 type Status struct {
 	App            string `json:"app"`
-	Mode           string `json:"mode"`
 	Served         int    `json:"served"`
 	ActiveSeq      uint64 `json:"activeSeq"`
 	ActiveEvents   int    `json:"activeEvents"`
@@ -562,9 +538,6 @@ type Status struct {
 	// Admission is the bounded intake's state, including the audit-lag
 	// signal it tightens on.
 	Admission AdmissionState `json:"admission"`
-	// AuditMemo is the audit pipeline's memo-cache traffic, present only
-	// when Config.AuditMemo reports it.
-	AuditMemo *AuditMemoState `json:"auditMemo,omitempty"`
 }
 
 // Status reports the collector's counters, epoch positions, and epoch-log
@@ -577,12 +550,11 @@ func (c *Collector) Status() Status {
 	adm := c.adm.snapshot()
 	st := Status{
 		App:            c.cfg.Spec.Name,
-		Mode:           string(c.cfg.Mode),
 		Served:         served,
 		ActiveSeq:      c.log.ActiveSeq(),
 		ActiveEvents:   events,
 		ActiveRequests: reqs,
-		SealedEpochs:   len(c.log.Sealed()),
+		SealedEpochs:   c.log.SealedCount(),
 		Shed:           adm.Shed,
 		PendingSeals:   c.log.PendingSeals(),
 		OpenEpochAgeMS: time.Since(lastSeal).Milliseconds(),
@@ -592,11 +564,6 @@ func (c *Collector) Status() Status {
 	}
 	if lastSealErr != nil {
 		st.LastSealError = lastSealErr.Error()
-	}
-	if c.cfg.AuditMemo != nil {
-		if ms, ok := c.cfg.AuditMemo(); ok {
-			st.AuditMemo = &ms
-		}
 	}
 	return st
 }
@@ -680,24 +647,18 @@ func (c *Collector) rotateGated() error {
 	if events, _ := c.log.ActiveEvents(); events == 0 {
 		return nil
 	}
-	kar, oro := c.srv.DrainAdvice()
-	drained := kar
-	if c.cfg.Mode == advice.ModeOrochiJS {
-		drained = oro
+	kar, _ := c.srv.DrainAdvice()
+	err := iofault.Retry(context.Background(), c.cfg.Backoff, func() error {
+		return c.log.AppendAdvice(kar.Blob)
+	})
+	if err != nil {
+		// The drain already consumed the runtime's advice; it cannot be
+		// re-produced. Seal anyway with the epoch flagged degraded — the
+		// trusted trace is intact and must not be held hostage to the
+		// advice channel.
+		c.log.MarkDegraded("advice lost at seal: " + err.Error())
 	}
-	if drained.Advice != nil {
-		err := iofault.Retry(context.Background(), c.cfg.Backoff, func() error {
-			return c.log.AppendAdvice(drained.Blob)
-		})
-		if err != nil {
-			// The drain already consumed the runtime's advice; it cannot be
-			// re-produced. Seal anyway with the epoch flagged degraded — the
-			// trusted trace is intact and must not be held hostage to the
-			// advice channel.
-			c.log.MarkDegraded("advice lost at seal: " + err.Error())
-		}
-	}
-	_, err := c.log.Rotate()
+	_, err = c.log.Rotate()
 	return err
 }
 

@@ -95,7 +95,7 @@ func TestInvokeRecordsAndSeals(t *testing.T) {
 		}
 	}
 	meta, err := ReadMeta(dir)
-	if err != nil || meta.App != "motd" || meta.Mode != advice.ModeKarousos {
+	if err != nil || meta.App != "motd" {
 		t.Fatalf("meta = %+v, err %v", meta, err)
 	}
 }
@@ -186,7 +186,7 @@ func TestRestartResumesRIDsAndMarksFresh(t *testing.T) {
 
 // TestRestartRefusesRelabel: meta.json is how an auditor knows which
 // application to re-execute sealed epochs under, so reopening a log as a
-// different application or advice mode is refused, not silently relabelled.
+// different application is refused, not silently relabelled.
 func TestRestartRefusesRelabel(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{Spec: harness.MOTDApp(), Dir: dir})
@@ -196,16 +196,11 @@ func TestRestartRefusesRelabel(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range map[string]Config{
-		"app":  {Spec: harness.StacksApp(), Dir: dir},
-		"mode": {Spec: harness.MOTDApp(), Dir: dir, Mode: advice.ModeOrochiJS},
-	} {
-		if c, err := New(cfg); err == nil {
-			c.Close()
-			t.Errorf("log of motd/karousos reopened with another %s", name)
-		}
+	if c, err := New(Config{Spec: harness.StacksApp(), Dir: dir}); err == nil {
+		c.Close()
+		t.Error("log of motd reopened as stacks")
 	}
-	if m, err := ReadMeta(dir); err != nil || m != (Meta{App: "motd", Mode: advice.ModeKarousos}) {
+	if m, err := ReadMeta(dir); err != nil || m != (Meta{App: "motd"}) {
 		t.Fatalf("meta after refused relabels: %+v, %v", m, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,6 +185,51 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	c.Close()
 	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after close: %d", resp.StatusCode)
+	}
+}
+
+// TestAuditLagCountsOnlySealedEpochs: an epoch rotated out but still
+// pending its durable seal is not auditable, so it is not audit lag. With
+// epoch 1 sealed and audited and epoch 2's manifest fsync failing, the lag
+// is 0; once the seal lands it is 1.
+func TestAuditLagCountsOnlySealedEpochs(t *testing.T) {
+	inj := iofault.NewInjector(nil)
+	var audited atomic.Uint64
+	c, err := New(Config{
+		Spec:          harness.MOTDApp(),
+		Dir:           t.TempDir(),
+		EpochRequests: 1,
+		FS:            inj,
+		Backoff:       fault.Backoff{Sleep: func(time.Duration) {}},
+		AuditProgress: func() (uint64, bool) { return audited.Load(), true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
+	audited.Store(1)
+	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
+		t.Fatal(err)
+	}
+	invoke(t, ts.URL, map[string]any{"op": "get", "day": "tue"})
+	st := c.Status()
+	if st.SealedEpochs != 1 || st.PendingSeals != 1 || st.LastSealError == "" {
+		t.Fatalf("status with epoch 2's seal failing = %+v, want 1 sealed and 1 pending", st)
+	}
+	if st.Admission.AuditLag != 0 {
+		t.Fatalf("audit lag = %d with every sealed epoch audited, want 0", st.Admission.AuditLag)
+	}
+
+	inj.Heal()
+	if _, err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Status(); st.SealedEpochs != 2 || st.Admission.AuditLag != 1 {
+		t.Fatalf("after the seal lands: %d sealed, audit lag %d; want 2 and 1", st.SealedEpochs, st.Admission.AuditLag)
 	}
 }
 

@@ -266,41 +266,6 @@ func TestConcurrentInvokesStayOrderedAndSealed(t *testing.T) {
 	}
 }
 
-// TestHealthSurfacesAuditMemo: when an audit-memo probe is wired, /healthz
-// carries the counters verbatim; when the probe reports no data (no
-// checkpoint yet, or memo disabled) the field is omitted entirely.
-func TestHealthSurfacesAuditMemo(t *testing.T) {
-	var have atomic.Bool
-	c, err := New(Config{
-		Spec:          harness.MOTDApp(),
-		Dir:           t.TempDir(),
-		EpochRequests: 1,
-		AuditMemo: func() (AuditMemoState, bool) {
-			return AuditMemoState{Hits: 12, Misses: 3, Evictions: 1}, have.Load()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	_, body := get(t, ts.URL+"/healthz")
-	if bytes.Contains(body, []byte("auditMemo")) {
-		t.Fatalf("healthz reports auditMemo before the probe has data: %s", body)
-	}
-	have.Store(true)
-	_, body = get(t, ts.URL+"/healthz")
-	var h Status
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.AuditMemo == nil || h.AuditMemo.Hits != 12 || h.AuditMemo.Misses != 3 || h.AuditMemo.Evictions != 1 {
-		t.Fatalf("healthz auditMemo = %+v, want {12 3 1}", h.AuditMemo)
-	}
-}
-
 // TestThresholdSealsFullEpochs: every request that finds the count
 // threshold crossed triggers a seal, and under concurrency several find it
 // at once. Only the first may rotate; the others must see the fresh epoch

@@ -566,6 +566,14 @@ func (l *Log) Sealed() []Manifest {
 	return append([]Manifest(nil), l.sealed...)
 }
 
+// SealedCount returns how many epochs are sealed. Sealed epochs are seq 1
+// through the count, so it is also the newest sealed seq (0 when none).
+func (l *Log) SealedCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.sealed)
+}
+
 // Close releases the active epoch's file handles without sealing; the
 // unsealed tail — including any rotated-but-unfinished epochs — is
 // recovered by the next Open. Durable appends already accepted into the

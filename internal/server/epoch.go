@@ -6,7 +6,6 @@ import (
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
 
@@ -18,8 +17,9 @@ import (
 // Server: Run snapshots the store's full binlog, DrainAdvice tracks deltas.
 
 // ServeOne serves a single request to completion — the window-1 case of
-// Run's dispatch loop — and returns its normalized response payload. The
-// request is recorded through the trusted collector exactly as under Run.
+// Run's dispatch loop — and returns its normalized response payload. It
+// records no trace: the front-end calling it is the trusted collector, which
+// records the REQ before and the RESP after the call.
 func (s *Server) ServeOne(r Request) (value.V, error) {
 	if err := s.serve([]Request{r}, 1); err != nil {
 		return nil, err
@@ -27,13 +27,6 @@ func (s *Server) ServeOne(r Request) (value.V, error) {
 	s.lock()
 	defer s.unlock()
 	return s.requests[r.RID].respVal, nil
-}
-
-// TakeTrace drains the events recorded by the server's internal collector
-// since the previous call. An external front-end that records its own
-// ground truth uses this to keep the internal collector's buffer empty.
-func (s *Server) TakeTrace() *trace.Trace {
-	return s.collector.Trace()
 }
 
 // Drained is one dialect's advice handed back by DrainAdvice: the epoch's

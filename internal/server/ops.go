@@ -8,6 +8,7 @@ import (
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/kvstore"
 	"karousos.dev/karousos/internal/mv"
+	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
 
@@ -300,7 +301,7 @@ func (s *Server) flushTxLog(k txKey, ts *txState) {
 	}
 }
 
-// Respond delivers the response through the trusted collector and records
+// Respond delivers the response, recording it in Run's trace, and records
 // responseEmittedBy (C.1.3).
 func (s *Server) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 	s.lock()
@@ -313,7 +314,9 @@ func (s *Server) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 	rs.responded = true
 	rs.response = advice.OpAt{HID: ctx.HID(), OpNum: opsIssued}
 	rs.respVal = value.Clone(value.Normalize(payload.At(0)))
-	s.collector.Response(string(rid), payload.At(0))
+	if s.tr != nil {
+		s.tr.Events = append(s.tr.Events, trace.Event{Kind: trace.Resp, RID: string(rid), Data: value.Clone(value.Normalize(payload.At(0)))})
+	}
 }
 
 // Branch returns the direction taken. A request handler's decisions also

@@ -1,7 +1,6 @@
 // Package server implements the online, untrusted-side runtime: a KEM
-// dispatch loop (paper §3) that serves requests against an application,
-// records the ground-truth trace through the trusted collector, and — when
-// advice collection is enabled — produces the advice of Appendix C.1.3:
+// dispatch loop (paper §3) that serves requests against an application and —
+// when advice collection is enabled — produces the advice of Appendix C.1.3:
 // control-flow tags (§4.1/§5), handler logs, R-concurrency-filtered variable
 // logs (Figure 13), transaction logs with dictating PUTs, the binlog-derived
 // write order, opcounts, responseEmittedBy, and recorded non-determinism.
@@ -75,9 +74,11 @@ type Result struct {
 
 // Server executes an application under the KEM dispatch loop.
 type Server struct {
-	cfg       Config
-	rng       *rand.Rand
-	collector *trace.Collector
+	cfg Config
+	rng *rand.Rand
+	// tr is the trace Run is recording, nil outside Run: ServeOne records
+	// none, since its front-end is the trusted collector that does.
+	tr *trace.Trace
 
 	// dialects are the advice collections enabled by the config (Karousos
 	// first); none for the unmodified baseline.
@@ -172,7 +173,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:             cfg,
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
-		collector:       trace.NewCollector(),
 		globalListeners: make(map[core.EventName][]core.FunctionID),
 		vars:            make(map[core.VarID]*varState),
 		requests:        make(map[core.RID]*reqState),
@@ -200,11 +200,15 @@ func (s *Server) Run(reqs []Request, concurrency int) (*Result, error) {
 	if concurrency < 1 {
 		return nil, fmt.Errorf("server: concurrency must be ≥ 1, got %d", concurrency)
 	}
-	if err := s.serve(reqs, concurrency); err != nil {
+	tr := &trace.Trace{}
+	s.tr = tr
+	err := s.serve(reqs, concurrency)
+	s.tr = nil
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Trace:    s.collector.Trace(),
+		Trace:    tr,
 		Karousos: s.collected(advice.ModeKarousos),
 		Orochi:   s.collected(advice.ModeOrochiJS),
 	}
@@ -308,7 +312,9 @@ func (s *Server) admit(r Request) {
 		panic(fmt.Sprintf("server: duplicate rid %s", rid))
 	}
 	input := value.Normalize(r.Input)
-	s.collector.Request(string(rid), input)
+	if s.tr != nil {
+		s.tr.Events = append(s.tr.Events, trace.Event{Kind: trace.Req, RID: string(rid), Data: value.Clone(input)})
+	}
 	rs := &reqState{
 		listeners:     make(map[core.EventName][]core.FunctionID, len(s.globalListeners)),
 		opcounts:      make(map[core.HID]int),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/kvstore"
 	"karousos.dev/karousos/internal/mv"
+	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
 
@@ -72,6 +74,17 @@ func TestTraceShape(t *testing.T) {
 	outs := res.Trace.Outputs()
 	if !value.Equal(outs["r1"], float64(5)) {
 		t.Errorf("r1 output = %v (writer child reads the root's write)", outs["r1"])
+	}
+}
+
+// TestRunTraceCopiesInputs: Run's trace holds a copy of each input, so a
+// caller changing an input after the run does not change the record.
+func TestRunTraceCopiesInputs(t *testing.T) {
+	in := value.Map("n", float64(3))
+	res := serveTree(t, []Request{{RID: "r1", Input: in}}, 1, 1)
+	in["n"] = float64(4)
+	if got := res.Trace.Inputs()["r1"]; !value.Equal(got, value.Map("n", float64(3))) {
+		t.Errorf("traced input = %v after the caller changed its own, want the input as served", got)
 	}
 }
 
@@ -232,6 +245,23 @@ func fixtures() []fixture {
 	}
 }
 
+// serveTraced serves reqs one at a time through ServeOne and returns the
+// trace the way the HTTP collector records it: the REQ before and the RESP
+// after each call.
+func serveTraced(t *testing.T, srv *Server, reqs []Request) *trace.Trace {
+	t.Helper()
+	tr := &trace.Trace{}
+	for _, r := range reqs {
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.Req, RID: string(r.RID), Data: value.Normalize(r.Input)})
+		out, err := srv.ServeOne(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.Resp, RID: string(r.RID), Data: out})
+	}
+	return tr
+}
+
 // TestServeOneIsRunAtWindowOne: serving requests one at a time through
 // ServeOne and draining is the same execution as Run at concurrency 1 — the
 // same trace and byte-identical advice in both dialects.
@@ -246,18 +276,15 @@ func TestServeOneIsRunAtWindowOne(t *testing.T) {
 			}
 			cfg.App, cfg.Store = fx.new()
 			srv := New(cfg)
-			outs := res.Trace.Outputs()
+			tr := serveTraced(t, srv, fx.reqs)
+			outs, served := res.Trace.Outputs(), tr.Outputs()
 			for _, r := range fx.reqs {
-				out, err := srv.ServeOne(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !value.Equal(out, outs[string(r.RID)]) {
+				if out := served[string(r.RID)]; !value.Equal(out, outs[string(r.RID)]) {
 					t.Errorf("%s seed %d: ServeOne(%s) = %v, Run responded %v", fx.name, seed, r.RID, out, outs[string(r.RID)])
 				}
 			}
 			kar, oro := srv.DrainAdvice()
-			if got, want := srv.TakeTrace().Digest(), res.Trace.Digest(); got != want {
+			if got, want := tr.Digest(), res.Trace.Digest(); got != want {
 				t.Errorf("%s seed %d: trace differs between ServeOne and Run", fx.name, seed)
 			}
 			if string(kar.Blob) != string(res.Karousos.MarshalBinary()) {
@@ -274,24 +301,48 @@ func TestServeOneIsRunAtWindowOne(t *testing.T) {
 // any worker count, so a parallel server serves and drains epochs too.
 func TestServeOneParallelDispatch(t *testing.T) {
 	srv := New(Config{App: txApp(), Store: kvstore.New(kvstore.Serializable), Seed: 1, Workers: 8, CollectKarousos: true})
-	for i := 1; i <= 3; i++ {
-		out, err := srv.ServeOne(Request{RID: core.RID("r" + string(rune('0'+i)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !value.Equal(out, float64(i)) {
-			t.Errorf("request %d responded %v, want %d (sequential increments)", i, out, i)
+	reqs := []Request{{RID: "r1"}, {RID: "r2"}, {RID: "r3"}}
+	tr := serveTraced(t, srv, reqs)
+	outs := tr.Outputs()
+	for i, r := range reqs {
+		if out := outs[string(r.RID)]; !value.Equal(out, float64(i+1)) {
+			t.Errorf("request %d responded %v, want %d (sequential increments)", i+1, out, i+1)
 		}
 	}
 	kar, _ := srv.DrainAdvice()
 	if len(kar.Advice.TxLogs) != 3 || len(kar.Advice.WriteOrder) != 3 {
 		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.Advice.TxLogs), len(kar.Advice.WriteOrder))
 	}
-	if err := srv.TakeTrace().CheckBalanced(); err != nil {
+	if err := tr.CheckBalanced(); err != nil {
 		t.Fatal(err)
 	}
 	if len(srv.requests) != 0 || len(srv.txs) != 0 {
 		t.Errorf("after the drain the server still holds %d requests and %d transactions, want none", len(srv.requests), len(srv.txs))
+	}
+}
+
+// TestServeOneRecordsNoTrace: only Run keeps a trace. ServeOne's caller is
+// the trusted collector, so at any worker count the server holds no trace
+// event after serving through ServeOne, and none after Run returns its own.
+func TestServeOneRecordsNoTrace(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		srv := New(Config{App: treeApp(), Seed: 1, Workers: workers, CollectKarousos: true})
+		for i := 1; i <= 3; i++ {
+			if _, err := srv.ServeOne(req(fmt.Sprintf("r%d", i), i)); err != nil {
+				t.Fatal(err)
+			}
+			if srv.tr != nil {
+				t.Fatalf("workers=%d: the server holds %d trace events after ServeOne, want none", workers, len(srv.tr.Events))
+			}
+		}
+		srv = New(Config{App: treeApp(), Seed: 1, Workers: workers})
+		res, err := srv.Run([]Request{req("r1", 1), req("r2", 2)}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace.Events) != 4 || srv.tr != nil {
+			t.Fatalf("workers=%d: Run returned %d events and left the server holding a trace: %v", workers, len(res.Trace.Events), srv.tr != nil)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"karousos.dev/karousos/internal/value"
@@ -49,12 +47,12 @@ func TestEventBinaryRejectsMalformed(t *testing.T) {
 
 func TestDigestStableAndSensitive(t *testing.T) {
 	mk := func() *Trace {
-		c := NewCollector()
-		c.Request("r1", value.Map("a", float64(1)))
-		c.Request("r2", value.Map("b", float64(2)))
-		c.Response("r1", "x")
-		c.Response("r2", "y")
-		return c.Trace()
+		return collect(
+			Event{Req, "r1", value.Map("a", float64(1))},
+			Event{Req, "r2", value.Map("b", float64(2))},
+			Event{Resp, "r1", "x"},
+			Event{Resp, "r2", "y"},
+		)
 	}
 	a, b := mk(), mk()
 	if a.Digest() != b.Digest() {
@@ -83,43 +81,5 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	}
 	if (&Trace{}).Digest() == a.Digest() {
 		t.Error("empty trace digests equal to non-empty")
-	}
-}
-
-// TestCollectorConcurrent exercises parallel Request/Response/Trace calls;
-// run under -race it proves the collector's locking (an HTTP front-end
-// records from concurrent connections).
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector()
-	const workers, perWorker = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				rid := fmt.Sprintf("w%d-%d", w, i)
-				c.Request(rid, value.Map("i", float64(i)))
-				c.Response(rid, float64(i))
-			}
-		}(w)
-	}
-	// A concurrent drainer slices the history while recording continues.
-	done := make(chan *Trace)
-	go func() {
-		partial := c.Trace()
-		done <- partial
-	}()
-	partial := <-done
-	wg.Wait()
-	rest := c.Trace()
-	total := len(partial.Events) + len(rest.Events)
-	if want := workers * perWorker * 2; total != want {
-		t.Fatalf("lost events: got %d, want %d", total, want)
-	}
-	// The concatenated history must still be balanced.
-	all := &Trace{Events: append(partial.Events, rest.Events...)}
-	if err := all.CheckBalanced(); err != nil {
-		t.Fatalf("concatenated trace unbalanced: %v", err)
 	}
 }

@@ -1,5 +1,8 @@
-// Package trace implements the ground-truth request/response trace and the
-// trusted collector that records it (paper §2.1, Definition 1).
+// Package trace implements the ground-truth request/response trace (paper
+// §2.1, Definition 1). The trusted collector that records it in a
+// deployment is internal/collectorhttp, which appends each event to the
+// epoch log outside the untrusted server; server.Run builds the same trace
+// in memory for finite runs.
 //
 // The trace is the only trusted input to an audit: an ordered list of request
 // events (REQ, rid, input) and response events (RESP, rid, output) in
@@ -9,7 +12,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 
 	"karousos.dev/karousos/internal/value"
 )
@@ -41,49 +43,6 @@ type Event struct {
 // Trace is the chronological list of events the collector observed.
 type Trace struct {
 	Events []Event
-}
-
-// Collector is the trusted bump-in-the-wire component. The server runtime
-// calls Request and Response exactly when bytes would cross the wire; in a
-// deployment this component sits outside the untrusted server (§2.2), and in
-// tests it is what an adversarial server cannot forge.
-//
-// Collectors are safe for concurrent use: an HTTP front-end records from
-// concurrent connections, and whichever event wins the lock is the
-// chronological truth the audit holds the server to.
-type Collector struct {
-	mu sync.Mutex
-	tr Trace
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Request records the arrival of request rid with input x.
-func (c *Collector) Request(rid string, x value.V) {
-	e := Event{Kind: Req, RID: rid, Data: value.Clone(value.Normalize(x))}
-	c.mu.Lock()
-	c.tr.Events = append(c.tr.Events, e)
-	c.mu.Unlock()
-}
-
-// Response records the delivery of the response for rid with output y.
-func (c *Collector) Response(rid string, y value.V) {
-	e := Event{Kind: Resp, RID: rid, Data: value.Clone(value.Normalize(y))}
-	c.mu.Lock()
-	c.tr.Events = append(c.tr.Events, e)
-	c.mu.Unlock()
-}
-
-// Trace drains the collected events, resetting the collector. Successive
-// calls partition the observed history, which is how an epoch-based
-// front-end slices one serving run into per-epoch traces.
-func (c *Collector) Trace() *Trace {
-	c.mu.Lock()
-	t := c.tr
-	c.tr = Trace{}
-	c.mu.Unlock()
-	return &t
 }
 
 // CheckBalanced verifies the structural sanity the verifier's Preprocess

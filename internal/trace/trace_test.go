@@ -10,16 +10,15 @@ func collect(events ...Event) *Trace {
 	return &Trace{Events: events}
 }
 
-func TestCollectorRoundTrip(t *testing.T) {
-	c := NewCollector()
-	c.Request("r1", value.Map("op", "get"))
-	c.Request("r2", value.Map("op", "set"))
-	c.Response("r2", value.Map("status", "ok"))
-	c.Response("r1", "hello")
-	tr := c.Trace()
-	if len(tr.Events) != 4 {
-		t.Fatalf("events = %d", len(tr.Events))
-	}
+// TestTraceAccessors: RIDs follows request arrival, and Inputs and Outputs
+// key each payload by rid.
+func TestTraceAccessors(t *testing.T) {
+	tr := collect(
+		Event{Req, "r1", value.Map("op", "get")},
+		Event{Req, "r2", value.Map("op", "set")},
+		Event{Resp, "r2", value.Map("status", "ok")},
+		Event{Resp, "r1", "hello"},
+	)
 	if err := tr.CheckBalanced(); err != nil {
 		t.Fatalf("balanced: %v", err)
 	}
@@ -31,31 +30,6 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 	if !value.Equal(tr.Outputs()["r1"], "hello") {
 		t.Error("output r1 wrong")
-	}
-}
-
-func TestCollectorClonesInputs(t *testing.T) {
-	c := NewCollector()
-	in := value.Map("k", "v")
-	c.Request("r1", in)
-	in["k"] = "mutated"
-	c.Response("r1", nil)
-	tr := c.Trace()
-	if tr.Inputs()["r1"].(map[string]value.V)["k"] != "v" {
-		t.Error("collector must clone inputs: later mutation leaked into the trace")
-	}
-}
-
-func TestCollectorResetsAfterTrace(t *testing.T) {
-	c := NewCollector()
-	c.Request("r1", nil)
-	c.Response("r1", nil)
-	_ = c.Trace()
-	c.Request("r2", nil)
-	c.Response("r2", nil)
-	tr := c.Trace()
-	if len(tr.Events) != 2 {
-		t.Errorf("second trace has %d events, want 2", len(tr.Events))
 	}
 }
 

@@ -22,8 +22,9 @@ type epoch struct {
 }
 
 // serveEpochs serves the request batches on one long-lived server, draining
-// the trace and advice at every batch boundary — the same protocol the HTTP
-// collector follows when it seals an epoch.
+// the advice at every batch boundary — the same protocol the HTTP collector
+// follows when it seals an epoch, recording each REQ before and each RESP
+// after its ServeOne.
 func serveEpochs(t *testing.T, spec harness.AppSpec, batches [][]server.Request) []epoch {
 	t.Helper()
 	app, store := spec.New()
@@ -33,13 +34,17 @@ func serveEpochs(t *testing.T, spec harness.AppSpec, batches [][]server.Request)
 	})
 	var out []epoch
 	for _, batch := range batches {
+		tr := &trace.Trace{}
 		for _, r := range batch {
-			if _, err := srv.ServeOne(r); err != nil {
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Req, RID: string(r.RID), Data: value.Normalize(r.Input)})
+			y, err := srv.ServeOne(r)
+			if err != nil {
 				t.Fatalf("serve %s: %v", r.RID, err)
 			}
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Resp, RID: string(r.RID), Data: y})
 		}
 		kar, oro := srv.DrainAdvice()
-		out = append(out, epoch{tr: srv.TakeTrace(), kar: kar.Advice, oro: oro.Advice})
+		out = append(out, epoch{tr: tr, kar: kar.Advice, oro: oro.Advice})
 	}
 	return out
 }
