@@ -12,12 +12,6 @@
 //	    the front door: routes /invoke by locality key to in-process
 //	    collectors (-local) or external `karousos serve` backends;
 //
-//	karousos fleet serve -app wiki -shards 4 -root shards
-//	karousos fleet accept -shards 2 -n 40
-//	    supervises collectors + gateway as processes (re-execs of `karousos
-//	    serve` and `karousos gateway -backends`); accept is the
-//	    kill-and-recover acceptance scenario;
-//
 //	karousos audit -dir <log or topology root> [-checkpoint dir] [-follow] [-graph dir]
 //	    the supervised auditor: one lane per shard, each epoch routing-
 //	    checked then audited in order, joined by the cross-shard merge;
@@ -26,7 +20,7 @@
 //	karousos status -dir <log or topology root> [-checkpoint dir]
 //	    sealed manifests and audit progress per shard, as JSON;
 //
-//	karousos chaos -scenario pipeline|partition|overload-burst|… -seed 11
+//	karousos chaos -scenario pipeline|shard-kill|overload-burst|… -seed 11
 //	    stands a topology up in-process, drives a workload, follows it with
 //	    a live auditor and checks every robustness invariant;
 //
@@ -38,8 +32,8 @@
 //	    regenerates the tables behind the paper's evaluation (Figures 6–12);
 //	    operational numbers come from `bash benchmark/run.sh` instead.
 //
-// Exit codes are the same everywhere: 0 accepted (chaos, load, fleet
-// accept: every invariant held; figures: tables printed), 2 the merged
+// Exit codes are the same everywhere: 0 accepted (chaos, load: every
+// invariant held; figures: tables printed), 2 the merged
 // verdict is not an accept or an invariant was violated (the code and
 // reason are printed), 1 infrastructure error or bad arguments.
 package main
@@ -69,7 +63,6 @@ func main() {
 var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
 	"serve":   serveCmd,
 	"gateway": gatewayCmd,
-	"fleet":   fleetCmd,
 	"audit":   auditCmd,
 	"status":  statusCmd,
 	"chaos":   chaosCmd,
@@ -85,13 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cmd(args[1:], stdout, stderr)
 		}
 	}
-	fmt.Fprintln(stderr, `usage: karousos serve|gateway|fleet|audit|status|chaos|load|figures [flags]
+	fmt.Fprintln(stderr, `usage: karousos serve|gateway|audit|status|chaos|load|figures [flags]
 
   serve    one collector: serve an app over HTTP into a durable epoch log
   gateway  front a shard topology (-local boots the collectors in-process,
            -backends fronts external ones)
-  fleet    serve: supervise collectors + gateway as processes;
-           accept: kill one collector mid-burst and verify recovery
   audit    audit a log or topology root; exits 0 ACCEPT, 2 not, 1 error
            (-graph DIR writes each epoch's execution graph as DOT)
   status   print sealed manifests and audit progress per shard

@@ -12,13 +12,11 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/verifier"
 )
 
-// serveCmd is one collector process — what an operator runs per shard, and
-// exactly what the fleet supervisor re-execs.
+// serveCmd is one collector process — what an operator runs per shard.
 func serveCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("serve", stderr)
 	cf := registerCollectorFlags(fs)
@@ -79,27 +77,8 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 4, "shard count (-local mode)")
 	keyFields := fs.String("key-fields", "id,page", "input fields tried in order for the locality key (-local mode)")
 	drain := fs.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
-	perTry := fs.Duration("per-try-timeout", 0, "per-attempt budget on proxied requests (0 = default 2s)")
-	maxRetries := fs.Int("max-retries", 0, "extra attempts for provably-unsent requests (0 = default 2, -1 = none)")
-	breakerFailures := fs.Int("breaker-failures", 0, "consecutive transport failures that open a shard's circuit (0 = default 5)")
-	breakerOpenFor := fs.Duration("breaker-open-for", 0, "open-circuit window before a half-open probe (0 = default 1s)")
-	netfaultSpec := fs.String("netfault", "", "arm a network fault on the proxy path, \"op[:seed[:times]]\" (testing)")
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	tuning := gateway.Tuning{
-		PerTryTimeout:   *perTry,
-		MaxRetries:      *maxRetries,
-		BreakerFailures: *breakerFailures,
-		BreakerOpenFor:  *breakerOpenFor,
-	}
-	var transport http.RoundTripper
-	if *netfaultSpec != "" {
-		inj := netfault.NewInjector()
-		if err := inj.ArmSpec(*netfaultSpec, ""); err != nil {
-			return fail(stderr, err)
-		}
-		transport = inj.Transport(nil)
 	}
 
 	var handler http.Handler
@@ -128,8 +107,6 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 			Seed:          *cf.seed,
 			Limits:        verifier.DefaultLimits(),
 			MaxInflight:   *cf.maxInflight,
-			Transport:     transport,
-			Tuning:        tuning,
 		})
 		if err != nil {
 			return fail(stderr, err)
@@ -141,7 +118,7 @@ func gatewayCmd(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, fmt.Errorf("reading shard map: %w", err))
 		}
-		gw, err := gateway.New(gateway.Config{Map: m, Backends: strings.Split(*backends, ","), Transport: transport, Tuning: tuning})
+		gw, err := gateway.New(gateway.Config{Map: m, Backends: strings.Split(*backends, ",")})
 		if err != nil {
 			return fail(stderr, err)
 		}

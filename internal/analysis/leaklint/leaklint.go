@@ -1,6 +1,5 @@
 // Package leaklint is the goroutine-leak analyzer for the serving and
-// audit planes (internal/fleet, internal/gateway, internal/epochlog,
-// internal/auditd).
+// audit planes (internal/gateway, internal/epochlog, internal/auditd).
 //
 // Every goroutine needs a join or cancel path — an unjoined goroutine
 // outlives its epoch and leaks, or worse, writes evidence after seal. A
@@ -33,7 +32,6 @@ import (
 
 // Packages are the concurrency-heavy planes this analyzer self-scopes to.
 var Packages = []string{
-	"internal/fleet",
 	"internal/gateway",
 	"internal/epochlog",
 	"internal/auditd",

@@ -62,7 +62,7 @@ func tornDown() {
 	defer s.Close()
 }
 
-// monitor mirrors fleet's named launch: the callee does the accounting.
+// monitor is a named launch: the callee does the accounting.
 type sup struct {
 	wg sync.WaitGroup
 }

@@ -46,7 +46,6 @@ import (
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/loadgen"
-	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
@@ -86,12 +85,11 @@ type Load struct {
 
 // Step kinds.
 const (
-	DoArm            = "arm"
-	DoHeal           = "heal"
-	DoCrash          = "crash"
-	DoRestart        = "restart"
-	DoRestartGateway = "restart-gateway"
-	DoKillAuditor    = "kill-auditor"
+	DoArm         = "arm"
+	DoHeal        = "heal"
+	DoCrash       = "crash"
+	DoRestart     = "restart"
+	DoKillAuditor = "kill-auditor"
 )
 
 // Components an arm or heal step addresses.
@@ -101,8 +99,6 @@ const (
 	OnCollector = "collector"
 	// OnAuditd is the filesystem under the live auditor (iofault).
 	OnAuditd = "auditd"
-	// OnLink is the network between the gateway and shard Shard (netfault).
-	OnLink = "link"
 )
 
 // Step is one scripted action, applied before request At (0-based). Steps
@@ -113,10 +109,9 @@ type Step struct {
 	Do string `json:"do"`
 	// On is the component an arm or heal addresses.
 	On string `json:"on,omitempty"`
-	// Shard is the shard a crash, restart, or link arm/heal addresses.
+	// Shard is the shard a crash or restart addresses.
 	Shard int `json:"shard,omitempty"`
-	// Spec is an arm step's "op[:seed[:times]]" — iofault's catalogue on
-	// collector and auditd, netfault's on link.
+	// Spec is an arm step's "op[:seed[:times]]" from iofault's catalogue.
 	Spec string `json:"spec,omitempty"`
 	// Target narrows a collector or auditd arm to matching paths.
 	Target string `json:"target,omitempty"`
@@ -213,14 +208,13 @@ type runner struct {
 
 	cInj *iofault.Injector
 	aInj *iofault.Injector
-	nInj *netfault.Injector
 
 	top *gateway.Local
 	ts  *httptest.Server
 	aud *auditd.Sharded
 
 	next    int          // first step not yet applied
-	faulted map[int]bool // shards the script crashes or partitions
+	faulted map[int]bool // shards the script crashes
 
 	mu  sync.Mutex // guards everything below; requests and lanes run concurrently
 	res *Result
@@ -252,24 +246,16 @@ func Run(dir string, sc Scenario) (*Result, error) {
 		ckptDir:  filepath.Join(dir, "auditd.ckpt"),
 		cInj:     iofault.NewInjector(nil),
 		aInj:     iofault.NewInjector(nil),
-		nInj:     netfault.NewInjector(),
 		faulted:  map[int]bool{},
 		res:      &Result{},
 		graded:   map[[2]uint64]core.RejectCode{},
 		evidence: map[string]bool{},
 	}
 	for _, st := range sc.Steps {
-		if st.Do == DoCrash || (st.Do == DoArm && st.On == OnLink) {
+		if st.Do == DoCrash {
 			r.faulted[st.Shard] = true
 		}
 	}
-	// Keep a dark shard's discovery latency test-sized: a blackholed try
-	// stalls at most MaxBlock, and retries back off for milliseconds. The
-	// breaker's open window outlasts any run, so once a shard's circuit
-	// opens it stays open to the end and the ledger does not depend on how
-	// much wall-clock the run took (half-open recovery is the gateway's own
-	// tests' business).
-	r.nInj.MaxBlock = 50 * time.Millisecond
 	r.top, err = gateway.NewLocal(gateway.LocalConfig{
 		Spec:          spec,
 		Root:          r.root,
@@ -280,21 +266,11 @@ func Run(dir string, sc Scenario) (*Result, error) {
 		FS:            r.cInj,
 		Backoff:       quiet,
 		MaxInflight:   sc.Topology.MaxInflight,
-		Transport:     r.nInj.Transport(nil),
-		Tuning: gateway.Tuning{
-			PerTryTimeout:   time.Second,
-			MaxRetries:      2,
-			BreakerFailures: 3,
-			BreakerOpenFor:  time.Minute,
-			Backoff:         fault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer r.top.Close()
-	// The server wraps Local.Handler, not a gateway instance, so a gateway
-	// restart is seamless — a load balancer repointing at the replacement.
 	r.ts = httptest.NewServer(r.top.Handler())
 	defer r.ts.Close()
 	if err := r.newAuditor(); err != nil {
@@ -326,7 +302,6 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	// is what seals a crashed shard's stranded tail.
 	r.cInj.Heal()
 	r.aInj.Heal()
-	r.nInj.Heal()
 	r.res.Gateway = r.top.Gateway.Counters()
 	for s := 0; s < sc.Topology.Shards; s++ {
 		if r.top.Collector(s) == nil {
@@ -402,26 +377,18 @@ func (sc Scenario) validate() (harness.AppSpec, error) {
 			return spec, fmt.Errorf("chaos: step %d: shard %d out of range", i, st.Shard)
 		}
 		switch st.Do {
-		case DoArm:
-			// Arming a scratch injector checks the spec against the right
-			// catalogue without touching the run's schedules.
-			var err error
-			switch st.On {
-			case OnCollector, OnAuditd:
-				err = iofault.NewInjector(nil).ArmSpec(st.Spec, st.Target)
-			case OnLink:
-				err = netfault.NewInjector().ArmSpec(st.Spec, "")
-			default:
-				err = fmt.Errorf("unknown component %q", st.On)
-			}
-			if err != nil {
-				return spec, fmt.Errorf("chaos: step %d: %w", i, err)
-			}
-		case DoHeal:
-			if st.On != OnCollector && st.On != OnAuditd && st.On != OnLink {
+		case DoArm, DoHeal:
+			if st.On != OnCollector && st.On != OnAuditd {
 				return spec, fmt.Errorf("chaos: step %d: unknown component %q", i, st.On)
 			}
-		case DoCrash, DoRestart, DoRestartGateway, DoKillAuditor:
+			// Arming a scratch injector checks the spec against the
+			// catalogue without touching the run's schedules.
+			if st.Do == DoArm {
+				if err := iofault.NewInjector(nil).ArmSpec(st.Spec, st.Target); err != nil {
+					return spec, fmt.Errorf("chaos: step %d: %w", i, err)
+				}
+			}
+		case DoCrash, DoRestart, DoKillAuditor:
 		default:
 			return spec, fmt.Errorf("chaos: step %d: unknown step kind %q", i, st.Do)
 		}
@@ -484,31 +451,19 @@ func (r *runner) applyDue(i int) error {
 }
 
 func (r *runner) apply(st Step) error {
-	// A link fault is pinned to its shard by the backend's host:port, which
-	// is only known once the shard has booted.
-	host := strings.TrimPrefix(r.top.BackendURL(st.Shard), "http://")
 	disk := r.cInj
 	if st.On == OnAuditd {
 		disk = r.aInj
 	}
 	switch st.Do {
 	case DoArm:
-		if st.On == OnLink {
-			return r.nInj.ArmSpec(st.Spec, host)
-		}
 		return disk.ArmSpec(st.Spec, st.Target)
 	case DoHeal:
-		if st.On == OnLink {
-			r.nInj.HealTarget(host)
-		} else {
-			disk.Heal()
-		}
+		disk.Heal()
 	case DoCrash:
 		return r.top.Crash(st.Shard)
 	case DoRestart:
 		return r.top.Restart(st.Shard)
-	case DoRestartGateway:
-		return r.top.RestartGateway()
 	case DoKillAuditor:
 		r.res.AuditorRestarts++
 		return r.newAuditor()

@@ -81,60 +81,6 @@ var rows = []row{
 			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
 		}, merge: "<uncoded>", served: 60, accepted: 13, unauditable: 1},
 	}},
-	// The old TestPartitionAcceptance: the blackhole must be paid for once,
-	// then fast-failed by the open breaker.
-	{name: "partition", sc: builtin("partition", ""), want: map[int64]golden{
-		11: {epochs: []string{
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;4=<uncoded>;5=<uncoded>;6=<uncoded>;",
-			"1=<uncoded>;2=Unauditable;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;4=<uncoded>;5=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-		}, merge: "Unauditable", served: 69, degraded: 11, accepted: 15, unauditable: 1},
-		23: {epochs: []string{
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;4=<uncoded>;5=<uncoded>;",
-			"1=<uncoded>;2=Unauditable;",
-			ok4,
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-		}, merge: "Unauditable", served: 65, degraded: 15, accepted: 13, unauditable: 1},
-	}, extra: func(t *testing.T, _ Scenario, res *Result) {
-		if res.Gateway[1].FastFails == 0 {
-			t.Errorf("victim breaker never fast-failed: %+v — the blackhole was paid for on every request", res.Gateway[1])
-		}
-	}},
-	// The old TestPartitionFlapping: retries absorb part of the flapping.
-	{name: "flap", sc: builtin("flap", ""), want: map[int64]golden{
-		11: {epochs: []string{
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;4=<uncoded>;5=<uncoded>;",
-			"1=<uncoded>;",
-			ok4,
-			"1=<uncoded>;2=<uncoded>;",
-		}, merge: "<uncoded>", served: 51, degraded: 9, accepted: 12},
-		23: {epochs: []string{
-			ok4,
-			ok4,
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-		}, merge: "<uncoded>", served: 60, accepted: 14},
-	}, extra: func(t *testing.T, _ Scenario, res *Result) {
-		if res.Gateway[1].Retries == 0 {
-			t.Errorf("no retry absorbed the flapping: %+v", res.Gateway[1])
-		}
-	}},
-	// The old TestPartitionGatewayRestart: served == requests is the point.
-	{name: "gateway-restart", sc: builtin("gateway-restart", ""), want: map[int64]golden{
-		11: {epochs: []string{
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;",
-		}, merge: "<uncoded>", served: 40, accepted: 10},
-		23: {epochs: []string{
-			"1=<uncoded>;2=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;",
-			"1=<uncoded>;2=<uncoded>;3=<uncoded>;",
-		}, merge: "<uncoded>", served: 40, accepted: 10},
-	}},
 	// The old TestOverloadBurst / SlowFsync / SlowClient.
 	{name: "overload-burst", sc: builtin("overload-burst", ""), want: map[int64]golden{11: burstGolden, 23: burstGolden}},
 	{name: "overload-slow-fsync", sc: builtin("overload-slow-fsync", ""), want: map[int64]golden{11: burstGolden, 23: burstGolden}},
@@ -306,30 +252,38 @@ func TestScenarioValidation(t *testing.T) {
 		"victim out of range":   func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoCrash, Shard: 5}} },
 		"unknown component":     func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: "moon", Spec: "flap"}} },
 		"heal without a target": func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoHeal}} },
-		"unknown operator":      func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: OnLink, Spec: "emp"}} },
+		"unknown operator":      func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: OnAuditd, Spec: "emp"}} },
+		"link arm":              func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: "link", Spec: "blackhole"}} },
+		"link heal":             func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoHeal, On: "link"}} },
+		"gateway restart":       func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: "restart-gateway"}} },
 		"wrong catalogue":       func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: OnCollector, Spec: "blackhole"}} },
 		"bad spec":              func(sc *Scenario) { sc.Steps = []Step{{At: 1, Do: DoArm, On: OnAuditd, Spec: "enospc:x"}} },
 		"expectation off the map": func(sc *Scenario) {
 			sc.Expect.Unauditable = []int{2}
 		},
 	} {
-		sc := base()
-		mutate(&sc)
-		if res, err := Run(t.TempDir(), sc); err == nil || res != nil {
-			t.Errorf("%s: accepted (res %v, err %v)", name, res, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			sc := base()
+			mutate(&sc)
+			if res, err := Run(t.TempDir(), sc); err == nil || res != nil {
+				t.Errorf("accepted (res %v, err %v)", res, err)
+			}
+		})
 	}
 	// A script that cannot run as written is an error too: restarting a
 	// shard that is not down.
-	sc := base()
-	sc.Steps = []Step{{At: 1, Do: DoRestart}}
-	if _, err := Run(t.TempDir(), sc); err == nil {
-		t.Error("restart of a live shard accepted")
-	}
+	t.Run("restart of a live shard", func(t *testing.T) {
+		sc := base()
+		sc.Steps = []Step{{At: 1, Do: DoRestart}}
+		if _, err := Run(t.TempDir(), sc); err == nil {
+			t.Error("accepted")
+		}
+	})
 }
 
 // TestInvariantsNameBreaches: the two exported invariants — shared with
-// `karousos fleet accept` — report each kind of breach, one line apiece.
+// the real-process crash test in cmd/karousos — report each kind of
+// breach, one line apiece.
 func TestInvariantsNameBreaches(t *testing.T) {
 	dir := t.TempDir()
 	sc := Scenario{Topology: Topology{App: "wiki", Shards: 2, EpochRequests: 5}, Load: Load{Seed: 3, Requests: 20}}

@@ -58,45 +58,6 @@ var builtins = map[string]func(seed int64) Scenario{
 			Expect: Expect{Unauditable: []int{1}},
 		}
 	},
-	// partition: the victim's link is blackholed mid-epoch, its collector
-	// killed while dark (the partial epoch's advice is lost), then the link
-	// heals and a fresh incarnation rejoins. The victim's keyspace degrades
-	// to hinted 503s behind an open breaker; the survivors never notice.
-	"partition": func(seed int64) Scenario {
-		return Scenario{
-			Topology: Topology{App: "wiki", Shards: 4, EpochRequests: 5},
-			Load:     Load{Seed: seed, Requests: 80},
-			Steps: []Step{
-				{At: 25, Do: DoArm, On: OnLink, Shard: 1, Spec: fmt.Sprintf("blackhole:%d", seed), MidEpoch: true},
-				{At: 40, Do: DoCrash, Shard: 1},
-				{At: 55, Do: DoHeal, On: OnLink, Shard: 1},
-				{At: 55, Do: DoRestart, Shard: 1},
-			},
-			Expect: Expect{Unauditable: []int{1}},
-		}
-	},
-	// flap: the victim's link refuses dials in seed-derived bursts for the
-	// middle of the run, with no process death. Refused dials are provably
-	// unsent, so the gateway's retries are sound and nothing strands.
-	"flap": func(seed int64) Scenario {
-		return Scenario{
-			Topology: Topology{App: "wiki", Shards: 4, EpochRequests: 5},
-			Load:     Load{Seed: seed, Requests: 60},
-			Steps: []Step{
-				{At: 15, Do: DoArm, On: OnLink, Shard: 1, Spec: fmt.Sprintf("flap:%d", seed), MidEpoch: true},
-				{At: 45, Do: DoHeal, On: OnLink, Shard: 1},
-			},
-		}
-	},
-	// gateway-restart: the stateless front door is replaced mid-run with no
-	// fault armed. Nothing observable may change.
-	"gateway-restart": func(seed int64) Scenario {
-		return Scenario{
-			Topology: Topology{App: "wiki", Shards: 4, EpochRequests: 5},
-			Load:     Load{Seed: seed, Requests: 40},
-			Steps:    []Step{{At: 20, Do: DoRestartGateway}},
-		}
-	},
 	// overload-burst: every arrival due at once against an admission window
 	// a quarter of the offered concurrency.
 	"overload-burst": func(seed int64) Scenario {

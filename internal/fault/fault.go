@@ -3,11 +3,11 @@
 // decides which intercepted call an armed operator fires on, and the
 // bounded, context-aware Backoff every retry loop sleeps through.
 //
-// The kernel knows nothing about disks or wires. internal/iofault and
-// internal/netfault each hand it an operator catalogue and keep what is
-// theirs — what a fired operator does to the call, the FaultError it
-// surfaces, and the Classify ladder that reads it back. internal/faultinject
-// (advice mutation, no schedule) borrows only ParseSpec.
+// The kernel knows nothing about disks. internal/iofault hands it an
+// operator catalogue and keeps what is its own — what a fired operator does
+// to the call, the FaultError it surfaces, and the Classify ladder that
+// reads it back. internal/faultinject (advice mutation, no schedule)
+// borrows only ParseSpec.
 //
 // Every armed operator fires on a schedule derived from its seed and the
 // sequence of matching calls alone, so a scenario replayed with the same
@@ -23,9 +23,9 @@ import (
 	"sync"
 )
 
-// Call names one interception point of an injector (a VFS entry point, an
-// HTTP round trip, an accepted connection). Operators declare which calls
-// they intercept; the Schedule counts every call by this name.
+// Call names one interception point of an injector (a VFS entry point).
+// Operators declare which calls they intercept; the Schedule counts every
+// call by this name.
 type Call string
 
 // Arm schedules one armed operator.
@@ -38,8 +38,8 @@ type Arm struct {
 	// After lets this many matching calls through before the schedule
 	// starts (deterministic offset for precision tests).
 	After int
-	// Target restricts matching to call targets (a path, a host/path, a
-	// remote address) containing the substring; "" matches everything.
+	// Target restricts matching to call targets (a path) containing the
+	// substring; "" matches everything.
 	Target string
 }
 
@@ -69,13 +69,10 @@ type Operator struct {
 	// Calls are the interception points the operator applies to; nil means
 	// every call the injector makes.
 	Calls []Call
-	// Sustained operators model a condition rather than an event (latency,
-	// a dark or flapping link): ArmSpec defaults their Times to "until
-	// healed", since one fire is not a weather pattern.
+	// Sustained operators model a condition rather than an event (latency):
+	// ArmSpec defaults their Times to "until healed", since one fire is not
+	// a weather pattern.
 	Sustained bool
-	// Burst operators fire in seed-derived bursts with clean gaps between
-	// them instead of isolated fires — a flapping link.
-	Burst bool
 }
 
 // Armed is one scheduled operator instance, returned by Next when it fires.
@@ -90,7 +87,6 @@ type Armed struct {
 	remaining int // fires left; -1 = unbounded
 	skip      int // matching calls to let through before the next fire
 	fired     int
-	burst     int // remaining consecutive fires of a Burst operator
 }
 
 func (a *Armed) matches(call Call, target string) bool {
@@ -121,18 +117,7 @@ func (a *Armed) next() bool {
 		a.remaining--
 	}
 	a.fired++
-	switch {
-	case a.op.Burst:
-		// Consume the burst, then draw the next clean gap and burst length.
-		if a.burst > 0 {
-			a.burst--
-		} else if a.r != nil {
-			a.burst = a.r.Intn(3)
-			a.skip = 1 + a.r.Intn(4)
-		} else {
-			a.burst, a.skip = 1, 2
-		}
-	case a.r != nil:
+	if a.r != nil {
 		a.skip = a.r.Intn(3)
 	}
 	return true
@@ -229,27 +214,13 @@ func (s *Schedule) ArmSpec(spec, target string) error {
 
 // Heal disarms every operator: the fault condition is over. Counters
 // survive.
-func (s *Schedule) Heal() { s.heal(func(*Armed) bool { return true }) }
-
-// HealTarget disarms only the operators armed with exactly this target
-// filter — how a scenario heals one shard's partition while another stays
-// dark.
-func (s *Schedule) HealTarget(target string) {
-	s.heal(func(a *Armed) bool { return a.arm.Target == target })
-}
-
-func (s *Schedule) heal(match func(*Armed) bool) {
+func (s *Schedule) Heal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.armed[:0]
 	for _, a := range s.armed {
-		if match(a) {
-			s.retired[a.Op] += a.fired
-		} else {
-			kept = append(kept, a)
-		}
+		s.retired[a.Op] += a.fired
 	}
-	s.armed = kept
+	s.armed = nil
 }
 
 // Counts returns how many calls of each kind the schedule has seen

@@ -17,22 +17,19 @@
 // one hot shard sheds its own arrivals while the others keep serving —
 // backpressure is per shard because admission, epochs, and audit lag are.
 //
-// Partition behavior composes the same way (Tuning). Each proxied attempt
-// is bounded by a per-try timeout and classified on failure by
-// netfault.Classify: only a provably-unsent request (refused dial) is
-// retried, under bounded exponential backoff and a gateway-wide retry
-// budget — /invoke is not idempotent, so an ambiguous failure (timeout,
-// reset after send) is never re-issued. Consecutive transport failures
-// open that shard's circuit breaker (closed→open→half-open, /healthz
-// exposure); while it is open, only requests routing to that shard
-// fast-fail with 503 + Retry-After and every other shard keeps serving.
-// A dark shard therefore degrades exactly its own keyspace, and its
-// unsealed epochs grade Unauditable at merge — degradation, never a false
-// accusation. /readyz aggregates, reporting ready only when every shard
-// backend is.
+// A failed forward composes the same way. Every request the gateway makes
+// to a backend gets one attempt under forwardTimeout. /invoke is not
+// idempotent, so the gateway never re-issues it: a refused dial, a timeout
+// or a torn reply all answer 503 with Retry-After for that shard's
+// keyspace only, and retrying is left to the client. A request lost on the
+// link never reaches the shard's trusted trace, so it cannot touch a
+// verdict; a shard that dies mid-epoch seals that epoch degraded at its
+// next boot, and the audit grades it Unauditable. /readyz aggregates,
+// reporting ready only when every shard backend is.
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +38,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/shard"
@@ -51,6 +49,18 @@ import (
 // was routed to — clients and tests observe routing without parsing logs.
 const ShardHeader = "X-Karousos-Shard"
 
+// forwardTimeout bounds every request the gateway makes to a backend: a
+// proxied /invoke, one shard's /seal, one health or readiness probe. It is
+// what turns a hung backend into a failed shard instead of a hung client.
+const forwardTimeout = 2 * time.Second
+
+// retryAfterSecs is the Retry-After hint on a gateway-degraded 503.
+const retryAfterSecs = "1"
+
+// maxProxyBody bounds one buffered backend response. A longer reply is a
+// failed forward, never a truncated one passed on under the backend's 200.
+const maxProxyBody = 4 << 20
+
 // Config describes one gateway.
 type Config struct {
 	// Map is the shard topology; Validate must pass and len(Backends) must
@@ -58,18 +68,9 @@ type Config struct {
 	Map shard.Map
 	// Backends are the shard collectors' base URLs, indexed by shard.
 	Backends []string
-	// Client performs the proxied requests. nil means a client built on
-	// Transport; attempts are bounded per try (Tuning.PerTryTimeout), so
-	// the client itself carries no overall timeout.
-	Client *http.Client
-	// Transport, when Client is nil, is the proxy round-tripper — the
-	// netfault plug point: Injector.Transport(nil) here puts every
-	// gateway→shard hop on the fault schedule. nil means the default
-	// transport.
+	// Transport is the round-tripper every backend request goes through;
+	// nil means the default transport.
 	Transport http.RoundTripper
-	// Tuning bounds retries, breakers and degradation hints; the zero
-	// value means defaults.
-	Tuning Tuning
 }
 
 // ShardCounters is one shard's traffic tally at the gateway.
@@ -80,22 +81,16 @@ type ShardCounters struct {
 	Shed uint64 `json:"shed,omitempty"`
 	// Errors counts proxy failures (backend unreachable, bad response).
 	Errors uint64 `json:"errors,omitempty"`
-	// Retries counts re-issued attempts (classified safe, budget paid).
+	// Retries is always 0: the gateway forwards once. It stays only because
+	// the benchmark module still reads it, and goes with the next change to
+	// the benchmark.
 	Retries uint64 `json:"retries,omitempty"`
-	// BudgetDenied counts retries the global budget refused.
-	BudgetDenied uint64 `json:"budgetDenied,omitempty"`
-	// FastFails counts invokes the open breaker answered without touching
-	// the backend.
-	FastFails uint64 `json:"fastFails,omitempty"`
 }
 
 // Gateway routes requests to shard backends.
 type Gateway struct {
-	cfg      Config
-	client   *http.Client
-	tuning   Tuning
-	breakers []*breaker
-	budget   *retryBudget
+	cfg    Config
+	client *http.Client
 
 	mu       sync.Mutex
 	backends []string
@@ -110,21 +105,9 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) != cfg.Map.Shards {
 		return nil, fmt.Errorf("gateway: %d backends for a %d-shard map", len(cfg.Backends), cfg.Map.Shards)
 	}
-	tuning := cfg.Tuning.withDefaults()
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: cfg.Transport}
-	}
-	breakers := make([]*breaker, cfg.Map.Shards)
-	for i := range breakers {
-		breakers[i] = newBreaker(tuning.BreakerFailures, tuning.BreakerOpenFor)
-	}
 	return &Gateway{
 		cfg:      cfg,
-		client:   client,
-		tuning:   tuning,
-		breakers: breakers,
-		budget:   newRetryBudget(),
+		client:   &http.Client{Transport: cfg.Transport},
 		backends: append([]string(nil), cfg.Backends...),
 		counters: make([]ShardCounters, cfg.Map.Shards),
 	}, nil
@@ -166,8 +149,8 @@ func (g *Gateway) count(s int, f func(*ShardCounters)) {
 //	POST /invoke  routed to ShardOf(input)'s backend; response passed
 //	              through with X-Karousos-Shard set
 //	POST /seal    fans out to every backend; 200 with per-shard results
-//	GET  /healthz gateway counters and breakers plus every backend's
-//	              /healthz, 200 while the process lives
+//	GET  /healthz gateway counters plus every backend's /healthz, 200
+//	              while the process lives
 //	GET  /readyz  200 only when every shard backend reports ready
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -206,24 +189,21 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	s := g.cfg.Map.ShardOf(value.Normalize(input))
 	g.count(s, func(c *ShardCounters) { c.Routed++ })
 
-	if !g.breakers[s].allow() {
-		// Open circuit: fast-fail without touching the backend. Only this
-		// shard's keyspace degrades; every other shard keeps serving.
-		g.count(s, func(c *ShardCounters) { c.FastFails++ })
-		g.degrade(w, s, "circuit open")
-		return
-	}
-	resp, err := g.forward(r.Context(), s, raw)
+	resp, err := g.call(r.Context(), http.MethodPost, g.backend(s)+"/invoke", raw)
 	if err != nil {
+		// One dark shard degrades only its own keyspace: a hinted 503 the
+		// client may retry, while every other shard keeps serving.
 		g.count(s, func(c *ShardCounters) { c.Errors++ })
-		g.degrade(w, s, err.Error())
+		w.Header().Set(ShardHeader, strconv.Itoa(s))
+		w.Header().Set("Retry-After", retryAfterSecs)
+		http.Error(w, fmt.Sprintf("shard %d unavailable: %v", s, err), http.StatusServiceUnavailable)
 		return
 	}
 	if resp.status == http.StatusTooManyRequests {
 		g.count(s, func(c *ShardCounters) { c.Shed++ })
 	}
 	// Pass the backend's verdict through untouched — status, Retry-After,
-	// body (buffered in full by forward, so a mid-body cut can never tear
+	// body (buffered in full by call, so a mid-body cut can never tear
 	// an already-committed 200). The gateway adds only the routing
 	// evidence header.
 	w.Header().Set(ShardHeader, strconv.Itoa(s))
@@ -252,7 +232,7 @@ func (g *Gateway) handleSeal(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = g.sealShard(i)
+			results[i] = g.sealShard(r.Context(), i)
 		}(i)
 	}
 	wg.Wait()
@@ -272,17 +252,15 @@ func (g *Gateway) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"shards": results, "sealed": sealed, "failed": failed})
 }
 
-func (g *Gateway) sealShard(i int) sealResult {
-	resp, err := g.client.Post(g.backend(i)+"/seal", "application/json", nil)
+func (g *Gateway) sealShard(ctx context.Context, i int) sealResult {
+	resp, err := g.call(ctx, http.MethodPost, g.backend(i)+"/seal", nil)
 	if err != nil {
 		g.count(i, func(c *ShardCounters) { c.Errors++ })
 		return sealResult{Shard: i, Error: err.Error()}
 	}
-	defer resp.Body.Close()
-	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // best-effort seal report body
-	out := sealResult{Shard: i, Status: resp.StatusCode}
-	if json.Valid(blob) {
-		out.Body = blob
+	out := sealResult{Shard: i, Status: resp.status}
+	if json.Valid(resp.body) {
+		out.Body = resp.body
 	}
 	return out
 }
@@ -296,11 +274,8 @@ type shardProbe struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-// probe GETs path on every backend concurrently. Probe outcomes feed the
-// breakers without consulting them: a health sweep can both
-// detect a dark shard before any invoke pays for the discovery and close
-// an open circuit the moment the backend answers again.
-func (g *Gateway) probe(path string) []shardProbe {
+// probe GETs path on every backend concurrently.
+func (g *Gateway) probe(ctx context.Context, path string) []shardProbe {
 	results := make([]shardProbe, g.cfg.Map.Shards)
 	var wg sync.WaitGroup
 	for i := range results {
@@ -309,18 +284,14 @@ func (g *Gateway) probe(path string) []shardProbe {
 			defer wg.Done()
 			backend := g.backend(i)
 			results[i] = shardProbe{Shard: i, Backend: backend}
-			resp, err := g.probeGet(context.Background(), backend+path)
+			resp, err := g.call(ctx, http.MethodGet, backend+path, nil)
 			if err != nil {
-				g.breakers[i].onFailure()
 				results[i].Error = err.Error()
 				return
 			}
-			defer resp.Body.Close()
-			g.breakers[i].onSuccess()
-			blob, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20)) // best-effort probe body
-			results[i].Status = resp.StatusCode
-			if json.Valid(blob) {
-				results[i].Body = blob
+			results[i].Status = resp.status
+			if json.Valid(resp.body) {
+				results[i].Body = resp.body
 			}
 		}(i)
 	}
@@ -328,28 +299,16 @@ func (g *Gateway) probe(path string) []shardProbe {
 	return results
 }
 
-// Breakers returns every shard breaker's state.
-func (g *Gateway) Breakers() []BreakerStatus {
-	out := make([]BreakerStatus, len(g.breakers))
-	for i, b := range g.breakers {
-		out[i] = b.snapshot(i)
-	}
-	return out
-}
-
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// Probe first: its outcomes feed the breakers reported alongside.
-	backends := g.probe("/healthz")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shards":   g.cfg.Map.Shards,
 		"counters": g.Counters(),
-		"breakers": g.Breakers(),
-		"backends": backends,
+		"backends": g.probe(r.Context(), "/healthz"),
 	})
 }
 
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	probes := g.probe("/readyz")
+	probes := g.probe(r.Context(), "/readyz")
 	ready := true
 	for _, p := range probes {
 		if p.Error != "" || p.Status != http.StatusOK {
@@ -364,6 +323,42 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, map[string]any{"ready": ready, "backends": probes})
+}
+
+// proxied is one backend response buffered in full.
+type proxied struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// call makes one request to a backend under forwardTimeout and buffers the
+// whole response. Buffering before anything reaches the client keeps a
+// connection cut mid-body from tearing an already-committed 200: the torn
+// read surfaces here as an error, and the client gets a clean 503.
+func (g *Gateway) call(ctx context.Context, method, url string, body []byte) (*proxied, error) {
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) > maxProxyBody {
+		return nil, fmt.Errorf("backend reply exceeds %d bytes", maxProxyBody)
+	}
+	return &proxied{status: resp.StatusCode, header: resp.Header, body: blob}, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"time"
 
 	"karousos.dev/karousos/internal/collectorhttp"
@@ -39,30 +38,21 @@ type LocalConfig struct {
 	MaxInflight   int
 	MaxAuditLag   int
 	AuditProgress func(shardIndex int) (lastAudited uint64, ok bool)
-	// Transport and Tuning pass through to the gateway — Transport is the
-	// netfault plug point for partition scenarios, Tuning the resilience
-	// knobs.
+	// Transport passes through to the gateway (Config.Transport).
 	Transport http.RoundTripper
-	Tuning    Tuning
 }
 
 // Local is a running in-process topology. Chaos scenarios and the CLI's
 // -local mode use it; a real deployment runs one collector process per
 // shard and a standalone gateway instead.
 type Local struct {
-	Map  shard.Map
-	Root string
-	// Gateway is the current gateway instance. Prefer Handler() for HTTP
-	// wiring: it survives RestartGateway, a direct Gateway.Handler() does
-	// not.
+	Map     shard.Map
+	Root    string
 	Gateway *Gateway
 
-	cfg      LocalConfig
-	cols     []*collectorhttp.Collector
-	servers  []*httptest.Server
-	backends []string // last known backend URL per shard, live or not
-
-	gwMu sync.Mutex
+	cfg     LocalConfig
+	cols    []*collectorhttp.Collector
+	servers []*httptest.Server
 }
 
 // NewLocal writes the shard map, boots one collector per shard on a
@@ -72,66 +62,31 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 		return nil, err
 	}
 	t := &Local{
-		Map:      cfg.Map,
-		Root:     cfg.Root,
-		cfg:      cfg,
-		cols:     make([]*collectorhttp.Collector, cfg.Map.Shards),
-		servers:  make([]*httptest.Server, cfg.Map.Shards),
-		backends: make([]string, cfg.Map.Shards),
+		Map:     cfg.Map,
+		Root:    cfg.Root,
+		cfg:     cfg,
+		cols:    make([]*collectorhttp.Collector, cfg.Map.Shards),
+		servers: make([]*httptest.Server, cfg.Map.Shards),
 	}
-	for s := range t.backends {
+	backends := make([]string, cfg.Map.Shards)
+	for s := range backends {
 		if err := t.boot(s); err != nil {
 			t.Close() // partial-boot cleanup; the boot failure is the error that surfaces
 			return nil, err
 		}
+		backends[s] = t.servers[s].URL
 	}
-	if err := t.newGateway(); err != nil {
+	gw, err := New(Config{Map: cfg.Map, Backends: backends, Transport: cfg.Transport})
+	if err != nil {
 		t.Close() // partial-boot cleanup; the gateway failure is the error that surfaces
 		return nil, err
 	}
+	t.Gateway = gw
 	return t, nil
 }
 
-// newGateway builds a fresh gateway over the last known backend URLs.
-func (t *Local) newGateway() error {
-	gw, err := New(Config{
-		Map:       t.cfg.Map,
-		Backends:  append([]string(nil), t.backends...),
-		Transport: t.cfg.Transport,
-		Tuning:    t.cfg.Tuning,
-	})
-	if err != nil {
-		return err
-	}
-	t.gwMu.Lock()
-	t.Gateway = gw
-	t.gwMu.Unlock()
-	return nil
-}
-
-// gateway returns the current gateway under the swap lock.
-func (t *Local) gateway() *Gateway {
-	t.gwMu.Lock()
-	defer t.gwMu.Unlock()
-	return t.Gateway
-}
-
-// Handler returns an http.Handler that always dispatches to the current
-// gateway, so a server built on it survives RestartGateway.
-func (t *Local) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.gateway().Handler().ServeHTTP(w, r)
-	})
-}
-
-// RestartGateway replaces the gateway with a fresh instance — empty
-// counters, closed breakers — the way a restarted stateless front-door
-// process rejoins. The shard collectors are untouched: the gateway holds
-// no audit state to lose.
-func (t *Local) RestartGateway() error { return t.newGateway() }
-
-// BackendURL returns shard s's last known backend URL.
-func (t *Local) BackendURL(s int) string { return t.backends[s] }
+// Handler returns the gateway's HTTP mux.
+func (t *Local) Handler() http.Handler { return t.Gateway.Handler() }
 
 // boot starts (or restarts) shard s's collector on its epoch-log
 // directory. Reopening a directory a crashed incarnation wrote is a
@@ -159,7 +114,6 @@ func (t *Local) boot(s int) error {
 	}
 	t.cols[s] = col
 	t.servers[s] = httptest.NewServer(col.Handler())
-	t.backends[s] = t.servers[s].URL
 	return nil
 }
 
@@ -190,7 +144,7 @@ func (t *Local) Restart(s int) error {
 	if err := t.boot(s); err != nil {
 		return err
 	}
-	return t.gateway().SetBackend(s, t.servers[s].URL)
+	return t.Gateway.SetBackend(s, t.servers[s].URL)
 }
 
 // Close seals and stops every live shard. The first error wins; the rest

@@ -11,8 +11,7 @@ import (
 
 // Class sorts an I/O error into the degradation ladder's rungs: retry it,
 // degrade around it, or halt on it. The question this ladder answers is
-// "will re-issuing the same operation help?" — netfault.Classify answers a
-// different one, which is why the two stay apart.
+// "will re-issuing the same operation help?".
 type Class int
 
 const (

@@ -1,9 +1,9 @@
 // Package loadgen is the one client of the serving path: the only code in
 // the tree that POSTs /invoke and classifies the answer. Everything that
-// drives a collector or a gateway — the chaos scenario engine, the fleet
-// acceptance run, `karousos load`, the figure log-builders — calls Run, so
-// the arrival ledger the overload and evidence invariants are stated on is
-// booked in one place (DESIGN.md §14.3, §19.4).
+// drives a collector or a gateway — the chaos scenario engine, the
+// collector crash test, `karousos load`, the figure log-builders — calls
+// Run, so the arrival ledger the overload and evidence invariants are
+// stated on is booked in one place (DESIGN.md §14.3, §19.4).
 //
 // Run covers three loops. The closed loop sends one request at a time, each
 // when the previous has been answered: fully deterministic, and what a

@@ -15,6 +15,7 @@ import (
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/workload"
 )
@@ -273,5 +274,48 @@ func TestCancelledRunReturnsCompleteLedger(t *testing.T) {
 	}
 	if res.Offered != 7 || res.Served != 7 {
 		t.Fatalf("cancelled at arrival 6 with 7 offered: ledger %+v (offered %d) is incomplete", res.Ledger, res.Offered)
+	}
+}
+
+// TestDarkShardBookedDegraded drives a two-shard gateway with one shard
+// crashed. Every request routed to the dark shard is the gateway's hinted
+// 503 and lands in Degraded under that shard's header, one for each error
+// the gateway counted; the live shard serves the rest, and only its rids
+// are acked.
+func TestDarkShardBookedDegraded(t *testing.T) {
+	top, err := gateway.NewLocal(gateway.LocalConfig{
+		Spec: harness.WikiApp(), Root: t.TempDir(), Seed: 1,
+		Map: shard.Map{Shards: 2, KeyFields: []string{"id", "page"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer top.Close()
+	if err := top.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(top.Handler())
+	defer ts.Close()
+
+	res, err := Run(context.Background(), Config{BaseURL: ts.URL, Client: ts.Client()}, workload.Wiki(24, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := top.Gateway.Counters()
+	dark, live := res.Shards["1"], res.Shards["0"]
+	if dark == nil || live == nil || len(res.Shards) != 2 {
+		t.Fatalf("per-shard split %+v, want both shards", res.Shards)
+	}
+	if *dark != (Ledger{Degraded: int(counters[1].Errors)}) || dark.Degraded == 0 || uint64(dark.Degraded) != counters[1].Routed {
+		t.Fatalf("dark shard booked %+v; gateway counted %+v", *dark, counters[1])
+	}
+	if *live != (Ledger{Served: int(counters[0].Routed)}) || live.Served == 0 {
+		t.Fatalf("live shard booked %+v; gateway counted %+v", *live, counters[0])
+	}
+	if res.NetErr != 0 || res.Served+res.Degraded != 24 {
+		t.Fatalf("ledger %+v (net errors %d), want every arrival served or degraded", res.Ledger, res.NetErr)
+	}
+	if len(res.Acked) != 1 || len(res.Acked["0"]) != live.Served {
+		t.Fatalf("acked %v, want only shard 0's %d rids", res.Acked, live.Served)
 	}
 }
