@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/collectorhttp"
@@ -85,10 +86,23 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "  conflict: key %q claimed by shards %v\n", c.Key, c.Shards)
 		}
 	}
+	// An Unauditable epoch does not stop a lane that re-anchors at a Fresh
+	// epoch after it, so an accepting run names every one it graded.
 	graded := 0
+	var unauditable []string
 	for _, rep := range res.Shards {
 		graded += len(rep.Verdicts)
 		verdict := "accepted"
+		var lost []string
+		for _, v := range rep.Verdicts {
+			if v.Code == core.RejectUnauditable {
+				lost = append(lost, fmt.Sprint(v.Epoch))
+				unauditable = append(unauditable, fmt.Sprintf("shard %d epoch %d", rep.Shard, v.Epoch))
+			}
+		}
+		if len(lost) > 0 {
+			verdict = fmt.Sprintf("accepted, epochs %s unauditable", strings.Join(lost, ", "))
+		}
 		if rep.Code != "" {
 			verdict = fmt.Sprintf("[%s] %s", rep.Code, rep.Reason)
 			if n := len(rep.Verdicts); n > 0 && rep.Code != core.RejectUnauditable {
@@ -100,7 +114,11 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 	if !res.Accepted() {
 		return 2
 	}
-	fmt.Fprintf(stdout, "AUDIT ACCEPTED: %d shards, %d epochs this run, %d handlers re-run", len(res.Shards), graded, res.Stats.HandlersRerun)
+	fmt.Fprintf(stdout, "AUDIT ACCEPTED: %d shards, %d epochs this run", len(res.Shards), graded)
+	if len(unauditable) > 0 {
+		fmt.Fprintf(stdout, ", %d unauditable (%s)", len(unauditable), strings.Join(unauditable, ", "))
+	}
+	fmt.Fprintf(stdout, ", %d handlers re-run", res.Stats.HandlersRerun)
 	if *memoOn {
 		fmt.Fprintf(stdout, " (memo: %d hits, %d misses, %d evictions)", res.Stats.MemoHits, res.Stats.MemoMisses, res.Stats.MemoEvictions)
 	}

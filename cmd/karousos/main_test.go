@@ -664,8 +664,29 @@ func TestCollectorProcessCrash(t *testing.T) {
 		t.Fatalf("SIGTERM: %v\n%s", err, second.out.String())
 	}
 
-	if code, out, errs := cli("audit", "-dir", root); code != 0 || !has(out, "AUDIT ACCEPTED: 1 shards") {
-		t.Fatalf("audit exit %d: %s / %s", code, out, errs)
+	// The accepting audit names the one degraded epoch status reports, and
+	// no other, as unauditable.
+	code, out, errs := cli("status", "-dir", root)
+	var status struct {
+		Shards []struct {
+			Manifests []epochlog.Manifest `json:"manifests"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal([]byte(out), &status); code != 0 || err != nil || len(status.Shards) != 1 {
+		t.Fatalf("status exit %d (%v): %s / %s", code, err, out, errs)
+	}
+	var degraded []uint64
+	for _, m := range status.Shards[0].Manifests {
+		if m.Degraded != "" {
+			degraded = append(degraded, m.Seq)
+		}
+	}
+	if len(degraded) != 1 {
+		t.Fatalf("status shows degraded epochs %v, want one", degraded)
+	}
+	want := fmt.Sprintf("AUDIT ACCEPTED: 1 shards, %d epochs this run, 1 unauditable (shard 0 epoch %d), ", len(status.Shards[0].Manifests), degraded[0])
+	if code, out, errs := cli("audit", "-dir", root); code != 0 || !has(out, want) {
+		t.Fatalf("audit exit %d, want %q: %s / %s", code, want, out, errs)
 	}
 	sealed, breaches, err := chaos.AckedSealed(root, acked)
 	if err != nil || len(breaches) != 0 || len(acked["0"]) != len(reqs) {

@@ -196,7 +196,12 @@ func TestClone(t *testing.T) {
 
 func TestStreamingEncodersDeterministic(t *testing.T) {
 	e := sampleAdvice().VarLogs["v"][0]
-	if string(AppendVarEntry(nil, &e)) != string(AppendVarEntry(nil, &e)) {
+	var s1, s2 Segments
+	for _, seg := range []*Segments{&s1, &s2} {
+		seg.AppendVarEntry("v", &e)
+		seg.AppendVarEntry("v", &e)
+	}
+	if string(s1.VarLogs["v"]) != string(s2.VarLogs["v"]) {
 		t.Error("AppendVarEntry not deterministic")
 	}
 	h := sampleAdvice().HandlerLogs["r1"][0]

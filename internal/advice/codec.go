@@ -20,8 +20,26 @@ import (
 // The format is deliberately simple — tag bytes, unsigned varints, explicit
 // lengths — and the decoder treats its input as untrusted: every length is
 // bounds-checked and any malformation yields an error rather than a panic.
+//
+// KADV3 adds one thing to KADV2: inside a variable-log entry's value, a list
+// or map that repeats one written earlier in the same variable log is a
+// back-reference of a few bytes (value.RefWriter), so motd's state, logged
+// whole at every write with its 250-entry history, costs one new entry per
+// write rather than the history again. A back-reference anywhere else — a
+// transaction's contents, a non-determinism record, any KADV2 blob — is
+// malformed. KADV2 blobs still decode, so sealed evidence stays auditable.
 
-const codecMagic = "KADV2\x00"
+const (
+	codecMagic   = "KADV3\x00"
+	codecMagicV2 = "KADV2\x00"
+)
+
+// MaxExpandedBytes bounds an advice blob's expanded size: its length with
+// every back-reference replaced by the bytes it stands for. A blob that
+// back-references past it is malformed, so a hostile doubling chain is
+// refused after reading no more than its own bytes.
+// verifier.DefaultLimits().MaxAdviceBytes is this bound.
+const MaxExpandedBytes = 1 << 28
 
 type encoder struct {
 	buf []byte
@@ -71,6 +89,28 @@ type Segments struct {
 	HandlerLogs map[core.RID][]byte
 	TxLogs      [][]byte // by index into Advice.TxLogs
 	Nondet      []byte
+	// refs holds each variable log's back-reference table, so that an
+	// entry appended later may reference a container of an earlier one.
+	refs map[core.VarID]*value.RefWriter
+}
+
+// AppendVarEntry appends the wire encoding of en to the variable log of id,
+// against that log's back-reference table.
+func (seg *Segments) AppendVarEntry(id core.VarID, en *VarLogEntry) {
+	w := seg.refs[id]
+	if w == nil {
+		if seg.refs == nil {
+			seg.refs = make(map[core.VarID]*value.RefWriter)
+		}
+		w = new(value.RefWriter)
+		seg.refs[id] = w
+	}
+	if seg.VarLogs == nil {
+		seg.VarLogs = make(map[core.VarID][]byte)
+	}
+	e := &encoder{buf: seg.VarLogs[id]}
+	e.varEntry(en, w)
+	seg.VarLogs[id] = e.buf
 }
 
 // size is the total length of the pre-encoded entries.
@@ -161,8 +201,9 @@ func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
 			e.buf = append(e.buf, seg.VarLogs[id]...)
 			continue
 		}
+		var w value.RefWriter
 		for i := range entries {
-			e.varEntry(&entries[i])
+			e.varEntry(&entries[i], &w)
 		}
 	}
 
@@ -216,15 +257,20 @@ func sortedKeys[K ~string, V any](m map[K]V) []K {
 var errTruncated = errors.New("advice: truncated input")
 
 // decoder reads one advice blob. Every string it makes — identifiers and the
-// strings inside logged values alike — and every small list and map of a
-// logged value goes through one Interner, so a request ID, handler ID or map
-// key that recurs across the blob is copied once per decode rather than once
-// per occurrence, and a history entry motd re-logs at every write is decoded
+// strings inside logged values alike — goes through one Interner, so a
+// request ID, handler ID or map key that recurs across the blob is copied
+// once per decode rather than once per occurrence. A history entry motd
+// re-logs at every write is a back-reference after its first, and decoded
 // once.
 type decoder struct {
 	buf []byte
 	off int
 	in  value.Interner
+	// refs reports a KADV3 blob, whose variable logs may back-reference.
+	refs bool
+	// extra is how many bytes the back-references resolved so far expand
+	// the blob by.
+	extra int
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -321,15 +367,17 @@ func (d *decoder) value() (value.V, error) {
 	return v, nil
 }
 
-// logged is value for a logged value the verifier identifies by its bytes:
-// a variable-log entry's value or a transaction op's contents.
-func (d *decoder) logged() (value.V, wire, error) {
-	start := d.off
-	v, err := d.value()
+// logValue is value for a variable-log entry's value, whose back-references
+// resolve against refs, its log's table (nil in a KADV2 blob). The blob's
+// expanded size stays within MaxExpandedBytes.
+func (d *decoder) logValue(refs *value.RefReader) (value.V, error) {
+	v, n, extra, err := d.in.DecodeRefs(d.buf[d.off:], refs, MaxExpandedBytes-len(d.buf)-d.extra)
 	if err != nil {
-		return nil, wire{}, err
+		return nil, err
 	}
-	return v, wire{b: d.buf[start:d.off:d.off], v: v}, nil
+	d.off += n
+	d.extra += extra
+	return v, nil
 }
 
 func (d *decoder) op() (core.Op, error) {
@@ -366,9 +414,36 @@ func (d *decoder) txPos() (TxPos, error) {
 
 // UnmarshalBinary decodes advice from the compact wire format, validating
 // structure (not semantics — that is the audit's job).
-func UnmarshalBinary(data []byte) (a *Advice, err error) {
+func UnmarshalBinary(data []byte) (*Advice, error) {
+	a, _, err := unmarshal(data)
+	return a, err
+}
+
+// ExpandedSize decodes an advice blob and returns its expanded size: its
+// length with every back-reference replaced by the bytes it stands for,
+// which is what the blob would take without back-references (Figure 8's
+// raw size).
+func ExpandedSize(data []byte) (int, error) {
+	_, n, err := unmarshal(data)
+	return n, err
+}
+
+func unmarshal(data []byte) (*Advice, int, error) {
 	d := &decoder{buf: data}
-	if len(data) < len(codecMagic) || string(data[:len(codecMagic)]) != codecMagic {
+	a, err := d.advice()
+	if err != nil {
+		return nil, 0, err
+	}
+	return a, len(data) + d.extra, nil
+}
+
+func (d *decoder) advice() (a *Advice, err error) {
+	data := d.buf
+	switch {
+	case len(data) >= len(codecMagic) && string(data[:len(codecMagic)]) == codecMagic:
+		d.refs = true
+	case len(data) >= len(codecMagicV2) && string(data[:len(codecMagicV2)]) == codecMagicV2:
+	default:
 		return nil, errors.New("advice: bad magic")
 	}
 	d.off = len(codecMagic)
@@ -474,9 +549,13 @@ func UnmarshalBinary(data []byte) (a *Advice, err error) {
 		if err != nil {
 			return nil, err
 		}
+		var refs *value.RefReader
+		if d.refs {
+			refs = new(value.RefReader)
+		}
 		entries := make([]VarLogEntry, m)
 		for j := range entries {
-			if entries[j], err = d.varEntry(); err != nil {
+			if entries[j], err = d.varEntry(refs); err != nil {
 				return nil, err
 			}
 		}
@@ -585,7 +664,7 @@ func (d *decoder) handlerOp() (HandlerOp, error) {
 	return op, nil
 }
 
-func (d *decoder) varEntry() (VarLogEntry, error) {
+func (d *decoder) varEntry(refs *value.RefReader) (VarLogEntry, error) {
 	var en VarLogEntry
 	var err error
 	if en.Op, err = d.op(); err != nil {
@@ -596,7 +675,7 @@ func (d *decoder) varEntry() (VarLogEntry, error) {
 		return en, err
 	}
 	en.Type = AccessType(typ)
-	if en.Value, en.wire, err = d.logged(); err != nil {
+	if en.Value, err = d.logValue(refs); err != nil {
 		return en, err
 	}
 	if en.HasPrec, err = d.boolv(); err != nil {
@@ -644,7 +723,7 @@ func (d *decoder) txLog() (TxLog, error) {
 		if op.Key, err = d.str(); err != nil {
 			return tl, err
 		}
-		if op.Contents, op.wire, err = d.logged(); err != nil {
+		if op.Contents, err = d.value(); err != nil {
 			return tl, err
 		}
 		has, err := d.boolv()
@@ -684,13 +763,6 @@ func (d *decoder) txLog() (TxLog, error) {
 // costs O(value size), so write-heavy workloads pay more (Figure 6) — and
 // keeps the bytes as the Segments its sealed blob is laid out from.
 
-// AppendVarEntry appends the wire encoding of one variable-log entry.
-func AppendVarEntry(dst []byte, en *VarLogEntry) []byte {
-	e := &encoder{buf: dst}
-	e.varEntry(en)
-	return e.buf
-}
-
 // AppendHandlerOp appends the wire encoding of one handler-log entry.
 func AppendHandlerOp(dst []byte, op *HandlerOp) []byte {
 	e := &encoder{buf: dst}
@@ -712,10 +784,11 @@ func AppendNondet(dst []byte, n *NondetEntry) []byte {
 	return e.buf
 }
 
-func (e *encoder) varEntry(en *VarLogEntry) {
+// varEntry encodes en against w, the back-reference table of its log.
+func (e *encoder) varEntry(en *VarLogEntry, w *value.RefWriter) {
 	e.op(en.Op)
 	e.buf = append(e.buf, byte(en.Type))
-	e.value(en.Value)
+	e.buf = w.AppendBinary(e.buf, en.Value)
 	e.boolb(en.HasPrec)
 	if en.HasPrec {
 		e.op(en.Prec)

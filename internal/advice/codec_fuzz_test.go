@@ -61,7 +61,9 @@ func TestDeclaredLengthClamped(t *testing.T) {
 // FuzzDecodeAdvice hands the decoder arbitrary bytes. The corpus seeds are
 // the honest sample advice plus truncations at varied offsets (the same
 // corruption family TestBinaryTruncationEveryOffset sweeps exhaustively),
-// giving the fuzzer deep starting points into every section decoder.
+// giving the fuzzer deep starting points into every section decoder, and
+// blobs whose variable logs back-reference: an honest history logged at
+// every write, a short doubling chain, and references where none is valid.
 func FuzzDecodeAdvice(f *testing.F) {
 	wire := sampleAdvice().MarshalBinary()
 	f.Add(wire)
@@ -69,6 +71,12 @@ func FuzzDecodeAdvice(f *testing.F) {
 		f.Add(wire[:cut])
 	}
 	f.Add([]byte(codecMagic))
+	f.Add(historyAdvice(6).MarshalBinary())
+	f.Add(blobWith("var-log", siblingRef(), codecMagic))
+	f.Add(blobWith("var-log", doublingChain(12), codecMagic))
+	f.Add(blobWith("var-log", listEnc(refEnc(0)), codecMagic))
+	f.Add(blobWith("tx-contents", siblingRef(), codecMagic))
+	f.Add(blobWith("var-log", siblingRef(), codecMagicV2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := UnmarshalBinary(data)
 		if err != nil {
@@ -85,17 +93,19 @@ func FuzzDecodeAdvice(f *testing.F) {
 
 // TestDecodeCopiesEachStringOnce: the request ID, handler ID, map keys and
 // message a variable log repeats on every entry are copied once per decode,
-// not once per entry, and so is the logged value's map, which is shared by
-// its bytes. Doubling the entries allocates nothing more.
+// not once per entry, and the logged map every entry holds is decoded once:
+// after its first entry it is a back-reference. Doubling the entries
+// allocates nothing more.
 func TestDecodeCopiesEachStringOnce(t *testing.T) {
 	wire := func(entries int) []byte {
 		a := New(ModeKarousos)
 		log := make([]VarLogEntry, entries)
+		state := value.Map("msg", "the message of the day", "scope", "always")
 		for i := range log {
 			log[i] = VarLogEntry{
 				Op:    core.Op{RID: "request-000042", HID: "handler-root-request", Num: 1},
 				Type:  AccessWrite,
-				Value: value.Map("msg", "the message of the day", "scope", "always"),
+				Value: state,
 			}
 		}
 		a.VarLogs["motd-state"] = log
@@ -112,4 +122,21 @@ func TestDecodeCopiesEachStringOnce(t *testing.T) {
 	if perEntry := (large - small) / 100; perEntry > 0 {
 		t.Errorf("decode allocates %.2f times per repeated log entry, want 0", perEntry)
 	}
+}
+
+// historyAdvice is advice whose one variable logs n writes of a state that
+// keeps a growing history, as motd's does: each write repeats the previous
+// history's entries and list, so the encoding back-references them.
+func historyAdvice(n int) *Advice {
+	a := New(ModeKarousos)
+	var hist []value.V
+	for i := 0; i < n; i++ {
+		hist = append(hist[:len(hist):len(hist)], value.Map("msg", "message", "n", float64(i%3)))
+		a.VarLogs["state"] = append(a.VarLogs["state"], VarLogEntry{
+			Op:    core.Op{RID: core.RID("r" + string(rune('0'+i))), HID: "h", Num: 1},
+			Type:  AccessWrite,
+			Value: value.Map("history", hist, "last", hist[len(hist)-1]),
+		})
+	}
+	return a
 }

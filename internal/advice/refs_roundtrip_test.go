@@ -1,0 +1,132 @@
+package advice_test
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"karousos.dev/karousos/internal/advice"
+	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
+	"karousos.dev/karousos/internal/value"
+	"karousos.dev/karousos/internal/workload"
+)
+
+// TestKADV2StillDecodes: sealed evidence written before back-references
+// stays auditable. The fixtures are KADV2 blobs, encoded by the encoder of
+// that format from harness.Serve of motd and wiki (workload.Mixed, 12
+// requests, seed 3, window 4, Karousos advice). Each decodes, its KADV3
+// re-encoding decodes to equal advice, and that re-encoding's expanded size
+// is the KADV2 blob's length: a back-reference stands for exactly the bytes
+// the older format spelled out.
+func TestKADV2StillDecodes(t *testing.T) {
+	for _, app := range []string{"motd", "wiki"} {
+		t.Run(app, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", "kadv2-"+app+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(old, []byte("KADV2\x00")) {
+				t.Fatal("fixture is not a KADV2 blob")
+			}
+			a, err := advice.UnmarshalBinary(old)
+			if err != nil {
+				t.Fatalf("KADV2 blob rejected: %v", err)
+			}
+			blob := a.MarshalBinary()
+			if !bytes.HasPrefix(blob, []byte("KADV3\x00")) || len(blob) > len(old) {
+				t.Fatalf("re-encoded to %d bytes from %d, magic %q", len(blob), len(old), blob[:6])
+			}
+			b, err := advice.UnmarshalBinary(blob)
+			if err != nil {
+				t.Fatalf("KADV3 re-encoding rejected: %v", err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Error("KADV3 re-encoding decodes to different advice")
+			}
+			if raw, err := advice.ExpandedSize(blob); err != nil || raw != len(old) {
+				t.Errorf("expanded size %d (err %v), KADV2 blob %d bytes", raw, err, len(old))
+			}
+		})
+	}
+}
+
+// TestDrainedBlobRoundTrips: for every app at windows 1 and 15, with a
+// drain every seventh request, the sealed blob is MarshalBinary of the
+// drained advice and survives a decode and re-encode byte for byte, and the
+// re-encoding of a clone is byte-stable too. In decoded motd advice, the
+// history entries one logged write shares with the write it extends are
+// the one value each.
+func TestDrainedBlobRoundTrips(t *testing.T) {
+	for _, app := range []string{"motd", "stacks", "wiki", "feeds"} {
+		spec, err := harness.SpecByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := workload.For(app, workload.WriteHeavy, 60, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, window := range []int{1, 15} {
+			t.Run(fmt.Sprintf("%s/window%d", app, window), func(t *testing.T) {
+				a, st := spec.New()
+				srv := server.New(server.Config{App: a, Store: st, Seed: 42, CollectKarousos: true})
+				if _, err := srv.Run(reqs, window); err != nil {
+					t.Fatal(err)
+				}
+				kar, _ := srv.DrainAdvice()
+				if want := kar.Advice.MarshalBinary(); !bytes.Equal(kar.Blob, want) {
+					t.Fatalf("blob (%d bytes) differs from MarshalBinary (%d bytes)", len(kar.Blob), len(want))
+				}
+				dec, err := advice.UnmarshalBinary(kar.Blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := dec.MarshalBinary(); !bytes.Equal(again, kar.Blob) {
+					t.Fatalf("decoded advice re-encodes to %d bytes that differ from the blob's %d", len(again), len(kar.Blob))
+				}
+				if clone := dec.Clone().MarshalBinary(); !bytes.Equal(clone, kar.Blob) {
+					t.Fatal("a clone of the decoded advice re-encodes differently")
+				}
+				if app == "motd" {
+					if pairs := sharedHistory(t, dec); pairs < 10 {
+						t.Errorf("only %d pairs of logged writes extend one another's history", pairs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sharedHistory checks, for every two consecutive logged writes of each
+// variable whose second history extends the first by one entry, that the
+// k-th entries of both are one value (value.Same); it returns how many
+// such pairs it checked.
+func sharedHistory(t *testing.T, a *advice.Advice) int {
+	t.Helper()
+	pairs := 0
+	for id, entries := range a.VarLogs {
+		var prev []value.V
+		for i := range entries {
+			e := &entries[i]
+			if e.Type != advice.AccessWrite {
+				continue
+			}
+			st, _ := e.Value.(map[string]value.V)
+			hist, _ := st["history"].([]value.V)
+			if len(prev) > 0 && len(hist) == len(prev)+1 && value.Equal(hist[:len(prev)], prev) {
+				for k := range prev {
+					if !value.Same(hist[k], prev[k]) {
+						t.Fatalf("%s entry %d: history entry %d decodes to a second value", id, i, k)
+					}
+				}
+				pairs++
+			}
+			prev = hist
+		}
+	}
+	return pairs
+}

@@ -13,34 +13,35 @@ import (
 
 // pipelineAdviceSHA256 pins, per app, the SHA-256 of every sealed advice
 // record `karousos chaos -scenario pipeline -seed 42` leaves behind, in
-// epoch order. They were recorded when the collector still encoded the
-// whole epoch with Advice.MarshalBinary at every seal; the collector now
-// seals the blob the runtime assembles from the entries it encoded while
-// logging, and the bytes must not move.
+// epoch order. They were recorded when the wire format became KADV3, whose
+// variable logs back-reference repeated containers; the collector seals
+// the blob the runtime assembles from the entries it encoded while
+// logging, which must be Advice.MarshalBinary's bytes, and the bytes must
+// not move.
 var pipelineAdviceSHA256 = map[string][]string{
 	"motd": {
-		"cd2dc64783756de135688b69b5accb85ed7fc946fdb4444344d96bf091b42783",
-		"8256c01e62724f07d3644c7fb9b8e45930165f855cdbb150608bd059d6647664",
-		"05fbb557618e3041fa2b882e42468e3a35ac17e1906573405f1ec1b33187fdf2",
-		"9ef59c712c492dd0612fb1dbf364fd05792aa9f8e2633b04c8eb8d30d3ee3e04",
+		"59dcf396ecdde7083937b95454d9ad6618a965e51fcd70c928c2200e227b210c",
+		"57ac0d7514da1482abc30ded1884ff4d06a18fb8e54ce0f824afc190942b3d3d",
+		"d2f4a499115b6cf92028c4d8d793bd4081c4877503eb5169fa0e302919b95178",
+		"46fe4b3f3ec2644d113e57c71946f1cbbcd0b4426fe5b5ca4609c59d7d5efd70",
 	},
 	"stacks": {
-		"de3a484590bac238391c752d96dfe1d614ec6bfcf9d145b6da854c7c52c5b3be",
-		"71a35b1ab5276ffd45b6456695475bc0349bfd77c0b52c9909fdc149f314d462",
-		"268807d7a969d6639c6f4a71c61755ae080faaea7d0bfdbdd708fb9db33996b0",
-		"4d9be50c2f45c30e4ca1f3bcd9e954b1c2c50630ea9c0eb516eb61b26ffbc6de",
+		"411ed7a28effa35b6eac9be4fce0df148018bc482331b8f09af3bf80ebb91665",
+		"a55a0a0a99e105682bca55275c8817bfb565940e174c4b1ac2e7e6defdb11e72",
+		"b91761950c18d47c4d087edbc29f3f89fd553053164c6664b568f5eb74f277db",
+		"0e9a65692295252168b1371a14894de094777cc86ab05b7945d0d9b719caf90c",
 	},
 	"wiki": {
-		"62b6667f8d0d50a7ae50becb0853bbde4afee708581a7ea4978c0ed20feacea6",
-		"498eacae4ddfc67d098db51ebee5a9ad0771811fc3b16bae09d627a60f246ea3",
-		"512846343bf85b2ab8b6a82b828c0b09fe8ac3c7eccb23b46ce809448bbadb52",
-		"0e7cc264c87b3c3970ee37b464859484951822b6d529c0e384680be8e0eeac7f",
+		"477a1e8ede2140d21fffd8ef3e645525fc5a7dd00f52df9544ca9d8d555c8117",
+		"544777ebcbd12e5e22baf6997feba95cf6cd04350cb196eae22cdf32e6c6d6eb",
+		"68ecbc088b4d865b2232dd7e8263441125711641632c66edb240e9f5437b5b35",
+		"032e56cef2c309e5460bf301565a88a8a8cfe3b12d2c95bf245937c1a9a434f9",
 	},
 	"feeds": {
-		"5f5b9b1cbca7610b35cc42849e09f77bacdaa2a998741d072bc0e6c9221d6ef7",
-		"99af52891753acc106a8e805053e2f3ea99519251f6d66742439281f664af1ad",
-		"be7e2bcc3c767dbb342613703af41d72fe106947e0537bb4f8a0975e79ec8969",
-		"651a71acbd14417c06566f30f807c322d4d0f2a89b542f93e1ae311558bdf022",
+		"c77740484b44175d4709b7828260d5314f5c45351176f2d7025630c8f494f000",
+		"a2bc628287c2422bcdd6d4ff33beb14d5d55a8e97ff06b69ae02961dfca0155e",
+		"3a9ebeac2378454036f5fd47bcf33f5226611535345b5c3ab7ab6384961b5905",
+		"66a4935ef52e3e61274eaa2f2a721b0aaf0f59ab1268edd86395adc0fa45771f",
 	},
 }
 

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/workload"
@@ -182,26 +183,35 @@ func WorkerSweepPanel(app string, mix workload.Mix, cfg Config) Panel {
 }
 
 // AdviceSizePanel reproduces a Figure 8-style panel: the size of the advice
-// the server ships to the verifier, Karousos vs Orochi-JS (§6.3).
+// the server ships to the verifier, Karousos vs Orochi-JS (§6.3). Each is
+// reported twice: raw, the size with every back-reference spelled out —
+// the paper's advice has none, so this is the comparable figure and the
+// ratio's — and on the wire. The raw size is the decoder's own count
+// (advice.ExpandedSize), not a second encoding.
 func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 	p := Panel{
 		Title:  fmt.Sprintf("advice size — %s (%s), %d requests", app, mix, cfg.Requests),
-		Header: []string{"conc", "karousos", "orochi-js", "ratio"},
+		Header: []string{"conc", "karousos raw", "karousos wire", "orochi-js raw", "orochi-js wire", "ratio"},
 	}
 	for _, conc := range cfg.Conc {
 		spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 		run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectBoth)
 		must(err)
-		k, o := run.Karousos.Size(), run.Orochi.Size()
+		kWire, oWire := run.Karousos.MarshalBinary(), run.Orochi.MarshalBinary()
+		k, err := advice.ExpandedSize(kWire)
+		must(err)
+		o, err := advice.ExpandedSize(oWire)
+		must(err)
 		p.Rows = append(p.Rows, []string{
 			fmt.Sprint(conc),
-			fmt.Sprintf("%.1f KiB", float64(k)/1024),
-			fmt.Sprintf("%.1f KiB", float64(o)/1024),
+			kib(k), kib(len(kWire)), kib(o), kib(len(oWire)),
 			fmt.Sprintf("%.2f", float64(k)/float64(o)),
 		})
 	}
 	return p
 }
+
+func kib(n int) string { return fmt.Sprintf("%.1f KiB", float64(n)/1024) }
 
 // Figure returns the panels of one numbered figure of the paper.
 //

@@ -59,6 +59,6 @@ func (d *dialect) tag(parts []tagPart) string {
 // logVar appends e to the variable log of id.
 func (d *dialect) logVar(id core.VarID, e advice.VarLogEntry) {
 	d.adv.VarLogs[id] = append(d.adv.VarLogs[id], e)
-	d.seg.VarLogs[id] = advice.AppendVarEntry(d.seg.VarLogs[id], &e)
+	d.seg.AppendVarEntry(id, &e)
 	d.logged[id][e.Op] = true
 }

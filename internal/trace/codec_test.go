@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"karousos.dev/karousos/internal/value"
@@ -81,5 +82,16 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	}
 	if (&Trace{}).Digest() == a.Digest() {
 		t.Error("empty trace digests equal to non-empty")
+	}
+}
+
+// TestEventBinaryRejectsBackReference: a back-reference is valid only in an
+// advice variable log, so an event whose data holds one — here a list of a
+// finished list and a reference to it — is malformed.
+func TestEventBinaryRejectsBackReference(t *testing.T) {
+	enc := AppendEventBinary(nil, Event{Kind: Req, RID: "r1", Data: nil})
+	enc = append(enc[:len(enc)-1], 5, 2, 5, 1, 0, 7, 0) // list(list(nil), ref 0)
+	if _, err := DecodeEventBinary(enc, new(value.Interner)); err == nil || !strings.Contains(err.Error(), "back-reference") {
+		t.Fatalf("event with a back-reference: err %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -30,6 +31,9 @@ const (
 	tagStr   byte = 4
 	tagList  byte = 5
 	tagMap   byte = 6
+	// tagRef codes a back-reference: a list or map that repeats one written
+	// in full earlier in the same variable log (RefWriter, RefReader).
+	tagRef byte = 7
 )
 
 // AppendBinary appends the canonical binary encoding of v to dst and
@@ -37,6 +41,44 @@ const (
 // unencodable kind panics, as it can only arise from a bug in our own
 // runtime, never from untrusted input.
 func AppendBinary(dst []byte, v V) []byte {
+	return (*RefWriter)(nil).AppendBinary(dst, v)
+}
+
+// RefWriter is the encoding side of one variable log's back-references.
+// Every list and map it writes in full is numbered, in post-order, from 0;
+// a container that is one value (Same) with a numbered one is written as
+// tagRef and its number instead, when that is shorter than the numbered
+// container's own encoding, so a back-reference never grows the output.
+// Values are immutable (see the package comment), so a container seen
+// again by identity has the bytes it had, and finding the repeat costs one
+// lookup rather than an encode. The table holds the containers it has
+// numbered, so none is freed and its address reused while it lives.
+//
+// A small flat container — at most maxFlatElems scalars — that is not one
+// value with a numbered container is also looked up by its canonical
+// encoding, so the equal entries an application builds afresh (motd's
+// history repeats a handful of messages) are one container on the wire and
+// one value once decoded. Encoding it to look it up costs what writing it
+// in full does.
+//
+// A nil *RefWriter writes every container in full: the canonical encoding.
+// The zero value is ready to use; it is not safe for concurrent use.
+type RefWriter struct {
+	seen IdentMap[written]
+	// flat maps a small flat container's canonical encoding to its number.
+	flat    map[string]written
+	scratch []byte
+	n       int // containers written in full so far
+}
+
+// maxFlatElems bounds the containers RefWriter looks up by their encoding.
+const maxFlatElems = 16
+
+// written is a container's number and the length of its full encoding.
+type written struct{ k, size int }
+
+// AppendBinary appends v's encoding against the table to dst.
+func (w *RefWriter) AppendBinary(dst []byte, v V) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, tagNil)
@@ -52,13 +94,34 @@ func AppendBinary(dst []byte, v V) []byte {
 		dst = append(dst, tagStr)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...)
+	case []V, map[string]V:
+	default:
+		panic(fmt.Sprintf("value: unencodable value kind %T", v))
+	}
+	id, known := IdentOf(v)
+	var flat []byte // v's canonical encoding, when v is small and flat
+	if w != nil && known {
+		r, ok := w.seen.Get(id)
+		if !ok && isFlat(v) {
+			w.scratch = AppendBinary(w.scratch[:0], v)
+			flat = w.scratch
+			if r, ok = w.flat[string(flat)]; ok {
+				w.seen.Put(id, r)
+			}
+		}
+		if ok && 1+uvarintLen(uint64(r.k)) < r.size {
+			dst = append(dst, tagRef)
+			return binary.AppendUvarint(dst, uint64(r.k))
+		}
+	}
+	start := len(dst)
+	switch x := v.(type) {
 	case []V:
 		dst = append(dst, tagList)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		for _, el := range x {
-			dst = AppendBinary(dst, el)
+			dst = w.AppendBinary(dst, el)
 		}
-		return dst
 	case map[string]V:
 		dst = append(dst, tagMap)
 		keys := make([]string, 0, len(x))
@@ -70,12 +133,63 @@ func AppendBinary(dst []byte, v V) []byte {
 		for _, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			dst = AppendBinary(dst, x[k])
+			dst = w.AppendBinary(dst, x[k])
 		}
-		return dst
-	default:
-		panic(fmt.Sprintf("value: unencodable value kind %T", v))
 	}
+	if w == nil {
+		return dst
+	}
+	if _, ok := w.seen.Get(id); known && !ok {
+		r := written{k: w.n, size: len(dst) - start}
+		w.seen.Put(id, r)
+		if flat != nil {
+			if w.flat == nil {
+				w.flat = make(map[string]written)
+			}
+			w.flat[string(flat)] = r
+		}
+	}
+	w.n++
+	return dst
+}
+
+// isFlat reports whether v is a list or map of at most maxFlatElems
+// scalars.
+func isFlat(v V) bool {
+	switch x := v.(type) {
+	case []V:
+		if len(x) > maxFlatElems {
+			return false
+		}
+		for _, el := range x {
+			if !isScalar(el) {
+				return false
+			}
+		}
+	case map[string]V:
+		if len(x) > maxFlatElems {
+			return false
+		}
+		for _, el := range x {
+			if !isScalar(el) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func isScalar(v V) bool {
+	switch v.(type) {
+	case []V, map[string]V:
+		return false
+	}
+	return true
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // ErrTruncated is returned when the decoder runs out of input.
@@ -99,52 +213,21 @@ const maxInternLen = 128
 // the strings themselves. Past the bound, strings are copied as if uninterned.
 const maxInternEntries = 1 << 16
 
-// maxShareLen bounds the containers an Interner shares: a list or map is
-// looked up only if its encoding, tag included, ends within this many bytes.
-// Small containers are the ones that repeat — a history entry, a feed item,
-// an input — and the scan that finds a container's end before decoding it
-// never reads further than this.
-const maxShareLen = 256
-
-// maxShareEntries bounds an Interner's container table, as maxInternEntries
-// bounds its strings. The table's key bytes are bounded separately, by the
-// bytes decoded through the Interner.
-const maxShareEntries = 1 << 14
-
-// Interner shares one copy of every short string, and of every small list
-// and map, among everything decoded through it. An epoch's advice names the
-// same request IDs, handler IDs, events, map keys and messages hundreds of
-// times over, and motd logs its whole state, history included, at every
-// write — so without sharing, decoding spends most of its allocations
-// re-making strings and history entries it has already made. A container is
-// shared by its encoding: equal bytes decode to equal values, so a list or
-// map whose bytes were decoded before is the earlier value, returned without
-// decoding or allocating.
+// Interner shares one copy of every short string among everything decoded
+// through it. An epoch's advice names the same request IDs, handler IDs,
+// events, map keys and messages hundreds of times over, so without sharing,
+// decoding spends most of its allocations re-making strings it has already
+// made. Containers are not looked up: a list or map a variable log repeats
+// is a back-reference on the wire (RefReader), decoded as the one value.
 //
-// Sharing containers is sound only because values are immutable (see the
-// package comment): applications derive new state through appkit.With,
-// Without and Append, and the verifier and the multivalue layer never
-// write into a value. TestDecodedValuesSurviveAudit
-// (internal/auditd) guards the rule: every application in both modes, cold
-// and warm, at one and four workers, after which every decoded advice blob
-// and trace frame must still re-encode to its bytes.
-//
-// The zero value is ready to use; a nil *Interner copies every string and
-// container. An Interner is not safe for concurrent use: make one per decode,
-// and drop it with the decode so the tables never outlive the bytes they
-// came from. Both tables are bounded by constants, and the container table's
-// key bytes by the bytes decoded through the Interner, so hostile input
-// costs at most a table proportional to its own length.
+// The zero value is ready to use; a nil *Interner copies every string. An
+// Interner is not safe for concurrent use: make one per decode, and drop it
+// with the decode. Its table is bounded by maxInternEntries strings of at
+// most maxInternLen bytes, so hostile input cannot grow it past that.
 type Interner struct {
 	// strs maps a string to its shared copy, boxed once so that a string
 	// value shares the interface header too.
 	strs map[string]V
-	// trees maps the encoding of a small list or map to its shared value;
-	// treeBytes is the total length of its keys.
-	trees     map[string]V
-	treeBytes int
-	// decoded counts the bytes consumed by finished DecodeBinary calls.
-	decoded int
 }
 
 // String returns b as a string, the same copy for every equal b.
@@ -184,18 +267,48 @@ func (in *Interner) lookup(b []byte) (v V, ok bool) {
 	return v, true
 }
 
-// DecodeBinary is the package-level DecodeBinary with every short string and
-// small container of the value shared through in.
+// DecodeBinary is the package-level DecodeBinary with every short string of
+// the value shared through in. A back-reference is malformed here.
 func (in *Interner) DecodeBinary(buf []byte) (V, int, error) {
-	d := binDecoder{buf: buf, in: in}
-	v, err := d.value()
-	if err != nil {
-		return nil, 0, err
+	v, n, _, err := in.DecodeRefs(buf, nil, 0)
+	return v, n, err
+}
+
+// RefReader is the decoding side of one variable log's back-references:
+// every list and map decoded in full through it, in post-order, with its
+// expanded length — the length of its encoding with every back-reference
+// inside it replaced by its referent's. A back-reference decodes to the
+// numbered container itself, so the value it repeats is one value (Same)
+// wherever it recurs, and Equal and Sizes keep their identity fast paths.
+//
+// Sharing a decoded container among the entries that repeat it is sound
+// only because values are immutable (see the package comment): the
+// verifier and the multivalue layer never write into a value, and
+// applications derive new state through appkit.With, Without and Append.
+// TestDecodedValuesSurviveAudit (internal/auditd) guards the rule.
+//
+// A back-reference names only a container already in the table: forward,
+// self and ancestor references (an ancestor is numbered only once its
+// encoding ends) are malformed, and so is any reference when there is no
+// table. The zero value is ready to use; it is not safe for concurrent use.
+type RefReader struct {
+	vals  []V
+	sizes []int
+}
+
+// DecodeRefs is DecodeBinary for one value of a variable log: a
+// back-reference resolves against refs (nil: none is valid), and every
+// container decoded in full joins refs. Back-references may expand the
+// value by at most maxExtra bytes past its n wire bytes; extra is how many
+// they did. Bounding the expansion as references resolve, at the cost of
+// an addition each, rejects a doubling chain in time linear in its wire
+// length.
+func (in *Interner) DecodeRefs(buf []byte, refs *RefReader, maxExtra int) (v V, n, extra int, err error) {
+	d := binDecoder{buf: buf, in: in, refs: refs, maxExtra: maxExtra}
+	if v, err = d.value(); err != nil {
+		return nil, 0, 0, err
 	}
-	if in != nil {
-		in.decoded += d.off
-	}
-	return v, d.off, nil
+	return v, d.off, d.extra, nil
 }
 
 // smallInts holds the integers 0–255 boxed once. Counters, indexes and
@@ -209,9 +322,13 @@ var smallInts = func() (t [256]V) {
 }()
 
 type binDecoder struct {
-	buf []byte
-	off int
-	in  *Interner
+	buf  []byte
+	off  int
+	in   *Interner
+	refs *RefReader
+	// extra is how many bytes the back-references resolved so far expand
+	// the value by; maxExtra bounds it.
+	extra, maxExtra int
 }
 
 func (d *binDecoder) byteAt() (byte, error) {
@@ -290,18 +407,54 @@ func (d *binDecoder) value() (V, error) {
 		}
 		return d.in.boxed(b), nil
 	case tagList, tagMap:
-		if v, ok := d.shared(start); ok {
-			return v, nil
-		}
+		extra := d.extra
 		v, err := d.container(tag)
 		if err != nil {
 			return nil, err
 		}
-		d.share(start, v)
+		if d.refs != nil {
+			d.refs.vals = append(d.refs.vals, v)
+			d.refs.sizes = append(d.refs.sizes, d.off-start+d.extra-extra)
+		}
 		return v, nil
+	case tagRef:
+		x, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		k, err := d.refs.clampRef(x)
+		if err != nil {
+			return nil, err
+		}
+		if err := d.clampExpanded(d.refs.sizes[k] - (d.off - start)); err != nil {
+			return nil, err
+		}
+		return d.refs.vals[k], nil
 	default:
 		return nil, fmt.Errorf("value: unknown value tag %d", tag)
 	}
+}
+
+// clampRef checks a back-reference's index against the containers decoded
+// in full so far.
+func (r *RefReader) clampRef(x uint64) (int, error) {
+	if r == nil {
+		return 0, errors.New("value: back-reference outside a variable log")
+	}
+	if x >= uint64(len(r.vals)) {
+		return 0, fmt.Errorf("value: back-reference %d to one of %d containers decoded so far", x, len(r.vals))
+	}
+	return int(x), nil
+}
+
+// clampExpanded adds a resolved back-reference's expansion to the value's
+// and checks the total against maxExtra.
+func (d *binDecoder) clampExpanded(n int) error {
+	if n > d.maxExtra-d.extra {
+		return fmt.Errorf("value: back-references expand the value past %d extra bytes", d.maxExtra)
+	}
+	d.extra += n
+	return nil
 }
 
 // container decodes the body of a list or map whose tag has been read.
@@ -336,97 +489,4 @@ func (d *binDecoder) container(tag byte) (V, error) {
 		}
 	}
 	return out, nil
-}
-
-// shared returns the Interner's copy of the container whose tag is at start
-// and moves past it, when the container's encoding ends within maxShareLen
-// bytes and has been decoded through the Interner before. Finding the end
-// scans the bytes without allocating.
-func (d *binDecoder) shared(start int) (V, bool) {
-	if d.in == nil || len(d.in.trees) == 0 {
-		return nil, false
-	}
-	end, ok := skip(d.buf, start, min(len(d.buf), start+maxShareLen))
-	if !ok {
-		return nil, false
-	}
-	v, ok := d.in.trees[string(d.buf[start:end])]
-	if ok {
-		d.off = end
-	}
-	return v, ok
-}
-
-// share offers the container just decoded from d.buf[start:d.off] to the
-// Interner's table. It is taken if the encoding is at most maxShareLen
-// bytes, the table has room for another entry, and the table's key bytes
-// stay within the bytes decoded through the Interner so far — nested
-// containers repeat their contents in every enclosing key, and the last
-// bound keeps that from outgrowing the input.
-func (d *binDecoder) share(start int, v V) {
-	in := d.in
-	n := d.off - start
-	if in == nil || n > maxShareLen || len(in.trees) >= maxShareEntries || in.treeBytes+n > in.decoded+d.off {
-		return
-	}
-	if in.trees == nil {
-		in.trees = make(map[string]V)
-	}
-	in.trees[string(d.buf[start:d.off])] = v
-	in.treeBytes += n
-}
-
-// skip returns the offset just past the value encoded at off in buf, when
-// it ends at or before limit (≤ len(buf)); ok is false when it does not, or
-// when the bytes up to limit are malformed — the decoder proper reports
-// those. Every level of nesting costs at least two bytes, so the recursion
-// is at most limit-off deep.
-func skip(buf []byte, off, limit int) (end int, ok bool) {
-	if off >= limit {
-		return 0, false
-	}
-	tag := buf[off]
-	off++
-	switch tag {
-	case tagNil, tagFalse, tagTrue:
-		return off, true
-	case tagNum:
-		off += 8
-	case tagStr:
-		if off, ok = skipStr(buf, off, limit); !ok {
-			return 0, false
-		}
-	case tagList, tagMap:
-		n, w := binary.Uvarint(buf[off:limit])
-		if w <= 0 || n > uint64(limit-off) {
-			return 0, false
-		}
-		off += w
-		for i := uint64(0); i < n; i++ {
-			if tag == tagMap {
-				if off, ok = skipStr(buf, off, limit); !ok {
-					return 0, false
-				}
-			}
-			if off, ok = skip(buf, off, limit); !ok {
-				return 0, false
-			}
-		}
-	default:
-		return 0, false
-	}
-	return off, off <= limit
-}
-
-// skipStr is skip for a length-prefixed string with no tag: a map key, or
-// the body of a string value.
-func skipStr(buf []byte, off, limit int) (int, bool) {
-	if off >= limit {
-		return 0, false
-	}
-	n, w := binary.Uvarint(buf[off:limit])
-	if w <= 0 || n > uint64(limit-off-w) {
-		return 0, false
-	}
-	return off + w + int(n), true
 }

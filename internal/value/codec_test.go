@@ -2,10 +2,13 @@ package value
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -107,93 +110,26 @@ func TestInternerDecodeMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestInternerSharesSmallContainers: once an Interner has decoded a value
-// whose lists and maps all end within maxShareLen bytes, decoding it again
-// allocates nothing — every container is the shared one. A container longer
-// than the bound still decodes fresh, and allocates exactly what a
-// container of the same length and no contents does: its small children
-// are shared.
-func TestInternerSharesSmallContainers(t *testing.T) {
-	entry := Map("scope", "day", "msg", "hello", "n", float64(7))
-	small := AppendBinary(nil, List("request", "handler", entry, Map("scope", "day", "msg", "hello", "n", float64(7)), List()))
-	if len(small) > maxShareLen {
-		t.Fatalf("small value encodes to %d bytes, above the %d-byte bound", len(small), maxShareLen)
-	}
-	var in Interner
-	decode := func(buf []byte, in *Interner) V {
-		v, _, err := in.DecodeBinary(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	// The first decode shares the inner containers; the outer list's key
-	// would repeat their bytes, which the key-byte bound defers until the
-	// Interner has decoded that many bytes more.
-	first := decode(small, &in)
-	second := decode(small, &in)
-	if got := testing.AllocsPerRun(100, func() { decode(small, &in) }); got != 0 {
-		t.Errorf("warm decode of a value within the bound allocates %v times, want 0", got)
-	}
-	if again := decode(small, &in); !Same(again, second) {
-		t.Error("warm decode of a value within the bound is not the shared value")
-	}
-	if l := first.([]V); !Same(l[2], l[3]) {
-		t.Error("two equal maps of one value decode to two maps")
-	}
-
-	history := make([]V, 40)
-	shape := make([]V, len(history))
-	for i := range history {
-		history[i] = entry
-	}
-	big := AppendBinary(nil, history)
-	if len(big) <= maxShareLen {
-		t.Fatalf("big value encodes to %d bytes, within the %d-byte bound", len(big), maxShareLen)
-	}
-	a, b := decode(big, &in).([]V), decode(big, &in).([]V)
-	if &a[0] == &b[0] {
-		t.Error("a list above the bound was shared")
-	}
-	if !Same(a[0], b[0]) || !Same(a[0], first.([]V)[2]) {
-		t.Error("the small maps inside a list above the bound were not shared")
-	}
-	got := testing.AllocsPerRun(100, func() { decode(big, &in) })
-	shapeEnc := AppendBinary(nil, shape)
-	base := testing.AllocsPerRun(100, func() { decode(shapeEnc, nil) })
-	if got != base {
-		t.Errorf("warm decode of a list above the bound allocates %v times, a list of nils of the same length %v", got, base)
-	}
-}
-
-// TestInternerTablesBounded: hostile input cannot grow an Interner's
-// container table past its entry cap or its key bytes past the input — not
-// with many distinct small maps, and not with deep nests, whose every level
-// repeats the levels inside it in its key. Decoding stays proportional to
-// the input in allocated bytes too.
+// TestInternerTablesBounded: hostile input cannot grow an Interner's string
+// table past its entry cap, and a string longer than maxInternLen is never
+// entered. Decoding many distinct short strings stays proportional to the
+// input in allocated bytes too.
 func TestInternerTablesBounded(t *testing.T) {
-	distinct := make([]V, 2*maxShareEntries)
+	distinct := make([]V, 2*maxInternEntries)
 	for i := range distinct {
-		distinct[i] = Map("k", float64(1000+i))
+		distinct[i] = fmt.Sprintf("s%d", i)
 	}
-	// Each element nests a distinct number 120 lists deep: about 250 bytes,
-	// whose nested keys would total some 15 KB without the byte bound.
-	nests := make([]V, 200)
-	for i := range nests {
-		var v V = float64(1000 + i)
-		for d := 0; d < 120; d++ {
-			v = List(v)
-		}
-		nests[i] = v
+	long := make([]V, 64)
+	for i := range long {
+		long[i] = strings.Repeat(string(rune('a'+i%26)), maxInternLen+1+i)
 	}
 	for _, tc := range []struct {
-		name       string
-		v          V
-		fullTable  bool
-		fullBudget bool
+		name    string
+		v       V
+		entries int
 	}{
-		{"distinct-small-maps", distinct, true, false},
-		{"deep-nests", nests, false, true},
+		{"distinct-short-strings", distinct, maxInternEntries},
+		{"long-strings", long, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enc := AppendBinary(nil, tc.v)
@@ -202,14 +138,8 @@ func TestInternerTablesBounded(t *testing.T) {
 			if err != nil || n != len(enc) || string(AppendBinary(nil, got)) != string(enc) {
 				t.Fatalf("interned decode: %d of %d bytes, err %v", n, len(enc), err)
 			}
-			if len(in.trees) > maxShareEntries || in.treeBytes > len(enc) {
-				t.Fatalf("table holds %d entries (cap %d) and %d key bytes (input %d)", len(in.trees), maxShareEntries, in.treeBytes, len(enc))
-			}
-			if tc.fullTable && len(in.trees) != maxShareEntries {
-				t.Errorf("table holds %d entries, want the cap %d reached", len(in.trees), maxShareEntries)
-			}
-			if tc.fullBudget && in.treeBytes < len(enc)/2 {
-				t.Errorf("table holds %d key bytes of a %d-byte input; the byte bound never bit", in.treeBytes, len(enc))
+			if len(in.strs) != tc.entries {
+				t.Fatalf("table holds %d strings, want %d (cap %d)", len(in.strs), tc.entries, maxInternEntries)
 			}
 			interned := allocatedBytes(func() { _, _, _ = new(Interner).DecodeBinary(enc) })
 			plain := allocatedBytes(func() { _, _, _ = DecodeBinary(enc) })
@@ -217,6 +147,162 @@ func TestInternerTablesBounded(t *testing.T) {
 				t.Errorf("interned decode allocates %d bytes, plain %d, input %d", interned, plain, len(enc))
 			}
 		})
+	}
+}
+
+// varLog encodes vs as the values of one variable log, against one
+// RefWriter.
+func varLog(vs ...V) []byte {
+	var w RefWriter
+	var buf []byte
+	for _, v := range vs {
+		buf = w.AppendBinary(buf, v)
+	}
+	return buf
+}
+
+// decodeVarLog decodes buf as one variable log's values against one
+// RefReader, returning the values and the bytes back-references expanded
+// them by.
+func decodeVarLog(buf []byte, maxExtra int) ([]V, int, error) {
+	var refs RefReader
+	var out []V
+	extra := 0
+	for off := 0; off < len(buf); {
+		v, n, x, err := (*Interner)(nil).DecodeRefs(buf[off:], &refs, maxExtra-extra)
+		if err != nil {
+			return nil, 0, err
+		}
+		out, off, extra = append(out, v), off+n, extra+x
+	}
+	return out, extra, nil
+}
+
+// TestRefsDecodeToOneValue: a history entry that successive logged states
+// repeat is written once and referenced after; the decoder hands every
+// repeat back as the one value, and counts each reference's expansion so
+// that wire length plus expansion is the plain encoding's length exactly.
+func TestRefsDecodeToOneValue(t *testing.T) {
+	var history []V
+	var states []V
+	for i := 0; i < 30; i++ {
+		history = append(history[:len(history):len(history)], Map("msg", fmt.Sprintf("message %d", i), "day", "mon"))
+		states = append(states, Map("history", history, "n", float64(i), "empty", List()))
+	}
+	var plain []byte
+	for _, v := range states {
+		plain = AppendBinary(plain, v)
+	}
+	wire := varLog(states...)
+	if len(wire)*4 > len(plain) {
+		t.Errorf("back-references shrink %d plain bytes only to %d", len(plain), len(wire))
+	}
+	got, extra, err := decodeVarLog(wire, len(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wire)+extra != len(plain) {
+		t.Errorf("wire %d + expansion %d, plain encoding %d", len(wire), extra, len(plain))
+	}
+	for i, v := range got {
+		if string(AppendBinary(nil, v)) != string(AppendBinary(nil, states[i])) {
+			t.Fatalf("state %d decodes to %s, want %s", i, String(v), String(states[i]))
+		}
+		if i == 0 {
+			continue
+		}
+		prev, cur := got[i-1].(map[string]V)["history"].([]V), v.(map[string]V)["history"].([]V)
+		for k := range prev {
+			if !Same(prev[k], cur[k]) {
+				t.Fatalf("history entry %d of states %d and %d decodes to two values", k, i-1, i)
+			}
+		}
+	}
+	// Re-encoding what was decoded finds the same repeats by identity.
+	if again := varLog(got...); string(again) != string(wire) {
+		t.Error("re-encoding the decoded log moves its bytes")
+	}
+}
+
+// TestRefNeverLonger: a container is referenced only when the reference
+// is shorter than its own encoding, so back-references never grow a log —
+// not for a one-element list, and not past the 128th container, where the
+// reference's index needs a second byte.
+func TestRefNeverLonger(t *testing.T) {
+	var vs []V
+	for i := 0; i < 300; i++ {
+		vs = append(vs, List(float64(i)))
+	}
+	small := List(nil)
+	var plain []byte
+	for _, v := range append(vs, vs...) {
+		plain = AppendBinary(plain, v)
+	}
+	plain = AppendBinary(AppendBinary(plain, small), small)
+	if wire := varLog(append(append(vs, vs...), small, small)...); len(wire) > len(plain) {
+		t.Errorf("back-references grow %d plain bytes to %d", len(plain), len(wire))
+	}
+}
+
+// TestHostileRefsRejected: every malformed back-reference errors and none
+// panics — forward, self and ancestor references, indexes out of range,
+// a reference where no variable log is being decoded, and a doubling chain
+// whose expansion passes the bound, which must be refused in time linear
+// in its wire length.
+func TestHostileRefsRejected(t *testing.T) {
+	ref := func(k uint64) []byte { return binary.AppendUvarint([]byte{tagRef}, k) }
+	list := func(elems ...[]byte) []byte {
+		b := binary.AppendUvarint([]byte{tagList}, uint64(len(elems)))
+		for _, e := range elems {
+			b = append(b, e...)
+		}
+		return b
+	}
+	one := []byte{tagNil}
+	// A chain of 40 lists, each two references to the one before it: its
+	// expansion doubles at every level.
+	chain := list(one)
+	for k := 0; k < 40; k++ {
+		chain = append(chain, list(ref(uint64(k)), ref(uint64(k)))...)
+	}
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		want string
+	}{
+		{"forward", append(list(one), list(ref(2))...), "back-reference 2 to one of 1"},
+		{"self", list(ref(0)), "back-reference 0 to one of 0"},
+		{"ancestor", list(list(one), list(ref(2))), "back-reference 2 to one of 1"},
+		{"out-of-range", append(list(one), ref(1000)...), "back-reference 1000"},
+		{"huge-index", append(list(one), ref(1<<63)...), "back-reference 9223372036854775808"},
+		{"truncated-index", append(list(one), tagRef), "truncated"},
+		{"doubling-chain", chain, "expand the value past"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			if _, _, err := decodeVarLog(tc.log, 1<<28); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one saying %q", err, tc.want)
+			}
+			if el := time.Since(start); el > time.Second {
+				t.Errorf("rejected after %v", el)
+			}
+		})
+	}
+	// Outside a variable log — a transaction's contents, a trace frame —
+	// there is no table, and any reference is malformed.
+	valid := list(list(one), ref(0))
+	if _, _, err := decodeVarLog(valid, 1<<28); err != nil {
+		t.Fatalf("a reference to a finished sibling rejected in a variable log: %v", err)
+	}
+	if _, _, err := DecodeBinary(valid); err == nil {
+		t.Error("a reference without a table accepted")
+	}
+	if _, _, _, err := new(Interner).DecodeRefs(valid, nil, 1<<28); err == nil {
+		t.Error("a reference with a nil table accepted")
+	}
+	// The same chain under a bound it fits: 2^40 does not, 2^10 levels do.
+	if _, extra, err := decodeVarLog(chain[:len(list(one))+10*len(list(ref(0), ref(0)))], 1<<28); err != nil || extra == 0 {
+		t.Errorf("a ten-level chain: expansion %d, err %v", extra, err)
 	}
 }
 

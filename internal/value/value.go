@@ -326,12 +326,67 @@ func EncodedLen(v V) int {
 // knows is freed and its address reused while the memo lives. The zero
 // Sizes is ready to use. It is not safe for concurrent use.
 type Sizes struct {
-	m map[sizeKey]int
+	m IdentMap[int]
 }
 
-type sizeKey struct {
+// Ident is a non-empty container's identity, the one Same tests: a list's
+// first element's address and its length, or a map's pointer. Two
+// containers with one Ident are one value. A table keyed by Ident holds the
+// containers' memory, so none is freed and its address reused while the
+// table lives.
+type Ident struct {
 	p unsafe.Pointer
 	n int // list length; -1 for a map
+}
+
+// IdentMap maps containers, by identity, to values of type T. A map is
+// keyed by its pointer alone, which hashes faster than a pointer and a
+// length; a list by both. The zero IdentMap is ready to use; it is not
+// safe for concurrent use.
+type IdentMap[T any] struct {
+	maps  map[unsafe.Pointer]T
+	lists map[Ident]T
+}
+
+// Get returns the value put for id.
+func (m *IdentMap[T]) Get(id Ident) (T, bool) {
+	if id.n < 0 {
+		t, ok := m.maps[id.p]
+		return t, ok
+	}
+	t, ok := m.lists[id]
+	return t, ok
+}
+
+// Put records t for id.
+func (m *IdentMap[T]) Put(id Ident, t T) {
+	if id.n < 0 {
+		if m.maps == nil {
+			m.maps = make(map[unsafe.Pointer]T)
+		}
+		m.maps[id.p] = t
+		return
+	}
+	if m.lists == nil {
+		m.lists = make(map[Ident]T)
+	}
+	m.lists[id] = t
+}
+
+// IdentOf returns v's identity; ok is false for a scalar or an empty
+// container, which has none.
+func IdentOf(v V) (id Ident, ok bool) {
+	switch x := v.(type) {
+	case []V:
+		if len(x) > 0 {
+			return Ident{unsafe.Pointer(&x[0]), len(x)}, true
+		}
+	case map[string]V:
+		if len(x) > 0 {
+			return Ident{mapPointer(x), -1}, true
+		}
+	}
+	return Ident{}, false
 }
 
 // Normalize returns Normalize(v) and the EncodedLen of the result. It does
@@ -346,7 +401,7 @@ func (s *Sizes) Normalize(v V) (V, int) {
 		if len(x) == 0 {
 			break
 		}
-		if n, ok := s.m[sizeKey{unsafe.Pointer(&x[0]), len(x)}]; ok {
+		if n, ok := s.m.Get(Ident{unsafe.Pointer(&x[0]), len(x)}); ok {
 			return v, n
 		}
 		n := 3 + decDigits(len(x)) // '[' len ':' … ']'
@@ -365,13 +420,13 @@ func (s *Sizes) Normalize(v V) (V, int) {
 		if out != nil {
 			x, v = out, out
 		}
-		s.put(sizeKey{unsafe.Pointer(&x[0]), len(x)}, n)
+		s.m.Put(Ident{unsafe.Pointer(&x[0]), len(x)}, n)
 		return v, n
 	case map[string]V:
 		if len(x) == 0 {
 			break
 		}
-		if n, ok := s.m[sizeKey{mapPointer(x), -1}]; ok {
+		if n, ok := s.m.Get(Ident{mapPointer(x), -1}); ok {
 			return v, n
 		}
 		n := 3 + decDigits(len(x)) // '{' len ':' … '}'
@@ -391,18 +446,11 @@ func (s *Sizes) Normalize(v V) (V, int) {
 		if out != nil {
 			x, v = out, out
 		}
-		s.put(sizeKey{mapPointer(x), -1}, n)
+		s.m.Put(Ident{mapPointer(x), -1}, n)
 		return v, n
 	}
 	v = Normalize(v)
 	return v, EncodedLen(v)
-}
-
-func (s *Sizes) put(k sizeKey, n int) {
-	if s.m == nil {
-		s.m = make(map[sizeKey]int)
-	}
-	s.m[k] = n
 }
 
 func stringLen(s string) int { return 2 + decDigits(len(s)) + len(s) }

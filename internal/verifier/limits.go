@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 )
 
@@ -46,7 +47,7 @@ type Limits struct {
 // enough that a hostile advice blob cannot stall or OOM the auditor.
 func DefaultLimits() Limits {
 	return Limits{
-		MaxAdviceBytes:   1 << 28, // 256 MiB on the wire
+		MaxAdviceBytes:   advice.MaxExpandedBytes, // 256 MiB on the wire, and expanded
 		MaxHandlers:      1 << 20,
 		MaxOpsPerHandler: 1 << 20,
 		MaxGraphNodes:    16 << 20,

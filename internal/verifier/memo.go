@@ -42,21 +42,21 @@ package verifier
 // function table, and parentOf is rebuilt by replaying emits.
 //
 // Logged values (variable-log values, transaction contents, and the
-// resolved predecessors and dictated writes among them) enter the key as
-// the SHA-256 of their canonical binary encoding (value.AppendBinary), each
-// computed once per audit by a parallel pass over this epoch's advice
-// (digestLogged). The encoding is taken from the wire span when there is
-// one: the advice decoder records the bytes every logged value was decoded
-// from (VarLogEntry.Wire, TxOp.Wire), so the pass hashes those bytes
-// instead of encoding the value again. Equal bytes decode to equal values,
-// so keying on them is sound, and an honest server writes exactly the
-// canonical encoding, so a value digests identically with or without a
-// span; a non-canonical encoding can only cause a miss. A value with no
-// span — a carried predecessor, which is not advice and is digested on
-// first use; in-memory advice; or an entry whose value was replaced after
-// decode, whose span Wire withholds — is encoded. The table is built after
-// preprocess from the advice being audited and dropped with the audit, so
-// it cannot go stale, and a fixed-width digest frames itself.
+// resolved predecessors and dictated writes among them) enter the key as a
+// structural digest (valueDigests.digestValue): a scalar's is the SHA-256
+// of its canonical binary encoding, and a list's or map's the SHA-256 of
+// its shape and its elements, each element a scalar's encoding or a nested
+// container's digest. Equal values digest equally however they are shared,
+// so keys are context-free: they depend on a value, never on the blob it
+// was decoded from, where a back-reference means nothing outside its blob.
+// A container's digest is memoised by its identity (value.IdentOf), so a
+// history entry 250 logged writes share is hashed once per worker, and a
+// value replaced after decode — as fault injection and tests do — is a new
+// container, digested afresh. Every logged value of this epoch's advice is
+// digested once per audit, by a parallel pass after preprocess
+// (digestLogged); a carried predecessor, which is not advice, is digested
+// on first use. The tables are dropped with the audit, so they cannot go
+// stale, and a fixed-width digest frames itself.
 //
 // A single tampered byte in any of these inputs changes the key and forces
 // cold re-execution — a poisoned entry can never be REACHED by an honest
@@ -113,6 +113,8 @@ import (
 	"encoding/binary"
 	"hash"
 	"io"
+	"slices"
+	"strings"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
@@ -131,22 +133,134 @@ type memoHasher struct {
 	d   memoDigest
 }
 
-// memoDigest is the SHA-256 of one value's canonical binary encoding.
+// memoDigest is a logged value's structural digest (digestValue).
 type memoDigest = [sha256.Size]byte
 
-// memoDigestChunk is how many logged values one fan-out item digests with
-// one encode buffer.
+// memoDigestChunk is how many logged values one fan-out item digests.
 const memoDigestChunk = 16
 
-// digestLoggedValue digests a logged value: its wire bytes when it has
-// them, otherwise its canonical binary encoding, made in buf (returned for
-// reuse).
-func digestLoggedValue(buf []byte, v value.V, wire []byte) (memoDigest, []byte) {
-	if wire == nil {
-		buf = value.AppendBinary(buf[:0], v)
-		wire = buf
+// valueDigests computes logged values' digests, memoising each non-empty
+// container's by its identity. Values are immutable, so a container's
+// digest never changes while the table lives, and the table's keys hold
+// the containers, so no address is reused meanwhile. It is not safe for
+// concurrent use.
+type valueDigests struct {
+	seen value.IdentMap[memoDigest]
+	buf  []byte     // the bytes being hashed, one region per nesting level
+	ents []mapEntry // the maps' entries being sorted, likewise
+	// keys is the sorted key set of the last large map digested. The maps
+	// a variable logs write after write mostly share their keys, and
+	// looking each up is cheaper than sorting again.
+	keys []string
+}
+
+// mapEntry is one entry of a map being digested.
+type mapEntry struct {
+	k string
+	v value.V
+}
+
+// Bytes of a digested container's hash input that cannot begin a scalar's
+// canonical encoding: a list's or map's shape, and a nested container's
+// digest.
+const (
+	digestList   = 'L'
+	digestMap    = 'M'
+	digestNested = 'D'
+)
+
+// digestValue returns v's digest: for a scalar, the SHA-256 of its
+// canonical binary encoding; for a list or map, the SHA-256 of its shape
+// (digestList or digestMap, then its length) followed by its elements in
+// order — a map's in sorted key order, each after its length-prefixed key
+// — where an element is a scalar's canonical encoding or digestNested and
+// the nested container's digest.
+func (g *valueDigests) digestValue(v value.V) memoDigest {
+	if v == nil { // every logged read's value
+		return nilDigest
 	}
-	return sha256.Sum256(wire), buf
+	id, known := value.IdentOf(v)
+	if d, ok := g.seen.Get(id); known && ok {
+		return d
+	}
+	start := len(g.buf)
+	switch x := v.(type) {
+	case []value.V:
+		g.buf = append(g.buf, digestList)
+		g.buf = binary.AppendUvarint(g.buf, uint64(len(x)))
+		for _, el := range x {
+			g.element(el)
+		}
+	case map[string]value.V:
+		g.buf = append(g.buf, digestMap)
+		g.buf = binary.AppendUvarint(g.buf, uint64(len(x)))
+		base := len(g.ents)
+		if !g.sameKeys(x) {
+			ents := g.ents
+			for k, el := range x {
+				ents = append(ents, mapEntry{k, el})
+			}
+			slices.SortFunc(ents[base:], func(a, b mapEntry) int { return strings.Compare(a.k, b.k) })
+			g.ents = ents
+			if len(x) >= minKeysReuse {
+				g.keys = g.keys[:0]
+				for _, en := range g.ents[base:] {
+					g.keys = append(g.keys, en.k)
+				}
+			}
+		}
+		// Nested maps append past base, so this level's entries stay put.
+		for _, en := range g.ents[base:] {
+			g.buf = binary.AppendUvarint(g.buf, uint64(len(en.k)))
+			g.buf = append(g.buf, en.k...)
+			g.element(en.v)
+		}
+		g.ents = g.ents[:base]
+	default:
+		g.buf = value.AppendBinary(g.buf, v)
+	}
+	d := sha256.Sum256(g.buf[start:])
+	g.buf = g.buf[:start]
+	if known {
+		g.seen.Put(id, d)
+	}
+	return d
+}
+
+// nilDigest is digestValue(nil).
+var nilDigest = sha256.Sum256(value.AppendBinary(nil, nil))
+
+// minKeysReuse is the smallest map whose sorted keys valueDigests keeps.
+const minKeysReuse = 8
+
+// sameKeys appends x's entries to g.ents in g.keys order and reports true
+// when x has exactly g.keys's keys; otherwise it appends nothing.
+func (g *valueDigests) sameKeys(x map[string]value.V) bool {
+	if len(x) < minKeysReuse || len(x) != len(g.keys) {
+		return false
+	}
+	base := len(g.ents)
+	for _, k := range g.keys {
+		el, ok := x[k]
+		if !ok {
+			g.ents = g.ents[:base]
+			return false
+		}
+		g.ents = append(g.ents, mapEntry{k, el})
+	}
+	return true
+}
+
+// element appends one element of a container's hash input.
+func (g *valueDigests) element(v value.V) {
+	switch v.(type) {
+	case []value.V, map[string]value.V:
+		d := g.digestValue(v)
+		g.buf = append(g.buf, digestNested)
+		g.buf = append(g.buf, d[:]...)
+	default:
+		g.buf = value.AppendBinary(g.buf, v)
+	}
 }
 
 func newMemoHasher() *memoHasher { return &memoHasher{h: sha256.New()} }
@@ -182,13 +296,6 @@ func (m *memoHasher) dig(d memoDigest) {
 	m.h.Write(m.d[:])
 }
 
-// digest computes one logged value's digest with the hasher's scratch
-// buffer.
-func (m *memoHasher) digest(v value.V, wire []byte) (d memoDigest) {
-	d, m.buf = digestLoggedValue(m.buf, v, wire)
-	return d
-}
-
 func (m *memoHasher) sum() (k memo.Key) {
 	m.h.Sum(k[:0])
 	return k
@@ -215,9 +322,10 @@ type memoPrep struct {
 	// vdig and tdig map every variable-log entry and transaction op of
 	// this epoch's advice to its value's digest (digestLogged); a carried
 	// predecessor, which is not advice, is added lazily (varDigest,
-	// txDigest).
-	vdig map[*advice.VarLogEntry]memoDigest
-	tdig map[*advice.TxOp]memoDigest
+	// txDigest), through digests.
+	vdig    map[*advice.VarLogEntry]memoDigest
+	tdig    map[*advice.TxOp]memoDigest
+	digests valueDigests
 }
 
 func (v *Verifier) memoPrepare() *memoPrep {
@@ -283,38 +391,40 @@ func (v *Verifier) memoPrepare() *memoPrep {
 	return p
 }
 
-// digestLogged digests every logged value once: the SHA-256 work (and the
-// encoding of any value without wire bytes) fans out over the audit's
-// workers in chunks of memoDigestChunk values (one encode buffer each) into
-// indexed slots, and the coordinator then indexes the slots by entry. A
-// panic in a chunk surfaces here, in chunk order, like any worker-side
-// rejection.
+// digestLogged digests every logged value once: the work fans out over the
+// audit's workers in chunks of memoDigestChunk consecutive values — so the
+// entries of one variable log, which share containers, mostly land in one
+// chunk — into indexed slots, and the coordinator then indexes the slots by
+// entry. Each worker keeps one valueDigests across its chunks. A panic in a
+// chunk surfaces here, in chunk order, like any worker-side rejection.
 func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxOp) {
 	v := p.v
-	type logged struct {
-		v    value.V
-		wire []byte
-	}
-	vals := make([]logged, 0, len(entries)+len(ops))
+	vals := make([]value.V, 0, len(entries)+len(ops))
 	for _, e := range entries {
-		vals = append(vals, logged{e.Value, e.Wire()})
+		vals = append(vals, e.Value)
 	}
 	for _, op := range ops {
-		vals = append(vals, logged{op.Contents, op.Wire()})
+		vals = append(vals, op.Contents)
 	}
 	digs := make([]memoDigest, len(vals))
 	chunks := (len(vals) + memoDigestChunk - 1) / memoDigestChunk
 	rejs := make([]*core.Reject, chunks)
+	// One table per worker: a worker takes one for each chunk it runs.
+	tables := make(chan *valueDigests, max(v.workers(), 1))
+	for range cap(tables) {
+		tables <- new(valueDigests)
+	}
 	fanOut(v.workers(), chunks, func(c int) {
+		g := <-tables
 		defer func() {
+			tables <- g
 			if r := recover(); r != nil {
 				rejs[c] = asReject(r)
 			}
 		}()
 		v.checkCtx()
-		var buf []byte
 		for i := c * memoDigestChunk; i < min((c+1)*memoDigestChunk, len(vals)); i++ {
-			digs[i], buf = digestLoggedValue(buf, vals[i].v, vals[i].wire)
+			digs[i] = g.digestValue(vals[i])
 		}
 	})
 	for _, rej := range rejs {
@@ -338,7 +448,7 @@ func (p *memoPrep) digestLogged(entries []*advice.VarLogEntry, ops []*advice.TxO
 func (p *memoPrep) varDigest(e *advice.VarLogEntry) memoDigest {
 	d, ok := p.vdig[e]
 	if !ok {
-		d = p.h.digest(e.Value, e.Wire())
+		d = p.digests.digestValue(e.Value)
 		p.vdig[e] = d
 	}
 	return d
@@ -348,7 +458,7 @@ func (p *memoPrep) varDigest(e *advice.VarLogEntry) memoDigest {
 func (p *memoPrep) txDigest(op *advice.TxOp) memoDigest {
 	d, ok := p.tdig[op]
 	if !ok {
-		d = p.h.digest(op.Contents, op.Wire())
+		d = p.digests.digestValue(op.Contents)
 		p.tdig[op] = d
 	}
 	return d
