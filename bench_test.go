@@ -76,8 +76,8 @@ func BenchmarkAuditComponents(b *testing.B) {
 				}
 			}
 		})
-		// The seal: drain the serving runtime's advice and lay out its blob,
-		// as a collector does while holding the epoch gate exclusively. Each
+		// The seal: drain the serving runtime's advice and encode it, as a
+		// collector does while holding the epoch gate exclusively. Each
 		// iteration serves the workload again, untimed.
 		b.Run(w.app+"/seal", func(b *testing.B) {
 			b.ReportAllocs()
@@ -89,7 +89,7 @@ func BenchmarkAuditComponents(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if kar, _ := srv.DrainAdvice(); len(kar.Blob) == 0 {
+				if kar, _ := srv.DrainAdvice(); len(kar.MarshalBinary()) == 0 {
 					b.Fatal("drained no advice")
 				}
 			}

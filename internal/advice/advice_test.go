@@ -194,26 +194,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestStreamingEncodersDeterministic(t *testing.T) {
-	e := sampleAdvice().VarLogs["v"][0]
-	var s1, s2 Segments
-	for _, seg := range []*Segments{&s1, &s2} {
-		seg.AppendVarEntry("v", &e)
-		seg.AppendVarEntry("v", &e)
-	}
-	if string(s1.VarLogs["v"]) != string(s2.VarLogs["v"]) {
-		t.Error("AppendVarEntry not deterministic")
-	}
-	h := sampleAdvice().HandlerLogs["r1"][0]
-	if string(AppendHandlerOp(nil, &h)) != string(AppendHandlerOp(nil, &h)) {
-		t.Error("AppendHandlerOp not deterministic")
-	}
-	x := sampleAdvice().TxLogs[0].Ops[2]
-	if string(AppendTxOp(nil, &x)) != string(AppendTxOp(nil, &x)) {
-		t.Error("AppendTxOp not deterministic")
-	}
-}
-
 func TestEmptyAdviceRoundTrip(t *testing.T) {
 	a := New(ModeOrochiJS)
 	b, err := UnmarshalBinary(a.MarshalBinary())

@@ -78,73 +78,12 @@ func (e *encoder) txPos(p TxPos) {
 	e.intv(p.Index)
 }
 
-// Segments holds an advice's logs already in wire form: for each variable
-// log, handler log and transaction log, and for the non-determinism list,
-// the concatenated encodings of its entries exactly as AppendVarEntry,
-// AppendHandlerOp, AppendTxOp and AppendNondet produce them. A server
-// encodes each entry once, when it logs it; sealing an epoch then lays the
-// segments out (AppendBinary) instead of encoding every logged value again.
-type Segments struct {
-	VarLogs     map[core.VarID][]byte
-	HandlerLogs map[core.RID][]byte
-	TxLogs      [][]byte // by index into Advice.TxLogs
-	Nondet      []byte
-	// refs holds each variable log's back-reference table, so that an
-	// entry appended later may reference a container of an earlier one.
-	refs map[core.VarID]*value.RefWriter
-}
-
-// AppendVarEntry appends the wire encoding of en to the variable log of id,
-// against that log's back-reference table.
-func (seg *Segments) AppendVarEntry(id core.VarID, en *VarLogEntry) {
-	w := seg.refs[id]
-	if w == nil {
-		if seg.refs == nil {
-			seg.refs = make(map[core.VarID]*value.RefWriter)
-		}
-		w = new(value.RefWriter)
-		seg.refs[id] = w
-	}
-	if seg.VarLogs == nil {
-		seg.VarLogs = make(map[core.VarID][]byte)
-	}
-	e := &encoder{buf: seg.VarLogs[id]}
-	e.varEntry(en, w)
-	seg.VarLogs[id] = e.buf
-}
-
-// size is the total length of the pre-encoded entries.
-func (seg *Segments) size() int {
-	n := len(seg.Nondet)
-	for _, b := range seg.VarLogs {
-		n += len(b)
-	}
-	for _, b := range seg.HandlerLogs {
-		n += len(b)
-	}
-	for _, b := range seg.TxLogs {
-		n += len(b)
-	}
-	return n
-}
-
-// MarshalBinary encodes the advice in the compact wire format: AppendBinary
-// with every entry encoded here.
-func (a *Advice) MarshalBinary() []byte {
-	return a.AppendBinary(make([]byte, 0, 1<<16), nil)
-}
-
-// AppendBinary appends the advice's wire encoding to dst. It is the one
+// MarshalBinary encodes the advice in the compact wire format, the one
 // layout of the format: map-valued sections are emitted in sorted key order,
-// so equal advice encodes to equal bytes. With seg nil it encodes every log
-// entry itself; otherwise the entries of every log are copied from seg,
-// which must then hold exactly the encodings of a's entries — the counts
-// still come from a.
-func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
-	if seg != nil {
-		dst = slices.Grow(dst, seg.size()+1<<12)
-	}
-	e := &encoder{buf: append(dst, codecMagic...)}
+// so equal advice encodes to equal bytes. Each variable log's back-reference
+// table (value.RefWriter) lives for the encoding of that log.
+func (a *Advice) MarshalBinary() []byte {
+	e := &encoder{buf: append(make([]byte, 0, 1<<16), codecMagic...)}
 	e.str(string(a.Mode))
 
 	rids := sortedKeys(a.Tags)
@@ -182,10 +121,6 @@ func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
 		log := a.HandlerLogs[rid]
 		e.str(string(rid))
 		e.uvarint(uint64(len(log)))
-		if seg != nil {
-			e.buf = append(e.buf, seg.HandlerLogs[rid]...)
-			continue
-		}
 		for i := range log {
 			e.handlerOp(&log[i])
 		}
@@ -197,10 +132,6 @@ func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
 		entries := a.VarLogs[id]
 		e.str(string(id))
 		e.uvarint(uint64(len(entries)))
-		if seg != nil {
-			e.buf = append(e.buf, seg.VarLogs[id]...)
-			continue
-		}
 		var w value.RefWriter
 		for i := range entries {
 			e.varEntry(&entries[i], &w)
@@ -208,14 +139,10 @@ func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
 	}
 
 	e.uvarint(uint64(len(a.TxLogs)))
-	for i, tl := range a.TxLogs {
+	for _, tl := range a.TxLogs {
 		e.str(string(tl.RID))
 		e.str(string(tl.TID))
 		e.uvarint(uint64(len(tl.Ops)))
-		if seg != nil {
-			e.buf = append(e.buf, seg.TxLogs[i]...)
-			continue
-		}
 		for j := range tl.Ops {
 			e.txOp(&tl.Ops[j])
 		}
@@ -234,12 +161,8 @@ func (a *Advice) AppendBinary(dst []byte, seg *Segments) []byte {
 	}
 
 	e.uvarint(uint64(len(a.Nondet)))
-	if seg != nil {
-		e.buf = append(e.buf, seg.Nondet...)
-	} else {
-		for i := range a.Nondet {
-			e.nondet(&a.Nondet[i])
-		}
+	for i := range a.Nondet {
+		e.nondet(&a.Nondet[i])
 	}
 	return e.buf
 }
@@ -755,33 +678,6 @@ func (d *decoder) txLog() (TxLog, error) {
 		tl.Ops[i] = op
 	}
 	return tl, nil
-}
-
-// Entry encoders. The online server encodes each entry as it logs it (the
-// paper's artifact streams advice files during execution), which is where
-// Karousos's server-side overhead genuinely lives — encoding a logged write
-// costs O(value size), so write-heavy workloads pay more (Figure 6) — and
-// keeps the bytes as the Segments its sealed blob is laid out from.
-
-// AppendHandlerOp appends the wire encoding of one handler-log entry.
-func AppendHandlerOp(dst []byte, op *HandlerOp) []byte {
-	e := &encoder{buf: dst}
-	e.handlerOp(op)
-	return e.buf
-}
-
-// AppendTxOp appends the wire encoding of one transaction-log entry.
-func AppendTxOp(dst []byte, op *TxOp) []byte {
-	e := &encoder{buf: dst}
-	e.txOp(op)
-	return e.buf
-}
-
-// AppendNondet appends the wire encoding of one non-determinism entry.
-func AppendNondet(dst []byte, n *NondetEntry) []byte {
-	e := &encoder{buf: dst}
-	e.nondet(n)
-	return e.buf
 }
 
 // varEntry encodes en against w, the back-reference table of its log.

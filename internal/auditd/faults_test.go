@@ -208,6 +208,58 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 	}
 }
 
+// TestOversizedAdviceAtSealGradesUnauditable: when the epoch's encoded
+// advice is larger than the collector's Limits.MaxAdviceBytes, the seal
+// still completes with the epoch flagged degraded and its trace intact, and
+// the auditor grades the epoch Unauditable — never rejected.
+func TestOversizedAdviceAtSealGradesUnauditable(t *testing.T) {
+	dir := t.TempDir()
+	limits := verifier.Limits{MaxAdviceBytes: 64}
+	col, err := collectorhttp.New(collectorhttp.Config{
+		Spec:          harness.MOTDApp(),
+		Dir:           dir,
+		EpochRequests: 10,
+		Limits:        limits,
+		Backoff:       quietBackoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newLoopback(t, col)
+	driveHTTP(t, ts, requestsFor(t, harness.MOTDApp(), 10, 7))
+	ts.Close()
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, blob, m, err := epochlog.ReadSealed(dir, 1, epochlog.Options{MaxAdviceBytes: limits.MaxAdviceBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.Degraded, "advice lost at seal") || len(blob) != 0 {
+		t.Fatalf("epoch 1: degraded %q with %d advice bytes, want advice lost at seal", m.Degraded, len(blob))
+	}
+	if err := tr.CheckBalanced(); err != nil || len(tr.Events) != 20 {
+		t.Fatalf("epoch 1 trace: %d events, %v; want 10 balanced REQ/RESP pairs", len(tr.Events), err)
+	}
+
+	cfg := Config{Dir: dir, Limits: limits}
+	verdicts := collectVerdicts(&cfg)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.RunOnce(context.Background()); err != nil || n != 1 {
+		t.Fatalf("RunOnce = %d, %v", n, err)
+	}
+	if vs := *verdicts; len(vs) != 1 || vs[0].Code != core.RejectUnauditable {
+		t.Fatalf("verdicts %+v, want epoch 1 Unauditable", vs)
+	}
+	if st := a.Status(); st.Rejected != 0 || st.Unauditable != 1 {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
 // TestFreshBoundaryReanchorsAfterUnauditable: a collector restart (Fresh
 // manifest) after an unauditable stretch lets the auditor grade again.
 func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {

@@ -129,12 +129,11 @@ func sealDialectLog(t *testing.T, spec harness.AppSpec, dir string, reqs []serve
 		if (i+1)%epochRequests != 0 {
 			continue
 		}
-		kar, oro := srv.DrainAdvice()
-		blob := kar.Blob
+		adv, oro := srv.DrainAdvice()
 		if mode == advice.ModeOrochiJS {
-			blob = oro.Blob
+			adv = oro
 		}
-		if err := l.AppendAdvice(blob); err != nil {
+		if err := l.AppendAdvice(adv.MarshalBinary()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Seal(); err != nil {

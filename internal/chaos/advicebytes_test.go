@@ -15,9 +15,8 @@ import (
 // record `karousos chaos -scenario pipeline -seed 42` leaves behind, in
 // epoch order. They were recorded when the wire format became KADV3, whose
 // variable logs back-reference repeated containers; the collector seals
-// the blob the runtime assembles from the entries it encoded while
-// logging, which must be Advice.MarshalBinary's bytes, and the bytes must
-// not move.
+// Advice.MarshalBinary of the advice it drains, and the bytes must not
+// move.
 var pipelineAdviceSHA256 = map[string][]string{
 	"motd": {
 		"59dcf396ecdde7083937b95454d9ad6618a965e51fcd70c928c2200e227b210c",

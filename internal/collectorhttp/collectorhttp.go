@@ -640,16 +640,17 @@ func (c *Collector) seal(minRequests int) (*epochlog.Manifest, error) {
 
 // rotateGated drains the runtime's advice into the active epoch and
 // rotates it out. Caller holds c.gate exclusively and c.sealMu, so no
-// request is served meanwhile; the work here is a copy of the advice the
-// runtime encoded while it logged (server.DrainAdvice), an append, and the
-// memory-only rotation.
+// request is served meanwhile; the work here is the drain
+// (server.DrainAdvice), one encode of the epoch's advice, an append, and
+// the memory-only rotation.
 func (c *Collector) rotateGated() error {
 	if events, _ := c.log.ActiveEvents(); events == 0 {
 		return nil
 	}
 	kar, _ := c.srv.DrainAdvice()
+	blob := kar.MarshalBinary()
 	err := iofault.Retry(context.Background(), c.cfg.Backoff, func() error {
-		return c.log.AppendAdvice(kar.Blob)
+		return c.log.AppendAdvice(blob)
 	})
 	if err != nil {
 		// The drain already consumed the runtime's advice; it cannot be

@@ -187,19 +187,6 @@ func (m *MV) Select(idx []int) *MV {
 	return FromVals(out)
 }
 
-// Clone returns a deep copy of the multivalue, including deep copies of the
-// underlying values.
-func (m *MV) Clone() *MV {
-	if m.collapsed {
-		return &MV{width: m.width, collapsed: true, single: value.Clone(m.single)}
-	}
-	vals := make([]value.V, m.width)
-	for i := range vals {
-		vals[i] = value.Clone(m.vals[i])
-	}
-	return &MV{width: m.width, vals: vals}
-}
-
 // String renders the multivalue for diagnostics.
 func (m *MV) String() string {
 	if m.collapsed {

@@ -177,15 +177,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	m := FromVals([]value.V{value.Map("k", 1), value.Map("k", 2)})
-	cl := m.Clone()
-	cl.At(0).(map[string]value.V)["k"] = float64(9)
-	if m.At(0).(map[string]value.V)["k"] != float64(1) {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestString(t *testing.T) {
 	if s := Scalar("x", 2).String(); s == "" {
 		t.Error("empty String for collapsed MV")

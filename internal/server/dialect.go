@@ -12,13 +12,9 @@ import (
 // way for each dialect being collected.
 type dialect struct {
 	mode advice.Mode
-	adv  *advice.Advice
-	// seg holds the wire encoding of every entry in adv's logs, written when
-	// the entry is logged. The sealed blob is laid out from it (DrainAdvice),
-	// so the encoding cost — proportional to logged value sizes — is paid
-	// once, on the serving path where the paper measures it (§6.1), and a
-	// seal only copies bytes.
-	seg advice.Segments
+	// adv is the epoch's advice so far, kept only as Go values; DrainAdvice
+	// hands it to the caller, which encodes it once.
+	adv *advice.Advice
 	// logged holds, per variable, the ops already in adv's variable log, so a
 	// dictating write is logged lazily at most once (Figure 13).
 	logged map[core.VarID]map[core.Op]bool
@@ -33,7 +29,6 @@ func newDialect(mode advice.Mode) *dialect {
 // reset starts the next epoch's advice.
 func (d *dialect) reset() {
 	d.adv = advice.New(d.mode)
-	d.seg = advice.Segments{VarLogs: make(map[core.VarID][]byte), HandlerLogs: make(map[core.RID][]byte)}
 }
 
 // logs reports whether the variable access cur, whose variable's most recent
@@ -59,6 +54,5 @@ func (d *dialect) tag(parts []tagPart) string {
 // logVar appends e to the variable log of id.
 func (d *dialect) logVar(id core.VarID, e advice.VarLogEntry) {
 	d.adv.VarLogs[id] = append(d.adv.VarLogs[id], e)
-	d.seg.AppendVarEntry(id, &e)
 	d.logged[id][e.Op] = true
 }

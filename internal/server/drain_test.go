@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/mv"
@@ -40,12 +41,12 @@ func drainingApp(app *core.App, every int, drain func()) *core.App {
 	return &wrapped
 }
 
-// TestDrainBlobIsMarshalBinary is the byte-identity guard of sealing from
-// segments: the blob DrainAdvice lays out from the entry bytes the server
-// encoded while logging equals MarshalBinary of the advice it drained, for
-// every app, dialect set, admission window and worker count, with drains
-// after every request, every seventh request, and only at the end.
-func TestDrainBlobIsMarshalBinary(t *testing.T) {
+// TestDrainedAdviceReencodes: the encoding of every advice DrainAdvice hands
+// back decodes and re-encodes to the same bytes, for every app, dialect set,
+// admission window and worker count, with drains after every request, every
+// seventh request, and only at the end — drains taken while requests are in
+// flight, whose back-reference tables and carried state the wire must keep.
+func TestDrainedAdviceReencodes(t *testing.T) {
 	modes := []struct {
 		name     string
 		kar, oro bool
@@ -89,19 +90,25 @@ func checkDrains(t *testing.T, spec harness.AppSpec, reqs []server.Request, kar,
 		for _, d := range []struct {
 			name      string
 			collected bool
-			got       server.Drained
+			got       *advice.Advice
 		}{{"karousos", kar, k}, {"orochi-js", oro, o}} {
 			if !d.collected {
-				if d.got.Advice != nil || d.got.Blob != nil {
+				if d.got != nil {
 					t.Errorf("drain %d: %s not collected but drained", drains, d.name)
 				}
 				continue
 			}
-			if string(d.got.Blob) != string(d.got.Advice.MarshalBinary()) {
-				t.Errorf("drain %d: %s blob (%d bytes) differs from MarshalBinary of the drained advice (%d bytes)",
-					drains, d.name, len(d.got.Blob), len(d.got.Advice.MarshalBinary()))
+			blob := d.got.MarshalBinary()
+			dec, err := advice.UnmarshalBinary(blob)
+			if err != nil {
+				t.Errorf("drain %d: %s advice does not decode: %v", drains, d.name, err)
+				continue
 			}
-			logged += len(d.got.Advice.VarLogs) + len(d.got.Advice.HandlerLogs) + len(d.got.Advice.TxLogs)
+			if again := dec.MarshalBinary(); string(again) != string(blob) {
+				t.Errorf("drain %d: %s advice (%d bytes) re-encodes to %d different bytes",
+					drains, d.name, len(blob), len(again))
+			}
+			logged += len(d.got.VarLogs) + len(d.got.HandlerLogs) + len(d.got.TxLogs)
 		}
 	}
 	app, store := spec.New()

@@ -29,19 +29,12 @@ func (s *Server) ServeOne(r Request) (value.V, error) {
 	return s.requests[r.RID].respVal, nil
 }
 
-// Drained is one dialect's advice handed back by DrainAdvice: the epoch's
-// advice and its wire encoding, which is Advice.MarshalBinary's bytes laid
-// out from the entries the server encoded as it logged them.
-type Drained struct {
-	Advice *advice.Advice
-	Blob   []byte
-}
-
 // DrainAdvice seals the server side of an epoch: it hands back the advice
-// collected since the previous drain, with its blob, per collected dialect
-// (the zero Drained for one not collected), and rebases the in-memory
-// runtime state so the next epoch's advice is self-contained. Building the
-// blob copies the logs' pre-encoded bytes; no logged value is encoded here.
+// collected since the previous drain per collected dialect (nil for one not
+// collected), and rebases the in-memory runtime state so the next epoch's
+// advice is self-contained. It encodes nothing: the caller encodes the
+// drained advice (MarshalBinary), once, and the server keeps no reference
+// to it.
 //
 // Rebasing is the heart of cross-epoch auditing. Each variable's
 // most-recent-write marker is reassigned to a synthetic init-level op
@@ -57,7 +50,7 @@ type Drained struct {
 //
 // The store's write order and transaction order are emitted as deltas:
 // only binlog installations and tx events since the previous drain.
-func (s *Server) DrainAdvice() (kar, oro Drained) {
+func (s *Server) DrainAdvice() (kar, oro *advice.Advice) {
 	s.lock()
 	defer s.unlock()
 	var wo []advice.TxPos
@@ -67,11 +60,10 @@ func (s *Server) DrainAdvice() (kar, oro Drained) {
 	}
 	for _, d := range s.dialects {
 		d.adv.WriteOrder, d.adv.TxOrder = slices.Clone(wo), slices.Clone(to)
-		out := Drained{Advice: d.adv, Blob: d.adv.AppendBinary(nil, &d.seg)}
 		if d.mode == advice.ModeKarousos {
-			kar = out
+			kar = d.adv
 		} else {
-			oro = out
+			oro = d.adv
 		}
 		d.reset()
 	}

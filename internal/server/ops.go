@@ -166,13 +166,12 @@ func (s *Server) Unregister(ctx *core.Context, opnum int, event core.EventName, 
 }
 
 // logHandlerOp appends e to the request's handler log, which every dialect
-// shares, and encodes it once for all of them.
+// shares.
 func (s *Server) logHandlerOp(rs *reqState, e advice.HandlerOp) {
 	if len(s.dialects) == 0 {
 		return
 	}
 	rs.handlerLog = append(rs.handlerLog, e)
-	rs.handlerWire = advice.AppendHandlerOp(rs.handlerWire, &e)
 }
 
 // TxOp executes one transactional operation against the store and logs it in
@@ -195,9 +194,6 @@ func (s *Server) TxOp(ctx *core.Context, opnum int, tx *core.Tx, op core.TxOpTyp
 		e.HID = ctx.HID()
 		e.OpNum = opnum
 		ts.log = append(ts.log, e)
-		if len(s.dialects) > 0 {
-			ts.wire = advice.AppendTxOp(ts.wire, &e)
-		}
 		return len(ts.log)
 	}
 	switch op {
@@ -292,12 +288,10 @@ func keyString(key *mv.MV) string {
 	return k
 }
 
-// flushTxLog moves a finished transaction's log, and its encoding, into the
-// advice.
+// flushTxLog moves a finished transaction's log into the advice.
 func (s *Server) flushTxLog(k txKey, ts *txState) {
 	for _, d := range s.dialects {
 		d.adv.TxLogs = append(d.adv.TxLogs, advice.TxLog{RID: k.rid, TID: k.tid, Ops: slices.Clone(ts.log)})
-		d.seg.TxLogs = append(d.seg.TxLogs, ts.wire)
 	}
 }
 
@@ -315,7 +309,7 @@ func (s *Server) Respond(ctx *core.Context, opsIssued int, payload *mv.MV) {
 	rs.response = advice.OpAt{HID: ctx.HID(), OpNum: opsIssued}
 	rs.respVal = value.Clone(value.Normalize(payload.At(0)))
 	if s.tr != nil {
-		s.tr.Events = append(s.tr.Events, trace.Event{Kind: trace.Resp, RID: string(rid), Data: value.Clone(value.Normalize(payload.At(0)))})
+		s.tr.Events = append(s.tr.Events, trace.Event{Kind: trace.Resp, RID: string(rid), Data: rs.respVal})
 	}
 }
 
@@ -338,13 +332,8 @@ func (s *Server) Nondet(ctx *core.Context, opnum int, site string, gen func(rid 
 	rid := ctx.RIDs()[0]
 	v := value.Normalize(gen(rid))
 	e := advice.NondetEntry{Op: core.Op{RID: rid, HID: ctx.HID(), Num: opnum}, Value: v}
-	var wire []byte
-	if len(s.dialects) > 0 {
-		wire = advice.AppendNondet(nil, &e)
-	}
 	for _, d := range s.dialects {
 		d.adv.Nondet = append(d.adv.Nondet, e)
-		d.seg.Nondet = append(d.seg.Nondet, wire...)
 	}
 	return mv.Scalar(v, 1)
 }

@@ -118,8 +118,6 @@ type txKey struct {
 type txState struct {
 	txn *kvstore.Txn
 	log []advice.TxOp
-	// wire is log's encoding, shared by every dialect's advice.
-	wire []byte
 }
 
 type reqState struct {
@@ -128,9 +126,6 @@ type reqState struct {
 	// handlerLog accumulates this request's handler operations in issue
 	// order.
 	handlerLog []advice.HandlerOp
-	// handlerWire is handlerLog's encoding, shared by every dialect's
-	// advice.
-	handlerWire []byte
 	// listeners is the request-local listener table (global handlers plus
 	// request-scoped registrations; Figure 16's per-request Registered set).
 	listeners map[core.EventName][]core.FunctionID
@@ -403,7 +398,6 @@ func (s *Server) finishRequest(rid core.RID, rs *reqState) {
 		d.adv.OpCounts[rid] = maps.Clone(rs.opcounts)
 		d.adv.ResponseEmittedBy[rid] = rs.response
 		d.adv.HandlerLogs[rid] = slices.Clone(rs.handlerLog)
-		d.seg.HandlerLogs[rid] = rs.handlerWire
 	}
 }
 

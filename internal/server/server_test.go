@@ -88,6 +88,35 @@ func TestRunTraceCopiesInputs(t *testing.T) {
 	}
 }
 
+// The trace's RESP and ServeOne's return share one copy of the payload, taken
+// at Respond: a handler that changes its payload afterwards changes neither.
+func TestRunTraceCopiesResponse(t *testing.T) {
+	app := &core.App{Name: "echo", RequestEvent: "request"}
+	app.Init = func(ctx *core.Context) { ctx.Register("request", "root") }
+	app.Funcs = map[core.FunctionID]core.HandlerFunc{
+		"root": func(ctx *core.Context, p *mv.MV) {
+			out := value.Map("n", float64(1))
+			ctx.Respond(ctx.Scalar(out))
+			out["n"] = float64(2)
+		},
+	}
+	want := value.Map("n", float64(1))
+	res, err := New(Config{App: app, Seed: 1, CollectKarousos: true}).Run([]Request{req("r1", 0)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Trace.Outputs()["r1"]; !value.Equal(got, want) {
+		t.Errorf("traced response = %v after the handler changed its payload, want %v", got, want)
+	}
+	got, err := New(Config{App: app, Seed: 1, CollectKarousos: true}).ServeOne(req("r1", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !value.Equal(got, want) {
+		t.Errorf("ServeOne response = %v after the handler changed its payload, want %v", got, want)
+	}
+}
+
 func TestOpCountsAndResponseEmittedBy(t *testing.T) {
 	res := serveTree(t, []Request{req("r1", 5)}, 1, 1)
 	counts := res.Karousos.OpCounts["r1"]
@@ -287,10 +316,10 @@ func TestServeOneIsRunAtWindowOne(t *testing.T) {
 			if got, want := tr.Digest(), res.Trace.Digest(); got != want {
 				t.Errorf("%s seed %d: trace differs between ServeOne and Run", fx.name, seed)
 			}
-			if string(kar.Blob) != string(res.Karousos.MarshalBinary()) {
+			if string(kar.MarshalBinary()) != string(res.Karousos.MarshalBinary()) {
 				t.Errorf("%s seed %d: Karousos advice differs between ServeOne and Run", fx.name, seed)
 			}
-			if string(oro.Blob) != string(res.Orochi.MarshalBinary()) {
+			if string(oro.MarshalBinary()) != string(res.Orochi.MarshalBinary()) {
 				t.Errorf("%s seed %d: Orochi-JS advice differs between ServeOne and Run", fx.name, seed)
 			}
 		}
@@ -310,8 +339,8 @@ func TestServeOneParallelDispatch(t *testing.T) {
 		}
 	}
 	kar, _ := srv.DrainAdvice()
-	if len(kar.Advice.TxLogs) != 3 || len(kar.Advice.WriteOrder) != 3 {
-		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.Advice.TxLogs), len(kar.Advice.WriteOrder))
+	if len(kar.TxLogs) != 3 || len(kar.WriteOrder) != 3 {
+		t.Errorf("drained %d tx logs and %d writes, want 3 and 3", len(kar.TxLogs), len(kar.WriteOrder))
 	}
 	if err := tr.CheckBalanced(); err != nil {
 		t.Fatal(err)
@@ -572,11 +601,15 @@ func TestNondetRecording(t *testing.T) {
 	if !value.Equal(res.Trace.Outputs()["r1"], float64(100)) {
 		t.Error("nondet result not delivered to the response")
 	}
-	// The drained blob lays the nondet list out from its segment.
+	// Both dialects drain the nondet list, and it survives the wire.
 	kar, oro := srv.DrainAdvice()
-	for _, d := range []Drained{kar, oro} {
-		if len(d.Advice.Nondet) != 2 || string(d.Blob) != string(d.Advice.MarshalBinary()) {
-			t.Errorf("%s: drained blob differs from MarshalBinary of its %d nondet entries", d.Advice.Mode, len(d.Advice.Nondet))
+	for _, a := range []*advice.Advice{kar, oro} {
+		dec, err := advice.UnmarshalBinary(a.MarshalBinary())
+		if err != nil {
+			t.Fatalf("%s: %v", a.Mode, err)
+		}
+		if len(a.Nondet) != 2 || len(dec.Nondet) != 2 || !value.Equal(dec.Nondet[1].Value, float64(200)) {
+			t.Errorf("%s: drained %d nondet entries, %d after a round trip, want 2 ending in 200", a.Mode, len(a.Nondet), len(dec.Nondet))
 		}
 	}
 }

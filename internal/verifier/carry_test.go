@@ -44,7 +44,7 @@ func serveEpochs(t *testing.T, spec harness.AppSpec, batches [][]server.Request)
 			tr.Events = append(tr.Events, trace.Event{Kind: trace.Resp, RID: string(r.RID), Data: y})
 		}
 		kar, oro := srv.DrainAdvice()
-		out = append(out, epoch{tr: tr, kar: kar.Advice, oro: oro.Advice})
+		out = append(out, epoch{tr: tr, kar: kar, oro: oro})
 	}
 	return out
 }

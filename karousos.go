@@ -21,7 +21,7 @@
 //     and recorded non-determinism.
 //   - The Karousos server runtime: serves requests (Server.Run returns the
 //     trace it recorded; a deployment records it in a trusted collector
-//     outside the server) and streams advice (handler logs, R-concurrency-
+//     outside the server) and collects advice (handler logs, R-concurrency-
 //     filtered variable logs, transaction logs, write order, tags).
 //   - The Karousos verifier: the three-phase audit of the paper's Figure 14
 //     (Preprocess / grouped multivalue ReExec / Postprocess with the
