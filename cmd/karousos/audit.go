@@ -15,7 +15,7 @@ import (
 	"karousos.dev/karousos/internal/verifier"
 )
 
-// auditCmd is the supervised auditor over a log or a topology root: one
+// auditCmd is the sharded auditor over a log or a topology root: one
 // lane per shard, run concurrently up to the lane budget, then the
 // cross-shard merge check. The merged verdict is the exit code.
 func auditCmd(args []string, stdout, stderr io.Writer) int {

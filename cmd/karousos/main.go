@@ -13,7 +13,7 @@
 //	    collectors (-local) or external `karousos serve` backends;
 //
 //	karousos audit -dir <log or topology root> [-checkpoint dir] [-follow] [-graph dir]
-//	    the supervised auditor: one lane per shard, each epoch routing-
+//	    the sharded auditor: one lane per shard, each epoch routing-
 //	    checked then audited in order, joined by the cross-shard merge;
 //	    -graph writes every graded epoch's execution graph as Graphviz DOT;
 //

@@ -33,7 +33,6 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
@@ -83,9 +82,6 @@ type Config struct {
 	// FS is the filesystem the auditor reads epochs and writes checkpoints
 	// and graphs through. nil means the real OS.
 	FS iofault.FS
-	// Backoff bounds the retry loops around epoch reads and checkpoint
-	// writes. Zero-valued fields take fault.Backoff's defaults.
-	Backoff fault.Backoff
 	// OnVerdict, when set, is called with every verdict as it is reached —
 	// accepted, rejected, or unauditable. Called without the auditor's lock.
 	OnVerdict func(Verdict)
@@ -215,7 +211,7 @@ func New(cfg Config) (*Auditor, error) {
 	}
 	if cfg.Checkpoint != "" {
 		var blob []byte
-		err := iofault.Retry(context.Background(), cfg.Backoff, func() error {
+		err := iofault.Retry(context.Background(), func() error {
 			var rerr error
 			blob, rerr = cfg.fs().ReadFile(cfg.Checkpoint)
 			return rerr
@@ -305,7 +301,7 @@ type fetched struct {
 // infrastructure failure, not server misbehavior.
 func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 	var sealed []epochlog.Manifest
-	err := iofault.Retry(ctx, a.cfg.Backoff, func() error {
+	err := iofault.Retry(ctx, func() error {
 		var lerr error
 		sealed, lerr = epochlog.ListSealedFS(a.cfg.fs(), a.cfg.Dir)
 		return lerr
@@ -363,7 +359,7 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 			for i := range jobs {
 				var f fetched
 				var blob []byte
-				f.err = iofault.Retry(ctx, a.cfg.Backoff, func() error {
+				f.err = iofault.Retry(ctx, func() error {
 					var rerr error
 					f.tr, blob, _, rerr = epochlog.ReadSealed(a.cfg.Dir, pending[i].Seq, opt)
 					return rerr
@@ -471,8 +467,8 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 			// infrastructure reason. A failed audit of incomplete evidence
 			// proves nothing — complete evidence might have passed — so the
 			// epoch is unauditable, not a server accusation. InternalFault
-			// is exempt: that is the auditor's own failure and must reach
-			// the lane's restart loop as an error.
+			// is exempt: that is the auditor's own failure, returned as an
+			// error with the carry and the cursor left on this epoch.
 			return a.gradeUnauditable(m, fmt.Sprintf("degraded (%s); audit failed [%s]: %s", m.Degraded, code, reason))
 		}
 		return a.reject(m.Seq, code, reason)
@@ -576,7 +572,7 @@ func (a *Auditor) persistCheckpoint(cp checkpoint) error {
 	if a.cfg.Checkpoint == "" {
 		return nil
 	}
-	err := iofault.Retry(context.Background(), a.cfg.Backoff, func() error {
+	err := iofault.Retry(context.Background(), func() error {
 		return writeCheckpoint(a.cfg.fs(), a.cfg.Checkpoint, cp)
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
@@ -424,7 +423,7 @@ func TestProbeCheckpoint(t *testing.T) {
 	// readFault makes a present checkpoint unreadable: corrupt, not
 	// missing — the auditor cannot resume from it.
 	readFault := iofault.NewInjector(iofault.OS)
-	if err := readFault.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: "checkpoint.json"}); err != nil {
+	if err := readFault.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, Target: "checkpoint.json"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

@@ -2,6 +2,7 @@ package auditd
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,14 +12,11 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/verifier"
 )
-
-var quietBackoff = fault.Backoff{Sleep: func(time.Duration) {}}
 
 // sealEpochs drives n requests through a collector on cfs, sealing every
 // epochRequests, and closes it cleanly.
@@ -57,7 +55,7 @@ func TestCheckpointDirFsyncFailureSurfaces(t *testing.T) {
 	}
 
 	// File fsync passes (After:1), the directory fsync fires the fault.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 1}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 1}); err != nil {
 		t.Fatal(err)
 	}
 	err := writeCheckpoint(inj, path, checkpoint{LastAccepted: 4, LastProcessed: 4})
@@ -76,7 +74,7 @@ func TestAuditorRetriesTransientReads(t *testing.T) {
 	if err := inj.ArmSpec("transient-eio:11:3", ""); err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Config{Dir: dir, FS: inj, Backoff: quietBackoff})
+	a, err := New(Config{Dir: dir, FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,6 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 		Dir:           dir,
 		EpochRequests: 10,
 		FS:            cinj,
-		Backoff:       quietBackoff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,7 @@ func TestDegradedEpochGradesUnauditable(t *testing.T) {
 	ts := newLoopback(t, col)
 	reqs := requestsFor(t, harness.MOTDApp(), 30, 7)
 	driveHTTP(t, ts, reqs[:10])
-	if err := cinj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
+	if err := cinj.Arm(iofault.OpENOSPC, iofault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	driveHTTP(t, ts, reqs[10:20])
@@ -220,7 +217,6 @@ func TestOversizedAdviceAtSealGradesUnauditable(t *testing.T) {
 		Dir:           dir,
 		EpochRequests: 10,
 		Limits:        limits,
-		Backoff:       quietBackoff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +266,6 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 		Dir:           dir,
 		EpochRequests: 10,
 		FS:            cinj,
-		Backoff:       quietBackoff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +275,7 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 	driveHTTP(t, ts, reqs[:10])
 	// Epoch 2 degrades, then the collector crashes with epoch 2 sealed and
 	// nothing stranded.
-	if err := cinj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
+	if err := cinj.Arm(iofault.OpENOSPC, iofault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	driveHTTP(t, ts, reqs[10:20])
@@ -385,54 +380,108 @@ func TestRecoveredOversizedAdviceGradesUnauditable(t *testing.T) {
 	t.Logf("epoch 1: %s", vs[0].Reason)
 }
 
-// TestSupervisorRestartsOnInfraError: a lane incarnation dying on an
-// infrastructure failure (checkpoint fsync) is rebuilt from the durable
-// checkpoint and finishes the backlog with no verdict lost or flipped.
-func TestSupervisorRestartsOnInfraError(t *testing.T) {
+// TestLaneResumesAfterInfraError: a pass that fails on an infrastructure
+// fault (one checkpoint fsync) returns the error and keeps its auditor, so
+// the next pass resumes where grading stopped. Every epoch is graded once,
+// and the lane reports what a fault-free audit of the same log reports.
+func TestLaneResumesAfterInfraError(t *testing.T) {
 	dir := t.TempDir()
 	sealEpochs(t, dir, nil, 30, 10)
+	clean, err := NewSharded(ShardedConfig{Root: dir, CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Audit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	inj := iofault.NewInjector(nil)
 	// Each checkpoint write fsyncs the file and then its directory, both
-	// under auditd.ckpt: the second write's file fsync fails, killing the
-	// first incarnation after epoch 2 was audited but before it was recorded.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2, Target: ".ckpt"}); err != nil {
+	// under auditd.ckpt: the second write's file fsync fails, after epoch 2
+	// was graded but before it was recorded.
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 2, Target: ".ckpt"}); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewSharded(ShardedConfig{
-		Root:          dir,
-		CheckpointDir: filepath.Join(t.TempDir(), "auditd.ckpt"),
-		FS:            inj,
-		Backoff:       quietBackoff,
-	})
+	ckdir := filepath.Join(t.TempDir(), "auditd.ckpt")
+	sh, err := NewSharded(ShardedConfig{Root: dir, CheckpointDir: ckdir, FS: inj})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := sh.Audit(context.Background()); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("first pass: %v, want the checkpoint fsync failure", err)
 	}
 	res, err := sh.Audit(context.Background())
 	if err != nil {
-		t.Fatalf("supervised audit: %v", err)
+		t.Fatalf("second pass: %v", err)
 	}
 	rep := res.Shards[0]
-	if rep.Restarts != 1 || rep.Status.LastProcessed != 3 || !res.Accepted() {
-		t.Fatalf("restarts = %d, last processed %d, merge %+v; want exactly 1 rebuild draining the log", rep.Restarts, rep.Status.LastProcessed, res.Merge)
-	}
-	// Epoch 2's checkpoint died after its audit: the rebuilt incarnation
-	// re-grades epoch 2, so it appears twice with the same verdict — the
-	// determinism invariant — and the accepted set is 1,2,3.
-	accepted := map[uint64]int{}
+	graded := map[uint64]int{}
 	for _, v := range rep.Verdicts {
 		if !v.Accepted() {
 			t.Fatalf("infra fault produced non-accept verdict: %+v", v)
 		}
-		accepted[v.Epoch]++
+		graded[v.Epoch]++
 	}
-	if accepted[1] != 1 || accepted[2] != 2 || accepted[3] != 1 {
-		t.Fatalf("grades per epoch = %v, want 1:1 2:2 3:1", accepted)
+	if len(graded) != 3 || graded[1] != 1 || graded[2] != 1 || graded[3] != 1 {
+		t.Fatalf("grades per epoch = %v, want each of 1, 2, 3 once", graded)
+	}
+	if last, _, probe := ProbeCheckpoint(nil, CheckpointPath(ckdir, 0)); probe != CheckpointOK || last != 3 {
+		t.Fatalf("durable checkpoint = %d (%v), want 3", last, probe)
+	}
+	w := want.Shards[0].Status
+	if !res.Accepted() || rep.Status.Accepted != w.Accepted || rep.Status.LastProcessed != w.LastProcessed || res.Stats != want.Stats {
+		t.Fatalf("after the fault: accepted %d through %d, %+v; fault-free: accepted %d through %d, %+v",
+			rep.Status.Accepted, rep.Status.LastProcessed, res.Stats, w.Accepted, w.LastProcessed, want.Stats)
+	}
+}
+
+// TestLaneReturnsInternalFault: an InternalFault is the auditor's own
+// failure, not a verdict on the server. The pass returns it as an error and
+// the lane does not halt; since the verdict is a deterministic function of
+// the evidence, the next pass returns the same error. The fault here is a
+// checkpointed carry naming a variable the application does not have.
+func TestLaneReturnsInternalFault(t *testing.T) {
+	dir := t.TempDir()
+	sealEpochs(t, dir, nil, 20, 10)
+	ckdir := t.TempDir()
+	bad := []byte(`{"lastAccepted": 1, "carry": {"vars": {"no-such-variable": 1}, "store": {}}}`)
+	if err := os.WriteFile(CheckpointPath(ckdir, 0), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewSharded(ShardedConfig{Root: dir, CheckpointDir: ckdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for pass := 1; pass <= 2; pass++ {
+		n, err := sh.RunOnce(context.Background())
+		var rej *Reject
+		if !errors.As(err, &rej) || rej.Code != core.RejectInternalFault || rej.Epoch != 2 || n != 0 {
+			t.Fatalf("pass %d = %d, %v; want epoch 2's InternalFault", pass, n, err)
+		}
+		if pass == 1 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("pass 2 failed differently:\n  %s\n  %s", first, err)
+		}
+		if sh.lanes[0].haltedNow() != nil {
+			t.Fatalf("pass %d halted the lane on the auditor's own fault", pass)
+		}
+	}
+	rep := sh.Result().Shards[0]
+	for _, v := range rep.Verdicts {
+		if v.Accepted() {
+			t.Fatalf("epoch %d graded accepted past an InternalFault", v.Epoch)
+		}
+	}
+	if rep.Code != "" || rep.Status.Accepted != 0 || rep.Status.LastProcessed != 1 {
+		t.Fatalf("lane %+v, want no verdict of its own and the cursor on epoch 1", rep)
 	}
 }
 
 // TestSupervisorStopsOnHonestReject: a real rejection halts the lane
-// untouched — rebuilding cannot and must not change a verdict — and ends
+// untouched — re-running cannot and must not change a verdict — and ends
 // the follow loop, so `audit -follow` on a single log exits at the first
 // rejection.
 func TestSupervisorStopsOnHonestReject(t *testing.T) {
@@ -466,48 +515,42 @@ func TestSupervisorStopsOnHonestReject(t *testing.T) {
 	if rep.Code != core.RejectMalformedAdvice || res.Merge.Code != core.RejectMalformedAdvice || rep.Status.Rejected != 1 {
 		t.Fatalf("lane %+v, merge %+v; want the MalformedAdvice rejection", rep, res.Merge)
 	}
-	if rep.Restarts != 0 {
-		t.Fatalf("lane rebuilt %d times on an honest reject", rep.Restarts)
-	}
 }
 
-// TestLaneRestartBudgetExhausts: a lane whose every incarnation dies on an
-// infrastructure failure (each checkpoint fsync fails) is rebuilt
-// maxLaneRestarts times, then the pass gives up with the failure instead
-// of spinning. A failure outside the verifier never turns a verdict the
-// dying incarnations reached into anything but an accept.
-func TestLaneRestartBudgetExhausts(t *testing.T) {
+// TestDeadCheckpointDisk: when every checkpoint fsync fails, each pass
+// grades one epoch, returns the fsync error and leaves the durable cursor
+// where it was. A failure outside the verifier never turns a verdict into
+// anything but an accept.
+func TestDeadCheckpointDisk(t *testing.T) {
 	dir := t.TempDir()
 	sealEpochs(t, dir, nil, 30, 10)
 
 	inj := iofault.NewInjector(nil)
-	sh, err := NewSharded(ShardedConfig{
-		Root:          dir,
-		CheckpointDir: filepath.Join(t.TempDir(), "auditd.ckpt"),
-		FS:            inj,
-		Backoff:       quietBackoff,
-	})
+	ckdir := filepath.Join(t.TempDir(), "auditd.ckpt")
+	sh, err := NewSharded(ShardedConfig{Root: dir, CheckpointDir: ckdir, FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".ckpt"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: -1, Target: ".ckpt"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Audit(context.Background()); err == nil || !strings.Contains(err.Error(), "restart budget") {
-		t.Fatalf("audit with a dead checkpoint disk: %v, want the restart budget exhausted", err)
-	}
-	rep := sh.Result().Shards[0]
-	// The first incarnation and each of its maxLaneRestarts rebuilds is
-	// retired when it dies.
-	if rep.Restarts != maxLaneRestarts+1 {
-		t.Fatalf("lane retired %d incarnations, want %d", rep.Restarts, maxLaneRestarts+1)
-	}
-	if len(rep.Verdicts) == 0 {
-		t.Fatal("no incarnation graded an epoch before its checkpoint failed")
-	}
-	for _, v := range rep.Verdicts {
-		if !v.Accepted() {
-			t.Fatalf("infra fault produced non-accept verdict: %+v", v)
+	for pass := 1; pass <= 3; pass++ {
+		_, err := sh.RunOnce(context.Background())
+		var fe *iofault.FaultError
+		if !errors.As(err, &fe) || fe.Op != iofault.OpFsyncFail {
+			t.Fatalf("pass %d: %v, want the checkpoint fsync failure", pass, err)
 		}
+		rep := sh.Result().Shards[0]
+		if len(rep.Verdicts) != pass || rep.Status.LastProcessed != uint64(pass) {
+			t.Fatalf("pass %d: %d verdicts through epoch %d, want one more epoch graded", pass, len(rep.Verdicts), rep.Status.LastProcessed)
+		}
+		for _, v := range rep.Verdicts {
+			if !v.Accepted() {
+				t.Fatalf("infra fault produced non-accept verdict: %+v", v)
+			}
+		}
+	}
+	if _, _, probe := ProbeCheckpoint(nil, CheckpointPath(ckdir, 0)); probe != CheckpointMissing {
+		t.Fatalf("a checkpoint became durable on a dead disk: %v", probe)
 	}
 }

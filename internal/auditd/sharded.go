@@ -11,38 +11,35 @@ import (
 
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/verifier"
 )
 
-// The supervised auditor. A deployment is a topology of N≥1 shards, one
+// The sharded auditor. A deployment is a topology of N≥1 shards, one
 // epoch log per shard (a bare collector log is the one-shard topology);
 // the cross-epoch carry chains *within* a shard but never across shards,
 // so the per-shard audits are independent up to the final merge check.
-// Sharded exploits that: one audit lane per shard-log directory, each a
-// self-supervised Auditor with its own checkpoint and carry, run
-// concurrently up to the lane budget, then joined by the cross-shard
-// checks (routing and partition, internal/shard) into one combined
-// verdict. Lanes fail independently — a restartable fault rebuilds only
-// that lane from its own checkpoint — and lane scheduling never reaches
-// the verdict: each lane's outcome is a deterministic function of its
-// shard's evidence, and the merge is a deterministic function of the
-// outcomes.
+// Sharded exploits that: one audit lane per shard-log directory, each an
+// Auditor with its own checkpoint and carry, run concurrently up to the
+// lane budget, then joined by the cross-shard checks (routing and
+// partition, internal/shard) into one combined verdict. Lane scheduling
+// never reaches the verdict: each lane's outcome is a deterministic
+// function of its shard's evidence, and the merge is a deterministic
+// function of the outcomes.
 //
-// The restart decision is the trust boundary in miniature. A coded
+// A lane's failure handling is the trust boundary in miniature. A coded
 // rejection other than InternalFault is the audit's verdict on the server:
-// restarting cannot change it and must not, so the lane halts and reports
-// it. An InternalFault (the verifier crashed on some input) or a plain
-// infrastructure error (epoch unreadable past the retry budget) says
-// nothing about the server; the lane rebuilds its auditor from the durable
-// checkpoint and tries again. Crash consistency makes the rebuild sound:
-// the checkpoint is written atomically after each graded epoch, so an
-// incarnation that died mid-epoch re-grades exactly that epoch, and the
-// determinism invariant (same evidence, same verdict) makes the re-grade
-// converge.
+// re-running cannot change it and must not, so the lane halts and reports
+// it. An InternalFault (the verifier failed on some input) or a plain
+// infrastructure error (epoch unreadable past iofault.Retry) says nothing
+// about the server, and the pass returns it as an error. Nothing is
+// restarted in-process: the verdict is a deterministic function of the
+// evidence, so re-running on the same evidence fails the same way. The
+// lane keeps its auditor, whose cursor stops where grading did, so the
+// next pass — the next follow tick, or a restarted process reading the
+// durable checkpoint — resumes there.
 
 // ShardedConfig describes a shard-parallel auditor.
 type ShardedConfig struct {
@@ -63,19 +60,15 @@ type ShardedConfig struct {
 	AuditWorkers int
 	// MemoMaxBytes enables the re-execution memo cache per lane, as in
 	// Config — one independent cache per shard, since tag-group closures
-	// never repeat across shards (rids are routed disjointly). A lane
-	// rebuild after a restartable fault starts with a cold cache: the memo
-	// is an in-memory cache, so losing it costs re-execution, never
-	// correctness.
+	// never repeat across shards (rids are routed disjointly).
 	MemoMaxBytes int
 	// GraphDir, when set, receives each lane's execution graphs under
 	// shard-NN/, as in Config.GraphDir.
 	GraphDir string
 	// Poll is the follow-mode polling interval. Defaults to 200ms.
 	Poll time.Duration
-	// FS and Backoff are as in Config; Backoff also paces lane rebuilds.
-	FS      iofault.FS
-	Backoff fault.Backoff
+	// FS is as in Config.
+	FS iofault.FS
 	// OnVerdict, when set, is called with every per-epoch verdict as a
 	// lane reaches it, tagged with the lane's shard index.
 	OnVerdict func(shardIndex int, v Verdict)
@@ -98,7 +91,6 @@ type ShardReport struct {
 	Code     core.RejectCode `json:"code,omitempty"`
 	Reason   string          `json:"reason,omitempty"`
 	Status   Status          `json:"status"`
-	Restarts int             `json:"restarts,omitempty"`
 	Verdicts []Verdict       `json:"verdicts,omitempty"`
 }
 
@@ -114,21 +106,16 @@ type ShardedResult struct {
 // Accepted reports whether the merged verdict cleared the topology.
 func (r ShardedResult) Accepted() bool { return r.Merge.Accepted() }
 
-// lane is one shard's audit pipeline: an Auditor plus its mini-supervision
-// state. A pass (step) exclusively owns its lane; the mutex covers
+// lane is one shard's audit pipeline: an Auditor plus the lane's sticky
+// verdict. A pass (step) exclusively owns its lane; the mutex covers
 // concurrent snapshots from Result.
 type lane struct {
 	shard int
 	dir   string
-	cfg   Config // per-incarnation Auditor config
+	cfg   Config // the lane Auditor's config
 
-	mu       sync.Mutex
-	aud      *Auditor // current incarnation; nil between incarnations
-	restarts int
-	// stats accumulates retired incarnations' work counters; the live
-	// incarnation's are added on snapshot.
-	stats verifier.Stats
-	last  Status // last retired incarnation's counters
+	mu  sync.Mutex
+	aud *Auditor // built by the lane's first pass
 	// halted is the lane's sticky verdict: a rejection (the lane stops
 	// grading — re-running cannot change a verdict about the server).
 	halted   *Reject
@@ -166,7 +153,7 @@ func CheckpointPath(dir string, s int) string {
 }
 
 // NewSharded resolves the topology and builds one lane per shard. Lane
-// auditors are built lazily (per incarnation), resolving each shard's app
+// auditors are built by each lane's first pass, resolving each shard's app
 // and mode from that directory's sidecar exactly as a single-directory
 // auditor would.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
@@ -183,7 +170,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.CheckpointDir != "" {
 		// The directory is this config's own concept (one resume file per
 		// lane lives inside it), so creating it is this constructor's job —
-		// lanes must not burn their restart budget on a missing parent.
+		// no lane pass should fail on a missing parent.
 		if err := cfg.fs().MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("auditd: sharded: checkpoint dir: %w", err)
 		}
@@ -197,7 +184,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			AuditWorkers: cfg.AuditWorkers,
 			MemoMaxBytes: cfg.MemoMaxBytes,
 			FS:           cfg.FS,
-			Backoff:      cfg.Backoff,
 		}
 		if cfg.CheckpointDir != "" {
 			l.cfg.Checkpoint = CheckpointPath(cfg.CheckpointDir, i)
@@ -227,12 +213,12 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 }
 
 // RunOnce drains every lane once: each lane routing-checks and audits, epoch
-// by epoch, all currently sealed epochs past its cursor, restarting itself
-// (up to maxLaneRestarts) on restartable failures. Lanes run concurrently up to
-// the lane budget; the pass returns how many epochs were graded across all
-// lanes and the first infrastructure error by shard order. Lane verdicts
-// — including rejections — are not errors here; they surface through
-// Result.
+// by epoch, all currently sealed epochs past its cursor. Lanes run
+// concurrently up to the lane budget; the pass returns how many epochs were
+// graded across all lanes and the first error by shard order — an
+// infrastructure failure or an InternalFault, after which that lane's next
+// pass resumes where its grading stopped. Lane verdicts — including
+// rejections — are not errors here; they surface through Result.
 func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 	type stepResult struct {
 		n   int
@@ -265,10 +251,10 @@ func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 }
 
 // Run follows all shard logs until the context is cancelled or every lane
-// has halted on a rejection (both nil: the verdict is in Result), or a lane
-// fails past its restart budget (that error). Halted lanes stop grading but
-// the rest keep following — one misbehaving shard must not blind the audit
-// of the others; the combined verdict carries the rejection either way.
+// has halted on a rejection (both nil: the verdict is in Result), or a pass
+// fails (that error). Halted lanes stop grading but the rest keep
+// following — one misbehaving shard must not blind the audit of the others;
+// the combined verdict carries the rejection either way.
 func (s *Sharded) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.cfg.Poll)
 	defer ticker.Stop()
@@ -296,9 +282,9 @@ func (s *Sharded) Run(ctx context.Context) error {
 }
 
 // Audit is the one-shot entry point: drain every lane over the currently
-// sealed epochs, then merge. Infrastructure errors (a lane past its
-// restart budget, an unreadable trusted channel) return as errors; every
-// graded outcome — accept, reject, unauditable, conflict — is in the
+// sealed epochs, then merge. Infrastructure errors (an unreadable trusted
+// channel, a failed checkpoint write) and InternalFaults return as errors;
+// every graded outcome — accept, reject, unauditable, conflict — is in the
 // result.
 func (s *Sharded) Audit(ctx context.Context) (ShardedResult, error) {
 	if _, err := s.RunOnce(ctx); err != nil {
@@ -322,54 +308,31 @@ func (s *Sharded) Result() ShardedResult {
 	return res
 }
 
-// maxLaneRestarts bounds per-lane incarnation rebuilds after restartable
-// failures within one pass.
-const maxLaneRestarts = 3
-
 // step is one lane pass: grade newly sealed epochs — routing, then audit,
-// epoch by epoch — rebuilding the lane's auditor from its checkpoint after
-// restartable failures. The caller owns the lane for the duration.
+// epoch by epoch. The caller owns the lane for the duration; step is the
+// only writer of l.aud, so it reads it without the lock.
 func (l *lane) step(ctx context.Context) (int, error) {
 	if l.haltedNow() != nil {
 		return 0, nil
 	}
-	processed := 0
-	for attempt := 0; ; attempt++ {
-		aud := l.current()
-		if aud == nil {
-			var err error
-			if aud, err = New(l.cfg); err != nil {
-				// Building an auditor needs only the trusted sidecar and the
-				// checkpoint: failure is infrastructure, and retrying within
-				// the same pass cannot help.
-				return processed, err
-			}
-			l.install(aud)
+	if l.aud == nil {
+		// Building an auditor needs only the trusted sidecar and the
+		// checkpoint: failure is infrastructure, for the next pass.
+		aud, err := New(l.cfg)
+		if err != nil {
+			return 0, err
 		}
-		n, err := aud.RunOnce(ctx)
-		processed += n
-		if err == nil {
-			return processed, nil
-		}
-		if ctx.Err() != nil {
-			return processed, err
-		}
-		var rej *Reject
-		if errors.As(err, &rej) && rej.Code != core.RejectInternalFault {
-			l.halt(rej)
-			return processed, nil
-		}
-		// InternalFault or infrastructure: discard the incarnation (its
-		// in-memory state may be poisoned) and rebuild from the durable
-		// checkpoint.
-		l.retire(aud)
-		if attempt >= maxLaneRestarts {
-			return processed, fmt.Errorf("lane restart budget (%d) exhausted: %w", maxLaneRestarts, err)
-		}
-		if l.cfg.Backoff.Wait(ctx, attempt) != nil {
-			return processed, err
-		}
+		l.mu.Lock()
+		l.aud = aud
+		l.mu.Unlock()
 	}
+	n, err := l.aud.RunOnce(ctx)
+	var rej *Reject
+	if err != nil && ctx.Err() == nil && errors.As(err, &rej) && rej.Code != core.RejectInternalFault {
+		l.halt(rej)
+		return n, nil
+	}
+	return n, err
 }
 
 func (l *lane) haltedNow() *Reject {
@@ -388,33 +351,11 @@ func (l *lane) halt(rej *Reject) {
 	l.mu.Unlock()
 }
 
-func (l *lane) current() *Auditor {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.aud
-}
-
-func (l *lane) install(a *Auditor) {
-	l.mu.Lock()
-	l.aud = a
-	l.mu.Unlock()
-}
-
-func (l *lane) retire(a *Auditor) {
-	st := a.Status()
-	l.mu.Lock()
-	l.stats.Add(st.Stats)
-	l.last = st
-	l.restarts++
-	l.aud = nil
-	l.mu.Unlock()
-}
-
 // snapshot builds the lane's report and its merge-check outcome.
 func (l *lane) snapshot() (ShardReport, shard.Outcome) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.last
+	var st Status
 	var carry *verifier.CarryState
 	unanchored := false
 	if l.aud != nil {
@@ -422,12 +363,10 @@ func (l *lane) snapshot() (ShardReport, shard.Outcome) {
 		carry = l.aud.Carry()
 		unanchored = l.aud.Unanchored()
 	}
-	st.Stats.Add(l.stats)
 	rep := ShardReport{
 		Shard:    l.shard,
 		Dir:      l.dir,
 		Status:   st,
-		Restarts: l.restarts,
 		Verdicts: append([]Verdict(nil), l.verdicts...),
 	}
 	out := shard.Outcome{Shard: l.shard, Dir: l.dir}

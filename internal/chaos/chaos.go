@@ -18,7 +18,7 @@
 //     under chaos is graded Accepted or Unauditable, never rejected, and
 //     Unauditable only where the scenario says its faults strand evidence;
 //   - verdicts are deterministic: an epoch graded more than once (auditor
-//     rebuilds, lost checkpoints, the post-run re-audits) never flips, and
+//     kills, lost checkpoints, the post-run re-audits) never flips, and
 //     the verdicts, merge and Stats are identical at every lane and
 //     audit-worker count.
 //
@@ -35,13 +35,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
@@ -152,9 +150,10 @@ type Result struct {
 	// counts its per-epoch verdicts across the topology.
 	Audit auditd.ShardedResult `json:"audit"`
 	Tally
-	// AuditorRestarts counts the live auditor's lane rebuilds plus scripted
-	// kills.
+	// AuditorRestarts counts the scripted auditor kills.
 	AuditorRestarts int `json:"auditorRestarts"`
+	// AuditorFaults counts the faults fired on the live auditor's disk.
+	AuditorFaults int `json:"auditorFaults"`
 	// Violations are invariant breaches; empty on a sound run.
 	Violations []string `json:"violations,omitempty"`
 }
@@ -224,9 +223,6 @@ type runner struct {
 	evidence map[string]bool
 }
 
-// quiet keeps retry loops from sleeping on the scenario's clock.
-var quiet = fault.Backoff{Sleep: func(time.Duration) {}}
-
 // Run replays the scenario in dir (a scratch directory the caller owns)
 // and reports what happened. The error return is for a malformed scenario
 // or runner breakage — invariant violations land in Result.Violations.
@@ -264,7 +260,6 @@ func Run(dir string, sc Scenario) (*Result, error) {
 		Seed:          sc.Load.Seed,
 		Limits:        verifier.DefaultLimits(),
 		FS:            r.cInj,
-		Backoff:       quiet,
 		MaxInflight:   sc.Topology.MaxInflight,
 	})
 	if err != nil {
@@ -343,7 +338,9 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	if live.Merge.Code != r.res.Audit.Merge.Code {
 		r.violate("live auditor merged [%s], re-audit merged [%s]", live.Merge.Code, r.res.Audit.Merge.Code)
 	}
-	r.bookLaneRestarts(live)
+	for _, n := range r.aInj.Fired() {
+		r.res.AuditorFaults += n
+	}
 	r.res.Tally, breaches = GradeHonest(r.res.Audit, sc.Expect.Unauditable)
 	r.breach(breaches...)
 	r.scanEvidence()
@@ -404,16 +401,12 @@ func (sc Scenario) validate() (harness.AppSpec, error) {
 // newAuditor builds the live auditor from the durable checkpoints. Replacing
 // the previous one is an auditor kill: its in-memory carry dies with it.
 func (r *runner) newAuditor() error {
-	if r.aud != nil {
-		r.bookLaneRestarts(r.aud.Result())
-	}
 	aud, err := auditd.NewSharded(auditd.ShardedConfig{
 		Root:          r.root,
 		CheckpointDir: r.ckptDir,
 		Limits:        verifier.DefaultLimits(),
 		AuditWorkers:  1,
 		FS:            r.aInj,
-		Backoff:       quiet,
 		OnVerdict:     r.onVerdict,
 	})
 	if err != nil {
@@ -421,13 +414,6 @@ func (r *runner) newAuditor() error {
 	}
 	r.aud = aud
 	return nil
-}
-
-// bookLaneRestarts adds an outgoing auditor's lane rebuilds to the tally.
-func (r *runner) bookLaneRestarts(res auditd.ShardedResult) {
-	for _, rep := range res.Shards {
-		r.res.AuditorRestarts += rep.Restarts
-	}
 }
 
 // applyDue applies, in order, every step that is due before request i.
@@ -506,14 +492,14 @@ func (r *runner) outcome(i int, o loadgen.Outcome) {
 	}
 	if r.sc.Load.Outstanding <= 1 {
 		// A pass that fails here failed on a fault still armed; the lane
-		// rebuilds itself on the next one, and the final drain must succeed.
+		// resumes on the next one, and the final drain must succeed.
 		_, _ = r.aud.RunOnce(context.Background())
 		r.scanEvidence()
 	}
 }
 
-// onVerdict sees every verdict any auditor reaches — live, rebuilt, or
-// re-auditing — and holds each (shard, epoch) to its first grade.
+// onVerdict sees every verdict any auditor reaches — live, replaced by a
+// kill, or re-auditing — and holds each (shard, epoch) to its first grade.
 func (r *runner) onVerdict(s int, v auditd.Verdict) {
 	k := [2]uint64{uint64(s), v.Epoch}
 	r.mu.Lock()

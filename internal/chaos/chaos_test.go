@@ -101,13 +101,13 @@ var rows = []row{
 		}
 	}, want: map[int64]golden{5: {epochs: []string{ok4}, merge: "<uncoded>", served: 40, accepted: 4}},
 		extra: func(t *testing.T, _ Scenario, res *Result) {
-			if res.AuditorRestarts < 3 {
-				t.Errorf("auditor restarts = %d, want at least the 3 scripted kills", res.AuditorRestarts)
+			if res.AuditorRestarts != 3 {
+				t.Errorf("auditor restarts = %d, want the 3 scripted kills", res.AuditorRestarts)
 			}
 		}},
 	// The old TestCheckpointFaultsDoNotFlipVerdicts: fsync failures on the
-	// checkpoint path force lane rebuilds mid-run; every epoch still accepts
-	// and no verdict flips.
+	// checkpoint path fail live audit passes mid-run; every epoch still
+	// accepts and no verdict flips.
 	{name: "checkpoint-faults", sc: func(seed int64) Scenario {
 		return Scenario{
 			Topology: Topology{App: "motd", Shards: 1, EpochRequests: 10},
@@ -118,8 +118,8 @@ var rows = []row{
 		}
 	}, want: map[int64]golden{7: {epochs: []string{"1=<uncoded>;2=<uncoded>;3=<uncoded>;"}, merge: "<uncoded>", served: 30, accepted: 3}},
 		extra: func(t *testing.T, _ Scenario, res *Result) {
-			if res.AuditorRestarts == 0 {
-				t.Errorf("the checkpoint faults forced no lane rebuild; the scenario exercised nothing")
+			if res.AuditorFaults == 0 {
+				t.Errorf("no checkpoint fault fired; the scenario exercised nothing")
 			}
 		}},
 

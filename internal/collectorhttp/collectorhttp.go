@@ -43,7 +43,6 @@ import (
 
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/server"
@@ -73,9 +72,6 @@ type Config struct {
 	// nil means the real OS; tests and chaos scenarios pass an
 	// iofault.Injector.
 	FS iofault.FS
-	// Backoff bounds the retry loops around trusted-channel appends.
-	// Zero-valued fields take fault.Backoff's defaults.
-	Backoff fault.Backoff
 
 	// MaxInflight bounds concurrently admitted /invoke requests; arrivals
 	// beyond the window are shed with 429. <=0 means 256.
@@ -185,7 +181,6 @@ func New(cfg Config) (*Collector, error) {
 	l, err := epochlog.Open(cfg.Dir, epochlog.Options{
 		MaxAdviceBytes: cfg.Limits.MaxAdviceBytes,
 		FS:             cfg.FS,
-		Backoff:        cfg.Backoff,
 	})
 	if err != nil {
 		return nil, err
@@ -649,7 +644,7 @@ func (c *Collector) rotateGated() error {
 	}
 	kar, _ := c.srv.DrainAdvice()
 	blob := kar.MarshalBinary()
-	err := iofault.Retry(context.Background(), c.cfg.Backoff, func() error {
+	err := iofault.Retry(context.Background(), func() error {
 		return c.log.AppendAdvice(blob)
 	})
 	if err != nil {

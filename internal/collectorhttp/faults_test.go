@@ -8,9 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 )
@@ -22,7 +20,6 @@ func newFaulted(t *testing.T, inj *iofault.Injector, epochRequests int) (*Collec
 		Dir:           t.TempDir(),
 		EpochRequests: epochRequests,
 		FS:            inj,
-		Backoff:       fault.Backoff{Sleep: func(time.Duration) {}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +37,7 @@ func TestInvokeRetriesTransientAppend(t *testing.T) {
 	c, ts := newFaulted(t, inj, 0)
 	defer c.Close()
 
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 2, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: 2, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
@@ -62,7 +59,7 @@ func TestInvokeRefusedWhenRequestAppendFails(t *testing.T) {
 	c, ts := newFaulted(t, inj, 0)
 	defer c.Close()
 
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "get", "day": "mon"}})
@@ -87,7 +84,7 @@ func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	defer c.Close()
 
 	// Skip the REQ append; fail every later trace append in this epoch.
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: -1, After: 1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, After: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
@@ -113,7 +110,7 @@ func TestSealAdviceLossDegradesButSeals(t *testing.T) {
 	defer c.Close()
 
 	invoke(t, ts.URL, map[string]any{"op": "set", "scope": "always", "msg": "x"})
-	if err := inj.Arm(iofault.OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
+	if err := inj.Arm(iofault.OpENOSPC, iofault.Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.Seal()
@@ -160,7 +157,7 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	// and readiness flips. The fault targets only the manifest fsync — the
 	// trace's group-commit fsync must keep working or the second invoke
 	// would (correctly) be refused before it ever reached the seal.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: -1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
@@ -200,7 +197,6 @@ func TestAuditLagCountsOnlySealedEpochs(t *testing.T) {
 		Dir:           t.TempDir(),
 		EpochRequests: 1,
 		FS:            inj,
-		Backoff:       fault.Backoff{Sleep: func(time.Duration) {}},
 		AuditProgress: func() (uint64, bool) { return audited.Load(), true },
 	})
 	if err != nil {
@@ -212,7 +208,7 @@ func TestAuditLagCountsOnlySealedEpochs(t *testing.T) {
 
 	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
 	audited.Store(1)
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: -1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	invoke(t, ts.URL, map[string]any{"op": "get", "day": "tue"})

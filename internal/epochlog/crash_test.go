@@ -190,7 +190,7 @@ func (p *crashFile) Close() error {
 // appends and advice → Seal. It stops at the first error and returns the
 // RIDs whose appends were acked.
 func crashScript(dir string, fsys iofault.FS) (acked []string) {
-	l, err := Open(dir, Options{FS: fsys, Backoff: noSleep})
+	l, err := Open(dir, Options{FS: fsys})
 	if err != nil {
 		return nil
 	}

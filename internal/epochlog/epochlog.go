@@ -41,7 +41,6 @@ import (
 	"strings"
 	"sync"
 
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
@@ -110,8 +109,6 @@ type Options struct {
 	// real filesystem (iofault.OS). Fault-injection harnesses pass an
 	// *iofault.Injector.
 	FS iofault.FS
-	// Backoff bounds the committer's retries of transient write faults.
-	Backoff fault.Backoff
 }
 
 // fs resolves the configured I/O layer.

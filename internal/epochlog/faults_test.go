@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 )
@@ -47,7 +46,7 @@ func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 
 	// First Sync in Seal is the trace file: the trusted channel's fsync
 	// fails, so the epoch must not appear sealed.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil {
@@ -99,7 +98,7 @@ func TestSealRotationFailureRollsBack(t *testing.T) {
 	fillOpen(t, l, 2)
 	// Rotation reads epoch 2's advice file twice (torn-tail check, scan),
 	// then opens it: fail the open, after epoch 2's trace file is open.
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 1, After: 2, Target: "ep000002.advice"}); err != nil {
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: 1, After: 2, Target: "ep000002.advice"}); err != nil {
 		t.Fatal(err)
 	}
 	var fe *iofault.FaultError
@@ -140,7 +139,7 @@ func TestSealManifestFsyncFailureRemovesManifest(t *testing.T) {
 
 	// Seal fsyncs trace, advice, then the manifest: skip the two data
 	// syncs so the fault lands exactly on the manifest's.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil || !strings.Contains(err.Error(), "manifest fsync") {
@@ -176,7 +175,7 @@ func TestSealDirFsyncFailureAbortsSeal(t *testing.T) {
 	fillOpen(t, l, 1)
 
 	// Syncs in Seal: trace, advice, manifest file, then the directory.
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 3}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil || !strings.Contains(err.Error(), "directory fsync") {
@@ -201,7 +200,7 @@ func TestReopenAfterFailedSealRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillOpen(t, l, 3)
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, After: 2}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil {
@@ -249,7 +248,7 @@ func TestOpenRenameFailureFailsLoudlyAndPreservesStrays(t *testing.T) {
 	}
 
 	inj := iofault.NewInjector(nil)
-	if err := inj.Arm(iofault.OpRenameFail, fault.Arm{Times: 1}); err != nil {
+	if err := inj.Arm(iofault.OpRenameFail, iofault.Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{FS: inj}); err == nil {
@@ -309,7 +308,7 @@ func TestShortWriteOnAppendIsRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillOpen(t, l, 2)
-	if err := inj.Arm(iofault.OpShortWrite, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpShortWrite, iofault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	err = l.AppendEvent(ev(trace.Req, "rt", 9))
@@ -348,7 +347,7 @@ func TestOpenRecoveryFailureRetries(t *testing.T) {
 	l.Close() // crash: epoch 1 rotated out, its seal never finished
 
 	inj := iofault.NewInjector(nil)
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, Target: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{FS: inj}); err == nil || !strings.Contains(err.Error(), "manifest fsync") {

@@ -194,7 +194,7 @@ func (l *Log) writeDurableLocked(buf []byte) error {
 	if err := l.ensureTailLocked(); err != nil {
 		return err
 	}
-	err := iofault.Retry(nil, l.opt.Backoff, func() error {
+	err := iofault.Retry(context.Background(), func() error {
 		_, werr := l.traceF.Write(buf)
 		if werr != nil {
 			if terr := l.repairTailLocked(); terr != nil {

@@ -5,23 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/trace"
 )
 
-// noSleep keeps injected-fault retries instant in tests.
-var noSleep = fault.Backoff{Sleep: func(time.Duration) {}}
-
 func openGroup(t *testing.T, dir string, opt Options) *Log {
 	t.Helper()
-	if opt.Backoff.Sleep == nil {
-		opt.Backoff = noSleep
-	}
 	l, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +79,7 @@ func TestGroupCommitAmortisesFsyncs(t *testing.T) {
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, t.TempDir(), Options{FS: inj})
 	defer l.Close()
-	if err := inj.Arm(iofault.OpLatency, fault.Arm{Times: -1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpLatency, iofault.Arm{Times: -1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	before := inj.Counts()[iofault.CallSync]
@@ -137,24 +130,12 @@ func TestGroupCommitAckImpliesDurable(t *testing.T) {
 
 func TestGroupCommitQueueFullSheds(t *testing.T) {
 	dir := t.TempDir()
-	inj := iofault.NewInjector(nil)
-	// Stall the committer's first batch in a long retry loop so the queue
-	// backs up deterministically.
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	l := openGroup(t, dir, Options{FS: inj, Backoff: fault.Backoff{
-		Attempts: 100,
-		Sleep: func(time.Duration) {
-			once.Do(func() { close(blocked) })
-			<-release
-		},
-	}})
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 99, Target: ".trace"}); err != nil {
-		t.Fatal(err)
-	}
+	// Stall the committer's first batch so the queue backs up
+	// deterministically.
+	st := newStallFS(iofault.OS)
+	l := openGroup(t, dir, Options{FS: st})
 	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
-	<-blocked // committer holds r0, retrying
+	<-st.blocked // committer holds r0
 	queued := make([]*Ack, commitQueue)
 	for i := range queued {
 		queued[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
@@ -163,8 +144,7 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	if err := shed.Wait(); !errors.Is(err, ErrCommitQueueFull) {
 		t.Fatalf("append to full queue: %v, want ErrCommitQueueFull", err)
 	}
-	inj.Heal()
-	close(release)
+	close(st.release)
 	for i, a := range append([]*Ack{first}, queued...) {
 		if err := a.Wait(); err != nil {
 			t.Fatalf("queued append %d failed after heal: %v", i, err)
@@ -213,7 +193,7 @@ func TestGroupCommitBatchFsyncFailureAcksNobody(t *testing.T) {
 	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "good", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	err := l.AppendEventAsync(context.Background(), ev(trace.Req, "doomed", 1)).Wait()
@@ -242,7 +222,7 @@ func TestGroupCommitShortWriteRetriesWithoutTearing(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := inj.Arm(iofault.OpShortWrite, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
+	if err := inj.Arm(iofault.OpShortWrite, iofault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	// The first batch write tears mid-frame; the committer truncates the
@@ -375,7 +355,7 @@ func TestFinishSealsFailureKeepsPendingAndRetries(t *testing.T) {
 	if rotated, err := l.Rotate(); err != nil || !rotated {
 		t.Fatalf("rotate: %v", err)
 	}
-	if err := inj.Arm(iofault.OpFsyncFail, fault.Arm{Times: -1, Target: ".manifest"}); err != nil {
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: -1, Target: ".manifest"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.FinishSeals(); err == nil {
@@ -480,33 +460,22 @@ func TestRecoverySealPreservesFreshMarker(t *testing.T) {
 
 // TestGroupCommitBatchCap: a backlog larger than maxBatchFrames commits in
 // batches of at most maxBatchFrames frames, one fsync each, and every
-// queued frame lands. The committer's first batch is stalled in a retry
+// queued frame lands. The committer's first batch is stalled in its write
 // so the whole backlog is queued before it drains.
 func TestGroupCommitBatchCap(t *testing.T) {
 	inj := iofault.NewInjector(nil)
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	l := openGroup(t, t.TempDir(), Options{FS: inj, Backoff: fault.Backoff{
-		Attempts: 100,
-		Sleep: func(time.Duration) {
-			once.Do(func() { close(blocked) })
-			<-release
-		},
-	}})
+	st := newStallFS(inj)
+	l := openGroup(t, t.TempDir(), Options{FS: st})
 	defer l.Close()
-	if err := inj.Arm(iofault.OpTransientEIO, fault.Arm{Times: 1, Target: ".trace"}); err != nil {
-		t.Fatal(err)
-	}
 	before := inj.Counts()[iofault.CallSync]
 	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
-	<-blocked // committer holds r0, retrying
+	<-st.blocked // committer holds r0
 	const backlog = 2*maxBatchFrames + 76
 	acks := make([]*Ack, backlog)
 	for i := range acks {
 		acks[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
 	}
-	close(release)
+	close(st.release)
 	if err := first.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,4 +491,40 @@ func TestGroupCommitBatchCap(t *testing.T) {
 	if events, _ := l.ActiveEvents(); events != backlog+1 {
 		t.Fatalf("%d events committed, want %d", events, backlog+1)
 	}
+}
+
+// stallFS blocks the first write to a .trace file until release is closed
+// and closes blocked when that write arrives, so a test can hold the
+// committer's first batch while it fills the queue behind it.
+type stallFS struct {
+	iofault.FS
+	blocked, release chan struct{}
+	once             sync.Once
+}
+
+func newStallFS(base iofault.FS) *stallFS {
+	return &stallFS{FS: base, blocked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stallFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".trace") {
+		return f, err
+	}
+	return stallFile{File: f, fs: s}, nil
+}
+
+type stallFile struct {
+	iofault.File
+	fs *stallFS
+}
+
+func (f stallFile) Write(b []byte) (int, error) {
+	first := false
+	f.fs.once.Do(func() { first = true })
+	if first {
+		close(f.fs.blocked)
+		<-f.fs.release
+	}
+	return f.File.Write(b)
 }

@@ -28,11 +28,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/fault"
 )
 
 // Kind says what representation an operator corrupts.
@@ -96,21 +96,22 @@ func (op Op) Apply(seed int64, wire []byte) ([]byte, error) {
 }
 
 // ParseSpec resolves an "op" or "op:seed" spec (seed defaults to 0) against
-// the catalogue. The grammar is the fault kernel's; an advice mutation is a
-// single edit with no fire schedule, so a times field is refused.
+// the catalogue. An advice mutation is a single edit with no fire schedule,
+// so there is no times field.
 func ParseSpec(spec string) (Op, int64, error) {
-	name, arm, err := fault.ParseSpec(spec)
-	if err != nil {
-		return Op{}, 0, err
+	name, seedText, seeded := strings.Cut(spec, ":")
+	var seed int64
+	if seeded {
+		var err error
+		if seed, err = strconv.ParseInt(seedText, 10, 64); err != nil {
+			return Op{}, 0, fmt.Errorf("faultinject: bad spec %q: want op[:seed]", spec)
+		}
 	}
 	op, ok := Lookup(name)
 	if !ok {
 		return Op{}, 0, fmt.Errorf("faultinject: unknown operator %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	if arm.Times != 0 {
-		return Op{}, 0, fmt.Errorf("faultinject: bad spec %q: want op[:seed]", spec)
-	}
-	return op, arm.Seed, nil
+	return op, seed, nil
 }
 
 // Lookup finds an operator by name.

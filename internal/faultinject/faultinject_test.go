@@ -204,6 +204,9 @@ func TestParseSpec(t *testing.T) {
 	if _, _, err = faultinject.ParseSpec("bit-flip:many"); err == nil {
 		t.Fatal("bad seed accepted")
 	}
+	if _, _, err = faultinject.ParseSpec("bit-flip:9:1"); err == nil {
+		t.Fatal("a times field accepted")
+	}
 }
 
 func TestNamesCoverCatalogue(t *testing.T) {

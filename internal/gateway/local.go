@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/collectorhttp"
-	"karousos.dev/karousos/internal/fault"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/shard"
@@ -24,15 +23,14 @@ type LocalConfig struct {
 	Root string
 	// Map is the topology. Validate must pass.
 	Map shard.Map
-	// EpochRequests, Seed, Limits, FS, Backoff pass through to each
-	// shard's collector. Shard s serves with Seed+s so the shards'
-	// schedules differ the way independent processes' would.
+	// EpochRequests, Seed, Limits, FS pass through to each shard's
+	// collector. Shard s serves with Seed+s so the shards' schedules
+	// differ the way independent processes' would.
 	EpochRequests int
 	EpochMaxAge   time.Duration
 	Seed          int64
 	Limits        verifier.Limits
 	FS            iofault.FS
-	Backoff       fault.Backoff
 	// MaxInflight and MaxAuditLag pass through to each shard's admission
 	// control; AuditProgress, when set, is called with the shard index.
 	MaxInflight   int
@@ -101,7 +99,6 @@ func (t *Local) boot(s int) error {
 		Seed:          t.cfg.Seed + int64(s),
 		Limits:        t.cfg.Limits,
 		FS:            t.cfg.FS,
-		Backoff:       t.cfg.Backoff,
 		MaxInflight:   t.cfg.MaxInflight,
 		MaxAuditLag:   t.cfg.MaxAuditLag,
 	}

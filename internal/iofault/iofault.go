@@ -13,19 +13,18 @@
 // (disk full, advice outage), or halts loudly (permanent) per the Classify
 // ladder.
 //
-// Arming, healing, and the seeded fire schedule live in internal/fault;
-// this package owns the operator catalogue, what a fired operator does to
-// the call, and the ladder that reads the resulting error back.
+// Every armed operator fires on a schedule derived from its seed and the
+// sequence of matching calls alone (schedule.go), so a scenario replayed
+// with the same seed injects the same fault history.
 package iofault
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"syscall"
 	"time"
-
-	"karousos.dev/karousos/internal/fault"
 )
 
 // FS is the filesystem surface the pipeline writes evidence through.
@@ -78,26 +77,30 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// The VFS entry points operators intercept and the Injector counts.
+// Call names one VFS entry point: what operators intercept and the
+// Injector counts.
+type Call string
+
+// The VFS entry points.
 const (
-	CallOpen     fault.Call = "open"
-	CallRead     fault.Call = "read"
-	CallWrite    fault.Call = "write"
-	CallSync     fault.Call = "sync"
-	CallSyncDir  fault.Call = "syncdir"
-	CallRename   fault.Call = "rename"
-	CallReadDir  fault.Call = "readdir"
-	CallRemove   fault.Call = "remove"
-	CallTruncate fault.Call = "truncate"
-	CallStat     fault.Call = "stat"
-	CallMkdir    fault.Call = "mkdir"
+	CallOpen     Call = "open"
+	CallRead     Call = "read"
+	CallWrite    Call = "write"
+	CallSync     Call = "sync"
+	CallSyncDir  Call = "syncdir"
+	CallRename   Call = "rename"
+	CallReadDir  Call = "readdir"
+	CallRemove   Call = "remove"
+	CallTruncate Call = "truncate"
+	CallStat     Call = "stat"
+	CallMkdir    Call = "mkdir"
 )
 
 // FaultError is an injected failure. Transient tells the Classify/Retry
 // layer whether re-issuing the operation may succeed.
 type FaultError struct {
-	Op        string     // operator name
-	Call      fault.Call // intercepted VFS call
+	Op        string // operator name
+	Call      Call   // intercepted VFS call
 	Path      string
 	Transient bool
 	Err       error // underlying errno (syscall.EIO, syscall.ENOSPC, ...)
@@ -132,21 +135,27 @@ const (
 // operators is the catalogue: each operator and the calls it intercepts.
 // Latency is a condition, not an event — a single 1–4ms sleep is not a
 // scenario — so it is sustained.
-var operators = []fault.Operator{
-	{Name: OpTransientEIO, Calls: []fault.Call{CallOpen, CallRead, CallReadDir, CallStat, CallWrite}},
-	{Name: OpShortWrite, Calls: []fault.Call{CallWrite}},
-	{Name: OpFsyncFail, Calls: []fault.Call{CallSync, CallSyncDir}},
-	{Name: OpRenameFail, Calls: []fault.Call{CallRename}},
-	{Name: OpENOSPC, Calls: []fault.Call{CallWrite, CallMkdir}},
-	{Name: OpLatency, Sustained: true},
+var operators = []operator{
+	{name: OpTransientEIO, calls: []Call{CallOpen, CallRead, CallReadDir, CallStat, CallWrite}},
+	{name: OpShortWrite, calls: []Call{CallWrite}},
+	{name: OpFsyncFail, calls: []Call{CallSync, CallSyncDir}},
+	{name: OpRenameFail, calls: []Call{CallRename}},
+	{name: OpENOSPC, calls: []Call{CallWrite, CallMkdir}},
+	{name: OpLatency, sustained: true},
 }
 
-// Injector wraps a backend FS with armed fault operators; the embedded
-// schedule supplies Arm, ArmSpec, Heal, Counts, and Fired. The Arm target
-// filter matches against the call's path.
+// Injector wraps a backend FS with armed fault operators (Arm, ArmSpec,
+// Heal) and counts every call (Counts, Fired). The Arm target filter
+// matches against the call's path. It is safe for concurrent use; the
+// schedule is serialized under one mutex, so a single-threaded caller sees
+// a fully deterministic fault history.
 type Injector struct {
-	*fault.Schedule
 	base FS
+
+	mu      sync.Mutex
+	armed   []*armed
+	counts  map[Call]int
+	retired map[string]int // fire counts of healed operators
 }
 
 // NewInjector wraps base (OS when nil) with an empty fault plan.
@@ -154,28 +163,28 @@ func NewInjector(base FS) *Injector {
 	if base == nil {
 		base = OS
 	}
-	return &Injector{Schedule: fault.NewSchedule("iofault", operators), base: base}
+	return &Injector{base: base, counts: make(map[Call]int), retired: make(map[string]int)}
 }
 
 // fault consults the schedule for one call and returns the injected error
 // (nil to proceed). Latency sleeps here; short writes are handled by the
 // caller via the returned *FaultError with Op == OpShortWrite.
-func (in *Injector) fault(call fault.Call, path string) *FaultError {
-	hit := in.Next(call, path)
+func (in *Injector) fault(call Call, path string) *FaultError {
+	hit := in.next(call, path)
 	if hit == nil {
 		return nil
 	}
-	switch hit.Op {
+	switch hit.op.name {
 	case OpLatency:
-		time.Sleep(time.Duration(hit.Scale(1)) * time.Millisecond)
+		time.Sleep(time.Duration(hit.scale(1)) * time.Millisecond)
 	case OpTransientEIO, OpRenameFail:
-		return &FaultError{Op: hit.Op, Call: call, Path: path, Transient: true, Err: syscall.EIO}
+		return &FaultError{Op: hit.op.name, Call: call, Path: path, Transient: true, Err: syscall.EIO}
 	case OpShortWrite:
-		return &FaultError{Op: hit.Op, Call: call, Path: path, Transient: true, Err: io.ErrShortWrite}
+		return &FaultError{Op: hit.op.name, Call: call, Path: path, Transient: true, Err: io.ErrShortWrite}
 	case OpFsyncFail:
-		return &FaultError{Op: hit.Op, Call: call, Path: path, Err: syscall.EIO}
+		return &FaultError{Op: hit.op.name, Call: call, Path: path, Err: syscall.EIO}
 	case OpENOSPC:
-		return &FaultError{Op: hit.Op, Call: call, Path: path, Err: syscall.ENOSPC}
+		return &FaultError{Op: hit.op.name, Call: call, Path: path, Err: syscall.ENOSPC}
 	}
 	return nil
 }

@@ -8,9 +8,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
-
-	"karousos.dev/karousos/internal/fault"
 )
 
 // TestPassthroughAndCounts: an injector with no armed operators behaves
@@ -33,7 +30,7 @@ func TestPassthroughAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := in.Counts()
-	for _, call := range []fault.Call{CallWrite, CallRead, CallRename, CallSyncDir} {
+	for _, call := range []Call{CallWrite, CallRead, CallRename, CallSyncDir} {
 		if c[call] != 1 {
 			t.Errorf("count[%s] = %d, want 1", call, c[call])
 		}
@@ -49,7 +46,7 @@ func TestTransientEIOFiresThenHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, fault.Arm{Times: 2}); err != nil {
+	if err := in.Arm(OpTransientEIO, Arm{Times: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -101,7 +98,7 @@ func TestShortWriteLandsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a")
 	in := NewInjector(nil)
-	if err := in.Arm(OpShortWrite, fault.Arm{Times: 1, After: 1}); err != nil {
+	if err := in.Arm(OpShortWrite, Arm{Times: 1, After: 1}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := in.OpenFile(p, os.O_CREATE|os.O_WRONLY, 0o644)
@@ -127,7 +124,7 @@ func TestShortWriteLandsPrefix(t *testing.T) {
 func TestENOSPCClassifiesDegraded(t *testing.T) {
 	dir := t.TempDir()
 	in := NewInjector(nil)
-	if err := in.Arm(OpENOSPC, fault.Arm{Times: -1, Target: ".advice"}); err != nil {
+	if err := in.Arm(OpENOSPC, Arm{Times: -1, Target: ".advice"}); err != nil {
 		t.Fatal(err)
 	}
 	err := in.WriteFile(filepath.Join(dir, "ep1.advice"), []byte("x"), 0o644)
@@ -154,27 +151,25 @@ func TestRetryAbsorbsTransients(t *testing.T) {
 	p := filepath.Join(dir, "a")
 	os.WriteFile(p, []byte("x"), 0o644)
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, fault.Arm{Times: 3}); err != nil {
+	if err := in.Arm(OpTransientEIO, Arm{Times: 3}); err != nil {
 		t.Fatal(err)
 	}
-	var slept []time.Duration
-	b := fault.Backoff{Base: time.Millisecond, Attempts: 5, Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	err := Retry(context.Background(), b, func() error {
+	err := Retry(context.Background(), func() error {
 		_, err := in.ReadFile(p)
 		return err
 	})
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	if len(slept) != 3 {
-		t.Fatalf("slept %d times, want 3", len(slept))
+	if got := in.Counts()[CallRead]; got != 4 {
+		t.Fatalf("%d reads, want 3 faulted and 1 through", got)
 	}
 }
 
 // TestRetryStopsOnPermanent: non-transient errors return immediately.
 func TestRetryStopsOnPermanent(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), fault.Backoff{Sleep: func(time.Duration) {}}, func() error {
+	err := Retry(context.Background(), func() error {
 		calls++
 		return os.ErrPermission
 	})
@@ -187,48 +182,40 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 // last transient error.
 func TestRetryExhaustsAttempts(t *testing.T) {
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, fault.Arm{Times: -1}); err != nil {
+	if err := in.Arm(OpTransientEIO, Arm{Times: -1}); err != nil {
 		t.Fatal(err)
 	}
-	err := Retry(context.Background(), fault.Backoff{Attempts: 3, Sleep: func(time.Duration) {}}, func() error {
+	err := Retry(context.Background(), func() error {
 		_, err := in.ReadFile("nowhere")
 		return err
 	})
 	if Classify(err) != ClassTransient {
 		t.Fatalf("exhausted retry returned %v, want the transient fault", err)
 	}
-	if in.Fired()[OpTransientEIO] != 3 {
-		t.Fatalf("fired %v, want 3 attempts", in.Fired())
+	if in.Fired()[OpTransientEIO] != retryAttempts {
+		t.Fatalf("fired %v, want %d attempts", in.Fired(), retryAttempts)
 	}
 }
 
-// TestRetryReturnsOnCancel: a cancelled context ends the backoff sleep at
-// once instead of blocking up to Max per attempt, and the context's error
-// arrives joined with the last I/O error.
+// TestRetryReturnsOnCancel: a cancelled context ends the backoff at the
+// first sleep instead of spending the attempt budget, and the context's
+// error arrives joined with the last I/O error.
 func TestRetryReturnsOnCancel(t *testing.T) {
 	in := NewInjector(nil)
-	if err := in.Arm(OpTransientEIO, fault.Arm{Times: -1}); err != nil {
+	if err := in.Arm(OpTransientEIO, Arm{Times: -1}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	attempted := make(chan struct{}, 8)
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(ctx, fault.Backoff{Base: time.Hour, Max: time.Hour}, func() error {
-			attempted <- struct{}{}
-			_, err := in.ReadFile("nowhere")
-			return err
-		})
-	}()
-	<-attempted // the first attempt has failed; Retry is in (or entering) its sleep
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) || !errors.Is(err, syscall.EIO) {
-			t.Fatalf("Retry = %v, want context.Canceled joined with the EIO", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Retry slept through a cancelled context")
+	err := Retry(ctx, func() error {
+		_, err := in.ReadFile("nowhere")
+		return err
+	})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Retry = %v, want context.Canceled joined with the EIO", err)
+	}
+	if n := in.Fired()[OpTransientEIO]; n != 1 {
+		t.Fatalf("%d attempts under a cancelled context, want 1", n)
 	}
 }
 
@@ -237,13 +224,13 @@ func TestRetryReturnsOnCancel(t *testing.T) {
 func TestRetrySuccessDoesNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	op := func() error { return nil }
-	if n := testing.AllocsPerRun(100, func() { _ = Retry(ctx, fault.Backoff{}, op) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = Retry(ctx, op) }); n != 0 {
 		t.Fatalf("Retry's success path allocates %v times per call", n)
 	}
 }
 
-// TestArmSpecChecksTheCatalogue: the grammar is the kernel's; which
-// operators exist is this package's.
+// TestArmSpecChecksTheCatalogue: a well-formed spec naming no operator is
+// refused; a sustained operator armed from a bare spec fires until healed.
 func TestArmSpecChecksTheCatalogue(t *testing.T) {
 	in := NewInjector(nil)
 	if err := in.ArmSpec("no-such-op:1", ""); err == nil {
@@ -270,7 +257,7 @@ func TestArmSpecChecksTheCatalogue(t *testing.T) {
 func TestFsyncFailNotTransient(t *testing.T) {
 	dir := t.TempDir()
 	in := NewInjector(nil)
-	if err := in.Arm(OpFsyncFail, fault.Arm{Times: 1}); err != nil {
+	if err := in.Arm(OpFsyncFail, Arm{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := in.OpenFile(filepath.Join(dir, "a"), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -297,7 +284,7 @@ func TestPinJSON(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "label.json")
 	motd := label{App: "motd", Fields: []string{"id"}}
 
-	if err := in.Arm(OpRenameFail, fault.Arm{}); err != nil {
+	if err := in.Arm(OpRenameFail, Arm{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := PinJSON(in, p, motd); err == nil {
@@ -322,7 +309,7 @@ func TestPinJSON(t *testing.T) {
 		t.Fatalf("relabel error %v, want both values named", err)
 	}
 	after := in.Counts()
-	for _, call := range []fault.Call{CallWrite, CallRename, CallOpen, CallRemove, CallTruncate} {
+	for _, call := range []Call{CallWrite, CallRename, CallOpen, CallRemove, CallTruncate} {
 		if after[call] != before[call] {
 			t.Errorf("%d %s calls on an existing sidecar, want none", after[call]-before[call], call)
 		}

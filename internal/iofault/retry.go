@@ -3,10 +3,10 @@ package iofault
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"syscall"
-
-	"karousos.dev/karousos/internal/fault"
+	"time"
 )
 
 // Class sorts an I/O error into the degradation ladder's rungs: retry it,
@@ -16,8 +16,8 @@ type Class int
 
 const (
 	// ClassPermanent: retrying the same operation cannot help. The caller
-	// must fail the operation and let the layer above decide (supervisor
-	// restart, loud error).
+	// must fail the operation and let the layer above decide (degrade,
+	// halt, or return the error to the next pass).
 	ClassPermanent Class = iota
 	// ClassTransient: the identical operation may succeed if re-issued —
 	// EIO on a read path, EINTR, EAGAIN, an injected transient fault.
@@ -69,25 +69,45 @@ func Classify(err error) Class {
 	return ClassPermanent
 }
 
+// The retry policy. Every transient fault — real or injected — backs off
+// the same way: at most retryAttempts tries, the delay before retry n
+// doubling from retryBase up to retryMax.
+const (
+	retryAttempts = 6
+	retryBase     = 2 * time.Millisecond
+	retryMax      = 100 * time.Millisecond
+)
+
+// retryDelay returns the delay before retry number attempt (0-based),
+// jittered within [delay/2, delay] so retriers that share a fault do not
+// stampede in phase. Sleeping never affects verdicts, so the jitter needs
+// no seed.
+func retryDelay(attempt int) time.Duration {
+	delay := retryBase << uint(attempt)
+	if delay > retryMax || delay <= 0 {
+		delay = retryMax
+	}
+	half := int64(delay / 2)
+	return time.Duration(half + rand.Int63n(half+1))
+}
+
 // Retry runs op, re-issuing it with backoff while the error classifies
 // transient. It returns nil on success, the first non-transient error
 // immediately, or the last transient error once attempts are exhausted.
 // The backoff sleep is interruptible: a context cancelled before or during
-// it returns the context's error joined with the last I/O error. A nil ctx
-// never cancels.
-func Retry(ctx context.Context, b fault.Backoff, op func() error) error {
-	b = b.WithDefaults()
-	var err error
-	for attempt := 0; attempt < b.Attempts; attempt++ {
-		if err = op(); err == nil || Classify(err) != ClassTransient {
+// it returns the context's error joined with the last I/O error.
+func Retry(ctx context.Context, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || Classify(err) != ClassTransient || attempt == retryAttempts-1 {
 			return err
 		}
-		if attempt == b.Attempts-1 {
-			break
-		}
-		if cerr := b.Wait(ctx, attempt); cerr != nil {
-			return errors.Join(cerr, err)
+		t := time.NewTimer(retryDelay(attempt))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return errors.Join(ctx.Err(), err)
+		case <-t.C:
 		}
 	}
-	return err
 }
