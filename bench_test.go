@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/experiments"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/server"
@@ -27,12 +28,12 @@ import (
 const benchRequests = 300
 
 // benchRun serves one workload at concurrency 30 outside the timed region.
-func benchRun(b *testing.B, app string, mix workload.Mix) (harness.AppSpec, []server.Request, *harness.ServeResult) {
-	b.Helper()
+func benchRun(tb testing.TB, app string, mix workload.Mix) (harness.AppSpec, []server.Request, *harness.ServeResult) {
+	tb.Helper()
 	spec, reqs := experiments.AppWorkload(app, mix, benchRequests, 1)
 	run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return spec, reqs, run
 }
@@ -40,8 +41,8 @@ func benchRun(b *testing.B, app string, mix workload.Mix) (harness.AppSpec, []se
 // BenchmarkAuditComponents breaks one audit into its stages, per
 // application at its headline mix: the advice codec in both directions and
 // the whole verifier pass, with allocations — the stage numbers the
-// decode and verifier-scratch targets are stated on — plus the seal: what
-// a collector does under its exclusive epoch gate.
+// decode and verifier-scratch targets are stated on — plus what a
+// collector's seal does under its exclusive epoch gate.
 func BenchmarkAuditComponents(b *testing.B) {
 	for _, w := range []struct {
 		app string
@@ -76,22 +77,44 @@ func BenchmarkAuditComponents(b *testing.B) {
 				}
 			}
 		})
-		// The seal: drain the serving runtime's advice and encode it, as a
-		// collector does while holding the epoch gate exclusively. Each
-		// iteration serves the workload again, untimed.
-		b.Run(w.app+"/seal", func(b *testing.B) {
+		// What a collector's seal holds the epoch gate for: the rotation of
+		// its epoch log, then the drain of the serving runtime's advice. The
+		// encode runs after the gate is released (advice-encode). Each
+		// iteration serves the workload again and appends its trace to a
+		// scratch epoch log, and the rotated epoch's durable seal follows,
+		// all untimed.
+		b.Run(w.app+"/seal-gated", func(b *testing.B) {
+			l, err := epochlog.Open(b.TempDir(), epochlog.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				app, store := spec.New()
 				srv := server.New(server.Config{App: app, Store: store, Seed: 42, CollectKarousos: true})
-				if _, err := srv.Run(reqs, 30); err != nil {
+				res, err := srv.Run(reqs, 30)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, e := range res.Trace.Events {
+					if err := l.AppendEvent(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if seq, err := l.Rotate(); err != nil || seq == 0 {
+					b.Fatalf("rotate: epoch %d, %v", seq, err)
+				}
+				if kar, _ := srv.DrainAdvice(); kar == nil {
+					b.Fatal("drained no advice")
+				}
+				b.StopTimer()
+				if _, err := l.FinishSeals(); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if kar, _ := srv.DrainAdvice(); len(kar.MarshalBinary()) == 0 {
-					b.Fatal("drained no advice")
-				}
 			}
 		})
 		if w.app != "motd" {

@@ -295,10 +295,11 @@ type fetched struct {
 }
 
 // RunOnce grades every sealed epoch past the checkpoint, in order, and
-// returns how many it processed (accepted or unauditable). A rejection
-// returns a *Reject error; an unreadable trusted channel (trace or
-// manifest) returns an ordinary error after bounded retries, since that is
-// infrastructure failure, not server misbehavior.
+// returns how many it graded (accepted or unauditable), even if a
+// checkpoint write then failed. A rejection returns a *Reject error; an
+// unreadable trusted channel (trace or manifest) returns an ordinary error
+// after bounded retries, since that is infrastructure failure, not server
+// misbehavior.
 func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 	var sealed []epochlog.Manifest
 	err := iofault.Retry(ctx, func() error {
@@ -404,18 +405,23 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 		if f.err != nil {
 			return processed, fmt.Errorf("auditd: epoch %d: %w", m.Seq, f.err)
 		}
-		if err := a.auditEpoch(ctx, m, f); err != nil {
+		cp, err := a.auditEpoch(ctx, m, f)
+		if err != nil {
+			return processed, err
+		}
+		processed++
+		if err := a.persistCheckpoint(cp); err != nil {
 			return processed, err
 		}
 		inWindow--
 		windowBytes -= est(m)
 		issue()
-		processed++
 	}
 	return processed, nil
 }
 
-func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched) error {
+// auditEpoch grades one epoch and returns the checkpoint recording it.
+func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched) (checkpoint, error) {
 	start := time.Now() //karousos:detlint-ok audit-latency metric for Status; never part of the verdict
 
 	if a.cfg.routing != nil {
@@ -428,7 +434,7 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 		// passes. The trace is trusted: a violation is evidence, never a
 		// grading gap, whatever the manifest says about the advice.
 		if err := a.cfg.routing(f.tr); err != nil {
-			return a.reject(m.Seq, core.RejectShardConflict, err.Error())
+			return checkpoint{}, a.reject(m.Seq, core.RejectShardConflict, err.Error())
 		}
 	}
 
@@ -458,10 +464,10 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 		// audit would need is unknown. Auditing against a guessed carry
 		// could only manufacture a false reject; grade Unauditable and move
 		// on until a Fresh boundary re-anchors.
-		return a.gradeUnauditable(m, "carry unanchored by earlier unauditable epoch")
+		return a.gradeUnauditable(m, "carry unanchored by earlier unauditable epoch"), nil
 	}
 
-	reject := func(code core.RejectCode, reason string) error {
+	reject := func(code core.RejectCode, reason string) (checkpoint, error) {
 		if m.Degraded != "" && code != core.RejectInternalFault {
 			// The collector flagged this epoch's evidence incomplete for an
 			// infrastructure reason. A failed audit of incomplete evidence
@@ -469,9 +475,9 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 			// epoch is unauditable, not a server accusation. InternalFault
 			// is exempt: that is the auditor's own failure, returned as an
 			// error with the carry and the cursor left on this epoch.
-			return a.gradeUnauditable(m, fmt.Sprintf("degraded (%s); audit failed [%s]: %s", m.Degraded, code, reason))
+			return a.gradeUnauditable(m, fmt.Sprintf("degraded (%s); audit failed [%s]: %s", m.Degraded, code, reason)), nil
 		}
-		return a.reject(m.Seq, code, reason)
+		return checkpoint{}, a.reject(m.Seq, code, reason)
 	}
 
 	if f.adviceErr != nil {
@@ -497,7 +503,7 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 	if dot != nil && dot.Len() > 0 {
 		path := filepath.Join(a.cfg.GraphDir, fmt.Sprintf("ep%06d.dot", m.Seq))
 		if werr := a.cfg.fs().WriteFile(path, dot.Bytes(), 0o644); werr != nil {
-			return fmt.Errorf("auditd: writing graph: %w", werr)
+			return checkpoint{}, fmt.Errorf("auditd: writing graph: %w", werr)
 		}
 	}
 	if err != nil {
@@ -522,8 +528,7 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 	}
 	a.mu.Unlock()
 	a.recordVerdict(Verdict{Epoch: m.Seq})
-
-	return a.persistCheckpoint(cp)
+	return cp, nil
 }
 
 // decodeAdvice is the advice channel's boundary, run by a prefetch worker:
@@ -539,20 +544,24 @@ func (a *Auditor) decodeAdvice(blob []byte) (*advice.Advice, error) {
 }
 
 // reject records the epoch's rejection verdict and returns it as the error
-// that halts the run.
+// that halts the run. An InternalFault is the auditor's own failure, not a
+// verdict on the server: it is only returned, and neither counted nor
+// recorded.
 func (a *Auditor) reject(seq uint64, code core.RejectCode, reason string) error {
-	a.mu.Lock()
-	a.status.Rejected++
-	a.mu.Unlock()
-	a.recordVerdict(Verdict{Epoch: seq, Code: code, Reason: reason})
+	if code != core.RejectInternalFault {
+		a.mu.Lock()
+		a.status.Rejected++
+		a.mu.Unlock()
+		a.recordVerdict(Verdict{Epoch: seq, Code: code, Reason: reason})
+	}
 	return &Reject{Epoch: seq, Code: code, Reason: reason}
 }
 
-// gradeUnauditable records an Unauditable verdict for the epoch and puts
-// the auditor into unanchored mode: processing advances, accusation does
-// not. Even a degraded epoch whose audit *accepts* keeps its accept — this
-// path only runs when the audit could not.
-func (a *Auditor) gradeUnauditable(m epochlog.Manifest, reason string) error {
+// gradeUnauditable records an Unauditable verdict for the epoch, puts the
+// auditor into unanchored mode and returns the checkpoint: processing
+// advances, accusation does not. Even a degraded epoch whose audit
+// *accepts* keeps its accept — this path only runs when the audit could not.
+func (a *Auditor) gradeUnauditable(m epochlog.Manifest, reason string) checkpoint {
 	a.mu.Lock()
 	a.unauditable = true
 	a.carry = nil
@@ -565,7 +574,7 @@ func (a *Auditor) gradeUnauditable(m epochlog.Manifest, reason string) error {
 	}
 	a.mu.Unlock()
 	a.recordVerdict(Verdict{Epoch: m.Seq, Code: core.RejectUnauditable, Reason: reason})
-	return a.persistCheckpoint(cp)
+	return cp
 }
 
 func (a *Auditor) persistCheckpoint(cp checkpoint) error {
@@ -599,20 +608,8 @@ func writeCheckpoint(fsys iofault.FS, path string, cp checkpoint) error {
 		return err
 	}
 	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close() // close-after-error; the write error is the one that surfaces
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() // close-after-error; the fsync error is the one that surfaces
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
+	if err := iofault.WriteFileSync(fsys, tmp, blob); err != nil {
+		return fmt.Errorf("checkpoint %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		return err

@@ -3,9 +3,12 @@ package auditd
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -256,6 +259,109 @@ func TestOversizedAdviceAtSealGradesUnauditable(t *testing.T) {
 	}
 }
 
+// openRecorder is an iofault.FS that records, in order, the base name of
+// every file opened through it.
+type openRecorder struct {
+	iofault.FS
+	mu    sync.Mutex
+	names []string
+}
+
+func (r *openRecorder) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	r.mu.Lock()
+	r.names = append(r.names, filepath.Base(name))
+	r.mu.Unlock()
+	return r.FS.OpenFile(name, flag, perm)
+}
+
+// requireAllAccept audits dir once and fails unless it grades exactly want
+// epochs, every one accepted.
+func requireAllAccept(t *testing.T, dir string, want int) {
+	t.Helper()
+	cfg := Config{Dir: dir}
+	verdicts := collectVerdicts(&cfg)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.RunOnce(context.Background()); err != nil || n != want {
+		t.Fatalf("RunOnce = %d, %v; want %d epochs graded", n, err, want)
+	}
+	for _, v := range *verdicts {
+		if !v.Accepted() {
+			t.Fatalf("honest epoch not accepted: %+v", v)
+		}
+	}
+}
+
+// TestTornAdviceWriteAccepts: a short write tears the first advice record
+// a seal writes. The retried write starts the file over instead of
+// appending behind the tear, so every honest epoch accepts. Through the
+// same injector: no advice file is opened before its epoch's seal has cut
+// it (opened the next epoch's trace), and every sealed epoch opens one.
+func TestTornAdviceWriteAccepts(t *testing.T) {
+	dir := t.TempDir()
+	rec := &openRecorder{FS: iofault.OS}
+	inj := iofault.NewInjector(rec)
+	if err := inj.Arm(iofault.OpShortWrite, iofault.Arm{Times: 1, Target: ".advice"}); err != nil {
+		t.Fatal(err)
+	}
+	sealEpochs(t, dir, inj, 20, 10)
+	if fired := inj.Fired()[iofault.OpShortWrite]; fired != 1 {
+		t.Fatalf("short write fired %d times, want 1", fired)
+	}
+	requireAllAccept(t, dir, 2)
+
+	first := map[string]int{}
+	for i, name := range rec.names {
+		if _, ok := first[name]; !ok {
+			first[name] = i
+		}
+	}
+	for seq := 1; seq <= 2; seq++ {
+		adv, ok := first[fmt.Sprintf("ep%06d.advice", seq)]
+		if !ok {
+			t.Fatalf("sealed epoch %d opened no advice file (opens %v)", seq, rec.names)
+		}
+		if cut, ok := first[fmt.Sprintf("ep%06d.trace", seq+1)]; !ok || adv < cut {
+			t.Fatalf("epoch %d's advice file opened before its cut (opens %v)", seq, rec.names)
+		}
+	}
+}
+
+// TestFailedRotationConsumesNoAdvice: a transient EIO on the next epoch's
+// trace file fails a /seal's rotation before the runtime's advice is
+// drained, so the epoch stays active with all of it. The seal that finally
+// cuts the epoch covers every request, and the epoch accepts.
+func TestFailedRotationConsumesNoAdvice(t *testing.T) {
+	dir := t.TempDir()
+	inj := iofault.NewInjector(nil)
+	col, err := collectorhttp.New(collectorhttp.Config{Spec: harness.MOTDApp(), Dir: dir, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newLoopback(t, col)
+	reqs := requestsFor(t, harness.MOTDApp(), 20, 7)
+	driveHTTP(t, ts, reqs[:10])
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: 1, Target: "ep000002.trace"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/seal", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("/seal through a failed rotation: status %d, want 500", resp.StatusCode)
+	}
+	driveHTTP(t, ts, reqs[10:])
+	ts.Close()
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireAllAccept(t, dir, 1)
+}
+
 // TestFreshBoundaryReanchorsAfterUnauditable: a collector restart (Fresh
 // manifest) after an unauditable stretch lets the auditor grade again.
 func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
@@ -343,7 +449,7 @@ func TestRecoveredOversizedAdviceGradesUnauditable(t *testing.T) {
 	if err := l.AppendAdvice(blob); err != nil {
 		t.Fatal(err)
 	}
-	if rotated, err := l.Rotate(); err != nil || !rotated {
+	if seq, err := l.Rotate(); err != nil || seq == 0 {
 		t.Fatalf("rotate: %v", err)
 	}
 	next := trace.Event{Kind: trace.Req, RID: "r99", Data: tr.Events[0].Data}
@@ -474,6 +580,12 @@ func TestLaneReturnsInternalFault(t *testing.T) {
 		if v.Accepted() {
 			t.Fatalf("epoch %d graded accepted past an InternalFault", v.Epoch)
 		}
+		if v.Code == core.RejectInternalFault {
+			t.Fatalf("the auditor's own fault recorded as a verdict: %+v", v)
+		}
+	}
+	if rep.Status.Rejected != 0 {
+		t.Fatalf("the auditor's own fault counted as %d rejections", rep.Status.Rejected)
 	}
 	if rep.Code != "" || rep.Status.Accepted != 0 || rep.Status.LastProcessed != 1 {
 		t.Fatalf("lane %+v, want no verdict of its own and the cursor on epoch 1", rep)
@@ -535,10 +647,13 @@ func TestDeadCheckpointDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 1; pass <= 3; pass++ {
-		_, err := sh.RunOnce(context.Background())
+		n, err := sh.RunOnce(context.Background())
 		var fe *iofault.FaultError
 		if !errors.As(err, &fe) || fe.Op != iofault.OpFsyncFail {
 			t.Fatalf("pass %d: %v, want the checkpoint fsync failure", pass, err)
+		}
+		if n != 1 {
+			t.Fatalf("pass %d graded one epoch but counted %d", pass, n)
 		}
 		rep := sh.Result().Shards[0]
 		if len(rep.Verdicts) != pass || rep.Status.LastProcessed != uint64(pass) {

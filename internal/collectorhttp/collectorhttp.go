@@ -23,8 +23,8 @@
 // drains the server's accumulated advice (rebasing its in-memory state onto
 // carry identities, see server.DrainAdvice) and makes the epoch visible to
 // the incremental auditor. The seal itself is split so serving never stalls
-// behind an fsync: the rotation under the epoch gate is memory-only, and
-// the durable half (data fsync, manifest) runs after the gate is released.
+// behind an encode or an fsync: only the rotation and the drain hold the
+// epoch gate, and the encode and the durable half run after it.
 package collectorhttp
 
 import (
@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
@@ -595,13 +596,14 @@ func (c *Collector) Seal() (*epochlog.Manifest, error) {
 	return c.seal(0)
 }
 
-// seal rotates the active epoch out and finishes its durable seal. The
-// rotation runs under the epoch gate's write lock — no request holds the
-// gate, so no REQ/RESP pair can straddle the boundary — and is memory-only;
-// the fsync-heavy half runs after the gate is released, so in-flight
-// traffic resumes while the rotated epoch syncs. sealMu keeps concurrent
-// seal triggers from interleaving, and a failed finish stays pending:
-// the next seal attempt retries it before anything newer.
+// seal rotates the active epoch out and finishes its durable seal. Under
+// the epoch gate's write lock no request is in flight, so Rotate and then
+// DrainAdvice see one cut that no REQ/RESP pair straddles, and a failed
+// rotation drains nothing. After the gate is released the advice is
+// encoded and bound to the rotated epoch, and the durable half runs while
+// traffic resumes. sealMu keeps concurrent seal triggers from
+// interleaving, and a failed finish stays pending: the next seal attempt
+// retries it before anything newer.
 //
 // minRequests is the threshold trigger's re-check: the epoch rotates only
 // if it still holds that many requests once this caller owns sealMu. Every
@@ -613,9 +615,17 @@ func (c *Collector) seal(minRequests int) (*epochlog.Manifest, error) {
 	defer c.sealMu.Unlock()
 	var err error
 	if _, reqs := c.log.ActiveEvents(); reqs >= minRequests {
+		var seq uint64
+		var kar *advice.Advice
 		c.gate.Lock()
-		err = c.rotateGated()
+		if seq, err = c.log.Rotate(); seq != 0 {
+			kar, _ = c.srv.DrainAdvice()
+		}
 		c.gate.Unlock()
+		if seq != 0 {
+			// over-limit advice: the log has dropped it and flagged the epoch Degraded
+			_ = c.log.SetAdvice(seq, kar.MarshalBinary())
+		}
 	}
 	var m *epochlog.Manifest
 	if err == nil {
@@ -631,31 +641,6 @@ func (c *Collector) seal(minRequests int) (*epochlog.Manifest, error) {
 	c.mu.Unlock()
 	c.refreshLag()
 	return m, err
-}
-
-// rotateGated drains the runtime's advice into the active epoch and
-// rotates it out. Caller holds c.gate exclusively and c.sealMu, so no
-// request is served meanwhile; the work here is the drain
-// (server.DrainAdvice), one encode of the epoch's advice, an append, and
-// the memory-only rotation.
-func (c *Collector) rotateGated() error {
-	if events, _ := c.log.ActiveEvents(); events == 0 {
-		return nil
-	}
-	kar, _ := c.srv.DrainAdvice()
-	blob := kar.MarshalBinary()
-	err := iofault.Retry(context.Background(), func() error {
-		return c.log.AppendAdvice(blob)
-	})
-	if err != nil {
-		// The drain already consumed the runtime's advice; it cannot be
-		// re-produced. Seal anyway with the epoch flagged degraded — the
-		// trusted trace is intact and must not be held hostage to the
-		// advice channel.
-		c.log.MarkDegraded("advice lost at seal: " + err.Error())
-	}
-	_, err = c.log.Rotate()
-	return err
 }
 
 // Crash abandons the collector the way a killed process would: no seal,

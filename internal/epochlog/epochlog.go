@@ -5,20 +5,20 @@
 // Layout: each epoch seq owns three files in one directory —
 //
 //	ep%06d.trace    framed trace events (trusted channel)
-//	ep%06d.advice   framed advice blobs (untrusted channel; last wins)
+//	ep%06d.advice   the epoch's one framed advice record (untrusted channel)
 //	ep%06d.manifest one framed JSON Manifest; its presence seals the epoch
 //
 // Every record is framed as u32le(payload length) | u32le(CRC32C(payload))
 // | payload. Trace frames each carry one canonically-encoded trace event
 // (internal/trace's binary codec), so the manifest's trace digest is
-// recomputable from segment payloads alone. Advice frames each carry one
-// complete serialized advice blob; the server may re-upload (e.g. after a
-// retry), and the last intact record wins. The manifest is written and
-// fsynced only after its data files are fsynced, so a sealed epoch's
+// recomputable from segment payloads alone. An epoch's advice record, one
+// complete serialized advice blob, stays in memory until the seal's durable
+// half writes it as the whole advice file, fsynced. The manifest is written
+// and fsynced only after its data files are fsynced, so a sealed epoch's
 // contents are durable before the seal itself is.
 //
 // Crash recovery (Open) adopts the longest contiguous prefix of validly
-// sealed epochs, truncates torn tails off the successor's data files, and
+// sealed epochs, truncates a torn tail off the successor's trace file, and
 // quarantines (renames, never deletes) anything beyond: appending resumes
 // exactly where the crash interrupted. A valid manifest past a gap in the
 // sealed prefix makes Open fail loudly instead — recovery refuses to
@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,8 +75,8 @@ type Manifest struct {
 	// TraceDigest is trace.Trace.Digest over the sealed events, recomputed
 	// and checked on every sealed read: it pins the trusted channel.
 	TraceDigest string `json:"traceDigest"`
-	// AdviceBytes is the size of the winning advice record (0 if the
-	// server uploaded none).
+	// AdviceBytes is the length of the advice record the seal wrote (0 if
+	// the epoch had none, or lost it).
 	AdviceBytes int `json:"adviceBytes"`
 	// TraceBytes is the byte length of the sealed trace file. The auditor
 	// bounds its prefetch memory with it (plus AdviceBytes); manifests
@@ -130,19 +131,18 @@ type Log struct {
 	sealed []Manifest
 	active uint64 // seq of the epoch being written
 
-	traceF  iofault.File
-	adviceF iofault.File
+	traceF iofault.File
 
-	events      int
-	requests    int
-	digest      hash.Hash
-	written     int64  // intact bytes of the active trace file (counted frames only)
-	tailBroken  bool   // a torn tail repair failed; repair again before the next write
-	adviceBytes int    // size of the last intact advice record
-	lastRID     string // RID of the active epoch's last REQ event
-	fresh       bool   // active epoch began with fresh application state
-	degraded    string // why the active epoch's evidence may be incomplete
-	closed      bool
+	events     int
+	requests   int
+	digest     hash.Hash
+	written    int64  // intact bytes of the active trace file (counted frames only)
+	tailBroken bool   // a torn tail repair failed; repair again before the next write
+	advice     []byte // the active epoch's advice record (nil: none yet)
+	lastRID    string // RID of the active epoch's last REQ event
+	fresh      bool   // active epoch began with fresh application state
+	degraded   string // why the active epoch's evidence may be incomplete
+	closed     bool
 
 	// pending holds epochs rotated out of the active slot (Rotate) whose
 	// durable seal has not finished yet (FinishSeals); sealMu serializes
@@ -163,11 +163,11 @@ type Log struct {
 }
 
 // pendingSeal is an epoch whose accounting is frozen (Rotate snapshotted
-// its manifest) but whose data fsync + manifest write are still owed.
+// its manifest) but whose durable half is still owed.
 type pendingSeal struct {
-	m       Manifest
-	traceF  iofault.File
-	adviceF iofault.File
+	m      Manifest
+	traceF iofault.File
+	advice []byte
 }
 
 func tracePath(dir string, seq uint64) string {
@@ -186,8 +186,8 @@ func freshPath(dir string, seq uint64) string {
 // Open opens (creating if needed) the log in dir and recovers from any
 // torn state: the longest contiguous prefix of validly sealed epochs is
 // adopted, a chain of data-bearing epochs a crash left unsealed is sealed
-// degraded up to its last epoch, which becomes active with torn frame
-// tails truncated off its data files, and stray files beyond it are
+// degraded up to its last epoch, which becomes active with a torn frame
+// tail truncated off its trace file, and stray files beyond it are
 // quarantined. A failed recovery closes every handle it opened.
 func Open(dir string, opt Options) (*Log, error) {
 	fsys := opt.fs()
@@ -284,11 +284,11 @@ func Open(dir string, opt Options) (*Log, error) {
 func (l *Log) sealChain(chainEnd uint64) error {
 	for l.active < chainEnd {
 		l.MarkDegraded("sealed by crash recovery: collector stopped before finishing this epoch's seal")
-		rotated, err := l.Rotate()
+		seq, err := l.Rotate()
 		if err != nil {
 			return err
 		}
-		if !rotated {
+		if seq == 0 {
 			return fmt.Errorf("epochlog: recovering epoch %d: no intact frames", l.active)
 		}
 	}
@@ -310,21 +310,19 @@ func hasIntactFrames(fsys iofault.FS, path string) (bool, error) {
 	return payload != nil, nil
 }
 
-// openActive recovers the active epoch's data files — truncating torn
-// tails, recomputing counters and the running digest — and opens them for
-// appending. Caller holds no lock (Open) or l.mu (Rotate).
+// openActive recovers the active epoch — cutting a torn trace tail,
+// recomputing counters and the running digest, adopting an advice record a
+// crashed seal left whole — and opens its trace file for appending. Caller
+// holds no lock (Open) or l.mu (Rotate).
 func (l *Log) openActive() error {
-	l.events, l.requests, l.adviceBytes, l.lastRID, l.degraded = 0, 0, 0, "", ""
+	l.events, l.requests, l.advice, l.lastRID, l.degraded = 0, 0, nil, "", ""
 	l.written, l.tailBroken = 0, false
 	l.digest = sha256.New()
 	_, statErr := l.fs.Stat(freshPath(l.dir, l.active))
 	l.fresh = statErr == nil
 
 	tp := tracePath(l.dir, l.active)
-	if err := truncateTorn(l.fs, tp); err != nil {
-		return err
-	}
-	if err := scanFrames(l.fs, tp, 0, func(payload []byte) error {
+	torn, err := scanFrames(l.fs, tp, 0, func(payload []byte) error {
 		e, err := trace.DecodeEventBinary(payload, nil)
 		if err != nil {
 			return fmt.Errorf("epochlog: %s: recovered frame undecodable: %w", tp, err)
@@ -337,27 +335,22 @@ func (l *Log) openActive() error {
 		l.written += int64(frameHeader + len(payload))
 		l.digest.Write(payload) // hash.Hash.Write is documented never to return an error
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-
-	ap := advicePath(l.dir, l.active)
-	if err := truncateTorn(l.fs, ap); err != nil {
-		return err
+	if torn {
+		if err := l.fs.Truncate(tp, l.written); err != nil {
+			return fmt.Errorf("epochlog: %w", err)
+		}
 	}
-	if err := scanFrames(l.fs, ap, l.opt.MaxAdviceBytes, func(payload []byte) error {
-		l.adviceBytes = len(payload)
+	if _, err := scanFrames(l.fs, advicePath(l.dir, l.active), l.opt.MaxAdviceBytes, func(payload []byte) error {
+		l.advice = payload
 		return nil
 	}); err != nil {
 		return err
 	}
-
-	var err error
 	if l.traceF, err = l.fs.OpenFile(tp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		return fmt.Errorf("epochlog: %w", err)
-	}
-	if l.adviceF, err = l.fs.OpenFile(ap, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		l.traceF.Close() // close-after-error cleanup; the open failure is the error that surfaces
 		return fmt.Errorf("epochlog: %w", err)
 	}
 	return nil
@@ -405,23 +398,44 @@ func (l *Log) AppendEvent(e trace.Event) error {
 	return nil
 }
 
-// AppendAdvice appends one complete advice blob to the active epoch
-// (untrusted channel: the server uploads here). Re-uploads are allowed;
-// the last intact record wins at seal time.
+// adviceLost prefixes the Degraded reason of an epoch whose record is lost.
+const adviceLost = "advice lost at seal: "
+
+// AppendAdvice binds blob as the active epoch's advice record (untrusted
+// channel): SetAdvice for the epoch being written.
 func (l *Log) AppendAdvice(blob []byte) error {
+	return l.SetAdvice(l.ActiveSeq(), blob)
+}
+
+// SetAdvice binds blob as the advice record of epoch seq — the active
+// epoch, or one Rotate cut whose seal has not finished — replacing any
+// record it had. The log keeps blob, unchanged by the caller, until the
+// seal's durable half writes it. A record over MaxAdviceBytes is dropped:
+// the epoch seals Degraded without advice, and the error says why.
+func (l *Log) SetAdvice(seq uint64, blob []byte) error {
+	var lost error
 	if l.opt.MaxAdviceBytes > 0 && len(blob) > l.opt.MaxAdviceBytes {
-		return fmt.Errorf("epochlog: record of %d bytes, limit %d: %w", len(blob), l.opt.MaxAdviceBytes, ErrAdviceTooLarge)
+		lost = fmt.Errorf("epochlog: record of %d bytes, limit %d: %w", len(blob), l.opt.MaxAdviceBytes, ErrAdviceTooLarge)
+		blob = nil
 	}
+	// sealMu orders the call before or after the epoch's whole durable half.
+	l.sealMu.Lock()
+	defer l.sealMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("epochlog: log is closed")
+	rec, degraded := &l.advice, &l.degraded
+	if seq != l.active {
+		i := slices.IndexFunc(l.pending, func(ps *pendingSeal) bool { return ps.m.Seq == seq })
+		if i < 0 {
+			return fmt.Errorf("epochlog: epoch %d is neither active nor awaiting its seal", seq)
+		}
+		rec, degraded = &l.pending[i].advice, &l.pending[i].m.Degraded
 	}
-	if _, err := l.adviceF.Write(frame(blob)); err != nil {
-		return fmt.Errorf("epochlog: %w", err)
+	*rec = blob
+	if lost != nil && *degraded == "" {
+		*degraded = adviceLost + lost.Error()
 	}
-	l.adviceBytes = len(blob)
-	return nil
+	return lost
 }
 
 // ActiveEvents returns the number of events (and REQ events) accumulated
@@ -497,7 +511,6 @@ func (l *Log) manifestLocked() Manifest {
 		Events:      l.events,
 		Requests:    l.requests,
 		TraceDigest: fmt.Sprintf("%x", l.digest.Sum(nil)),
-		AdviceBytes: l.adviceBytes,
 		TraceBytes:  l.written,
 		LastRID:     l.lastRID,
 		Fresh:       l.fresh,
@@ -516,27 +529,14 @@ func writeManifestDurable(fsys iofault.FS, dir string, m Manifest) error {
 		return fmt.Errorf("epochlog: %w", err)
 	}
 	mp := manifestPath(dir, m.Seq)
-	mf, err := fsys.OpenFile(mp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err = iofault.WriteFileSync(fsys, mp, frame(mj)); err != nil {
+		err = fmt.Errorf("manifest %w", err)
+	} else if err = fsys.SyncDir(dir); err != nil {
+		err = fmt.Errorf("directory fsync: %w", err)
+	}
 	if err != nil {
-		return fmt.Errorf("epochlog: %w", err)
-	}
-	abort := func(stage string, err error) error {
-		_ = fsys.Remove(mp) // best-effort cleanup of a failed seal; the staged error surfaces via abort
-		return fmt.Errorf("epochlog: sealing epoch %d: %s: %w", m.Seq, stage, err)
-	}
-	if _, err := mf.Write(frame(mj)); err != nil {
-		mf.Close() // close-after-error; the manifest write error is the one that surfaces
-		return abort("manifest write", err)
-	}
-	if err := mf.Sync(); err != nil {
-		mf.Close() // close-after-error; the manifest fsync error is the one that surfaces
-		return abort("manifest fsync", err)
-	}
-	if err := mf.Close(); err != nil {
-		return abort("manifest close", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return abort("directory fsync", err)
+		_ = fsys.Remove(mp) // best-effort cleanup of a failed seal; the staged error surfaces
+		return fmt.Errorf("epochlog: sealing epoch %d: %w", m.Seq, err)
 	}
 	return nil
 }
@@ -572,8 +572,9 @@ func (l *Log) SealedCount() int {
 }
 
 // Close releases the active epoch's file handles without sealing; the
-// unsealed tail — including any rotated-but-unfinished epochs — is
-// recovered by the next Open. Durable appends already accepted into the
+// unsealed tail — including any rotated-but-unfinished epochs, which lose
+// their in-memory advice records and seal Degraded — is recovered by the
+// next Open. Durable appends already accepted into the
 // group-commit queue are committed (or honestly failed) before the files
 // close: an enqueued waiter is never left hanging.
 func (l *Log) Close() error {
@@ -594,44 +595,13 @@ func (l *Log) Close() error {
 	return l.closeFiles()
 }
 
-// closeFiles releases the active epoch's handles and every pending epoch's.
+// closeFiles releases the active epoch's trace handle and every pending
+// epoch's.
 func (l *Log) closeFiles() error {
-	err1 := l.traceF.Close()
-	err2 := l.adviceF.Close()
 	for _, ps := range l.pending {
-		_ = ps.traceF.Close()  // close-on-shutdown; the epoch is recovery-sealed by the next Open
-		_ = ps.adviceF.Close() // close-on-shutdown; the epoch is recovery-sealed by the next Open
+		_ = ps.traceF.Close() // close-on-shutdown; the epoch is recovery-sealed by the next Open
 	}
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// truncateTorn cuts a data file back to its longest prefix of intact
-// frames. A missing file is fine (zero-length epoch so far).
-func truncateTorn(fsys iofault.FS, path string) error {
-	data, err := fsys.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("epochlog: %w", err)
-	}
-	good := 0
-	off := 0
-	for {
-		n, payload := nextFrame(data, off, 0)
-		if payload == nil {
-			break
-		}
-		off += n
-		good = off
-	}
-	if good == len(data) {
-		return nil
-	}
-	return fsys.Truncate(path, int64(good))
+	return l.traceF.Close()
 }
 
 // nextFrame parses one frame at off. It returns the frame's total size and
@@ -658,23 +628,24 @@ func nextFrame(data []byte, off, maxPayload int) (int, []byte) {
 }
 
 // scanFrames streams every intact frame of a file to fn, stopping at the
-// first torn or corrupt one. A missing file yields no frames.
-func scanFrames(fsys iofault.FS, path string, maxPayload int, fn func(payload []byte) error) error {
+// first torn or corrupt one, and reports whether bytes follow the intact
+// frames (a tail to cut). A missing file yields no frames.
+func scanFrames(fsys iofault.FS, path string, maxPayload int, fn func(payload []byte) error) (bool, error) {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("epochlog: %w", err)
+		return false, fmt.Errorf("epochlog: %w", err)
 	}
 	off := 0
 	for {
 		n, payload := nextFrame(data, off, maxPayload)
 		if payload == nil {
-			return nil
+			return off < len(data), nil
 		}
 		if err := fn(payload); err != nil {
-			return err
+			return false, err
 		}
 		off += n
 	}
@@ -757,8 +728,8 @@ func ListSealedFS(fsys iofault.FS, dir string) ([]Manifest, error) {
 // ReadSealed loads one sealed epoch: the trace (every frame must be intact
 // and the recomputed digest must match the manifest — the trusted channel
 // does not tolerate corruption; its frames share one value.Interner, since
-// every rid appears twice and inputs repeat their keys) and the winning
-// advice blob (nil when none was uploaded; undecodable contents are the
+// every rid appears twice and inputs repeat their keys) and the advice
+// record (nil when the epoch has none; undecodable contents are the
 // audit's concern, not ours).
 func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Manifest, error) {
 	fsys := opt.fs()
@@ -772,7 +743,7 @@ func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Man
 	tr := &trace.Trace{}
 	h := sha256.New()
 	var in value.Interner
-	if err := scanFrames(fsys, tracePath(dir, seq), 0, func(payload []byte) error {
+	if _, err := scanFrames(fsys, tracePath(dir, seq), 0, func(payload []byte) error {
 		e, err := trace.DecodeEventBinary(payload, &in)
 		if err != nil {
 			return fmt.Errorf("epochlog: epoch %d trace frame undecodable: %w", seq, err)
@@ -792,14 +763,14 @@ func ReadSealed(dir string, seq uint64, opt Options) (*trace.Trace, []byte, *Man
 			seq, digest, m.TraceDigest)
 	}
 	var blob []byte
-	if err := scanFrames(fsys, advicePath(dir, seq), opt.MaxAdviceBytes, func(payload []byte) error {
+	if _, err := scanFrames(fsys, advicePath(dir, seq), opt.MaxAdviceBytes, func(payload []byte) error {
 		blob = payload
 		return nil
 	}); err != nil {
 		return nil, nil, nil, err
 	}
 	if blob == nil && m.AdviceBytes > 0 {
-		// The sealed advice file lost its intact records (on-disk
+		// The sealed advice file lost its intact record (on-disk
 		// corruption of the untrusted channel). Surface whatever bytes
 		// remain so the audit can reject them with a coded verdict instead
 		// of us swallowing the epoch.

@@ -308,14 +308,14 @@ func TestRecoveryQuarantinesInsteadOfDeleting(t *testing.T) {
 		}
 	}
 	// The log still seals epoch 2 normally after quarantining the torn
-	// manifest (O_EXCL would fail if the name were still taken).
+	// manifest.
 	if m := fillEpoch(t, l, 1, nil); m.Seq != 2 {
 		t.Fatalf("sealed seq = %d, want 2", m.Seq)
 	}
 }
 
 // TestCrashRecoveryProperty kills writes at arbitrary byte offsets of the
-// active epoch's files (plus faultinject's byte operators over the tails)
+// active epoch's trace file (plus faultinject's byte operators over it)
 // and asserts the log reopens to the last sealed epoch with no panic.
 func TestCrashRecoveryProperty(t *testing.T) {
 	// Build a reference log: two sealed epochs plus a partial third.
@@ -385,8 +385,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		return dst
 	}
 
-	// Torn writes: truncate the active epoch's files at every byte offset.
-	for _, name := range []string{"ep000003.trace", "ep000003.advice"} {
+	// Torn writes: truncate the active epoch's trace file at every byte
+	// offset. An active epoch has no advice file: its record is written
+	// only at seal.
+	for _, name := range []string{"ep000003.trace"} {
 		data, err := os.ReadFile(filepath.Join(ref, name))
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +416,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 	for _, op := range byteOps {
 		for seed := int64(0); seed < 25; seed++ {
-			for _, name := range []string{"ep000003.trace", "ep000003.advice"} {
+			for _, name := range []string{"ep000003.trace"} {
 				dir := copyDir(t)
 				path := filepath.Join(dir, name)
 				wire, err := os.ReadFile(path)

@@ -30,7 +30,7 @@ func fillOpen(t *testing.T, l *Log, n int) {
 }
 
 // TestSealDataFsyncFailureLeavesNoManifest: the manifest must not exist
-// unless the data files are durable. An injected fsync failure on a data
+// unless the trace is durable. An injected fsync failure on the trace
 // file aborts the seal before the manifest is created and leaves the epoch
 // pending; the log stays appendable into the next epoch, and the retried
 // seal seals both epochs in order.
@@ -44,9 +44,9 @@ func TestSealDataFsyncFailureLeavesNoManifest(t *testing.T) {
 	defer l.Close()
 	fillOpen(t, l, 2)
 
-	// First Sync in Seal is the trace file: the trusted channel's fsync
-	// fails, so the epoch must not appear sealed.
-	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1}); err != nil {
+	// The trusted channel's fsync fails, so the epoch must not appear
+	// sealed.
+	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Seal(); err == nil {
@@ -96,9 +96,8 @@ func TestSealRotationFailureRollsBack(t *testing.T) {
 	}
 	defer l.Close()
 	fillOpen(t, l, 2)
-	// Rotation reads epoch 2's advice file twice (torn-tail check, scan),
-	// then opens it: fail the open, after epoch 2's trace file is open.
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: 1, After: 2, Target: "ep000002.advice"}); err != nil {
+	// Rotation reads epoch 2's trace file, then opens it: fail the open.
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: 1, After: 1, Target: "ep000002.trace"}); err != nil {
 		t.Fatal(err)
 	}
 	var fe *iofault.FaultError
@@ -137,7 +136,7 @@ func TestSealManifestFsyncFailureRemovesManifest(t *testing.T) {
 	defer l.Close()
 	fillOpen(t, l, 2)
 
-	// Seal fsyncs trace, advice, then the manifest: skip the two data
+	// Seal fsyncs advice, trace, then the manifest: skip the two data
 	// syncs so the fault lands exactly on the manifest's.
 	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 2}); err != nil {
 		t.Fatal(err)
@@ -174,7 +173,7 @@ func TestSealDirFsyncFailureAbortsSeal(t *testing.T) {
 	defer l.Close()
 	fillOpen(t, l, 1)
 
-	// Syncs in Seal: trace, advice, manifest file, then the directory.
+	// Syncs in Seal: advice, trace, manifest file, then the directory.
 	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, After: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +339,7 @@ func TestOpenRecoveryFailureRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillOpen(t, l, 2)
-	if rotated, err := l.Rotate(); err != nil || !rotated {
+	if seq, err := l.Rotate(); err != nil || seq == 0 {
 		t.Fatalf("rotate: %v", err)
 	}
 	fillOpen(t, l, 1)

@@ -296,9 +296,9 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 	if err := l.AppendAdvice([]byte("blob-1")); err != nil {
 		t.Fatal(err)
 	}
-	rotated, err := l.Rotate()
-	if err != nil || !rotated {
-		t.Fatalf("rotate: %v (rotated=%v)", err, rotated)
+	seq, err := l.Rotate()
+	if err != nil || seq != 1 {
+		t.Fatalf("rotate: %v (rotated epoch %d)", err, seq)
 	}
 	if n := l.PendingSeals(); n != 1 {
 		t.Fatalf("%d pending seals, want 1", n)
@@ -333,12 +333,12 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 func TestRotateEmptyEpochIsNoop(t *testing.T) {
 	l := openGroup(t, t.TempDir(), Options{})
 	defer l.Close()
-	rotated, err := l.Rotate()
+	seq, err := l.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rotated {
-		t.Fatal("rotated an empty epoch")
+	if seq != 0 {
+		t.Fatalf("rotated an empty epoch as epoch %d", seq)
 	}
 	if m, err := l.FinishSeals(); err != nil || m != nil {
 		t.Fatalf("FinishSeals with nothing pending: %v, %+v", err, m)
@@ -352,7 +352,7 @@ func TestFinishSealsFailureKeepsPendingAndRetries(t *testing.T) {
 	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if rotated, err := l.Rotate(); err != nil || !rotated {
+	if seq, err := l.Rotate(); err != nil || seq == 0 {
 		t.Fatalf("rotate: %v", err)
 	}
 	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: -1, Target: ".manifest"}); err != nil {
@@ -389,7 +389,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if rotated, err := l.Rotate(); err != nil || !rotated {
+		if seq, err := l.Rotate(); err != nil || seq == 0 {
 			t.Fatalf("rotate epoch %d: %v", ep, err)
 		}
 	}
@@ -440,7 +440,7 @@ func TestRecoverySealPreservesFreshMarker(t *testing.T) {
 	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if rotated, err := l.Rotate(); err != nil || !rotated {
+	if seq, err := l.Rotate(); err != nil || seq == 0 {
 		t.Fatalf("rotate: %v", err)
 	}
 	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1)).Wait(); err != nil {

@@ -77,6 +77,28 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
+// WriteFileSync makes data the whole of the file name, durably: open
+// (create or truncate), write, fsync, close. The error names the stage
+// that failed; bytes of a failed write or fsync may remain.
+func WriteFileSync(fsys FS, name string, data []byte) error {
+	f, err := fsys.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close() // close-after-error; the write error is the one that surfaces
+		return fmt.Errorf("write: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close() // close-after-error; the fsync error is the one that surfaces
+		return fmt.Errorf("fsync: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
+	}
+	return nil
+}
+
 // Call names one VFS entry point: what operators intercept and the
 // Injector counts.
 type Call string
