@@ -83,9 +83,12 @@ type Config struct {
 	// RetryAfter is the base retry hint attached to 429s; the value sent
 	// is jittered across [RetryAfter, 2×RetryAfter). <=0 means 1s.
 	RetryAfter time.Duration
-	// RequestTimeout bounds one admitted request end to end, including
-	// its wait in the commit queue. 0 disables the collector-side
-	// deadline (the client's context still applies).
+	// RequestTimeout bounds how long an admitted request may wait (for
+	// the epoch gate, say, while a seal rotates) before it is recorded;
+	// past that point it expires with 503. Once its REQ is enqueued a
+	// request runs to completion, since a handler that ran must reach the
+	// trace. 0 disables the collector-side deadline (the client's context
+	// still applies).
 	RequestTimeout time.Duration
 	// AuditProgress, when set, reports the audit pipeline's progress as
 	// the last fully audited epoch seq (ok=false while unknown). The
@@ -132,8 +135,9 @@ type Collector struct {
 	log *epochlog.Log  // immutable pointer; the log is internally synchronized
 
 	// gate is the epoch gate: a request holds it shared from its REQ
-	// append through its RESP append, and a rotation holds it exclusively
-	// — so a seal can never split a REQ/RESP pair across epochs.
+	// enqueue until both its frames are acked durable, and a rotation holds
+	// it exclusively — so a seal can never split a REQ/RESP pair across
+	// epochs, and never rotates with a request's frame still in flight.
 	gate sync.RWMutex
 	// ridMu orders RID assignment with the REQ enqueue, so the trace
 	// admits requests in RID order even under concurrency.
@@ -429,10 +433,11 @@ func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveAdmitted runs one admitted request under the epoch gate: REQ
-// append, execution, and RESP append all happen inside one shared hold, so
-// a concurrent rotation can never split the pair across epochs. It returns
-// either a served result (refuse == "", status 200/500) or a refusal
-// (refuse != "" with its status code).
+// enqueue, execution, RESP enqueue and the one durability wait that covers
+// both frames all happen inside one shared hold, so a concurrent rotation
+// can never split the pair across epochs. It returns either a served result
+// (refuse == "", status 200/500) or a refusal (refuse != "" with its status
+// code).
 func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID, value.V, int, string) {
 	c.gate.RLock()
 	defer c.gate.RUnlock()
@@ -442,21 +447,26 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	if closed {
 		return "", nil, http.StatusServiceUnavailable, "collector closed"
 	}
+	// A deadline is honoured only before anything is recorded: past the REQ
+	// enqueue the handler runs, and a request that ran must reach the trace.
+	if err := ctx.Err(); err != nil {
+		return "", nil, http.StatusServiceUnavailable, "epoch log: commit abandoned: " + err.Error()
+	}
 
-	// Trusted path: the request is ground truth the moment it is admitted,
-	// before any untrusted execution runs. RID assignment and the REQ
-	// enqueue share one critical section so the trace admits requests in
-	// RID order. If the append fails past the retry budget the request is
-	// refused outright — serving a request the trace never admitted would
-	// make the collector itself the gap in the evidence. The RID is not
-	// rolled back: RIDs must only ever grow, and audit keys on the trace,
-	// not the counter.
+	// Trusted path: the request is ground truth the moment it is admitted.
+	// RID assignment and the REQ enqueue share one critical section so the
+	// trace admits requests in RID order, and the enqueue comes before any
+	// untrusted execution runs. Its durability does not: the frame commits
+	// while the handler executes. A refused enqueue (full commit queue,
+	// closed log) is decided on the spot, so the request is refused before
+	// it runs and leaves no state behind. The RID is not rolled back: RIDs
+	// must only ever grow, and audit keys on the trace, not the counter.
 	c.ridMu.Lock()
 	c.nextRID++
 	rid := core.RID(fmt.Sprintf("r%08d", c.nextRID))
-	reqAck := c.log.AppendEventAsync(ctx, trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
+	reqAck := c.log.AppendEventAsync(context.Background(), trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
 	c.ridMu.Unlock()
-	if err := reqAck.Wait(); err != nil {
+	if err := reqAck.Refused(); err != nil {
 		if errors.Is(err, epochlog.ErrCommitQueueFull) {
 			return "", nil, http.StatusTooManyRequests, "epoch log: " + err.Error()
 		}
@@ -474,16 +484,26 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 		out = value.Normalize(value.Map("error", serveErr.Error()))
 	}
 
-	// The RESP rides a background context: the response already left the
-	// application, so its record must not be abandoned to a client
-	// deadline — the trace has to balance. If the append still fails, the
-	// client keeps its response (refusing it now would lose work a client
-	// may retry non-idempotently) and the epoch is flagged: its trace is
-	// unbalanced through an infrastructure fault, so the auditor grades it
-	// Unauditable rather than rejected.
+	// One durability wait per request: commits are FIFO, so by the time the
+	// RESP's batch is acked the REQ's ack has resolved too.
 	respAck := c.log.AppendEventAsync(context.Background(), trace.Event{Kind: trace.Resp, RID: string(rid), Data: out})
-	if err := respAck.Wait(); err != nil {
-		c.log.MarkDegraded("response append failed for " + string(rid) + ": " + err.Error())
+	respErr := respAck.Wait()
+	if err := reqAck.Wait(); err != nil {
+		// The handler already ran, so the application state and the advice
+		// hold a request the trace lacks. Flag the epoch — an audit of it
+		// is Unauditable, not a rejection — and refuse the client, whose
+		// request is on no durable record.
+		c.log.MarkDegraded("request append failed for " + string(rid) + ": " + err.Error())
+		return "", nil, http.StatusServiceUnavailable, "epoch log: " + err.Error()
+	}
+	if respErr != nil {
+		// The RESP rides a background context because the response already
+		// left the application. If its append still fails the client keeps
+		// its response (refusing it now would lose work a client may retry
+		// non-idempotently) and the epoch is flagged: its trace is
+		// unbalanced through an infrastructure fault, so the auditor grades
+		// it Unauditable rather than rejected.
+		c.log.MarkDegraded("response append failed for " + string(rid) + ": " + respErr.Error())
 	}
 
 	c.mu.Lock()

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,42 +54,57 @@ func TestInvokeRetriesTransientAppend(t *testing.T) {
 	}
 }
 
-// TestInvokeRefusedWhenRequestAppendFails: if the REQ append fails past the
-// retry budget, the request must be refused — never served off the record.
-func TestInvokeRefusedWhenRequestAppendFails(t *testing.T) {
-	inj := iofault.NewInjector(nil)
-	c, ts := newFaulted(t, inj, 0)
-	defer c.Close()
-
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, Target: ".trace"}); err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "get", "day": "mon"}})
-	resp, _ := post(t, ts.URL+"/invoke", body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("invoke with dead trusted channel: status %d, want 503", resp.StatusCode)
-	}
-	inj.Heal()
-	if st := c.Status(); st.Served != 0 || st.ActiveEvents != 0 {
-		t.Fatalf("refused request left state behind: %+v", st)
-	}
-	// The channel healed: serving resumes without a restart.
-	invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
-}
-
 // TestResponseAppendFailureDegradesButServes: once the response exists the
 // client gets it; the epoch is flagged degraded instead of the request
 // failing.
 func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	inj := iofault.NewInjector(nil)
-	c, ts := newFaulted(t, inj, 0)
-	defer c.Close()
-
-	// Skip the REQ append; fail every later trace append in this epoch.
-	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, After: 1, Target: ".trace"}); err != nil {
+	st := &syncStallFS{FS: inj, blocked: make(chan struct{}), release: make(chan struct{})}
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: t.TempDir(), FS: st})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := invoke(t, ts.URL, map[string]any{"op": "get", "day": "mon"})
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	// The REQ commits while the handler runs, so a lone request's two
+	// frames often share one batch. Hold the handler until the REQ's batch
+	// has been written alone and is in its fsync; the RESP then needs a
+	// write of its own, and every trace write from here on fails.
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	c.serveMu.Lock()
+	go func() {
+		body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "get", "day": "mon"}})
+		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		_, err = out.ReadFrom(resp.Body)
+		done <- reply{status: resp.StatusCode, body: out.Bytes(), err: err}
+	}()
+	<-st.blocked
+	if err := inj.Arm(iofault.OpTransientEIO, iofault.Arm{Times: -1, Target: ".trace"}); err != nil {
+		t.Fatal(err)
+	}
+	close(st.release)
+	c.serveMu.Unlock()
+	r := <-done
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("invoke: status %d, %v: %s", r.status, r.err, r.body)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(r.body, &out); err != nil {
+		t.Fatal(err)
+	}
 	if out["output"] == nil {
 		t.Fatalf("degraded invoke dropped the output: %v", out)
 	}
@@ -99,6 +116,37 @@ func TestResponseAppendFailureDegradesButServes(t *testing.T) {
 	if m, err := c.Seal(); err != nil || m == nil || m.Degraded == "" {
 		t.Fatalf("sealed degraded epoch = %+v, %v", m, err)
 	}
+}
+
+// syncStallFS holds the first fsync of a .trace file until release is
+// closed, and closes blocked when that fsync arrives.
+type syncStallFS struct {
+	iofault.FS
+	blocked, release chan struct{}
+	once             sync.Once
+}
+
+func (s *syncStallFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".trace") {
+		return f, err
+	}
+	return syncStallFile{File: f, fs: s}, nil
+}
+
+type syncStallFile struct {
+	iofault.File
+	fs *syncStallFS
+}
+
+func (f syncStallFile) Sync() error {
+	first := false
+	f.fs.once.Do(func() { first = true })
+	if first {
+		close(f.fs.blocked)
+		<-f.fs.release
+	}
+	return f.File.Sync()
 }
 
 // TestSealAdviceLossDegradesButSeals: when the drained advice cannot be

@@ -14,6 +14,7 @@ import (
 
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/iofault"
 )
 
 // TestAdmissionWindow exercises the bounded intake directly: slots, bytes,
@@ -331,5 +332,63 @@ func TestThresholdSealsFullEpochs(t *testing.T) {
 		if n < threshold {
 			t.Fatalf("epoch %d sealed with %d requests, below the threshold %d; epoch sizes %v", i+1, n, threshold, sizes)
 		}
+	}
+}
+
+// TestOneDurabilityWaitPerRequest pins the serving path's fsync bill as a
+// count: concurrent clients through Handler() on a disk whose trace writes
+// and fsyncs are slow, with the data fsyncs of the trace counted per served
+// request. A request's REQ frame commits while its handler runs and one
+// wait covers both of its frames, so a request costs about one fsync; a
+// collector that waited for each frame in turn would pay about two.
+func TestOneDurabilityWaitPerRequest(t *testing.T) {
+	const clients, per = 2, 32
+	inj := iofault.NewInjector(nil)
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: t.TempDir(), FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	if err := inj.Arm(iofault.OpLatency, iofault.Arm{Times: -1, Target: ".trace"}); err != nil {
+		t.Fatal(err)
+	}
+	before := inj.Counts()[iofault.CallSync]
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "set", "scope": "always", "msg": fmt.Sprintf("c%d-%d", g, i)}})
+				resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("client %d: status %d", g, resp.StatusCode)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	syncs := inj.Counts()[iofault.CallSync] - before
+	if served := c.Status().Served; served != clients*per {
+		t.Fatalf("served %d, want %d", served, clients*per)
+	}
+	// Measured on 2 cores: 64 fsyncs for 64 requests here, 124–128 when
+	// each frame had its own wait (95 at GOMAXPROCS=1).
+	const bound = clients * per * 5 / 4
+	if syncs > bound {
+		t.Fatalf("%d trace fsyncs for %d requests, want at most %d", syncs, clients*per, bound)
 	}
 }

@@ -572,11 +572,13 @@ func (l *Log) SealedCount() int {
 }
 
 // Close releases the active epoch's file handles without sealing; the
-// unsealed tail — including any rotated-but-unfinished epochs, which lose
-// their in-memory advice records and seal Degraded — is recovered by the
-// next Open. Durable appends already accepted into the
-// group-commit queue are committed (or honestly failed) before the files
-// close: an enqueued waiter is never left hanging.
+// unsealed tail, including any rotated-but-unfinished epochs, is recovered
+// by the next Open. Every advice record still held in memory is first
+// written whole, best-effort, as its epoch's advice file, where recovery
+// adopts it: the epoch then seals with the record it had instead of
+// without one. Durable appends already accepted into the group-commit
+// queue are committed (or honestly failed) before the files close: an
+// enqueued waiter is never left hanging.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -592,7 +594,20 @@ func (l *Log) Close() error {
 	l.commitWG.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for _, ps := range l.pending {
+		l.keepAdvice(ps.m.Seq, ps.advice)
+	}
+	l.keepAdvice(l.active, l.advice)
 	return l.closeFiles()
+}
+
+// keepAdvice writes epoch seq's in-memory advice record as its advice file
+// for the next Open to adopt. Best-effort: a record that does not land
+// leaves the epoch to seal without advice, as it would have anyway.
+func (l *Log) keepAdvice(seq uint64, rec []byte) {
+	if rec != nil {
+		_ = iofault.WriteFileSync(l.fs, advicePath(l.dir, seq), frame(rec)) // best-effort, see above
+	}
 }
 
 // closeFiles releases the active epoch's trace handle and every pending

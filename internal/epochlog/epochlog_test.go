@@ -187,6 +187,48 @@ func TestReopenResumesActiveEpoch(t *testing.T) {
 	}
 }
 
+// TestCloseKeepsPendingAdvice: an epoch rotated out but not yet sealed when
+// the log closes keeps its in-memory advice record — the next Open seals it
+// with that record, not without one.
+func TestCloseKeepsPendingAdvice(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []trace.Event{ev(trace.Req, "r1", 1), ev(trace.Resp, "r1", 1)} {
+		if err := l.AppendEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := []byte("0123456789")
+	if err := l.AppendAdvice(rec); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := l.Rotate(); err != nil || seq != 1 {
+		t.Fatalf("rotate = %d, %v", seq, err)
+	}
+	if err := l.AppendEvent(ev(trace.Req, "r2", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	_, blob, m, err := ReadSealed(dir, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.AdviceBytes != len(rec) || !bytes.Equal(blob, rec) {
+		t.Fatalf("recovered epoch 1: AdviceBytes %d, record %q; want %d and %q", m.AdviceBytes, blob, len(rec), rec)
+	}
+}
+
 // TestManifestLastRIDAndFresh: the manifest records the epoch's last REQ
 // rid and a durable fresh mark; both survive a crash-reopen before the
 // seal, and the fresh mark does not leak into the following epoch.

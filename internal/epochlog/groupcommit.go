@@ -17,14 +17,29 @@ import (
 // disk" — the invariant crash recovery leans on when it seals orphaned
 // epochs from their files alone.
 
-// Ack is the durability handle of one asynchronous append.
+// Ack is the durability handle of one asynchronous append. An append is
+// either refused on the spot (Refused) or enqueued, and then Wait reports
+// its commit. One committer takes enqueued frames in order, so the acks of
+// one log resolve in enqueue order: once a later append's Wait returns,
+// every earlier append's Ack is already resolved, and one wait on the last
+// frame covers them all.
 type Ack struct {
-	ch   chan error
+	ch   chan error // nil when the append was refused at enqueue
 	err  error
 	done bool
 }
 
 func ackDone(err error) *Ack { return &Ack{err: err, done: true} }
+
+// Refused returns the error of an append the log turned away when it was
+// made — a full commit queue or a closed log — without waiting; nil means
+// the frame was enqueued and its outcome is Wait's.
+func (a *Ack) Refused() error {
+	if a.ch == nil {
+		return a.err
+	}
+	return nil
+}
 
 // Wait blocks until the append's batch fsync completes (or fails) and
 // returns the append's outcome. Wait is not safe for concurrent use on one
