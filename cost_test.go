@@ -30,13 +30,13 @@ func TestAuditCostPinned(t *testing.T) {
 		wire                  int
 		stats                 verifier.Stats
 	}{
-		{"motd", workload.WriteHeavy, 1373, 2769, 7773, 165629,
+		{"motd", workload.WriteHeavy, 1369, 2863, 7865, 13847,
 			verifier.Stats{Groups: 3, Requests: 300, GraphNodes: 2073, GraphEdges: 3513, HandlersRerun: 3}},
-		{"stacks", workload.ReadHeavy, 913, 3530, 25195, 241344,
+		{"stacks", workload.ReadHeavy, 907, 3568, 25230, 19711,
 			verifier.Stats{Groups: 19, Requests: 300, GraphNodes: 6828, GraphEdges: 10006, HandlersRerun: 145}},
-		{"wiki", workload.Mixed, 5311, 9005, 35453, 438971,
+		{"wiki", workload.Mixed, 5303, 9094, 35535, 42419,
 			verifier.Stats{Groups: 6, Requests: 300, GraphNodes: 8715, GraphEdges: 15510, HandlersRerun: 18}},
-		{"feeds", workload.Mixed, 526, 1945, 7188, 143232,
+		{"feeds", workload.Mixed, 523, 1961, 7203, 9212,
 			verifier.Stats{Groups: 2, Requests: 300, GraphNodes: 2102, GraphEdges: 3569, HandlersRerun: 2}},
 	} {
 		t.Run(c.app, func(t *testing.T) {

@@ -197,10 +197,11 @@ func (a *Advice) Size() int {
 	return len(a.MarshalBinary())
 }
 
-// Clone deep-copies the advice through the binary wire format; attack tests
-// mutate clones so one honest run can feed many adversarial audits.
+// Clone deep-copies the advice through its binary body, uncompressed;
+// attack tests mutate clones so one honest run can feed many adversarial
+// audits.
 func (a *Advice) Clone() *Advice {
-	out, err := UnmarshalBinary(a.MarshalBinary())
+	out, _, err := decodeBody(a.appendBody(nil))
 	if err != nil {
 		panic("advice: clone failed to decode its own encoding: " + err.Error())
 	}

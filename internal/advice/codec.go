@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,11 +28,16 @@ import (
 // whole at every write with its 250-entry history, costs one new entry per
 // write rather than the history again. A back-reference anywhere else — a
 // transaction's contents, a non-determinism record, any KADV2 blob — is
-// malformed. KADV2 blobs still decode, so sealed evidence stays auditable.
+// malformed.
+//
+// What MarshalBinary ships is a KADV4 frame around a KADV3 body (frame.go):
+// the body deflated, which takes the repeated identifiers and keys the body
+// still spells out once per entry down to a tenth of its size. A bare KADV3
+// or KADV2 body still decodes, so sealed evidence stays auditable.
 
 const (
-	codecMagic   = "KADV3\x00"
-	codecMagicV2 = "KADV2\x00"
+	bodyMagic   = "KADV3\x00"
+	bodyMagicV2 = "KADV2\x00"
 )
 
 // MaxExpandedBytes bounds an advice blob's expanded size: its length with
@@ -78,12 +84,12 @@ func (e *encoder) txPos(p TxPos) {
 	e.intv(p.Index)
 }
 
-// MarshalBinary encodes the advice in the compact wire format, the one
-// layout of the format: map-valued sections are emitted in sorted key order,
-// so equal advice encodes to equal bytes. Each variable log's back-reference
-// table (value.RefWriter) lives for the encoding of that log.
-func (a *Advice) MarshalBinary() []byte {
-	e := &encoder{buf: append(make([]byte, 0, 1<<16), codecMagic...)}
+// appendBody appends the advice's KADV3 body to dst, the one layout of the
+// format: map-valued sections are emitted in sorted key order, so equal
+// advice encodes to equal bytes. Each variable log's back-reference table
+// (value.RefWriter) lives for the encoding of that log.
+func (a *Advice) appendBody(dst []byte) []byte {
+	e := &encoder{buf: append(dst, bodyMagic...)}
 	e.str(string(a.Mode))
 
 	rids := sortedKeys(a.Tags)
@@ -335,41 +341,65 @@ func (d *decoder) txPos() (TxPos, error) {
 	return TxPos{RID: core.RID(rid), TID: core.TxID(tid), Index: idx}, nil
 }
 
-// UnmarshalBinary decodes advice from the compact wire format, validating
-// structure (not semantics — that is the audit's job).
+// UnmarshalBinary decodes advice from the compact wire format — a KADV4
+// frame, or a bare KADV3 or KADV2 body — validating structure (not
+// semantics — that is the audit's job).
 func UnmarshalBinary(data []byte) (*Advice, error) {
 	a, _, err := unmarshal(data)
 	return a, err
 }
 
-// ExpandedSize decodes an advice blob and returns its expanded size: its
-// length with every back-reference replaced by the bytes it stands for,
-// which is what the blob would take without back-references (Figure 8's
-// raw size).
+// ExpandedSize decodes an advice blob and returns its expanded size: the
+// length of its body with every back-reference replaced by the bytes it
+// stands for, which is what the advice would take without back-references
+// or compression (Figure 8's raw size).
 func ExpandedSize(data []byte) (int, error) {
 	_, n, err := unmarshal(data)
 	return n, err
 }
 
 func unmarshal(data []byte) (*Advice, int, error) {
-	d := &decoder{buf: data}
+	payload, size, framed, err := splitFrame(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !framed {
+		return decodeBody(data)
+	}
+	z := inflaters.get(newInflater)
+	defer inflaters.put(z)
+	body, err := z.inflate(payload, size)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !bytes.HasPrefix(body, []byte(bodyMagic)) {
+		return nil, 0, errors.New("advice: frame body is not a KADV3 body")
+	}
+	return decodeBody(body)
+}
+
+// decodeBody decodes one body and returns it with its expanded size. Every
+// string and value the decoder makes is a copy, so the advice never aliases
+// body, which may be an inflater's reused buffer.
+func decodeBody(body []byte) (*Advice, int, error) {
+	d := &decoder{buf: body}
 	a, err := d.advice()
 	if err != nil {
 		return nil, 0, err
 	}
-	return a, len(data) + d.extra, nil
+	return a, len(body) + d.extra, nil
 }
 
 func (d *decoder) advice() (a *Advice, err error) {
 	data := d.buf
 	switch {
-	case len(data) >= len(codecMagic) && string(data[:len(codecMagic)]) == codecMagic:
+	case bytes.HasPrefix(data, []byte(bodyMagic)):
 		d.refs = true
-	case len(data) >= len(codecMagicV2) && string(data[:len(codecMagicV2)]) == codecMagicV2:
+	case bytes.HasPrefix(data, []byte(bodyMagicV2)):
 	default:
 		return nil, errors.New("advice: bad magic")
 	}
-	d.off = len(codecMagic)
+	d.off = len(bodyMagic)
 
 	mode, err := d.str()
 	if err != nil {

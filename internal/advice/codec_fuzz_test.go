@@ -40,7 +40,7 @@ func TestBinaryTruncationEveryOffset(t *testing.T) {
 // the claim: decode-side memory must stay proportional to input size.
 func TestDeclaredLengthClamped(t *testing.T) {
 	e := &encoder{}
-	e.buf = append(e.buf, codecMagic...)
+	e.buf = append(e.buf, bodyMagic...)
 	e.str(string(ModeKarousos))
 	e.uvarint(1 << 40) // tags section: a preposterous declared count
 	evil := e.buf
@@ -64,19 +64,32 @@ func TestDeclaredLengthClamped(t *testing.T) {
 // giving the fuzzer deep starting points into every section decoder, and
 // blobs whose variable logs back-reference: an honest history logged at
 // every write, a short doubling chain, and references where none is valid.
+// Each sample is seeded both as a KADV4 frame, with its truncations, and as
+// a bare body; hostile frames declare more or less than they inflate to,
+// carry bytes after their stream, or are a bomb declaring a 256 MiB body.
 func FuzzDecodeAdvice(f *testing.F) {
-	wire := sampleAdvice().MarshalBinary()
-	f.Add(wire)
-	for cut := 1; cut < len(wire); cut += len(wire)/16 + 1 {
-		f.Add(wire[:cut])
+	for _, a := range []*Advice{sampleAdvice(), historyAdvice(6)} {
+		for _, wire := range [][]byte{a.MarshalBinary(), a.appendBody(nil)} {
+			f.Add(wire)
+			for cut := 1; cut < len(wire); cut += len(wire)/16 + 1 {
+				f.Add(wire[:cut])
+			}
+		}
 	}
-	f.Add([]byte(codecMagic))
-	f.Add(historyAdvice(6).MarshalBinary())
-	f.Add(blobWith("var-log", siblingRef(), codecMagic))
-	f.Add(blobWith("var-log", doublingChain(12), codecMagic))
-	f.Add(blobWith("var-log", listEnc(refEnc(0)), codecMagic))
-	f.Add(blobWith("tx-contents", siblingRef(), codecMagic))
-	f.Add(blobWith("var-log", siblingRef(), codecMagicV2))
+	f.Add([]byte(bodyMagic))
+	f.Add([]byte(frameMagic))
+	f.Add(blobWith("var-log", siblingRef(), bodyMagic))
+	f.Add(blobWith("var-log", doublingChain(12), bodyMagic))
+	f.Add(blobWith("var-log", listEnc(refEnc(0)), bodyMagic))
+	f.Add(blobWith("tx-contents", siblingRef(), bodyMagic))
+	f.Add(blobWith("var-log", siblingRef(), bodyMagicV2))
+	body := sampleAdvice().appendBody(nil)
+	z := deflate(body, frameLevel, true)
+	f.Add(frameOf(uint64(len(body))+1, z))
+	f.Add(frameOf(uint64(len(body))-1, z))
+	f.Add(append(frameOf(uint64(len(body)), z), 0, 1, 2))
+	f.Add(frameOf(uint64(len(body)), deflate(body, frameLevel, false)))
+	f.Add(bombFrame(256 << 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := UnmarshalBinary(data)
 		if err != nil {

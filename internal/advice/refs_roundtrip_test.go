@@ -15,43 +15,64 @@ import (
 	"karousos.dev/karousos/internal/workload"
 )
 
-// TestKADV2StillDecodes: sealed evidence written before back-references
-// stays auditable. The fixtures are KADV2 blobs, encoded by the encoder of
-// that format from harness.Serve of motd and wiki (workload.Mixed, 12
-// requests, seed 3, window 4, Karousos advice). Each decodes, its KADV3
-// re-encoding decodes to equal advice, and that re-encoding's expanded size
-// is the KADV2 blob's length: a back-reference stands for exactly the bytes
-// the older format spelled out.
-func TestKADV2StillDecodes(t *testing.T) {
+// TestOlderBodiesStillDecode: sealed evidence written before back-references
+// or before compression stays auditable. The fixtures are bare bodies, each
+// encoded by the encoder of its format from harness.Serve of motd and wiki
+// (workload.Mixed, 12 requests, seed 3, window 4, Karousos advice): KADV2
+// blobs, and the KADV3 blobs MarshalBinary shipped before frames. Both
+// decode to the same advice, whose re-encoding is a KADV4 frame that
+// decodes to equal advice and wraps exactly the KADV3 body: the frame's
+// declared body length is the KADV3 blob's, and its expanded size the KADV2
+// blob's length, since a back-reference stands for exactly the bytes the
+// older format spelled out.
+func TestOlderBodiesStillDecode(t *testing.T) {
 	for _, app := range []string{"motd", "wiki"} {
 		t.Run(app, func(t *testing.T) {
-			old, err := os.ReadFile(filepath.Join("testdata", "kadv2-"+app+".bin"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(old, []byte("KADV2\x00")) {
-				t.Fatal("fixture is not a KADV2 blob")
-			}
-			a, err := advice.UnmarshalBinary(old)
+			v2, v3 := fixture(t, "kadv2-"+app+".bin", "KADV2\x00"), fixture(t, "kadv3-"+app+".bin", "KADV3\x00")
+			a, err := advice.UnmarshalBinary(v2)
 			if err != nil {
 				t.Fatalf("KADV2 blob rejected: %v", err)
 			}
+			a3, err := advice.UnmarshalBinary(v3)
+			if err != nil {
+				t.Fatalf("KADV3 blob rejected: %v", err)
+			}
+			if !reflect.DeepEqual(a, a3) {
+				t.Fatal("the KADV2 and KADV3 fixtures decode to different advice")
+			}
 			blob := a.MarshalBinary()
-			if !bytes.HasPrefix(blob, []byte("KADV3\x00")) || len(blob) > len(old) {
-				t.Fatalf("re-encoded to %d bytes from %d, magic %q", len(blob), len(old), blob[:6])
+			if !bytes.HasPrefix(blob, []byte("KADV4\x00")) || len(blob) > len(v3) {
+				t.Fatalf("re-encoded to %d bytes from %d, magic %q", len(blob), len(v3), blob[:6])
 			}
 			b, err := advice.UnmarshalBinary(blob)
 			if err != nil {
-				t.Fatalf("KADV3 re-encoding rejected: %v", err)
+				t.Fatalf("KADV4 re-encoding rejected: %v", err)
 			}
 			if !reflect.DeepEqual(a, b) {
-				t.Error("KADV3 re-encoding decodes to different advice")
+				t.Error("KADV4 re-encoding decodes to different advice")
 			}
-			if raw, err := advice.ExpandedSize(blob); err != nil || raw != len(old) {
-				t.Errorf("expanded size %d (err %v), KADV2 blob %d bytes", raw, err, len(old))
+			if n, err := advice.BodySize(blob); err != nil || n != len(v3) {
+				t.Errorf("frame declares a %d-byte body (err %v), KADV3 blob %d bytes", n, err, len(v3))
+			}
+			for _, enc := range [][]byte{v3, blob} {
+				if raw, err := advice.ExpandedSize(enc); err != nil || raw != len(v2) {
+					t.Errorf("expanded size %d (err %v) of %q, KADV2 blob %d bytes", raw, err, enc[:6], len(v2))
+				}
 			}
 		})
 	}
+}
+
+func fixture(t *testing.T, name, magic string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte(magic)) {
+		t.Fatalf("fixture %s is not a %q blob", name, magic)
+	}
+	return b
 }
 
 // TestDrainedBlobRoundTrips: for every app at windows 1 and 15, with a

@@ -43,8 +43,8 @@ func doublingChain(levels int) []byte {
 // encoding for raw value bytes.
 const placeholder = "\x00placeholder-for-hostile-bytes\x00"
 
-// blobWith encodes sampleAdvice with the value at site replaced by raw
-// value bytes, under magic.
+// blobWith lays out sampleAdvice's bare body with the value at site
+// replaced by raw value bytes, under magic.
 func blobWith(site string, raw []byte, magic string) []byte {
 	a := sampleAdvice()
 	switch site {
@@ -57,13 +57,13 @@ func blobWith(site string, raw []byte, magic string) []byte {
 	default:
 		panic("unknown site " + site)
 	}
-	blob := a.MarshalBinary()
+	blob := a.appendBody(nil)
 	enc := value.AppendBinary(nil, placeholder)
 	if bytes.Count(blob, enc) != 1 {
 		panic("placeholder not encoded exactly once")
 	}
 	blob = bytes.Replace(blob, enc, raw, 1)
-	return append([]byte(magic), blob[len(codecMagic):]...)
+	return append([]byte(magic), blob[len(bodyMagic):]...)
 }
 
 // TestHostileRefsRejected: every malformed back-reference in an advice blob
@@ -78,15 +78,15 @@ func TestHostileRefsRejected(t *testing.T) {
 		raw               []byte
 		want              string // "" accepts
 	}{
-		{"valid", "var-log", codecMagic, valid, ""},
-		{"forward", "var-log", codecMagic, listEnc(listEnc(nilEnc), refEnc(2)), "back-reference 2 to one of 1"},
-		{"self", "var-log", codecMagic, listEnc(refEnc(0)), "back-reference 0 to one of 0"},
-		{"ancestor", "var-log", codecMagic, listEnc(listEnc(nilEnc), listEnc(refEnc(2))), "back-reference 2 to one of 1"},
-		{"out-of-range", "var-log", codecMagic, listEnc(listEnc(nilEnc), refEnc(1<<40)), "back-reference 1099511627776"},
-		{"tx-contents", "tx-contents", codecMagic, valid, "outside a variable log"},
-		{"nondet", "nondet", codecMagic, valid, "outside a variable log"},
-		{"kadv2", "var-log", codecMagicV2, valid, "outside a variable log"},
-		{"doubling-chain", "var-log", codecMagic, chain, "expand the value past"},
+		{"valid", "var-log", bodyMagic, valid, ""},
+		{"forward", "var-log", bodyMagic, listEnc(listEnc(nilEnc), refEnc(2)), "back-reference 2 to one of 1"},
+		{"self", "var-log", bodyMagic, listEnc(refEnc(0)), "back-reference 0 to one of 0"},
+		{"ancestor", "var-log", bodyMagic, listEnc(listEnc(nilEnc), listEnc(refEnc(2))), "back-reference 2 to one of 1"},
+		{"out-of-range", "var-log", bodyMagic, listEnc(listEnc(nilEnc), refEnc(1<<40)), "back-reference 1099511627776"},
+		{"tx-contents", "tx-contents", bodyMagic, valid, "outside a variable log"},
+		{"nondet", "nondet", bodyMagic, valid, "outside a variable log"},
+		{"kadv2", "var-log", bodyMagicV2, valid, "outside a variable log"},
+		{"doubling-chain", "var-log", bodyMagic, chain, "expand the value past"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := blobWith(tc.site, tc.raw, tc.magic)

@@ -56,12 +56,13 @@ type Config struct {
 	Workers int
 	// MaxPrefetchBytes bounds the estimated bytes of fetched-but-unaudited
 	// epochs resident at once (manifest TraceBytes + AdviceBytes; a
-	// prefetched epoch holds its advice decoded, which is a few times its
-	// wire size, so the bound is on the wire estimate, not the heap). The
-	// count window alone is not enough: 2×Workers epochs of a byte-heavy
-	// workload can dwarf the count bound. At least one epoch is always in
-	// flight, so an oversized epoch stalls the window instead of wedging
-	// it. <=0 means 256 MiB.
+	// prefetched epoch holds its advice decoded, and the wire advice is a
+	// deflated frame, so the decoded advice is tens of times its wire size:
+	// the bound is on the wire estimate, not the heap). The count window
+	// alone is not enough: 2×Workers epochs of a byte-heavy workload can
+	// dwarf the count bound. At least one epoch is always in flight, so an
+	// oversized epoch stalls the window instead of wedging it. <=0 means
+	// 256 MiB.
 	MaxPrefetchBytes int64
 	// AuditWorkers is each epoch audit's parallelism (verifier.Config.
 	// Workers): 0 means GOMAXPROCS, 1 forces the sequential engine. The
@@ -532,12 +533,13 @@ func (a *Auditor) auditEpoch(ctx context.Context, m epochlog.Manifest, f fetched
 }
 
 // decodeAdvice is the advice channel's boundary, run by a prefetch worker:
-// the size limit first, then the decode. The advice is untrusted end to end,
-// so a blob that does not decode — whether the server sent garbage or the
-// disk lost the frame — is a coded rejection (MalformedAdvice, the code
-// rejectCode gives an uncoded error), not an infrastructure error.
+// the size limit first, on the blob and on the body it declares, then the
+// decode. The advice is untrusted end to end, so a blob that does not
+// decode — whether the server sent garbage or the disk lost the frame — is
+// a coded rejection (MalformedAdvice, the code rejectCode gives an uncoded
+// error), not an infrastructure error.
 func (a *Auditor) decodeAdvice(blob []byte) (*advice.Advice, error) {
-	if err := a.cfg.Limits.CheckAdviceBytes(len(blob)); err != nil {
+	if err := a.cfg.Limits.CheckAdviceBlob(blob); err != nil {
 		return nil, err
 	}
 	return advice.UnmarshalBinary(blob)

@@ -2,7 +2,9 @@ package auditd
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/epochlog"
@@ -20,6 +23,7 @@ import (
 	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/value"
+	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -517,5 +521,49 @@ func TestPrefetchedAdviceGradedInOrder(t *testing.T) {
 	}
 	if st := aud.Status(); st.LastAccepted != 2 || st.Rejected != 1 || st.PeakPrefetchEpochs != 4 {
 		t.Fatalf("status %+v; want last accepted 2, one rejection, all four epochs prefetched", st)
+	}
+}
+
+// TestAdviceLimitBindsDeclaredBody: the advice byte limit holds against the
+// body a frame declares as well as against the frame: an honest frame that
+// fits a limit its body does not is a ResourceLimit before anything
+// inflates, and a frame of a kilobyte declaring a 256 MiB body is refused as
+// MalformedAdvice by the codec's own clamp under the default limits.
+func TestAdviceLimitBindsDeclaredBody(t *testing.T) {
+	spec := harness.MOTDApp()
+	run, err := harness.Serve(spec, requestsFor(t, spec, 40, 3), 4, 3, harness.CollectKarousos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := run.Karousos.MarshalBinary()
+	body, err := advice.BodySize(frame)
+	if err != nil || body <= len(frame) {
+		t.Fatalf("frame of %d bytes declares a %d-byte body (err %v)", len(frame), body, err)
+	}
+	decode := func(lim verifier.Limits, blob []byte) error {
+		_, err := (&Auditor{cfg: Config{Limits: lim}}).decodeAdvice(blob)
+		return err
+	}
+	if err := decode(verifier.Limits{MaxAdviceBytes: body}, frame); err != nil {
+		t.Fatalf("limit at the body's size: %v", err)
+	}
+	if err := decode(verifier.Limits{MaxAdviceBytes: body - 1}, frame); rejectCode(err) != core.RejectResourceLimit {
+		t.Fatalf("limit below the body's size, above the frame's: %v, want ResourceLimit", err)
+	}
+
+	var z bytes.Buffer
+	zw, err := flate.NewWriter(&z, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := append(binary.AppendUvarint([]byte("KADV4\x00"), 256<<20), z.Bytes()...)
+	if err := decode(verifier.DefaultLimits(), bomb); err == nil || rejectCode(err) != core.RejectMalformedAdvice {
+		t.Fatalf("bomb: %v, want MalformedAdvice", err)
 	}
 }

@@ -453,7 +453,7 @@ func TestRecoveredOversizedAdviceGradesUnauditable(t *testing.T) {
 		t.Fatalf("rotate: %v", err)
 	}
 	next := trace.Event{Kind: trace.Req, RID: "r99", Data: tr.Events[0].Data}
-	if err := l.AppendEventAsync(context.Background(), next).Wait(); err != nil {
+	if err := l.AppendEventAsync(next).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close() // crash: epoch 1 rotated out, its seal never finished

@@ -13,34 +13,34 @@ import (
 
 // pipelineAdviceSHA256 pins, per app, the SHA-256 of every sealed advice
 // record `karousos chaos -scenario pipeline -seed 42` leaves behind, in
-// epoch order. They were recorded when the wire format became KADV3, whose
-// variable logs back-reference repeated containers; the collector seals
-// Advice.MarshalBinary of the advice it drains, and the bytes must not
-// move.
+// epoch order. They were recorded when the wire format became the KADV4
+// frame, a deflated KADV3 body whose variable logs back-reference repeated
+// containers; the collector seals Advice.MarshalBinary of the advice it
+// drains, and the bytes must not move.
 var pipelineAdviceSHA256 = map[string][]string{
 	"motd": {
-		"59dcf396ecdde7083937b95454d9ad6618a965e51fcd70c928c2200e227b210c",
-		"57ac0d7514da1482abc30ded1884ff4d06a18fb8e54ce0f824afc190942b3d3d",
-		"d2f4a499115b6cf92028c4d8d793bd4081c4877503eb5169fa0e302919b95178",
-		"46fe4b3f3ec2644d113e57c71946f1cbbcd0b4426fe5b5ca4609c59d7d5efd70",
+		"8666dbcf652dc53d84908c7a4a8758b84675e80175ed67147d925dd107beed6d",
+		"22f26008776332b66a6305f5b9e6c3ef3b1d8a4b7c968c6d0512b0c66b3fc788",
+		"6e2f56f51b2b7270df77ba9306f632ab50ce895c043fe9a76d3047d63d8eac9f",
+		"406e1c78074b80731fcf4970055a4aba3bb38dc1da2ac781103242b68c7844e9",
 	},
 	"stacks": {
-		"411ed7a28effa35b6eac9be4fce0df148018bc482331b8f09af3bf80ebb91665",
-		"a55a0a0a99e105682bca55275c8817bfb565940e174c4b1ac2e7e6defdb11e72",
-		"b91761950c18d47c4d087edbc29f3f89fd553053164c6664b568f5eb74f277db",
-		"0e9a65692295252168b1371a14894de094777cc86ab05b7945d0d9b719caf90c",
+		"3cff4bd397ed018673c117862258d70cb82c5f11f58905adc400daf3bdc93fc0",
+		"01bee5422d8d33c3eb470c4d275588529dc19823b7157fba1fac79ce8c2e77c4",
+		"875c6317debd3d9866e5cb7d8146c0207c6107cf6795340e567465e7d32c11ab",
+		"3ca5e1942ff5a9d057db239efb5fafd584dc40a38b6c5430fbfb3f73c74626ad",
 	},
 	"wiki": {
-		"477a1e8ede2140d21fffd8ef3e645525fc5a7dd00f52df9544ca9d8d555c8117",
-		"544777ebcbd12e5e22baf6997feba95cf6cd04350cb196eae22cdf32e6c6d6eb",
-		"68ecbc088b4d865b2232dd7e8263441125711641632c66edb240e9f5437b5b35",
-		"032e56cef2c309e5460bf301565a88a8a8cfe3b12d2c95bf245937c1a9a434f9",
+		"74e563758e8d2ca43c84c0d05a8929243fda6899c6298772c17421e0c408330c",
+		"6aeaaadc35d7508a7ae7d1956404d8872a71360e2817e3548c38a90aea0d77c7",
+		"5b792597e23594441341bfaa17ec9afe08e3ceaeaa78bcee6aa0094c7dd2ccd5",
+		"699e252bf0f4679f84b3cea724ef861f6aebc0cde3500a16ff67f18a0ba68533",
 	},
 	"feeds": {
-		"c77740484b44175d4709b7828260d5314f5c45351176f2d7025630c8f494f000",
-		"a2bc628287c2422bcdd6d4ff33beb14d5d55a8e97ff06b69ae02961dfca0155e",
-		"3a9ebeac2378454036f5fd47bcf33f5226611535345b5c3ab7ab6384961b5905",
-		"66a4935ef52e3e61274eaa2f2a721b0aaf0f59ab1268edd86395adc0fa45771f",
+		"2e5e17a92a612ba5bc0822ff564966a44b0bcee9a48325eb0ae55abda7696434",
+		"97d1c86e4fbbfe2120704ac9b94967a877c7517d4799e39a42e7902d31826850",
+		"52de71bca12f2e79e5c54b089c00147e14022d6f2ad64eca4e006603b96e3b5d",
+		"ee95f796900cfa0c213a622198a2edde861b407beae8776f328f1374a07d2223",
 	},
 }
 

@@ -464,7 +464,7 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	c.ridMu.Lock()
 	c.nextRID++
 	rid := core.RID(fmt.Sprintf("r%08d", c.nextRID))
-	reqAck := c.log.AppendEventAsync(context.Background(), trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
+	reqAck := c.log.AppendEventAsync(trace.Event{Kind: trace.Req, RID: string(rid), Data: input})
 	c.ridMu.Unlock()
 	if err := reqAck.Refused(); err != nil {
 		if errors.Is(err, epochlog.ErrCommitQueueFull) {
@@ -486,7 +486,7 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 
 	// One durability wait per request: commits are FIFO, so by the time the
 	// RESP's batch is acked the REQ's ack has resolved too.
-	respAck := c.log.AppendEventAsync(context.Background(), trace.Event{Kind: trace.Resp, RID: string(rid), Data: out})
+	respAck := c.log.AppendEventAsync(trace.Event{Kind: trace.Resp, RID: string(rid), Data: out})
 	respErr := respAck.Wait()
 	if err := reqAck.Wait(); err != nil {
 		// The handler already ran, so the application state and the advice
@@ -497,12 +497,11 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 		return "", nil, http.StatusServiceUnavailable, "epoch log: " + err.Error()
 	}
 	if respErr != nil {
-		// The RESP rides a background context because the response already
-		// left the application. If its append still fails the client keeps
-		// its response (refusing it now would lose work a client may retry
-		// non-idempotently) and the epoch is flagged: its trace is
-		// unbalanced through an infrastructure fault, so the auditor grades
-		// it Unauditable rather than rejected.
+		// The response already left the application. If its append fails
+		// the client keeps its response (refusing it now would lose work a
+		// client may retry non-idempotently) and the epoch is flagged: its
+		// trace is unbalanced through an infrastructure fault, so the
+		// auditor grades it Unauditable rather than rejected.
 		c.log.MarkDegraded("response append failed for " + string(rid) + ": " + respErr.Error())
 	}
 

@@ -1,7 +1,6 @@
 package epochlog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -185,10 +184,15 @@ func (p *crashFile) Close() error {
 	return p.f.Close()
 }
 
+// scriptAdvice is the advice record crashScript binds to each epoch.
+var scriptAdvice = map[uint64]string{1: "advice-1", 2: "advice-2", 3: "advice-3"}
+
 // crashScript drives one log through the seal path's every stage: acked
 // appends and advice → Rotate → acked appends → FinishSeals → acked
-// appends and advice → Seal. It stops at the first error and returns the
-// RIDs whose appends were acked.
+// appends and advice → Seal → acked appends → Rotate → acked appends →
+// advice for the rotated epoch → Close, which writes that still-bound
+// record for the next Open to adopt. It stops at the first error and
+// returns the RIDs whose appends were acked.
 func crashScript(dir string, fsys iofault.FS) (acked []string) {
 	l, err := Open(dir, Options{FS: fsys})
 	if err != nil {
@@ -198,7 +202,7 @@ func crashScript(dir string, fsys iofault.FS) (acked []string) {
 	appendAcked := func(n int) error {
 		for i := 0; i < n; i++ {
 			rid := fmt.Sprintf("r%d", len(acked))
-			if err := l.AppendEventAsync(context.Background(), ev(trace.Req, rid, len(acked))).Wait(); err != nil {
+			if err := l.AppendEventAsync(ev(trace.Req, rid, len(acked))).Wait(); err != nil {
 				return err
 			}
 			acked = append(acked, rid)
@@ -215,6 +219,10 @@ func crashScript(dir string, fsys iofault.FS) (acked []string) {
 		func() error { return l.AppendAdvice([]byte("advice-2")) },
 		func() error { _, err := l.Seal(); return err },
 		func() error { return appendAcked(1) },
+		func() error { _, err := l.Rotate(); return err },
+		func() error { return appendAcked(1) },
+		func() error { return l.SetAdvice(3, []byte(scriptAdvice[3])) },
+		func() error { return l.Close() },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
@@ -227,7 +235,9 @@ func crashScript(dir string, fsys iofault.FS) (acked []string) {
 // checkCrashImage asserts what recovery promises about a crashed
 // directory: every manifest on disk covers durable data, Open succeeds,
 // every sealed epoch reads back with its digest, an epoch recovery sealed
-// is Degraded, and every acked frame is in a sealed or the active epoch.
+// is Degraded, an epoch's advice is either none or the whole record the
+// script bound to it, and every acked frame is in a sealed or the active
+// epoch.
 func checkCrashImage(dir string, acked []string) error {
 	pre, err := ListSealed(dir)
 	if err != nil {
@@ -259,12 +269,15 @@ func checkCrashImage(dir string, acked []string) error {
 	}
 	have := map[string]bool{}
 	for _, m := range l.Sealed() {
-		tr, _, _, err := ReadSealed(dir, m.Seq, Options{})
+		tr, blob, _, err := ReadSealed(dir, m.Seq, Options{})
 		if err != nil {
 			return fmt.Errorf("sealed epoch %d unreadable after recovery: %w", m.Seq, err)
 		}
 		if tr.Digest() != m.TraceDigest {
 			return fmt.Errorf("sealed epoch %d digest changed", m.Seq)
+		}
+		if len(blob) > 0 && string(blob) != scriptAdvice[m.Seq] {
+			return fmt.Errorf("sealed epoch %d adopted advice %q, bound %q", m.Seq, blob, scriptAdvice[m.Seq])
 		}
 		for _, e := range tr.Events {
 			have[e.RID] = true
@@ -306,8 +319,8 @@ func copyTree(t *testing.T, src string) string {
 // fails partway must leave no write handle open.
 func TestCrashAtEveryPoint(t *testing.T) {
 	dry := newCrashFS(0)
-	if acked := crashScript(t.TempDir(), dry); len(acked) != 8 {
-		t.Fatalf("uncrashed script acked %d frames, want 8", len(acked))
+	if acked := crashScript(t.TempDir(), dry); len(acked) != 9 {
+		t.Fatalf("uncrashed script acked %d frames, want 9", len(acked))
 	}
 	points := dry.calls
 	recoveryPoints := 0

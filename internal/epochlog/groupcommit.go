@@ -58,24 +58,21 @@ type commitWaiter struct {
 	payload []byte // the frame's payload view, for the running digest
 	isReq   bool
 	rid     string
-	ctx     context.Context
 	done    chan error
 }
 
 // AppendEventAsync appends one trace event with a durability ack: the
 // frame rides the committer's next batch fsync. A full commit queue
 // refuses immediately with an Ack carrying ErrCommitQueueFull — the queue
-// is bounded, overload sheds here. ctx only abandons an append whose batch
-// has not started committing; it cannot recall bytes already headed for
-// the disk.
-func (l *Log) AppendEventAsync(ctx context.Context, e trace.Event) *Ack {
+// is bounded, overload sheds here. Once enqueued, the frame is committed:
+// nothing recalls bytes headed for the disk.
+func (l *Log) AppendEventAsync(e trace.Event) *Ack {
 	payload := trace.AppendEventBinary(nil, e)
 	w := &commitWaiter{
 		frame:   frame(payload),
 		payload: payload,
 		isReq:   e.Kind == trace.Req,
 		rid:     e.RID,
-		ctx:     ctx,
 		done:    make(chan error, 1),
 	}
 	// No l.mu here: the committer holds it across a whole batch (fsync
@@ -163,33 +160,19 @@ drain:
 }
 
 // commitLocked makes one batch of frames durable under a single write and
-// a single fsync, then acks every waiter. Caller holds l.mu. Waiters whose
-// context already expired are failed before their frame touches the file:
-// a deadline the client gave up on must not become a durable side effect
-// nobody was told about.
+// a single fsync, then acks every waiter. Caller holds l.mu.
 func (l *Log) commitLocked(batch []*commitWaiter) {
-	live := batch[:0]
 	var buf []byte
 	for _, w := range batch {
-		if w.ctx != nil {
-			if err := w.ctx.Err(); err != nil {
-				w.done <- fmt.Errorf("epochlog: commit abandoned: %w", err)
-				continue
-			}
-		}
-		live = append(live, w)
 		buf = append(buf, w.frame...)
 	}
-	if len(live) == 0 {
-		return
-	}
 	if err := l.writeDurableLocked(buf); err != nil {
-		for _, w := range live {
+		for _, w := range batch {
 			w.done <- err
 		}
 		return
 	}
-	for _, w := range live {
+	for _, w := range batch {
 		l.events++
 		if w.isReq {
 			l.requests++

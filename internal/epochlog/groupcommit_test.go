@@ -1,7 +1,6 @@
 package epochlog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -33,11 +32,11 @@ func TestGroupCommitConcurrentAppendsSealIntact(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rid := fmt.Sprintf("r%04d", i)
-			if err := l.AppendEventAsync(context.Background(), ev(trace.Req, rid, i)).Wait(); err != nil {
+			if err := l.AppendEventAsync(ev(trace.Req, rid, i)).Wait(); err != nil {
 				errs[i] = err
 				return
 			}
-			errs[i] = l.AppendEventAsync(context.Background(), ev(trace.Resp, rid, i)).Wait()
+			errs[i] = l.AppendEventAsync(ev(trace.Resp, rid, i)).Wait()
 		}(i)
 	}
 	wg.Wait()
@@ -90,7 +89,7 @@ func TestGroupCommitAmortisesFsyncs(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWaiter && errs[g] == nil; i++ {
-				errs[g] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("g%d-r%d", g, i), i)).Wait()
+				errs[g] = l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("g%d-r%d", g, i), i)).Wait()
 			}
 		}(g)
 	}
@@ -113,7 +112,7 @@ func TestGroupCommitAckImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
+		if err := l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,13 +133,13 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	// deterministically.
 	st := newStallFS(iofault.OS)
 	l := openGroup(t, dir, Options{FS: st})
-	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
+	first := l.AppendEventAsync(ev(trace.Req, "r0", 0))
 	<-st.blocked // committer holds r0
 	queued := make([]*Ack, commitQueue)
 	for i := range queued {
-		queued[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
+		queued[i] = l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
 	}
-	shed := l.AppendEventAsync(context.Background(), ev(trace.Req, "shed", 0))
+	shed := l.AppendEventAsync(ev(trace.Req, "shed", 0))
 	if err := shed.Wait(); !errors.Is(err, ErrCommitQueueFull) {
 		t.Fatalf("append to full queue: %v, want ErrCommitQueueFull", err)
 	}
@@ -156,32 +155,6 @@ func TestGroupCommitQueueFullSheds(t *testing.T) {
 	l.Close()
 }
 
-func TestGroupCommitAbandonsExpiredDeadlines(t *testing.T) {
-	dir := t.TempDir()
-	l := openGroup(t, dir, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := l.AppendEventAsync(ctx, ev(trace.Req, "r0", 0)).Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("append with dead context: %v, want context.Canceled", err)
-	}
-	if events, _ := l.ActiveEvents(); events != 0 {
-		t.Fatalf("abandoned append still landed: %d events", events)
-	}
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1)).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.ActiveLastRID() != "r1" {
-		t.Fatalf("recovered last RID %q, want r1 only", l2.ActiveLastRID())
-	}
-}
-
 func TestGroupCommitBatchFsyncFailureAcksNobody(t *testing.T) {
 	// The torn-batch contract (DESIGN.md §14): when the batch fsync fails,
 	// every waiter in the batch gets an error — nobody is acked — and the
@@ -190,18 +163,18 @@ func TestGroupCommitBatchFsyncFailureAcksNobody(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "good", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "good", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := inj.Arm(iofault.OpFsyncFail, iofault.Arm{Times: 1, Target: ".trace"}); err != nil {
 		t.Fatal(err)
 	}
-	err := l.AppendEventAsync(context.Background(), ev(trace.Req, "doomed", 1)).Wait()
+	err := l.AppendEventAsync(ev(trace.Req, "doomed", 1)).Wait()
 	if err == nil {
 		t.Fatal("append with failing batch fsync was acked")
 	}
 	// The failed batch's bytes are gone; the log keeps accepting.
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "after", 2)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "after", 2)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -227,7 +200,7 @@ func TestGroupCommitShortWriteRetriesWithoutTearing(t *testing.T) {
 	}
 	// The first batch write tears mid-frame; the committer truncates the
 	// tear and the transient retry lands the full batch.
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatalf("short-write batch not retried: %v", err)
 	}
 	m, err := l.Seal()
@@ -250,7 +223,7 @@ func TestGroupCommitTornBatchTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 4; i++ {
-		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
+		if err := l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +262,7 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 	dir := t.TempDir()
 	l := openGroup(t, dir, Options{})
 	for i := 0; i < 6; i++ {
-		if err := l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
+		if err := l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("r%d", i), i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +278,7 @@ func TestRotateFinishSealsEquivalentToSeal(t *testing.T) {
 	}
 	// Appends keep flowing into the new epoch before the seal finishes —
 	// that is the double buffer's whole point.
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "next-epoch", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "next-epoch", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	m, err := l.FinishSeals()
@@ -349,7 +322,7 @@ func TestFinishSealsFailureKeepsPendingAndRetries(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.NewInjector(nil)
 	l := openGroup(t, dir, Options{FS: inj})
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if seq, err := l.Rotate(); err != nil || seq == 0 {
@@ -385,7 +358,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 	for ep := 0; ep < 2; ep++ {
 		for i := 0; i < 3; i++ {
 			rid := fmt.Sprintf("e%d-r%d", ep, i)
-			if err := l.AppendEventAsync(context.Background(), ev(trace.Req, rid, i)).Wait(); err != nil {
+			if err := l.AppendEventAsync(ev(trace.Req, rid, i)).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -393,7 +366,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 			t.Fatalf("rotate epoch %d: %v", ep, err)
 		}
 	}
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "active-r0", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "active-r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: no FinishSeals, no Close-side fsyncs.
@@ -422,7 +395,7 @@ func TestCrashBetweenRotateAndFinishRecoverySealsChain(t *testing.T) {
 		t.Fatalf("active epoch recovered %d events, want 1", events)
 	}
 	// The log keeps working end to end.
-	if err := l2.AppendEventAsync(context.Background(), ev(trace.Req, "post", 1)).Wait(); err != nil {
+	if err := l2.AppendEventAsync(ev(trace.Req, "post", 1)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := l2.Seal(); err != nil || m.Seq != 3 {
@@ -437,13 +410,13 @@ func TestRecoverySealPreservesFreshMarker(t *testing.T) {
 	if err := l.MarkFresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "r0", 0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if seq, err := l.Rotate(); err != nil || seq == 0 {
 		t.Fatalf("rotate: %v", err)
 	}
-	if err := l.AppendEventAsync(context.Background(), ev(trace.Req, "r1", 1)).Wait(); err != nil {
+	if err := l.AppendEventAsync(ev(trace.Req, "r1", 1)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -468,12 +441,12 @@ func TestGroupCommitBatchCap(t *testing.T) {
 	l := openGroup(t, t.TempDir(), Options{FS: st})
 	defer l.Close()
 	before := inj.Counts()[iofault.CallSync]
-	first := l.AppendEventAsync(context.Background(), ev(trace.Req, "r0", 0))
+	first := l.AppendEventAsync(ev(trace.Req, "r0", 0))
 	<-st.blocked // committer holds r0
 	const backlog = 2*maxBatchFrames + 76
 	acks := make([]*Ack, backlog)
 	for i := range acks {
-		acks[i] = l.AppendEventAsync(context.Background(), ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
+		acks[i] = l.AppendEventAsync(ev(trace.Req, fmt.Sprintf("r%d", i+1), i+1))
 	}
 	close(st.release)
 	if err := first.Wait(); err != nil {

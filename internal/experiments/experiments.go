@@ -184,29 +184,37 @@ func WorkerSweepPanel(app string, mix workload.Mix, cfg Config) Panel {
 
 // AdviceSizePanel reproduces a Figure 8-style panel: the size of the advice
 // the server ships to the verifier, Karousos vs Orochi-JS (§6.3). Each is
-// reported twice: raw, the size with every back-reference spelled out —
-// the paper's advice has none, so this is the comparable figure and the
-// ratio's — and on the wire. The raw size is the decoder's own count
-// (advice.ExpandedSize), not a second encoding.
+// reported three times: raw, the body with every back-reference spelled out
+// — the paper's advice has neither back-references nor compression, so this
+// is the comparable figure and the ratio's; body, the uncompressed KADV3
+// body; and wire, the deflated frame that is shipped. Both advice kinds go
+// through the same codec, so only raw against raw compares either with the
+// paper. The raw size is the decoder's own count (advice.ExpandedSize) and
+// the body size the frame's declared length (advice.BodySize), not second
+// encodings.
 func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 	p := Panel{
-		Title:  fmt.Sprintf("advice size — %s (%s), %d requests", app, mix, cfg.Requests),
-		Header: []string{"conc", "karousos raw", "karousos wire", "orochi-js raw", "orochi-js wire", "ratio"},
+		Title: fmt.Sprintf("advice size — %s (%s), %d requests", app, mix, cfg.Requests),
+		Header: []string{"conc",
+			"karousos raw", "karousos body", "karousos wire",
+			"orochi-js raw", "orochi-js body", "orochi-js wire", "ratio"},
 	}
 	for _, conc := range cfg.Conc {
 		spec, reqs := AppWorkload(app, mix, cfg.Requests, cfg.Seed)
 		run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectBoth)
 		must(err)
-		kWire, oWire := run.Karousos.MarshalBinary(), run.Orochi.MarshalBinary()
-		k, err := advice.ExpandedSize(kWire)
-		must(err)
-		o, err := advice.ExpandedSize(oWire)
-		must(err)
-		p.Rows = append(p.Rows, []string{
-			fmt.Sprint(conc),
-			kib(k), kib(len(kWire)), kib(o), kib(len(oWire)),
-			fmt.Sprintf("%.2f", float64(k)/float64(o)),
-		})
+		row := []string{fmt.Sprint(conc)}
+		var raw [2]int
+		for i, a := range []*advice.Advice{run.Karousos, run.Orochi} {
+			wire := a.MarshalBinary()
+			r, err := advice.ExpandedSize(wire)
+			must(err)
+			body, err := advice.BodySize(wire)
+			must(err)
+			raw[i] = r
+			row = append(row, kib(r), kib(body), kib(len(wire)))
+		}
+		p.Rows = append(p.Rows, append(row, fmt.Sprintf("%.2f", float64(raw[0])/float64(raw[1]))))
 	}
 	return p
 }

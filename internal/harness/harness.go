@@ -206,7 +206,7 @@ func VerifyWith(spec AppSpec, tr *trace.Trace, adv *advice.Advice, opt VerifyOpt
 	// of what makes the Orochi-JS verifier slower (§6.2).
 	wire := adv.MarshalBinary()
 	start := time.Now()
-	if err := lim.CheckAdviceBytes(len(wire)); err != nil {
+	if err := lim.CheckAdviceBlob(wire); err != nil {
 		return &VerifyResult{Elapsed: time.Since(start), Err: err}
 	}
 	parsed, err := advice.UnmarshalBinary(wire)

@@ -18,9 +18,10 @@ import (
 // behavior; DefaultLimits returns production-shaped bounds.
 type Limits struct {
 	// MaxAdviceBytes bounds the serialized advice size a caller should
-	// accept before decoding. Audit itself receives decoded advice, so this
-	// field is enforced by CheckAdviceBytes at the decode boundary (harness,
-	// CLI), not inside Audit.
+	// accept before decoding: the blob on the wire and the body it declares
+	// it inflates to. Audit itself receives decoded advice, so this field is
+	// enforced by CheckAdviceBlob at the decode boundary (auditd, harness),
+	// not inside Audit.
 	MaxAdviceBytes int
 	// MaxHandlers bounds the total number of advised handler activations
 	// (rid, hid pairs in opcounts).
@@ -67,6 +68,22 @@ func (l Limits) CheckAdviceBytes(n int) error {
 		}
 	}
 	return nil
+}
+
+// CheckAdviceBlob enforces MaxAdviceBytes against an advice blob before it
+// is decoded: against its own length, and against the body length a KADV4
+// frame declares (advice.BodySize), so a lower limit than the codec's own
+// bounds the inflated body too. A frame whose declared length fails the
+// codec's clamp is malformed.
+func (l Limits) CheckAdviceBlob(blob []byte) error {
+	if err := l.CheckAdviceBytes(len(blob)); err != nil {
+		return err
+	}
+	n, err := advice.BodySize(blob)
+	if err != nil {
+		return err
+	}
+	return l.CheckAdviceBytes(n)
 }
 
 // pollInterval is how many poll() calls pass between deadline/graph budget
