@@ -1,31 +1,26 @@
 // Command karousos-vet is the multichecker for the repo's invariant
-// analyzers (internal/analysis/all): detlint, errladder, rejectcode, plus
-// the interprocedural passes advicetaint and leaklint, plus validation of
-// every //karousos: suppression directive.
+// analyzers (internal/analysis/all), plus validation of every //karousos:
+// suppression directive.
 //
 // Usage:
 //
-//	karousos-vet [-checks detlint,leaklint] [-json] [packages]
+//	karousos-vet [-json] [packages]
 //	karousos-vet -list
 //
-// With no packages it defaults to ./... . The whole package set is loaded
-// into one analysis.Program first, so the interprocedural facts (call
-// graph, taint summaries) see every function once and are shared by all
-// analyzers. A package that fails to load costs one "load" diagnostic, not
-// the run: the remaining packages are still vetted.
+// With no packages it defaults to ./... . A package that fails to load
+// costs one "load" diagnostic, not the run: the remaining packages are
+// still vetted.
 //
 // -json emits a JSON array of diagnostics instead of text, including
 // suppressed findings with their suppression state, for tooling that wants
-// to audit what the //karousos: directives are hiding. A run of every
-// analyzer (no -checks) also reports each well-formed directive that
-// suppressed no finding.
+// to audit what the //karousos: directives are hiding. Every run also
+// reports each well-formed directive that suppressed no finding.
 //
 // Exit status: 0 when the tree is clean (suppressed findings are clean),
 // 1 when any diagnostic or load problem is reported, 2 on a driver failure
-// (flag error, unknown analyzer name, go list itself failing). CI runs
-// `karousos-vet ./...` and fails the build on any nonzero status, so every
-// finding is either fixed or carries a reviewed //karousos:<analyzer>-ok
-// <reason> directive.
+// (flag error, go list itself failing). CI runs `karousos-vet ./...` and
+// fails the build on any nonzero status, so every finding is either fixed
+// or carries a reviewed //karousos:<analyzer>-ok <reason> directive.
 package main
 
 import (
@@ -34,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"karousos.dev/karousos/internal/analysis"
 	"karousos.dev/karousos/internal/analysis/all"
@@ -57,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("karousos-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	checks := fs.String("checks", "", "comma-separated analyzers to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array (includes suppressed findings)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,12 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	selected, err := selectAnalyzers(*checks)
-	if err != nil {
-		fmt.Fprintf(stderr, "karousos-vet: %v\n", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -85,17 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "karousos-vet: %v\n", err)
 		return 2
 	}
-
-	// One Program over every loaded package: the interprocedural facts are
-	// built once and shared by all analyzers and packages.
-	pps := make([]*analysis.ProgramPackage, 0, len(pkgs))
-	for _, p := range pkgs {
-		pps = append(pps, &analysis.ProgramPackage{
-			PkgPath: p.PkgPath, Fset: p.Fset, Files: p.Syntax,
-			Pkg: p.Types, TypesInfo: p.TypesInfo,
-		})
-	}
-	prog := analysis.NewProgram(pps)
 
 	exit := 0
 	var out []jsonDiag
@@ -110,25 +86,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, p := range pkgs {
 		var ds []analysis.Diagnostic
-		for _, a := range selected {
+		for _, a := range all.Analyzers {
 			pass := &analysis.Pass{
 				Analyzer: a, Fset: p.Fset, Files: p.Syntax,
 				Pkg: p.Types, TypesInfo: p.TypesInfo,
-				Program: prog,
-				Report:  func(d analysis.Diagnostic) { ds = append(ds, d) },
+				Report: func(d analysis.Diagnostic) { ds = append(ds, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(stderr, "karousos-vet: %s over %s: %v\n", a.Name, p.PkgPath, err)
 				return 2
 			}
 		}
-		// Directive hygiene runs regardless of -checks: a typoed directive
-		// must never silently suppress nothing. Whether a well-formed one
-		// suppresses anything is known only when every analyzer ran.
+		// Directive hygiene: a typoed directive must never silently
+		// suppress nothing, and a well-formed one must suppress something.
 		dirPass := &analysis.Pass{Fset: p.Fset, Files: p.Syntax, Pkg: p.Types, TypesInfo: p.TypesInfo}
-		if *checks == "" {
-			ds = append(ds, analysis.UnusedDirectives(dirPass, all.Analyzers, ds)...)
-		}
+		ds = append(ds, analysis.UnusedDirectives(dirPass, all.Analyzers, ds)...)
 		ds = append(ds, analysis.CheckDirectives(dirPass, all.Analyzers)...)
 
 		analysis.SortDiagnostics(p.Fset, ds)
@@ -161,39 +133,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return exit
-}
-
-// selectAnalyzers resolves -checks, a comma-separated list of analyzer
-// names.
-func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
-	if spec == "" {
-		return all.Analyzers, nil
-	}
-	var selected []*analysis.Analyzer
-	seen := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		a := findAnalyzer(name)
-		if a == nil {
-			names := make([]string, len(all.Analyzers))
-			for i, a := range all.Analyzers {
-				names[i] = a.Name
-			}
-			return nil, fmt.Errorf("unknown analyzer %q (known checks: %s)", name, strings.Join(names, ", "))
-		}
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			selected = append(selected, a)
-		}
-	}
-	return selected, nil
-}
-
-func findAnalyzer(name string) *analysis.Analyzer {
-	for _, a := range all.Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

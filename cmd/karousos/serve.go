@@ -25,7 +25,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	drain := fs.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	maxQueuedBytes := fs.Int64("max-queued-bytes", 0, "admission ceiling on queued request bytes (0 = default 32 MiB)")
 	retryAfter := fs.Duration("retry-after", 0, "base Retry-After hint on 429 responses (0 = default 1s)")
-	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline before the request is recorded (0 = none)")
 	maxAuditLag := fs.Int("max-audit-lag", 0, "tighten admission and fail /readyz when the auditor falls this many epochs behind (0 = default when a checkpoint is followed)")
 	auditCkpt := fs.String("audit-checkpoint", "", "the auditor's resume file for this log (checkpoint-shard-NN.json in its -checkpoint directory) to follow for lag-based backpressure (\"\" = none)")
 	if err := fs.Parse(args); err != nil {
@@ -37,7 +36,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.MaxQueuedBytes = *maxQueuedBytes
 	cfg.RetryAfter = *retryAfter
-	cfg.RequestTimeout = *reqTimeout
 	cfg.MaxAuditLag = *maxAuditLag
 	if *auditCkpt != "" {
 		// The auditor is a separate process; its durable checkpoint is the

@@ -5,6 +5,7 @@
 package advice
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -35,26 +36,68 @@ func TestBinaryTruncationEveryOffset(t *testing.T) {
 	}
 }
 
-// TestDeclaredLengthClamped feeds a tiny blob whose section count claims
-// 2^40 entries and checks the decoder neither succeeds nor allocates for
-// the claim: decode-side memory must stay proportional to input size.
+// TestDeclaredLengthClamped splices a preposterous count into every place a
+// length could be declared: at each offset of an honest advice body, and of
+// a back-referencing variable log's values, where a uvarint parses, it
+// substitutes 2^24 and then 2^40, and requires the decoder to return — an
+// error or a decode — without panicking or allocating for the claim:
+// decode-side memory must stay proportional to input size. 2^24 comes first
+// because an unclamped 2^40 is a fatal out-of-memory that no recover sees
+// and that names no offset; 2^24 elements is an allocation this test can
+// measure and report.
 func TestDeclaredLengthClamped(t *testing.T) {
-	e := &encoder{}
-	e.buf = append(e.buf, bodyMagic...)
-	e.str(string(ModeKarousos))
-	e.uvarint(1 << 40) // tags section: a preposterous declared count
-	evil := e.buf
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := UnmarshalBinary(evil)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("inflated declared length accepted")
+	entry := value.Map("scope", "day", "msg", "hello", "n", float64(7))
+	history := value.List(entry, value.Map("scope", "always", "msg", "bye"))
+	var w value.RefWriter
+	var varLog []byte
+	for _, v := range []value.V{value.Map("history", history), value.List(entry, entry, value.List(entry, value.List())), history} {
+		varLog = w.AppendBinary(varLog, v)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("decoding a %d-byte blob allocated %d bytes", len(evil), grew)
+	decodeAdvice := func(b []byte) { _, _ = UnmarshalBinary(b) }
+	decodeVarLog := func(b []byte) {
+		var refs value.RefReader
+		for off := 0; off < len(b); {
+			_, n, _, err := new(value.Interner).DecodeRefs(b[off:], &refs, 1<<20)
+			if err != nil {
+				return
+			}
+			off += n
+		}
+	}
+	inputs := []struct {
+		name   string
+		wire   []byte
+		decode func([]byte)
+	}{
+		{"sample advice", sampleAdvice().appendBody(nil), decodeAdvice},
+		{"history advice", historyAdvice(6).appendBody(nil), decodeAdvice},
+		{"variable log", varLog, decodeVarLog},
+	}
+	var before, after runtime.MemStats
+	for _, in := range inputs {
+		for off := range in.wire {
+			_, n := binary.Uvarint(in.wire[off:])
+			if n <= 0 {
+				continue
+			}
+			for _, huge := range []uint64{1 << 24, 1 << 40} {
+				evil := binary.AppendUvarint(append([]byte(nil), in.wire[:off]...), huge)
+				evil = append(evil, in.wire[off+n:]...)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: count %d at offset %d: decode panicked: %v", in.name, huge, off, r)
+						}
+					}()
+					runtime.ReadMemStats(&before)
+					in.decode(evil)
+					runtime.ReadMemStats(&after)
+				}()
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+					t.Fatalf("%s: count %d at offset %d: decoding %d bytes allocated %d", in.name, huge, off, len(evil), grew)
+				}
+			}
+		}
 	}
 }
 

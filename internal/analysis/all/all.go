@@ -5,10 +5,8 @@ package all
 
 import (
 	"karousos.dev/karousos/internal/analysis"
-	"karousos.dev/karousos/internal/analysis/advicetaint"
 	"karousos.dev/karousos/internal/analysis/detlint"
 	"karousos.dev/karousos/internal/analysis/errladder"
-	"karousos.dev/karousos/internal/analysis/leaklint"
 	"karousos.dev/karousos/internal/analysis/rejectcode"
 )
 
@@ -17,6 +15,4 @@ var Analyzers = []*analysis.Analyzer{
 	detlint.Analyzer,
 	errladder.Analyzer,
 	rejectcode.Analyzer,
-	advicetaint.Analyzer,
-	leaklint.Analyzer,
 }

@@ -9,22 +9,17 @@
 // Analyzer API mirrors x/tools closely enough that a pass written here ports
 // to the upstream driver by changing imports.
 //
-// The analyzers in the subpackages (internal/analysis/all lists them) prove,
-// at compile time, invariants the dynamic layers (chaos scenarios, fuzzers,
-// verifier.Limits) only sample:
+// The analyzers in the subpackages (internal/analysis/all lists them) guard
+// invariants that a seeded bug can break while every test still passes
+// (DESIGN.md §12 records the seeds):
 //
-//   - detlint:     the verdict is a deterministic function of (trace, advice) —
-//     no unsorted map iteration, wall-clock reads, math/rand, or
-//     multi-case selects on verdict paths.
-//   - errladder:   pipeline I/O errors are matched with errors.Is or
+//   - detlint:    the verdict is a deterministic function of (trace, advice) —
+//     no unsorted map iteration, wall-clock reads, math/rand, multi-case
+//     selects or unchecked goroutine writes on verdict paths.
+//   - errladder:  pipeline I/O errors are matched with errors.Is or
 //     iofault.Classify, never raw == comparisons or os.IsNotExist and
 //     its siblings.
-//   - rejectcode:  errors crossing the Audit boundary carry a core.RejectCode
-//     and RejectCode switches/registries are exhaustive.
-//   - advicetaint: every advice-derived length is clamped before it reaches
-//     an allocation, loop bound, path, verdict branch, or cache key.
-//   - leaklint:    every goroutine in the serving and audit planes has a
-//     join or cancel path.
+//   - rejectcode: errors crossing the Audit boundary carry a core.RejectCode.
 //
 // # Directive grammar
 //
@@ -38,8 +33,8 @@
 // not the tool. A directive naming no known analyzer or carrying no reason
 // is itself a diagnostic (CheckDirectives), so the escape hatch cannot rot
 // into bare unexplained pragmas; so is a well-formed directive that
-// suppresses no finding of a run of every analyzer (UnusedDirectives), so it
-// cannot outlive the finding it was written for.
+// suppresses no finding (UnusedDirectives), so it cannot outlive the
+// finding it was written for.
 package analysis
 
 import (
@@ -71,11 +66,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Program is the whole loaded package set — the interprocedural
-	// analyzers (advicetaint, leaklint) build their call graph and
-	// dataflow summaries from it. A fixture run's Program is the fixture
-	// package alone.
-	Program *Program
 	// Report delivers one diagnostic. The driver sets it; analyzers call
 	// Reportf.
 	Report func(Diagnostic)
@@ -169,8 +159,8 @@ func (d directive) covers(check string, where token.Position) bool {
 // CheckDirectives validates every //karousos: directive in the pass's files
 // against the known analyzers: the check must name one of them and the
 // reason must be non-empty. The driver runs it once per package with every
-// analyzer it has, independent of which are selected, so a typoed or bare
-// directive can never silently suppress nothing.
+// analyzer it has, so a typoed or bare directive can never silently
+// suppress nothing.
 func CheckDirectives(p *Pass, known []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range p.parseDirectives() {
@@ -192,9 +182,7 @@ func CheckDirectives(p *Pass, known []*Analyzer) []Diagnostic {
 
 // UnusedDirectives reports every well-formed directive in the pass's files
 // that covers none of the suppressed findings in ds, the diagnostics every
-// known analyzer reported for this package. Only a run of every analyzer
-// can tell a directive is unused, so karousos-vet calls it on full runs
-// alone.
+// known analyzer reported for this package.
 func UnusedDirectives(p *Pass, known []*Analyzer, ds []Diagnostic) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range p.parseDirectives() {

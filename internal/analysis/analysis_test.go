@@ -4,10 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -130,39 +127,6 @@ func f() {
 	}
 	if want := "karousos:errladder-ok directive suppresses no finding"; unused[0].Message != want {
 		t.Errorf("message = %q, want %q", unused[0].Message, want)
-	}
-}
-
-// TestProgramFactBuildsOnce: a fact is built once however many callers ask
-// for it at once, a build may request a fact under another key, and
-// PackageOf finds the wrapper of a loaded package.
-func TestProgramFactBuildsOnce(t *testing.T) {
-	pp := &ProgramPackage{PkgPath: "p", Pkg: types.NewPackage("p", "p")}
-	prog := NewProgram([]*ProgramPackage{pp})
-	var builds atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := prog.Fact("outer", func() any {
-				builds.Add(1)
-				return prog.Fact("inner", func() any { return 41 }).(int) + 1
-			})
-			if v.(int) != 42 {
-				t.Errorf("Fact = %v, want 42", v)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Errorf("outer fact built %d times, want once", n)
-	}
-	if got := prog.PackageOf(pp.Pkg); got != pp {
-		t.Errorf("PackageOf(p) = %v, want its wrapper", got)
-	}
-	if got := prog.PackageOf(types.NewPackage("q", "q")); got != nil {
-		t.Errorf("PackageOf(q) = %v, want nil for a package outside the program", got)
 	}
 }
 

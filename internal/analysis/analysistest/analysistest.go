@@ -15,8 +15,8 @@
 // Each backquoted or double-quoted string after "want" is a regular
 // expression; a line with no want comment must produce no diagnostics, and
 // every want regexp must be matched by exactly one diagnostic on its line.
-// The fixture package is the pass's whole Program, and its //karousos:
-// directives are checked against the analyzer under test alone.
+// The fixture's //karousos: directives are checked against the analyzer
+// under test alone.
 package analysistest
 
 import (
@@ -76,10 +76,6 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkgname string)
 	pass := &analysis.Pass{
 		Analyzer: a, Fset: p.Fset, Files: p.Syntax,
 		Pkg: p.Types, TypesInfo: p.TypesInfo,
-		Program: analysis.NewProgram([]*analysis.ProgramPackage{{
-			PkgPath: p.PkgPath, Fset: p.Fset, Files: p.Syntax,
-			Pkg: p.Types, TypesInfo: p.TypesInfo,
-		}}),
 		Report: func(d analysis.Diagnostic) {
 			if !d.Suppressed {
 				got = append(got, d)

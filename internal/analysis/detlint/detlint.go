@@ -13,15 +13,13 @@
 //   - select statements with two or more communication cases (the runtime
 //     picks a ready case pseudo-randomly);
 //   - goroutine launches that are not the deterministic fan-out idiom: the
-//     launched body — an inline func literal, or a named function resolved
-//     through the program call graph (internal/analysis/callgraph) — may
-//     write to outer state only through indexed slots (results[i] = ...) or
+//     launched body must be an inline func literal, and it may write to
+//     outer state only through indexed slots (results[i] = ...) or
 //     channels — per-goroutine slots merged in canonical order by the
 //     spawner keep the verdict schedule-independent, whereas a direct
-//     assignment to an outer variable (or, for a named callee, to package
-//     state) races the merge order into the verdict. A launch the call
-//     graph cannot resolve (function value, interface method) is flagged:
-//     its writes are uncheckable.
+//     assignment to an outer variable races the merge order into the
+//     verdict. Any other launch (a named function, a function value, an
+//     interface method) is flagged: its writes are not checked here.
 //
 // The only escape hatch is an explicit, reasoned directive on or above the
 // flagged line:
@@ -39,7 +37,6 @@ import (
 	"strconv"
 
 	"karousos.dev/karousos/internal/analysis"
-	"karousos.dev/karousos/internal/analysis/callgraph"
 )
 
 // Packages are the verdict-affecting packages this analyzer self-scopes to
@@ -116,60 +113,32 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // checkGoStmt constrains goroutine launches on verdict paths to the
-// deterministic fan-out idiom: collect results in per-goroutine indexed
-// slots (or over channels) and merge in canonical order after the pool
-// drains. An inline func literal is checked directly for writes to outer
-// variables; a named function is resolved through the program call graph
-// and its body checked for writes to state declared outside it (package
-// variables) — the same shared-state-races-the-merge-order defect, one
-// hop removed. Only an unresolvable launch (function value, interface
-// method) is flagged unconditionally: its writes cannot be checked.
+// deterministic fan-out idiom: an inline func literal that collects results
+// in per-goroutine indexed slots (or sends them over channels) for the
+// spawner to merge in canonical order after the pool drains. Any other
+// launch is flagged, since its writes are not checked.
 func checkGoStmt(pass *analysis.Pass, g *ast.GoStmt) {
-	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		reportWrites(lit.Body, pass.TypesInfo, func(lhs ast.Expr, root *ast.Ident, obj types.Object) {
-			if obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End() {
-				return // the goroutine's own local (or parameter)
-			}
-			pass.Reportf(lhs.Pos(), "goroutine assigns outer variable %q directly; shared state then depends on scheduling — write to an indexed slot (%s[i] = ...) and merge in canonical order after the pool drains", root.Name, root.Name)
-		})
+	lit, ok := g.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		pass.Reportf(g.Pos(), "go launches something other than a func literal on a verdict path; spawn an inline func literal so the goroutine's writes are checkable (deterministic fan-out idiom)")
 		return
 	}
-	fn := callgraph.StaticCallee(pass.TypesInfo, g.Call)
-	node := callgraph.Of(pass.Program).Node(fn)
-	if node == nil {
-		pass.Reportf(g.Pos(), "go launches a function the call graph cannot resolve on a verdict path; spawn an inline func literal (or a named function) so the goroutine's writes are checkable (deterministic fan-out idiom)")
-		return
-	}
-	reportWrites(node.Decl.Body, node.Pkg.TypesInfo, func(lhs ast.Expr, root *ast.Ident, obj types.Object) {
-		if obj.Pos() >= node.Decl.Pos() && obj.Pos() <= node.Decl.End() {
-			return // the callee's own local, parameter, or receiver
-		}
-		pass.Reportf(g.Pos(), "go launches %s, which assigns shared state %q; shared state then depends on scheduling — write to an indexed slot and merge in canonical order after the pool drains", fn.Name(), root.Name)
-	})
-}
-
-// reportWrites walks a goroutine body and hands every checkable assignment
-// target (plain identifier roots; indexed slots, dereferences, and blanks
-// are allowed by the slot-ownership argument) to flag.
-func reportWrites(body *ast.BlockStmt, info *types.Info, flag func(lhs ast.Expr, root *ast.Ident, obj types.Object)) {
 	check := func(lhs ast.Expr) {
 		root := rootIdent(lhs)
 		if root == nil || root.Name == "_" {
 			return
 		}
-		if _, indexed := lhs.(*ast.IndexExpr); indexed {
-			return
+		switch lhs.(type) {
+		case *ast.IndexExpr, *ast.StarExpr:
+			return // an indexed slot or a dereference: the slot-ownership argument
 		}
-		if _, deref := lhs.(*ast.StarExpr); deref {
-			return
+		obj := pass.TypesInfo.ObjectOf(root)
+		if obj == nil || (obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End()) {
+			return // the goroutine's own local (or parameter)
 		}
-		obj := info.ObjectOf(root)
-		if obj == nil {
-			return
-		}
-		flag(lhs, root, obj)
+		pass.Reportf(lhs.Pos(), "goroutine assigns outer variable %q directly; shared state then depends on scheduling — write to an indexed slot (%s[i] = ...) and merge in canonical order after the pool drains", root.Name, root.Name)
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {

@@ -1,21 +1,14 @@
-// Package rejectcode proves the rejection taxonomy is airtight: every error
-// crossing the Audit boundary carries a core.RejectCode, and every place
-// that enumerates RejectCode values — switch statements and the
-// AllRejectCodes registry — is exhaustive over the constants declared next
-// to the type. The CLI's exit-status logic and the README's reason-code
-// table both key on these codes; an uncoded rejection or a forgotten enum
-// row silently downgrades a machine-readable verdict to prose.
+// Package rejectcode keeps the rejection taxonomy machine-readable: every
+// error a function on the audit boundary constructs carries a
+// core.RejectCode. The CLI's exit status and reason-code output key on
+// these codes; an uncoded rejection silently downgrades a machine-readable
+// verdict to prose, and a unit test sees only the return paths it drives.
 //
-// Checks (all packages):
-//
-//   - a switch whose tag has type RejectCode and no default clause must
-//     cover every declared RejectCode constant;
-//   - a function named AllRejectCodes must return a composite literal
-//     listing every declared RejectCode constant;
-//   - in functions whose name begins with Audit/audit and which return an
-//     error, returning a bare errors.New(...) or a fmt.Errorf(...) without
-//     %w is flagged: construct a core.Reject (which carries a code) or wrap
-//     the coded cause with %w.
+// In functions whose name begins with Audit/audit and which return an
+// error, returning a bare errors.New(...) or a fmt.Errorf(...) without %w
+// is flagged: construct a core.Reject (which carries a code) or wrap the
+// coded cause with %w. (That AllRejectCodes lists every code is
+// core.TestRejectCodeRegistry's job.)
 //
 // The escape hatch is //karousos:rejectcode-ok <reason>.
 package rejectcode
@@ -24,135 +17,27 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"sort"
 	"strings"
 
 	"karousos.dev/karousos/internal/analysis"
 )
 
-// Analyzer is the rejectcode pass. It scopes itself to any package that
-// mentions a RejectCode type, so it runs usefully over ./... .
+// Analyzer is the rejectcode pass. It runs over every package.
 var Analyzer = &analysis.Analyzer{
 	Name: "rejectcode",
-	Doc: "require RejectCode switches and the AllRejectCodes registry to be exhaustive, and Audit-boundary " +
-		"errors to carry a code; suppress with //karousos:rejectcode-ok <reason>",
-	Run: run,
+	Doc:  "require Audit-boundary errors to carry a RejectCode; suppress with //karousos:rejectcode-ok <reason>",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SwitchStmt:
-				checkSwitch(pass, n)
-			case *ast.FuncDecl:
-				if n.Name.Name == "AllRejectCodes" {
-					checkRegistry(pass, n)
-				}
-				checkAuditBoundary(pass, n)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				checkAuditBoundary(pass, fd)
 			}
-			return true
-		})
+		}
 	}
 	return nil
-}
-
-// rejectCodeType returns the named RejectCode type of t, nil otherwise.
-func rejectCodeType(t types.Type) *types.Named {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "RejectCode" {
-		return nil
-	}
-	return named
-}
-
-// declaredCodes enumerates the RejectCode constants declared in the type's
-// own package (works for core via export data and for fixture-local types).
-func declaredCodes(named *types.Named) map[string]bool {
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return nil
-	}
-	out := map[string]bool{}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok {
-			continue
-		}
-		if ct := rejectCodeType(c.Type()); ct != nil && ct.Obj() == named.Obj() {
-			out[constant.StringVal(c.Val())] = true
-		}
-	}
-	return out
-}
-
-// checkSwitch enforces exhaustiveness on RejectCode switches without a
-// default clause.
-func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
-	if sw.Tag == nil {
-		return
-	}
-	named := rejectCodeType(pass.TypesInfo.TypeOf(sw.Tag))
-	if named == nil {
-		return
-	}
-	universe := declaredCodes(named)
-	if len(universe) == 0 {
-		return
-	}
-	covered := map[string]bool{}
-	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			return // default clause: the switch handles unknown codes
-		}
-		for _, e := range cc.List {
-			if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil {
-				covered[constant.StringVal(tv.Value)] = true
-			}
-		}
-	}
-	missing := diff(universe, covered)
-	if len(missing) > 0 {
-		pass.Reportf(sw.Pos(), "RejectCode switch without default is missing %s; add the cases or a default", strings.Join(missing, ", "))
-	}
-}
-
-// checkRegistry enforces that AllRejectCodes' composite literal lists every
-// declared constant.
-func checkRegistry(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if fd.Type.Results == nil || len(fd.Type.Results.List) != 1 || fd.Body == nil {
-		return
-	}
-	var named *types.Named
-	if slice, ok := pass.TypesInfo.TypeOf(fd.Type.Results.List[0].Type).(*types.Slice); ok {
-		named = rejectCodeType(slice.Elem())
-	}
-	if named == nil {
-		return
-	}
-	universe := declaredCodes(named)
-	listed := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		for _, e := range cl.Elts {
-			if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil {
-				listed[constant.StringVal(tv.Value)] = true
-			}
-		}
-		return true
-	})
-	missing := diff(universe, listed)
-	if len(missing) > 0 {
-		pass.Reportf(fd.Pos(), "AllRejectCodes registry is missing %s; every declared code must be listed", strings.Join(missing, ", "))
-	}
 }
 
 // checkAuditBoundary flags uncoded error constructions returned from
@@ -227,16 +112,4 @@ func isUncodedErrorCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// diff returns universe − covered, sorted.
-func diff(universe, covered map[string]bool) []string {
-	var missing []string
-	for code := range universe {
-		if !covered[code] {
-			missing = append(missing, code)
-		}
-	}
-	sort.Strings(missing)
-	return missing
 }

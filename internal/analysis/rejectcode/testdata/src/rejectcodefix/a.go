@@ -1,51 +1,10 @@
-// Fixture for rejectcode: a local RejectCode enum with a non-exhaustive
-// switch, an incomplete registry, and uncoded Audit-boundary errors.
+// Fixture for rejectcode: uncoded Audit-boundary errors.
 package rejectcodefix
 
 import (
 	"errors"
 	"fmt"
 )
-
-type RejectCode string
-
-const (
-	CodeA RejectCode = "A"
-	CodeB RejectCode = "B"
-	CodeC RejectCode = "C"
-)
-
-func describe(c RejectCode) string {
-	switch c { // want `RejectCode switch without default is missing C`
-	case CodeA:
-		return "a"
-	case CodeB:
-		return "b"
-	}
-	return ""
-}
-
-// exhaustive switches and defaulted switches are fine.
-func describeAll(c RejectCode) string {
-	switch c {
-	case CodeA, CodeB, CodeC:
-		return "known"
-	}
-	return ""
-}
-
-func describeDefault(c RejectCode) string {
-	switch c {
-	case CodeA:
-		return "a"
-	default:
-		return "other"
-	}
-}
-
-func AllRejectCodes() []RejectCode { // want `AllRejectCodes registry is missing C`
-	return []RejectCode{CodeA, CodeB}
-}
 
 func AuditBlob(b []byte) error {
 	if len(b) == 0 {

@@ -1,26 +1,10 @@
-// True-negative fixture for rejectcode: suppressions carry reviewed
-// //karousos:rejectcode-ok directives.
+// True-negative fixture for rejectcode: a suppression carries a reviewed
+// //karousos:rejectcode-ok directive.
 package rejectcodeok
 
 import "errors"
 
-type RejectCode string
-
-const (
-	CodeA RejectCode = "A"
-	CodeB RejectCode = "B"
-)
-
 func auditLegacy() error {
-	//karousos:rejectcode-ok legacy shim scheduled for removal; callers map this to CodeA
+	//karousos:rejectcode-ok legacy shim scheduled for removal; callers map this to a coded reject
 	return errors.New("legacy")
-}
-
-func partial(c RejectCode) string {
-	//karousos:rejectcode-ok CodeB cannot reach this shim; its caller filters it out
-	switch c {
-	case CodeA:
-		return "a"
-	}
-	return ""
 }

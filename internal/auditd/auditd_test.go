@@ -21,11 +21,15 @@ import (
 	"karousos.dev/karousos/internal/faultinject"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
+	"karousos.dev/karousos/internal/leakcheck"
 	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
 )
+
+// TestMain fails the package when one of its goroutines outlives the tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // requestsFor is app's mixed workload; an unknown app fails the test.
 func requestsFor(t testing.TB, spec harness.AppSpec, n int, seed int64) []server.Request {

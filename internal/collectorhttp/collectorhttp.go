@@ -83,13 +83,6 @@ type Config struct {
 	// RetryAfter is the base retry hint attached to 429s; the value sent
 	// is jittered across [RetryAfter, 2×RetryAfter). <=0 means 1s.
 	RetryAfter time.Duration
-	// RequestTimeout bounds how long an admitted request may wait (for
-	// the epoch gate, say, while a seal rotates) before it is recorded;
-	// past that point it expires with 503. Once its REQ is enqueued a
-	// request runs to completion, since a handler that ran must reach the
-	// trace. 0 disables the collector-side deadline (the client's context
-	// still applies).
-	RequestTimeout time.Duration
 	// AuditProgress, when set, reports the audit pipeline's progress as
 	// the last fully audited epoch seq (ok=false while unknown). The
 	// collector polls it and tightens admission when the auditor falls
@@ -400,14 +393,7 @@ func (c *Collector) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.adm.release(cost)
 
-	ctx := r.Context()
-	if c.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
-
-	rid, out, status, refuse := c.serveAdmitted(ctx, input)
+	rid, out, status, refuse := c.serveAdmitted(r.Context(), input)
 	if refuse != "" {
 		if status == http.StatusTooManyRequests {
 			// Shed past admission (the commit queue itself is full); count
@@ -447,10 +433,11 @@ func (c *Collector) serveAdmitted(ctx context.Context, input value.V) (core.RID,
 	if closed {
 		return "", nil, http.StatusServiceUnavailable, "collector closed"
 	}
-	// A deadline is honoured only before anything is recorded: past the REQ
-	// enqueue the handler runs, and a request that ran must reach the trace.
+	// A client that went away while waiting for the gate is refused here,
+	// before anything is recorded: past the REQ enqueue the handler runs,
+	// and a request that ran must reach the trace.
 	if err := ctx.Err(); err != nil {
-		return "", nil, http.StatusServiceUnavailable, "epoch log: commit abandoned: " + err.Error()
+		return "", nil, http.StatusServiceUnavailable, "request cancelled before it was recorded: " + err.Error()
 	}
 
 	// Trusted path: the request is ground truth the moment it is admitted.

@@ -12,7 +12,11 @@ import (
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/leakcheck"
 )
+
+// TestMain fails the package when one of its goroutines outlives the tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()

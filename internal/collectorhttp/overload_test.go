@@ -2,6 +2,7 @@ package collectorhttp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -143,29 +144,27 @@ func TestLagBackpressure(t *testing.T) {
 	}
 }
 
-// TestRequestDeadlineAbandonsCommit: an already-expired request deadline
-// fails the REQ append before its frame touches the disk — the refused
-// request leaves no state behind.
-func TestRequestDeadlineAbandonsCommit(t *testing.T) {
-	c, err := New(Config{
-		Spec:           harness.MOTDApp(),
-		Dir:            t.TempDir(),
-		RequestTimeout: time.Nanosecond,
-	})
+// TestCancelledRequestRecordsNothing: a request whose client went away
+// before it was recorded is refused with 503 before its REQ is enqueued —
+// it leaves no state behind.
+func TestCancelledRequestRecordsNothing(t *testing.T) {
+	c, err := New(Config{Spec: harness.MOTDApp(), Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
 
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	body, _ := json.Marshal(map[string]any{"input": map[string]any{"op": "get", "day": "mon"}})
-	resp, out := post(t, ts.URL+"/invoke", body)
-	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(out, []byte("commit abandoned")) {
-		t.Fatalf("expired-deadline invoke: %d %s, want 503 commit-abandoned", resp.StatusCode, out)
+	req := httptest.NewRequest(http.MethodPost, "/invoke", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable || !bytes.Contains(rec.Body.Bytes(), []byte("request cancelled")) {
+		t.Fatalf("cancelled invoke: %d %s, want 503 request-cancelled", rec.Code, rec.Body)
 	}
 	if st := c.Status(); st.Served != 0 || st.ActiveEvents != 0 {
-		t.Fatalf("abandoned request left state behind: %+v", st)
+		t.Fatalf("cancelled request left state behind: %+v", st)
 	}
 }
 

@@ -71,8 +71,8 @@ func (c RejectCode) String() string {
 
 // AllRejectCodes returns every defined rejection code, ordered by the audit
 // layer that fires it (structural validation first, evidence degradation
-// last). karousos-vet's rejectcode analyzer proves this registry exhaustive
-// against the constant block above.
+// last). TestRejectCodeRegistry checks it against the constant block above
+// and README's reason-code table.
 func AllRejectCodes() []RejectCode {
 	return []RejectCode{
 		RejectMalformedAdvice,

@@ -1,16 +1,21 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestRejectCodeRegistry pins the contract karousos-vet's rejectcode
-// analyzer and the docs both rely on: every code has a stable String name,
-// the AllRejectCodes registry has no duplicates, and README's reason-code
-// table stays in lockstep with the constant block — in both directions.
+// TestRejectCodeRegistry pins the contract the CLI and the docs rely on:
+// every code has a stable String name, the AllRejectCodes registry has no
+// duplicates and lists every RejectCode constant declared in reject.go, and
+// README's reason-code table stays in lockstep with the registry — in both
+// directions.
 func TestRejectCodeRegistry(t *testing.T) {
 	codes := AllRejectCodes()
 	seen := map[RejectCode]bool{}
@@ -28,6 +33,12 @@ func TestRejectCodeRegistry(t *testing.T) {
 	}
 	if RejectCode("").String() != "<uncoded>" {
 		t.Errorf("empty code String() = %q, want <uncoded>", RejectCode("").String())
+	}
+
+	for _, c := range declaredRejectCodes(t) {
+		if !seen[c] {
+			t.Errorf("reject.go declares code %s that AllRejectCodes does not list", c)
+		}
 	}
 
 	documented := readmeReasonCodes(t)
@@ -78,6 +89,41 @@ func readmeReasonCodes(t *testing.T) map[string]bool {
 	}
 	if len(out) == 0 {
 		t.Fatal("README reason-code table parsed to zero rows")
+	}
+	return out
+}
+
+// declaredRejectCodes returns the value of every RejectCode constant
+// reject.go declares.
+func declaredRejectCodes(t *testing.T) []RejectCode {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "reject.go", nil, 0)
+	if err != nil {
+		t.Fatalf("parsing reject.go: %v", err)
+	}
+	var out []RejectCode
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "RejectCode" {
+				continue
+			}
+			for _, v := range vs.Values {
+				lit, ok := v.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatal("a RejectCode constant in reject.go is not a string literal")
+				}
+				val, _ := strconv.Unquote(lit.Value)
+				out = append(out, RejectCode(val))
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("reject.go declares no RejectCode constants")
 	}
 	return out
 }

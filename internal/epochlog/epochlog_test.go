@@ -8,9 +8,13 @@ import (
 	"testing"
 
 	"karousos.dev/karousos/internal/faultinject"
+	"karousos.dev/karousos/internal/leakcheck"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
+
+// TestMain fails the package when one of its goroutines outlives the tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func ev(kind trace.Kind, rid string, i int) trace.Event {
 	return trace.Event{Kind: kind, RID: rid, Data: value.Map("i", float64(i))}

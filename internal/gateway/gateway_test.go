@@ -18,11 +18,15 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/leakcheck"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/workload"
 )
+
+// TestMain fails the package when one of its goroutines outlives the tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func wikiMap(shards int) shard.Map {
 	return shard.Map{Shards: shards, KeyFields: []string{"id", "page"}}

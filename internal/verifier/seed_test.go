@@ -15,7 +15,7 @@ import (
 // KAROUSOS_TEST_SEED to pin the seed when replaying a failure.
 func testSeed(t *testing.T) int64 {
 	t.Helper()
-	seed := time.Now().UnixNano() //karousos:detlint-ok test-seed source, logged below so failing runs reproduce
+	seed := time.Now().UnixNano() // logged below, so a failing run reproduces
 	if s := os.Getenv("KAROUSOS_TEST_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
