@@ -40,6 +40,19 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 	}
 }
 
+// TestFlagErrorIsDriverError pins exit 2 for a flag the driver does not
+// know, such as the retired -checks subset selector: a CI line that still
+// passes it fails loudly instead of vetting with every analyzer unasked.
+func TestFlagErrorIsDriverError(t *testing.T) {
+	code, out, errb := runVet(t, "-checks", "detlint", "karousos.dev/karousos/internal/core")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\nstdout: %s\nstderr: %s", code, out, errb)
+	}
+	if !strings.Contains(errb, "flag provided but not defined: -checks") {
+		t.Errorf("stderr should name the unknown flag, got %q", errb)
+	}
+}
+
 // TestJSONSuppressedFindingsVisible pins the -json contract over the real
 // tree: auditd's three reviewed detlint suppressions (the Status latency
 // metric's two clock reads and the sharded poll loop's select) appear with

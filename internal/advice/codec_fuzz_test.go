@@ -6,6 +6,7 @@ package advice
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,8 @@ func TestBinaryTruncationEveryOffset(t *testing.T) {
 // decode-side memory must stay proportional to input size. 2^24 comes first
 // because an unclamped 2^40 is a fatal out-of-memory that no recover sees
 // and that names no offset; 2^24 elements is an allocation this test can
-// measure and report.
+// measure and report, so a failing sweep stops the test before anything
+// larger is spliced.
 func TestDeclaredLengthClamped(t *testing.T) {
 	entry := value.Map("scope", "day", "msg", "hello", "n", float64(7))
 	history := value.List(entry, value.Map("scope", "always", "msg", "bye"))
@@ -73,30 +75,43 @@ func TestDeclaredLengthClamped(t *testing.T) {
 		{"history advice", historyAdvice(6).appendBody(nil), decodeAdvice},
 		{"variable log", varLog, decodeVarLog},
 	}
-	var before, after runtime.MemStats
-	for _, in := range inputs {
-		for off := range in.wire {
-			_, n := binary.Uvarint(in.wire[off:])
+	// sweep splices huge at every uvarint offset of wire.
+	sweep := func(t *testing.T, wire []byte, decode func([]byte), huge uint64) {
+		var before, after runtime.MemStats
+		for off := range wire {
+			_, n := binary.Uvarint(wire[off:])
 			if n <= 0 {
 				continue
 			}
-			for _, huge := range []uint64{1 << 24, 1 << 40} {
-				evil := binary.AppendUvarint(append([]byte(nil), in.wire[:off]...), huge)
-				evil = append(evil, in.wire[off+n:]...)
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("%s: count %d at offset %d: decode panicked: %v", in.name, huge, off, r)
-						}
-					}()
-					runtime.ReadMemStats(&before)
-					in.decode(evil)
-					runtime.ReadMemStats(&after)
+			evil := binary.AppendUvarint(append([]byte(nil), wire[:off]...), huge)
+			evil = append(evil, wire[off+n:]...)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("offset %d: decode panicked: %v", off, r)
+					}
 				}()
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-					t.Fatalf("%s: count %d at offset %d: decoding %d bytes allocated %d", in.name, huge, off, len(evil), grew)
+				runtime.ReadMemStats(&before)
+				decode(evil)
+				runtime.ReadMemStats(&after)
+			}()
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("offset %d: decoding %d bytes allocated %d", off, len(evil), grew)
+			}
+		}
+	}
+	for _, in := range inputs {
+		ok := t.Run(in.name, func(t *testing.T) {
+			for _, exp := range []uint{24, 40} {
+				if !t.Run(fmt.Sprintf("count=2^%d", exp), func(t *testing.T) {
+					sweep(t, in.wire, in.decode, 1<<exp)
+				}) {
+					return
 				}
 			}
+		})
+		if !ok {
+			return
 		}
 	}
 }

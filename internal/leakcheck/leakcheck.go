@@ -25,7 +25,7 @@ const grace = 5 * time.Second
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
-		if stacks := leaked(); len(stacks) > 0 {
+		if stacks := leaked(grace); len(stacks) > 0 {
 			fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines outlived the tests:\n\n%s\n", len(stacks), strings.Join(stacks, "\n\n"))
 			code = 1
 		}
@@ -34,8 +34,8 @@ func Main(m *testing.M) {
 }
 
 // leaked returns the stacks of the module's goroutines still alive after
-// the grace period, the caller's own (the first in the dump) excluded.
-func leaked() []string {
+// waiting up to grace, the caller's own (the first in the dump) excluded.
+func leaked(grace time.Duration) []string {
 	deadline := time.Now().Add(grace)
 	for {
 		buf := make([]byte, 1<<16)
